@@ -10,11 +10,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+
 from .cutqe import CutStructure, build_structure, qe_star
 from .doagqe import QeOptions
 from .errors import BudgetExceededError, ConvexQEError
-from .models import (CompiledFormula, IntCompiledFormula, ModelDescriptor,
-                     Point, model_to_json)
+from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IntCompiledFormula,
+                     ModelDescriptor, Point, compile_formula, model_to_json)
 from .normalform import DEFAULT_DNF_BUDGET
 from .oracle import IntOracleEval, oracle_compile
 from .syntax import (And, AtomKind, Exists, Forall, Formula, Not, Or, Term,
@@ -100,25 +102,29 @@ def gen_formula(rng: random.Random, vars: list[str], depth: int,
 
 
 def gen_point(rng: random.Random, m: ModelDescriptor,
-              extra: tuple[Fraction, ...] = ()) -> Point:
-    pool = VALUE_POOL + list(extra)
-    return Point(tuple(rng.choice(pool) for _ in range(m.dim)))
+              extra: tuple[Fraction, ...] = (),
+              values: list[Fraction] = VALUE_POOL) -> Point:
+    pool = values + list(extra)
+    return Point(tuple(map(rng.choice, repeat(pool, m.dim))))
 
 
 def gen_int_point(rng: random.Random, m: ModelDescriptor,
                   pool: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(rng.choice(pool) for _ in range(m.dim))
+    return tuple(map(rng.choice, repeat(pool, m.dim)))
 
 
-def int_sample_pool(m: ModelDescriptor) -> tuple[int, ...]:
-    pool = [int(v * SAMPLE_DENOM) for v in VALUE_POOL]
-    pool += [int(v * SAMPLE_DENOM) for v in _model_pool(m)
+def int_sample_pool(m: ModelDescriptor,
+                    values: list[Fraction] = VALUE_POOL) -> tuple[int, ...]:
+    """Numerators over SAMPLE_DENOM of the value pool, then of the model's
+    rational threshold entries that SAMPLE_DENOM clears."""
+    pool = [int(v * SAMPLE_DENOM) for v in values]
+    pool += [int(v * SAMPLE_DENOM) for v in model_sample_pool(m)
              if (v * SAMPLE_DENOM).denominator == 1]
     return tuple(pool)
 
 
-def _model_pool(m: ModelDescriptor) -> tuple[Fraction, ...]:
-    from .models import DownwardCut
+def model_sample_pool(m: ModelDescriptor) -> tuple[Fraction, ...]:
+    """Rational threshold entries, so sampling probes the cut's edges."""
     if isinstance(m.u_interp, DownwardCut):
         return tuple(e for e in m.u_interp.threshold if isinstance(e, Fraction))
     return ()
@@ -132,8 +138,8 @@ def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, asgn,
     def disagrees(g: Formula) -> bool:
         try:
             out = qe_star(g, st, options)
-            fv = tuple(sorted(free_vars(g)))
-            lhs = CompiledFormula(m, out, fv).eval(asgn)
+            lhs = compile_formula(m, out).eval_points(asgn,
+                                                      DEFAULT_PRECISION_BITS)
             rhs = oracle_compile(m, g).eval(asgn)
             return lhs != rhs
         except ConvexQEError:
@@ -179,6 +185,7 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
                         depth_budget=config.depth_budget,
                         inject_bug=config.inject_bug)
     pool = int_sample_pool(m)
+    choice, dim = rng.choice, m.dim
     discrepancies = []
     budget_skips = 0
     checked = 0
@@ -197,7 +204,7 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
         checked += 1
         assert is_quantifier_free(out)
         for _ in range(config.assignments):
-            ints = {v: gen_int_point(rng, m, pool) for v in fv}
+            ints = {v: tuple(map(choice, repeat(pool, dim))) for v in fv}
             total_assignments += 1
             got = comp.eval(ints)
             expected = orc.eval(ints)

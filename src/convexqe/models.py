@@ -6,6 +6,12 @@ subgroup {x : x_1 = ... = x_k = 0} or as a downward cut against a threshold
 whose entries are exact rationals, provably irrational constants (pi or
 sqrt of a non-square rational) behind refinable interval oracles, or +inf.
 The stabilizer predicate I always denotes {eps : eps + U-cut = U-cut}.
+
+Quantifier-free formulas are evaluated two ways.  ``eval_formula`` walks the
+formula with exact Point arithmetic and is the reference.
+``compile_formula`` lowers the formula once to the closure evaluator of
+``closures`` (lex, U and I atoms as integer rows) for the per-assignment
+loops; ``IntCompiledFormula`` is that evaluator at a fixed denominator.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
+from .closures import (BUDGET, DENOM, Evaluator, build, first_nonzero,
+                       int_row, lcm_denominators)
 from .errors import (MalformedModelError, PrecisionBudgetError)
 from .normalform import normalize_atoms
-from .syntax import (And, AtomF, AtomKind, FalseF, Formula, Implies, Not,
+from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
                      Or, Term, TrueF, is_quantifier_free)
 
 DEFAULT_PRECISION_BITS = 4096
@@ -423,199 +431,91 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
 
 
 # ---------------------------------------------------------------------------
-# Fast compiled evaluation (integer arithmetic) for the fuzz loops
+# Closure-compiled evaluation (integer arithmetic)
 
 
-class CompiledFormula:
-    """Quantifier-free formula compiled against a model: distinct atoms are
-    deduplicated and evaluated once per assignment via integer arithmetic on
-    denominator-cleared points."""
+def _view(f: Formula):
+    if isinstance(f, AtomF):
+        return "a", f.atom
+    if isinstance(f, And):
+        return "&", (f.lhs, f.rhs)
+    if isinstance(f, Or):
+        return "|", (f.lhs, f.rhs)
+    if isinstance(f, Not):
+        return "~", (f.sub,)
+    if isinstance(f, Implies):
+        return "|", (Not(f.lhs), f.rhs)
+    if isinstance(f, (TrueF, FalseF)):
+        return isinstance(f, TrueF)
+    raise ValueError("compile needs a quantifier-free formula")
 
-    def __init__(self, m: ModelDescriptor, f: Formula, var_order: tuple[str, ...]):
-        f = normalize_atoms(f)
-        if not is_quantifier_free(f):
-            raise ValueError("compile needs a quantifier-free formula")
-        self.model = m
-        self.vars = var_order
-        self._atom_index: dict = {}
-        self._atoms: list = []
-        self.tree = self._build(f)
 
-    def _build(self, f: Formula):
-        if isinstance(f, TrueF):
-            return True
-        if isinstance(f, FalseF):
-            return False
-        if isinstance(f, Not):
-            return ("~", self._build(f.sub))
-        if isinstance(f, And):
-            return ("&", self._build(f.lhs), self._build(f.rhs))
-        if isinstance(f, Or):
-            return ("|", self._build(f.lhs), self._build(f.rhs))
-        if isinstance(f, Implies):
-            return ("|", ("~", self._build(f.lhs)), self._build(f.rhs))
-        if isinstance(f, AtomF):
-            key = (f.atom.kind, f.atom.term.sort_key())
-            idx = self._atom_index.get(key)
-            if idx is None:
-                idx = len(self._atoms)
-                self._atom_index[key] = idx
-                self._atoms.append(f.atom)
-            return ("a", idx)
-        raise TypeError(type(f))
+def term_rows(m: ModelDescriptor, t: Term, shift: tuple = ()):
+    """The term's coordinates, less a rational prefix ``shift``, as integer
+    rows: at points over denominator d, row i gives (t_i - shift_i) * lc * d.
+    Returns (lc, rows), lc the lcm of the denominators involved."""
+    const = (m.unit.scale(t.offset) + m.e_in.scale(t.e_in)
+             + m.e_out.scale(t.e_out)).coords
+    const = tuple(c - e for c, e in zip(const, shift)) + const[len(shift):]
+    lc = lcm_denominators([q for _, q in t.coeffs] + list(const))
+    return lc, [int_row(tuple((v, i, int(q * lc)) for v, q in t.coeffs),
+                        int(c * lc)) for i, c in enumerate(const)]
 
-    def eval(self, points: Mapping[str, Point],
-             precision_budget: int = DEFAULT_PRECISION_BITS) -> bool:
-        m = self.model
-        cache: list = [None] * len(self._atoms)
 
-        def atom_val(i: int) -> bool:
-            v = cache[i]
-            if v is None:
-                a = self._atoms[i]
-                val = term_value(m, a.term, points)
-                if a.kind == AtomKind.LT:
-                    v = val.lex_sign() < 0
-                elif a.kind == AtomKind.EQ:
-                    v = val.is_zero()
-                elif a.kind == AtomKind.UMEM:
-                    v = u_member(m, val, precision_budget)
-                else:
-                    v = i_member(m, val)
-                cache[i] = v
-            return v
+def _lower_atom(m: ModelDescriptor, a: Atom):
+    """Test closure for one atom over the term's integer rows.  A cut's
+    rational threshold prefix is folded into the rows, so U(t) reads off
+    the first nonzero row, then the cut's tail (+inf, the strictness, or
+    its oracle)."""
+    kind = a.kind
+    cut = m.u_interp if kind == AtomKind.UMEM else None
+    shift = ()
+    if isinstance(cut, DownwardCut):
+        thr = cut.threshold
+        j = _first_nonrational(thr)
+        j = m.dim if j is None else j
+        shift = thr[:j]
+    lc, rows = term_rows(m, a.term, shift)
+    if kind == AtomKind.IMEM or isinstance(cut, SubgroupLevel):
+        lead = first_nonzero(rows[:m.stabilizer_level()])
+        return lambda p, f: not lead(p, f[DENOM])
+    if cut is None:
+        lead = first_nonzero(rows)
+        return {AtomKind.LT: lambda p, f: lead(p, f[DENOM]) < 0,
+                AtomKind.LE: lambda p, f: lead(p, f[DENOM]) <= 0,
+                AtomKind.EQ: lambda p, f: not lead(p, f[DENOM]),
+                AtomKind.NEQ: lambda p, f: lead(p, f[DENOM]) != 0}[kind]
+    if j < m.dim and isinstance(thr[j], IrrationalOracle):
+        row, alpha = rows[j], thr[j]
 
-        def go(node) -> bool:
-            if node is True or node is False:
-                return node
-            op = node[0]
-            if op == "a":
-                return atom_val(node[1])
-            if op == "~":
-                return not go(node[1])
-            if op == "&":
-                return go(node[1]) and go(node[2])
-            return go(node[1]) or go(node[2])
+        def rest(p, f) -> bool:
+            d = f[DENOM]
+            return alpha.compare(Fraction(row(p, d), lc * d), f[BUDGET]) < 0
+        if j == 0:
+            return rest
+    else:
+        inside = j < m.dim or not cut.strict  # +inf entry, or t = threshold
+        rest = lambda p, f: inside
+    lead = first_nonzero(rows[:j])
 
-        return go(self.tree)
+    def below(p, f) -> bool:
+        s = lead(p, f[DENOM])
+        return s < 0 if s else rest(p, f)
+    return below
+
+
+def compile_formula(m: ModelDescriptor, f: Formula) -> Evaluator:
+    """The evaluator for a quantifier-free formula over m, built once and
+    called per assignment; eval_formula is its reference."""
+    return build(f, _view, lambda a: _lower_atom(m, a))
 
 
 class IntCompiledFormula:
-    """Integer fast path: assignments supply coordinate numerators over a
-    fixed denominator, and every atom is pre-scaled to integer rows, so the
-    hot loop runs on machine integers (oracle comparisons excepted)."""
+    """compile_formula at a fixed sample denominator: ``eval`` takes each
+    variable's coordinate numerators over ``denom``."""
 
     def __init__(self, m: ModelDescriptor, f: Formula, denom: int):
-        import math as _math
-        f = normalize_atoms(f)
-        if not is_quantifier_free(f):
-            raise ValueError("compile needs a quantifier-free formula")
-        self.model = m
-        self.denom = denom
-        self._atom_index: dict = {}
-        self._atoms: list[Atom] = []
-        self.tree = self._build(f)
-        cut = m.u_interp if isinstance(m.u_interp, DownwardCut) else None
-        self._compiled = []
-        for a in self._atoms:
-            dens = [q.denominator for _, q in a.term.coeffs]
-            const = (m.unit.scale(a.term.offset)
-                     + m.e_in.scale(a.term.e_in) + m.e_out.scale(a.term.e_out))
-            dens += [c.denominator for c in const.coords]
-            if cut is not None and a.kind == AtomKind.UMEM:
-                dens += [e.denominator for e in cut.threshold
-                         if isinstance(e, Fraction)]
-            lc = 1
-            for d in dens:
-                lc = lc * d // _math.gcd(lc, d)
-            scale = lc * denom
-            rows = []
-            for i in range(m.dim):
-                entries = tuple((v, int(q * lc)) for v, q in a.term.coeffs)
-                rows.append((entries, int(const.coords[i] * scale)))
-            thr = None
-            if cut is not None and a.kind == AtomKind.UMEM:
-                thr = tuple((int(e * scale) if isinstance(e, Fraction) else e)
-                            for e in cut.threshold)
-            self._compiled.append((a.kind, rows, scale, thr))
-
-    def _build(self, f: Formula):
-        if isinstance(f, TrueF):
-            return True
-        if isinstance(f, FalseF):
-            return False
-        if isinstance(f, Not):
-            return ("~", self._build(f.sub))
-        if isinstance(f, (And, Or)):
-            op = "&" if isinstance(f, And) else "|"
-            return (op, self._build(f.lhs), self._build(f.rhs))
-        if isinstance(f, Implies):
-            return ("|", ("~", self._build(f.lhs)), self._build(f.rhs))
-        if isinstance(f, AtomF):
-            key = (f.atom.kind, f.atom.term.sort_key())
-            idx = self._atom_index.get(key)
-            if idx is None:
-                idx = len(self._atoms)
-                self._atom_index[key] = idx
-                self._atoms.append(f.atom)
-            return ("a", idx)
-        raise TypeError(type(f))
-
-    def _atom_value(self, i: int, coords: Mapping[str, tuple[int, ...]]) -> bool:
-        kind, rows, scale, thr = self._compiled[i]
-        m = self.model
-        vals = []
-        for ci in range(m.dim):
-            entries, const = rows[ci]
-            total = const
-            for var, coef in entries:
-                total += coef * coords[var][ci]
-            vals.append(total)
-        if kind == AtomKind.LT:
-            for v in vals:
-                if v:
-                    return v < 0
-            return False
-        if kind == AtomKind.EQ:
-            return not any(vals)
-        if kind == AtomKind.IMEM:
-            k = m.stabilizer_level()
-            return not any(vals[:k])
-        # UMEM
-        if isinstance(m.u_interp, SubgroupLevel):
-            return not any(vals[:m.u_interp.level])
-        for v, e in zip(vals, thr):
-            if isinstance(e, PlusInf):
-                return True
-            if isinstance(e, int):
-                if v < e:
-                    return True
-                if v > e:
-                    return False
-                continue
-            return e.compare(Fraction(v, scale)) < 0
-        return not m.u_interp.strict
-
-    def eval(self, coords: Mapping[str, tuple[int, ...]]) -> bool:
-        cache: list = [None] * len(self._atoms)
-
-        def go(node) -> bool:
-            if node is True or node is False:
-                return node
-            op = node[0]
-            if op == "a":
-                i = node[1]
-                v = cache[i]
-                if v is None:
-                    v = cache[i] = self._atom_value(i, coords)
-                return v
-            if op == "~":
-                return not go(node[1])
-            if op == "&":
-                return go(node[1]) and go(node[2])
-            return go(node[1]) or go(node[2])
-
-        return go(self.tree)
+        self.eval = compile_formula(m, f).at(denom, DEFAULT_PRECISION_BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ Each quantifier is eliminated coordinate-by-coordinate with a small,
 self-contained Fourier-Motzkin pass over a dense order without endpoints.
 
 This module deliberately shares no elimination machinery with the main
-engines; it is the differential-testing reference.
+engines; it is the differential-testing reference.  The residual tree is
+evaluated by the closure plumbing of ``closures``, which the model evaluator
+also uses, but this module lowers its own one-dimensional sign atoms and
+alpha comparisons.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
+from .closures import (BUDGET, DENOM, Evaluator, build, int_row,
+                       lcm_denominators)
 from .errors import BudgetExceededError
 from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IrrationalOracle,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel)
@@ -394,134 +399,76 @@ def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
 # public interface
 
 
+def _view(n):
+    if isinstance(n, CLit):
+        return ("~", (n.atom,)) if n.neg else ("a", n.atom)
+    if isinstance(n, tuple):
+        return n[0], n[1:]
+    return ("a", n) if isinstance(n, CAtom) else n
+
+
+def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
+    """Test closure for ``form < 0`` or ``form = 0``: the form's symbols
+    and constant become one integer row scaled by the lcm of their
+    denominators, and a nonzero alpha coefficient is decided against the
+    cut's interval oracle."""
+    form, lt = a.form, a.kind == "lt"
+    lc = lcm_denominators([q for _, q in form.coeffs]
+                          + [form.alpha, form.const])
+    terms = []
+    for sym, q in form.coeffs:
+        var, idx = sym.rsplit("#", 1)
+        terms.append((var, int(idx), int(q * lc)))
+    row = int_row(tuple(terms), int(form.const * lc))
+    if form.alpha == 0:
+        if lt:
+            return lambda p, f: row(p, f[DENOM]) < 0
+        return lambda p, f: row(p, f[DENOM]) == 0
+    ac = int(form.alpha * lc)
+
+    def test(p, f) -> bool:
+        # row + ac*d*alpha < 0  <=>  alpha lies on ac's side of -row/(ac*d)
+        d = f[DENOM]
+        above = alpha.compare(Fraction(-row(p, d), ac * d), f[BUDGET]) > 0
+        return lt and above == (ac > 0)  # never 0: alpha is irrational
+    return test
+
+
 class OracleDecision:
     """Residual condition of a formula over one model: a boolean tree over
-    coordinate atoms in the free variables, evaluated per assignment."""
+    coordinate atoms in the free variables, lowered to closures for
+    evaluation per assignment."""
 
-    def __init__(self, m: ModelDescriptor, tree: BNode,
-                 alpha: Optional[IrrationalOracle]):
-        self.model = m
+    def __init__(self, tree: BNode, alpha: Optional[IrrationalOracle]):
         self.tree = tree
         self.alpha = alpha
+        self._evaluator: Optional[Evaluator] = None
+
+    def lower(self) -> Evaluator:
+        """A fresh evaluator of the tree.  Decisions live in the compile
+        cache, so only the Fraction path below keeps its evaluator."""
+        return build(self.tree, _view, lambda a: _lower_atom(self.alpha, a))
 
     def eval(self, asgn: Mapping[str, Point],
              precision: int = DEFAULT_PRECISION_BITS) -> bool:
-        cache: dict = {}
-
-        def atom_val(atom: CAtom) -> bool:
-            v = cache.get(atom)
-            if v is None:
-                total = atom.form.const
-                acoef = atom.form.alpha
-                for s, q in atom.form.coeffs:
-                    var, idx = s.rsplit("#", 1)
-                    total += q * asgn[var].coords[int(idx)]
-                if acoef == 0:
-                    sign = -1 if total < 0 else (1 if total > 0 else 0)
-                else:
-                    assert self.alpha is not None
-                    srel = -self.alpha.compare(-total / acoef, precision)
-                    sign = srel if acoef > 0 else -srel
-                v = (sign < 0) if atom.kind == "lt" else (sign == 0)
-                cache[atom] = v
-            return v
-
-        def go(n: BNode) -> bool:
-            if n is True or n is False:
-                return n
-            if isinstance(n, CLit):
-                v = atom_val(n.atom)
-                return (not v) if n.neg else v
-            op, l, r = n
-            if op == "&":
-                return go(l) and go(r)
-            return go(l) or go(r)
-
-        return go(self.tree)
+        if self._evaluator is None:
+            self._evaluator = self.lower()
+        return self._evaluator.eval_points(asgn, precision)
 
 
 class IntOracleEval:
-    """Integer fast path over a decided tree: coordinate symbols are looked
-    up as numerators over a fixed denominator and each atom is pre-scaled
-    to integer coefficients."""
+    """A decision at a fixed sample denominator: ``eval`` takes each
+    variable's coordinate numerators over ``denom``."""
 
-    def __init__(self, dec: "OracleDecision", denom: int):
-        import math as _math
-        self.alpha = dec.alpha
-        self._atoms: list[CAtom] = []
-        index: dict = {}
-
-        def build(n: BNode):
-            if n is True or n is False:
-                return n
-            if isinstance(n, CLit):
-                key = n.atom.sort_key()
-                i = index.get(key)
-                if i is None:
-                    i = len(self._atoms)
-                    index[key] = i
-                    self._atoms.append(n.atom)
-                return ("~", ("a", i)) if n.neg else ("a", i)
-            op, l, r = n
-            return (op, build(l), build(r))
-
-        self.tree = build(dec.tree)
-        self._compiled = []
-        for a in self._atoms:
-            dens = [q.denominator for _, q in a.form.coeffs]
-            dens.append(a.form.alpha.denominator)
-            dens.append(a.form.const.denominator)
-            lc = 1
-            for d in dens:
-                lc = lc * d // _math.gcd(lc, d)
-            entries = []
-            for sym, q in a.form.coeffs:
-                var, idx = sym.rsplit("#", 1)
-                entries.append((var, int(idx), int(q * lc)))
-            # scaled value = sum(entries) + const*lc*denom + (alpha_c*lc*denom)*alpha
-            self._compiled.append((a.kind == "lt", tuple(entries),
-                                   int(a.form.alpha * lc) * denom,
-                                   int(a.form.const * lc) * denom))
-
-    def _atom_value(self, i: int, coords) -> bool:
-        is_lt, entries, alpha_scaled, const = self._compiled[i]
-        total = const
-        for var, ci, coef in entries:
-            total += coef * coords[var][ci]
-        if alpha_scaled == 0:
-            sign = -1 if total < 0 else (1 if total > 0 else 0)
-        else:
-            srel = -self.alpha.compare(Fraction(-total, alpha_scaled))
-            sign = srel if alpha_scaled > 0 else -srel
-        return (sign < 0) if is_lt else (sign == 0)
-
-    def eval(self, coords) -> bool:
-        cache: list = [None] * len(self._atoms)
-
-        def go(n) -> bool:
-            if n is True or n is False:
-                return n
-            op = n[0]
-            if op == "a":
-                i = n[1]
-                v = cache[i]
-                if v is None:
-                    v = cache[i] = self._atom_value(i, coords)
-                return v
-            if op == "~":
-                return not go(n[1])
-            if op == "&":
-                return go(n[1]) and go(n[2])
-            return go(n[1]) or go(n[2])
-
-        return go(self.tree)
+    def __init__(self, dec: OracleDecision, denom: int):
+        self.eval = dec.lower().at(denom, DEFAULT_PRECISION_BITS)
 
 
 @functools.lru_cache(maxsize=4096)
 def _compile(m: ModelDescriptor, f: Formula, budget: int) -> OracleDecision:
     d = _Decomposer(m, budget)
     tree = d.decompose(normalize_atoms(rename_bound(f)))
-    return OracleDecision(m, tree, d.alpha)
+    return OracleDecision(tree, d.alpha)
 
 
 def oracle_compile(m: ModelDescriptor, f: Formula,

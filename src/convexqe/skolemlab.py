@@ -17,8 +17,12 @@ from .classifier import classify, stabilizer, IRRATIONAL_NONVALUATIONAL
 from .cutarith import cut_info, points_below_cut
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
-from .models import (CompiledFormula, IntCompiledFormula, ModelDescriptor,
-                     Point, i_member, term_value, u_member)
+from .fuzz import (SAMPLE_DENOM, gen_int_point, gen_point, int_sample_pool,
+                   model_sample_pool)
+from .models import (DEFAULT_PRECISION_BITS, IntCompiledFormula,
+                     ModelDescriptor, Point, compile_formula, i_member,
+                     term_rows, term_value, u_member)
+from .oracle import oracle_compile
 from .piecewise import UnaryPiecewiseLinear
 from .syntax import Exists, Formula, free_vars, is_quantifier_free
 
@@ -28,20 +32,6 @@ F1 = Fraction(1)
 SAMPLE_POOL = [F0, F0, F1, Fraction(-1), Fraction(2), Fraction(-2),
                Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3),
                Fraction(7, 2), Fraction(1, 3)]
-
-
-def sample_point(rng: random.Random, m: ModelDescriptor,
-                 extra: tuple[Fraction, ...] = ()) -> Point:
-    pool = SAMPLE_POOL + list(extra)
-    return Point(tuple(rng.choice(pool) for _ in range(m.dim)))
-
-
-def model_sample_pool(m: ModelDescriptor) -> tuple[Fraction, ...]:
-    """Rational threshold entries, so sampling probes the cut's edges."""
-    from .models import DownwardCut
-    if isinstance(m.u_interp, DownwardCut):
-        return tuple(e for e in m.u_interp.threshold if isinstance(e, Fraction))
-    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +52,8 @@ class VerifyReport:
                 "failure": self.failure}
 
 
-SAMPLE_DENOM = 6
+def _shown(numerators, denom: int = SAMPLE_DENOM) -> list[str]:
+    return [str(Fraction(c, denom)) for c in numerators]
 
 
 def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
@@ -74,47 +65,37 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     params = sorted(free_vars(phi) - {sk.target})
     existential = qe_star(Exists(sk.target, phi), st)
     ex_eval = IntCompiledFormula(m, existential, SAMPLE_DENOM)
-    guard_evals = [IntCompiledFormula(m, guard, SAMPLE_DENOM)
-                   for guard, _ in sk.cases]
-    if is_quantifier_free(phi):
-        phi_eval = CompiledFormula(m, phi, tuple(params) + (sk.target,))
-        def check(asgn):
-            return phi_eval.eval(asgn)
-    else:
-        from .oracle import oracle_truth
-        def check(asgn):
-            return oracle_truth(m, phi, asgn)
+    phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
+                else oracle_compile(m, phi).lower())
+    # per case: guard, witness rows over lc * SAMPLE_DENOM, phi at that denom
+    cases = []
+    for guard, term in sk.cases:
+        lc, rows = term_rows(m, term)
+        cases.append((IntCompiledFormula(m, guard, SAMPLE_DENOM).eval, lc,
+                      rows, phi_eval.at(lc * SAMPLE_DENOM,
+                                        DEFAULT_PRECISION_BITS)))
     rng = random.Random(seed)
-    pool = [int(v * SAMPLE_DENOM) for v in SAMPLE_POOL]
-    pool += [int(v * SAMPLE_DENOM) for v in model_sample_pool(m)
-             if (v * SAMPLE_DENOM).denominator == 1]
+    pool = int_sample_pool(m, SAMPLE_POOL)
     applicable = 0
     for i in range(samples):
-        ints = {v: tuple(rng.choice(pool) for _ in range(m.dim))
-                for v in params}
+        ints = {v: gen_int_point(rng, m, pool) for v in params}
         if not ex_eval.eval(ints):
             continue
         applicable += 1
-        asgn = {v: Point(tuple(Fraction(c, SAMPLE_DENOM) for c in p))
-                for v, p in ints.items()}
-        w: Optional[Point] = None
-        for g_eval, (_, term) in zip(guard_evals, sk.cases):
-            if g_eval.eval(ints):
-                w = term_value(m, term, asgn)
+        for guard, lc, rows, check in cases:
+            if guard(ints):
                 break
-        if w is None:
+        else:
             return VerifyReport(False, samples, applicable, seed, failure={
                 "kind": "no-guard-fired", "sample_index": i,
-                "assignment": {v: [str(c) for c in p.coords]
-                               for v, p in asgn.items()}})
-        asgn2 = dict(asgn)
-        asgn2[sk.target] = w
-        if not check(asgn2):
+                "assignment": {v: _shown(p) for v, p in ints.items()}})
+        pts = {v: tuple(c * lc for c in p) for v, p in ints.items()}
+        pts[sk.target] = w = tuple(r(ints, SAMPLE_DENOM) for r in rows)
+        if not check(pts):
             return VerifyReport(False, samples, applicable, seed, failure={
                 "kind": "witness-fails", "sample_index": i,
-                "assignment": {v: [str(c) for c in p.coords]
-                               for v, p in asgn.items()},
-                "witness": [str(c) for c in w.coords]})
+                "assignment": {v: _shown(p) for v, p in ints.items()},
+                "witness": _shown(w, lc * SAMPLE_DENOM)})
     return VerifyReport(True, samples, applicable, seed)
 
 
@@ -270,7 +251,7 @@ def choice_violation(m: ModelDescriptor, cand: Candidate,
             ladder.extend([m.unit.scale(b) - m.unit, m.unit.scale(b) + m.unit,
                            m.unit.scale(b)])
     for _ in range(40):
-        ladder.append(sample_point(rng, m, model_sample_pool(m)))
+        ladder.append(gen_point(rng, m, model_sample_pool(m), SAMPLE_POOL))
 
     for a in ladder:
         w = fn(a)

@@ -1,17 +1,25 @@
+import functools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from convexqe.errors import MalformedModelError
-from convexqe.models import (Cmp, DownwardCut, IntCompiledFormula,
-                             ModelDescriptor, PLUS_INF, PiOracle, Point,
-                             SqrtOracle, SubgroupLevel, compare_to_threshold,
+from convexqe.cutqe import build_structure, skolemize
+from convexqe.errors import (MalformedModelError, PrecisionBudgetError,
+                             SkolemShapeUnsupportedError)
+from convexqe.models import (Cmp, DEFAULT_PRECISION_BITS, DownwardCut,
+                             IntCompiledFormula, ModelDescriptor, PLUS_INF,
+                             PiOracle, Point, SqrtOracle, SubgroupLevel,
+                             compare_to_threshold, compile_formula,
                              eval_formula, model_from_json, model_to_json,
                              u_member)
+from convexqe.oracle import oracle_truth
 from convexqe.parser import parse_formula
+from convexqe.syntax import And, Or
 from convexqe.fuzz import SAMPLE_DENOM, gen_formula, gen_point, int_sample_pool
+
+from conftest import VALUATIONAL_NAMES, get_model
 
 
 class TestOracles:
@@ -167,3 +175,106 @@ class TestIntFastPath:
                     pts = {v: Point(tuple(Fraction(c, SAMPLE_DENOM) for c in p))
                            for v, p in ints.items()}
                     assert comp.eval(ints) == eval_formula(m, f, pts)
+
+
+# denominators other than the sample denominator 6, and rationals on both
+# sides of pi (311/99 < pi < 355/113 < 22/7) for the irrational cuts
+RATIONAL_VALUES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
+                   Fraction(5, 12), Fraction(-5, 12), Fraction(-3, 7),
+                   Fraction(22, 7), Fraction(355, 113), Fraction(311, 99)]
+CUT_PROBES = ["U(x)", "~U(x - e_in)", "U(2 * x + y) | I(x - y)",
+              "U(1/3 * x + e_in) & x <= y", "U(x + 1/5 * y - 1)"]
+
+
+class TestClosureEvaluator:
+    def test_agrees_with_eval_formula_on_rational_points(self, models):
+        rng = random.Random(41)
+        for name, m in models.items():
+            fs = [parse_formula(t) for t in CUT_PROBES]
+            fs += [gen_formula(rng, ["x", "y"], 3, 0) for _ in range(25)]
+            for f in fs:
+                ev = compile_formula(m, f)
+                for _ in range(12):
+                    asgn = {v: gen_point(rng, m, values=RATIONAL_VALUES)
+                            for v in ("x", "y")}
+                    want = eval_formula(m, f, asgn)
+                    assert (ev.eval_points(asgn, DEFAULT_PRECISION_BITS)
+                            == want), (name, str(f), asgn)
+                    assert oracle_truth(m, f, asgn) == want, (name, str(f))
+
+    def test_irrational_cut_sides(self, models):
+        f = parse_formula("U(x - 1/3 * y)")
+        for name, lead in (("q1_pi", ()), ("q3_11pi", (1, 1)),
+                           ("lex3_val_1pi0", (1,))):
+            m = models[name]
+            pad = (0,) * (m.dim - len(lead) - 1)
+            ev = compile_formula(m, f)
+            for v, inside in ((Fraction(311, 99), True),
+                              (Fraction(355, 113), False)):
+                # x - y/3 puts v at the deciding coordinate
+                asgn = {"x": Point.of(*lead, v + Fraction(1, 3), *pad),
+                        "y": Point.of(*(0 for _ in lead), 1, *pad)}
+                assert eval_formula(m, f, asgn) is inside, name
+                assert ev.eval_points(asgn, DEFAULT_PRECISION_BITS) is inside
+                assert oracle_truth(m, f, asgn) is inside, name
+
+    def test_rational_cut_edges(self, models):
+        f = parse_formula("U(x - 1/3 * y)")
+        strict = models["lex2_rat_11"]
+        loose = ModelDescriptor(2, DownwardCut((Fraction(1), Fraction(1)),
+                                               False), strict.e_in,
+                                strict.e_out)
+        at = {"x": Point.of(Fraction(4, 3), Fraction(4, 3)),
+              "y": Point.of(1, 1)}  # the term is the threshold (1, 1)
+        for m, inside in ((strict, False), (loose, True),
+                          (models["lex2_val_1inf"], True)):
+            assert eval_formula(m, f, at) is inside
+            assert (compile_formula(m, f).eval_points(
+                at, DEFAULT_PRECISION_BITS) is inside)
+            assert oracle_truth(m, f, at) is inside
+
+    def test_skolem_witness_points(self, models):
+        rng = random.Random(8)
+        texts = ["x < y & U(y)", "U(y - x) & ~I(y)",
+                 "x < y & y < x + e_in | U(2 * x + y)", "I(y - x) & U(y)"]
+        for name in VALUATIONAL_NAMES:
+            m = models[name]
+            st = build_structure(m)
+            for text in texts:
+                phi = parse_formula(text)
+                try:
+                    sk = skolemize(phi, "y", st)
+                except SkolemShapeUnsupportedError:
+                    continue
+                ev = compile_formula(m, phi)
+                for _ in range(25):
+                    x = gen_point(rng, m, values=RATIONAL_VALUES)
+                    w = sk.witness_for(m, {"x": x})
+                    if w is None:
+                        continue
+                    asgn = {"x": x, "y": w}
+                    assert (ev.eval_points(asgn, DEFAULT_PRECISION_BITS)
+                            == eval_formula(m, phi, asgn)), (name, text)
+
+    def test_long_chains_lower_to_one_node(self, m_sub2):
+        # left-deep chains far past the recursion limit
+        atoms = [parse_formula(f"x < {k}") for k in range(1, 3001)]
+        for cls in (And, Or):
+            f = functools.reduce(cls, atoms)
+            comp = IntCompiledFormula(m_sub2, f, SAMPLE_DENOM)
+            assert comp.eval({"x": (0, 0)})
+            assert comp.eval({"x": (6 * 2, 0)}) is (cls is Or)
+
+    def test_precision_budget_reaches_cut_comparisons(self):
+        # a fresh model: refined intervals are memoized per oracle object
+        m = get_model("q1_pi")
+        f = parse_formula("U(x)")
+        below_pi = Fraction(3141592653589793238462643383279, 10 ** 30)
+        asgn = {"x": Point.of(below_pi)}
+        for evaluate in (lambda b: eval_formula(m, f, asgn, b),
+                         lambda b: compile_formula(m, f).eval_points(asgn, b),
+                         lambda b: oracle_truth(m, f, asgn, precision=b)):
+            with pytest.raises(PrecisionBudgetError):
+                evaluate(32)
+        assert oracle_truth(m, f, asgn, precision=256)
+        assert compile_formula(m, f).eval_points(asgn, 256)

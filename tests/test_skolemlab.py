@@ -42,6 +42,20 @@ class TestVerifySkolem:
         assert not rep.passed
         assert rep.failure["kind"] == "no-guard-fired"
 
+    def test_quantified_phi_checked_by_oracle(self, m_1pi0):
+        # witnesses with denominators other than the sample denominator
+        phi = parse_formula("x < y & E z. (y < z & z < x + 1/7 * e_out)")
+        good = SkolemDefinition("y", ((TRUE, parse_term("x + 1/5 * e_in")),))
+        rep = verify_skolem(m_1pi0, phi, good, samples=60, seed=5)
+        assert rep.passed and rep.applicable == 60
+        bad = SkolemDefinition("y", ((TRUE, parse_term("x + 1/3 * e_out")),))
+        rep = verify_skolem(m_1pi0, phi, bad, samples=60, seed=5)
+        assert not rep.passed
+        assert rep.failure["kind"] == "witness-fails"
+        x = [Fraction(c) for c in rep.failure["assignment"]["x"]]
+        assert rep.failure["witness"] == [str(x[0] + Fraction(2, 3))] + [
+            str(c) for c in x[1:]]
+
 
 class TestObstruction:
     def test_slow_growth_is_not_increasing(self, m_pi):

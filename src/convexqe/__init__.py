@@ -11,9 +11,9 @@ from .classifier import (CanonicalCut, ClassificationReport,
                          stabilizer)
 from .cutqe import (CutClass, CutStructure, ResistanceResult,
                     SkolemDefinition, build_structure, check_resistance,
-                    eliminate_one_cut, qe_star, qe_star_model, skolemize,
+                    eliminate_one_cut, qe, qe_star, qe_star_model, skolemize,
                     skolemize_model)
-from .doagqe import BoundSet, QeOptions, eliminate_one, qe
+from .doagqe import QeOptions
 from .errors import (BudgetExceededError, ConstantPieceUnsupportedError,
                      ConvexQEError, FormulaSyntaxError, MalformedModelError,
                      NonvaluationalInterpretationError, PrecisionBudgetError,

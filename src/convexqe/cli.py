@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (e.g. a nonvaluational cut was given
-to the eliminator), 2 usage or syntax errors.  JSON output is stable-keyed,
+to the eliminator, an exhausted budget, or input nested deeper than Python's
+recursion limit), 2 usage or syntax errors.  JSON output is stable-keyed,
 and identical configuration plus seed yields byte-identical reports.
 """
 
@@ -295,6 +296,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except ConvexQEError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit reached)",
+              file=sys.stderr)
         return 1
 
 

@@ -19,9 +19,14 @@ Interpretation classes:
                      coset; U-atoms are rewritten into order and I atoms;
 * irrational cut   - the quotient edge is irrational; U-literals become cut
                      rays handled by the endpoint comparison table;
-* rational cut     - U-atoms become order atoms against the threshold term
-                     and the whole problem drops to the base engine;
+* rational cut     - U-atoms become order atoms against the threshold term,
+                     leaving no membership vocabulary: only the point cells
+                     of the table fire, which is Fourier-Motzkin;
 * nonvaluational   - refused: no complete Skolemizing elimination exists.
+
+The pure ordered-group language (``qe``, and U/I-free input over a
+nonvaluational cut) runs the same procedure under ``PURE_GROUP``, a
+model-free structure with no membership vocabulary.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from . import doagqe
 from .cutarith import (cut_info, escape_witness, member_witness_above,
                        rational_prefix)
 from .doagqe import QeOptions
@@ -43,7 +47,7 @@ from .normalform import (Literal, dnf_clauses, normalize_atoms, simplify)
 from .piecewise import UnaryPiecewiseLinear
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
                      Formula, Implies, Not, Or, Term, TrueF, conj, disj,
-                     is_quantifier_free, rename_bound)
+                     is_quantifier_free, mentions_membership, rename_bound)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -61,9 +65,10 @@ class CutClass(Enum):
 class CutStructure:
     """Elimination-relevant shape of one model's U interpretation."""
 
-    model: ModelDescriptor
-    cls: CutClass
-    mem_kind: AtomKind  # atom kind whose cosets drive the machinery
+    model: Optional[ModelDescriptor]  # None only for PURE_GROUP
+    cls: Optional[CutClass]  # None only for PURE_GROUP
+    mem_kind: Optional[AtomKind]  # kind whose cosets drive the machinery;
+                                  # None: no membership vocabulary
     tau: Optional[Term] = None  # names the top coset / rational threshold
     strict: bool = True
     anchor_in: Term = Term(e_in=F1)  # a term provably inside the cut
@@ -72,6 +77,10 @@ class CutStructure:
         if self.cls is CutClass.NONVALUATIONAL:
             raise NonvaluationalInterpretationError(
                 "the cut has trivial stabilizer; elimination would be unsound")
+
+
+# the pure ordered-group language: no model, no U/I atoms
+PURE_GROUP = CutStructure(None, None, None)
 
 
 def _inside_anchor(m: ModelDescriptor) -> Term:
@@ -149,8 +158,7 @@ def build_structure(m: ModelDescriptor) -> CutStructure:
         raise UnsupportedCutError(
             "no closed term names the rational threshold point")
     tau = Term.const(sol[0]) + Term.ein(sol[1]) + Term.eout(sol[2])
-    return CutStructure(m, CutClass.RATIONAL_CUT, AtomKind.UMEM, tau,
-                        m.u_interp.strict)
+    return CutStructure(m, CutClass.RATIONAL_CUT, None, tau, m.u_interp.strict)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +267,7 @@ def _branch_options(lit: Literal, v: str, st: CutStructure) -> list[tuple]:
         return [("above", solved), ("below", solved)]
     if kind == AtomKind.UMEM and st.cls is CutClass.IRRATIONAL_CUT:
         return [("ray", CutRay(c, rest, not lit.negated))]
-    raise AssertionError(f"unhandled literal {lit} for class {st.cls}")
+    raise ValueError(f"{lit.atom} is outside the vocabulary of {st.cls}")
 
 
 def _expand(literals: Iterable[Literal], v: str, st: CutStructure,
@@ -445,11 +453,7 @@ def eliminate_one_cut(literals: list[Literal], v: str,
     literals, possibly containing U/I atoms."""
     options = options or QeOptions()
     st.require_eliminable()
-    f = conj(l.to_formula() for l in literals)
-    f = rewrite_for_class(f, st)
-    if st.cls is CutClass.RATIONAL_CUT:
-        return simplify(disj(doagqe.eliminate_one(list(c), v, options)
-                             for c in dnf_clauses(f, options.dnf_budget)))
+    f = rewrite_for_class(conj(l.to_formula() for l in literals), st)
     return simplify(disj(_eliminate_clause(list(c), v, st, options)
                          for c in dnf_clauses(f, options.dnf_budget)))
 
@@ -464,9 +468,6 @@ def _qe_rec(f: Formula, st: CutStructure, options: QeOptions, depth: int) -> For
     if isinstance(f, (And, Or)):
         return type(f)(_qe_rec(f.lhs, st, options, depth),
                        _qe_rec(f.rhs, st, options, depth))
-    if isinstance(f, Implies):
-        return Or(Not(_qe_rec(f.lhs, st, options, depth)),
-                  _qe_rec(f.rhs, st, options, depth))
     if isinstance(f, Forall):
         return simplify(Not(_qe_rec(Exists(f.var, Not(f.body)), st, options,
                                     depth + 1)))
@@ -478,24 +479,26 @@ def _qe_rec(f: Formula, st: CutStructure, options: QeOptions, depth: int) -> For
     raise TypeError(type(f))
 
 
-def _formula_mentions_cut(f: Formula) -> bool:
-    from .syntax import atoms_of
-    return any(a.kind in (AtomKind.UMEM, AtomKind.IMEM) for a in atoms_of(f))
-
-
 def qe_star(f: Formula, st: CutStructure,
             options: Optional[QeOptions] = None) -> Formula:
     """Quantifier-free equivalent of f over the given model class."""
     options = options or QeOptions()
     if st.cls is CutClass.NONVALUATIONAL:
-        if _formula_mentions_cut(f):
+        if mentions_membership(f):
             st.require_eliminable()
-        return doagqe.qe(f, options)
-    f = normalize_atoms(rename_bound(f))
-    f = rewrite_for_class(f, st)
-    if st.cls is CutClass.RATIONAL_CUT:
-        return doagqe.qe(f, options)
+        return qe(f, options)
+    f = rewrite_for_class(normalize_atoms(rename_bound(f)), st)
     return simplify(_qe_rec(f, st, options, 0))
+
+
+def qe(f: Formula, options: Optional[QeOptions] = None) -> Formula:
+    """Quantifier-free equivalent over every divisible ordered abelian
+    group; the input may not contain U or I atoms."""
+    if mentions_membership(f):
+        raise ValueError("qe handles the pure group language; "
+                         "use qe_star for U/I atoms")
+    return simplify(_qe_rec(normalize_atoms(f), PURE_GROUP,
+                            options or QeOptions(), 0))
 
 
 def qe_star_model(f: Formula, m: ModelDescriptor,
@@ -626,11 +629,6 @@ def skolemize(phi: Formula, target: str, st: CutStructure,
     if not is_quantifier_free(phi0):
         phi0 = qe_star(phi0, st, options)
     phi1 = rewrite_for_class(phi0, st)
-    if st.cls is CutClass.RATIONAL_CUT:
-        # the rewrite leaves a pure-group problem; reuse the cut machinery
-        # with an empty coset vocabulary
-        st = CutStructure(st.model, CutClass.IRRATIONAL_CUT, AtomKind.IMEM,
-                          st.tau, st.strict)
     cases: list[tuple[Formula, Term]] = []
     seen = set()
     for clause in dnf_clauses(phi1, options.dnf_budget):

@@ -1,22 +1,13 @@
-"""Quantifier elimination for the pure theory of divisible ordered abelian
-groups (no U/I atoms): Fourier-Motzkin over a dense order without endpoints.
-
-Divisibility makes division by a variable's rational coefficient exact, and
-density discharges disequalities: an open nonempty interval is infinite, so
-finitely many excluded points never empty it.
+"""Elimination options shared by ``qe``, ``qe_star``, ``eliminate_one_cut``
+and ``skolemize``.  The one elimination engine lives in ``cutqe``; the pure
+ordered-group language runs there with an empty membership vocabulary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional
+from dataclasses import dataclass
 
-from .errors import BudgetExceededError
-from .normalform import (DEFAULT_DNF_BUDGET, Literal, dnf_clauses,
-                         normalize_atoms, simplify)
-from .syntax import (Atom, AtomKind, Exists, FalseF, Forall, Formula, AtomF,
-                     And, Or, Not, Implies, Term, TrueF, conj, disj, atoms_of)
+from .normalform import DEFAULT_DNF_BUDGET
 
 
 @dataclass
@@ -25,124 +16,3 @@ class QeOptions:
     depth_budget: int = 64
     # test hook: deliberately emit a wrong bound-pair condition
     inject_bug: bool = False
-
-
-@dataclass
-class BoundSet:
-    """Constraints on one variable, solved for it (the variable no longer
-    occurs in the stored terms)."""
-
-    lowers: list[Term] = field(default_factory=list)   # strict: v > t
-    uppers: list[Term] = field(default_factory=list)   # strict: v < t
-    equalities: list[Term] = field(default_factory=list)
-    disequalities: list[Term] = field(default_factory=list)
-
-
-def _check_no_membership(literals: Iterable[Literal]) -> None:
-    for lit in literals:
-        if lit.atom.kind in (AtomKind.UMEM, AtomKind.IMEM):
-            raise ValueError("base elimination cannot handle U/I atoms")
-
-
-def _split_nonstrict(literals: list[Literal], v: str,
-                     budget: int) -> list[list[tuple[Atom, bool]]]:
-    """Expand negated literals that mention v until each consequence is a
-    strict bound, an equality, or a disequality.  Entries are (atom, is_neq).
-    Literals free of v pass through untouched via the caller."""
-    combos: list[list[tuple[Atom, bool]]] = [[]]
-    for lit in literals:
-        a = lit.atom
-        if lit.negated:
-            if a.kind == AtomKind.LT:
-                # ~(t < 0)  <=>  -t < 0  or  t = 0
-                opts = [(Atom(AtomKind.LT, -a.term), False),
-                        (Atom(AtomKind.EQ, a.term), False)]
-            else:
-                opts = [(a, True)]  # disequality
-        else:
-            opts = [(a, False)]
-        combos = [c + [o] for c in combos for o in opts]
-        if len(combos) > budget:
-            raise BudgetExceededError("case-split budget exceeded")
-    return combos
-
-
-def eliminate_one(literals: list[Literal], v: str,
-                  options: Optional[QeOptions] = None) -> Formula:
-    """v-free formula equivalent to exists-v over the conjunction of the
-    given normalized U/I-free literals."""
-    options = options or QeOptions()
-    _check_no_membership(literals)
-    residual = [l for l in literals if v not in l.atom.term.vars()]
-    with_v = [l for l in literals if v in l.atom.term.vars()]
-    if not with_v:
-        return simplify(conj(l.to_formula() for l in literals))
-
-    results: list[Formula] = []
-    for combo in _split_nonstrict(with_v, v, options.dnf_budget):
-        parts: list[Formula] = [l.to_formula() for l in residual]
-        bounds = BoundSet()
-        for a, is_neq in combo:
-            c = a.term.coeff(v)
-            if c == 0:
-                lit = Literal(a, is_neq)
-                parts.append(lit.to_formula())
-                continue
-            solved = a.term.drop_var(v).scale(Fraction(-1) / c)
-            if a.kind == AtomKind.EQ:
-                (bounds.disequalities if is_neq else bounds.equalities).append(solved)
-            else:
-                (bounds.uppers if c > 0 else bounds.lowers).append(solved)
-        if bounds.equalities:
-            pin = bounds.equalities[0]
-            for t in bounds.equalities[1:]:
-                parts.append(AtomF(Atom(AtomKind.EQ, pin - t)))
-            for t in bounds.lowers:
-                parts.append(AtomF(Atom(AtomKind.LT, t - pin)))
-            for t in bounds.uppers:
-                parts.append(AtomF(Atom(AtomKind.LT, pin - t)))
-            for t in bounds.disequalities:
-                parts.append(Not(AtomF(Atom(AtomKind.EQ, pin - t))))
-        else:
-            # density: disequalities contribute nothing once the interval is
-            # open and nonempty
-            for lo in bounds.lowers:
-                for up in bounds.uppers:
-                    if options.inject_bug:
-                        parts.append(AtomF(Atom(AtomKind.LT, up - lo)))
-                    else:
-                        parts.append(AtomF(Atom(AtomKind.LT, lo - up)))
-        results.append(conj(parts))
-    return simplify(disj(results))
-
-
-def _qe(f: Formula, options: QeOptions, depth: int) -> Formula:
-    if depth > options.depth_budget:
-        raise BudgetExceededError("quantifier depth budget exceeded")
-    if isinstance(f, (TrueF, FalseF, AtomF)):
-        return f
-    if isinstance(f, Not):
-        return Not(_qe(f.sub, options, depth))
-    if isinstance(f, (And, Or)):
-        return type(f)(_qe(f.lhs, options, depth), _qe(f.rhs, options, depth))
-    if isinstance(f, Implies):
-        return Or(Not(_qe(f.lhs, options, depth)), _qe(f.rhs, options, depth))
-    if isinstance(f, Forall):
-        return simplify(Not(_qe(Exists(f.var, Not(f.body)), options, depth + 1)))
-    if isinstance(f, Exists):
-        body = _qe(f.body, options, depth + 1)
-        clauses = dnf_clauses(body, options.dnf_budget)
-        return simplify(disj(eliminate_one(list(c), f.var, options)
-                             for c in clauses))
-    raise TypeError(type(f))
-
-
-def qe(f: Formula, options: Optional[QeOptions] = None) -> Formula:
-    """Quantifier-free equivalent over every divisible ordered abelian
-    group; the input may not contain U or I atoms."""
-    for a in atoms_of(f):
-        if a.kind in (AtomKind.UMEM, AtomKind.IMEM):
-            raise ValueError("qe handles the pure group language; "
-                             "use qe_star for U/I atoms")
-    options = options or QeOptions()
-    return simplify(_qe(normalize_atoms(f), options, 0))

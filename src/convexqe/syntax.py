@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 Rat = Fraction
 ZERO = Fraction(0)
@@ -333,6 +333,11 @@ def atoms_of(f: Formula) -> Iterator[Atom]:
             yield g.atom
 
 
+def mentions_membership(f: Formula) -> bool:
+    """Whether f has a U or I atom."""
+    return any(a.kind in (AtomKind.UMEM, AtomKind.IMEM) for a in atoms_of(f))
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, AtomF):
         return f.atom.term.vars()
@@ -366,65 +371,49 @@ def _fresh(base: str, taken: set[str]) -> str:
     raise AssertionError
 
 
+def _rename_binders(f: Formula, fresh: Callable[[str], str]) -> Formula:
+    """Rebind every quantifier, in traversal order, to fresh(old name)."""
+    def walk(g: Formula, env: dict[str, str]) -> Formula:
+        if isinstance(g, AtomF):
+            t = g.atom.term
+            for old, new in env.items():
+                if old != new:
+                    t = t.subst(old, Term.var(new))
+            return AtomF(Atom(g.atom.kind, t))
+        if isinstance(g, (TrueF, FalseF)):
+            return g
+        if isinstance(g, Not):
+            return Not(walk(g.sub, env))
+        if isinstance(g, (And, Or, Implies)):
+            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
+        if isinstance(g, (Exists, Forall)):
+            new = fresh(g.var)
+            return type(g)(new, walk(g.body, {**env, g.var: new}))
+        raise TypeError(type(g))
+
+    return walk(f, {})
+
+
 def rename_bound(f: Formula, taken: Optional[set[str]] = None) -> Formula:
     """Rename bound variables so each quantifier binds a distinct name that
     does not collide with any free variable."""
     taken = set(taken) if taken is not None else set(free_vars(f))
 
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, AtomF):
-            t = g.atom.term
-            for old, new in env.items():
-                if old != new:
-                    t = t.subst(old, Term.var(new))
-            return AtomF(Atom(g.atom.kind, t))
-        if isinstance(g, (TrueF, FalseF)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.sub, env))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
-        if isinstance(g, (Exists, Forall)):
-            new = _fresh(g.var, taken)
-            taken.add(new)
-            env2 = dict(env)
-            env2[g.var] = new
-            return type(g)(new, walk(g.body, env2))
-        raise TypeError(type(g))
+    def fresh(var: str) -> str:
+        new = _fresh(var, taken)
+        taken.add(new)
+        return new
 
-    return walk(f, {})
+    return _rename_binders(f, fresh)
 
 
 def canonicalize_bound(f: Formula) -> Formula:
     """Deterministically rename bound variables (traversal order) so that
     alpha-equivalent formulas become structurally equal."""
-    counter = itertools.count(1)
     frees = free_vars(f)
-
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, AtomF):
-            t = g.atom.term
-            for old, new in env.items():
-                if old != new:
-                    t = t.subst(old, Term.var(new))
-            return AtomF(Atom(g.atom.kind, t))
-        if isinstance(g, (TrueF, FalseF)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.sub, env))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
-        if isinstance(g, (Exists, Forall)):
-            while True:
-                new = f"q{next(counter)}"
-                if new not in frees:
-                    break
-            env2 = dict(env)
-            env2[g.var] = new
-            return type(g)(new, walk(g.body, env2))
-        raise TypeError(type(g))
-
-    return walk(f, {})
+    names = (n for n in (f"q{i}" for i in itertools.count(1))
+             if n not in frees)
+    return _rename_binders(f, lambda _var: next(names))
 
 
 def substitute(f: Formula, v: str, t: Term) -> Formula:

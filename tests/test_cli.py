@@ -2,6 +2,8 @@ import glob
 import json
 import os
 
+import pytest
+
 from convexqe.cli import fixtures_dir, main
 from convexqe.classifier import classify
 from convexqe.models import load_model
@@ -59,6 +61,18 @@ class TestCommands:
         rc, _, err = run(capsys, "parse", "E y. ((x < y")
         assert rc == 2
         assert "syntax" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("parse", "~" * 2000 + "x < 0"),
+        ("parse", "(" * 600 + "x < 0" + ")" * 600),
+        ("eliminate", "--model", "lex2_sub1.json",
+         "E y. " + " & ".join(f"x{i} < y" for i in range(1500))),
+    ], ids=["stacked-negations", "nested-parentheses", "long-conjunction"])
+    def test_deep_input_is_domain_error(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_missing_model_is_domain_error(self, capsys):
         rc, _, _ = run(capsys, "classify", "--model", "no_such_model.json")

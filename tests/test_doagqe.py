@@ -1,20 +1,29 @@
+"""The pure ordered-group language (no U/I atoms), eliminated by the one
+engine in cutqe under the empty-vocabulary structure PURE_GROUP."""
+
 import random
 
 import pytest
 
-from convexqe.doagqe import QeOptions, eliminate_one, qe
+from convexqe.cutqe import (PURE_GROUP, build_structure, eliminate_one_cut,
+                            qe, qe_star)
+from convexqe.doagqe import QeOptions
 from convexqe.models import eval_formula
 from convexqe.normalform import dnf_clauses, normalize_atoms
 from convexqe.oracle import oracle_truth
 from convexqe.parser import parse_formula
-from convexqe.fuzz import gen_point
-from convexqe.syntax import (AtomKind, Exists, FalseF, TrueF, free_vars,
-                             is_quantifier_free, print_formula)
+from convexqe.fuzz import gen_formula, gen_point
+from convexqe.syntax import (FalseF, TrueF, free_vars, is_quantifier_free,
+                             mentions_membership, print_formula)
 
 
 def clause_of(text: str):
     [clause] = dnf_clauses(normalize_atoms(parse_formula(text)))
     return list(clause)
+
+
+def eliminate_one(literals, v):
+    return eliminate_one_cut(literals, v, PURE_GROUP)
 
 
 def assert_equiv(m, f, g, var_names, rng, n=80):
@@ -81,11 +90,9 @@ class TestQe:
 
     def test_idempotent_pointwise(self, m_sub2):
         rng = random.Random(5)
-        from convexqe.fuzz import gen_formula
         for _ in range(20):
             f = gen_formula(rng, ["x", "y"], 3, 2)
-            from convexqe.syntax import atoms_of
-            if any(a.kind in (AtomKind.UMEM, AtomKind.IMEM) for a in atoms_of(f)):
+            if mentions_membership(f):
                 continue
             g = qe(f)
             g2 = qe(g)
@@ -96,23 +103,34 @@ class TestQe:
 
     def test_differential_soundness(self, models):
         rng = random.Random(6)
-        from convexqe.fuzz import gen_formula
-        from convexqe.syntax import atoms_of
         for name in ("lex2_sub1", "q3_11pi"):
             m = models[name]
             done = 0
             while done < 25:
                 f = gen_formula(rng, ["x", "y"], 3, 2)
-                if any(a.kind in (AtomKind.UMEM, AtomKind.IMEM)
-                       for a in atoms_of(f)):
+                if mentions_membership(f):
                     continue
                 g = qe(f)
                 assert is_quantifier_free(g)
                 assert_equiv(m, f, g, sorted(free_vars(f)), rng, n=25)
                 done += 1
 
-    def test_injected_bug_changes_output(self):
+    def test_injected_bug_changes_output(self, models):
+        # one hook serves every class that runs the point cells: the pure
+        # group, a rational cut, and U/I-free input over a nonvaluational cut
         f = parse_formula("E y. (x < y & y < z)")
-        good = qe(f)
-        bad = qe(f, QeOptions(inject_bug=True))
-        assert good != bad
+        bug = QeOptions(inject_bug=True)
+        assert qe(f) != qe(f, bug)
+        for name in ("lex2_rat_11", "q3_11pi"):
+            m = models[name]
+            st = build_structure(m)
+            good, bad = qe_star(f, st), qe_star(f, st, bug)
+            assert good == parse_formula("x - z < 0") and bad != good
+            rng = random.Random(7)
+            points = [{v: gen_point(rng, m) for v in ("x", "z")}
+                      for _ in range(40)]
+            assert any(eval_formula(m, bad, p) != oracle_truth(m, f, p)
+                       for p in points)
+        st = build_structure(models["lex2_rat_11"])
+        g = parse_formula("E y. (x < y & U(y))")
+        assert qe_star(g, st) != qe_star(g, st, bug)

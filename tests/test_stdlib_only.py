@@ -1,0 +1,28 @@
+"""The package depends on the Python standard library only."""
+
+import ast
+import pathlib
+import sys
+
+import convexqe
+
+PACKAGE = pathlib.Path(convexqe.__file__).parent
+
+
+def _imported_roots(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_every_import_is_intra_package_or_stdlib():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) > 10
+    outside = [f"{path.name}:{line}: {root}"
+               for path in modules
+               for line, root in _imported_roots(ast.parse(path.read_text()))
+               if root != "convexqe" and root not in sys.stdlib_module_names]
+    assert outside == []

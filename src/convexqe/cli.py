@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (e.g. a nonvaluational cut was given
-to the eliminator, an exhausted budget, or input nested deeper than Python's
-recursion limit), 2 usage or syntax errors.  JSON output is stable-keyed,
+to the eliminator, an exhausted budget, or an ``eval`` input nested deeper
+than the recursive reference evaluator can go), 2 usage or syntax errors.  JSON output is stable-keyed,
 and identical configuration plus seed yields byte-identical reports.
 """
 

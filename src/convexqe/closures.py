@@ -22,7 +22,7 @@ DENOM = 0
 BUDGET = 1
 
 
-def _nary(op: str, kids: list):
+def nary(op: str, kids: list):
     """Short-circuit n-ary "&" or "|" over closures and boolean constants;
     every closure returns a bool."""
     unit = op == "&"
@@ -46,7 +46,7 @@ def _nary(op: str, kids: list):
     return run
 
 
-def _neg(kid):
+def neg(kid):
     if type(kid) is bool:
         return not kid
     return lambda p, f: not kid(p, f)
@@ -61,46 +61,30 @@ def _cached(test, slot: int):
     return leaf
 
 
-def build(root, view: Callable, lower: Callable) -> "Evaluator":
-    """Lower ``root`` into an Evaluator.
+class Lowering:
+    """The leaves of one evaluator under construction: equal (hashable)
+    atoms share one leaf, whose test ``lower(atom)`` runs at most once per
+    call."""
 
-    ``view(node)`` describes a node as ``True``/``False``, ``("&", kids)``,
-    ``("|", kids)``, ``("~", (kid,))`` or ``("a", atom)``.  Chains of one
-    connective become a single n-ary node, and equal (hashable) atoms share
-    one leaf; ``lower(atom)`` gives the leaf's test closure, which runs at
-    most once per call.
-    """
-    leaves: dict = {}
-    # id(atom) -> leaf, since atoms often hash slowly; ids are stable
-    # because the tree keeps every atom alive while it is lowered
-    seen: dict = {}
+    def __init__(self, lower: Callable):
+        self._lower = lower
+        self._leaves: dict = {}
+        # id(atom) -> leaf, since atoms often hash slowly; ids are stable
+        # because the tree keeps every atom alive while it is lowered
+        self._seen: dict = {}
 
-    def go(v):
-        if type(v) is bool:
-            return v
-        op = v[0]
-        if op == "a":
-            leaf = seen.get(id(v[1]))
+    def leaf(self, atom):
+        leaf = self._seen.get(id(atom))
+        if leaf is None:
+            leaf = self._leaves.get(atom)
             if leaf is None:
-                leaf = leaves.get(v[1])
-                if leaf is None:
-                    leaf = leaves[v[1]] = _cached(lower(v[1]), BUDGET + 1
-                                                  + len(leaves))
-                seen[id(v[1])] = leaf
-            return leaf
-        if op == "~":
-            return _neg(go(view(v[1][0])))
-        kids = []
-        stack = [view(n) for n in reversed(v[1])]
-        while stack:
-            w = stack.pop()
-            if type(w) is tuple and w[0] == op:
-                stack.extend(view(n) for n in reversed(w[1]))
-            else:
-                kids.append(go(w))
-        return _nary(op, kids)
+                leaf = self._leaves[atom] = _cached(
+                    self._lower(atom), BUDGET + 1 + len(self._leaves))
+            self._seen[id(atom)] = leaf
+        return leaf
 
-    return Evaluator(go(view(root)), len(leaves))
+    def evaluator(self, root) -> "Evaluator":
+        return Evaluator(root, len(self._leaves))
 
 
 class Evaluator:

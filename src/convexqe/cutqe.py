@@ -43,11 +43,12 @@ from .errors import (BudgetExceededError, NonvaluationalInterpretationError,
                      SkolemShapeUnsupportedError, UnsupportedCutError)
 from .models import (DownwardCut, ModelDescriptor, Point, SubgroupLevel,
                      term_value, u_member)
-from .normalform import (Literal, dnf_clauses, normalize_atoms, simplify)
+from .normalform import (Literal, dnf_clauses, negate, normalize_atoms,
+                         simplify, simplify_node)
 from .piecewise import UnaryPiecewiseLinear
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
-                     Formula, Implies, Not, Or, Term, TrueF, conj, disj,
-                     is_quantifier_free, mentions_membership, rename_bound)
+                     Formula, Not, Or, Term, conj, disj, fold,
+                     mentions_membership, rebuild)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -165,49 +166,31 @@ def build_structure(m: ModelDescriptor) -> CutStructure:
 # class-specific rewrites
 
 
-def _map_atoms(f: Formula, fn) -> Formula:
-    if isinstance(f, AtomF):
-        return fn(f.atom)
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Not):
-        return Not(_map_atoms(f.sub, fn))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_map_atoms(f.lhs, fn), _map_atoms(f.rhs, fn))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, _map_atoms(f.body, fn))
-    raise TypeError(type(f))
+def _class_atom(a: Atom, st: CutStructure) -> Optional[Formula]:
+    """a in the working vocabulary of st's class; None if a already is."""
+    if st.cls is CutClass.SUBGROUP and a.kind == AtomKind.IMEM:
+        # the stabilizer of the closure is U itself
+        return AtomF(Atom(AtomKind.UMEM, a.term))
+    if st.cls is CutClass.COSET_CUT and a.kind == AtomKind.UMEM:
+        # t in U  <=>  t - tau < 0  or  I(t - tau)
+        d = a.term - st.tau
+        return Or(AtomF(Atom(AtomKind.LT, d)), AtomF(Atom(AtomKind.IMEM, d)))
+    if st.cls is CutClass.RATIONAL_CUT and a.kind == AtomKind.UMEM:
+        if st.strict:
+            return AtomF(Atom(AtomKind.LT, a.term - st.tau))
+        return Not(AtomF(Atom(AtomKind.LT, st.tau - a.term)))
+    if st.cls is CutClass.RATIONAL_CUT and a.kind == AtomKind.IMEM:
+        return AtomF(Atom(AtomKind.EQ, a.term))  # trivial stabilizer
+    return None
 
 
 def rewrite_for_class(f: Formula, st: CutStructure) -> Formula:
     """Normalize U/I atoms into the working vocabulary of the class."""
-    if st.cls is CutClass.SUBGROUP:
-        def sub_fn(a: Atom) -> Formula:
-            if a.kind == AtomKind.IMEM:  # stabilizer of the closure = U itself
-                return AtomF(Atom(AtomKind.UMEM, a.term))
-            return AtomF(a)
-        return _map_atoms(f, sub_fn)
-    if st.cls is CutClass.COSET_CUT:
-        tau = st.tau
-        def coset_fn(a: Atom) -> Formula:
-            if a.kind == AtomKind.UMEM:
-                # t in U  <=>  t - tau < 0  or  I(t - tau)
-                d = a.term - tau
-                return Or(AtomF(Atom(AtomKind.LT, d)), AtomF(Atom(AtomKind.IMEM, d)))
-            return AtomF(a)
-        return _map_atoms(f, coset_fn)
-    if st.cls is CutClass.RATIONAL_CUT:
-        tau, strict = st.tau, st.strict
-        def rat_fn(a: Atom) -> Formula:
-            if a.kind == AtomKind.UMEM:
-                if strict:
-                    return AtomF(Atom(AtomKind.LT, a.term - tau))
-                return Not(AtomF(Atom(AtomKind.LT, tau - a.term)))
-            if a.kind == AtomKind.IMEM:  # trivial stabilizer
-                return AtomF(Atom(AtomKind.EQ, a.term))
-            return AtomF(a)
-        return _map_atoms(f, rat_fn)
-    return f
+    def node(g: Formula, kids, _c) -> Formula:
+        if type(g) is AtomF:
+            return _class_atom(g.atom, st) or g
+        return rebuild(g, kids)
+    return fold(f, node)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +422,13 @@ def _branch_condition(br: PureBranch, st: CutStructure,
 # elimination
 
 
-def _eliminate_clause(clause: list[Literal], v: str, st: CutStructure,
-                      options: QeOptions) -> Formula:
-    branches = _expand(clause, v, st, options.dnf_budget)
-    return simplify(disj(_branch_condition(br, st, options.inject_bug)
-                         for br in branches))
+def _eliminate(body: Formula, v: str, st: CutStructure,
+               options: QeOptions) -> Formula:
+    """v-free equivalent of E v. body, body quantifier-free in the working
+    vocabulary of st."""
+    return disj(simplify(_branch_condition(br, st, options.inject_bug))
+                for c in dnf_clauses(body, options.dnf_budget)
+                for br in _expand(c, v, st, options.dnf_budget))
 
 
 def eliminate_one_cut(literals: list[Literal], v: str,
@@ -454,29 +439,29 @@ def eliminate_one_cut(literals: list[Literal], v: str,
     options = options or QeOptions()
     st.require_eliminable()
     f = rewrite_for_class(conj(l.to_formula() for l in literals), st)
-    return simplify(disj(_eliminate_clause(list(c), v, st, options)
-                         for c in dnf_clauses(f, options.dnf_budget)))
+    return _eliminate(f, v, st, options)
 
 
-def _qe_rec(f: Formula, st: CutStructure, options: QeOptions, depth: int) -> Formula:
-    if depth > options.depth_budget:
-        raise BudgetExceededError("quantifier depth budget exceeded")
-    if isinstance(f, (TrueF, FalseF, AtomF)):
-        return f
-    if isinstance(f, Not):
-        return Not(_qe_rec(f.sub, st, options, depth))
-    if isinstance(f, (And, Or)):
-        return type(f)(_qe_rec(f.lhs, st, options, depth),
-                       _qe_rec(f.rhs, st, options, depth))
-    if isinstance(f, Forall):
-        return simplify(Not(_qe_rec(Exists(f.var, Not(f.body)), st, options,
-                                    depth + 1)))
-    if isinstance(f, Exists):
-        body = _qe_rec(f.body, st, options, depth + 1)
-        clauses = dnf_clauses(body, options.dnf_budget)
-        return simplify(disj(_eliminate_clause(list(c), f.var, st, options)
-                             for c in clauses))
-    raise TypeError(type(f))
+# an eliminated A x. is ~E x. ~, one level deeper than the E x. it becomes
+_QUANTIFIER_DEPTH = {Exists: 1, Forall: 2}
+
+
+def _qe(f: Formula, st: CutStructure, options: QeOptions) -> Formula:
+    """Eliminate the quantifiers of normalized f innermost first, simplifying
+    the rest of f on the way up."""
+    def enter(g: Formula, depth: int) -> int:
+        if depth > options.depth_budget:
+            raise BudgetExceededError("quantifier depth budget exceeded")
+        return depth + _QUANTIFIER_DEPTH.get(type(g), 0)
+
+    def node(g: Formula, kids, _depth) -> Formula:
+        if type(g) is Exists:
+            return _eliminate(kids[0], g.var, st, options)
+        if type(g) is Forall:
+            return negate(_eliminate(negate(kids[0]), g.var, st, options))
+        return simplify_node(g, kids)
+
+    return fold(f, node, enter, 0)
 
 
 def qe_star(f: Formula, st: CutStructure,
@@ -487,8 +472,7 @@ def qe_star(f: Formula, st: CutStructure,
         if mentions_membership(f):
             st.require_eliminable()
         return qe(f, options)
-    f = rewrite_for_class(normalize_atoms(rename_bound(f)), st)
-    return simplify(_qe_rec(f, st, options, 0))
+    return _qe(rewrite_for_class(normalize_atoms(f), st), st, options)
 
 
 def qe(f: Formula, options: Optional[QeOptions] = None) -> Formula:
@@ -497,8 +481,7 @@ def qe(f: Formula, options: Optional[QeOptions] = None) -> Formula:
     if mentions_membership(f):
         raise ValueError("qe handles the pure group language; "
                          "use qe_star for U/I atoms")
-    return simplify(_qe_rec(normalize_atoms(f), PURE_GROUP,
-                            options or QeOptions(), 0))
+    return _qe(normalize_atoms(f), PURE_GROUP, options or QeOptions())
 
 
 def qe_star_model(f: Formula, m: ModelDescriptor,
@@ -625,10 +608,7 @@ def skolemize(phi: Formula, target: str, st: CutStructure,
     """
     options = options or QeOptions()
     st.require_eliminable()
-    phi0 = normalize_atoms(rename_bound(phi))
-    if not is_quantifier_free(phi0):
-        phi0 = qe_star(phi0, st, options)
-    phi1 = rewrite_for_class(phi0, st)
+    phi1 = qe_star(phi, st, options)
     cases: list[tuple[Formula, Term]] = []
     seen = set()
     for clause in dnf_clauses(phi1, options.dnf_budget):

@@ -20,8 +20,9 @@ from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IntCompiledFormula,
 from .normalform import DEFAULT_DNF_BUDGET
 from .oracle import IntOracleEval, oracle_compile
 from .syntax import (And, AtomKind, Exists, Forall, Formula, Not, Or, Term,
-                     atom, free_vars, imem, is_quantifier_free, print_formula,
-                     subformulas, umem, TRUE, FALSE, TrueF, FalseF)
+                     atom, fold, free_vars, imem, is_quantifier_free,
+                     print_formula, rebuild, subformulas, umem, TRUE, FALSE,
+                     TrueF, FalseF)
 
 COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2)]
@@ -146,17 +147,8 @@ def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, asgn,
             return False
 
     def replace(g: Formula, target: Formula, repl: Formula) -> Formula:
-        if g is target:
-            return repl
-        from .syntax import Implies
-        if isinstance(g, Not):
-            return Not(replace(g.sub, target, repl))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(replace(g.lhs, target, repl),
-                           replace(g.rhs, target, repl))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, replace(g.body, target, repl))
-        return g
+        return fold(g, lambda h, kids, _c:
+                    repl if h is target else rebuild(h, kids))
 
     current = f
     changed = True

@@ -24,12 +24,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .closures import (BUDGET, DENOM, Evaluator, build, first_nonzero,
-                       int_row, lcm_denominators)
+from .closures import (BUDGET, DENOM, Evaluator, Lowering, first_nonzero,
+                       int_row, lcm_denominators, nary, neg)
 from .errors import (MalformedModelError, PrecisionBudgetError)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
-                     Or, Term, TrueF, is_quantifier_free)
+                     Or, Term, TrueF, fold, is_quantifier_free)
 
 DEFAULT_PRECISION_BITS = 4096
 _START_BITS = 16
@@ -408,9 +408,9 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
         if isinstance(g, Not):
             return not go(g.sub)
         if isinstance(g, And):
-            return go(g.lhs) and go(g.rhs)
+            return all(go(a) for a in g.args)
         if isinstance(g, Or):
-            return go(g.lhs) or go(g.rhs)
+            return any(go(a) for a in g.args)
         if isinstance(g, Implies):
             return (not go(g.lhs)) or go(g.rhs)
         if isinstance(g, AtomF):
@@ -432,22 +432,6 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
 
 # ---------------------------------------------------------------------------
 # Closure-compiled evaluation (integer arithmetic)
-
-
-def _view(f: Formula):
-    if isinstance(f, AtomF):
-        return "a", f.atom
-    if isinstance(f, And):
-        return "&", (f.lhs, f.rhs)
-    if isinstance(f, Or):
-        return "|", (f.lhs, f.rhs)
-    if isinstance(f, Not):
-        return "~", (f.sub,)
-    if isinstance(f, Implies):
-        return "|", (Not(f.lhs), f.rhs)
-    if isinstance(f, (TrueF, FalseF)):
-        return isinstance(f, TrueF)
-    raise ValueError("compile needs a quantifier-free formula")
 
 
 def term_rows(m: ModelDescriptor, t: Term, shift: tuple = ()):
@@ -507,7 +491,23 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
 def compile_formula(m: ModelDescriptor, f: Formula) -> Evaluator:
     """The evaluator for a quantifier-free formula over m, built once and
     called per assignment; eval_formula is its reference."""
-    return build(f, _view, lambda a: _lower_atom(m, a))
+    low = Lowering(lambda a: _lower_atom(m, a))
+
+    def node(g: Formula, kids, _c):
+        t = type(g)
+        if t is AtomF:
+            return low.leaf(g.atom)
+        if t is And or t is Or:
+            return nary("&" if t is And else "|", kids)
+        if t is Not:
+            return neg(kids[0])
+        if t is Implies:
+            return nary("|", [neg(kids[0]), kids[1]])
+        if t is TrueF or t is FalseF:
+            return t is TrueF
+        raise ValueError("compile needs a quantifier-free formula")
+
+    return low.evaluator(fold(f, node))
 
 
 class IntCompiledFormula:

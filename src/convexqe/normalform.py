@@ -1,45 +1,47 @@
-"""Atom normalization, negation normal form, DNF, and light simplification.
+"""Atom normalization, DNF, and light simplification.
 
 After ``normalize_atoms`` only LT / EQ / U / I atoms occur and the only
 connectives are ~, &, |, E, A.  ``<=`` becomes a negated ``<`` and ``!=`` a
 negated ``=``, so downstream code deals with four atom kinds and a polarity
-bit.
+bit.  Each walk here is a callback to ``syntax.fold``: ``dnf_clauses``
+carries the polarity down (negation normal form on the way) and multiplies
+clause lists up; ``simplify`` folds constants bottom up and leaves the
+connectives to ``conj`` and ``disj``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE, FalseF, Forall,
-                     Formula, Implies, Not, Or, TRUE, TrueF, conj, disj)
+                     Formula, Implies, Not, Or, TRUE, TrueF, conj, disj, fold,
+                     rebuild)
 
 DEFAULT_DNF_BUDGET = 50_000
 
 
-def normalize_atoms(f: Formula) -> Formula:
-    """Rewrite <= and != away and lower -> to ~/|; equivalent over every
-    model."""
-    if isinstance(f, AtomF):
-        a = f.atom
+def _normalize_node(g: Formula, kids, _c) -> Formula:
+    t = type(g)
+    if t is AtomF:
+        a = g.atom
         if a.kind == AtomKind.LE:
             # t <= 0  <=>  ~(-t < 0)
             return Not(AtomF(Atom(AtomKind.LT, -a.term)))
         if a.kind == AtomKind.NEQ:
             return Not(AtomF(Atom(AtomKind.EQ, a.term)))
-        return f
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Not):
-        return Not(normalize_atoms(f.sub))
-    if isinstance(f, Implies):
-        return Or(Not(normalize_atoms(f.lhs)), normalize_atoms(f.rhs))
-    if isinstance(f, (And, Or)):
-        return type(f)(normalize_atoms(f.lhs), normalize_atoms(f.rhs))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, normalize_atoms(f.body))
-    raise TypeError(type(f))
+        return g
+    if t is Implies:
+        return Or(Not(kids[0]), kids[1])
+    return rebuild(g, kids)
+
+
+def normalize_atoms(f: Formula) -> Formula:
+    """Rewrite <= and != away and lower -> to ~/|; equivalent over every
+    model."""
+    return fold(f, _normalize_node)
 
 
 @dataclass(frozen=True)
@@ -83,72 +85,46 @@ def literal_truth(lit: Literal) -> Optional[bool]:
     return (not v) if lit.negated else v
 
 
-def nnf(f: Formula) -> Formula:
-    """Push negations down to literals.  Input must be quantifier-free with
-    normalized atoms."""
-    def pos(g: Formula) -> Formula:
-        if isinstance(g, (TrueF, FalseF, AtomF)):
-            return g
-        if isinstance(g, Not):
-            return neg(g.sub)
-        if isinstance(g, (And, Or)):
-            return type(g)(pos(g.lhs), pos(g.rhs))
-        raise TypeError(f"nnf expects a normalized quantifier-free formula, got {type(g)}")
-
-    def neg(g: Formula) -> Formula:
-        if isinstance(g, TrueF):
-            return FALSE
-        if isinstance(g, FalseF):
-            return TRUE
-        if isinstance(g, AtomF):
-            return Not(g)
-        if isinstance(g, Not):
-            return pos(g.sub)
-        if isinstance(g, And):
-            return Or(neg(g.lhs), neg(g.rhs))
-        if isinstance(g, Or):
-            return And(neg(g.lhs), neg(g.rhs))
-        raise TypeError(f"nnf expects a normalized quantifier-free formula, got {type(g)}")
-
-    return pos(f)
+def _flip(g: Formula, positive: bool) -> bool:
+    return positive != (type(g) is Not)
 
 
 def dnf_clauses(f: Formula, budget: int = DEFAULT_DNF_BUDGET) -> list[list[Literal]]:
     """Clause list of a quantifier-free normalized formula; deterministic
-    literal ordering, contradictory clauses dropped."""
-    g = nnf(f)
-
-    def go(h: Formula) -> list[list[Literal]]:
-        if isinstance(h, TrueF):
-            return [[]]
-        if isinstance(h, FalseF):
-            return []
-        if isinstance(h, AtomF):
-            return [[Literal(h.atom)]]
-        if isinstance(h, Not):
-            assert isinstance(h.sub, AtomF)
-            return [[Literal(h.sub.atom, True)]]
-        if isinstance(h, Or):
-            left = go(h.lhs)
-            right = go(h.rhs)
-            if len(left) + len(right) > budget:
+    literal ordering, contradictory clauses dropped.  Negations are pushed
+    to the literals on the way down, as the polarity of each subformula."""
+    def node(h: Formula, kids, positive: bool) -> list[list[Literal]]:
+        t = type(h)
+        if t is AtomF:
+            return [[Literal(h.atom, not positive)]]
+        if t is Not:
+            return kids[0]
+        if t is TrueF or t is FalseF:
+            return [[]] if (t is TrueF) == positive else []
+        if t is not And and t is not Or:
+            raise TypeError("dnf_clauses expects a normalized quantifier-free "
+                            f"formula, got {t}")
+        # budget checks as for the left-nested binary chain of the args
+        size = len(kids[0])
+        if (t is Or) == positive:
+            for right in kids[1:]:
+                size += len(right)
+                if size > budget:
+                    raise BudgetExceededError("DNF clause budget exceeded")
+            return list(chain.from_iterable(kids))
+        for right in kids[1:]:
+            if size * max(len(right), 1) > budget:
                 raise BudgetExceededError("DNF clause budget exceeded")
-            return left + right
-        if isinstance(h, And):
-            left = go(h.lhs)
-            right = go(h.rhs)
-            if len(left) * max(len(right), 1) > budget:
-                raise BudgetExceededError("DNF clause budget exceeded")
-            return [a + b for a in left for b in right]
-        raise TypeError(type(h))
+            size *= len(right)
+        return [list(chain.from_iterable(c)) for c in product(*kids)]
 
     out = []
     seen = set()
-    for clause in go(g):
+    for clause in fold(f, node, _flip, True):
         cleaned = _clean_clause(clause)
         if cleaned is None:
             continue
-        key = tuple(l.sort_key() for l in cleaned)
+        key = tuple(cleaned)
         if key not in seen:
             seen.add(key)
             out.append(cleaned)
@@ -163,10 +139,9 @@ def _clean_clause(clause: list[Literal]) -> Optional[list[Literal]]:
             continue
         if v is False:
             return None
-        key = (lit.atom.kind, lit.atom.term.sort_key())
-        prev = kept.get(key)
+        prev = kept.get(lit.atom)
         if prev is None:
-            kept[key] = lit
+            kept[lit.atom] = lit
         elif prev.negated != lit.negated:
             return None
     return sorted(kept.values(), key=Literal.sort_key)
@@ -181,53 +156,36 @@ def to_dnf(f: Formula, budget: int = DEFAULT_DNF_BUDGET) -> Formula:
     return disj(clause_formula(c) for c in dnf_clauses(f, budget))
 
 
+def negate(f: Formula) -> Formula:
+    """~f with constants and double negation folded."""
+    t = type(f)
+    if t is TrueF or t is FalseF:
+        return FALSE if t is TrueF else TRUE
+    return f.sub if t is Not else Not(f)
+
+
+def simplify_node(g: Formula, kids, _c=None) -> Formula:
+    """simplify's step at one node whose children are already simplified."""
+    t = type(g)
+    if t is AtomF:
+        v = _fold_ground(g.atom)
+        return g if v is None else (TRUE if v else FALSE)
+    if t is And:
+        return conj(kids)
+    if t is Or:
+        return disj(kids)
+    if t is Not:
+        return negate(kids[0])
+    if t is Implies:
+        return disj((negate(kids[0]), kids[1]))
+    if t is Exists or t is Forall:
+        body = kids[0]
+        return body if type(body) in (TrueF, FalseF) else rebuild(g, kids)
+    return g
+
+
 def simplify(f: Formula) -> Formula:
-    """Cheap bottom-up constant folding; preserves equivalence."""
-    if isinstance(f, AtomF):
-        v = _fold_ground(f.atom)
-        if v is True:
-            return TRUE
-        if v is False:
-            return FALSE
-        return f
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Not):
-        s = simplify(f.sub)
-        if isinstance(s, TrueF):
-            return FALSE
-        if isinstance(s, FalseF):
-            return TRUE
-        if isinstance(s, Not):
-            return s.sub
-        return Not(s)
-    if isinstance(f, And):
-        a, b = simplify(f.lhs), simplify(f.rhs)
-        if isinstance(a, FalseF) or isinstance(b, FalseF):
-            return FALSE
-        if isinstance(a, TrueF):
-            return b
-        if isinstance(b, TrueF):
-            return a
-        if a == b:
-            return a
-        return And(a, b)
-    if isinstance(f, Or):
-        a, b = simplify(f.lhs), simplify(f.rhs)
-        if isinstance(a, TrueF) or isinstance(b, TrueF):
-            return TRUE
-        if isinstance(a, FalseF):
-            return b
-        if isinstance(b, FalseF):
-            return a
-        if a == b:
-            return a
-        return Or(a, b)
-    if isinstance(f, Implies):
-        return simplify(Or(Not(f.lhs), f.rhs))
-    if isinstance(f, (Exists, Forall)):
-        body = simplify(f.body)
-        if isinstance(body, (TrueF, FalseF)):
-            return body
-        return type(f)(f.var, body)
-    raise TypeError(type(f))
+    """Bottom-up constant folding; the connectives are rebuilt by conj and
+    disj, which also splice nested ones and drop repeated arguments.
+    Preserves equivalence."""
+    return fold(f, simplify_node)

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .closures import (BUDGET, DENOM, Evaluator, build, int_row,
-                       lcm_denominators)
+from .closures import (BUDGET, DENOM, Evaluator, Lowering, int_row,
+                       lcm_denominators, nary, neg)
 from .errors import BudgetExceededError
 from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IrrationalOracle,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel)
 from .normalform import normalize_atoms
 from .syntax import (And, AtomF, AtomKind, Exists, FalseF, Forall, Formula,
-                     Implies, Not, Or, Term, TrueF, rename_bound)
+                     Not, Or, Term, TrueF, fold, rename_bound)
 
 DEFAULT_ORACLE_BUDGET = 200_000
 
@@ -101,7 +101,8 @@ class CLit:
         return (*self.atom.sort_key(), self.neg)
 
 
-# boolean trees: True | False | CLit | ("&"|"|", left, right)
+# boolean trees: True | False | CLit | ("&"|"|", *kids), no kid of the
+# same operator as its parent
 BNode = Union[bool, CLit, tuple]
 
 
@@ -151,17 +152,9 @@ class _Decomposer:
             out = _bor(self.lit(fi, "lt"), _band(self.lit(fi, "eq"), out))
         return out
 
-    def eq_zero(self, t: Term) -> BNode:
-        out: BNode = True
-        for i in range(self.m.dim):
-            out = _band(out, self.lit(self.term_coord(t, i), "eq"))
-        return out
-
     def prefix_zero(self, t: Term, k: int) -> BNode:
-        out: BNode = True
-        for i in range(k):
-            out = _band(out, self.lit(self.term_coord(t, i), "eq"))
-        return out
+        return _band(*(self.lit(self.term_coord(t, i), "eq")
+                       for i in range(k)))
 
     def u_atom(self, t: Term) -> BNode:
         m = self.m
@@ -191,52 +184,50 @@ class _Decomposer:
     # -- formula decomposition ----------------------------------------------
 
     def decompose(self, f: Formula) -> BNode:
-        if isinstance(f, TrueF):
-            return True
-        if isinstance(f, FalseF):
-            return False
-        if isinstance(f, Not):
-            return _bnot(self.decompose(f.sub))
-        if isinstance(f, And):
-            return _band(self.decompose(f.lhs), self.decompose(f.rhs))
-        if isinstance(f, Or):
-            return _bor(self.decompose(f.lhs), self.decompose(f.rhs))
-        if isinstance(f, Implies):
-            return _bor(_bnot(self.decompose(f.lhs)), self.decompose(f.rhs))
-        if isinstance(f, AtomF):
-            a = f.atom
+        return fold(f, self._node)
+
+    def _node(self, g: Formula, kids, _c) -> BNode:
+        t = type(g)
+        if t is AtomF:
+            a = g.atom
             if a.kind == AtomKind.LT:
                 return self.lex_lt_zero(a.term)
             if a.kind == AtomKind.EQ:
-                return self.eq_zero(a.term)
+                return self.prefix_zero(a.term, self.m.dim)
             if a.kind == AtomKind.UMEM:
                 return self.u_atom(a.term)
             if a.kind == AtomKind.IMEM:
                 return self.i_atom(a.term)
             raise AssertionError(a.kind)
-        if isinstance(f, Exists):
-            body = self.decompose(f.body)
-            for i in range(self.m.dim):
-                body = self.eliminate_sym(body, f"{f.var}#{i}")
-            return body
-        if isinstance(f, Forall):
-            body = _bnot(self.decompose(Exists(f.var, Not(f.body))))
-            return body
-        raise TypeError(type(f))
+        if t is And:
+            return _band(*kids)
+        if t is Or:
+            return _bor(*kids)
+        if t is Not:
+            return _bnot(kids[0])
+        if t is Exists:
+            return self.eliminate(kids[0], g.var)
+        if t is Forall:
+            return _bnot(self.eliminate(_bnot(kids[0]), g.var))
+        if t is TrueF or t is FalseF:
+            return t is TrueF
+        raise TypeError(t)
+
+    def eliminate(self, body: BNode, var: str) -> BNode:
+        for i in range(self.m.dim):
+            body = self.eliminate_sym(body, f"{var}#{i}")
+        return body
 
     # -- one-dimensional elimination over a dense order ----------------------
 
     def eliminate_sym(self, node: BNode, sym: str) -> BNode:
-        clauses = _bdnf(node, self.budget)
-        out: BNode = False
-        for clause in clauses:
-            has_sym = any(l.atom.form.coeff(sym) != 0 for l in clause)
-            if not has_sym:
-                out = _bor(out, _clause_node(clause))
-                continue
-            for resolved in self._eliminate_clause(clause, sym):
-                out = _bor(out, resolved)
-        return out
+        out: list[BNode] = []
+        for clause in _bdnf(node, self.budget):
+            if any(l.atom.form.coeff(sym) != 0 for l in clause):
+                out.extend(self._eliminate_clause(clause, sym))
+            else:
+                out.append(_band(*clause))
+        return _bor(*out)
 
     def _eliminate_clause(self, clause: list[CLit], sym: str) -> list[BNode]:
         passthrough = [l for l in clause if l.atom.form.coeff(sym) == 0]
@@ -302,10 +293,7 @@ class _Decomposer:
                         break
                 if not ok:
                     continue
-            node = _clause_node(passthrough)
-            for e in extra:
-                node = _band(node, e)
-            results.append(node)
+            results.append(_band(*passthrough, *extra))
         return results
 
 
@@ -313,44 +301,40 @@ class _Decomposer:
 # boolean-tree helpers
 
 
-def _band(a: BNode, b: BNode) -> BNode:
-    if a is False or b is False:
-        return False
-    if a is True:
-        return b
-    if b is True:
-        return a
-    return ("&", a, b)
+def _join(op: str, nodes: tuple) -> BNode:
+    """One op node over nodes, nested op nodes spliced in; True and False
+    fold away."""
+    unit = op == "&"
+    kids: list[BNode] = []
+    for n in nodes:
+        if n is unit:
+            continue
+        if n is (not unit):
+            return not unit
+        if type(n) is tuple and n[0] == op:
+            kids.extend(n[1:])
+        else:
+            kids.append(n)
+    if len(kids) > 1:
+        return (op, *kids)
+    return kids[0] if kids else unit
 
 
-def _bor(a: BNode, b: BNode) -> BNode:
-    if a is True or b is True:
-        return True
-    if a is False:
-        return b
-    if b is False:
-        return a
-    return ("|", a, b)
+def _band(*nodes: BNode) -> BNode:
+    return _join("&", nodes)
+
+
+def _bor(*nodes: BNode) -> BNode:
+    return _join("|", nodes)
 
 
 def _bnot(a: BNode) -> BNode:
-    if a is True:
-        return False
-    if a is False:
-        return True
+    if type(a) is bool:
+        return not a
     if isinstance(a, CLit):
         return CLit(a.atom, not a.neg)
-    op, l, r = a
-    if op == "&":
-        return _bor(_bnot(l), _bnot(r))
-    return _band(_bnot(l), _bnot(r))
-
-
-def _clause_node(lits: list[CLit]) -> BNode:
-    node: BNode = True
-    for l in lits:
-        node = _band(node, l)
-    return node
+    negated = [_bnot(n) for n in a[1:]]
+    return _bor(*negated) if a[0] == "&" else _band(*negated)
 
 
 def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
@@ -361,16 +345,19 @@ def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
             return []
         if isinstance(n, CLit):
             return [[n]]
-        op, l, r = n
-        left = go(l)
-        right = go(r)
-        if op == "|":
-            if len(left) + len(right) > budget:
-                raise BudgetExceededError("oracle DNF budget exceeded")
-            return left + right
-        if len(left) * max(len(right), 1) > budget:
-            raise BudgetExceededError("oracle DNF budget exceeded")
-        return [a + b for a in left for b in right]
+        # budget checks as for the left-nested binary chain of the kids
+        out = go(n[1])
+        for kid in n[2:]:
+            right = go(kid)
+            if n[0] == "|":
+                if len(out) + len(right) > budget:
+                    raise BudgetExceededError("oracle DNF budget exceeded")
+                out.extend(right)
+            else:
+                if len(out) * max(len(right), 1) > budget:
+                    raise BudgetExceededError("oracle DNF budget exceeded")
+                out = [a + b for a in out for b in right]
+        return out
 
     out = []
     seen = set()
@@ -397,14 +384,6 @@ def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
 
 # ---------------------------------------------------------------------------
 # public interface
-
-
-def _view(n):
-    if isinstance(n, CLit):
-        return ("~", (n.atom,)) if n.neg else ("a", n.atom)
-    if isinstance(n, tuple):
-        return n[0], n[1:]
-    return ("a", n) if isinstance(n, CAtom) else n
 
 
 def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
@@ -447,7 +426,17 @@ class OracleDecision:
     def lower(self) -> Evaluator:
         """A fresh evaluator of the tree.  Decisions live in the compile
         cache, so only the Fraction path below keeps its evaluator."""
-        return build(self.tree, _view, lambda a: _lower_atom(self.alpha, a))
+        low = Lowering(lambda a: _lower_atom(self.alpha, a))
+
+        def go(n):
+            if type(n) is bool:
+                return n
+            if isinstance(n, CLit):
+                leaf = low.leaf(n.atom)
+                return neg(leaf) if n.neg else leaf
+            return nary(n[0], [go(k) for k in n[1:]])
+
+        return low.evaluator(go(self.tree))
 
     def eval(self, asgn: Mapping[str, Point],
              precision: int = DEFAULT_PRECISION_BITS) -> bool:

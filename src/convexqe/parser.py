@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the formula grammar.
+"""Parser for the formula grammar: operator precedence on an explicit stack
+for formulas, recursive descent for terms.
 
 Grammar (precedence ``~`` > ``&`` > ``|`` > ``->``; quantifier bodies
 extend maximally to the right; parentheses group formulas only)::
@@ -65,6 +66,26 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+_BINARY = {"->": 1, "|": 2, "&": 3}
+# how tightly each open stack entry binds: a quantifier's body, and a
+# parenthesized group, end only at ")" or the end of input
+_PREC = {**_BINARY, "~": 4, Exists: 0, Forall: 0, "(": -2}
+
+
+def _close(entry: list, x: Formula) -> Formula:
+    """Apply an open stack entry to its last operand x."""
+    op, arg = entry
+    if op == "~":
+        return Not(x)
+    if op == "&" or op == "|":
+        return (And if op == "&" else Or)(*arg, x)
+    if op == "->":  # nests to the right
+        for lhs in reversed(arg):
+            x = Implies(lhs, x)
+        return x
+    return op(arg, x)
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok], known_vars: Optional[set[str]]):
         self.toks = toks
@@ -89,55 +110,54 @@ class _Parser:
             self.fail(f"expected {text!r}, found {t.text!r}" if t.text else f"expected {text!r}")
         return self.next()
 
-    # formula levels -------------------------------------------------------
+    # formulas --------------------------------------------------------------
 
     def formula(self) -> Formula:
-        lhs = self.or_level()
-        if self.peek().text == "->":
-            self.next()
-            return Implies(lhs, self.formula())
-        return lhs
+        """The formula up to the end of input, by operator precedence on an
+        explicit stack, so nesting depth meets no recursion limit.  A stack
+        entry is [op, arg]: an open "~", "(" or quantifier, or a run of one
+        binary operator with its operands so far."""
+        stack: list = []
+        x = self.operand(stack)
+        while True:
+            t = self.peek()
+            prec = _BINARY.get(t.text, -1)
+            while stack and _PREC[stack[-1][0]] > prec:
+                x = _close(stack.pop(), x)
+            if prec > 0:
+                if stack and stack[-1][0] == t.text:
+                    stack[-1][1].append(x)
+                else:
+                    stack.append([t.text, [x]])
+                self.next()
+                x = self.operand(stack)
+            elif stack:  # the innermost open "("
+                self.expect(")")
+                stack.pop()
+            elif t.kind == "eof":
+                return x
+            else:
+                raise FormulaSyntaxError(f"trailing input {t.text!r}",
+                                         t.line, t.col)
 
-    def or_level(self) -> Formula:
-        f = self.and_level()
-        while self.peek().text == "|":
+    def operand(self, stack: list) -> Formula:
+        """Push the prefixes before the next operand; return the operand."""
+        while True:
+            t = self.peek()
+            if t.text not in ("~", "(", "E", "A", "true", "false"):
+                return self.atom()
             self.next()
-            f = Or(f, self.and_level())
-        return f
-
-    def and_level(self) -> Formula:
-        f = self.unary()
-        while self.peek().text == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        t = self.peek()
-        if t.text == "~":
-            self.next()
-            return Not(self.unary())
-        if t.text in ("E", "A"):
-            self.next()
+            if t.text in ("true", "false"):
+                return TRUE if t.text == "true" else FALSE
+            if t.text in ("~", "("):
+                stack.append([t.text, t])
+                continue
             v = self.peek()
             if v.kind != "name" or v.text in RESERVED:
                 self.fail("expected a variable after quantifier")
             self.next()
             self.expect(".")
-            body = self.formula()
-            return Exists(v.text, body) if t.text == "E" else Forall(v.text, body)
-        if t.text == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if t.text == "true":
-            self.next()
-            return TRUE
-        if t.text == "false":
-            self.next()
-            return FALSE
-        return self.atom()
+            stack.append([Exists if t.text == "E" else Forall, v.text])
 
     # atoms and terms ------------------------------------------------------
 
@@ -221,11 +241,7 @@ class _Parser:
 
 def parse_formula(text: str, known_vars: Optional[set[str]] = None) -> Formula:
     """Parse text into a formula AST; bound variables are made unique."""
-    p = _Parser(_tokenize(text), known_vars)
-    f = p.formula()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    f = _Parser(_tokenize(text), known_vars).formula()
     return rename_bound(f)
 
 

@@ -5,15 +5,23 @@ Terms are kept in a sparse canonical linear form (sorted variables, no zero
 coefficients), so structural equality coincides with equality as linear
 expressions.  Rational literals denote multiples of the designated unit
 element of the ambient model.
+
+``And`` and ``Or`` are n-ary and flat: an argument with the same connective
+is spliced in, so one formula has one shape however it was nested.  Every
+structural walk over formulas, here and in the other modules, is a callback
+to ``fold``, one post-order traversal on an explicit stack built on
+``children`` and ``rebuild``; formula depth meets no recursion limit.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import (Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 Rat = Fraction
 ZERO = Fraction(0)
@@ -39,6 +47,12 @@ class Term:
     e_in: Fraction = ZERO
     e_out: Fraction = ZERO
     offset: Fraction = ZERO
+
+    def __hash__(self) -> int:
+        # Fraction.__hash__ is slow; equal terms have equal variables,
+        # numerators and offsets, and eq settles the rare collision
+        return hash((tuple([(v, q.numerator) for v, q in self.coeffs]),
+                     self.offset.numerator))
 
     @staticmethod
     def make(coeffs: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = (),
@@ -80,10 +94,6 @@ class Term:
         return not self.coeffs and self.e_in == 0 and self.e_out == 0 and self.offset == 0
 
     @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_offset_only(self) -> bool:
         return not self.coeffs and self.e_in == 0 and self.e_out == 0
 
@@ -111,11 +121,16 @@ class Term:
         return Term(tuple((n, q) for n, q in self.coeffs if n != v),
                     self.e_in, self.e_out, self.offset)
 
-    def subst(self, v: str, t: "Term") -> "Term":
-        c = self.coeff(v)
-        if c == 0:
+    def subst_all(self, env: Mapping[str, "Term"]) -> "Term":
+        """Simultaneous substitution of env[v] for each variable v of env."""
+        if not any(v in env for v, _ in self.coeffs):
             return self
-        return self.drop_var(v) + t.scale(c)
+        acc = Term(tuple((v, q) for v, q in self.coeffs if v not in env),
+                   self.e_in, self.e_out, self.offset)
+        for v, q in self.coeffs:
+            if v in env:
+                acc = acc + env[v].scale(q)
+        return acc
 
     def sort_key(self):
         return (self.coeffs, self.e_in, self.e_out, self.offset)
@@ -155,6 +170,24 @@ def term_to_str(t: Term) -> str:
     return " ".join(out)
 
 
+def _hashed_once(cls):
+    """A frozen dataclass whose hash is computed on first use and kept:
+    formulas are hashed again and again as sets and dicts deduplicate
+    them, and every hash would otherwise walk the whole subtree."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", field_hash(self))
+            return self._hash
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Atoms
 
@@ -168,11 +201,7 @@ class AtomKind(Enum):
     IMEM = "I"
 
 
-RELATIONAL = (AtomKind.LT, AtomKind.LE, AtomKind.EQ, AtomKind.NEQ)
-NORMAL_KINDS = (AtomKind.LT, AtomKind.EQ, AtomKind.UMEM, AtomKind.IMEM)
-
-
-@dataclass(frozen=True)
+@_hashed_once
 class Atom:
     """Relational atoms read ``term <op> 0``; membership atoms read
     ``U(term)`` / ``I(term)``."""
@@ -196,64 +225,67 @@ class Atom:
 class Formula:
     __slots__ = ()
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class AtomF(Formula):
     atom: Atom
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    lhs: Formula
-    rhs: Formula
+@_hashed_once
+class _Connective(Formula):
+    """A connective over args; an argument with the same connective is
+    spliced in, so ``And(And(a, b), c) == And(a, And(b, c)) == And(a, b,
+    c)``."""
+
+    args: tuple[Formula, ...]
+
+    def __init__(self, *args: Formula):
+        op = type(self)
+        if op in map(type, args):
+            args = tuple(itertools.chain.from_iterable(
+                a.args if type(a) is op else (a,) for a in args))
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+class And(_Connective):
+    pass
 
 
-@dataclass(frozen=True)
+class Or(_Connective):
+    pass
+
+
+@_hashed_once
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_hashed_once
 class Forall(Formula):
     var: str
     body: Formula
@@ -261,24 +293,12 @@ class Forall(Formula):
 
 TRUE = TrueF()
 FALSE = FalseF()
+QUANTIFIERS = (Exists, Forall)
+_LEAVES = (AtomF, TrueF, FalseF)
 
 
 def atom(kind: AtomKind, term: Term) -> Formula:
     return AtomF(Atom(kind, term))
-
-
-def lt(t: Term) -> Formula:
-    """t < 0."""
-    return atom(AtomKind.LT, t)
-
-
-def gt(t: Term) -> Formula:
-    """t > 0."""
-    return atom(AtomKind.LT, -t)
-
-
-def eq(t: Term) -> Formula:
-    return atom(AtomKind.EQ, t)
 
 
 def umem(t: Term) -> Formula:
@@ -289,47 +309,109 @@ def imem(t: Term) -> Formula:
     return atom(AtomKind.IMEM, t)
 
 
-def conj(fs: Iterable[Formula]) -> Formula:
-    acc: Optional[Formula] = None
+def _connect(op: type, unit: Formula, zero: Formula,
+             fs: Iterable[Formula]) -> Formula:
+    """One op node over fs: nested op nodes spliced in, units dropped and
+    each argument kept once; at the first zero argument, zero, without
+    drawing the rest of fs."""
+    args: dict[Formula, None] = {}
     for f in fs:
-        if isinstance(f, TrueF):
-            continue
-        if isinstance(f, FalseF):
-            return FALSE
-        acc = f if acc is None else And(acc, f)
-    return acc if acc is not None else TRUE
+        for a in (f.args if type(f) is op else (f,)):
+            if type(a) is type(zero):
+                return zero
+            if type(a) is not type(unit):
+                args[a] = None
+    if len(args) > 1:
+        return op(*args)
+    return next(iter(args)) if args else unit
+
+
+def conj(fs: Iterable[Formula]) -> Formula:
+    return _connect(And, TRUE, FALSE, fs)
 
 
 def disj(fs: Iterable[Formula]) -> Formula:
-    acc: Optional[Formula] = None
-    for f in fs:
-        if isinstance(f, FalseF):
-            continue
-        if isinstance(f, TrueF):
-            return TRUE
-        acc = f if acc is None else Or(acc, f)
-    return acc if acc is not None else FALSE
+    return _connect(Or, FALSE, TRUE, fs)
+
+
+# ---------------------------------------------------------------------------
+# The traversal: every structural walk over formulas is a fold below
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Not):
+    t = type(f)
+    if t is And or t is Or:
+        return f.args
+    if t is Not:
         return (f.sub,)
-    if isinstance(f, (And, Or, Implies)):
-        return (f.lhs, f.rhs)
-    if isinstance(f, (Exists, Forall)):
+    if t is Exists or t is Forall:
         return (f.body,)
+    if t is Implies:
+        return (f.lhs, f.rhs)
     return ()
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    for c in children(f):
-        yield from subformulas(c)
+def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """f with its children replaced by kids, in order; f itself when every
+    kid is the child it replaces."""
+    if all(map(operator.is_, children(f), kids)):
+        return f
+    t = type(f)
+    if t is Not:
+        return Not(kids[0])
+    if t is Exists or t is Forall:
+        return t(f.var, kids[0])
+    return t(*kids)
+
+
+def fold(f: Formula, combine: Callable, enter: Optional[Callable] = None,
+         ctx=None):
+    """Post-order fold of f on an explicit stack, so formula depth meets no
+    recursion limit.
+
+    ``enter(g, c)`` runs at each node in preorder with the context c its
+    parent passed down (ctx at the root) and returns the context for g's
+    children; without it the context passes unchanged.  ``combine(g,
+    results, c)`` then gives g's result from the results of
+    ``children(g)``, in order, and the context g's children saw.
+    """
+    out: list = []
+    stack: list = [(f, ctx, None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g, c, kids = pop()
+        if kids is not None:
+            n = len(out) - len(kids)
+            vals = out[n:]
+            del out[n:]
+            out.append(combine(g, vals, c))
+            continue
+        if enter is not None:
+            c = enter(g, c)
+        kids = children(g)
+        if not kids:
+            out.append(combine(g, (), c))
+            continue
+        push((g, c, kids))
+        # children run left to right: leading leaves at once, the rest later
+        for i, k in enumerate(kids):
+            if type(k) not in _LEAVES:
+                stack.extend([(j, c, None) for j in reversed(kids[i:])])
+                break
+            out.append(combine(k, (), c if enter is None else enter(k, c)))
+    return out[0]
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    """Every subformula occurrence of f, in preorder."""
+    out: list[Formula] = []
+    fold(f, lambda *_: None, lambda g, _c: out.append(g))
+    return out
 
 
 def atoms_of(f: Formula) -> Iterator[Atom]:
     for g in subformulas(f):
-        if isinstance(g, AtomF):
+        if type(g) is AtomF:
             yield g.atom
 
 
@@ -338,27 +420,21 @@ def mentions_membership(f: Formula) -> bool:
     return any(a.kind in (AtomKind.UMEM, AtomKind.IMEM) for a in atoms_of(f))
 
 
+def _free_node(g: Formula, kids, _c) -> frozenset[str]:
+    t = type(g)
+    if t is AtomF:
+        return g.atom.term.vars()
+    if t is Exists or t is Forall:
+        return kids[0] - {g.var}
+    return frozenset().union(*kids)
+
+
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, AtomF):
-        return f.atom.term.vars()
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= free_vars(c)
-    return out
-
-
-def bound_vars(f: Formula) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for g in subformulas(f):
-        if isinstance(g, (Exists, Forall)):
-            out |= {g.var}
-    return out
+    return fold(f, _free_node)
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(g, (Exists, Forall)) for g in subformulas(f))
+    return not any(isinstance(g, QUANTIFIERS) for g in subformulas(f))
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -372,26 +448,17 @@ def _fresh(base: str, taken: set[str]) -> str:
 
 
 def _rename_binders(f: Formula, fresh: Callable[[str], str]) -> Formula:
-    """Rebind every quantifier, in traversal order, to fresh(old name)."""
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, AtomF):
-            t = g.atom.term
-            for old, new in env.items():
-                if old != new:
-                    t = t.subst(old, Term.var(new))
-            return AtomF(Atom(g.atom.kind, t))
-        if isinstance(g, (TrueF, FalseF)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.sub, env))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
-        if isinstance(g, (Exists, Forall)):
-            new = fresh(g.var)
-            return type(g)(new, walk(g.body, {**env, g.var: new}))
-        raise TypeError(type(g))
+    """Rebind every quantifier, in preorder, to fresh(old name)."""
+    def enter(g: Formula, env: dict[str, Term]) -> dict[str, Term]:
+        if not isinstance(g, QUANTIFIERS):
+            return env
+        inner = {v: t for v, t in env.items() if v != g.var}
+        new = fresh(g.var)
+        if new != g.var:
+            inner[g.var] = Term.var(new)
+        return inner
 
-    return walk(f, {})
+    return fold(f, _substitute_node, enter, {})
 
 
 def rename_bound(f: Formula, taken: Optional[set[str]] = None) -> Formula:
@@ -416,26 +483,32 @@ def canonicalize_bound(f: Formula) -> Formula:
     return _rename_binders(f, lambda _var: next(names))
 
 
+def _substitute_node(g: Formula, kids, env: dict[str, Term]) -> Formula:
+    """Apply env, a simultaneous substitution, at an atom; a quantifier
+    whose variable env renames binds the new name."""
+    t = type(g)
+    if t is AtomF:
+        term = g.atom.term.subst_all(env)
+        return g if term is g.atom.term else AtomF(Atom(g.atom.kind, term))
+    if (t is Exists or t is Forall) and g.var in env:
+        new, = env[g.var].vars()
+        return t(new, kids[0])
+    return rebuild(g, kids)
+
+
 def substitute(f: Formula, v: str, t: Term) -> Formula:
     """Capture-avoiding substitution of t for free occurrences of v."""
-    if isinstance(f, AtomF):
-        return AtomF(Atom(f.atom.kind, f.atom.term.subst(v, t)))
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.sub, v, t))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(substitute(f.lhs, v, t), substitute(f.rhs, v, t))
-    if isinstance(f, (Exists, Forall)):
-        if f.var == v:
-            return f
-        if f.var in t.vars():
-            taken = set(free_vars(f.body)) | t.vars() | {v}
-            new = _fresh(f.var, taken)
-            body = substitute(f.body, f.var, Term.var(new))
-            return type(f)(new, substitute(body, v, t))
-        return type(f)(f.var, substitute(f.body, v, t))
-    raise TypeError(type(f))
+    def enter(g: Formula, env: dict[str, Term]) -> dict[str, Term]:
+        if not isinstance(g, QUANTIFIERS):
+            return env
+        inner = {u: s for u, s in env.items() if u != g.var}
+        if any(g.var in s.vars() for s in inner.values()):
+            taken = set(free_vars(g.body)).union(
+                inner, *(s.vars() for s in inner.values()))
+            inner[g.var] = Term.var(_fresh(g.var, taken))
+        return inner
+
+    return fold(f, _substitute_node, enter, {v: t})
 
 
 # ---------------------------------------------------------------------------
@@ -448,30 +521,32 @@ _PREC_NOT = 4
 _PREC_ATOM = 5
 
 
-def print_formula(f: Formula) -> str:
-    def go(g: Formula, prec: int) -> str:
-        if isinstance(g, TrueF):
-            return "true"
-        if isinstance(g, FalseF):
-            return "false"
-        if isinstance(g, AtomF):
-            return str(g.atom)
-        if isinstance(g, Not):
-            s = "~" + go(g.sub, _PREC_NOT)
-            return s if prec <= _PREC_NOT else f"({s})"
-        if isinstance(g, And):
-            s = go(g.lhs, _PREC_AND) + " & " + go(g.rhs, _PREC_AND + 1)
-            return s if prec <= _PREC_AND else f"({s})"
-        if isinstance(g, Or):
-            s = go(g.lhs, _PREC_OR) + " | " + go(g.rhs, _PREC_OR + 1)
-            return s if prec <= _PREC_OR else f"({s})"
-        if isinstance(g, Implies):
-            s = go(g.lhs, _PREC_IMPLIES + 1) + " -> " + go(g.rhs, _PREC_IMPLIES)
-            return s if prec <= _PREC_IMPLIES else f"({s})"
-        if isinstance(g, (Exists, Forall)):
-            q = "E" if isinstance(g, Exists) else "A"
-            s = f"{q} {g.var}. " + go(g.body, _PREC_IMPLIES)
-            return s if prec <= _PREC_IMPLIES else f"({s})"
-        raise TypeError(type(g))
+def _group(kid: tuple[str, int], prec: int) -> str:
+    """A child's text, parenthesized when it binds looser than prec."""
+    text, p = kid
+    return text if p >= prec else f"({text})"
 
-    return go(f, _PREC_IMPLIES)
+
+def _print_node(g: Formula, kids, _c) -> tuple[str, int]:
+    t = type(g)
+    if t is AtomF:
+        return str(g.atom), _PREC_ATOM
+    if t is And:
+        return " & ".join(_group(k, _PREC_AND + 1) for k in kids), _PREC_AND
+    if t is Or:
+        return " | ".join(_group(k, _PREC_OR + 1) for k in kids), _PREC_OR
+    if t is Not:
+        return "~" + _group(kids[0], _PREC_NOT), _PREC_NOT
+    if t is Exists or t is Forall:
+        q = "E" if t is Exists else "A"
+        return f"{q} {g.var}. {kids[0][0]}", _PREC_IMPLIES
+    if t is Implies:
+        return (_group(kids[0], _PREC_IMPLIES + 1) + " -> " + kids[1][0],
+                _PREC_IMPLIES)
+    if t is TrueF or t is FalseF:
+        return ("true" if t is TrueF else "false"), _PREC_ATOM
+    raise TypeError(t)
+
+
+def print_formula(f: Formula) -> str:
+    return fold(f, _print_node)[0]

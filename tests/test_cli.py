@@ -62,14 +62,23 @@ class TestCommands:
         assert rc == 2
         assert "syntax" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("parse", "~" * 2000 + "x < 0"),
-        ("parse", "(" * 600 + "x < 0" + ")" * 600),
-        ("eliminate", "--model", "lex2_sub1.json",
-         "E y. " + " & ".join(f"x{i} < y" for i in range(1500))),
+    @pytest.mark.parametrize("argv, answer", [
+        (("parse", "~" * 2000 + "x < 0"), "~" * 2000 + "x < 0"),
+        (("parse", "(" * 600 + "x < 0" + ")" * 600), "x < 0"),
+        (("eliminate", "--model", "lex2_sub1.json",
+          "E y. " + " & ".join(f"x{i} < y" for i in range(1500))), "true"),
     ], ids=["stacked-negations", "nested-parentheses", "long-conjunction"])
-    def test_deep_input_is_domain_error(self, capsys, argv):
+    def test_deep_input_is_answered(self, capsys, argv, answer):
         rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        assert out == answer + "\n"
+
+    def test_input_beyond_recursion_limit_is_domain_error(self, capsys):
+        # the reference evaluator recurses, and x < 0 holds at every level,
+        # so no conjunction short-circuits
+        nested = "~(x < 0 & " * 1000 + "x < 0" + ")" * 1000
+        rc, out, err = run(capsys, "eval", "--model", "lex2_sub1.json",
+                           "--assign", '{"x": ["-1", "0"]}', nested)
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err

@@ -1,7 +1,8 @@
 import random
 
+from convexqe.cutqe import build_structure, qe_star
 from convexqe.models import Point, eval_formula
-from convexqe.oracle import oracle_truth
+from convexqe.oracle import oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.fuzz import gen_formula, gen_point
 from convexqe.syntax import free_vars, is_quantifier_free
@@ -54,3 +55,18 @@ class TestOracleAgreesWithEval:
                     asgn = {v: gen_point(rng, m) for v in free_vars(f)}
                     assert (oracle_truth(m, f, asgn)
                             == eval_formula(m, f, asgn)), (m.describe(), str(f))
+
+
+class TestOracleScale:
+    def test_deep_decomposition_compiles(self, m_1pi0):
+        # its coordinate decomposition nests deeper than the recursion limit
+        # allowed while the oracle's boolean trees were binary
+        f = parse_formula("E y. ~-1*z + -2*y + -1*e_in < 0 & "
+                          "~U(3*y + 2*x + 3/2*z) & ~-3*y < 0 & "
+                          "~U(1*y + -3*x + 2)")
+        dec = oracle_compile(m_1pi0, f)
+        out = qe_star(f, build_structure(m_1pi0))
+        rng = random.Random(4)
+        for _ in range(40):
+            asgn = {v: gen_point(rng, m_1pi0) for v in ("x", "z")}
+            assert dec.eval(asgn) == eval_formula(m_1pi0, out, asgn)

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convexqe.cutqe import qe
 from convexqe.errors import BudgetExceededError, FormulaSyntaxError
 from convexqe.models import Point, eval_formula
-from convexqe.normalform import dnf_clauses, normalize_atoms, to_dnf
+from convexqe.normalform import dnf_clauses, normalize_atoms, simplify, to_dnf
 from convexqe.parser import parse_formula, parse_term
-from convexqe.syntax import (And, Atom, AtomF, AtomKind, Exists, Forall,
-                             Formula, Not, Or, Term, canonicalize_bound,
-                             free_vars, is_quantifier_free, print_formula,
+from convexqe.syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE,
+                             Forall, Formula, Not, Or, TRUE, Term,
+                             canonicalize_bound, conj, disj, free_vars,
+                             is_quantifier_free, print_formula, rename_bound,
                              substitute)
 
 
@@ -23,7 +25,7 @@ class TestParsing:
         f = rt("E y. (x < y & U(y))")
         assert isinstance(f, Exists)
         assert isinstance(f.body, And)
-        lhs, rhs = f.body.lhs, f.body.rhs
+        lhs, rhs = f.body.args
         assert lhs.atom.kind == AtomKind.LT
         assert rhs.atom.kind == AtomKind.UMEM
 
@@ -48,8 +50,8 @@ class TestParsing:
         from convexqe.syntax import Implies
         assert isinstance(f, Implies)
         assert isinstance(f.lhs, Or)
-        assert isinstance(f.lhs.lhs, And)
-        assert isinstance(f.lhs.lhs.lhs, Not)
+        assert isinstance(f.lhs.args[0], And)
+        assert isinstance(f.lhs.args[0].args[0], Not)
 
     def test_quantifier_body_extends_right(self):
         f = rt("E y. x < y & U(y)")
@@ -72,9 +74,103 @@ class TestParsing:
 
     def test_bound_variables_unique(self):
         f = rt("E x. (x < 0 & E x. x < 1)")
-        inner = f.body.rhs
+        inner = f.body.args[1]
         assert isinstance(inner, Exists)
         assert inner.var != f.var
+
+
+class TestShape:
+    A, B, C = (AtomF(Atom(AtomKind.LT, Term.var(v))) for v in "abc")
+
+    @pytest.mark.parametrize("op", [And, Or])
+    def test_nested_connectives_are_spliced(self, op):
+        a, b, c = self.A, self.B, self.C
+        flat = op(a, b, c)
+        assert flat.args == (a, b, c)
+        for g in (op(op(a, b), c), op(a, op(b, c)), op(op(a), op(b, c))):
+            assert g == flat and hash(g) == hash(flat)
+        other = Or if op is And else And
+        assert op(a, other(b, c)).args == (a, other(b, c))
+
+    def test_conj_disj_build_one_node(self):
+        a, b, c = self.A, self.B, self.C
+        assert conj([And(a, b), TRUE, c, a]) == And(a, b, c)
+        assert disj([a, FALSE, Or(b, c), b]) == Or(a, b, c)
+        assert conj([a, FALSE, b]) == FALSE and disj([a, TRUE]) == TRUE
+        assert conj([a, a]) is a and conj([]) == TRUE and disj([]) == FALSE
+
+    def test_printing_drops_same_connective_groups(self):
+        f = rt("(a < 0 & b < 0) & (c < 0 | (d < 0 | e < 0))")
+        assert print_formula(f) == "a < 0 & b < 0 & (c < 0 | d < 0 | e < 0)"
+
+    def test_binder_renaming_is_simultaneous(self):
+        f = rt("E x. E x. E x_1. x + 2 * x_1 < 0")
+        assert print_formula(f) == "E x. E x_1. E x_1_1. x_1 + 2 * x_1_1 < 0"
+        assert canonicalize_bound(rt("E q2. E q1. q1 + 2 * q2 < 0")) \
+            == canonicalize_bound(rt("E a. E b. b + 2 * a < 0"))
+
+
+N_ATOMS = 10_000
+N_NEGATIONS = 5_000
+
+
+def _bounds(n):
+    """x_i - y < 0 for i < n: lower bounds on y, so E y. of any positive
+    combination is true."""
+    one = Fraction(1)
+    return [AtomF(Atom(AtomKind.LT, Term(((f"x{i}", one), ("y", -one)))))
+            for i in range(n)]
+
+
+def _left_nested(op, fs):
+    g = fs[0]
+    for f in fs[1:]:
+        g = op(g, f)
+    return g
+
+
+def _right_nested(op, fs):
+    g = fs[-1]
+    for f in reversed(fs[:-1]):
+        g = op(f, g)
+    return g
+
+
+def _walk_everything(f, names, clauses, simplified):
+    """Every structural walk over f and E y. f; none may recurse."""
+    g = Exists("y", f)
+    assert free_vars(f) == names and free_vars(g) == names - {"y"}
+    assert rename_bound(g) is g
+    assert canonicalize_bound(g).var == "q1"
+    assert free_vars(substitute(f, "y", Term.var("z"))) == names - {"y"} | {"z"}
+    text = print_formula(g)
+    assert print_formula(parse_formula(text)) == text
+    assert normalize_atoms(g) is g
+    assert simplify(f) == simplified
+    assert len(dnf_clauses(f)) == clauses
+    assert qe(g) == TRUE
+
+
+@pytest.mark.parametrize("op", [And, Or])
+def test_long_connectives_are_one_node(op):
+    """Built left-nested, right-nested or by conj/disj, a 10,000-atom
+    conjunction or disjunction is the same single node."""
+    fs = _bounds(N_ATOMS)
+    built = [_left_nested(op, fs), _right_nested(op, fs),
+             (conj if op is And else disj)(fs)]
+    for f in built:
+        assert type(f) is op and f.args == tuple(fs)
+        assert hash(f) == hash(built[0])
+    names = {"y"} | {f"x{i}" for i in range(N_ATOMS)}
+    _walk_everything(built[0], names, N_ATOMS if op is Or else 1, built[0])
+
+
+def test_long_negation_chain():
+    [a] = _bounds(1)
+    f = a
+    for _ in range(N_NEGATIONS):
+        f = Not(f)
+    _walk_everything(f, {"x0", "y"}, 1, a)
 
 
 class TestSubstitution:

@@ -48,7 +48,7 @@ from .normalform import (Literal, dnf_clauses, negate, normalize_atoms,
 from .piecewise import UnaryPiecewiseLinear
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
                      Formula, Not, Or, Term, conj, disj, fold,
-                     mentions_membership, rebuild)
+                     mentions_membership)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -182,15 +182,6 @@ def _class_atom(a: Atom, st: CutStructure) -> Optional[Formula]:
     if st.cls is CutClass.RATIONAL_CUT and a.kind == AtomKind.IMEM:
         return AtomF(Atom(AtomKind.EQ, a.term))  # trivial stabilizer
     return None
-
-
-def rewrite_for_class(f: Formula, st: CutStructure) -> Formula:
-    """Normalize U/I atoms into the working vocabulary of the class."""
-    def node(g: Formula, kids, _c) -> Formula:
-        if type(g) is AtomF:
-            return _class_atom(g.atom, st) or g
-        return rebuild(g, kids)
-    return fold(f, node)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +427,9 @@ def eliminate_one_cut(literals: list[Literal], v: str,
                       options: Optional[QeOptions] = None) -> Formula:
     """v-free equivalent of the existential over one conjunct of normalized
     literals, possibly containing U/I atoms."""
-    options = options or QeOptions()
     st.require_eliminable()
-    f = rewrite_for_class(conj(l.to_formula() for l in literals), st)
-    return _eliminate(f, v, st, options)
+    return _qe(Exists(v, conj(l.to_formula() for l in literals)), st,
+               options or QeOptions())
 
 
 # an eliminated A x. is ~E x. ~, one level deeper than the E x. it becomes
@@ -447,14 +437,17 @@ _QUANTIFIER_DEPTH = {Exists: 1, Forall: 2}
 
 
 def _qe(f: Formula, st: CutStructure, options: QeOptions) -> Formula:
-    """Eliminate the quantifiers of normalized f innermost first, simplifying
-    the rest of f on the way up."""
+    """Eliminate the quantifiers of f innermost first, in one pass that also
+    brings each atom into the working vocabulary of st and simplifies the
+    rest of f on the way up."""
     def enter(g: Formula, depth: int) -> int:
         if depth > options.depth_budget:
             raise BudgetExceededError("quantifier depth budget exceeded")
         return depth + _QUANTIFIER_DEPTH.get(type(g), 0)
 
     def node(g: Formula, kids, _depth) -> Formula:
+        if type(g) is AtomF:
+            return simplify(_class_atom(g.atom, st) or normalize_atoms(g))
         if type(g) is Exists:
             return _eliminate(kids[0], g.var, st, options)
         if type(g) is Forall:
@@ -472,7 +465,7 @@ def qe_star(f: Formula, st: CutStructure,
         if mentions_membership(f):
             st.require_eliminable()
         return qe(f, options)
-    return _qe(rewrite_for_class(normalize_atoms(f), st), st, options)
+    return _qe(f, st, options)
 
 
 def qe(f: Formula, options: Optional[QeOptions] = None) -> Formula:
@@ -481,7 +474,7 @@ def qe(f: Formula, options: Optional[QeOptions] = None) -> Formula:
     if mentions_membership(f):
         raise ValueError("qe handles the pure group language; "
                          "use qe_star for U/I atoms")
-    return _qe(normalize_atoms(f), PURE_GROUP, options or QeOptions())
+    return _qe(f, PURE_GROUP, options or QeOptions())
 
 
 def qe_star_model(f: Formula, m: ModelDescriptor,

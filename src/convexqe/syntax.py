@@ -178,11 +178,11 @@ def _hashed_once(cls):
     field_hash = cls.__hash__
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", field_hash(self))
-            return self._hash
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     cls.__hash__ = __hash__
     return cls
@@ -375,6 +375,8 @@ def fold(f: Formula, combine: Callable, enter: Optional[Callable] = None,
     results, c)`` then gives g's result from the results of
     ``children(g)``, in order, and the context g's children saw.
     """
+    if type(f) in _LEAVES:
+        return combine(f, (), ctx if enter is None else enter(f, ctx))
     out: list = []
     stack: list = [(f, ctx, None)]
     pop, push = stack.pop, stack.append
@@ -521,28 +523,26 @@ _PREC_NOT = 4
 _PREC_ATOM = 5
 
 
-def _group(kid: tuple[str, int], prec: int) -> str:
-    """A child's text, parenthesized when it binds looser than prec."""
-    text, p = kid
-    return text if p >= prec else f"({text})"
-
-
 def _print_node(g: Formula, kids, _c) -> tuple[str, int]:
+    """g's text and precedence; a child binding looser than its place is
+    parenthesized."""
     t = type(g)
     if t is AtomF:
         return str(g.atom), _PREC_ATOM
-    if t is And:
-        return " & ".join(_group(k, _PREC_AND + 1) for k in kids), _PREC_AND
-    if t is Or:
-        return " | ".join(_group(k, _PREC_OR + 1) for k in kids), _PREC_OR
+    if t is And or t is Or:
+        prec = _PREC_AND if t is And else _PREC_OR
+        return (" & " if t is And else " | ").join(
+            s if p > prec else f"({s})" for s, p in kids), prec
     if t is Not:
-        return "~" + _group(kids[0], _PREC_NOT), _PREC_NOT
+        s, p = kids[0]
+        return ("~" + s if p >= _PREC_NOT else f"~({s})"), _PREC_NOT
     if t is Exists or t is Forall:
         q = "E" if t is Exists else "A"
         return f"{q} {g.var}. {kids[0][0]}", _PREC_IMPLIES
     if t is Implies:
-        return (_group(kids[0], _PREC_IMPLIES + 1) + " -> " + kids[1][0],
-                _PREC_IMPLIES)
+        (s, p), (s2, _) = kids
+        lhs = s if p > _PREC_IMPLIES else f"({s})"
+        return f"{lhs} -> {s2}", _PREC_IMPLIES
     if t is TrueF or t is FalseF:
         return ("true" if t is TrueF else "false"), _PREC_ATOM
     raise TypeError(t)

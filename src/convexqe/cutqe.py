@@ -31,6 +31,7 @@ model-free structure with no membership vocabulary.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -253,14 +254,15 @@ def _expand(literals: Iterable[Literal], v: str, st: CutStructure,
             residual.append(lit.to_formula())
         else:
             with_v.append(lit)
-    combos: list[list[tuple]] = [[]]
+    options = []
+    n = 1  # the case count, checked as each literal's cases multiply in
     for lit in with_v:
-        opts = _branch_options(lit, v, st)
-        combos = [c + [o] for c in combos for o in opts]
-        if len(combos) > budget:
+        options.append(_branch_options(lit, v, st))
+        n *= len(options[-1])
+        if n > budget:
             raise BudgetExceededError("case-split budget exceeded")
     out = []
-    for combo in combos:
+    for combo in itertools.product(*options):
         br = PureBranch(residual=list(residual))
         for tag, data in combo:
             getattr(br, {"lower": "lowers", "upper": "uppers", "eq": "eqs",

@@ -6,6 +6,10 @@ one-dimensional linear-arithmetic conditions over Q, one per coordinate,
 with at most one irrational-cut symbol (the deciding threshold entry).
 Each quantifier is eliminated coordinate-by-coordinate with a small,
 self-contained Fourier-Motzkin pass over a dense order without endpoints.
+The pass works on primitive integer linear forms (entries with gcd 1, an
+equation's leading coefficient positive), combined only with positive
+factors: no Fraction arithmetic happens after decomposition, and an atom
+has one form whichever multiple of it arose.
 
 This module deliberately shares no elimination machinery with the main
 engines; it is the differential-testing reference.  The residual tree is
@@ -17,12 +21,13 @@ alpha comparisons.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .closures import (BUDGET, DENOM, Evaluator, Lowering, int_row,
-                       lcm_denominators, nary, neg)
+from .closures import BUDGET, DENOM, Evaluator, Lowering, int_row, nary, neg
 from .errors import BudgetExceededError
 from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IrrationalOracle,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel)
@@ -37,48 +42,43 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class LinForm:
-    """Linear form over coordinate symbols plus the cut symbol alpha."""
+    """Primitive integer linear form over coordinate symbols plus the cut
+    symbol alpha: the entries have gcd 1 (or are all zero)."""
 
-    coeffs: tuple[tuple[str, Fraction], ...] = ()
-    alpha: Fraction = ZERO
-    const: Fraction = ZERO
+    coeffs: tuple[tuple[str, int], ...] = ()
+    alpha: int = 0
+    const: int = 0
 
-    @staticmethod
-    def make(coeffs: Mapping[str, Fraction], alpha=ZERO, const=ZERO) -> "LinForm":
-        items = tuple(sorted((s, q) for s, q in coeffs.items() if q != 0))
-        return LinForm(items, Fraction(alpha), Fraction(const))
-
-    def coeff(self, sym: str) -> Fraction:
+    def coeff(self, sym: str) -> int:
         for s, q in self.coeffs:
             if s == sym:
                 return q
-        return ZERO
+        return 0
 
-    def drop(self, sym: str) -> "LinForm":
-        return LinForm(tuple((s, q) for s, q in self.coeffs if s != sym),
-                       self.alpha, self.const)
+    def __neg__(self) -> "LinForm":
+        return LinForm(tuple((s, -q) for s, q in self.coeffs),
+                       -self.alpha, -self.const)
 
-    def add(self, other: "LinForm") -> "LinForm":
-        d = dict(self.coeffs)
-        for s, q in other.coeffs:
-            d[s] = d.get(s, ZERO) + q
-        return LinForm.make(d, self.alpha + other.alpha, self.const + other.const)
 
-    def scale(self, q: Fraction) -> "LinForm":
-        if q == 0:
-            return LinForm()
-        return LinForm(tuple((s, c * q) for s, c in self.coeffs),
-                       self.alpha * q, self.const * q)
+def _primitive(coeffs, alpha: int, const: int) -> LinForm:
+    """The form over the nonzero (symbol, int) pairs of coeffs, divided by
+    the (positive) gcd of its entries: its sign and zeros are kept."""
+    items = sorted((s, q) for s, q in coeffs if q)
+    g = math.gcd(alpha, const, *(q for _, q in items))
+    if g > 1:
+        items = [(s, q // g) for s, q in items]
+        alpha //= g
+        const //= g
+    return LinForm(tuple(items), alpha, const)
 
-    def subst(self, sym: str, repl: "LinForm") -> "LinForm":
-        c = self.coeff(sym)
-        if c == 0:
-            return self
-        return self.drop(sym).add(repl.scale(c))
 
-    @property
-    def ground(self) -> bool:
-        return not self.coeffs
+def _combine(p: int, f: LinForm, q: int, g: LinForm) -> LinForm:
+    """p*f + q*g as a primitive form."""
+    d = {s: p * c for s, c in f.coeffs}
+    for s, c in g.coeffs:
+        d[s] = d.get(s, 0) + q * c
+    return _primitive(d.items(), p * f.alpha + q * g.alpha,
+                      p * f.const + q * g.const)
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,8 @@ class _Decomposer:
             v = form.const
             return -1 if v < 0 else (1 if v > 0 else 0)
         assert self.alpha is not None
-        q = -form.const / form.alpha
-        s = -self.alpha.compare(q)  # sign of (alpha - q)
+        # the sign of alpha - q at the root q = -const/alpha
+        s = -self.alpha.compare(Fraction(-form.const, form.alpha))
         return s if form.alpha > 0 else -s
 
     def lit(self, form: LinForm, kind: str, neg: bool = False) -> BNode:
@@ -134,16 +134,23 @@ class _Decomposer:
         if s is not None:
             truth = (s < 0) if kind == "lt" else (s == 0)
             return truth != neg
+        if kind == "eq" and form.coeffs[0][1] < 0:
+            form = -form  # one atom for f = 0 and -f = 0
         return CLit(CAtom(form, kind), neg)
 
     # -- term decomposition -------------------------------------------------
 
-    def term_coord(self, t: Term, i: int) -> LinForm:
+    def term_coord(self, t: Term, i: int, shift: Fraction = ZERO,
+                   alpha: int = 0) -> LinForm:
+        """Coordinate i of t, minus shift, plus alpha times the cut symbol,
+        as a primitive integer form."""
         m = self.m
         const = (t.offset * m.unit.coords[i] + t.e_in * m.e_in.coords[i]
-                 + t.e_out * m.e_out.coords[i])
-        coeffs = {f"{v}#{i}": q for v, q in t.coeffs}
-        return LinForm.make(coeffs, ZERO, const)
+                 + t.e_out * m.e_out.coords[i] - shift)
+        lc = math.lcm(const.denominator, *(q.denominator for _, q in t.coeffs))
+        return _primitive(((f"{v}#{i}", q.numerator * (lc // q.denominator))
+                           for v, q in t.coeffs),
+                          alpha * lc, const.numerator * (lc // const.denominator))
 
     def lex_lt_zero(self, t: Term) -> BNode:
         out: BNode = False
@@ -166,15 +173,14 @@ class _Decomposer:
             if i == m.dim:
                 return not cut.strict
             entry = cut.threshold[i]
-            fi = self.term_coord(t, i)
             if isinstance(entry, PlusInf):
                 return True
             if isinstance(entry, Fraction):
-                below = self.lit(fi.add(LinForm(const=-entry)), "lt")
-                ateq = self.lit(fi.add(LinForm(const=-entry)), "eq")
-                return _bor(below, _band(ateq, walk(i + 1)))
+                fi = self.term_coord(t, i, entry)
+                return _bor(self.lit(fi, "lt"),
+                            _band(self.lit(fi, "eq"), walk(i + 1)))
             # deciding irrational entry: t_i < alpha, never equal
-            return self.lit(fi.add(LinForm(alpha=Fraction(-1))), "lt")
+            return self.lit(self.term_coord(t, i, alpha=-1), "lt")
 
         return walk(0)
 
@@ -230,70 +236,53 @@ class _Decomposer:
         return _bor(*out)
 
     def _eliminate_clause(self, clause: list[CLit], sym: str) -> list[BNode]:
-        passthrough = [l for l in clause if l.atom.form.coeff(sym) == 0]
-        with_sym = [l for l in clause if l.atom.form.coeff(sym) != 0]
-
-        # split negated strict bounds into reversed-strict or equality
-        choices: list[list[tuple[LinForm, str]]] = [[]]
-        for l in with_sym:
-            form, kind, neg = l.atom.form, l.atom.kind, l.neg
-            if not neg:
-                opts = [(form, kind)]
+        passthrough: list[CLit] = []
+        # per literal in sym, its cases (form, kind, coefficient of sym); a
+        # negated strict bound splits into reversed-strict or equality
+        choices: list[list[tuple[LinForm, str, int]]] = []
+        for l in clause:
+            form, kind = l.atom.form, l.atom.kind
+            c = form.coeff(sym)
+            if c == 0:
+                passthrough.append(l)
+            elif not l.neg:
+                choices.append([(form, kind, c)])
             elif kind == "lt":
-                opts = [(form.scale(Fraction(-1)), "lt"), (form, "eq")]
+                choices.append([(-form, "lt", -c), (form, "eq", c)])
             else:
-                opts = [(form, "neq")]
-            choices = [c + [o] for c in choices for o in opts]
-            if len(choices) > self.budget:
+                choices.append([(form, "neq", c)])
+        n = 1
+        for opts in choices:
+            n *= len(opts)
+            if n > self.budget:
                 raise BudgetExceededError("oracle split budget exceeded")
 
         results: list[BNode] = []
-        for combo in choices:
-            eqs = [(f, k) for f, k in combo if k == "eq"]
-            extra: list[BNode] = []
-            if eqs:
-                f0, _ = eqs[0]
-                c = f0.coeff(sym)
-                repl = f0.drop(sym).scale(Fraction(-1) / c)
-                ok = True
-                for f, k in combo:
-                    if (f, k) is eqs[0]:
-                        continue
-                    g = f.subst(sym, repl)
-                    if k == "neq":
-                        n = self.lit(g, "eq", neg=True)
-                    else:
-                        n = self.lit(g, k)
-                    if n is False:
-                        ok = False
-                        break
-                    if n is not True:
-                        extra.append(n)
-                if not ok:
-                    continue
+        for combo in itertools.product(*choices):
+            eq = next((o for o in combo if o[1] == "eq"), None)
+            if eq is not None:
+                # c0*s + r0 = 0 turns c*s + r into |c0|*r - sign(c0)*c*r0
+                f0, _, c0 = eq
+                pairs = [(f, k, abs(c0), -c if c0 > 0 else c, f0)
+                         for f, k, c in (o for o in combo if o is not eq)]
             else:
-                lowers: list[LinForm] = []
-                uppers: list[LinForm] = []
-                for f, k in combo:
-                    if k == "neq":
-                        continue  # density: finitely many points never empty an open set
-                    c = f.coeff(sym)
-                    bound = f.drop(sym).scale(Fraction(-1) / c)
-                    (uppers if c > 0 else lowers).append(bound)
-                ok = True
-                for lo in lowers:
-                    for up in uppers:
-                        n = self.lit(lo.add(up.scale(Fraction(-1))), "lt")
-                        if n is False:
-                            ok = False
-                            break
-                        if n is not True:
-                            extra.append(n)
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-            results.append(_band(*passthrough, *extra))
+                # a lower bound cl*s + rl < 0 (cl < 0) lies below an upper
+                # bound cu*s + ru < 0 (cu > 0) iff cu*rl - cl*ru < 0; a
+                # disequality never empties an open interval
+                lowers = [(f, c) for f, k, c in combo if k == "lt" and c < 0]
+                uppers = [(f, c) for f, k, c in combo if k == "lt" and c > 0]
+                pairs = [(fl, "lt", cu, -cl, fu)
+                         for fl, cl in lowers for fu, cu in uppers]
+            extra: list[BNode] = []
+            for f, k, p, q, g in pairs:
+                node = self.lit(_combine(p, f, q, g),
+                                "eq" if k == "neq" else k, neg=k == "neq")
+                if node is False:
+                    break
+                if node is not True:
+                    extra.append(node)
+            else:
+                results.append(_band(*passthrough, *extra))
         return results
 
 
@@ -388,22 +377,19 @@ def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
 
 def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
     """Test closure for ``form < 0`` or ``form = 0``: the form's symbols
-    and constant become one integer row scaled by the lcm of their
-    denominators, and a nonzero alpha coefficient is decided against the
-    cut's interval oracle."""
+    and constant are one integer row, and a nonzero alpha coefficient is
+    decided against the cut's interval oracle."""
     form, lt = a.form, a.kind == "lt"
-    lc = lcm_denominators([q for _, q in form.coeffs]
-                          + [form.alpha, form.const])
     terms = []
     for sym, q in form.coeffs:
         var, idx = sym.rsplit("#", 1)
-        terms.append((var, int(idx), int(q * lc)))
-    row = int_row(tuple(terms), int(form.const * lc))
+        terms.append((var, int(idx), q))
+    row = int_row(tuple(terms), form.const)
     if form.alpha == 0:
         if lt:
             return lambda p, f: row(p, f[DENOM]) < 0
         return lambda p, f: row(p, f[DENOM]) == 0
-    ac = int(form.alpha * lc)
+    ac = form.alpha
 
     def test(p, f) -> bool:
         # row + ac*d*alpha < 0  <=>  alpha lies on ac's side of -row/(ac*d)

@@ -173,19 +173,47 @@ def term_to_str(t: Term) -> str:
 def _hashed_once(cls):
     """A frozen dataclass whose hash is computed on first use and kept:
     formulas are hashed again and again as sets and dicts deduplicate
-    them, and every hash would otherwise walk the whole subtree."""
+    them, and every hash would otherwise walk the whole subtree.  A first
+    hash hashes the unhashed subformulas first, so it never recurses."""
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
+            for k in children(self):
+                if type(k) not in _LEAVES and "_hash" not in k.__dict__:
+                    for g in _unhashed_below(self):
+                        hash(g)
+                    break
             h = field_hash(self)
             object.__setattr__(self, "_hash", h)
         return h
 
     cls.__hash__ = __hash__
     return cls
+
+
+def _unhashed_below(f: Formula) -> list[Formula]:
+    """The distinct subformulas below f with no kept hash yet, each after
+    its own, in a post-order walk on an explicit stack.  Leaves are left
+    out: their hash goes no deeper than their atom's term."""
+    found: list[Formula] = []
+    seen: set[int] = set()
+    stack = [(f, iter(children(f)))]
+    while stack:
+        g, kids = stack[-1]
+        for k in kids:
+            if (type(k) not in _LEAVES and "_hash" not in k.__dict__
+                    and id(k) not in seen):
+                seen.add(id(k))
+                stack.append((k, iter(children(k))))
+                break
+        else:
+            stack.pop()
+            found.append(g)
+    found.pop()  # f itself
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import math
 import random
+
+import pytest
 
 from convexqe.cutqe import build_structure, qe_star
 from convexqe.models import Point, eval_formula
-from convexqe.oracle import oracle_compile, oracle_truth
+from convexqe.oracle import CLit, oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.fuzz import gen_formula, gen_point
 from convexqe.syntax import free_vars, is_quantifier_free
@@ -57,16 +60,73 @@ class TestOracleAgreesWithEval:
                             == eval_formula(m, f, asgn)), (m.describe(), str(f))
 
 
+def _clits(tree):
+    stack, out = [tree], []
+    while stack:
+        n = stack.pop()
+        if isinstance(n, CLit):
+            out.append(n)
+        elif type(n) is tuple:
+            stack.extend(n[1:])
+    return out
+
+
+def _assert_primitive(tree):
+    for lit in _clits(tree):
+        form = lit.atom.form
+        entries = [q for _, q in form.coeffs] + [form.alpha, form.const]
+        assert all(type(q) is int for q in entries), form
+        assert math.gcd(*entries) == 1, form
+        if lit.atom.kind == "eq":
+            assert form.coeffs[0][1] > 0, form
+
+
+class TestIntegerForms:
+    @pytest.mark.parametrize("a, b", [("2*y < 0", "y < 0"),
+                                      ("x = 0", "-x = 0")],
+                             ids=["strict-multiple", "negated-equation"])
+    def test_multiples_are_one_atom(self, m_sub2, a, b):
+        ta = oracle_compile(m_sub2, parse_formula(a)).tree
+        tb = oracle_compile(m_sub2, parse_formula(b)).tree
+        assert ta == tb
+        _assert_primitive(ta)
+
+
 class TestOracleScale:
-    def test_deep_decomposition_compiles(self, m_1pi0):
-        # its coordinate decomposition nests deeper than the recursion limit
-        # allowed while the oracle's boolean trees were binary
-        f = parse_formula("E y. ~-1*z + -2*y + -1*e_in < 0 & "
-                          "~U(3*y + 2*x + 3/2*z) & ~-3*y < 0 & "
-                          "~U(1*y + -3*x + 2)")
-        dec = oracle_compile(m_1pi0, f)
-        out = qe_star(f, build_structure(m_1pi0))
-        rng = random.Random(4)
+    # the costliest oracle compiles among the benchmark's seed-1
+    # eliminate_cut requests; the first nested deeper than the recursion
+    # limit allowed while the oracle's boolean trees were binary
+    @pytest.mark.parametrize("name, text", [
+        ("lex3_val_1pi0", "E y. ~-2 * y - z - e_in < 0 & "
+         "~U(2 * x + 3 * y + 3/2 * z) & ~-3 * y < 0 & ~U(-3 * x + y + 2)"),
+        ("lex2_rat_11", "E y. ~-2 * x + y - 1/2 < 0 & "
+         "~2 * x + 4 * y + 1/2 < 0 & U(3 * y - 1/2 * z - 1/2) & "
+         "~U(3 * x + 2 * y + 4 * z)"),
+        ("lex3_sub2", "E y. I(1/2 * x + y - 2) & ~2 * x + 1/2 * y + 3 * z < 0 "
+         "& ~3/2 * x + 2 * y + z < 0 & ~-1/2 * x + 3/2 * y < 0"),
+        ("lex3_val_1pi0", "E y. 2 * y < 0 & ~-3 * y + 2 * z + 2 * e_in < 0 & "
+         "-x - 1/2 * y + 3 < 0 & ~-1/2 * x + 1/2 * y - 1/2 * z < 0"),
+        ("lex2_rat_11", "E y. I(3/2 * x - 2 * y) & -1/2 * x - 1/2 * y < 0 & "
+         "~U(3 * x - 2 * y + 3 * z) & U(4 * y + 3/2 * z)"),
+    ], ids=["val_1pi0-a", "rat_11-a", "sub2", "val_1pi0-b", "rat_11-b"])
+    def test_heavy_input_agrees_with_qe_star(self, models, name, text):
+        m = models[name]
+        f = parse_formula(text)
+        dec = oracle_compile(m, f)
+        _assert_primitive(dec.tree)
+        out = qe_star(f, build_structure(m))
+        rng = random.Random(9)
         for _ in range(40):
-            asgn = {v: gen_point(rng, m_1pi0) for v in ("x", "z")}
-            assert dec.eval(asgn) == eval_formula(m_1pi0, out, asgn)
+            asgn = {v: gen_point(rng, m) for v in ("x", "z")}
+            assert dec.eval(asgn) == eval_formula(m, out, asgn)
+
+    # the oracle's cache key hashes the formula: a first hash must not
+    # recurse through the unhashed subformulas
+    @pytest.mark.parametrize("text, at_neg, at_pos", [
+        ("~" * 3000 + "x < 0", True, False),
+        ("~(x < 0 & " * 400 + "x < 0" + ")" * 400, True, True),
+    ], ids=["stacked-negations", "alternating-nesting"])
+    def test_deep_input_truth(self, m_sub2, text, at_neg, at_pos):
+        f = parse_formula(text)
+        assert oracle_truth(m_sub2, f, {"x": Point.of(-1, 0)}) is at_neg
+        assert oracle_truth(m_sub2, f, {"x": Point.of(1, 0)}) is at_pos

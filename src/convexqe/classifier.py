@@ -4,9 +4,9 @@ monotone normalization, and cut canonicalization.
 Everything here is decided with exact arithmetic: rational lexicographic
 comparisons plus interval refinement of the provably irrational threshold
 entries.  Limits of the form "for all sufficiently small positive epsilon"
-are decided with dual numbers (pairs u + v*delta compared by the sign of u,
-then of v), which is exact because the condition tested is monotone in
-epsilon.
+are decided by ``cutarith.edge_sign`` over dual numbers (pairs u + v*delta
+compared by the sign of u, then of v), which is exact because the
+condition tested is monotone in epsilon.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cutarith import (cut_info, deciding_oracle, escape_witness,
-                       rational_prefix, top_coset_rep)
+from .cutarith import (cut_info, deciding_oracle, edge_sign, escape_witness,
+                       limit_sign, rational_prefix, simplest_between,
+                       top_coset_rep)
 from .errors import (NonvaluationalInterpretationError,
                      PreconditionViolatedError)
 from .models import (DownwardCut, IrrationalOracle, ModelDescriptor, PlusInf,
@@ -65,7 +66,6 @@ def _nonvaluational_falsifier(m: ModelDescriptor) -> Callable[[Point], Point]:
     prefix = rational_prefix(m, j)
 
     def falsify(eps: Point) -> Point:
-        from .cutarith import simplest_between
         if eps.lex_sign() <= 0:
             raise PreconditionViolatedError("epsilon must be positive")
         p = next(i for i, c in enumerate(eps.coords) if c != 0)
@@ -158,89 +158,6 @@ def stabilizer_escape(m: ModelDescriptor, i: int) -> Optional[tuple[Point, Point
 
 
 # ---------------------------------------------------------------------------
-# dual-number comparisons (limits for epsilon -> 0+)
-
-
-Dual = tuple[Fraction, Fraction]  # value u + v*delta
-
-
-def _dual_sign(d: Dual) -> int:
-    u, v = d
-    if u != 0:
-        return 1 if u > 0 else -1
-    if v != 0:
-        return 1 if v > 0 else -1
-    return 0
-
-
-def _dual_lex_sign(coords: list[Dual]) -> int:
-    for d in coords:
-        s = _dual_sign(d)
-        if s != 0:
-            return s
-    return 0
-
-
-def _dual_point(base: Point, drift: Point) -> list[Dual]:
-    return [(u, v) for u, v in zip(base.coords, drift.coords)]
-
-
-def _dual_u_member(m: ModelDescriptor, p: list[Dual]) -> bool:
-    """Membership of base + delta*drift in the cut, for small delta > 0."""
-    assert isinstance(m.u_interp, DownwardCut)
-    for (u, v), entry in zip(p, m.u_interp.threshold):
-        if isinstance(entry, PlusInf):
-            return True
-        if isinstance(entry, Fraction):
-            s = _dual_sign((u - entry, v))
-            if s < 0:
-                return True
-            if s > 0:
-                return False
-            continue
-        return entry.compare(u) < 0  # u is rational, never equal to the value
-    return not m.u_interp.strict
-
-
-def _dual_virtual_cut_vs(m: ModelDescriptor, p: list[Dual]) -> int:
-    """Limit sign of (sup U - (base + delta*drift)) for small delta > 0."""
-    info = cut_info(m)
-    if info.kind == "subgroup":
-        return -_dual_lex_sign(p[:info.stabilizer])
-    if info.kind == "rational":
-        theta = rational_prefix(m, m.dim)
-        return _dual_lex_sign([(t - u, -v) for t, (u, v) in zip(theta, p)])
-    if info.kind == "coset":
-        k = info.deciding_index
-        prefix = rational_prefix(m, k)
-        return _dual_lex_sign([(t - u, -v) for t, (u, v) in zip(prefix, p[:k])])
-    return 1 if _dual_u_member(m, p) else -1
-
-
-def _dual_affine_inside(m: ModelDescriptor, q: Fraction,
-                        c: list[Dual]) -> bool:
-    """Limit of affine_image_inside_cut(m, q, base + delta*drift)."""
-    info = cut_info(m)
-    k = info.stabilizer
-    if info.kind == "subgroup":
-        return _dual_lex_sign(c[:k]) <= 0
-    if info.kind == "rational":
-        theta = rational_prefix(m, m.dim)
-        vals = [((q - 1) * t + u, v) for t, (u, v) in zip(theta, c)]
-        return _dual_lex_sign(vals) <= 0
-    if info.kind == "coset":
-        c0 = top_coset_rep(m)
-        vals = [(u - (1 - q) * t, v)
-                for t, (u, v) in zip(c0.coords[:k], c[:k])]
-        return _dual_lex_sign(vals) <= 0
-    if q == 1:
-        return _dual_lex_sign(c[:k]) <= 0
-    z = [(u / (1 - q), v / (1 - q)) for u, v in c]
-    inside = _dual_u_member(m, z)
-    return inside if q < 1 else not inside
-
-
-# ---------------------------------------------------------------------------
 # pluslike translation test
 
 
@@ -258,20 +175,18 @@ def _top_cell_index(m: ModelDescriptor, f: BinaryPiecewiseLinear,
     dx, dy = f.direction
     idx = 0
     for t in f.thresholds:
-        if dx != 0:
-            # boundary position in a: (t*unit - dy*eps)/dx
-            base = (m.unit.scale(t) - eps_base.scale(dy)).scale(F1 / dx)
-            drift = (-eps_drift.scale(dy)).scale(F1 / dx)
-            s = _dual_virtual_cut_vs(m, _dual_point(base, drift))
-            # sign of (w_limit - t*unit) = sign(dx) * s
-            above = (1 if dx > 0 else -1) * s
-            if above > 0 or (above == 0 and dx > 0):
-                idx += 1
+        # the cell boundary is dx*a + d = 0 with d = dy*eps - t*unit
+        d = eps_base.scale(dy) - m.unit.scale(t)
+        d_drift = eps_drift.scale(dy)
+        if dx == 0:
+            above = limit_sign(d, d_drift)
         else:
-            vals = _dual_point(eps_base.scale(dy) - m.unit.scale(t),
-                               eps_drift.scale(dy))
-            if _dual_lex_sign(vals) > 0:
-                idx += 1
+            # edge_sign(m, 2, d/dx) is the sign of sup C - (-d/dx): where
+            # sup C sits against the boundary in a
+            s = edge_sign(m, 2, d.scale(F1 / dx), d_drift.scale(F1 / dx))
+            above = s if dx > 0 else -s
+        if above > 0 or (above == 0 and dx > 0):
+            idx += 1
     return idx
 
 
@@ -283,7 +198,7 @@ def _condition_at(m: ModelDescriptor, f: BinaryPiecewiseLinear,
     piece = f.pieces[idx]
     cbase = eps_base.scale(piece.coef_y) + term_value(m, piece.const, {})
     cdrift = eps_drift.scale(piece.coef_y)
-    return _dual_affine_inside(m, piece.coef_x, _dual_point(cbase, cdrift))
+    return edge_sign(m, piece.coef_x, cbase, cdrift) <= 0
 
 
 def f_valuational(m: ModelDescriptor, f: BinaryPiecewiseLinear) -> FValuationalResult:

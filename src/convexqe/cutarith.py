@@ -1,22 +1,28 @@
-"""Exact arithmetic at the cut: classification data, virtual comparisons
-against the supremum of U, and constructive escape witnesses.
+"""Exact arithmetic at the cut: classification data, the one sign at the
+supremum of U, and the one search for members of the cut.
 
-For a downward cut C with virtual supremum g, affine images q*x + c with
-q > 0 satisfy f(C) subset-of C exactly when the virtual value q*g + c does
-not exceed g; the comparison compiles to coordinate arithmetic plus at most
-one oracle refinement, so everything here is exact and terminating.
+For a downward cut C with virtual supremum g, ``edge_sign`` gives the sign
+of the virtual value (q-1)*g + c, also in the limit along c + delta*drift
+as delta -> 0+ (dual numbers u + v*delta, compared by the sign of u, then
+of v).  It is the only comparison against sup C in the package: an affine
+map q*x + c with q > 0 maps C into itself exactly when the sign is <= 0,
+and the Skolem obstruction reads the same sign.  ``cut_members`` walks the
+points of C cofinally toward g; every witness search filters it.  The
+arithmetic is coordinate comparisons plus oracle refinement, so
+everything here is exact and terminating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import MalformedModelError, SearchExhaustedError
 from .models import (DownwardCut, IrrationalOracle, ModelDescriptor,
                      PlusInf, Point, SubgroupLevel, u_member)
 
+F0 = Fraction(0)
 _SEARCH_LIMIT = 2000
 _START_BITS = 16
 
@@ -71,64 +77,78 @@ def deciding_oracle(m: ModelDescriptor) -> IrrationalOracle:
     return e
 
 
-def _lex_sign(coords) -> int:
-    for c in coords:
-        if c != 0:
-            return 1 if c > 0 else -1
-    return 0
-
-
 def closure_member(m: ModelDescriptor, p: Point) -> bool:
     """Membership in the downward set whose stabilizer defines I: the cut
     itself, or the downward closure of the subgroup."""
     if isinstance(m.u_interp, SubgroupLevel):
-        return _lex_sign(p.coords[:m.u_interp.level]) <= 0
+        return Point(p.coords[:m.u_interp.level]).lex_sign() <= 0
     return u_member(m, p)
 
 
-def virtual_cut_vs_point(m: ModelDescriptor, p: Point) -> int:
-    """Sign of (sup U - p); 0 means p sits exactly at the cut edge (at the
-    coset scale for coset-topped cuts, exactly for rational cuts)."""
-    info = cut_info(m)
-    if info.kind == "subgroup":
-        return -_lex_sign(p.coords[:info.stabilizer])
-    if info.kind == "rational":
-        theta = rational_prefix(m, m.dim)
-        return _lex_sign(tuple(t - c for t, c in zip(theta, p.coords)))
-    if info.kind == "coset":
-        k = info.deciding_index
-        prefix = rational_prefix(m, k)
-        return _lex_sign(tuple(t - c for t, c in zip(prefix, p.coords[:k])))
-    return 1 if u_member(m, p) else -1  # oracle cut: never equal
+# ---------------------------------------------------------------------------
+# the sign at sup C, over dual coordinates u + v*delta (delta -> 0+)
 
 
-def affine_image_inside_cut(m: ModelDescriptor, q: Fraction, c: Point) -> bool:
-    """Does x |-> q*x + c (q > 0) map the downward set C into itself?
+Dual = tuple[Fraction, Fraction]
 
-    Equivalently q*g + c <= g in the closure sense, where g = sup C.
-    For the subgroup interpretation C is the downward closure of U.
+
+def _dual_sign(ds: Iterable[Dual]) -> int:
+    """Lexicographic sign of a dual vector for every small delta > 0."""
+    for u, v in ds:
+        if u or v:
+            x = u if u else v
+            return 1 if x > 0 else -1
+    return 0
+
+
+def _duals(c: Point, drift: Optional[Point]) -> list[Dual]:
+    if drift is None:
+        return [(u, F0) for u in c.coords]
+    return list(zip(c.coords, drift.coords))
+
+
+def limit_sign(c: Point, drift: Point) -> int:
+    """Lexicographic sign of c + delta*drift for every small delta > 0."""
+    return _dual_sign(_duals(c, drift))
+
+
+def _dual_u_member(m: ModelDescriptor, p: list[Dual]) -> bool:
+    """Membership of base + delta*drift in the cut, for small delta > 0."""
+    assert isinstance(m.u_interp, DownwardCut)
+    for (u, v), entry in zip(p, m.u_interp.threshold):
+        if isinstance(entry, PlusInf):
+            return True
+        if isinstance(entry, Fraction):
+            s = _dual_sign([(u - entry, v)])
+            if s:
+                return s < 0
+            continue
+        return entry.compare(u) < 0  # u is rational, never equal to the value
+    return not m.u_interp.strict
+
+
+def edge_sign(m: ModelDescriptor, q: Fraction, c: Point,
+              drift: Optional[Point] = None) -> int:
+    """Limit sign of (q-1)*g + c + delta*drift as delta -> 0+, where
+    g = sup C (C is U, or the downward closure of a subgroup U), read at
+    the stabilizer scale; no drift means an exact point.
+
+    0 means exactly at the edge: never for an irrational edge unless q = 1.
+    x |-> q*x + c with q > 0 maps C into itself iff the sign is <= 0, and
+    the sign of sup C - p is edge_sign(m, 2, -p).
     """
-    if q <= 0:
-        raise ValueError("affine_image_inside_cut needs a positive slope")
     info = cut_info(m)
+    cs = _duals(c, drift)
+    if info.kind == "oracle" and q != 1:
+        # (q-1)*g + c = (q-1)*(g - z) with z = c/(1-q) rational, so z != g
+        z = [(u / (1 - q), v / (1 - q)) for u, v in cs]
+        s = 1 if _dual_u_member(m, z) else -1
+        return s if q > 1 else -s
     k = info.stabilizer
-    if info.kind == "subgroup":
-        return _lex_sign(c.coords[:k]) <= 0
-    if info.kind == "rational":
-        theta = Point(rational_prefix(m, m.dim))
-        return (theta.scale(q - 1) + c).lex_sign() <= 0
-    if info.kind == "coset":
-        c0 = top_coset_rep(m)
-        lhs = c.coords[:k]
-        rhs = c0.scale(1 - q).coords[:k]
-        return _lex_sign(tuple(a - b for a, b in zip(lhs, rhs))) <= 0
-    # oracle flavor: (q-1)*g <= -c
-    if q == 1:
-        return _lex_sign(c.coords[:k]) <= 0
-    z = c.scale(Fraction(1) / (1 - q))
-    if q < 1:
-        return u_member(m, z)
-    return not u_member(m, z)
+    if info.kind in ("rational", "coset"):  # g is rational at scale k
+        cs = [((q - 1) * t + u, v)
+              for t, (u, v) in zip(rational_prefix(m, k), cs)]
+    return _dual_sign(cs[:k])
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -186,26 +206,35 @@ def points_below_cut(m: ModelDescriptor):
         yield Point(tuple(coords))
 
 
+def cut_members(m: ModelDescriptor, lo: Optional[Point] = None,
+                hi: Optional[Point] = None) -> Iterator[Point]:
+    """The points of points_below_cut that lie in C and in (lo, hi], in
+    order; a missing bound is unbounded."""
+    for a in points_below_cut(m):
+        if lo is not None and not lo.lex_lt(a):
+            continue
+        if hi is not None and hi.lex_lt(a):
+            continue
+        if u_member(m, a):
+            yield a
+
+
 def escape_witness(m: ModelDescriptor, q: Fraction, c: Point,
                    lo: Optional[Point] = None,
                    hi: Optional[Point] = None) -> Point:
     """A point a in C with lo < a <= hi and q*a + c outside C; the caller
     guarantees existence (the affine image condition failed on a region
     whose closure reaches sup C)."""
-    for a in points_below_cut(m):
-        if lo is not None and not lo.lex_lt(a):
-            continue
-        if hi is not None and hi.lex_lt(a):
-            continue
-        if u_member(m, a) and not u_member(m, a.scale(q) + c):
-            return a
-    raise SearchExhaustedError("no escape witness found; model data suspect")
+    a = next((a for a in cut_members(m, lo, hi)
+              if not u_member(m, a.scale(q) + c)), None)
+    if a is None:
+        raise SearchExhaustedError("no escape witness found; model data suspect")
+    return a
 
 
 def member_witness_above(m: ModelDescriptor, lo: Optional[Point]) -> Point:
     """Some a in C with a > lo (exists whenever C has points above lo)."""
-    for a in points_below_cut(m):
-        if lo is None or lo.lex_lt(a):
-            if u_member(m, a):
-                return a
-    raise SearchExhaustedError("no member above the given bound")
+    a = next(cut_members(m, lo), None)
+    if a is None:
+        raise SearchExhaustedError("no member above the given bound")
+    return a

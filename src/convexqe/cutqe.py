@@ -37,13 +37,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .cutarith import (cut_info, escape_witness, member_witness_above,
-                       rational_prefix)
+from .cutarith import (cut_info, cut_members, edge_sign, escape_witness,
+                       member_witness_above, rational_prefix)
 from .doagqe import QeOptions
 from .errors import (BudgetExceededError, NonvaluationalInterpretationError,
                      SkolemShapeUnsupportedError, UnsupportedCutError)
 from .models import (DownwardCut, ModelDescriptor, Point, SubgroupLevel,
-                     term_value, u_member)
+                     eval_formula, term_value, u_member)
 from .normalform import (Literal, dnf_clauses, negate, normalize_atoms,
                          simplify, simplify_node)
 from .piecewise import UnaryPiecewiseLinear
@@ -496,7 +496,6 @@ class SkolemDefinition:
     cases: tuple[tuple[Formula, Term], ...]
 
     def witness_for(self, m: ModelDescriptor, asgn) -> Optional[Point]:
-        from .models import eval_formula
         for guard, term in self.cases:
             if eval_formula(m, guard, asgn):
                 return term_value(m, term, asgn)
@@ -686,8 +685,13 @@ def _check_resistance_cut(m: ModelDescriptor, f: UnaryPiecewiseLinear) -> Resist
         cval = term_value(m, piece.const, {})
         if q == 0:
             if not u_member(m, cval):
-                a = (member_witness_above(m, lo_pt) if hi_pt is None
-                     else _cut_point_in(m, lo_pt, hi_pt))
+                # a point of C in (lo, hi], trying hi itself first
+                if hi_pt is None:
+                    a = member_witness_above(m, lo_pt)
+                elif u_member(m, hi_pt):
+                    a = hi_pt
+                else:
+                    a = next(cut_members(m, lo_pt, hi_pt), None)
                 if a is not None:
                     return ResistanceResult(False, witness=a)
             continue
@@ -698,7 +702,7 @@ def _check_resistance_cut(m: ModelDescriptor, f: UnaryPiecewiseLinear) -> Resist
                     return ResistanceResult(False, witness=hi_pt)
                 continue
             # the piece straddles the cut
-            if not affine_ok(m, q, cval):
+            if edge_sign(m, q, cval) > 0:
                 return ResistanceResult(
                     False, witness=escape_witness(m, q, cval, lo_pt, hi_pt))
             continue
@@ -713,23 +717,6 @@ def _check_resistance_cut(m: ModelDescriptor, f: UnaryPiecewiseLinear) -> Resist
         if a is not None:
             return ResistanceResult(False, witness=a)
     return ResistanceResult(True)
-
-
-def affine_ok(m: ModelDescriptor, q: Fraction, c: Point) -> bool:
-    from .cutarith import affine_image_inside_cut
-    return affine_image_inside_cut(m, q, c)
-
-
-def _cut_point_in(m: ModelDescriptor, lo_pt: Optional[Point],
-                  hi_pt: Point) -> Optional[Point]:
-    """A point of C in (lo, hi]; the left end is known to lie in C."""
-    if u_member(m, hi_pt):
-        return hi_pt
-    from .cutarith import points_below_cut
-    for a in points_below_cut(m):
-        if (lo_pt is None or lo_pt.lex_lt(a)) and a.lex_lt(hi_pt) and u_member(m, a):
-            return a
-    return None
 
 
 def _march_down(m: ModelDescriptor, q: Fraction, c: Point,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .classifier import classify, stabilizer, IRRATIONAL_NONVALUATIONAL
-from .cutarith import cut_info, points_below_cut
+from .cutarith import cut_info, cut_members, deciding_oracle, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
 from .fuzz import (SAMPLE_DENOM, gen_int_point, gen_point, int_sample_pool,
@@ -145,55 +145,39 @@ def obstruction_find(m: ModelDescriptor,
     q, c = piece.slope, term_value(m, piece.const, {})
     lo_pt = m.unit.scale(f.breakpoints[idx - 1]) if idx > 0 else None
 
-    def in_region(a: Point) -> bool:
-        return lo_pt is None or lo_pt.lex_lt(a)
+    def image(a: Point) -> Point:
+        return a.scale(q) + c
 
     cert: dict = {"piece_index": idx, "slope": str(q),
                   "intercept": [str(x) for x in c.coords]}
     if q == 1 and c.is_zero():
-        for a in points_below_cut(m):
-            if in_region(a) and u_member(m, a):
-                cert["gap"] = "identically zero on the final piece"
-                return ObstructionWitness(a, "not-increasing", cert)
-        raise SearchExhaustedError("no cut point inside the final piece")
+        a = next(cut_members(m, lo_pt), None)
+        if a is None:
+            raise SearchExhaustedError("no cut point inside the final piece")
+        cert["gap"] = "identically zero on the final piece"
+        return ObstructionWitness(a, "not-increasing", cert)
 
-    lam_sign = _gap_limit_sign(m, q, c)
+    lam_sign = edge_sign(m, q, c)
     cert["gap_limit_sign"] = lam_sign
     if lam_sign < 0:
-        for a in points_below_cut(m):
-            if in_region(a) and u_member(m, a):
-                fa = a.scale(q) + c
-                if not a.lex_lt(fa):  # f(a) <= a
-                    cert["comparison"] = {"f(a)": [str(x) for x in fa.coords],
-                                          "a": [str(x) for x in a.coords]}
-                    return ObstructionWitness(a, "not-increasing", cert)
-        raise SearchExhaustedError("negative gap limit but no witness found")
-    for a in points_below_cut(m):
-        if in_region(a) and u_member(m, a):
-            fa = a.scale(q) + c
-            if not u_member(m, fa):
-                cert["comparison"] = {"f(a)": [str(x) for x in fa.coords],
-                                      "above": "threshold"}
-                cert["oracle_interval"] = _interval_snapshot(m)
-                return ObstructionWitness(a, "escapes-u", cert)
-    raise SearchExhaustedError("positive gap limit but no witness found")
-
-
-def _gap_limit_sign(m: ModelDescriptor, q: Fraction, c: Point) -> int:
-    """Sign of (q-1)*g + c at the cut g = sup U (never zero with rational
-    data unless q = 1 and c = 0)."""
-    if q == 1:
-        return c.lex_sign()
-    z = c.scale(F1 / (1 - q))
-    inside = u_member(m, z)
-    # (q-1)*g + c > 0  <=>  g > z for q > 1, g < z for q < 1
-    if q > 1:
-        return 1 if inside else -1
-    return -1 if inside else 1
+        a = next((a for a in cut_members(m, lo_pt)
+                  if not a.lex_lt(image(a))), None)  # f(a) <= a
+        if a is None:
+            raise SearchExhaustedError("negative gap limit but no witness found")
+        cert["comparison"] = {"f(a)": [str(x) for x in image(a).coords],
+                              "a": [str(x) for x in a.coords]}
+        return ObstructionWitness(a, "not-increasing", cert)
+    a = next((a for a in cut_members(m, lo_pt)
+              if not u_member(m, image(a))), None)
+    if a is None:
+        raise SearchExhaustedError("positive gap limit but no witness found")
+    cert["comparison"] = {"f(a)": [str(x) for x in image(a).coords],
+                          "above": "threshold"}
+    cert["oracle_interval"] = _interval_snapshot(m)
+    return ObstructionWitness(a, "escapes-u", cert)
 
 
 def _interval_snapshot(m: ModelDescriptor) -> Optional[list[str]]:
-    from .cutarith import cut_info, deciding_oracle
     info = cut_info(m)
     if info.kind != "oracle":
         return None

@@ -174,9 +174,11 @@ def _hashed_once(cls):
     """A frozen dataclass whose hash is computed on first use and kept:
     formulas are hashed again and again as sets and dicts deduplicate
     them, and every hash would otherwise walk the whole subtree.  A first
-    hash hashes the unhashed subformulas first, so it never recurses."""
+    hash hashes the unhashed subformulas first, so it never recurses, and
+    ``==`` walks two formulas side by side on an explicit stack."""
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
+    cls._field_eq = cls.__eq__
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
@@ -191,7 +193,38 @@ def _hashed_once(cls):
         return h
 
     cls.__hash__ = __hash__
+    cls.__eq__ = _node_eq
     return cls
+
+
+def _node_eq(self, other) -> bool:
+    """Structural equality: at once on identity, on a different type or on
+    two kept hashes that differ; else pairwise over the children, on an
+    explicit stack."""
+    if self is other:
+        return True
+    if type(other) is not type(self):
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        ha, hb = a.__dict__.get("_hash"), b.__dict__.get("_hash")
+        if ha is not None and hb is not None and ha != hb:
+            return False
+        ka, kb = children(a), children(b)
+        if not ka:
+            if not a._field_eq(b):  # a leaf, an atom or an empty connective
+                return False
+        elif (len(ka) != len(kb)
+              or getattr(a, "var", None) != getattr(b, "var", None)):
+            return False
+        else:
+            stack.extend(zip(ka, kb))
+    return True
 
 
 def _unhashed_below(f: Formula) -> list[Formula]:

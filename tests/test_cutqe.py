@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,9 +16,12 @@ from convexqe.oracle import oracle_truth
 from convexqe.parser import parse_formula, parse_term
 from convexqe.piecewise import UnaryPiecewiseLinear
 from convexqe.skolemlab import verify_skolem
-from convexqe.fuzz import SAMPLE_DENOM, gen_point, int_sample_pool
+from convexqe.cutarith import points_below_cut
+from convexqe.fuzz import (SAMPLE_DENOM, gen_point, int_sample_pool,
+                           model_sample_pool)
 from convexqe.syntax import (Exists, disj, free_vars, is_quantifier_free,
                              print_formula)
+from conftest import get_model
 
 
 def clause_of(text: str):
@@ -239,17 +243,35 @@ class TestCheckResistance:
         res = check_resistance(m_pi, UnaryPiecewiseLinear.affine(Fraction(1, 2), 0))
         assert res.closed
 
-    def test_piecewise_candidates(self, models):
+    def test_piecewise_candidates(self):
+        """On every fixture an escape witness escapes, and a closed result
+        has no escape among sampled members: a few points approaching
+        sup C (the oracle's precision doubles with each one) and random
+        points that probe the threshold entries."""
         rng = random.Random(15)
-        for name in ("lex2_sub1", "lex2_val_1inf", "q1_pi"):
-            m = models[name]
+        sample_rng = random.Random(16)
+        for name in ("lex2_sub1", "lex2_val_1inf", "q1_pi", "q3_11pi",
+                     "lex3_val_1pi0", "lex2_rat_11", "lex3_sub2"):
+            # a fresh model: oracle refinements are memoized per oracle
+            # object, and the shared fixtures must not see these
+            m = get_model(name)
+            samples = list(itertools.islice(points_below_cut(m), 6))
+            samples += [gen_point(sample_rng, m, model_sample_pool(m))
+                        for _ in range(200)]
+            members = [a for a in samples if u_member(m, a)]
+            outcomes = set()
             for _ in range(15):
                 f = _random_continuous_pl(rng)
                 res = check_resistance(m, f)
+                outcomes.add(res.closed)
                 if not res.closed:
                     a = res.witness
                     assert u_member(m, a), (name, a)
                     assert not u_member(m, f.eval(m, a)), (name, a)
+                else:
+                    for a in members:
+                        assert u_member(m, f.eval(m, a)), (name, f, a)
+            assert outcomes == {True, False}, name
 
     def test_crossing_helper(self, m_sub2):
         # identity below 1, tripled slope beyond: fixes 0 but escapes at the

@@ -18,6 +18,13 @@ def _imported_roots(tree: ast.AST):
             yield node.lineno, node.module.split(".")[0]
 
 
+def _is_intra_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "convexqe"
+    return (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "convexqe" for a in node.names))
+
+
 def test_every_import_is_intra_package_or_stdlib():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) > 10
@@ -26,3 +33,15 @@ def test_every_import_is_intra_package_or_stdlib():
                for line, root in _imported_roots(ast.parse(path.read_text()))
                if root != "convexqe" and root not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_intra_package_imports_are_at_module_level():
+    """No function-local import of the package's own modules: none breaks
+    an import cycle, and each hides a dependency from the module header."""
+    nested = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if _is_intra_package(node) and id(node) not in top]
+    assert nested == []

@@ -173,6 +173,25 @@ def test_long_negation_chain():
     _walk_everything(f, {"x0", "y"}, 1, a)
 
 
+def _alternations(n: int, innermost: int = 0) -> str:
+    text = f"x < {innermost}"
+    for i in range(n):
+        text = f"~(x < {i} {'&|'[i % 2]} {text})"
+    return text
+
+
+def test_equality_of_deep_formulas_is_iterative():
+    """== between two separate parses of 3,000 alternately nested
+    negated connectives walks them without recursion, and tells apart a
+    copy whose innermost atom differs."""
+    text = _alternations(3000)
+    f, g, h = (parse_formula(t) for t in (text, text, _alternations(3000, 7)))
+    assert f is not g
+    assert f != h  # no hash kept yet: compared down to the innermost atom
+    assert f == g and hash(f) == hash(g)
+    assert f != h  # two kept hashes that differ
+
+
 class TestSubstitution:
     def test_basic(self):
         f = rt("x < y")

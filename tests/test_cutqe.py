@@ -144,6 +144,53 @@ class TestQeStar:
         assert "y" not in free_vars(g)
 
 
+_CELL_FIXTURES = ["lex2_sub1", "lex3_sub2", "lex2_val_1inf", "lex3_val_1pi0",
+                  "lex2_rat_11"]
+# {M} is U where U is the working subgroup and I otherwise.  A negated
+# membership splits into above/below branches and disj stops at the first
+# TRUE one, so each body carries a point bound that makes its siblings false.
+_CELL_BODIES = ["x < y & y < z",
+                "x < y & y < x + e_out & ~{M}(y - z)",
+                "y < x & ~{M}(y - z)",
+                "x < y & y < z & ~{M}(y - x) & ~{M}(y - z)",
+                "{M}(y - x) & {M}(y - z)",
+                "{M}(y - x) & z < y",
+                "{M}(y - x) & y < z",
+                "{M}(y - x) & ~{M}(y - z)"]
+# the cut-ray cells, which only the irrational cut has
+_RAY_BODIES = ["x < y & U(y - z)",
+               "~U(y - x) & y < z",
+               "~U(y - x) & y < z & ~I(y - z)",
+               "x < y & ~I(y - x) & U(y - z)",
+               "~U(y - x) & U(y - z)",
+               "~U(y - x) & U(2 * y - z)",
+               "U(x - y) & U(y - z)",
+               "~U(2 * y - x) & U(y - z)",
+               "I(y - x) & U(y - z)"]
+
+
+def _cell_cases():
+    for name in _CELL_FIXTURES:
+        mem = "U" if name in ("lex2_sub1", "lex3_sub2") else "I"
+        for body in _CELL_BODIES:
+            yield name, body.format(M=mem)
+    for body in _RAY_BODIES:
+        yield "lex3_val_1pi0", body
+
+
+class TestComparisonTableCells:
+    """Every (class, lower, upper) pair cell and every membership cell of
+    the comparison table, each of the three ray-ray endpoint comparisons
+    included, decides some existential here against the oracle."""
+
+    @pytest.mark.parametrize("name,body", list(_cell_cases()))
+    def test_cell(self, models, name, body):
+        m = models[name]
+        f = parse_formula(f"E y. ({body})")
+        assert_equiv(m, f, qe_star(f, build_structure(m)), random.Random(17),
+                     n=40)
+
+
 class TestSkolemize:
     @pytest.mark.parametrize("text", ["x < y & U(y)", "y + y = x", "I(x - y)"])
     def test_core_shapes_verify(self, models, text):

@@ -19,7 +19,7 @@ from .cutarith import (cut_info, deciding_oracle, edge_sign, escape_witness,
                        limit_sign, rational_prefix, simplest_between,
                        top_coset_rep)
 from .errors import (NonvaluationalInterpretationError,
-                     PreconditionViolatedError)
+                     PreconditionViolatedError, SearchExhaustedError)
 from .models import (DownwardCut, IrrationalOracle, ModelDescriptor, PlusInf,
                      Point, SubgroupLevel, term_value, u_member)
 from .piecewise import (BinaryPiecewiseLinear, check_pluslike,
@@ -241,7 +241,15 @@ def f_valuational(m: ModelDescriptor, f: BinaryPiecewiseLinear) -> FValuationalR
                     hi_pt = b
                 else:
                     lo_pt = b
-        return escape_witness(m, piece.coef_x, cval, lo_pt, hi_pt)
+        try:
+            return escape_witness(m, piece.coef_x, cval, lo_pt, hi_pt)
+        except SearchExhaustedError:
+            # with dx < 0 the cell is closed at lo, which the search window
+            # (lo, hi] leaves out; F is continuous, so lo may be the witness
+            if dx < 0 and lo_pt is not None and u_member(m, lo_pt) \
+                    and not u_member(m, lo_pt.scale(piece.coef_x) + cval):
+                return lo_pt
+            raise
 
     return FValuationalResult(False, falsifier=falsify)
 

@@ -1,16 +1,21 @@
 """Quantifier elimination and Skolem-witness extraction for the language
 with the convex predicate U and its stabilizer subgroup I.
 
-Every literal mentioning the eliminated variable confines it to a convex
-set on the line: a strict point ray, a translate of the working subgroup
-(a coset), the region above or below such a coset, or (for cuts whose
-quotient edge is irrational) a ray whose endpoint is an affine image of the
-cut.  Convex sets on a line satisfy the pairwise Helly property, so the
-existential reduces to a conjunction of pairwise compatibility conditions,
-each of which compiles to a quantifier-free formula via the comparison
-table below.  Equalities are substituted first; with no equality the
-intersection has no greatest or least element, so disequalities are
-discharged by density.
+Every literal mentioning the eliminated variable v confines it to a convex
+set on the line, a constraint of one kind: a strict point bound, a coset
+c + W of the working subgroup W, the region above or below such a coset,
+or (for cuts whose quotient edge is irrational) a cut ray whose endpoint is
+an affine image of the cut.  Convex sets on a line satisfy the pairwise
+Helly property, so the existential reduces to pairwise compatibility
+conditions, the comparison table, each a constraint at v := w.  Point
+bounds are the finest, coset bounds next, cut rays the coarsest: a lower
+and an upper bound are compatible iff the finer one's endpoint satisfies
+the coarser one (on a tie, the upper endpoint is tested against the lower
+bound), and two rays compare their endpoints.  A coset c + W meets a coset
+constraint or a ray iff c satisfies it, a lower point unless that lies
+above c + W, and an upper point unless it lies below.  Equalities are
+substituted first; with no equality the intersection has no greatest or
+least element, so disequalities are discharged by density.
 
 Interpretation classes:
 
@@ -32,7 +37,7 @@ model-free structure with no membership vocabulary.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -207,23 +212,21 @@ class CutRay:
         return at if self.positive else Not(at)
 
 
+# the constraint kinds, in the order a branch instantiates them
+_KINDS = ("eq", "neq", "lower", "upper", "mem", "above", "below", "ray")
+
+
 @dataclass
 class PureBranch:
-    """One case of a conjunct after all non-convex literals are split."""
+    """One case of a conjunct after all non-convex literals are split: the
+    literals without v, and the data of each convex constraint by kind."""
 
-    lowers: list[Term] = field(default_factory=list)
-    uppers: list[Term] = field(default_factory=list)
-    eqs: list[Term] = field(default_factory=list)
-    neqs: list[Term] = field(default_factory=list)
-    mems: list[Term] = field(default_factory=list)
-    aboves: list[Term] = field(default_factory=list)
-    belows: list[Term] = field(default_factory=list)
-    rays: list[CutRay] = field(default_factory=list)
-    residual: list[Formula] = field(default_factory=list)
+    residual: list[Formula]
+    cons: dict[str, list]
 
 
 def _branch_options(lit: Literal, v: str, st: CutStructure) -> list[tuple]:
-    """Per-literal convex cases; each option is a tag plus normalized data."""
+    """Per-literal convex cases; each option is a kind plus its data."""
     a = lit.atom
     c = a.term.coeff(v)
     rest = a.term.drop_var(v)
@@ -263,11 +266,9 @@ def _expand(literals: Iterable[Literal], v: str, st: CutStructure,
             raise BudgetExceededError("case-split budget exceeded")
     out = []
     for combo in itertools.product(*options):
-        br = PureBranch(residual=list(residual))
-        for tag, data in combo:
-            getattr(br, {"lower": "lowers", "upper": "uppers", "eq": "eqs",
-                         "neq": "neqs", "mem": "mems", "above": "aboves",
-                         "below": "belows", "ray": "rays"}[tag]).append(data)
+        br = PureBranch(list(residual), {k: [] for k in _KINDS})
+        for kind, data in combo:
+            br.cons[kind].append(data)
         out.append(br)
     return out
 
@@ -289,6 +290,25 @@ def _below(st: CutStructure, t: Term) -> Formula:
     return And(AtomF(Atom(AtomKind.LT, t)), Not(_mem(st, t)))
 
 
+def _at(st: CutStructure, kind: str, val, w: Term) -> Formula:
+    """The constraint of the given kind and data on v, at v := w."""
+    if kind == "eq":
+        return AtomF(Atom(AtomKind.EQ, w - val))
+    if kind == "neq":
+        return Not(AtomF(Atom(AtomKind.EQ, w - val)))
+    if kind == "lower":
+        return AtomF(Atom(AtomKind.LT, val - w))
+    if kind == "upper":
+        return AtomF(Atom(AtomKind.LT, w - val))
+    if kind == "mem":
+        return _mem(st, w - val)
+    if kind == "above":
+        return _above(st, w - val)
+    if kind == "below":
+        return _below(st, w - val)
+    return val.literal_at(w)
+
+
 def _gamma_compare(st: CutStructure, r1: CutRay, r2: CutRay) -> Formula:
     """endpoint(r1) < endpoint(r2), endpoints (sup U - s_i)/a_i."""
     a1, a2 = r1.a, r2.a
@@ -297,9 +317,7 @@ def _gamma_compare(st: CutStructure, r1: CutRay, r2: CutRay) -> Formula:
     w = r1.s.scale(a2) - r2.s.scale(a1)
     # condition: mcoef * supU  (< if less else >)  w
     if mcoef == 0:
-        if less:
-            return And(AtomF(Atom(AtomKind.LT, -w)), Not(_mem(st, w)))
-        return And(AtomF(Atom(AtomKind.LT, w)), Not(_mem(st, w)))
+        return _above(st, w) if less else _below(st, w)
     t = w.scale(F1 / mcoef)
     want_gamma_less = less if mcoef > 0 else not less
     if want_gamma_less:
@@ -307,105 +325,57 @@ def _gamma_compare(st: CutStructure, r1: CutRay, r2: CutRay) -> Formula:
     return AtomF(Atom(AtomKind.UMEM, t))
 
 
+# points are the finest bounds, coset bounds next, cut rays the coarsest
+_RANK = {"lower": 0, "upper": 0, "above": 1, "below": 1, "ray": 2}
+
+
 def _pair_condition(st: CutStructure, lo: tuple, up: tuple,
                     inject_bug: bool = False) -> Formula:
+    """Compatibility of a lower and an upper bound on v, by rank."""
     lk, lv = lo
     uk, uv = up
-    if lk == "pt" and uk == "pt":
-        if inject_bug:  # test hook: deliberately reversed bound pair
-            return AtomF(Atom(AtomKind.LT, uv - lv))
-        return AtomF(Atom(AtomKind.LT, lv - uv))
-    if lk == "pt" and uk == "cb":
-        return _below(st, lv - uv)
-    if lk == "pt" and uk == "ray":
-        return uv.literal_at(lv)
-    if lk == "ca" and uk == "pt":
-        return _above(st, uv - lv)
-    if lk == "ca" and uk == "cb":
-        return _above(st, uv - lv)
-    if lk == "ca" and uk == "ray":
-        return uv.literal_at(lv)
-    if lk == "ray" and uk == "pt":
-        return lv.literal_at(uv)
-    if lk == "ray" and uk == "cb":
-        return lv.literal_at(uv)
-    if lk == "ray" and uk == "ray":
+    if lk == uk == "ray":
         return _gamma_compare(st, lv, uv)
-    raise AssertionError((lk, uk))
-
-
-def _mem_condition(st: CutStructure, c: Term, other: tuple) -> Formula:
-    kind, val = other
-    if kind == "pt_lower":
-        return Not(_above(st, val - c))
-    if kind == "pt_upper":
-        return Not(_below(st, val - c))
-    if kind == "ca":
-        return _above(st, c - val)
-    if kind == "cb":
-        return _below(st, c - val)
-    if kind == "ray":
-        return val.literal_at(c)
-    if kind == "mem":
-        return _mem(st, c - val)
-    raise AssertionError(kind)
+    if inject_bug and lk == "lower" and uk == "upper":
+        # test hook: deliberately reversed bound pair
+        return AtomF(Atom(AtomKind.LT, uv - lv))
+    if _RANK[lk] < _RANK[uk]:
+        return _at(st, uk, uv, lv)
+    return _at(st, lk, lv, uv)
 
 
 def _branch_at(br: PureBranch, st: CutStructure, w: Term) -> list[Formula]:
     """All branch constraints instantiated at v := w."""
-    parts = list(br.residual)
-    for t in br.eqs:
-        parts.append(AtomF(Atom(AtomKind.EQ, w - t)))
-    for t in br.neqs:
-        parts.append(Not(AtomF(Atom(AtomKind.EQ, w - t))))
-    for t in br.lowers:
-        parts.append(AtomF(Atom(AtomKind.LT, t - w)))
-    for t in br.uppers:
-        parts.append(AtomF(Atom(AtomKind.LT, w - t)))
-    for t in br.mems:
-        parts.append(_mem(st, w - t))
-    for t in br.aboves:
-        parts.append(_above(st, w - t))
-    for t in br.belows:
-        parts.append(_below(st, w - t))
-    for r in br.rays:
-        parts.append(r.literal_at(w))
-    return parts
+    return br.residual + [_at(st, k, val, w) for k in _KINDS
+                          for val in br.cons[k]]
+
+
+def _bounds(br: PureBranch, upper: bool) -> list[tuple]:
+    """The lower (or upper) bounds on v: points, coset bounds, cut rays."""
+    point, coset = ("upper", "below") if upper else ("lower", "above")
+    return ([(point, t) for t in br.cons[point]]
+            + [(coset, t) for t in br.cons[coset]]
+            + [("ray", r) for r in br.cons["ray"] if r.is_upper == upper])
 
 
 def _branch_condition(br: PureBranch, st: CutStructure,
                       inject_bug: bool = False) -> Formula:
     """Quantifier-free satisfiability condition of one pure branch."""
-    if br.eqs:
-        pin = br.eqs[0]
-        reduced = PureBranch(lowers=br.lowers, uppers=br.uppers,
-                             eqs=br.eqs[1:], neqs=br.neqs, mems=br.mems,
-                             aboves=br.aboves, belows=br.belows, rays=br.rays,
-                             residual=br.residual)
-        return conj(_branch_at(reduced, st, pin))
-    lower_objs = ([("pt", t) for t in br.lowers]
-                  + [("ca", t) for t in br.aboves]
-                  + [("ray", r) for r in br.rays if not r.is_upper])
-    upper_objs = ([("pt", t) for t in br.uppers]
-                  + [("cb", t) for t in br.belows]
-                  + [("ray", r) for r in br.rays if r.is_upper])
+    cons = br.cons
+    if cons["eq"]:
+        pin, *rest = cons["eq"]
+        return conj(_branch_at(PureBranch(br.residual, {**cons, "eq": rest}),
+                               st, pin))
     parts = list(br.residual)
-    for lo in lower_objs:
-        for up in upper_objs:
+    for lo in _bounds(br, upper=False):
+        for up in _bounds(br, upper=True):
             parts.append(_pair_condition(st, lo, up, inject_bug))
-    for i, c in enumerate(br.mems):
-        for c2 in br.mems[i + 1:]:
-            parts.append(_mem_condition(st, c, ("mem", c2)))
-        for t in br.lowers:
-            parts.append(_mem_condition(st, c, ("pt_lower", t)))
-        for t in br.uppers:
-            parts.append(_mem_condition(st, c, ("pt_upper", t)))
-        for t in br.aboves:
-            parts.append(_mem_condition(st, c, ("ca", t)))
-        for t in br.belows:
-            parts.append(_mem_condition(st, c, ("cb", t)))
-        for r in br.rays:
-            parts.append(_mem_condition(st, c, ("ray", r)))
+    for i, c in enumerate(cons["mem"]):
+        parts += [_at(st, "mem", c2, c) for c2 in cons["mem"][i + 1:]]
+        parts += [Not(_above(st, t - c)) for t in cons["lower"]]
+        parts += [Not(_below(st, t - c)) for t in cons["upper"]]
+        parts += [_at(st, k, val, c) for k in ("above", "below", "ray")
+                  for val in cons[k]]
     # disequalities: the convex intersection, if nonempty, has no extreme
     # points, hence is infinite; finitely many excluded points never empty it
     return conj(parts)
@@ -502,12 +472,6 @@ class SkolemDefinition:
         return None
 
 
-def _weighted_between(a: Term, b: Term, variants: int) -> list[Term]:
-    n = variants + 1
-    return [a.scale(Fraction(i, n)) + b.scale(Fraction(n - i, n))
-            for i in range(1, n)]
-
-
 def _ray_pivot(r: CutRay, st: CutStructure) -> Term:
     """A term provably inside the ray: solve a*v + s = w0 for a point w0 on
     the correct side of the cut (anchor_in sits in U, e_out above it)."""
@@ -516,80 +480,61 @@ def _ray_pivot(r: CutRay, st: CutStructure) -> Term:
 
 
 def _branch_candidates(br: PureBranch, st: CutStructure) -> list[Term]:
-    if br.eqs:
-        return [br.eqs[0]]
+    cons = br.cons
+    if cons["eq"]:
+        return [cons["eq"][0]]
     ein = Term.ein()
     eout = Term.eout()
-    J = len(br.neqs) + 1
-    out: list[Term] = []
-    seen = set()
+    J = len(cons["neq"]) + 1
+    out: dict[Term, None] = {}  # the candidates in first-seen order
 
-    def add(t: Term):
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
+    def ladder(base: Term, step: Term, first: int = 1):
+        for j in range(first, J + 1):
+            out[base + step.scale(j)] = None
 
-    ray_lowers = [r for r in br.rays if not r.is_upper]
-    ray_uppers = [r for r in br.rays if r.is_upper]
-    if br.mems:
-        for c in br.mems:
-            add(c)
-            for j in range(1, J + 1):
-                add(c + ein.scale(j))
-                add(c - ein.scale(j))
-        for l in br.lowers:
-            for j in range(1, J + 1):
-                add(l + ein.scale(j))
-        for u in br.uppers:
-            for j in range(1, J + 1):
-                add(u - ein.scale(j))
-        for l in br.lowers:
-            for u in br.uppers:
-                for t in _weighted_between(l, u, J):
-                    add(t)
-        return out
+    def between(lows: list[Term], highs: list[Term]):
+        n = J + 1
+        for l in lows:
+            for u in highs:
+                for i in range(1, n):
+                    t = l.scale(Fraction(i, n)) + u.scale(Fraction(n - i, n))
+                    out[t] = None
 
+    mems = cons["mem"]
+    ray_lowers = [r for r in cons["ray"] if not r.is_upper]
+    ray_uppers = [r for r in cons["ray"] if r.is_upper]
     # no coset pins the quotient position: a ray facing an opposite
     # quotient-scale edge would need a term between two irrational cut
     # images, which no finite guarded family of linear terms can supply
-    if (ray_lowers and ray_uppers) or (ray_lowers and br.belows) \
-            or (ray_uppers and br.aboves):
+    if not mems and ((ray_lowers and ray_uppers)
+                     or (ray_lowers and cons["below"])
+                     or (ray_uppers and cons["above"])):
         raise SkolemShapeUnsupportedError(
             "branch needs a witness strictly between two cut edges")
-
-    if not (br.lowers or br.uppers or br.aboves or br.belows or br.rays):
-        for j in range(J + 1):
-            add(ein.scale(j))
-        return out
-    for l in br.lowers:
+    for c in mems:
+        out[c] = None
         for j in range(1, J + 1):
-            add(l + ein.scale(j))
-    for u in br.uppers:
-        for j in range(1, J + 1):
-            add(u - ein.scale(j))
-    for l in br.lowers:
-        for u in br.uppers:
-            for t in _weighted_between(l, u, J):
-                add(t)
-    for a in br.aboves:
-        for j in range(J + 1):
-            add(a + eout + ein.scale(j))
-    for b in br.belows:
-        for j in range(J + 1):
-            add(b - eout - ein.scale(j))
-    for a in br.aboves:
-        for b in br.belows:
-            for t in _weighted_between(a, b, J):
-                add(t)
+            out[c + ein.scale(j)] = None
+            out[c - ein.scale(j)] = None
+    for l in cons["lower"]:
+        ladder(l, ein)
+    for u in cons["upper"]:
+        ladder(u, -ein)
+    between(cons["lower"], cons["upper"])
+    if mems:
+        return list(out)
+    for a in cons["above"]:
+        ladder(a + eout, ein, 0)
+    for b in cons["below"]:
+        ladder(b - eout, -ein, 0)
+    between(cons["above"], cons["below"])
     for r in ray_lowers:
-        base = _ray_pivot(r, st)
-        for j in range(J + 1):
-            add(base + ein.scale(j))
+        ladder(_ray_pivot(r, st), ein, 0)
     for r in ray_uppers:
-        base = _ray_pivot(r, st)
-        for j in range(J + 1):
-            add(base - ein.scale(j))
-    return out
+        ladder(_ray_pivot(r, st), -ein, 0)
+    if not out:  # v is unconstrained
+        ladder(Term(), ein, 0)
+    return list(out)
 
 
 def skolemize(phi: Formula, target: str, st: CutStructure,

@@ -440,7 +440,8 @@ class IntOracleEval:
 
 
 @functools.lru_cache(maxsize=4096)
-def _compile(m: ModelDescriptor, f: Formula, budget: int) -> OracleDecision:
+def _compile(m: ModelDescriptor, model_id: int, f: Formula,
+             budget: int) -> OracleDecision:
     d = _Decomposer(m, budget)
     tree = d.decompose(normalize_atoms(rename_bound(f)))
     return OracleDecision(tree, d.alpha)
@@ -448,11 +449,14 @@ def _compile(m: ModelDescriptor, f: Formula, budget: int) -> OracleDecision:
 
 def oracle_compile(m: ModelDescriptor, f: Formula,
                    budget: int = DEFAULT_ORACLE_BUDGET) -> OracleDecision:
-    return _compile(m, f, budget)
+    # equal models may hold different oracle objects, refined to different
+    # precisions; keyed by identity, no model sees another's refinements
+    # (the entry holds m, so its id is not reused while the entry lives)
+    return _compile(m, id(m), f, budget)
 
 
 def oracle_truth(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
                  budget: int = DEFAULT_ORACLE_BUDGET,
                  precision: int = DEFAULT_PRECISION_BITS) -> bool:
     """Decide f under asgn by coordinate decomposition (reference path)."""
-    return _compile(m, f, budget).eval(asgn, precision)
+    return oracle_compile(m, f, budget).eval(asgn, precision)

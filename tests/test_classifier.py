@@ -12,8 +12,8 @@ from convexqe.errors import (NonvaluationalInterpretationError,
                              PreconditionViolatedError)
 from convexqe.models import (DownwardCut, ModelDescriptor, PLUS_INF, PiOracle,
                              Point, SqrtOracle, u_member)
-from convexqe.piecewise import (BinaryPiecewiseLinear, UnaryPiecewiseLinear,
-                                pluslike_from_unary)
+from convexqe.piecewise import (BinaryPiece, BinaryPiecewiseLinear,
+                                UnaryPiecewiseLinear, pluslike_from_unary)
 from convexqe.fuzz import gen_point
 
 
@@ -137,6 +137,24 @@ class TestFValuational:
             a = res.falsifier(eps)
             val = a.scale(2) + eps.scale(3)
             assert u_member(m_1inf, a) and not u_member(m_1inf, val)
+
+    def test_falsifier_reaches_closed_cell_end(self):
+        # dx < 0 closes cell 0 at its lower end a = 4 = sup C, the only
+        # member that escapes for these eps
+        m = ModelDescriptor(1, DownwardCut((Fraction(4),), False),
+                            Point.of(Fraction(1, 2)), Point.of(6))
+        f = BinaryPiecewiseLinear(
+            (Fraction(-1), Fraction(2)), (Fraction(-1), Fraction(0)),
+            (BinaryPiece.of(2, 3, -1), BinaryPiece.of(3, 1, -2),
+             BinaryPiece.of(3, 1, -2)))
+        res = f_valuational(m, f)
+        assert not res.valuational
+        for e, image in ((Fraction(3, 2), Fraction(23, 2)), (2, 12)):
+            eps = Point.of(e)
+            a = res.falsifier(eps)
+            assert a == Point.of(4)
+            assert u_member(m, a) and f.eval(m, a, eps) == Point.of(image)
+            assert not u_member(m, f.eval(m, a, eps))
 
     def test_translation_family_agrees_with_classify(self, models):
         rng = random.Random(33)

@@ -1,15 +1,20 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from convexqe.cutarith import points_below_cut
 from convexqe.cutqe import build_structure, qe_star
+from convexqe.errors import PrecisionBudgetError
 from convexqe.models import Point, eval_formula
 from convexqe.oracle import CLit, oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.fuzz import gen_formula, gen_point
 from convexqe.syntax import free_vars, is_quantifier_free
 from convexqe.normalform import normalize_atoms
+from conftest import get_model
 
 
 class TestOracleExamples:
@@ -79,6 +84,24 @@ def _assert_primitive(tree):
         assert math.gcd(*entries) == 1, form
         if lit.atom.kind == "eq":
             assert form.coeffs[0][1] > 0, form
+
+
+class TestCompileCache:
+    def test_equal_models_keep_their_own_refinements(self):
+        # two loads of q1_pi compare equal; the first one's pi oracle is
+        # refined far past 32 bits, and the second must not inherit that
+        f = parse_formula("U(x)")
+        asgn = {"x": Point.of(Fraction(3141592653589793238462643383279,
+                                       10 ** 30))}
+        refined = get_model("q1_pi")
+        assert oracle_truth(refined, f, {"x": Point.of(0)})
+        list(itertools.islice(points_below_cut(refined), 6))
+        fresh = get_model("q1_pi")
+        assert fresh == refined
+        with pytest.raises(PrecisionBudgetError):
+            eval_formula(fresh, f, asgn, 32)
+        with pytest.raises(PrecisionBudgetError):
+            oracle_truth(fresh, f, asgn, precision=32)
 
 
 class TestIntegerForms:

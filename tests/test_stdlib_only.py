@@ -1,12 +1,14 @@
 """The package depends on the Python standard library only."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
 import convexqe
 
 PACKAGE = pathlib.Path(convexqe.__file__).parent
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _imported_roots(tree: ast.AST):
@@ -45,3 +47,23 @@ def test_intra_package_imports_are_at_module_level():
         nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                    if _is_intra_package(node) and id(node) not in top]
     assert nested == []
+
+
+def test_benchmark_imports_resolve():
+    """Every module and name the benchmark scripts import from the package
+    exists, so a change to the package cannot silently break them."""
+    scripts = sorted(BENCHMARKS.glob("*.py"))
+    assert scripts
+    missing = []
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "convexqe":
+                mod = importlib.import_module(node.module)
+                missing += [f"{path.name}:{node.lineno}: {node.module}.{a.name}"
+                            for a in node.names if not hasattr(mod, a.name)]
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "convexqe":
+                        importlib.import_module(a.name)
+    assert missing == []

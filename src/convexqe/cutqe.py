@@ -228,15 +228,16 @@ class PureBranch:
 def _branch_options(lit: Literal, v: str, st: CutStructure) -> list[tuple]:
     """Per-literal convex cases; each option is a kind plus its data."""
     a = lit.atom
-    c = a.term.coeff(v)
-    rest = a.term.drop_var(v)
-    solved = rest.scale(Fraction(-1) / c)
+    t = a.term
+    n = t.num(v)  # v's coefficient is n / t.den
+    rest = t.drop_var(v)
+    solved = rest.scale_ratio(-t.den, n)
     kind = a.kind
     if kind == AtomKind.LT:
         if not lit.negated:
-            return [(("upper" if c > 0 else "lower"), solved)]
+            return [(("upper" if n > 0 else "lower"), solved)]
         # ~(t < 0): -t < 0 or t = 0
-        return [(("lower" if c > 0 else "upper"), solved), ("eq", solved)]
+        return [(("lower" if n > 0 else "upper"), solved), ("eq", solved)]
     if kind == AtomKind.EQ:
         return [("neq" if lit.negated else "eq", solved)]
     if kind == st.mem_kind:
@@ -244,7 +245,7 @@ def _branch_options(lit: Literal, v: str, st: CutStructure) -> list[tuple]:
             return [("mem", solved)]
         return [("above", solved), ("below", solved)]
     if kind == AtomKind.UMEM and st.cls is CutClass.IRRATIONAL_CUT:
-        return [("ray", CutRay(c, rest, not lit.negated))]
+        return [("ray", CutRay(Fraction(n, t.den), rest, not lit.negated))]
     raise ValueError(f"{lit.atom} is outside the vocabulary of {st.cls}")
 
 
@@ -253,7 +254,7 @@ def _expand(literals: Iterable[Literal], v: str, st: CutStructure,
     residual = []
     with_v = []
     for lit in literals:
-        if lit.atom.term.coeff(v) == 0:
+        if not lit.atom.term.num(v):
             residual.append(lit.to_formula())
         else:
             with_v.append(lit)
@@ -312,13 +313,13 @@ def _at(st: CutStructure, kind: str, val, w: Term) -> Formula:
 def _gamma_compare(st: CutStructure, r1: CutRay, r2: CutRay) -> Formula:
     """endpoint(r1) < endpoint(r2), endpoints (sup U - s_i)/a_i."""
     a1, a2 = r1.a, r2.a
-    less = a1 * a2 > 0
+    less = (a1 > 0) == (a2 > 0)
     mcoef = a2 - a1
     w = r1.s.scale(a2) - r2.s.scale(a1)
     # condition: mcoef * supU  (< if less else >)  w
     if mcoef == 0:
         return _above(st, w) if less else _below(st, w)
-    t = w.scale(F1 / mcoef)
+    t = w.scale_ratio(mcoef.denominator, mcoef.numerator)
     want_gamma_less = less if mcoef > 0 else not less
     if want_gamma_less:
         return Not(AtomF(Atom(AtomKind.UMEM, t)))
@@ -476,7 +477,7 @@ def _ray_pivot(r: CutRay, st: CutStructure) -> Term:
     """A term provably inside the ray: solve a*v + s = w0 for a point w0 on
     the correct side of the cut (anchor_in sits in U, e_out above it)."""
     w0 = st.anchor_in if r.positive else Term.eout()
-    return (w0 - r.s).scale(F1 / r.a)
+    return (w0 - r.s).scale_ratio(r.a.denominator, r.a.numerator)
 
 
 def _branch_candidates(br: PureBranch, st: CutStructure) -> list[Term]:

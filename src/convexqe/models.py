@@ -438,12 +438,16 @@ def term_rows(m: ModelDescriptor, t: Term, shift: tuple = ()):
     """The term's coordinates, less a rational prefix ``shift``, as integer
     rows: at points over denominator d, row i gives (t_i - shift_i) * lc * d.
     Returns (lc, rows), lc the lcm of the denominators involved."""
-    const = (m.unit.scale(t.offset) + m.e_in.scale(t.e_in)
-             + m.e_out.scale(t.e_out)).coords
-    const = tuple(c - e for c, e in zip(const, shift)) + const[len(shift):]
-    lc = lcm_denominators([q for _, q in t.coeffs] + list(const))
-    return lc, [int_row(tuple((v, i, int(q * lc)) for v, q in t.coeffs),
-                        int(c * lc)) for i, c in enumerate(const)]
+    nums, a, b, c, den = t
+    const = [(c * u + a * e + b * o) / den for u, e, o in
+             zip(m.unit.coords, m.e_in.coords, m.e_out.coords)]
+    for i, s in enumerate(shift):
+        const[i] -= s
+    # n / den has denominator den / gcd(n, den)
+    lc = math.lcm(lcm_denominators(const),
+                  *(den // math.gcd(n, den) for _, n in nums))
+    return lc, [int_row(tuple((v, i, n * lc // den) for v, n in nums),
+                        int(k * lc)) for i, k in enumerate(const)]
 
 
 def _lower_atom(m: ModelDescriptor, a: Atom):

@@ -145,12 +145,13 @@ class _Decomposer:
         """Coordinate i of t, minus shift, plus alpha times the cut symbol,
         as a primitive integer form."""
         m = self.m
-        const = (t.offset * m.unit.coords[i] + t.e_in * m.e_in.coords[i]
-                 + t.e_out * m.e_out.coords[i] - shift)
-        lc = math.lcm(const.denominator, *(q.denominator for _, q in t.coeffs))
-        return _primitive(((f"{v}#{i}", q.numerator * (lc // q.denominator))
-                           for v, q in t.coeffs),
-                          alpha * lc, const.numerator * (lc // const.denominator))
+        nums, a, b, c, den = t
+        # den * (t_i - shift) less the variables, cleared to integers by lc
+        const = (c * m.unit.coords[i] + a * m.e_in.coords[i]
+                 + b * m.e_out.coords[i] - den * shift)
+        lc = const.denominator
+        return _primitive(((f"{v}#{i}", n * lc) for v, n in nums),
+                          alpha * den * lc, const.numerator)
 
     def lex_lt_zero(self, t: Term) -> BNode:
         out: BNode = False

@@ -16,9 +16,8 @@ extend maximally to the right; parentheses group formulas only)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import FormulaSyntaxError, UnknownIdentifierError
 from .syntax import (Atom, AtomKind, Exists, FALSE, Forall, Formula, AtomF,
@@ -26,18 +25,20 @@ from .syntax import (Atom, AtomKind, Exists, FALSE, Forall, Formula, AtomF,
 
 RESERVED = {"true", "false", "E", "A", "U", "I", "e_in", "e_out"}
 
+# whitespace, then one token; at the end of input, or before a character
+# no token starts with, the whitespace alone
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<num>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>->|<=|!=|[<=~&|()+\-*/.])
+    r"""\s*
+      (?: (?P<num>\d+)
+        | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+        | (?P<op>->|<=|!=|[<=~&|()+\-*/.])
+      )?
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # num | name | op | eof
     text: str
     line: int
@@ -46,24 +47,25 @@ class _Tok:
 
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    line, col = 1, 1
+    line, line_start = 1, 0  # line_start: index of the line's first char
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            toks.append(_Tok(m.lastgroup, lexeme, line, col))
-        nl = lexeme.count("\n")
+    match = _TOKEN_RE.match
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        nl = text.count("\n", pos, start)
         if nl:
             line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+            line_start = text.rindex("\n", pos, start) + 1
+        if kind is None:
+            if start < len(text):
+                raise FormulaSyntaxError(f"unexpected character {text[start]!r}",
+                                         line, start - line_start + 1)
+            toks.append(_Tok("eof", "", line, start - line_start + 1))
+            return toks
+        toks.append(_Tok(kind, m.group(kind), line, start - line_start + 1))
         pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
 
 
 _BINARY = {"->": 1, "|": 2, "&": 3}
@@ -199,11 +201,11 @@ class _Parser:
     def primary_term(self) -> Term:
         t = self.peek()
         if t.kind == "num":
-            q = self.rational()
+            num, den = self.rational()
             if self.peek().text == "*":
                 self.next()
-                return self.signed_term().scale(q)
-            return Term.const(q)
+                return self.signed_term().scale_ratio(num, den)
+            return Term.const(Fraction(num, den))
         if t.kind == "name":
             self.next()
             if t.text == "e_in":
@@ -221,7 +223,8 @@ class _Parser:
         self.fail("expected a term")
         raise AssertionError
 
-    def rational(self) -> Fraction:
+    def rational(self) -> tuple[int, int]:
+        """A rational literal as its numerator and positive denominator."""
         num = int(self.expect_num().text)
         if self.peek().text == "/":
             self.next()
@@ -229,8 +232,8 @@ class _Parser:
             den = int(den_tok.text)
             if den == 0:
                 raise FormulaSyntaxError("zero denominator", den_tok.line, den_tok.col)
-            return Fraction(num, den)
-        return Fraction(num)
+            return num, den
+        return num, 1
 
     def expect_num(self) -> _Tok:
         t = self.peek()

@@ -16,6 +16,7 @@ to ``fold``, one post-order traversal on an explicit stack built on
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -38,135 +39,233 @@ def _rat(x) -> Fraction:
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(tuple):
     """Linear expression q1*v1 + ... + a*e_in + b*e_out + c (c a rational
-    multiple of the unit element)."""
+    multiple of the unit element).
 
-    coeffs: tuple[tuple[str, Fraction], ...] = ()
-    e_in: Fraction = ZERO
-    e_out: Fraction = ZERO
-    offset: Fraction = ZERO
+    Stored as the integer tuple ``(nums, a, b, c, den)``: the numerators
+    ``nums = ((v1, n1), ...)`` (sorted variables, no zeros) and those of
+    the e_in, e_out and unit parts, over one common denominator ``den >
+    0``, in lowest terms.  The form is canonical, so tuple equality and
+    the tuple hash are equality of linear expressions, and the arithmetic
+    below is integer arithmetic.  ``coeffs``, ``coeff``, ``e_in``,
+    ``e_out`` and ``offset`` give the rational values as Fractions."""
 
-    def __hash__(self) -> int:
-        # Fraction.__hash__ is slow; equal terms have equal variables,
-        # numerators and offsets, and eq settles the rare collision
-        return hash((tuple([(v, q.numerator) for v, q in self.coeffs]),
-                     self.offset.numerator))
+    __slots__ = ()
+    # no tuple order or repetition: terms are compared by sort_key and
+    # multiplied by scale
+    __lt__ = __le__ = __gt__ = __ge__ = __mul__ = __rmul__ = None
+
+    def __new__(cls, coeffs: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = (),
+                e_in=ZERO, e_out=ZERO, offset=ZERO) -> "Term":
+        d: dict[str, Fraction] = {}
+        for v, q in (coeffs.items() if isinstance(coeffs, Mapping) else coeffs):
+            d[v] = d.get(v, ZERO) + _rat(q)
+        items = sorted((v, q) for v, q in d.items() if q)
+        a, b, c = _rat(e_in), _rat(e_out), _rat(offset)
+        # over the lcm of reduced denominators the numerators are coprime
+        den = math.lcm(a.denominator, b.denominator, c.denominator,
+                       *(q.denominator for _, q in items))
+        return _new(Term, (tuple([(v, q.numerator * (den // q.denominator))
+                                  for v, q in items]),
+                           a.numerator * (den // a.denominator),
+                           b.numerator * (den // b.denominator),
+                           c.numerator * (den // c.denominator), den))
 
     @staticmethod
     def make(coeffs: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = (),
              e_in=ZERO, e_out=ZERO, offset=ZERO) -> "Term":
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = coeffs
-        cleaned = tuple(sorted((v, _rat(q)) for v, q in items if q != 0))
-        return Term(cleaned, _rat(e_in), _rat(e_out), _rat(offset))
+        return Term(coeffs, e_in, e_out, offset)
 
     @staticmethod
     def var(name: str) -> "Term":
-        return Term(((name, ONE),))
+        return _new(Term, (((name, 1),), 0, 0, 0, 1))
 
     @staticmethod
     def const(q) -> "Term":
-        return Term((), ZERO, ZERO, _rat(q))
+        q = _rat(q)
+        return _new(Term, ((), 0, 0, q.numerator, q.denominator))
 
     @staticmethod
     def ein(q=ONE) -> "Term":
-        return Term((), _rat(q), ZERO, ZERO)
+        q = _rat(q)
+        return _new(Term, ((), q.numerator, 0, 0, q.denominator))
 
     @staticmethod
     def eout(q=ONE) -> "Term":
-        return Term((), ZERO, _rat(q), ZERO)
+        q = _rat(q)
+        return _new(Term, ((), 0, q.numerator, 0, q.denominator))
+
+    den = property(operator.itemgetter(4))
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        den = self[4]
+        return tuple([(v, Fraction(n, den)) for v, n in self[0]])
+
+    @property
+    def e_in(self) -> Fraction:
+        return Fraction(self[1], self[4])
+
+    @property
+    def e_out(self) -> Fraction:
+        return Fraction(self[2], self[4])
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self[3], self[4])
+
+    def num(self, v: str) -> int:
+        """The numerator of v's coefficient over den."""
+        for name, n in self[0]:
+            if name == v:
+                return n
+        return 0
 
     def coeff(self, v: str) -> Fraction:
-        for name, q in self.coeffs:
-            if name == v:
-                return q
-        return ZERO
+        return Fraction(self.num(v), self[4])
 
     def vars(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.coeffs)
+        return frozenset([v for v, _ in self[0]])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs and self.e_in == 0 and self.e_out == 0 and self.offset == 0
+        nums, a, b, c, _ = self
+        return not (nums or a or b or c)
 
     @property
     def is_offset_only(self) -> bool:
-        return not self.coeffs and self.e_in == 0 and self.e_out == 0
+        nums, a, b, _, _ = self
+        return not (nums or a or b)
+
+    def _combine(self, other: "Term", sign: int) -> "Term":
+        """self + sign * other, cross-multiplied over the lcm of the two
+        denominators."""
+        xn, xa, xb, xc, xd = self
+        yn, ya, yb, yc, yd = other
+        if xd == yd:
+            fx, fy = 1, sign
+        else:
+            g = math.gcd(xd, yd)
+            fx, fy = yd // g, sign * (xd // g)
+        if not yn:
+            nums = xn if fx == 1 else tuple([(v, q * fx) for v, q in xn])
+        elif not xn:
+            nums = tuple([(v, q * fy) for v, q in yn])
+        else:
+            d = {v: q * fx for v, q in xn} if fx != 1 else dict(xn)
+            for v, q in yn:
+                d[v] = d.get(v, 0) + q * fy
+            nums = tuple(sorted([(v, q) for v, q in d.items() if q]))
+        return _lowest(nums, xa * fx + ya * fy, xb * fx + yb * fy,
+                       xc * fx + yc * fy, xd * fx)
 
     def __add__(self, other: "Term") -> "Term":
-        d = dict(self.coeffs)
-        for v, q in other.coeffs:
-            d[v] = d.get(v, ZERO) + q
-        return Term.make(d, self.e_in + other.e_in, self.e_out + other.e_out,
-                         self.offset + other.offset)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Term") -> "Term":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Term":
-        return self.scale(Fraction(-1))
+        nums, a, b, c, den = self
+        return _new(Term, (tuple([(v, -q) for v, q in nums]), -a, -b, -c, den))
 
     def scale(self, q) -> "Term":
+        if type(q) is int:
+            return self.scale_ratio(q, 1)
         q = _rat(q)
-        if q == 0:
-            return Term()
-        return Term(tuple((v, c * q) for v, c in self.coeffs),
-                    self.e_in * q, self.e_out * q, self.offset * q)
+        return self.scale_ratio(q.numerator, q.denominator)
+
+    def scale_ratio(self, p: int, r: int) -> "Term":
+        """self * p / r for integers p and r != 0."""
+        if not p:
+            return ZERO_TERM
+        nums, a, b, c, den = self
+        return _lowest(tuple([(v, q * p) for v, q in nums]),
+                       a * p, b * p, c * p, den * r)
 
     def drop_var(self, v: str) -> "Term":
-        return Term(tuple((n, q) for n, q in self.coeffs if n != v),
-                    self.e_in, self.e_out, self.offset)
+        nums, a, b, c, den = self
+        return _lowest(tuple([(n, q) for n, q in nums if n != v]),
+                       a, b, c, den)
 
     def subst_all(self, env: Mapping[str, "Term"]) -> "Term":
         """Simultaneous substitution of env[v] for each variable v of env."""
-        if not any(v in env for v, _ in self.coeffs):
+        nums, a, b, c, den = self
+        if not any(v in env for v, _ in nums):
             return self
-        acc = Term(tuple((v, q) for v, q in self.coeffs if v not in env),
-                   self.e_in, self.e_out, self.offset)
-        for v, q in self.coeffs:
+        acc = _lowest(tuple([(v, q) for v, q in nums if v not in env]),
+                      a, b, c, den)
+        for v, q in nums:
             if v in env:
-                acc = acc + env[v].scale(q)
+                acc = acc + env[v].scale_ratio(q, den)
         return acc
 
     def sort_key(self):
-        return (self.coeffs, self.e_in, self.e_out, self.offset)
+        """The key ordering terms by (coeffs, e_in, e_out, offset) as
+        Fractions; an integer stands in for a Fraction of equal value."""
+        nums, a, b, c, den = self
+        if den == 1:
+            return (nums, a, b, c)
+        return (tuple([(v, Fraction(q, den)) for v, q in nums]),
+                Fraction(a, den), Fraction(b, den), Fraction(c, den))
+
+    def __repr__(self) -> str:
+        return (f"Term(coeffs={self.coeffs!r}, e_in={self.e_in!r}, "
+                f"e_out={self.e_out!r}, offset={self.offset!r})")
 
     def __str__(self) -> str:
         return term_to_str(self)
 
 
+_new = tuple.__new__
+ZERO_TERM = _new(Term, ((), 0, 0, 0, 1))
+
+
+def _lowest(nums: tuple[tuple[str, int], ...], a: int, b: int, c: int,
+            den: int) -> Term:
+    """The term of these numerators over den != 0, brought to a positive
+    denominator and lowest terms."""
+    if den < 0:
+        nums, a, b, c, den = (tuple([(v, -q) for v, q in nums]),
+                              -a, -b, -c, -den)
+    if den != 1:
+        g = math.gcd(den, c, a, b, *[q for _, q in nums])
+        if g != 1:
+            nums = tuple([(v, q // g) for v, q in nums])
+            a, b, c, den = a // g, b // g, c // g, den // g
+    return _new(Term, (nums, a, b, c, den))
+
+
+def _rat_text(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def term_to_str(t: Term) -> str:
-    parts: list[tuple[bool, str]] = []  # (negative, body)
-
-    def mono(q: Fraction, sym: Optional[str]) -> tuple[bool, str]:
-        neg = q < 0
-        q = abs(q)
-        if sym is None:
-            return neg, str(q)
-        if q == 1:
-            return neg, sym
-        return neg, f"{q} * {sym}"
-
-    for v, q in t.coeffs:
-        parts.append(mono(q, v))
-    if t.e_in:
-        parts.append(mono(t.e_in, "e_in"))
-    if t.e_out:
-        parts.append(mono(t.e_out, "e_out"))
-    if t.offset:
-        parts.append(mono(t.offset, None))
+    nums, a, b, c, den = t
+    parts = [(q, v) for v, q in nums]
+    if a:
+        parts.append((a, "e_in"))
+    if b:
+        parts.append((b, "e_out"))
+    if c:
+        parts.append((c, None))
     if not parts:
         return "0"
     out = []
-    for i, (neg, body) in enumerate(parts):
-        if i == 0:
-            out.append(("-" + body) if neg else body)
+    for q, sym in parts:
+        if sym is None:
+            body = _rat_text(abs(q), den)
+        elif abs(q) == den:
+            body = sym
         else:
-            out.append(("- " if neg else "+ ") + body)
+            body = f"{_rat_text(abs(q), den)} * {sym}"
+        if not out:
+            out.append("-" + body if q < 0 else body)
+        else:
+            out.append(("- " if q < 0 else "+ ") + body)
     return " ".join(out)
 
 
@@ -262,6 +361,11 @@ class AtomKind(Enum):
     IMEM = "I"
 
 
+# a fixed int per kind for Atom's hash, read by member name: Enum.__hash__
+# is a Python-level call
+_KIND_HASH = {k._name_: i for i, k in enumerate(AtomKind)}
+
+
 @_hashed_once
 class Atom:
     """Relational atoms read ``term <op> 0``; membership atoms read
@@ -270,8 +374,11 @@ class Atom:
     kind: AtomKind
     term: Term
 
+    def __hash__(self) -> int:
+        return hash((_KIND_HASH[self.kind._name_], self.term))
+
     def sort_key(self):
-        return (self.kind.value, self.term.sort_key())
+        return (self.kind._value_, self.term.sort_key())
 
     def __str__(self) -> str:
         if self.kind in (AtomKind.UMEM, AtomKind.IMEM):

@@ -63,6 +63,16 @@ class TestParsing:
             parse_formula("E y. ((x < y)")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("x < 0 &\n  y # 1", 2, 5),           # unexpected character
+        ("x < 0 &\n\n   (y <\n 0", 4, 3),    # at the end of input
+        ("x < 0 |\r\n\t1/0 * y < 0", 2, 4),  # zero denominator
+    ])
+    def test_syntax_error_position_across_lines(self, text, line, column):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_reserved_word_misuse(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("E U. U < 0")

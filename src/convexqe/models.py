@@ -439,7 +439,7 @@ def term_rows(m: ModelDescriptor, t: Term, shift: tuple = ()):
     rows: at points over denominator d, row i gives (t_i - shift_i) * lc * d.
     Returns (lc, rows), lc the lcm of the denominators involved."""
     nums, a, b, c, den = t
-    const = [(c * u + a * e + b * o) / den for u, e, o in
+    const = [Fraction(c * u + a * e + b * o, den) for u, e, o in
              zip(m.unit.coords, m.e_in.coords, m.e_out.coords)]
     for i, s in enumerate(shift):
         const[i] -= s

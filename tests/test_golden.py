@@ -1,17 +1,23 @@
-"""Golden output: sha256 digests of printed elimination and Skolem output
-over a fixed, seeded corpus.  Any change to term arithmetic, literal order
-or printing that alters a single output byte fails here."""
+"""Golden output: sha256 digests of printed elimination and Skolem output,
+of fuzz and Skolem-verification reports, and of the fuzz command's output
+over fixed, seeded corpora.  Any change to term arithmetic, literal order,
+printing or the sampled assignments that alters a single output byte fails
+here."""
 
 import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from convexqe.cutqe import build_structure, qe_star, skolemize
+from convexqe.cli import main
+from convexqe.cutqe import SkolemDefinition, build_structure, qe_star, skolemize
 from convexqe.errors import ConvexQEError
-from convexqe.fuzz import gen_formula
+from convexqe.fuzz import FuzzConfig, gen_formula, run_fuzz
 from convexqe.parser import parse_formula
-from convexqe.syntax import free_vars, print_formula
+from convexqe.skolemlab import verify_skolem
+from convexqe.syntax import Term, free_vars, print_formula
 
 from conftest import VALUATIONAL_NAMES, get_model
 
@@ -42,6 +48,53 @@ SKOLEM_DIGESTS = {
     "lex3_val_1pi0":
         "019b607d3640bcfb6d907465bc2d087eb4d871f390f45bcdb4c7ed8432040b06",
 }
+
+
+# per fixture, a clean config and one with the injected bug; three of the
+# latter record a discrepancy, and so the assignment drawn for it
+FUZZ_CONFIGS = {
+    "lex2_sub1": [FuzzConfig(formulas=40, assignments=50, seed=1),
+                  FuzzConfig(formulas=25, assignments=30, seed=0,
+                             inject_bug=True)],
+    "lex3_sub2": [FuzzConfig(formulas=40, assignments=50, seed=2),
+                  FuzzConfig(formulas=25, assignments=30, seed=3,
+                             inject_bug=True)],
+    "lex2_val_1inf": [FuzzConfig(formulas=40, assignments=50, seed=4),
+                      FuzzConfig(formulas=30, assignments=40, seed=3,
+                                 inject_bug=True)],
+    "lex3_val_1pi0": [FuzzConfig(formulas=40, assignments=50, seed=11),
+                      FuzzConfig(formulas=30, assignments=40, seed=6,
+                                 inject_bug=True)],
+}
+VERIFY_DEFINITIONS = 20
+
+FUZZ_DIGESTS = {
+    "lex2_sub1":
+        "530d0714618f7d5ef8e5428df4d32b8a38014b78fe152c1e0a5843094295a1b0",
+    "lex3_sub2":
+        "6bd3401813ce1720283423f8e7597bf05cf2e56c5d7400ed4a4ca6ae9b5ca7a7",
+    "lex2_val_1inf":
+        "a71ca6a78695560fc021529325de7473056af1f4450c16a52fba8dcdc8cb870e",
+    "lex3_val_1pi0":
+        "4721e203fabf5cfe7e98b445d19ebbd5fe9c40da3d073817d9341f554dd8a0fa",
+}
+
+VERIFY_DIGESTS = {
+    "lex2_sub1":
+        "7cc1a44bb2ca0eec2f25f814584118ab1c4d2837bcd209db8acba216dccf0e0e",
+    "lex3_sub2":
+        "48da228fe160d9651234185c53c8bff6dd9381e94906d6108771bfc19f425105",
+    "lex2_val_1inf":
+        "803e81ce71a342b58d61224087790fcecf584e47a1689af34529bd320ab6d949",
+    "lex3_val_1pi0":
+        "f55ae177694b760307d78d5fff3c27c14e1079abb8a283472074e3687b981125",
+}
+
+CLI_FUZZ_ARGS = ["--format", "json", "fuzz", "--model", "lex2_sub1.json",
+                 "--count", "25", "--assignments", "30", "--seed", "0",
+                 "--inject-bug"]
+CLI_FUZZ_DIGEST = (
+    "0f6403575fd5f4d45859b8cbd278f99caad5fac0cb61e0abf71a0554d786c4ed")
 
 
 def _qe_transcript(name: str) -> str:
@@ -82,6 +135,38 @@ def _skolem_transcript(name: str) -> str:
     return "\n".join(lines)
 
 
+def _fuzz_transcript(name: str) -> str:
+    m = get_model(name)
+    return "\n".join(json.dumps(run_fuzz(m, config), sort_keys=True)
+                     for config in FUZZ_CONFIGS[name])
+
+
+def _verify_transcript(name: str) -> str:
+    """Each seeded Skolem definition verified, then a broken copy of it
+    (last case dropped, every witness moved by 1), so that failure reports
+    with their drawn assignments are pinned too."""
+    m = get_model(name)
+    st = build_structure(m)
+    rng = random.Random(f"golden-verify:{name}")
+    lines = []
+    done = 0
+    while done < VERIFY_DEFINITIONS:
+        f = gen_formula(rng, ["x", "y"], 3, 0)
+        if "y" not in free_vars(f):
+            continue
+        try:
+            sk = skolemize(f, "y", st)
+        except ConvexQEError:
+            continue
+        done += 1
+        broken = SkolemDefinition(sk.target, tuple(
+            (g, w + Term.const(Fraction(1))) for g, w in sk.cases[:-1]))
+        for d in (sk, broken):
+            report = verify_skolem(m, f, d, seed=done, st=st).to_json()
+            lines.append(json.dumps(report, sort_keys=True))
+    return "\n".join(lines)
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -94,3 +179,29 @@ def test_qe_star_output_is_pinned(name):
 @pytest.mark.parametrize("name", VALUATIONAL_NAMES)
 def test_skolemize_output_is_pinned(name):
     assert _digest(_skolem_transcript(name)) == SKOLEM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", VALUATIONAL_NAMES)
+def test_fuzz_reports_are_pinned(name):
+    assert _digest(_fuzz_transcript(name)) == FUZZ_DIGESTS[name]
+
+
+def test_fuzz_digests_cover_discrepancies():
+    found = [json.loads(line)["discrepancy_count"]
+             for name in VALUATIONAL_NAMES
+             for line in _fuzz_transcript(name).splitlines()]
+    assert sum(found) >= 3
+
+
+@pytest.mark.parametrize("name", VALUATIONAL_NAMES)
+def test_verify_skolem_reports_are_pinned(name):
+    text = _verify_transcript(name)
+    assert '"passed": false' in text and '"passed": true' in text
+    assert _digest(text) == VERIFY_DIGESTS[name]
+
+
+def test_fuzz_command_output_is_pinned(capsys):
+    rc = main(CLI_FUZZ_ARGS)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert _digest(out) == CLI_FUZZ_DIGEST

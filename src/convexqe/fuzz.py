@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from typing import Callable, Sequence, TypeVar
 
 from .cutqe import CutStructure, build_structure, qe_star
 from .doagqe import QeOptions
@@ -33,6 +33,8 @@ VALUE_POOL = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
               Fraction(-3), Fraction(7, 2)]
 VAR_POOL = ("x", "y", "z")
 SAMPLE_DENOM = 6  # common denominator of every sampled coordinate
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -102,16 +104,43 @@ def gen_formula(rng: random.Random, vars: list[str], depth: int,
                gen_formula(rng, vars, depth - 1, qdepth))
 
 
+def pool_drawer(rng: random.Random,
+                pool: Sequence[T]) -> Callable[[int], tuple[T, ...]]:
+    """``draw(dim)``: dim entries of pool, the very ones that dim calls of
+    ``rng.choice(pool)`` return, leaving rng in the same state.
+
+    This is ``Random.choice`` through ``_randbelow_with_getrandbits``,
+    inlined: one ``getrandbits(k)`` per try, a try at or above len(pool)
+    rejected and tried again.  No draw is made ahead, so the caller's
+    later draws from rng are unchanged too."""
+    n = len(pool)
+    if not n:
+        raise IndexError("cannot draw from an empty pool")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw(dim: int) -> tuple[T, ...]:
+        out = []
+        for _ in range(dim):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(pool[r])
+        return tuple(out)
+
+    return draw
+
+
 def gen_point(rng: random.Random, m: ModelDescriptor,
               extra: tuple[Fraction, ...] = (),
-              values: list[Fraction] = VALUE_POOL) -> Point:
-    pool = values + list(extra)
-    return Point(tuple(map(rng.choice, repeat(pool, m.dim))))
+              values: Sequence[Fraction] = VALUE_POOL) -> Point:
+    pool = (*values, *extra) if extra else values
+    return Point(pool_drawer(rng, pool)(m.dim))
 
 
 def gen_int_point(rng: random.Random, m: ModelDescriptor,
                   pool: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(rng.choice, repeat(pool, m.dim)))
+    return pool_drawer(rng, pool)(m.dim)
 
 
 def int_sample_pool(m: ModelDescriptor,
@@ -159,7 +188,7 @@ def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, asgn,
                 continue
             for repl in (TRUE, FALSE):
                 cand = replace(current, sub, repl)
-                if free_vars(cand) - set(asgn) :
+                if free_vars(cand) - set(asgn):
                     continue
                 if disagrees(cand):
                     current = cand
@@ -176,8 +205,7 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
     options = QeOptions(dnf_budget=config.dnf_budget,
                         depth_budget=config.depth_budget,
                         inject_bug=config.inject_bug)
-    pool = int_sample_pool(m)
-    choice, dim = rng.choice, m.dim
+    draw, dim = pool_drawer(rng, int_sample_pool(m)), m.dim
     discrepancies = []
     budget_skips = 0
     checked = 0
@@ -196,7 +224,7 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
         checked += 1
         assert is_quantifier_free(out)
         for _ in range(config.assignments):
-            ints = {v: tuple(map(choice, repeat(pool, dim))) for v in fv}
+            ints = {v: draw(dim) for v in fv}
             total_assignments += 1
             got = comp.eval(ints)
             expected = orc.eval(ints)

@@ -17,8 +17,8 @@ from .classifier import classify, stabilizer, IRRATIONAL_NONVALUATIONAL
 from .cutarith import cut_info, cut_members, deciding_oracle, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
-from .fuzz import (SAMPLE_DENOM, gen_int_point, gen_point, int_sample_pool,
-                   model_sample_pool)
+from .fuzz import (SAMPLE_DENOM, int_sample_pool, model_sample_pool,
+                   pool_drawer)
 from .models import (DEFAULT_PRECISION_BITS, IntCompiledFormula,
                      ModelDescriptor, Point, compile_formula, i_member,
                      term_rows, term_value, u_member)
@@ -74,11 +74,10 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
         cases.append((IntCompiledFormula(m, guard, SAMPLE_DENOM).eval, lc,
                       rows, phi_eval.at(lc * SAMPLE_DENOM,
                                         DEFAULT_PRECISION_BITS)))
-    rng = random.Random(seed)
-    pool = int_sample_pool(m, SAMPLE_POOL)
+    draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
     applicable = 0
     for i in range(samples):
-        ints = {v: gen_int_point(rng, m, pool) for v in params}
+        ints = {v: draw(m.dim) for v in params}
         if not ex_eval.eval(ints):
             continue
         applicable += 1
@@ -226,7 +225,6 @@ def choice_violation(m: ModelDescriptor, cand: Candidate,
     if k >= m.dim:
         raise PreconditionViolatedError("the stabilizer must be nontrivial")
     fn = _candidate_fn(m, cand)
-    rng = random.Random(seed)
     delta = Point.unit(m.dim, m.dim - 1)  # a nonzero stabilizer element
     ladder: list[Point] = [Point.zero(m.dim), m.unit, -m.unit, m.e_in,
                            m.unit.scale(2), -m.unit.scale(2), m.e_out]
@@ -234,8 +232,9 @@ def choice_violation(m: ModelDescriptor, cand: Candidate,
         for b in cand.breakpoints:
             ladder.extend([m.unit.scale(b) - m.unit, m.unit.scale(b) + m.unit,
                            m.unit.scale(b)])
-    for _ in range(40):
-        ladder.append(gen_point(rng, m, model_sample_pool(m), SAMPLE_POOL))
+    draw = pool_drawer(random.Random(seed),
+                       (*SAMPLE_POOL, *model_sample_pool(m)))
+    ladder.extend(Point(draw(m.dim)) for _ in range(40))
 
     for a in ladder:
         w = fn(a)

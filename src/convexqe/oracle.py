@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -81,24 +82,48 @@ def _combine(p: int, f: LinForm, q: int, g: LinForm) -> LinForm:
                       p * f.const + q * g.const)
 
 
-@dataclass(frozen=True)
 class CAtom:
-    """form < 0 (kind 'lt') or form = 0 (kind 'eq') over one coordinate."""
+    """form < 0 (kind 'lt') or form = 0 (kind 'eq') over one coordinate.
+    Its sort key, which is also its identity, and its hash are computed
+    once, at construction."""
 
-    form: LinForm
-    kind: str  # "lt" | "eq"
+    __slots__ = ("form", "kind", "key", "_hash")
+
+    def __init__(self, form: LinForm, kind: str):  # kind: "lt" | "eq"
+        self.form = form
+        self.kind = kind
+        self.key = (kind, form.coeffs, form.alpha, form.const)
+        self._hash = hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CAtom and self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self):
-        return (self.kind, self.form.coeffs, self.form.alpha, self.form.const)
+        return self.key
 
 
-@dataclass(frozen=True)
 class CLit:
-    atom: CAtom
-    neg: bool = False
+    """An atom or its negation, keyed and hashed once like CAtom."""
+
+    __slots__ = ("atom", "neg", "key", "_hash")
+
+    def __init__(self, atom: CAtom, neg: bool = False):
+        self.atom = atom
+        self.neg = neg
+        self.key = (*atom.key, neg)
+        self._hash = hash((atom._hash, neg))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CLit and self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self):
-        return (*self.atom.sort_key(), self.neg)
+        return self.key
 
 
 # boolean trees: True | False | CLit | ("&"|"|", *kids), no kid of the
@@ -327,6 +352,9 @@ def _bnot(a: BNode) -> BNode:
     return _bor(*negated) if a[0] == "&" else _band(*negated)
 
 
+_lit_key = operator.attrgetter("key")
+
+
 def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
     def go(n: BNode) -> list[list[CLit]]:
         if n is True:
@@ -355,19 +383,18 @@ def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
         kept: dict = {}
         drop = False
         for lit in clause:
-            key = lit.atom.sort_key()
-            prev = kept.get(key)
+            prev = kept.get(lit.atom)
             if prev is None:
-                kept[key] = lit
+                kept[lit.atom] = lit
             elif prev.neg != lit.neg:
                 drop = True
                 break
         if drop:
             continue
-        cleaned = sorted(kept.values(), key=CLit.sort_key)
-        key2 = tuple(l.sort_key() for l in cleaned)
-        if key2 not in seen:
-            seen.add(key2)
+        cleaned = sorted(kept.values(), key=_lit_key)
+        key = tuple(cleaned)  # hashed by the literals' kept hashes
+        if key not in seen:
+            seen.add(key)
             out.append(cleaned)
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from .cutqe import CutStructure, build_structure, qe_star
 from .doagqe import QeOptions
@@ -33,8 +33,6 @@ VALUE_POOL = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
               Fraction(-3), Fraction(7, 2)]
 VAR_POOL = ("x", "y", "z")
 SAMPLE_DENOM = 6  # common denominator of every sampled coordinate
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -105,7 +103,7 @@ def gen_formula(rng: random.Random, vars: list[str], depth: int,
 
 
 def pool_drawer(rng: random.Random,
-                pool: Sequence[T]) -> Callable[[int], tuple[T, ...]]:
+                pool: Sequence) -> Callable[[int], tuple]:
     """``draw(dim)``: dim entries of pool, the very ones that dim calls of
     ``rng.choice(pool)`` return, leaving rng in the same state.
 
@@ -119,7 +117,7 @@ def pool_drawer(rng: random.Random,
     k = n.bit_length()
     getrandbits = rng.getrandbits
 
-    def draw(dim: int) -> tuple[T, ...]:
+    def draw(dim: int) -> tuple:
         out = []
         for _ in range(dim):
             r = getrandbits(k)

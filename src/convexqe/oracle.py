@@ -82,48 +82,37 @@ def _combine(p: int, f: LinForm, q: int, g: LinForm) -> LinForm:
                       p * f.const + q * g.const)
 
 
-class CAtom:
-    """form < 0 (kind 'lt') or form = 0 (kind 'eq') over one coordinate.
-    Its sort key, which is also its identity, and its hash are computed
-    once, at construction."""
+class _Keyed:
+    """Compared and hashed by ``key``, which also orders; the key and its
+    hash are computed once, at construction."""
 
-    __slots__ = ("form", "kind", "key", "_hash")
+    __slots__ = ("key", "_hash")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class CAtom(_Keyed):
+    """form < 0 (kind 'lt') or form = 0 (kind 'eq') over one coordinate."""
+
+    __slots__ = ("form", "kind")
 
     def __init__(self, form: LinForm, kind: str):  # kind: "lt" | "eq"
-        self.form = form
-        self.kind = kind
+        self.form, self.kind = form, kind
         self.key = (kind, form.coeffs, form.alpha, form.const)
         self._hash = hash(self.key)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is CAtom and self.key == other.key
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def sort_key(self):
-        return self.key
-
-
-class CLit:
-    """An atom or its negation, keyed and hashed once like CAtom."""
-
-    __slots__ = ("atom", "neg", "key", "_hash")
+class CLit(_Keyed):
+    __slots__ = ("atom", "neg")
 
     def __init__(self, atom: CAtom, neg: bool = False):
-        self.atom = atom
-        self.neg = neg
+        self.atom, self.neg = atom, neg
         self.key = (*atom.key, neg)
         self._hash = hash((atom._hash, neg))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is CLit and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def sort_key(self):
-        return self.key
 
 
 # boolean trees: True | False | CLit | ("&"|"|", *kids), no kid of the

@@ -82,37 +82,37 @@ def _combine(p: int, f: LinForm, q: int, g: LinForm) -> LinForm:
                       p * f.const + q * g.const)
 
 
-class _Keyed:
-    """Compared and hashed by ``key``, which also orders; the key and its
+class CAtom:
+    """form < 0 (kind 'lt') or form = 0 (kind 'eq') over one coordinate.
+    Compared and hashed by ``key``, which also orders; the key and its
     hash are computed once, at construction."""
 
-    __slots__ = ("key", "_hash")
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-class CAtom(_Keyed):
-    """form < 0 (kind 'lt') or form = 0 (kind 'eq') over one coordinate."""
-
-    __slots__ = ("form", "kind")
+    __slots__ = ("form", "kind", "key", "_hash")
 
     def __init__(self, form: LinForm, kind: str):  # kind: "lt" | "eq"
         self.form, self.kind = form, kind
         self.key = (kind, form.coeffs, form.alpha, form.const)
         self._hash = hash(self.key)
 
+    def __eq__(self, other) -> bool:
+        return type(other) is CAtom and self.key == other.key
 
-class CLit(_Keyed):
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class CLit:
     __slots__ = ("atom", "neg")
 
     def __init__(self, atom: CAtom, neg: bool = False):
         self.atom, self.neg = atom, neg
-        self.key = (*atom.key, neg)
-        self._hash = hash((atom._hash, neg))
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is CLit and self.neg == other.neg
+                and self.atom == other.atom)
+
+    def __hash__(self) -> int:
+        return ~self.atom._hash if self.neg else self.atom._hash
 
 
 # boolean trees: True | False | CLit | ("&"|"|", *kids), no kid of the
@@ -124,6 +124,9 @@ class _Decomposer:
     def __init__(self, m: ModelDescriptor, budget: int):
         self.m = m
         self.budget = budget
+        # one CAtom per distinct atom: decisions keep their trees cached,
+        # and the same atom recurs across a tree's clauses
+        self.atoms: dict[CAtom, CAtom] = {}
         self.alpha: Optional[IrrationalOracle] = None
         if isinstance(m.u_interp, DownwardCut):
             for e in m.u_interp.threshold:
@@ -150,7 +153,8 @@ class _Decomposer:
             return truth != neg
         if kind == "eq" and form.coeffs[0][1] < 0:
             form = -form  # one atom for f = 0 and -f = 0
-        return CLit(CAtom(form, kind), neg)
+        atom = CAtom(form, kind)
+        return CLit(self.atoms.setdefault(atom, atom), neg)
 
     # -- term decomposition -------------------------------------------------
 
@@ -341,7 +345,8 @@ def _bnot(a: BNode) -> BNode:
     return _bor(*negated) if a[0] == "&" else _band(*negated)
 
 
-_lit_key = operator.attrgetter("key")
+# the atoms of a cleaned clause are distinct, so they alone order it
+_lit_key = operator.attrgetter("atom.key")
 
 
 def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
@@ -381,7 +386,7 @@ def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
         if drop:
             continue
         cleaned = sorted(kept.values(), key=_lit_key)
-        key = tuple(cleaned)  # hashed by the literals' kept hashes
+        key = tuple(cleaned)  # hashed by the atoms' kept hashes
         if key not in seen:
             seen.add(key)
             out.append(cleaned)

@@ -114,6 +114,14 @@ class TestIntegerForms:
         assert ta == tb
         _assert_primitive(ta)
 
+    def test_equal_atoms_are_one_object(self, m_1pi0):
+        # eliminating y leaves clauses that share coordinate atoms; a
+        # decision holds each distinct atom once
+        f = parse_formula("E y. (x < y & y < z) | (x < y & U(y - z))")
+        lits = _clits(oracle_compile(m_1pi0, f).tree)
+        atoms = {id(l.atom): l.atom for l in lits}
+        assert len(lits) > len(atoms) == len(set(atoms.values()))
+
 
 class TestOracleScale:
     # the costliest oracle compiles among the benchmark's seed-1

@@ -1,6 +1,6 @@
 """Golden output: sha256 digests of printed elimination and Skolem output,
-of fuzz and Skolem-verification reports, and of the fuzz command's output
-over fixed, seeded corpora.  Any change to term arithmetic, literal order,
+of fuzz and Skolem-verification reports, of oracle decisions, and of the
+fuzz command's output over fixed, seeded corpora.  Any change to term arithmetic, literal order,
 printing or the sampled assignments that alters a single output byte fails
 here."""
 
@@ -14,10 +14,12 @@ import pytest
 from convexqe.cli import main
 from convexqe.cutqe import SkolemDefinition, build_structure, qe_star, skolemize
 from convexqe.errors import ConvexQEError
-from convexqe.fuzz import FuzzConfig, gen_formula, run_fuzz
+from convexqe.fuzz import (SAMPLE_DENOM, FuzzConfig, gen_atom, gen_formula,
+                           int_sample_pool, pool_drawer, run_fuzz)
+from convexqe.oracle import CLit, IntOracleEval, oracle_compile
 from convexqe.parser import parse_formula
 from convexqe.skolemlab import verify_skolem
-from convexqe.syntax import Term, free_vars, print_formula
+from convexqe.syntax import Exists, Not, Term, conj, free_vars, print_formula
 
 from conftest import VALUATIONAL_NAMES, get_model
 
@@ -88,6 +90,24 @@ VERIFY_DIGESTS = {
         "803e81ce71a342b58d61224087790fcecf584e47a1689af34529bd320ab6d949",
     "lex3_val_1pi0":
         "f55ae177694b760307d78d5fff3c27c14e1079abb8a283472074e3687b981125",
+}
+
+# nested quantifiers at quantifier depth 2-3, then E y. over conjunctions
+ORACLE_NESTED = 200
+ORACLE_CONJ = 100
+ORACLE_ASSIGNMENTS = 20
+
+ORACLE_DIGESTS = {
+    "lex2_sub1":
+        "a268aa4129aeedc2e8cced8e590a4e1a4f465bac98c298a1ec2abccd61e1ea34",
+    "lex3_sub2":
+        "d96f9e589ec8fef8b34232f6e7ac6653c7bfe41e0cd0df20465e859a8f248b26",
+    "lex2_val_1inf":
+        "6a3d66f001d44d674d0138f40c808c30aa198241c2c30363d6445b0ab22dbd10",
+    "lex3_val_1pi0":
+        "ea9c56b6829a02eac7446ef09ab4881ce2221eecc377e43d3a8411eedb9930d6",
+    "lex2_rat_11":
+        "d3efb7f6b7d37402328b9f894580a4b17b88df30b789a782e60f745e6849cb51",
 }
 
 CLI_FUZZ_ARGS = ["--format", "json", "fuzz", "--model", "lex2_sub1.json",
@@ -167,6 +187,42 @@ def _verify_transcript(name: str) -> str:
     return "\n".join(lines)
 
 
+def _oracle_corpus(name: str):
+    """Seeded formulas in x, y (z bound or free): gen_formula at quantifier
+    depth 2 or 3, then E y. over 2-4 gen_atom literals that mention y,
+    about 40% of them negated."""
+    rng = random.Random(f"golden-oracle:{name}")
+    for i in range(ORACLE_NESTED):
+        yield gen_formula(rng, ["x", "y"], 4, 2 + i % 2)
+    for _ in range(ORACLE_CONJ):
+        lits = []
+        for _ in range(rng.randint(2, 4)):
+            a = gen_atom(rng, ["x", "y", "z"])
+            while "y" not in free_vars(a):
+                a = gen_atom(rng, ["x", "y", "z"])
+            lits.append(Not(a) if rng.random() < 0.4 else a)
+        yield Exists("y", conj(lits))
+
+
+def _oracle_transcript(name: str) -> tuple[str, list]:
+    """Each corpus formula with its oracle decisions on sampled integer
+    assignments over SAMPLE_DENOM; also the compiled trees."""
+    m = get_model(name)
+    draw = pool_drawer(random.Random(f"golden-oracle-points:{name}"),
+                       int_sample_pool(m))
+    lines, trees = [], []
+    for f in _oracle_corpus(name):
+        fv = sorted(free_vars(f))
+        points = [{v: draw(m.dim) for v in fv}
+                  for _ in range(ORACLE_ASSIGNMENTS)]
+        dec = oracle_compile(m, f)
+        trees.append(dec.tree)
+        orc = IntOracleEval(dec, SAMPLE_DENOM)
+        bits = "".join("1" if orc.eval(p) else "0" for p in points)
+        lines.append(f"{print_formula(f)} => {bits}")
+    return "\n".join(lines), trees
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -198,6 +254,28 @@ def test_verify_skolem_reports_are_pinned(name):
     text = _verify_transcript(name)
     assert '"passed": false' in text and '"passed": true' in text
     assert _digest(text) == VERIFY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+def test_oracle_decisions_are_pinned(name):
+    text, _ = _oracle_transcript(name)
+    assert "=> 1" in text and "=> 0" in text
+    assert _digest(text) == ORACLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+def test_oracle_atoms_have_one_coordinate(name):
+    # a coordinate atom mentions coordinate i of its variables alone, so a
+    # quantifier's coordinates are eliminated independently of each other
+    for tree in _oracle_transcript(name)[1]:
+        stack = [tree]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, CLit):
+                idx = {s.rsplit("#", 1)[1] for s, _ in n.atom.form.coeffs}
+                assert len(idx) == 1, n.atom.key
+            elif type(n) is tuple:
+                stack.extend(n[1:])
 
 
 def test_fuzz_command_output_is_pinned(capsys):

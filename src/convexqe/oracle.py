@@ -209,62 +209,81 @@ class _Decomposer:
     # -- formula decomposition ----------------------------------------------
 
     def decompose(self, f: Formula) -> BNode:
-        return fold(f, self._node)
+        return fold(f, self._node, _polarity, (True, True))
 
-    def _node(self, g: Formula, kids, _c) -> BNode:
-        t = type(g)
+    def _node(self, g: Formula, kids, c) -> BNode:
+        # kids are decomposed at the polarity c[0], g stands at c[1]
+        t, pos = type(g), c[1]
         if t is AtomF:
             a = g.atom
             if a.kind == AtomKind.LT:
-                return self.lex_lt_zero(a.term)
-            if a.kind == AtomKind.EQ:
-                return self.prefix_zero(a.term, self.m.dim)
-            if a.kind == AtomKind.UMEM:
-                return self.u_atom(a.term)
-            if a.kind == AtomKind.IMEM:
-                return self.i_atom(a.term)
-            raise AssertionError(a.kind)
+                node = self.lex_lt_zero(a.term)
+            elif a.kind == AtomKind.EQ:
+                node = self.prefix_zero(a.term, self.m.dim)
+            elif a.kind == AtomKind.UMEM:
+                node = self.u_atom(a.term)
+            elif a.kind == AtomKind.IMEM:
+                node = self.i_atom(a.term)
+            else:
+                raise AssertionError(a.kind)
+            return node if pos else _bnot(node)
         if t is And:
-            return _band(*kids)
+            return _band(*kids) if pos else _bor(*kids)
         if t is Or:
-            return _bor(*kids)
+            return _bor(*kids) if pos else _band(*kids)
         if t is Not:
-            return _bnot(kids[0])
+            return kids[0]
         if t is Exists:
-            return self.eliminate(kids[0], g.var)
+            node = self.eliminate(kids[0], g.var)
+            return node if pos else _bnot(node)
         if t is Forall:
-            return _bnot(self.eliminate(_bnot(kids[0]), g.var))
+            # the body was decomposed negated: A v. phi is ~E v. ~phi
+            node = self.eliminate(kids[0], g.var)
+            return _bnot(node) if pos else node
         if t is TrueF or t is FalseF:
-            return t is TrueF
+            return (t is TrueF) == pos
         raise TypeError(t)
 
     def eliminate(self, body: BNode, var: str) -> BNode:
-        for i in range(self.m.dim):
-            body = self.eliminate_sym(body, f"{var}#{i}")
-        return body
+        """E var. body, from one DNF of body.  A coordinate atom mentions
+        the symbols of one coordinate alone, so each clause is its literals
+        free of var and, per coordinate symbol var#i, its part in var#i:
+        the parts share no eliminated symbol and are eliminated apart.  The
+        result is the clauses' disjunction, each clause the conjunction of
+        its kept literals and its parts' eliminations."""
+        syms = {f"{var}#{i}" for i in range(self.m.dim)}
+        done: dict[tuple, BNode] = {}  # a part recurs across clauses
+        out: list[BNode] = []
+        for clause in _bdnf(body, self.budget):
+            kept: list[BNode] = []
+            parts: dict[str, list[CLit]] = {}
+            for l in clause:
+                sym = next((s for s, _ in l.atom.form.coeffs if s in syms),
+                           None)
+                if sym is None:
+                    kept.append(l)
+                else:
+                    parts.setdefault(sym, []).append(l)
+            for sym, part in parts.items():
+                key = (sym, tuple(part))
+                node = done.get(key)
+                if node is None:
+                    node = done[key] = _bor(*self._eliminate_part(part, sym))
+                kept.append(node)
+            out.append(_band(*kept))
+        return _bor(*out)
 
     # -- one-dimensional elimination over a dense order ----------------------
 
-    def eliminate_sym(self, node: BNode, sym: str) -> BNode:
-        out: list[BNode] = []
-        for clause in _bdnf(node, self.budget):
-            if any(l.atom.form.coeff(sym) != 0 for l in clause):
-                out.extend(self._eliminate_clause(clause, sym))
-            else:
-                out.append(_band(*clause))
-        return _bor(*out)
-
-    def _eliminate_clause(self, clause: list[CLit], sym: str) -> list[BNode]:
-        passthrough: list[CLit] = []
-        # per literal in sym, its cases (form, kind, coefficient of sym); a
-        # negated strict bound splits into reversed-strict or equality
+    def _eliminate_part(self, part: list[CLit], sym: str) -> list[BNode]:
+        """The disjuncts of E sym. part, for literals that all mention sym."""
+        # per literal, its cases (form, kind, coefficient of sym); a negated
+        # strict bound splits into reversed-strict or equality
         choices: list[list[tuple[LinForm, str, int]]] = []
-        for l in clause:
+        for l in part:
             form, kind = l.atom.form, l.atom.kind
             c = form.coeff(sym)
-            if c == 0:
-                passthrough.append(l)
-            elif not l.neg:
+            if not l.neg:
                 choices.append([(form, kind, c)])
             elif kind == "lt":
                 choices.append([(-form, "lt", -c), (form, "eq", c)])
@@ -301,8 +320,23 @@ class _Decomposer:
                 if node is not True:
                     extra.append(node)
             else:
-                results.append(_band(*passthrough, *extra))
+                results.append(_band(*extra))
         return results
+
+
+def _polarity(g: Formula, c: tuple[bool, bool]) -> tuple[bool, bool]:
+    """Context of g's children: the polarity they are decomposed at, then
+    g's own.  A negation flips it, a quantifier's body starts afresh, and a
+    universal's body is decomposed negated."""
+    pos = c[0]
+    t = type(g)
+    if t is Not:
+        return (not pos, pos)
+    if t is Exists:
+        return (True, pos)
+    if t is Forall:
+        return (False, pos)
+    return (pos, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +495,9 @@ class IntOracleEval:
         self.eval = dec.lower().at(denom, DEFAULT_PRECISION_BITS)
 
 
-@functools.lru_cache(maxsize=4096)
+# callers reuse the decision they have just compiled (oracle_truth over
+# many assignments, a shrink loop), so a few recent trees are all it keeps
+@functools.lru_cache(maxsize=256)
 def _compile(m: ModelDescriptor, model_id: int, f: Formula,
              budget: int) -> OracleDecision:
     d = _Decomposer(m, budget)

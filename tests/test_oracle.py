@@ -9,7 +9,8 @@ from convexqe.cutarith import points_below_cut
 from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import PrecisionBudgetError
 from convexqe.models import Point, eval_formula
-from convexqe.oracle import CLit, oracle_compile, oracle_truth
+from convexqe import oracle
+from convexqe.oracle import CLit, _compile, oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.fuzz import gen_formula, gen_point
 from convexqe.syntax import free_vars, is_quantifier_free
@@ -104,6 +105,43 @@ class TestCompileCache:
             oracle_truth(fresh, f, asgn, precision=32)
 
 
+    def test_repeated_truth_hits_the_cache(self, m_sub2):
+        f = parse_formula("E y. (x < y & U(y))")
+        oracle_truth(m_sub2, f, {"x": Point.of(1, 0)})
+        hits = _compile.cache_info().hits
+        oracle_truth(m_sub2, f, {"x": Point.of(0, 7)})
+        assert _compile.cache_info().hits == hits + 1
+
+    def test_cache_is_bounded(self, m_sub2):
+        bound = _compile.cache_info().maxsize
+        assert bound <= 256
+        for k in range(bound + 20):
+            oracle_compile(m_sub2, parse_formula(f"x < {k}"))
+        info = _compile.cache_info()
+        assert info.currsize <= bound
+        dec = oracle_compile(m_sub2, parse_formula(f"x < {bound + 19}"))
+        assert _compile.cache_info().hits == info.hits + 1
+        assert dec.eval({"x": Point.of(0, 0)})
+
+
+class TestBudget:
+    def test_coordinates_are_eliminated_apart(self, m_sub3):
+        # the coordinate parts of a clause are eliminated one by one, so no
+        # product over the coordinates meets the budget (a re-expanded DNF
+        # per coordinate exceeds 16 clauses here)
+        f = parse_formula("E y. ~y + z - 1/2 < 0 & 1/2 * y + 1/2 < 0")
+        dec = oracle_compile(m_sub3, f, budget=16)
+        out = qe_star(f, build_structure(m_sub3))
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(40):
+            asgn = {"z": gen_point(rng, m_sub3)}
+            truth = eval_formula(m_sub3, out, asgn)
+            assert dec.eval(asgn) == truth
+            seen.add(truth)
+        assert seen == {True, False}
+
+
 class TestIntegerForms:
     @pytest.mark.parametrize("a, b", [("2*y < 0", "y < 0"),
                                       ("x = 0", "-x = 0")],
@@ -161,3 +199,23 @@ class TestOracleScale:
         f = parse_formula(text)
         assert oracle_truth(m_sub2, f, {"x": Point.of(-1, 0)}) is at_neg
         assert oracle_truth(m_sub2, f, {"x": Point.of(1, 0)}) is at_pos
+
+    def test_negation_is_linear(self, m_sub2, monkeypatch):
+        # alternately nested ~(x < k & ~(x < k' | ...)): each ~ negates the
+        # whole subtree below it unless the polarity is carried down
+        levels = 3000
+        text = "".join(f"~(x < {k} {'|&'[k % 2 == 0]} "
+                       for k in range(levels)) + "x < 0" + ")" * levels
+        f = parse_formula(text)
+        calls = 0
+        bnot = oracle._bnot
+
+        def counted(a):
+            nonlocal calls
+            calls += 1
+            return bnot(a)
+
+        monkeypatch.setattr(oracle, "_bnot", counted)
+        dec = oracle_compile(m_sub2, f)
+        assert calls <= 3 * levels
+        assert dec.eval({"x": Point.of(-1, 0)})

@@ -4,8 +4,12 @@ Group operations act componentwise and the order is lexicographic, so every
 formula over a fixture model translates into a boolean combination of
 one-dimensional linear-arithmetic conditions over Q, one per coordinate,
 with at most one irrational-cut symbol (the deciding threshold entry).
-Each quantifier is eliminated coordinate-by-coordinate with a small,
-self-contained Fourier-Motzkin pass over a dense order without endpoints.
+Every such condition mentions the symbols of one coordinate alone.  So each
+quantifier takes one DNF of its body, splits each clause into the literals
+free of the variable and one part per coordinate symbol of it, and
+eliminates each part on its own with a small, self-contained
+Fourier-Motzkin pass over a dense order without endpoints.  Negations are
+carried down to the atoms as a polarity, so no subtree is negated twice.
 The pass works on primitive integer linear forms (entries with gcd 1, an
 equation's leading coefficient positive), combined only with positive
 factors: no Fraction arithmetic happens after decomposition, and an atom
@@ -33,8 +37,8 @@ from .errors import BudgetExceededError
 from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IrrationalOracle,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel)
 from .normalform import normalize_atoms
-from .syntax import (And, AtomF, AtomKind, Exists, FalseF, Forall, Formula,
-                     Not, Or, Term, TrueF, fold, rename_bound)
+from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
+                     Formula, Not, Or, Term, TrueF, fold, rename_bound)
 
 DEFAULT_ORACLE_BUDGET = 200_000
 
@@ -212,37 +216,34 @@ class _Decomposer:
         return fold(f, self._node, _polarity, (True, True))
 
     def _node(self, g: Formula, kids, c) -> BNode:
-        # kids are decomposed at the polarity c[0], g stands at c[1]
+        # g stands at the polarity c[1], its kids were decomposed at c[0]
         t, pos = type(g), c[1]
-        if t is AtomF:
-            a = g.atom
-            if a.kind == AtomKind.LT:
-                node = self.lex_lt_zero(a.term)
-            elif a.kind == AtomKind.EQ:
-                node = self.prefix_zero(a.term, self.m.dim)
-            elif a.kind == AtomKind.UMEM:
-                node = self.u_atom(a.term)
-            elif a.kind == AtomKind.IMEM:
-                node = self.i_atom(a.term)
-            else:
-                raise AssertionError(a.kind)
-            return node if pos else _bnot(node)
-        if t is And:
-            return _band(*kids) if pos else _bor(*kids)
-        if t is Or:
-            return _bor(*kids) if pos else _band(*kids)
+        if t is And or t is Or:
+            return _join("&" if (t is And) == pos else "|", kids)
         if t is Not:
             return kids[0]
-        if t is Exists:
-            node = self.eliminate(kids[0], g.var)
-            return node if pos else _bnot(node)
-        if t is Forall:
-            # the body was decomposed negated: A v. phi is ~E v. ~phi
-            node = self.eliminate(kids[0], g.var)
-            return _bnot(node) if pos else node
         if t is TrueF or t is FalseF:
             return (t is TrueF) == pos
-        raise TypeError(t)
+        if t is AtomF:
+            node = self.atom(g.atom)
+        elif t is Exists or t is Forall:
+            # A v. phi is ~E v. ~phi, and its body was decomposed negated
+            node = self.eliminate(kids[0], g.var)
+            pos = pos == (t is Exists)
+        else:
+            raise TypeError(t)
+        return node if pos else _bnot(node)
+
+    def atom(self, a: Atom) -> BNode:
+        if a.kind == AtomKind.LT:
+            return self.lex_lt_zero(a.term)
+        if a.kind == AtomKind.EQ:
+            return self.prefix_zero(a.term, self.m.dim)
+        if a.kind == AtomKind.UMEM:
+            return self.u_atom(a.term)
+        if a.kind == AtomKind.IMEM:
+            return self.i_atom(a.term)
+        raise AssertionError(a.kind)
 
     def eliminate(self, body: BNode, var: str) -> BNode:
         """E var. body, from one DNF of body.  A coordinate atom mentions
@@ -326,17 +327,12 @@ class _Decomposer:
 
 def _polarity(g: Formula, c: tuple[bool, bool]) -> tuple[bool, bool]:
     """Context of g's children: the polarity they are decomposed at, then
-    g's own.  A negation flips it, a quantifier's body starts afresh, and a
-    universal's body is decomposed negated."""
-    pos = c[0]
-    t = type(g)
-    if t is Not:
-        return (not pos, pos)
-    if t is Exists:
-        return (True, pos)
-    if t is Forall:
-        return (False, pos)
-    return (pos, pos)
+    g's own.  A negation flips it; a quantifier's body starts afresh, a
+    universal's negated."""
+    t, pos = type(g), c[0]
+    if t is Exists or t is Forall:
+        return (t is Exists, pos)
+    return (pos != (t is Not), pos)
 
 
 # ---------------------------------------------------------------------------

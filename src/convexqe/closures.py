@@ -10,7 +10,9 @@ independent coordinate oracle share no atom semantics.
 Every closure takes ``(points, frame)``.  ``points`` maps each variable to
 a tuple of integer coordinate numerators over one common denominator.
 ``frame`` is a fresh list per call: the denominator, the precision budget
-for irrational comparisons, then one cache slot per distinct atom.
+for irrational comparisons, then one cache slot per distinct atom.  The
+roots of one lowering (an existential and its guards, say) share its leaves:
+called at the same points with one frame, they test each atom at most once.
 """
 
 from __future__ import annotations
@@ -83,34 +85,37 @@ class Lowering:
             self._seen[id(atom)] = leaf
         return leaf
 
-    def evaluator(self, root) -> "Evaluator":
-        return Evaluator(root, len(self._leaves))
+    def evaluator(self, *roots) -> "Evaluator":
+        return Evaluator(roots, len(self._leaves))
 
 
 class Evaluator:
-    """A lowered formula, evaluated exactly on integer or rational points."""
+    """Lowered formulas, one root each over shared leaves, evaluated exactly
+    on integer or rational points; ``at`` and ``eval_points`` take root 0."""
 
-    def __init__(self, root, atoms: int):
-        if type(root) is bool:
-            const = root
-            root = lambda p, f: const
-        self._root = root
-        self._blank = (None,) * atoms
+    def __init__(self, roots: tuple, atoms: int):
+        self.roots = tuple((lambda p, f, c=r: c) if type(r) is bool else r
+                           for r in roots)
+        self.blank = (None,) * atoms
 
     def at(self, denom: int, budget: int) -> Callable[[Mapping], bool]:
         """Truth as a function of integer points: each variable's coordinate
         numerators over denom."""
-        root, blank = self._root, self._blank
+        root, blank = self.roots[0], self.blank
         return lambda points: root(points, [denom, budget, *blank])
 
-    def eval_points(self, points: Mapping, budget: int) -> bool:
-        """Truth at Point coordinates, cleared to one common denominator."""
+    def frame_points(self, points: Mapping, budget: int) -> tuple[dict, list]:
+        """Points cleared to one common denominator, and a fresh frame."""
         denom = math.lcm(*(q.denominator for p in points.values()
                            for q in p.coords))
         ints = {v: tuple(q.numerator * (denom // q.denominator)
                          for q in p.coords)
                 for v, p in points.items()}
-        return self._root(ints, [denom, budget, *self._blank])
+        return ints, [denom, budget, *self.blank]
+
+    def eval_points(self, points: Mapping, budget: int) -> bool:
+        """Truth at Point coordinates."""
+        return self.roots[0](*self.frame_points(points, budget))
 
 
 def int_row(terms: tuple[tuple[str, int, int], ...], const: int):
@@ -141,7 +146,3 @@ def first_nonzero(rows: list):
                 return t
         return 0
     return lead
-
-
-def lcm_denominators(qs) -> int:
-    return math.lcm(*(q.denominator for q in qs))

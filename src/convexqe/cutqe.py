@@ -47,8 +47,9 @@ from .cutarith import (cut_info, cut_members, edge_sign, escape_witness,
 from .doagqe import QeOptions
 from .errors import (BudgetExceededError, NonvaluationalInterpretationError,
                      SkolemShapeUnsupportedError, UnsupportedCutError)
-from .models import (DownwardCut, ModelDescriptor, Point, SubgroupLevel,
-                     eval_formula, term_value, u_member)
+from .models import (DEFAULT_PRECISION_BITS, DownwardCut, ModelDescriptor,
+                     Point, SubgroupLevel, compile_formula, term_value,
+                     u_member)
 from .normalform import (Literal, dnf_clauses, negate, normalize_atoms,
                          simplify, simplify_node)
 from .piecewise import UnaryPiecewiseLinear
@@ -466,11 +467,19 @@ class SkolemDefinition:
     target: str
     cases: tuple[tuple[Formula, Term], ...]
 
+    def chooser(self, m: ModelDescriptor):
+        """witness_for over m, with the guards lowered once, together."""
+        low = compile_formula(m, *(guard for guard, _ in self.cases))
+
+        def choose(asgn) -> Optional[Point]:
+            ints, frame = low.frame_points(asgn, DEFAULT_PRECISION_BITS)
+            return next((term_value(m, term, asgn) for guard, (_, term) in
+                         zip(low.roots, self.cases) if guard(ints, frame)),
+                        None)
+        return choose
+
     def witness_for(self, m: ModelDescriptor, asgn) -> Optional[Point]:
-        for guard, term in self.cases:
-            if eval_formula(m, guard, asgn):
-                return term_value(m, term, asgn)
-        return None
+        return self.chooser(m)(asgn)
 
 
 def _ray_pivot(r: CutRay, st: CutStructure) -> Term:

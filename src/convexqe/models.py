@@ -9,9 +9,10 @@ The stabilizer predicate I always denotes {eps : eps + U-cut = U-cut}.
 
 Quantifier-free formulas are evaluated two ways.  ``eval_formula`` walks the
 formula with exact Point arithmetic and is the reference.
-``compile_formula`` lowers the formula once to the closure evaluator of
-``closures`` (lex, U and I atoms as integer rows) for the per-assignment
-loops; ``IntCompiledFormula`` is that evaluator at a fixed denominator.
+``compile_formula`` lowers formulas once, one root each over shared atom
+leaves, to the closure evaluator of ``closures`` for the per-assignment
+loops (atoms read integer-only rows); ``IntCompiledFormula`` is one such
+root at a fixed denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .closures import (BUDGET, DENOM, Evaluator, Lowering, first_nonzero,
-                       int_row, lcm_denominators, nary, neg)
+                       int_row, nary, neg)
 from .errors import (MalformedModelError, PrecisionBudgetError)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
@@ -439,15 +440,20 @@ def term_rows(m: ModelDescriptor, t: Term, shift: tuple = ()):
     rows: at points over denominator d, row i gives (t_i - shift_i) * lc * d.
     Returns (lc, rows), lc the lcm of the denominators involved."""
     nums, a, b, c, den = t
-    const = [Fraction(c * u + a * e + b * o, den) for u, e, o in
-             zip(m.unit.coords, m.e_in.coords, m.e_out.coords)]
+    e = math.lcm(*(q.denominator for q in (*m.e_in.coords, *m.e_out.coords,
+                                           *shift)))
+    ein, eout, shift = ([q.numerator * (e // q.denominator) for q in qs]
+                        for qs in (m.e_in.coords, m.e_out.coords, shift))
+    # coordinate i's constant is const[i] / (den * e); the unit is axis 0
+    const = [a * p + b * q for p, q in zip(ein, eout)]
+    const[0] += c * e
     for i, s in enumerate(shift):
-        const[i] -= s
-    # n / den has denominator den / gcd(n, den)
-    lc = math.lcm(lcm_denominators(const),
+        const[i] -= s * den
+    # k / n has denominator n / gcd(k, n)
+    lc = math.lcm(*(den * e // math.gcd(k, den * e) for k in const),
                   *(den // math.gcd(n, den) for _, n in nums))
     return lc, [int_row(tuple((v, i, n * lc // den) for v, n in nums),
-                        int(k * lc)) for i, k in enumerate(const)]
+                        k * lc // (den * e)) for i, k in enumerate(const)]
 
 
 def _lower_atom(m: ModelDescriptor, a: Atom):
@@ -492,9 +498,10 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
     return below
 
 
-def compile_formula(m: ModelDescriptor, f: Formula) -> Evaluator:
-    """The evaluator for a quantifier-free formula over m, built once and
-    called per assignment; eval_formula is its reference."""
+def compile_formula(m: ModelDescriptor, *fs: Formula) -> Evaluator:
+    """The evaluator over m for quantifier-free formulas, one root each over
+    shared atom leaves, built once and called per assignment; eval_formula
+    is its reference."""
     low = Lowering(lambda a: _lower_atom(m, a))
 
     def node(g: Formula, kids, _c):
@@ -511,7 +518,7 @@ def compile_formula(m: ModelDescriptor, f: Formula) -> Evaluator:
             return t is TrueF
         raise ValueError("compile needs a quantifier-free formula")
 
-    return low.evaluator(fold(f, node))
+    return low.evaluator(*(fold(f, node) for f in fs))
 
 
 class IntCompiledFormula:

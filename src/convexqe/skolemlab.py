@@ -19,9 +19,9 @@ from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
 from .fuzz import (SAMPLE_DENOM, int_sample_pool, model_sample_pool,
                    pool_drawer)
-from .models import (DEFAULT_PRECISION_BITS, IntCompiledFormula,
-                     ModelDescriptor, Point, compile_formula, i_member,
-                     term_rows, term_value, u_member)
+from .models import (DEFAULT_PRECISION_BITS, ModelDescriptor, Point,
+                     compile_formula, i_member, term_rows, term_value,
+                     u_member)
 from .oracle import oracle_compile
 from .piecewise import UnaryPiecewiseLinear
 from .syntax import Exists, Formula, free_vars, is_quantifier_free
@@ -60,29 +60,31 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
                   samples: int = 500, seed: int = 0,
                   st: Optional[CutStructure] = None) -> VerifyReport:
     """Sample parameter tuples; wherever the eliminated existential holds,
-    some guard must fire and its witness must satisfy phi."""
+    some guard must fire and its witness must satisfy phi.  The existential
+    and the guards share one lowering and one frame per sample."""
     st = st or build_structure(m)
     params = sorted(free_vars(phi) - {sk.target})
     existential = qe_star(Exists(sk.target, phi), st)
-    ex_eval = IntCompiledFormula(m, existential, SAMPLE_DENOM)
+    low = compile_formula(m, existential, *(g for g, _ in sk.cases))
+    (ex, *guards), blank = low.roots, low.blank
     phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
                 else oracle_compile(m, phi).lower())
     # per case: guard, witness rows over lc * SAMPLE_DENOM, phi at that denom
     cases = []
-    for guard, term in sk.cases:
+    for guard, (_, term) in zip(guards, sk.cases):
         lc, rows = term_rows(m, term)
-        cases.append((IntCompiledFormula(m, guard, SAMPLE_DENOM).eval, lc,
-                      rows, phi_eval.at(lc * SAMPLE_DENOM,
-                                        DEFAULT_PRECISION_BITS)))
+        cases.append((guard, lc, rows, phi_eval.at(lc * SAMPLE_DENOM,
+                                                   DEFAULT_PRECISION_BITS)))
     draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
     applicable = 0
     for i in range(samples):
         ints = {v: draw(m.dim) for v in params}
-        if not ex_eval.eval(ints):
+        frame = [SAMPLE_DENOM, DEFAULT_PRECISION_BITS, *blank]
+        if not ex(ints, frame):
             continue
         applicable += 1
         for guard, lc, rows, check in cases:
-            if guard(ints):
+            if guard(ints, frame):
                 break
         else:
             return VerifyReport(False, samples, applicable, seed, failure={
@@ -214,7 +216,8 @@ def _candidate_fn(m: ModelDescriptor, cand: Candidate) -> Callable[[Point], Opti
     if len(param_vars) > 1:
         raise PreconditionViolatedError("candidate must be unary")
     var = param_vars[0] if param_vars else "x"
-    return lambda a: cand.witness_for(m, {var: a})
+    choose = cand.chooser(m)
+    return lambda a: choose({var: a})
 
 
 def choice_violation(m: ModelDescriptor, cand: Candidate,

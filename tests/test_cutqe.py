@@ -7,7 +7,7 @@ import pytest
 from convexqe.cutqe import (CutClass, build_structure,
                             check_resistance, eliminate_one_cut, qe_star,
                             resistance_crossing, skolemize)
-from convexqe.errors import (NonvaluationalInterpretationError,
+from convexqe.errors import (ConvexQEError, NonvaluationalInterpretationError,
                              SkolemShapeUnsupportedError)
 from convexqe.models import (IntCompiledFormula, Point, eval_formula,
                              term_value, u_member)
@@ -17,8 +17,8 @@ from convexqe.parser import parse_formula, parse_term
 from convexqe.piecewise import UnaryPiecewiseLinear
 from convexqe.skolemlab import verify_skolem
 from convexqe.cutarith import points_below_cut
-from convexqe.fuzz import (SAMPLE_DENOM, gen_point, int_sample_pool,
-                           model_sample_pool)
+from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
+                           int_sample_pool, model_sample_pool)
 from convexqe.syntax import (Exists, disj, free_vars, is_quantifier_free,
                              print_formula)
 from conftest import get_model
@@ -263,6 +263,35 @@ class TestSkolemize:
     def test_nonvaluational_refused(self, m_pi):
         with pytest.raises(NonvaluationalInterpretationError):
             skolemize(parse_formula("x < y & U(y)"), "y", build_structure(m_pi))
+
+    @pytest.mark.parametrize("name", ["lex2_sub1", "lex3_sub2", "lex2_val_1inf",
+                                      "lex3_val_1pi0", "lex2_rat_11"])
+    def test_compiled_guards_select_as_eval_formula(self, models, name):
+        # the first guard true under eval_formula selects the witness
+        m = models[name]
+        st = build_structure(m)
+        rng = random.Random(f"select:{name}")
+        extra = model_sample_pool(m)
+        seen = set()
+        done = 0
+        while done < 12:
+            phi = gen_formula(rng, ["x", "y", "z"], 3, 0)
+            if "y" not in free_vars(phi):
+                continue
+            try:
+                sk = skolemize(phi, "y", st)
+            except ConvexQEError:
+                continue
+            done += 1
+            choose = sk.chooser(m)
+            for _ in range(15):
+                asgn = {v: gen_point(rng, m, extra) for v in ("x", "z")}
+                want = next((term_value(m, w, asgn) for g, w in sk.cases
+                             if eval_formula(m, g, asgn)), None)
+                assert choose(asgn) == want == sk.witness_for(m, asgn), (
+                    name, print_formula(phi), asgn)
+                seen.add(want is None)
+        assert seen == {True, False}
 
 
 class TestCheckResistance:

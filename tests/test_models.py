@@ -1,23 +1,29 @@
+import collections
 import functools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from convexqe.cutqe import build_structure, skolemize
-from convexqe.errors import (MalformedModelError, PrecisionBudgetError,
+import convexqe.models
+from convexqe.cutqe import build_structure, qe_star, skolemize
+from convexqe.errors import (ConvexQEError, MalformedModelError,
+                             PrecisionBudgetError,
                              SkolemShapeUnsupportedError)
 from convexqe.models import (Cmp, DEFAULT_PRECISION_BITS, DownwardCut,
                              IntCompiledFormula, ModelDescriptor, PLUS_INF,
                              PiOracle, Point, SqrtOracle, SubgroupLevel,
                              compare_to_threshold, compile_formula,
                              eval_formula, model_from_json, model_to_json,
-                             u_member)
+                             term_rows, u_member)
 from convexqe.oracle import oracle_truth
 from convexqe.parser import parse_formula
-from convexqe.syntax import And, Or
-from convexqe.fuzz import SAMPLE_DENOM, gen_formula, gen_point, int_sample_pool
+from convexqe.syntax import (And, Exists, FalseF, Or, Term, TrueF, atoms_of,
+                             free_vars)
+from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point, gen_term,
+                           int_sample_pool, pool_drawer)
 
 from conftest import VALUATIONAL_NAMES, get_model
 
@@ -278,3 +284,130 @@ class TestClosureEvaluator:
                 evaluate(32)
         assert oracle_truth(m, f, asgn, precision=256)
         assert compile_formula(m, f).eval_points(asgn, 256)
+
+
+ELIMINABLE_NAMES = VALUATIONAL_NAMES + ["lex2_rat_11"]
+
+
+@functools.lru_cache(maxsize=None)
+def _definitions(name: str):
+    """Seeded (existential, guards) pairs of Skolem definitions for y."""
+    m = get_model(name)
+    st = build_structure(m)
+    rng = random.Random(f"shared-lowering:{name}")
+    out = []
+    while len(out) < 10:
+        phi = gen_formula(rng, ["x", "y"], 3, 0)
+        if "y" not in free_vars(phi):
+            continue
+        try:
+            sk = skolemize(phi, "y", st)
+        except ConvexQEError:
+            continue
+        out.append((qe_star(Exists("y", phi), st),
+                    tuple(g for g, _ in sk.cases)))
+    return m, out
+
+
+class TestSharedLowering:
+    @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+    def test_each_distinct_atom_lowers_once(self, name, monkeypatch):
+        m, defs = _definitions(name)
+        calls = collections.Counter()
+        lower = convexqe.models._lower_atom
+
+        def counted(m, a):
+            calls[a] += 1
+            return lower(m, a)
+        monkeypatch.setattr(convexqe.models, "_lower_atom", counted)
+        shared = 0
+        for ex, guards in defs:
+            calls.clear()
+            fs = (ex, *guards)
+            compile_formula(m, *fs)
+            assert set(calls) == {a for f in fs for a in atoms_of(f)}
+            assert set(calls.values()) <= {1}
+            shared += sum(len(set(atoms_of(f))) for f in fs) - len(calls)
+        assert shared > 0  # some atom is read by more than one root
+
+    @staticmethod
+    def _roots_and_points(name):
+        """Per definition: the formulas (True, existential, guards, False),
+        their shared evaluator and 20 seeded integer points, 200 in all."""
+        m, defs = _definitions(name)
+        draw = pool_drawer(random.Random(f"roots:{name}"), int_sample_pool(m))
+        for ex, guards in defs:
+            fs = (TrueF(), ex, *guards, FalseF())
+            points = [{"x": draw(m.dim), "y": draw(m.dim)} for _ in range(20)]
+            yield m, fs, compile_formula(m, *fs), points
+
+    @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+    def test_roots_agree_with_compile_formula(self, name):
+        bits = DEFAULT_PRECISION_BITS
+        for m, fs, ev, points in self._roots_and_points(name):
+            alone = [compile_formula(m, f).at(SAMPLE_DENOM, bits) for f in fs]
+            for ints in points:
+                frame = [SAMPLE_DENOM, bits, *ev.blank]
+                got = [root(ints, frame) for root in ev.roots]
+                assert got == [a(ints) for a in alone], (name, ints)
+                assert got[0] is True and got[-1] is False
+
+    @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+    def test_one_frame_serves_every_root(self, name):
+        bits = DEFAULT_PRECISION_BITS
+        for m, fs, ev, points in self._roots_and_points(name):
+            for ints in points:
+                fresh = [root(ints, [SAMPLE_DENOM, bits, *ev.blank])
+                         for root in ev.roots]
+                # backwards, so the guards fill the cache the existential reads
+                frame = [SAMPLE_DENOM, bits, *ev.blank]
+                shared = [root(ints, frame) for root in reversed(ev.roots)]
+                assert shared[::-1] == fresh, (name, ints)
+
+
+def _fraction_rows(m, t: Term, shift):
+    """term_rows over Fractions: (lc, row closures (points, d))."""
+    const = [t.offset * u + t.e_in * a + t.e_out * b for u, a, b in
+             zip(Point.unit(m.dim).coords, m.e_in.coords, m.e_out.coords)]
+    for i, s in enumerate(shift):
+        const[i] -= s
+    lc = math.lcm(*(k.denominator for k in const),
+                  *(q.denominator for _, q in t.coeffs))
+
+    def row(i):
+        def value(p, d):
+            v = (const[i] * d + sum(q * p[x][i] for x, q in t.coeffs)) * lc
+            assert v.denominator == 1
+            return int(v)
+        return value
+    return lc, [row(i) for i in range(m.dim)]
+
+
+class TestTermRows:
+    def test_integer_rows_match_fraction_reference(self, models):
+        rng = random.Random(23)
+
+        def q():
+            return Fraction(rng.randint(-9, 9),
+                            rng.choice((1, 2, 3, 5, 7, 12, 35)))
+        for name, m in models.items():
+            shifts = [()]
+            if isinstance(m.u_interp, DownwardCut):
+                thr = m.u_interp.threshold
+                j = next((i for i, e in enumerate(thr)
+                          if not isinstance(e, Fraction)), m.dim)
+                shifts.append(thr[:j])
+            terms = [gen_term(rng, ["x", "y"]) for _ in range(40)]
+            terms += [Term({"x": q(), "y": q()}, q(), q(), q())
+                      for _ in range(40)]
+            for t in terms:
+                for shift in shifts:
+                    want_lc, want = _fraction_rows(m, t, shift)
+                    lc, rows = term_rows(m, t, shift)
+                    assert lc == want_lc, (name, t, shift)
+                    for d in (1, SAMPLE_DENOM, 35):
+                        p = {v: tuple(rng.randint(-50, 50)
+                                      for _ in range(m.dim))
+                             for v in ("x", "y")}
+                        assert ([r(p, d) for r in rows]
+                                == [w(p, d) for w in want]), (name, t, shift)

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (e.g. a nonvaluational cut was given
-to the eliminator, an exhausted budget, or an ``eval`` input nested deeper
-than the recursive reference evaluator can go), 2 usage or syntax errors.  JSON output is stable-keyed,
-and identical configuration plus seed yields byte-identical reports.
+to the eliminator, an exhausted budget, malformed JSON input, or an
+``eval`` variable left unassigned), 2 usage or syntax errors.  JSON output
+is stable-keyed, and identical configuration plus seed yields
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .cutqe import (SkolemDefinition, build_structure, qe_star, skolemize)
 from .doagqe import QeOptions
 from .errors import ConvexQEError, FormulaSyntaxError
 from .fuzz import FuzzConfig, run_fuzz
-from .models import (ModelDescriptor, Point, eval_formula, load_model)
+from .models import Point, eval_formula, load_model
 from .parser import parse_formula, parse_term
 from .piecewise import binary_from_json, fn_from_json, unary_to_json
 from .skolemlab import choice_violation, obstruction_find, verify_skolem
-from .syntax import print_formula
+from .syntax import free_vars, is_quantifier_free, print_formula
 from .piecewise import UnaryPiecewiseLinear
 
 FIXTURES_ENV = "CONVEXQE_FIXTURES"
@@ -59,17 +60,26 @@ def _qe_options(args) -> QeOptions:
                      inject_bug=getattr(args, "inject_bug", False))
 
 
+def _read_json(path: str):
+    """The JSON value in the file at path; an unreadable file or malformed
+    JSON is a domain error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConvexQEError(f"cannot read JSON from {path}: {exc}") from None
+
+
 def _load_fn(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fn_from_json(json.load(fh))
+    return fn_from_json(_read_json(path))
 
 
-def _load_assignment(text: str, m: ModelDescriptor) -> dict:
-    data = json.loads(text)
-    out = {}
-    for var, coords in data.items():
-        out[var] = Point(tuple(Fraction(c) for c in coords))
-    return out
+def _load_assignment(text: str) -> dict:
+    try:
+        return {var: Point(tuple(Fraction(c) for c in coords))
+                for var, coords in json.loads(text).items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConvexQEError(f"bad --assign JSON object: {exc}") from None
 
 
 def _sk_to_json(sk: SkolemDefinition) -> list:
@@ -77,8 +87,12 @@ def _sk_to_json(sk: SkolemDefinition) -> list:
 
 
 def _sk_from_json(data, target: str) -> SkolemDefinition:
-    cases = tuple((parse_formula(c["guard"]), parse_term(c["witness"]))
-                  for c in data)
+    try:
+        cases = tuple((parse_formula(c["guard"]), parse_term(c["witness"]))
+                      for c in data)
+    except (KeyError, TypeError):
+        raise ConvexQEError('bad Skolem definition: each case needs a '
+                            '"guard" and a "witness"') from None
     return SkolemDefinition(target, cases)
 
 
@@ -127,8 +141,7 @@ def cmd_skolemize(args) -> int:
 def cmd_verify_skolem(args) -> int:
     m = load_model(resolve_model_path(args.model))
     phi = parse_formula(args.phi)
-    with open(args.sk, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(args.sk)
     if isinstance(data, dict) and "cases" in data:
         data = data["cases"]
     sk = _sk_from_json(data, args.target)
@@ -171,8 +184,7 @@ def cmd_normalize_monotone(args) -> int:
 
 
 def cmd_check_pluslike(args) -> int:
-    with open(args.fn, "r", encoding="utf-8") as fh:
-        fn = binary_from_json(json.load(fh))
+    fn = binary_from_json(_read_json(args.fn))
     rep = check_pluslike(fn)
     payload = {"pluslike": rep.pluslike, "reason": rep.reason,
                "witness": repr(rep.witness) if rep.witness else None}
@@ -183,7 +195,13 @@ def cmd_check_pluslike(args) -> int:
 def cmd_eval(args) -> int:
     m = load_model(resolve_model_path(args.model))
     f = parse_formula(args.formula)
-    asgn = _load_assignment(args.assign, m) if args.assign else {}
+    asgn = _load_assignment(args.assign) if args.assign else {}
+    if not is_quantifier_free(f):
+        raise ConvexQEError("eval needs a quantifier-free formula")
+    missing = free_vars(f) - asgn.keys()
+    if missing:
+        raise ConvexQEError(
+            f"unassigned variables: {', '.join(sorted(missing))}")
     val = eval_formula(m, f, asgn, precision_budget=args.precision)
     _emit(args, {"value": val}, "true" if val else "false")
     return 0

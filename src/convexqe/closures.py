@@ -1,18 +1,21 @@
-"""Closure compilation of quantifier-free boolean combinations.
+"""Jump-table compilation of quantifier-free boolean combinations.
 
-A tree is lowered once into nested Python closures and then called per
-assignment (Feeley and Lapalme, "Using Closures for Code Generation",
-1987).  This module is plumbing only: n-ary connectives, atom
-deduplication with a per-call cache, and integer linear rows.  What an
-atom means is up to the caller's lowering, so the model evaluator and the
-independent coordinate oracle share no atom semantics.
+A tree (a bool, a leaf, ``("&" | "|", *kids)`` or ``("~", kid)``) is
+compiled once, on an explicit stack, into short-circuit jumping code (Aho,
+Lam, Sethi and Ullman, *Compilers*, 2nd ed., section 6.6): a flat table with
+one row ``(slot, test, if_true, if_false)`` per leaf.  A kid's exits are its
+next sibling's entry or its parent's exits, and ``~`` swaps them.  This
+module is plumbing only: what an atom means is up to the caller's lowering,
+so the model evaluator and the independent coordinate oracle share no atom
+semantics.
 
-Every closure takes ``(points, frame)``.  ``points`` maps each variable to
-a tuple of integer coordinate numerators over one common denominator.
-``frame`` is a fresh list per call: the denominator, the precision budget
-for irrational comparisons, then one cache slot per distinct atom.  The
-roots of one lowering (an existential and its guards, say) share its leaves:
-called at the same points with one frame, they test each atom at most once.
+A root takes ``(points, frame)`` and runs one loop: it reads or fills the
+atom's frame slot, then jumps.  ``points`` maps each variable to a tuple of
+integer coordinate numerators over one common denominator.  ``frame`` is a
+fresh list per call: the denominator, the precision budget for irrational
+comparisons, then one cache slot per distinct atom.  The roots of one
+lowering (an existential and its guards, say) share its table: called at
+the same points with one frame, they test each atom at most once.
 """
 
 from __future__ import annotations
@@ -22,80 +25,84 @@ from typing import Callable, Mapping
 
 DENOM = 0
 BUDGET = 1
-
-
-def nary(op: str, kids: list):
-    """Short-circuit n-ary "&" or "|" over closures and boolean constants;
-    every closure returns a bool."""
-    unit = op == "&"
-    kids = [k for k in kids if k is not unit]
-    if any(type(k) is bool for k in kids):
-        return not unit
-    if len(kids) <= 1:
-        return kids[0] if kids else unit
-    if len(kids) == 2:
-        a, b = kids
-        if unit:
-            return lambda p, f: a(p, f) and b(p, f)
-        return lambda p, f: a(p, f) or b(p, f)
-    kids = tuple(kids)
-
-    def run(p, f) -> bool:
-        for k in kids:
-            if k(p, f) is not unit:
-                return not unit
-        return unit
-    return run
-
-
-def neg(kid):
-    if type(kid) is bool:
-        return not kid
-    return lambda p, f: not kid(p, f)
-
-
-def _cached(test, slot: int):
-    def leaf(p, f) -> bool:
-        v = f[slot]
-        if v is None:
-            v = f[slot] = test(p, f)
-        return v
-    return leaf
+TRUE, FALSE = -1, -2  # a root's exits; rows are numbered from 0
 
 
 class Lowering:
-    """The leaves of one evaluator under construction: equal (hashable)
-    atoms share one leaf, whose test ``lower(atom)`` runs at most once per
-    call."""
+    """One jump table under construction: equal (hashable) atoms share one
+    frame slot, whose test ``lower(atom)`` runs at most once per call."""
 
-    def __init__(self, lower: Callable):
+    def __init__(self, lower: Callable,
+                 literal: Callable = lambda leaf: (leaf, False)):
         self._lower = lower
-        self._leaves: dict = {}
-        # id(atom) -> leaf, since atoms often hash slowly; ids are stable
-        # because the tree keeps every atom alive while it is lowered
+        self._literal = literal
+        self._slots: dict = {}  # atom -> (slot, test)
+        # id(atom) -> (slot, test), since atoms often hash slowly; ids are
+        # stable because the tree keeps every atom alive while it is lowered
         self._seen: dict = {}
+        self._rows: list = []
 
-    def leaf(self, atom):
-        leaf = self._seen.get(id(atom))
-        if leaf is None:
-            leaf = self._leaves.get(atom)
-            if leaf is None:
-                leaf = self._leaves[atom] = _cached(
-                    self._lower(atom), BUDGET + 1 + len(self._leaves))
-            self._seen[id(atom)] = leaf
-        return leaf
+    def _compile(self, tree) -> int:
+        """Append the rows of tree, exiting to TRUE or FALSE; its entry."""
+        rows, slots, seen, entry = self._rows, self._slots, self._seen, None
+        # (node, exits); a kid is compiled after its next sibling, and an
+        # exit of None is the entry compiled last, that sibling's
+        stack = [(tree, TRUE, FALSE)]
+        while stack:
+            n, t, e = stack.pop()
+            t, e = (entry if t is None else t), (entry if e is None else e)
+            while type(n) is tuple:
+                if n[0] == "~":
+                    n, t, e = n[1], e, t
+                elif len(n) == 1:
+                    n = n[0] == "&"
+                else:
+                    chain = (None, e) if n[0] == "&" else (t, None)
+                    stack.extend((k, *chain) for k in n[1:-1])
+                    n = n[-1]
+            if type(n) is bool:
+                entry = t if n else e
+                continue
+            atom, negated = self._literal(n)
+            slot = seen.get(id(atom))
+            if slot is None:
+                slot = slots.get(atom)
+                if slot is None:
+                    slot = slots[atom] = (BUDGET + 1 + len(slots),
+                                          self._lower(atom))
+                seen[id(atom)] = slot
+            if t == e:  # the test cannot matter, so it is not run
+                entry = t
+                continue
+            entry = len(rows)
+            rows.append((*slot, e, t) if negated else (*slot, t, e))
+        return entry
 
-    def evaluator(self, *roots) -> "Evaluator":
-        return Evaluator(roots, len(self._leaves))
+    def evaluator(self, *trees) -> "Evaluator":
+        entries = [self._compile(tree) for tree in trees]
+        return Evaluator(tuple(self._rows), entries, len(self._slots))
+
+
+def _root(rows: tuple, entry: int) -> Callable[[Mapping, list], bool]:
+    def run(p, f) -> bool:
+        i = entry
+        while i >= 0:
+            slot, test, t, e = rows[i]
+            v = f[slot]
+            if v is None:
+                v = f[slot] = test(p, f)
+            i = t if v else e
+        return i == TRUE
+    return run
 
 
 class Evaluator:
-    """Lowered formulas, one root each over shared leaves, evaluated exactly
-    on integer or rational points; ``at`` and ``eval_points`` take root 0."""
+    """Compiled formulas, one root each over one jump table, evaluated
+    exactly on integer or rational points; ``at`` and ``eval_points`` take
+    root 0."""
 
-    def __init__(self, roots: tuple, atoms: int):
-        self.roots = tuple((lambda p, f, c=r: c) if type(r) is bool else r
-                           for r in roots)
+    def __init__(self, rows: tuple, entries: list, atoms: int):
+        self.roots = tuple(_root(rows, entry) for entry in entries)
         self.blank = (None,) * atoms
 
     def at(self, denom: int, budget: int) -> Callable[[Mapping], bool]:

@@ -157,17 +157,26 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
         raise ValueError("empty interval")
     if lo < 0 < hi:
         return Fraction(0)
+    sign = 1
     if hi <= 0:
-        return -simplest_between(-hi, -lo)
-    # 0 <= lo < hi
-    fl = lo.numerator // lo.denominator
-    if Fraction(fl + 1) < hi:
-        return Fraction(fl + 1)
-    if lo == fl:
-        inv = Fraction(1) / (hi - fl)  # q = fl + 1/r with r just past 1/(hi-fl)
-        return fl + Fraction(1, inv.numerator // inv.denominator + 1)
-    return fl + Fraction(1) / simplest_between(Fraction(1) / (hi - fl),
-                                               Fraction(1) / (lo - fl))
+        sign, lo, hi = -1, -hi, -lo
+    # 0 <= lo < hi: peel continued-fraction terms fl off lo and hi while
+    # they agree, the rest of the interval being 1/(hi - fl), 1/(lo - fl)
+    terms = []
+    while True:
+        fl = lo.numerator // lo.denominator
+        if Fraction(fl + 1) < hi:
+            q = Fraction(fl + 1)
+            break
+        if lo == fl:
+            inv = Fraction(1) / (hi - fl)  # fl + 1/r, r just past 1/(hi-fl)
+            q = fl + Fraction(1, inv.numerator // inv.denominator + 1)
+            break
+        terms.append(fl)
+        lo, hi = Fraction(1) / (hi - fl), Fraction(1) / (lo - fl)
+    for fl in reversed(terms):
+        q = fl + 1 / q
+    return sign * q
 
 
 def points_below_cut(m: ModelDescriptor):

@@ -7,12 +7,11 @@ whose entries are exact rationals, provably irrational constants (pi or
 sqrt of a non-square rational) behind refinable interval oracles, or +inf.
 The stabilizer predicate I always denotes {eps : eps + U-cut = U-cut}.
 
-Quantifier-free formulas are evaluated two ways.  ``eval_formula`` walks the
-formula with exact Point arithmetic and is the reference.
-``compile_formula`` lowers formulas once, one root each over shared atom
-leaves, to the closure evaluator of ``closures`` for the per-assignment
-loops (atoms read integer-only rows); ``IntCompiledFormula`` is one such
-root at a fixed denominator.
+Quantifier-free formulas are evaluated two ways.  ``eval_formula`` folds
+the formula with exact Point arithmetic and is the reference.
+``compile_formula`` compiles formulas once, one root each, into one jump
+table of ``closures`` for the per-assignment loops (atoms read integer-only
+rows); ``IntCompiledFormula`` is one such root at a fixed denominator.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .closures import (BUDGET, DENOM, Evaluator, Lowering, first_nonzero,
-                       int_row, nary, neg)
+                       int_row)
 from .errors import (MalformedModelError, PrecisionBudgetError)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
@@ -396,25 +395,14 @@ def term_value(m: ModelDescriptor, t: Term, asgn: Mapping[str, Point]) -> Point:
 
 def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
                  precision_budget: int = DEFAULT_PRECISION_BITS) -> bool:
-    """Exact truth value of a quantifier-free formula."""
+    """Exact truth value of a quantifier-free formula, with Point
+    arithmetic; every atom is evaluated, none short-circuits."""
     if not is_quantifier_free(f):
         raise ValueError("eval_formula needs a quantifier-free formula")
-    f = normalize_atoms(f)
 
-    def go(g: Formula) -> bool:
-        if isinstance(g, TrueF):
-            return True
-        if isinstance(g, FalseF):
-            return False
-        if isinstance(g, Not):
-            return not go(g.sub)
-        if isinstance(g, And):
-            return all(go(a) for a in g.args)
-        if isinstance(g, Or):
-            return any(go(a) for a in g.args)
-        if isinstance(g, Implies):
-            return (not go(g.lhs)) or go(g.rhs)
-        if isinstance(g, AtomF):
+    def node(g: Formula, kids, _c) -> bool:
+        t = type(g)
+        if t is AtomF:
             val = term_value(m, g.atom.term, asgn)
             kind = g.atom.kind
             if kind == AtomKind.LT:
@@ -426,13 +414,19 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
             if kind == AtomKind.IMEM:
                 return i_member(m, val)
             raise AssertionError(kind)
-        raise TypeError(type(g))
+        if t is And or t is Or:
+            return (all if t is And else any)(kids)
+        if t is Not:
+            return not kids[0]
+        if t is TrueF or t is FalseF:
+            return t is TrueF
+        raise TypeError(t)
 
-    return go(f)
+    return fold(normalize_atoms(f), node)
 
 
 # ---------------------------------------------------------------------------
-# Closure-compiled evaluation (integer arithmetic)
+# Compiled evaluation (integer arithmetic)
 
 
 def term_rows(m: ModelDescriptor, t: Term, shift: tuple = ()):
@@ -500,25 +494,25 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
 
 def compile_formula(m: ModelDescriptor, *fs: Formula) -> Evaluator:
     """The evaluator over m for quantifier-free formulas, one root each over
-    shared atom leaves, built once and called per assignment; eval_formula
-    is its reference."""
-    low = Lowering(lambda a: _lower_atom(m, a))
+    one jump table, built once and called per assignment; eval_formula is
+    its reference."""
 
     def node(g: Formula, kids, _c):
         t = type(g)
         if t is AtomF:
-            return low.leaf(g.atom)
+            return g.atom
         if t is And or t is Or:
-            return nary("&" if t is And else "|", kids)
+            return ("&" if t is And else "|", *kids)
         if t is Not:
-            return neg(kids[0])
+            return ("~", kids[0])
         if t is Implies:
-            return nary("|", [neg(kids[0]), kids[1]])
+            return ("|", ("~", kids[0]), kids[1])
         if t is TrueF or t is FalseF:
             return t is TrueF
         raise ValueError("compile needs a quantifier-free formula")
 
-    return low.evaluator(*(fold(f, node) for f in fs))
+    return Lowering(lambda a: _lower_atom(m, a)).evaluator(
+        *(fold(f, node) for f in fs))
 
 
 class IntCompiledFormula:
@@ -587,7 +581,11 @@ def model_from_json(data: dict) -> ModelDescriptor:
 
 def load_model(path: str) -> ModelDescriptor:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise MalformedModelError(f"bad model descriptor: {exc}") from exc
+    return model_from_json(data)
 
 
 def save_model(m: ModelDescriptor, path: str) -> None:

@@ -17,9 +17,9 @@ has one form whichever multiple of it arose.
 
 This module deliberately shares no elimination machinery with the main
 engines; it is the differential-testing reference.  The residual tree is
-evaluated by the closure plumbing of ``closures``, which the model evaluator
-also uses, but this module lowers its own one-dimensional sign atoms and
-alpha comparisons.
+compiled to a jump table by the plumbing of ``closures``, which the model
+evaluator also uses, but this module lowers its own one-dimensional sign
+atoms and alpha comparisons.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .closures import BUDGET, DENOM, Evaluator, Lowering, int_row, nary, neg
+from .closures import BUDGET, DENOM, Evaluator, Lowering, int_row
 from .errors import BudgetExceededError
 from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IrrationalOracle,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel)
@@ -377,33 +377,37 @@ def _bnot(a: BNode) -> BNode:
 
 # the atoms of a cleaned clause are distinct, so they alone order it
 _lit_key = operator.attrgetter("atom.key")
+_literal = operator.attrgetter("atom", "neg")
 
 
 def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
-    def go(n: BNode) -> list[list[CLit]]:
-        if n is True:
-            return [[]]
-        if n is False:
-            return []
-        if isinstance(n, CLit):
-            return [[n]]
-        # budget checks as for the left-nested binary chain of the kids
-        out = go(n[1])
-        for kid in n[2:]:
-            right = go(kid)
-            if n[0] == "|":
-                if len(out) + len(right) > budget:
+    # post-order on an explicit stack; each kid but the first is followed by
+    # its connective's operator, which joins the last two results (budget
+    # checks as for the left-nested binary chain of the kids)
+    stack: list = [node]
+    done: list = []
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            for kid in reversed(n[2:]):
+                stack += (n[0], kid)
+            stack.append(n[1])
+        elif type(n) is str:
+            got = done.pop()
+            if n == "|":
+                if len(done[-1]) + len(got) > budget:
                     raise BudgetExceededError("oracle DNF budget exceeded")
-                out.extend(right)
+                done[-1].extend(got)
             else:
-                if len(out) * max(len(right), 1) > budget:
+                if len(done[-1]) * max(len(got), 1) > budget:
                     raise BudgetExceededError("oracle DNF budget exceeded")
-                out = [a + b for a in out for b in right]
-        return out
+                done[-1] = [a + b for a in done[-1] for b in got]
+        else:
+            done.append([[]] if n is True else [] if n is False else [[n]])
 
     out = []
     seen = set()
-    for clause in go(node):
+    for clause in done[0]:
         kept: dict = {}
         drop = False
         for lit in clause:
@@ -453,7 +457,7 @@ def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
 
 class OracleDecision:
     """Residual condition of a formula over one model: a boolean tree over
-    coordinate atoms in the free variables, lowered to closures for
+    coordinate atoms in the free variables, compiled to a jump table for
     evaluation per assignment."""
 
     def __init__(self, tree: BNode, alpha: Optional[IrrationalOracle]):
@@ -464,17 +468,8 @@ class OracleDecision:
     def lower(self) -> Evaluator:
         """A fresh evaluator of the tree.  Decisions live in the compile
         cache, so only the Fraction path below keeps its evaluator."""
-        low = Lowering(lambda a: _lower_atom(self.alpha, a))
-
-        def go(n):
-            if type(n) is bool:
-                return n
-            if isinstance(n, CLit):
-                leaf = low.leaf(n.atom)
-                return neg(leaf) if n.neg else leaf
-            return nary(n[0], [go(k) for k in n[1:]])
-
-        return low.evaluator(go(self.tree))
+        return Lowering(lambda a: _lower_atom(self.alpha, a),
+                        _literal).evaluator(self.tree)
 
     def eval(self, asgn: Mapping[str, Point],
              precision: int = DEFAULT_PRECISION_BITS) -> bool:

@@ -314,6 +314,6 @@ def binary_from_json(d: dict) -> BinaryPiecewiseLinear:
 
 
 def fn_from_json(d: dict) -> Union[UnaryPiecewiseLinear, BinaryPiecewiseLinear]:
-    if d.get("arity", 1) == 2:
+    if isinstance(d, dict) and d.get("arity", 1) == 2:
         return binary_from_json(d)
     return unary_from_json(d)

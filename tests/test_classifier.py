@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from convexqe.classifier import (IRRATIONAL_NONVALUATIONAL,
                                  IRRATIONAL_VALUATIONAL, RATIONAL_CUT,
                                  canonical_member, canonicalize_cut, classify,
                                  f_valuational, stabilizer, stabilizer_escape)
-from convexqe.cutarith import closure_member
+from convexqe.cutarith import closure_member, simplest_between
 from convexqe.errors import (NonvaluationalInterpretationError,
                              PreconditionViolatedError)
 from convexqe.models import (DownwardCut, ModelDescriptor, PLUS_INF, PiOracle,
@@ -71,6 +73,34 @@ class TestClassify:
                         Point.unit(m.dim, 0).scale(Fraction(2, 3))):
                 a = r.falsifier(eps)
                 assert u_member(m, a) and not u_member(m, a + eps)
+
+    def test_falsifier_for_a_tiny_bump(self):
+        # sqrt(2) = [1; 2, 2, ...] has a continued-fraction term per bit or
+        # so, and the falsifier squeezes the cut below eps: thousands of
+        # terms, more than the recursion limit
+        m = ModelDescriptor(1, DownwardCut((SqrtOracle(2),)),
+                            Point.of(Fraction(1, 2)), Point.of(2))
+        eps = Point.of(Fraction(1, 2 ** 3000))
+        a = classify(m).falsifier(eps)
+        assert u_member(m, a) and not u_member(m, a + eps)
+
+
+class TestSimplestBetween:
+    @staticmethod
+    def _brute(lo: Fraction, hi: Fraction) -> Fraction:
+        """The least denominator, then the least absolute numerator, of a
+        rational strictly between lo and hi."""
+        for d in itertools.count(1):
+            ns = [n for n in range(math.floor(lo * d), math.ceil(hi * d) + 1)
+                  if lo < Fraction(n, d) < hi]
+            if ns:
+                return Fraction(min(ns, key=abs), d)
+
+    def test_smallest_denominator_on_small_intervals(self):
+        ends = sorted({Fraction(n, d) for d in range(1, 7)
+                       for n in range(-13, 14)})
+        for lo, hi in itertools.combinations(ends, 2):
+            assert simplest_between(lo, hi) == self._brute(lo, hi), (lo, hi)
 
 
 class TestStabilizer:

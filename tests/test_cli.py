@@ -1,14 +1,24 @@
 import glob
 import json
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 
 from convexqe.cli import fixtures_dir, main
 from convexqe.classifier import classify
-from convexqe.models import load_model
+from convexqe.cutqe import build_structure, qe_star
+from convexqe.models import (DEFAULT_PRECISION_BITS, Point, compile_formula,
+                             eval_formula, load_model)
+from convexqe.oracle import oracle_truth
+from convexqe.parser import parse_formula
+from convexqe.syntax import print_formula
 
 from conftest import fixture_path
+
+
+FILE = object()  # stands for a file written with the case's content
 
 
 def run(capsys, *argv):
@@ -73,15 +83,40 @@ class TestCommands:
         assert rc == 0 and err == ""
         assert out == answer + "\n"
 
-    def test_input_beyond_recursion_limit_is_domain_error(self, capsys):
-        # the reference evaluator recurses, and x < 0 holds at every level,
-        # so no conjunction short-circuits
+    def test_input_beyond_recursion_limit_is_answered(self, capsys, m_sub2):
+        # x < 0 holds at every level, so no conjunction short-circuits
         nested = "~(x < 0 & " * 1000 + "x < 0" + ")" * 1000
         rc, out, err = run(capsys, "eval", "--model", "lex2_sub1.json",
                            "--assign", '{"x": ["-1", "0"]}', nested)
+        want = oracle_truth(m_sub2, parse_formula(nested),
+                            {"x": Point.of(-1, 0)})
+        assert rc == 0 and err == ""
+        assert out == ("true" if want else "false") + "\n"
+
+    @pytest.mark.parametrize("argv, content", [
+        (("verify-skolem", "--model", "lex2_sub1.json", "--phi", "x < y",
+          "--sk", FILE), ""),
+        (("verify-skolem", "--model", "lex2_sub1.json", "--phi", "x < y",
+          "--sk", FILE), '[{"guard": "true"}]'),
+        (("classify", "--model", FILE), '{"dim": 2, "U": {"kind": "subgr'),
+        (("eval", "--model", "lex2_sub1.json", "--assign", "{bad", "x < 0"),
+         None),
+        (("obstruct", "--model", "q1_pi.json", "--fn", FILE), ""),
+        (("obstruct", "--model", "q1_pi.json", "--fn", FILE), "[]"),
+        (("eval", "--model", "lex2_sub1.json", "--assign", '{"x": ["1", "0"]}',
+          "x < y"), None),
+    ], ids=["empty-sk", "sk-case-without-witness", "truncated-model",
+            "assign-not-json", "empty-fn", "fn-not-an-object",
+            "eval-unassigned-variable"])
+    def test_malformed_input_is_domain_error(self, capsys, tmp_path, argv,
+                                             content):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        rc, out, err = run(capsys, *(str(path) if a is FILE else a
+                                     for a in argv))
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
 
     def test_missing_model_is_domain_error(self, capsys):
         rc, _, _ = run(capsys, "classify", "--model", "no_such_model.json")
@@ -142,6 +177,38 @@ class TestCommands:
         rc, out, _ = run(capsys, "--format", "json", "check-pluslike",
                          "--fn", str(fn))
         assert rc == 0 and json.loads(out)["pluslike"] is True
+
+
+class TestDeepInput:
+    def test_every_entry_point_answers(self, capsys, m_sub2):
+        # (x < k & ...) and (k < x | ...) alternately, 3,000 levels deep,
+        # under a recursion limit far below the depth
+        text = "x < 0"
+        for k in range(1, 3001):
+            text = f"(x < {k} & {text})" if k % 2 else f"({k} < x | {text})"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            f = parse_formula(text)
+            assert parse_formula(print_formula(f)) == f
+            out = qe_star(f, build_structure(m_sub2))
+            ev = compile_formula(m_sub2, f)
+            seen = set()
+            for x in ("-1", "0", "3001/2"):
+                asgn = {"x": Point.of(Fraction(x), 0)}
+                want = oracle_truth(m_sub2, f, asgn)
+                seen.add(want)
+                assert eval_formula(m_sub2, f, asgn) is want, x
+                assert ev.eval_points(asgn, DEFAULT_PRECISION_BITS) is want
+                assert eval_formula(m_sub2, out, asgn) is want, x
+                rc, stdout, err = run(capsys, "eval", "--model",
+                                      "lex2_sub1.json", "--assign",
+                                      json.dumps({"x": [x, "0"]}), text)
+                assert rc == 0 and err == ""
+                assert stdout == ("true" if want else "false") + "\n"
+            assert seen == {True, False}
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestCorpus:

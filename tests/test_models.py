@@ -285,6 +285,18 @@ class TestClosureEvaluator:
         assert oracle_truth(m, f, asgn, precision=256)
         assert compile_formula(m, f).eval_points(asgn, 256)
 
+    def test_constants_decide_without_testing_atoms(self):
+        # 32 bits cannot place x against pi, so a test of U(x) would raise
+        m = get_model("q1_pi")
+        asgn = {"x": Point.of(Fraction(3141592653589793238462643383279,
+                                       10 ** 30))}
+        cases = [(And(), True), (Or(), False)] + [
+            (parse_formula(text), want) for text, want in (
+                ("U(x) & false", False), ("true | U(x)", True),
+                ("~(U(x) | true) | false", False), ("false -> U(x)", True))]
+        for f, want in cases:
+            assert compile_formula(m, f).eval_points(asgn, 32) is want, f
+
 
 ELIMINABLE_NAMES = VALUATIONAL_NAMES + ["lex2_rat_11"]
 

@@ -7,7 +7,7 @@ import pytest
 
 from convexqe.cutarith import points_below_cut
 from convexqe.cutqe import build_structure, qe_star
-from convexqe.errors import PrecisionBudgetError
+from convexqe.errors import BudgetExceededError, PrecisionBudgetError
 from convexqe.models import Point, eval_formula
 from convexqe import oracle
 from convexqe.oracle import CLit, _compile, oracle_compile, oracle_truth
@@ -199,6 +199,20 @@ class TestOracleScale:
         f = parse_formula(text)
         assert oracle_truth(m_sub2, f, {"x": Point.of(-1, 0)}) is at_neg
         assert oracle_truth(m_sub2, f, {"x": Point.of(1, 0)}) is at_pos
+
+    def test_deep_existential(self, m_pi, m_sub2):
+        # x < y innermost, wrapped alternately in (y < k & ...) and
+        # (k < y | ...): 1,000 levels under one quantifier
+        body = "x < y"
+        for k in range(1000):
+            body = (f"(y < {k} & {body})" if k % 2 == 0
+                    else f"({k} < y | {body})")
+        f = parse_formula("E y. " + body)
+        assert oracle_truth(m_pi, f, {"x": Point.of(0)})
+        # over two coordinates each < is two clauses: the DNF outgrows the
+        # budget
+        with pytest.raises(BudgetExceededError):
+            oracle_truth(m_sub2, f, {"x": Point.of(0, 0)})
 
     def test_negation_is_linear(self, m_sub2, monkeypatch):
         # alternately nested ~(x < k & ~(x < k' | ...)): each ~ negates the

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cutarith import (cut_info, deciding_oracle, edge_sign, escape_witness,
-                       limit_sign, rational_prefix, simplest_between,
-                       top_coset_rep)
+from .cutarith import (edge_sign, escape_witness, limit_sign,
+                       simplest_between, top_coset_rep)
 from .errors import (NonvaluationalInterpretationError,
                      PreconditionViolatedError, SearchExhaustedError)
-from .models import (DownwardCut, IrrationalOracle, ModelDescriptor, PlusInf,
-                     Point, SubgroupLevel, term_value, u_member)
+from .models import (CutClass, DownwardCut, IrrationalOracle,
+                     ModelDescriptor, PlusInf, Point, SubgroupLevel,
+                     term_value, u_member)
 from .piecewise import (BinaryPiecewiseLinear, check_pluslike,
                         normalize_monotone, pluslike_from_unary)
 
@@ -60,10 +60,8 @@ class ClassificationReport:
 
 def _nonvaluational_falsifier(m: ModelDescriptor) -> Callable[[Point], Point]:
     """Given any eps > 0, produce a in C with a + eps outside C."""
-    info = cut_info(m)
-    j = info.deciding_index
-    oracle = deciding_oracle(m)
-    prefix = rational_prefix(m, j)
+    prefix, oracle = m.cut.prefix, m.cut.oracle
+    j = len(prefix)
 
     def falsify(eps: Point) -> Point:
         if eps.lex_sign() <= 0:
@@ -92,15 +90,14 @@ def classify(m: ModelDescriptor) -> ClassificationReport:
     """Cut kind, valuational witness or falsifier, stabilizer level, and the
     unique-realizability label (subgroups classify via their downward
     closure)."""
-    info = cut_info(m)
-    if info.kind == "rational":
-        return ClassificationReport(RATIONAL_CUT, None, None, m.dim, False)
-    if not info.valuational:
+    cls, k = m.cut.cls, m.cut.stabilizer
+    if cls is CutClass.RATIONAL_CUT:
+        return ClassificationReport(RATIONAL_CUT, None, None, k, False)
+    if cls is CutClass.NONVALUATIONAL:
         return ClassificationReport(IRRATIONAL_NONVALUATIONAL, None,
-                                    _nonvaluational_falsifier(m), m.dim, True)
-    eps = Point.unit(m.dim, info.stabilizer)  # first coordinate after the prefix
-    return ClassificationReport(IRRATIONAL_VALUATIONAL, eps, None,
-                                info.stabilizer, False)
+                                    _nonvaluational_falsifier(m), k, True)
+    eps = Point.unit(m.dim, k)  # first coordinate after the prefix
+    return ClassificationReport(IRRATIONAL_VALUATIONAL, eps, None, k, False)
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +294,21 @@ def canonicalize_cut(m: ModelDescriptor) -> CanonicalCut:
     """Reflect so 0 lies inside, record the (vacuous) positive shift, and
     symmetrize; the result is a symmetric convex set around 0 whose edge
     data is returned exactly."""
-    info = cut_info(m)
-    if info.kind == "subgroup":
-        return CanonicalCut(False, Point.zero(m.dim), info.stabilizer,
-                            Point.zero(m.dim), True, None)
-    if not info.valuational:
+    cls, k = m.cut.cls, m.cut.stabilizer
+    zero = Point.zero(m.dim)
+    if cls is CutClass.SUBGROUP:
+        return CanonicalCut(False, zero, k, zero, True, None)
+    if cls in (CutClass.RATIONAL_CUT, CutClass.NONVALUATIONAL):
         raise NonvaluationalInterpretationError(
             "canonicalization targets valuational cuts")
-    zero = Point.zero(m.dim)
     reflected = not u_member(m, zero)
-    if info.kind == "coset":
+    if cls is CutClass.COSET_CUT:
         rep = top_coset_rep(m)
         if reflected:
-            return CanonicalCut(True, zero, info.stabilizer, -rep, False, None)
-        return CanonicalCut(False, zero, info.stabilizer, rep, True, None)
-    tag = deciding_oracle(m).tag
-    return CanonicalCut(reflected, zero, info.stabilizer, None, None,
+            return CanonicalCut(True, zero, k, -rep, False, None)
+        return CanonicalCut(False, zero, k, rep, True, None)
+    tag = m.cut.oracle.tag
+    return CanonicalCut(reflected, zero, k, None, None,
                         ("-" + tag) if reflected else tag)
 
 

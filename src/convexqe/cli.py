@@ -116,7 +116,7 @@ def cmd_classify(args) -> int:
     m = load_model(resolve_model_path(args.model))
     report = classify(m).to_json(m)
     canon = None
-    if report["cut_kind"] != "rational" and report["epsilon_witness"] is not None:
+    if report["epsilon_witness"] is not None:  # valuational cuts only
         canon = canonicalize_cut(m).describe()
     report["canonical"] = canon
     human = (f"cut_kind: {report['cut_kind']}\n"

@@ -1,5 +1,6 @@
-"""Exact arithmetic at the cut: classification data, the one sign at the
-supremum of U, and the one search for members of the cut.
+"""Exact arithmetic at the cut: the one sign at the supremum of U, and the
+one search for members of the cut.  Both read the cut's shape,
+``ModelDescriptor.cut``.
 
 For a downward cut C with virtual supremum g, ``edge_sign`` gives the sign
 of the virtual value (q-1)*g + c, also in the limit along c + delta*drift
@@ -14,67 +15,25 @@ everything here is exact and terminating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import MalformedModelError, SearchExhaustedError
-from .models import (DownwardCut, IrrationalOracle, ModelDescriptor,
-                     PlusInf, Point, SubgroupLevel, u_member)
+from .models import (CutClass, DownwardCut, ModelDescriptor, PlusInf, Point,
+                     SubgroupLevel, u_member)
 
 F0 = Fraction(0)
 _SEARCH_LIMIT = 2000
 _START_BITS = 16
 
 
-@dataclass(frozen=True)
-class CutInfo:
-    kind: str  # "subgroup" | "rational" | "coset" | "oracle"
-    deciding_index: Optional[int]  # 0-based; oracle position or first +inf
-    stabilizer: int
-    valuational: bool
-
-
-def cut_info(m: ModelDescriptor) -> CutInfo:
-    if isinstance(m.u_interp, SubgroupLevel):
-        return CutInfo("subgroup", None, m.u_interp.level, True)
-    t = m.u_interp.threshold
-    j = next((i for i, e in enumerate(t) if not isinstance(e, Fraction)), None)
-    if j is None:
-        return CutInfo("rational", None, m.dim, False)
-    if isinstance(t[j], PlusInf):
-        return CutInfo("coset", j, j, True)
-    if j == m.dim - 1:
-        return CutInfo("oracle", j, m.dim, False)
-    return CutInfo("oracle", j, j + 1, True)
-
-
-def rational_prefix(m: ModelDescriptor, upto: int) -> tuple[Fraction, ...]:
-    assert isinstance(m.u_interp, DownwardCut)
-    out = []
-    for e in m.u_interp.threshold[:upto]:
-        assert isinstance(e, Fraction)
-        out.append(e)
-    return tuple(out)
-
-
 def top_coset_rep(m: ModelDescriptor) -> Point:
     """Representative of the topmost stabilizer coset contained in a
     coset-topped cut (or the subgroup itself)."""
-    info = cut_info(m)
-    if info.kind == "subgroup":
-        return Point.zero(m.dim)
-    if info.kind != "coset":
+    if m.cut.cls not in (CutClass.SUBGROUP, CutClass.COSET_CUT):
         raise MalformedModelError("the cut has no topmost coset")
-    prefix = rational_prefix(m, info.deciding_index)
-    return Point(prefix + (Fraction(0),) * (m.dim - len(prefix)))
-
-
-def deciding_oracle(m: ModelDescriptor) -> IrrationalOracle:
-    assert isinstance(m.u_interp, DownwardCut)
-    e = m.u_interp.threshold[cut_info(m).deciding_index]
-    assert isinstance(e, IrrationalOracle)
-    return e
+    prefix = m.cut.prefix
+    return Point(prefix + (F0,) * (m.dim - len(prefix)))
 
 
 def closure_member(m: ModelDescriptor, p: Point) -> bool:
@@ -137,18 +96,18 @@ def edge_sign(m: ModelDescriptor, q: Fraction, c: Point,
     x |-> q*x + c with q > 0 maps C into itself iff the sign is <= 0, and
     the sign of sup C - p is edge_sign(m, 2, -p).
     """
-    info = cut_info(m)
+    cut = m.cut
     cs = _duals(c, drift)
-    if info.kind == "oracle" and q != 1:
+    if cut.oracle is not None and q != 1:
         # (q-1)*g + c = (q-1)*(g - z) with z = c/(1-q) rational, so z != g
         z = [(u / (1 - q), v / (1 - q)) for u, v in cs]
         s = 1 if _dual_u_member(m, z) else -1
         return s if q > 1 else -s
-    k = info.stabilizer
-    if info.kind in ("rational", "coset"):  # g is rational at scale k
-        cs = [((q - 1) * t + u, v)
-              for t, (u, v) in zip(rational_prefix(m, k), cs)]
-    return _dual_sign(cs[:k])
+    # g is rational at the stabilizer scale k, its coordinates the prefix
+    # (none for a subgroup, and with q = 1 the shift is 0)
+    p = cut.prefix
+    cs = [((q - 1) * t + u, v) for t, (u, v) in zip(p, cs)] + cs[len(p):]
+    return _dual_sign(cs[:cut.stabilizer])
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -181,27 +140,22 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 def points_below_cut(m: ModelDescriptor):
     """Yield points of C approaching sup C from below (cofinal in C)."""
-    info = cut_info(m)
+    cut = m.cut
     last = Point.unit(m.dim, m.dim - 1)
-    if info.kind == "subgroup":
-        for t in range(_SEARCH_LIMIT):
-            yield last.scale(2 ** t)
-        return
-    if info.kind == "rational":
-        theta = Point(rational_prefix(m, m.dim))
+    if cut.cls is CutClass.RATIONAL_CUT:
+        theta = Point(cut.prefix)
         if not m.u_interp.strict:
             yield theta
         for t in range(_SEARCH_LIMIT):
             yield theta - last.scale(Fraction(1, 2 ** t))
         return
-    if info.kind == "coset":
+    if cut.oracle is None:  # climb the top coset, or the subgroup
         base = top_coset_rep(m)
         for t in range(_SEARCH_LIMIT):
             yield base + last.scale(2 ** t)
         return
-    j = info.deciding_index
-    oracle = deciding_oracle(m)
-    prefix = rational_prefix(m, j)
+    prefix, oracle = cut.prefix, cut.oracle
+    j = len(prefix)
     bits = _START_BITS
     prev: Optional[Fraction] = None
     for _ in range(_SEARCH_LIMIT):

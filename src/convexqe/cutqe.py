@@ -38,18 +38,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .cutarith import (cut_info, cut_members, edge_sign, escape_witness,
-                       member_witness_above, rational_prefix)
+from .cutarith import (cut_members, edge_sign, escape_witness,
+                       member_witness_above)
 from .doagqe import QeOptions
 from .errors import (BudgetExceededError, NonvaluationalInterpretationError,
                      SkolemShapeUnsupportedError, UnsupportedCutError)
-from .models import (DEFAULT_PRECISION_BITS, DownwardCut, ModelDescriptor,
-                     Point, SubgroupLevel, compile_formula, term_value,
-                     u_member)
+from .models import (DEFAULT_PRECISION_BITS, CutClass, DownwardCut,
+                     ModelDescriptor, Point, SubgroupLevel, compile_formula,
+                     term_value, u_member)
 from .normalform import (Literal, dnf_clauses, negate, normalize_atoms,
                          simplify, simplify_node)
 from .piecewise import UnaryPiecewiseLinear
@@ -59,14 +58,6 @@ from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-class CutClass(Enum):
-    SUBGROUP = "subgroup"
-    IRRATIONAL_CUT = "irrational-cut"
-    COSET_CUT = "coset-topped-cut"
-    RATIONAL_CUT = "rational-cut"
-    NONVALUATIONAL = "nonvaluational"
 
 
 @dataclass(frozen=True)
@@ -137,36 +128,33 @@ def _solve_columns(cols: list[tuple[Fraction, ...]],
 
 
 def build_structure(m: ModelDescriptor) -> CutStructure:
-    info = cut_info(m)
-    if info.kind == "subgroup":
-        return CutStructure(m, CutClass.SUBGROUP, AtomKind.UMEM)
-    if info.kind == "oracle" and not info.valuational:
-        return CutStructure(m, CutClass.NONVALUATIONAL, AtomKind.IMEM)
-    if info.kind == "oracle":
-        return CutStructure(m, CutClass.IRRATIONAL_CUT, AtomKind.IMEM,
-                            anchor_in=_inside_anchor(m))
+    cls, target = m.cut.cls, m.cut.prefix
+    if cls is CutClass.SUBGROUP:
+        return CutStructure(m, cls, AtomKind.UMEM)
+    if cls is CutClass.NONVALUATIONAL:
+        return CutStructure(m, cls, AtomKind.IMEM)
+    if cls is CutClass.IRRATIONAL_CUT:
+        return CutStructure(m, cls, AtomKind.IMEM, anchor_in=_inside_anchor(m))
     unit = m.unit
-    if info.kind == "coset":
-        k = info.stabilizer
+    if cls is CutClass.COSET_CUT:
+        k = len(target)
         cols = [tuple(unit.coords[:k]), tuple(m.e_out.coords[:k])]
-        target = rational_prefix(m, k)
         sol = _solve_columns(cols, target)
         if sol is None:
             raise UnsupportedCutError(
                 "no closed term names the cut's top coset; quantifier-free "
                 "answers do not exist in this language")
         tau = Term.const(sol[0]) + Term.eout(sol[1])
-        return CutStructure(m, CutClass.COSET_CUT, AtomKind.IMEM, tau,
+        return CutStructure(m, cls, AtomKind.IMEM, tau,
                             anchor_in=_inside_anchor(m))
     # rational cut: name the threshold point itself
     cols = [tuple(unit.coords), tuple(m.e_in.coords), tuple(m.e_out.coords)]
-    target = rational_prefix(m, m.dim)
     sol = _solve_columns(cols, target)
     if sol is None:
         raise UnsupportedCutError(
             "no closed term names the rational threshold point")
     tau = Term.const(sol[0]) + Term.ein(sol[1]) + Term.eout(sol[2])
-    return CutStructure(m, CutClass.RATIONAL_CUT, None, tau, m.u_interp.strict)
+    return CutStructure(m, cls, None, tau, m.u_interp.strict)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ so serialized reports are byte-identical across runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -47,12 +47,7 @@ class FuzzConfig:
     inject_bug: bool = False
 
     def to_json(self) -> dict:
-        return {"formulas": self.formulas, "assignments": self.assignments,
-                "seed": self.seed, "depth": self.depth,
-                "quantifier_depth": self.quantifier_depth,
-                "dnf_budget": self.dnf_budget,
-                "depth_budget": self.depth_budget,
-                "inject_bug": self.inject_bug}
+        return asdict(self)
 
 
 def gen_term(rng: random.Random, vars: list[str]) -> Term:

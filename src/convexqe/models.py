@@ -6,6 +6,8 @@ subgroup {x : x_1 = ... = x_k = 0} or as a downward cut against a threshold
 whose entries are exact rationals, provably irrational constants (pi or
 sqrt of a non-square rational) behind refinable interval oracles, or +inf.
 The stabilizer predicate I always denotes {eps : eps + U-cut = U-cut}.
+What kind of cut U is, ``ModelDescriptor.cut``, is read off the
+interpretation here once; every other module takes it from there.
 
 Quantifier-free formulas are evaluated two ways.  ``eval_formula`` folds
 the formula with exact Point arithmetic and is the reference.
@@ -21,6 +23,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -151,13 +154,17 @@ class PiOracle(IrrationalOracle):
     @staticmethod
     def _arctan_inv(x: int, terms: int) -> tuple[Fraction, Fraction]:
         # arctan(1/x) partial sums; alternating, decreasing, so consecutive
-        # partial sums bracket the value.
-        s = Fraction(0)
-        prev = Fraction(0)
+        # partial sums bracket the value.  The first n terms sum to
+        # N_n / (L * x^(2n-1)), L = lcm(1, 3, ..., 2*terms - 1), with
+        # N_(k+1) = N_k * x^2 + (-1)^k * L / (2k+1) by Horner's rule: the
+        # sums stay integers, and each bound is reduced once.
+        lcm = math.lcm(*range(1, 2 * terms, 2))
+        y = x * x
+        prev = n = 0
         for k in range(terms):
-            term = Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
-            prev = s
-            s += term
+            prev, n = n, n * y + (-1) ** k * (lcm // (2 * k + 1))
+        den = lcm * x ** (2 * terms - 1)
+        s, prev = Fraction(n, den), Fraction(prev * y, den)
         return (s, prev) if s < prev else (prev, s)
 
     def _compute(self, bits: int) -> tuple[Fraction, Fraction]:
@@ -239,6 +246,27 @@ class Cmp(Enum):
     ABOVE = 1
 
 
+class CutClass(Enum):
+    SUBGROUP = "subgroup"
+    IRRATIONAL_CUT = "irrational-cut"
+    COSET_CUT = "coset-topped-cut"
+    RATIONAL_CUT = "rational-cut"
+    NONVALUATIONAL = "nonvaluational"
+
+
+@dataclass(frozen=True)
+class CutShape:
+    """What kind of cut U is: its class, the level k of the stabilizer
+    I = {x : x_1 = ... = x_k = 0}, the rational threshold entries before
+    the first non-rational one (none for a subgroup), and the deciding
+    irrational entry, if any."""
+
+    cls: CutClass
+    stabilizer: int
+    prefix: tuple[Fraction, ...]
+    oracle: Optional[IrrationalOracle]
+
+
 @dataclass(frozen=True)
 class ModelDescriptor:
     dim: int
@@ -253,31 +281,27 @@ class ModelDescriptor:
     def unit(self) -> Point:
         return Point.unit(self.dim)
 
-    def stabilizer_level(self) -> int:
-        """Length k of the deciding prefix; I = {x : x_1 = ... = x_k = 0}."""
-        return _stabilizer_level(self)
+    @cached_property
+    def cut(self) -> CutShape:
+        """The shape of U, read once off its interpretation (not a field:
+        equality and hashing ignore it)."""
+        u = self.u_interp
+        if isinstance(u, SubgroupLevel):
+            return CutShape(CutClass.SUBGROUP, u.level, (), None)
+        t = u.threshold
+        j = next((i for i, e in enumerate(t) if not isinstance(e, Fraction)),
+                 self.dim)
+        if j == self.dim:
+            return CutShape(CutClass.RATIONAL_CUT, j, t, None)
+        if isinstance(t[j], PlusInf):  # the prefix ends just before +inf
+            return CutShape(CutClass.COSET_CUT, j, t[:j], None)
+        if j == self.dim - 1:
+            return CutShape(CutClass.NONVALUATIONAL, j + 1, t[:j], t[j])
+        # the oracle coordinate itself participates
+        return CutShape(CutClass.IRRATIONAL_CUT, j + 1, t[:j], t[j])
 
     def describe(self) -> str:
         return f"LEX({self.dim}) with {self.u_interp}"
-
-
-def _first_nonrational(threshold) -> Optional[int]:
-    for i, e in enumerate(threshold):
-        if not isinstance(e, Fraction):
-            return i
-    return None
-
-
-def _stabilizer_level(m: ModelDescriptor) -> int:
-    if isinstance(m.u_interp, SubgroupLevel):
-        return m.u_interp.level
-    t = m.u_interp.threshold
-    j = _first_nonrational(t)
-    if j is None:
-        return m.dim
-    if isinstance(t[j], PlusInf):
-        return j  # deciding prefix ends just before the first +inf entry
-    return j + 1  # the oracle coordinate itself participates
 
 
 def validate_model(m: ModelDescriptor) -> None:
@@ -294,7 +318,6 @@ def validate_model(m: ModelDescriptor) -> None:
         t = u.threshold
         if len(t) != m.dim:
             raise MalformedModelError("threshold length must equal the dimension")
-        j = _first_nonrational(t)
         inf_positions = [i for i, e in enumerate(t) if isinstance(e, PlusInf)]
         if inf_positions:
             start = inf_positions[0]
@@ -312,8 +335,7 @@ def validate_model(m: ModelDescriptor) -> None:
     # (cuts below zero admit no such point, e.g. reflection test inputs).
     if m.e_in.lex_sign() <= 0:
         raise MalformedModelError("e_in must be positive")
-    k = _stabilizer_level(m)
-    if k < m.dim:
+    if m.cut.stabilizer < m.dim:
         if not i_member(m, m.e_in):
             raise MalformedModelError("e_in must lie in the stabilizer subgroup")
         if u_member(m, Point.zero(m.dim)) and not u_member(m, m.e_in):
@@ -372,8 +394,7 @@ def point_above_u(m: ModelDescriptor, p: Point,
 
 
 def i_member(m: ModelDescriptor, p: Point) -> bool:
-    k = _stabilizer_level(m)
-    return all(c == 0 for c in p.coords[:k])
+    return all(c == 0 for c in p.coords[:m.cut.stabilizer])
 
 
 # ---------------------------------------------------------------------------
@@ -455,26 +476,21 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
     rational threshold prefix is folded into the rows, so U(t) reads off
     the first nonzero row, then the cut's tail (+inf, the strictness, or
     its oracle)."""
-    kind = a.kind
-    cut = m.u_interp if kind == AtomKind.UMEM else None
-    shift = ()
-    if isinstance(cut, DownwardCut):
-        thr = cut.threshold
-        j = _first_nonrational(thr)
-        j = m.dim if j is None else j
-        shift = thr[:j]
-    lc, rows = term_rows(m, a.term, shift)
-    if kind == AtomKind.IMEM or isinstance(cut, SubgroupLevel):
-        lead = first_nonzero(rows[:m.stabilizer_level()])
+    kind, cut = a.kind, m.cut
+    umem = kind == AtomKind.UMEM
+    lc, rows = term_rows(m, a.term, cut.prefix if umem else ())
+    if kind == AtomKind.IMEM or umem and cut.cls is CutClass.SUBGROUP:
+        lead = first_nonzero(rows[:cut.stabilizer])
         return lambda p, f: not lead(p, f[DENOM])
-    if cut is None:
+    if not umem:
         lead = first_nonzero(rows)
         return {AtomKind.LT: lambda p, f: lead(p, f[DENOM]) < 0,
                 AtomKind.LE: lambda p, f: lead(p, f[DENOM]) <= 0,
                 AtomKind.EQ: lambda p, f: not lead(p, f[DENOM]),
                 AtomKind.NEQ: lambda p, f: lead(p, f[DENOM]) != 0}[kind]
-    if j < m.dim and isinstance(thr[j], IrrationalOracle):
-        row, alpha = rows[j], thr[j]
+    j = len(cut.prefix)
+    if cut.oracle is not None:
+        row, alpha = rows[j], cut.oracle
 
         def rest(p, f) -> bool:
             d = f[DENOM]
@@ -482,7 +498,8 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
         if j == 0:
             return rest
     else:
-        inside = j < m.dim or not cut.strict  # +inf entry, or t = threshold
+        # +inf entry, or t = threshold
+        inside = j < m.dim or not m.u_interp.strict
         rest = lambda p, f: inside
     lead = first_nonzero(rows[:j])
 

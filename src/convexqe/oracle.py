@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Union
 
 from .closures import BUDGET, DENOM, Evaluator, Lowering, int_row
 from .errors import BudgetExceededError
-from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IrrationalOracle,
+from .models import (DEFAULT_PRECISION_BITS, IrrationalOracle,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
@@ -131,12 +131,7 @@ class _Decomposer:
         # one CAtom per distinct atom: decisions keep their trees cached,
         # and the same atom recurs across a tree's clauses
         self.atoms: dict[CAtom, CAtom] = {}
-        self.alpha: Optional[IrrationalOracle] = None
-        if isinstance(m.u_interp, DownwardCut):
-            for e in m.u_interp.threshold:
-                if isinstance(e, IrrationalOracle):
-                    self.alpha = e
-                    break
+        self.alpha = m.cut.oracle
 
     # ground decision of symbol-free atoms happens eagerly so trees stay small
     def _ground_sign(self, form: LinForm) -> Optional[int]:
@@ -208,7 +203,7 @@ class _Decomposer:
         return walk(0)
 
     def i_atom(self, t: Term) -> BNode:
-        return self.prefix_zero(t, self.m.stabilizer_level())
+        return self.prefix_zero(t, self.m.cut.stabilizer)
 
     # -- formula decomposition ----------------------------------------------
 

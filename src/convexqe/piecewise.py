@@ -273,9 +273,9 @@ def _piece_const_to_json(t: Term) -> dict:
 
 
 def _piece_const_from_json(d: dict) -> Term:
-    return Term.make((), e_in=Fraction(d.get("e_in", 0)),
-                     e_out=Fraction(d.get("e_out", 0)),
-                     offset=Fraction(d.get("intercept", 0)))
+    return Term((), e_in=Fraction(d.get("e_in", 0)),
+                e_out=Fraction(d.get("e_out", 0)),
+                offset=Fraction(d.get("intercept", 0)))
 
 
 def unary_to_json(f: UnaryPiecewiseLinear) -> dict:

@@ -9,12 +9,12 @@ at this scale; every returned certificate re-verifies by direct evaluation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .classifier import classify, stabilizer, IRRATIONAL_NONVALUATIONAL
-from .cutarith import cut_info, cut_members, deciding_oracle, edge_sign
+from .cutarith import cut_members, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
 from .fuzz import (SAMPLE_DENOM, int_sample_pool, model_sample_pool,
@@ -47,9 +47,7 @@ class VerifyReport:
     failure: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {"passed": self.passed, "samples": self.samples,
-                "applicable": self.applicable, "seed": self.seed,
-                "failure": self.failure}
+        return asdict(self)
 
 
 def _shown(numerators, denom: int = SAMPLE_DENOM) -> list[str]:
@@ -179,10 +177,9 @@ def obstruction_find(m: ModelDescriptor,
 
 
 def _interval_snapshot(m: ModelDescriptor) -> Optional[list[str]]:
-    info = cut_info(m)
-    if info.kind != "oracle":
+    if m.cut.oracle is None:
         return None
-    lo, hi = deciding_oracle(m).refine(16)
+    lo, hi = m.cut.oracle.refine(16)
     return [str(lo), str(hi)]
 
 

@@ -73,11 +73,6 @@ class Term(tuple):
                            c.numerator * (den // c.denominator), den))
 
     @staticmethod
-    def make(coeffs: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = (),
-             e_in=ZERO, e_out=ZERO, offset=ZERO) -> "Term":
-        return Term(coeffs, e_in, e_out, offset)
-
-    @staticmethod
     def var(name: str) -> "Term":
         return _new(Term, (((name, 1),), 0, 0, 0, 1))
 

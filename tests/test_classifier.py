@@ -12,11 +12,14 @@ from convexqe.classifier import (IRRATIONAL_NONVALUATIONAL,
 from convexqe.cutarith import closure_member, simplest_between
 from convexqe.errors import (NonvaluationalInterpretationError,
                              PreconditionViolatedError)
-from convexqe.models import (DownwardCut, ModelDescriptor, PLUS_INF, PiOracle,
-                             Point, SqrtOracle, u_member)
+from convexqe.models import (DownwardCut, IrrationalOracle, ModelDescriptor,
+                             PLUS_INF, PiOracle, Point, SqrtOracle,
+                             SubgroupLevel, u_member)
 from convexqe.piecewise import (BinaryPiece, BinaryPiecewiseLinear,
                                 UnaryPiecewiseLinear, pluslike_from_unary)
 from convexqe.fuzz import gen_point
+
+from conftest import get_model
 
 
 class TestClassify:
@@ -77,12 +80,14 @@ class TestClassify:
     def test_falsifier_for_a_tiny_bump(self):
         # sqrt(2) = [1; 2, 2, ...] has a continued-fraction term per bit or
         # so, and the falsifier squeezes the cut below eps: thousands of
-        # terms, more than the recursion limit
-        m = ModelDescriptor(1, DownwardCut((SqrtOracle(2),)),
-                            Point.of(Fraction(1, 2)), Point.of(2))
-        eps = Point.of(Fraction(1, 2 ** 3000))
-        a = classify(m).falsifier(eps)
-        assert u_member(m, a) and not u_member(m, a + eps)
+        # terms, more than the recursion limit; pi needs its series to
+        # thousands of terms (a fresh model: refinements are kept)
+        m_sqrt2 = ModelDescriptor(1, DownwardCut((SqrtOracle(2),)),
+                                  Point.of(Fraction(1, 2)), Point.of(2))
+        for m, bits in ((m_sqrt2, 3000), (get_model("q1_pi"), 6000)):
+            eps = Point.of(Fraction(1, 2 ** bits))
+            a = classify(m).falsifier(eps)
+            assert u_member(m, a) and not u_member(m, a + eps)
 
 
 class TestSimplestBetween:
@@ -135,6 +140,7 @@ class TestStabilizer:
         for m in models.values():
             val = classify(m).cut_kind == IRRATIONAL_VALUATIONAL
             assert (stabilizer(m) < m.dim) == val
+            _check_shape(m)
 
 
 class TestFValuational:
@@ -266,6 +272,23 @@ class TestRandomThresholdCrossCheck:
             built += 1
             val = classify(m).cut_kind == IRRATIONAL_VALUATIONAL
             assert (stabilizer(m) < m.dim) == val, m.describe()
+            _check_shape(m)
+
+
+def _check_shape(m):
+    """m.cut against the independent stabilizer and the threshold entries:
+    the prefix is its leading rationals, the oracle its irrational entry."""
+    assert m.cut.stabilizer == stabilizer(m), m.describe()
+    if isinstance(m.u_interp, SubgroupLevel):
+        assert (m.cut.prefix, m.cut.oracle) == ((), None)
+        return
+    t = m.u_interp.threshold
+    n = len(m.cut.prefix)
+    assert m.cut.prefix == t[:n], m.describe()
+    assert all(isinstance(e, Fraction) for e in t[:n])
+    assert n == m.dim or not isinstance(t[n], Fraction)
+    irrational = [e for e in t if isinstance(e, IrrationalOracle)]
+    assert m.cut.oracle is (irrational[0] if irrational else None)
 
 
 def _identity_tail_pl(rng):

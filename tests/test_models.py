@@ -39,6 +39,18 @@ class TestOracles:
         above = Fraction(3141592653589793238463, 10 ** 21)  # > pi
         assert lo2 < above and below < hi2
 
+    def test_arctan_partial_sums(self):
+        # the integer Horner sums are the Fraction partial sums exactly
+        def reference(x, terms):
+            s = prev = Fraction(0)
+            for k in range(terms):
+                prev, s = s, s + Fraction((-1) ** k,
+                                          (2 * k + 1) * x ** (2 * k + 1))
+            return (s, prev) if s < prev else (prev, s)
+        for x in (5, 239):
+            for terms in (1, 4, 5, 8, 36, 260):
+                assert PiOracle._arctan_inv(x, terms) == reference(x, terms)
+
     def test_sqrt_interval(self):
         o = SqrtOracle(Fraction(2))
         lo, hi = o.refine(40)

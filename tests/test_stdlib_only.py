@@ -63,3 +63,32 @@ def test_benchmark_imports_resolve():
                 missing += [f"{path.name}:{node.lineno}: {node.module}.{a.name}"
                             for a in node.names if not hasattr(mod, a.name)]
     assert missing == []
+
+
+def _unused_imports(tree: ast.Module):
+    """Names the module imports but neither reads nor lists in __all__."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_every_import_is_used():
+    """Every imported name is used or re-exported through __all__, so a
+    refactor leaves no dead import behind; __init__ only re-exports."""
+    unused = [f"{path.name}:{line}: {name}"
+              for path in sorted(PACKAGE.rglob("*.py"))
+              if path.name != "__init__.py"
+              for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []

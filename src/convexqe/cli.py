@@ -55,6 +55,14 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer argument (a negative one is a usage error)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _qe_options(args) -> QeOptions:
     return QeOptions(dnf_budget=args.budget_dnf, depth_budget=args.budget_depth,
                      inject_bug=getattr(args, "inject_bug", False))
@@ -260,7 +268,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--target", default="y")
     p.add_argument("--sk", required=True, help="JSON guard/witness list")
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_count, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_skolem)
 
@@ -291,8 +299,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="differential elimination fuzzing")
     p.add_argument("--model", required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--assignments", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
+    p.add_argument("--assignments", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--inject-bug", action="store_true",

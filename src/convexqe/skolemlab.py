@@ -17,8 +17,8 @@ from .classifier import classify, stabilizer, IRRATIONAL_NONVALUATIONAL
 from .cutarith import cut_members, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
-from .fuzz import (SAMPLE_DENOM, int_sample_pool, model_sample_pool,
-                   pool_drawer)
+from .fuzz import (SAMPLE_BLOCK, SAMPLE_DENOM, int_sample_pool,
+                   model_sample_pool, pool_drawer)
 from .models import (DEFAULT_PRECISION_BITS, ModelDescriptor, Point,
                      compile_formula, i_member, term_rows, term_value,
                      u_member)
@@ -60,6 +60,8 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     """Sample parameter tuples; wherever the eliminated existential holds,
     some guard must fire and its witness must satisfy phi.  The existential
     and the guards share one lowering and one frame per sample."""
+    if samples < 0:
+        raise ValueError("the sample count must not be negative")
     st = st or build_structure(m)
     params = sorted(free_vars(phi) - {sk.target})
     existential = qe_star(Exists(sk.target, phi), st)
@@ -74,27 +76,45 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
         cases.append((guard, lc, rows, phi_eval.at(lc * SAMPLE_DENOM,
                                                    DEFAULT_PRECISION_BITS)))
     draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
+    dim = m.dim
+    width = len(params) * dim
+    lcs = {lc for _, lc, _, _ in cases}
     applicable = 0
-    for i in range(samples):
-        ints = {v: draw(m.dim) for v in params}
-        frame = [SAMPLE_DENOM, DEFAULT_PRECISION_BITS, *blank]
-        if not ex(ints, frame):
-            continue
-        applicable += 1
-        for guard, lc, rows, check in cases:
-            if guard(ints, frame):
-                break
-        else:
-            return VerifyReport(False, samples, applicable, seed, failure={
-                "kind": "no-guard-fired", "sample_index": i,
-                "assignment": {v: _shown(p) for v, p in ints.items()}})
-        pts = {v: tuple(c * lc for c in p) for v, p in ints.items()}
-        pts[sk.target] = w = tuple(r(ints, SAMPLE_DENOM) for r in rows)
-        if not check(pts):
-            return VerifyReport(False, samples, applicable, seed, failure={
-                "kind": "witness-fails", "sample_index": i,
-                "assignment": {v: _shown(p) for v, p in ints.items()},
-                "witness": _shown(w, lc * SAMPLE_DENOM)})
+    ints: dict = {}
+    pts: dict = {}
+    # samples drawn a block at a time, as {v: draw(dim) for v in params}
+    # each; the witness side reads them scaled once per distinct lc
+    for first in range(0, samples, SAMPLE_BLOCK):
+        block = min(SAMPLE_BLOCK, samples - first)
+        flat = draw(block * width)
+        scaled = {lc: flat if lc == 1 else tuple(c * lc for c in flat)
+                  for lc in lcs}
+        for j in range(block):
+            at = j * width
+            for v in params:
+                ints[v] = flat[at:at + dim]
+                at += dim
+            frame = [SAMPLE_DENOM, DEFAULT_PRECISION_BITS, *blank]
+            if not ex(ints, frame):
+                continue
+            applicable += 1
+            for guard, lc, rows, check in cases:
+                if guard(ints, frame):
+                    break
+            else:
+                return VerifyReport(False, samples, applicable, seed, failure={
+                    "kind": "no-guard-fired", "sample_index": first + j,
+                    "assignment": {v: _shown(p) for v, p in ints.items()}})
+            big, at = scaled[lc], j * width
+            for v in params:
+                pts[v] = big[at:at + dim]
+                at += dim
+            pts[sk.target] = w = tuple(r(ints, SAMPLE_DENOM) for r in rows)
+            if not check(pts):
+                return VerifyReport(False, samples, applicable, seed, failure={
+                    "kind": "witness-fails", "sample_index": first + j,
+                    "assignment": {v: _shown(p) for v, p in ints.items()},
+                    "witness": _shown(w, lc * SAMPLE_DENOM)})
     return VerifyReport(True, samples, applicable, seed)
 
 
@@ -234,7 +254,8 @@ def choice_violation(m: ModelDescriptor, cand: Candidate,
                            m.unit.scale(b)])
     draw = pool_drawer(random.Random(seed),
                        (*SAMPLE_POOL, *model_sample_pool(m)))
-    ladder.extend(Point(draw(m.dim)) for _ in range(40))
+    flat = draw(40 * m.dim)
+    ladder.extend(Point(flat[i:i + m.dim]) for i in range(0, len(flat), m.dim))
 
     for a in ladder:
         w = fn(a)

@@ -28,7 +28,7 @@ from convexqe.syntax import (And, Exists, Not, Or, canonicalize_bound,
                              free_vars, print_formula)
 from convexqe.parser import parse_formula as _parse
 
-from conftest import VALUATIONAL_NAMES
+from conftest import VALUATIONAL_NAMES, random_cut_model
 
 
 def _report(criterion: int, ok: bool, detail: str):
@@ -99,7 +99,7 @@ class TestAcceptance:
         trials = 0
         pool = list(models.values())
         while len(pool) < len(models) + 50:
-            m = _random_cut_model(rng)
+            m = random_cut_model(rng)
             if m is not None:
                 pool.append(m)
         for m in pool:
@@ -294,40 +294,3 @@ def _identity_tail_pl(rng):
         c_left = (slopes[i + 1] - slopes[i]) * b + consts[0]
         consts.insert(0, c_left)
     return UnaryPiecewiseLinear.of(bps, list(zip(slopes, consts)))
-
-
-def _random_cut_model(rng):
-    from convexqe.errors import MalformedModelError
-    from convexqe.models import (DownwardCut, ModelDescriptor, PLUS_INF,
-                                 PiOracle, SqrtOracle)
-    dim = rng.randint(1, 3)
-    kind = rng.choice(["rational", "oracle", "inf", "oracle", "inf"])
-    if kind == "rational":
-        entries = [Fraction(rng.randint(1, 4)) for _ in range(dim)]
-    elif kind == "oracle":
-        pos = rng.randint(0, dim - 1)
-        entries = [Fraction(rng.randint(1, 4)) for _ in range(dim)]
-        entries[pos] = rng.choice([PiOracle(), SqrtOracle(Fraction(2)),
-                                   SqrtOracle(Fraction(5))])
-    else:
-        if dim == 1:
-            return None
-        pos = rng.randint(1, dim - 1)
-        entries = [Fraction(rng.randint(1, 4)) for _ in range(pos)]
-        entries += [PLUS_INF] * (dim - pos)
-    interp = DownwardCut(tuple(entries), rng.random() < 0.5)
-    k = dim
-    for i, e in enumerate(entries):
-        if isinstance(e, PLUS_INF.__class__):
-            k = i
-            break
-        if not isinstance(e, Fraction):
-            k = i + 1 if i + 1 < dim else dim
-            break
-    e_in = Point.unit(dim, k) if k < dim \
-        else Point.unit(dim, 0).scale(Fraction(1, 2))
-    e_out = Point.unit(dim, 0).scale(6)
-    try:
-        return ModelDescriptor(dim, interp, e_in, e_out)
-    except MalformedModelError:
-        return None

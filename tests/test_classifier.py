@@ -13,13 +13,13 @@ from convexqe.cutarith import closure_member, simplest_between
 from convexqe.errors import (NonvaluationalInterpretationError,
                              PreconditionViolatedError)
 from convexqe.models import (DownwardCut, IrrationalOracle, ModelDescriptor,
-                             PLUS_INF, PiOracle, Point, SqrtOracle,
+                             PLUS_INF, Point, SqrtOracle,
                              SubgroupLevel, u_member)
 from convexqe.piecewise import (BinaryPiece, BinaryPiecewiseLinear,
                                 UnaryPiecewiseLinear, pluslike_from_unary)
 from convexqe.fuzz import gen_point
 
-from conftest import get_model
+from conftest import get_model, random_cut_model
 
 
 class TestClassify:
@@ -266,7 +266,7 @@ class TestRandomThresholdCrossCheck:
         rng = random.Random(35)
         built = 0
         while built < 50:
-            m = _random_cut_model(rng)
+            m = random_cut_model(rng)
             if m is None:
                 continue
             built += 1
@@ -309,46 +309,3 @@ def _identity_tail_pl(rng):
     for s, c in zip(slopes, consts):
         pieces.append((s, c))
     return UnaryPiecewiseLinear.of(bps, pieces)
-
-
-def _random_cut_model(rng):
-    from convexqe.errors import MalformedModelError
-    dim = rng.randint(1, 3)
-    entries = []
-    kind = rng.choice(["rational", "oracle", "inf", "oracle", "inf"])
-    if kind == "rational":
-        entries = [Fraction(rng.randint(1, 4)) for _ in range(dim)]
-    elif kind == "oracle":
-        pos = rng.randint(0, dim - 1)
-        oracle = rng.choice([PiOracle(), SqrtOracle(Fraction(2)),
-                             SqrtOracle(Fraction(5))])
-        entries = [Fraction(rng.randint(1, 4)) for _ in range(dim)]
-        entries[pos] = oracle
-    else:
-        if dim == 1:
-            return None
-        pos = rng.randint(1, dim - 1)
-        entries = [Fraction(rng.randint(1, 4)) for _ in range(pos)]
-        entries += [PLUS_INF] * (dim - pos)
-    interp = DownwardCut(tuple(entries), rng.random() < 0.5)
-    m_probe = object.__new__(ModelDescriptor)
-    # choose constants for the candidate interpretation
-    k = _stab_of_entries(entries, dim)
-    if k < dim:
-        e_in = Point.unit(dim, k)
-    else:
-        e_in = Point.unit(dim, 0).scale(Fraction(1, 2))
-    e_out = Point.unit(dim, 0).scale(6)
-    try:
-        return ModelDescriptor(dim, interp, e_in, e_out)
-    except MalformedModelError:
-        return None
-
-
-def _stab_of_entries(entries, dim):
-    for i, e in enumerate(entries):
-        if isinstance(e, PLUS_INF.__class__):
-            return i
-        if not isinstance(e, Fraction):
-            return i + 1 if i + 1 < dim else dim
-    return dim

@@ -238,6 +238,26 @@ class TestFuzzCommand:
         assert report["discrepancy_count"] >= 1
         assert report["discrepancies"][0]["minimized"]
 
+    @pytest.mark.parametrize("argv", [
+        ("fuzz", "--model", "lex2_sub1.json", "--count", "2",
+         "--assignments", "-3"),
+        ("fuzz", "--model", "lex2_sub1.json", "--count", "-1"),
+        ("verify-skolem", "--model", "lex2_sub1.json", "--phi", "x < y",
+         "--target", "y", "--sk", FILE, "--samples", "-5"),
+    ], ids=["negative-assignments", "negative-count", "negative-samples"])
+    def test_negative_counts_are_usage_errors(self, capsys, tmp_path, argv):
+        path = tmp_path / "sk.json"
+        path.write_text("[]")
+        rc, out, err = run(capsys, "--format", "json",
+                           *(str(path) if a is FILE else a for a in argv))
+        assert rc == 2 and out == ""
+        assert "must not be negative" in err
+
+    def test_zero_counts_are_accepted(self, capsys):
+        rc, out, _ = run(capsys, "fuzz", "--model", "lex2_sub1.json",
+                         "--count", "2", "--assignments", "0")
+        assert rc == 0 and out.startswith("checked 2 formulas, 0 assignments")
+
     def test_byte_identical_reports(self, capsys):
         args = ["--format", "json", "fuzz", "--model", "lex3_val_1pi0.json",
                 "--count", "20", "--assignments", "25", "--seed", "99"]

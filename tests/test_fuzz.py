@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from convexqe.cutqe import build_structure, qe_star
 from convexqe.doagqe import QeOptions
 from convexqe.errors import BudgetExceededError
@@ -76,3 +78,10 @@ class TestRunFuzzDraws:
             found += report["discrepancy_count"]
         # a discrepancy records its assignment, so the draws are compared too
         assert found == 2
+
+    @pytest.mark.parametrize("formulas, assignments", [(-1, 5), (2, -3)])
+    def test_negative_counts_are_refused(self, m_sub2, formulas,
+                                         assignments):
+        with pytest.raises(ValueError):
+            run_fuzz(m_sub2, FuzzConfig(formulas=formulas,
+                                        assignments=assignments))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import convexqe.skolemlab as skolemlab
 from convexqe.cutqe import SkolemDefinition, build_structure, skolemize
 from convexqe.errors import PreconditionViolatedError
 from convexqe.models import i_member, u_member
@@ -55,6 +56,34 @@ class TestVerifySkolem:
         x = [Fraction(c) for c in rep.failure["assignment"]["x"]]
         assert rep.failure["witness"] == [str(x[0] + Fraction(2, 3))] + [
             str(c) for c in x[1:]]
+
+
+    @pytest.mark.parametrize("phi, cases", [
+        ("x < y & U(y)", None),
+        ("x < y", (("x < 3", "x + 1"),)),
+        ("x < y & y < 4", (("true", "x + 1/2"),)),
+        ("x < y & E z. (y < z & z < x + 1/7 * e_out)",
+         (("true", "x + 1/5 * e_in"),)),
+        ("x < y & E z. (y < z & z < x + 1/7 * e_out)",
+         (("true", "x + 1/3 * e_out"),)),
+    ], ids=["synthesized", "no-guard-at-42", "witness-fails-at-66",
+        "lc-5", "lc-3"])
+    def test_reports_do_not_depend_on_the_block(self, m_1pi0, monkeypatch,
+                                                phi, cases):
+        """Samples drawn in blocks of seven, failures included, give the
+        report drawn in one batch."""
+        phi = parse_formula(phi)
+        sk = (skolemize(phi, "y", build_structure(m_1pi0)) if cases is None
+              else SkolemDefinition("y", tuple(
+                  (parse_formula(g), parse_term(w)) for g, w in cases)))
+        whole = verify_skolem(m_1pi0, phi, sk, samples=300, seed=9)
+        monkeypatch.setattr(skolemlab, "SAMPLE_BLOCK", 7)
+        assert verify_skolem(m_1pi0, phi, sk, samples=300, seed=9) == whole
+
+    def test_negative_sample_count_is_refused(self, m_sub2):
+        with pytest.raises(ValueError):
+            verify_skolem(m_sub2, parse_formula("x < y"),
+                          SkolemDefinition("y", ()), samples=-5)
 
 
 class TestObstruction:

@@ -11,8 +11,7 @@ from .classifier import (CanonicalCut, ClassificationReport,
                          stabilizer)
 from .cutqe import (CutClass, CutStructure, ResistanceResult,
                     SkolemDefinition, build_structure, check_resistance,
-                    eliminate_one_cut, qe, qe_star, qe_star_model, skolemize,
-                    skolemize_model)
+                    eliminate_one_cut, qe, qe_star, skolemize)
 from .doagqe import QeOptions
 from .errors import (BudgetExceededError, ConstantPieceUnsupportedError,
                      ConvexQEError, FormulaSyntaxError, MalformedModelError,

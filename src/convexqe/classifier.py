@@ -22,8 +22,7 @@ from .errors import (NonvaluationalInterpretationError,
 from .models import (CutClass, DownwardCut, IrrationalOracle,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel,
                      term_value, u_member)
-from .piecewise import (BinaryPiecewiseLinear, check_pluslike,
-                        normalize_monotone, pluslike_from_unary)
+from .piecewise import BinaryPiecewiseLinear, check_pluslike
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -315,7 +314,6 @@ def canonicalize_cut(m: ModelDescriptor) -> CanonicalCut:
 __all__ = [
     "ClassificationReport", "classify", "stabilizer", "stabilizer_escape",
     "FValuationalResult", "f_valuational", "CanonicalCut", "canonicalize_cut",
-    "canonical_member", "normalize_monotone", "check_pluslike",
-    "pluslike_from_unary", "RATIONAL_CUT", "IRRATIONAL_VALUATIONAL",
+    "canonical_member", "RATIONAL_CUT", "IRRATIONAL_VALUATIONAL",
     "IRRATIONAL_NONVALUATIONAL",
 ]

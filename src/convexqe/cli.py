@@ -16,18 +16,18 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .classifier import (canonicalize_cut, classify, normalize_monotone,
-                         check_pluslike)
+from .classifier import canonicalize_cut, classify
 from .cutqe import (SkolemDefinition, build_structure, qe_star, skolemize)
 from .doagqe import QeOptions
 from .errors import ConvexQEError, FormulaSyntaxError
 from .fuzz import FuzzConfig, run_fuzz
 from .models import Point, eval_formula, load_model
 from .parser import parse_formula, parse_term
-from .piecewise import binary_from_json, fn_from_json, unary_to_json
+from .piecewise import (UnaryPiecewiseLinear, binary_from_json,
+                        check_pluslike, fn_from_json, normalize_monotone,
+                        unary_to_json)
 from .skolemlab import choice_violation, obstruction_find, verify_skolem
 from .syntax import free_vars, is_quantifier_free, print_formula
-from .piecewise import UnaryPiecewiseLinear
 
 FIXTURES_ENV = "CONVEXQE_FIXTURES"
 
@@ -239,9 +239,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--format", choices=("human", "json"), default="human")
     ap.add_argument("--precision", type=int, default=4096,
-                    help="interval refinement bit budget")
-    ap.add_argument("--budget-dnf", type=int, default=50_000)
-    ap.add_argument("--budget-depth", type=int, default=64)
+                    help="interval refinement bit budget (eval only)")
+    ap.add_argument("--budget-dnf", type=int, default=50_000,
+                    help="DNF clause budget (eliminate, skolemize, fuzz)")
+    ap.add_argument("--budget-depth", type=int, default=64,
+                    help="quantifier depth budget (eliminate, skolemize, "
+                         "fuzz)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="echo the canonical printing")

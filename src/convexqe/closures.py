@@ -12,10 +12,10 @@ semantics.
 A root takes ``(points, frame)`` and runs one loop: it reads or fills the
 atom's frame slot, then jumps.  ``points`` maps each variable to a tuple of
 integer coordinate numerators over one common denominator.  ``frame`` is a
-fresh list per call: the denominator, the precision budget for irrational
-comparisons, then one cache slot per distinct atom.  The roots of one
-lowering (an existential and its guards, say) share its table: called at
-the same points with one frame, they test each atom at most once.
+fresh list per call, ``[denom, *slots]``: the denominator, then one cache
+slot per distinct atom.  The roots of one lowering (an existential and its
+guards, say) share its table: called at the same points with one frame,
+they test each atom at most once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from typing import Callable, Mapping
 
 DENOM = 0
-BUDGET = 1
 TRUE, FALSE = -1, -2  # a root's exits; rows are numbered from 0
 
 
@@ -68,8 +67,7 @@ class Lowering:
             if slot is None:
                 slot = slots.get(atom)
                 if slot is None:
-                    slot = slots[atom] = (BUDGET + 1 + len(slots),
-                                          self._lower(atom))
+                    slot = slots[atom] = (1 + len(slots), self._lower(atom))
                 seen[id(atom)] = slot
             if t == e:  # the test cannot matter, so it is not run
                 entry = t
@@ -105,24 +103,24 @@ class Evaluator:
         self.roots = tuple(_root(rows, entry) for entry in entries)
         self.blank = (None,) * atoms
 
-    def at(self, denom: int, budget: int) -> Callable[[Mapping], bool]:
+    def at(self, denom: int) -> Callable[[Mapping], bool]:
         """Truth as a function of integer points: each variable's coordinate
         numerators over denom."""
         root, blank = self.roots[0], self.blank
-        return lambda points: root(points, [denom, budget, *blank])
+        return lambda points: root(points, [denom, *blank])
 
-    def frame_points(self, points: Mapping, budget: int) -> tuple[dict, list]:
+    def frame_points(self, points: Mapping) -> tuple[dict, list]:
         """Points cleared to one common denominator, and a fresh frame."""
         denom = math.lcm(*(q.denominator for p in points.values()
                            for q in p.coords))
         ints = {v: tuple(q.numerator * (denom // q.denominator)
                          for q in p.coords)
                 for v, p in points.items()}
-        return ints, [denom, budget, *self.blank]
+        return ints, [denom, *self.blank]
 
-    def eval_points(self, points: Mapping, budget: int) -> bool:
+    def eval_points(self, points: Mapping) -> bool:
         """Truth at Point coordinates."""
-        return self.roots[0](*self.frame_points(points, budget))
+        return self.roots[0](*self.frame_points(points))
 
 
 def int_row(terms: tuple[tuple[str, int, int], ...], const: int):

@@ -46,9 +46,8 @@ from .cutarith import (cut_members, edge_sign, escape_witness,
 from .doagqe import QeOptions
 from .errors import (BudgetExceededError, NonvaluationalInterpretationError,
                      SkolemShapeUnsupportedError, UnsupportedCutError)
-from .models import (DEFAULT_PRECISION_BITS, CutClass, DownwardCut,
-                     ModelDescriptor, Point, SubgroupLevel, compile_formula,
-                     term_value, u_member)
+from .models import (CutClass, DownwardCut, ModelDescriptor, Point,
+                     SubgroupLevel, compile_formula, term_value, u_member)
 from .normalform import (Literal, dnf_clauses, negate, normalize_atoms,
                          simplify, simplify_node)
 from .piecewise import UnaryPiecewiseLinear
@@ -439,11 +438,6 @@ def qe(f: Formula, options: Optional[QeOptions] = None) -> Formula:
     return _qe(f, PURE_GROUP, options or QeOptions())
 
 
-def qe_star_model(f: Formula, m: ModelDescriptor,
-                  options: Optional[QeOptions] = None) -> Formula:
-    return qe_star(f, build_structure(m), options)
-
-
 # ---------------------------------------------------------------------------
 # Skolem synthesis
 
@@ -460,7 +454,7 @@ class SkolemDefinition:
         low = compile_formula(m, *(guard for guard, _ in self.cases))
 
         def choose(asgn) -> Optional[Point]:
-            ints, frame = low.frame_points(asgn, DEFAULT_PRECISION_BITS)
+            ints, frame = low.frame_points(asgn)
             return next((term_value(m, term, asgn) for guard, (_, term) in
                          zip(low.roots, self.cases) if guard(ints, frame)),
                         None)
@@ -561,11 +555,6 @@ def skolemize(phi: Formula, target: str, st: CutStructure,
                     seen.add(key)
                     cases.append((guard, w))
     return SkolemDefinition(target, tuple(cases))
-
-
-def skolemize_model(phi: Formula, target: str, m: ModelDescriptor,
-                    options: Optional[QeOptions] = None) -> SkolemDefinition:
-    return skolemize(phi, target, build_structure(m), options)
 
 
 # ---------------------------------------------------------------------------

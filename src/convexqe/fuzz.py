@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 from .cutqe import CutStructure, build_structure, qe_star
 from .doagqe import QeOptions
 from .errors import BudgetExceededError, ConvexQEError
-from .models import (DEFAULT_PRECISION_BITS, DownwardCut, IntCompiledFormula,
-                     ModelDescriptor, Point, compile_formula, model_to_json)
+from .models import (DownwardCut, IntCompiledFormula, ModelDescriptor, Point,
+                     model_to_json)
 from .normalform import DEFAULT_DNF_BUDGET
 from .oracle import IntOracleEval, oracle_compile
 from .syntax import (And, AtomKind, Exists, Forall, Formula, Not, Or, Term,
@@ -188,17 +188,22 @@ def model_sample_pool(m: ModelDescriptor) -> tuple[Fraction, ...]:
     return ()
 
 
-def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, asgn,
+def _shown(numerators, denom: int = SAMPLE_DENOM) -> list[str]:
+    """Coordinate numerators over denom, as reports print them."""
+    return [str(Fraction(c, denom)) for c in numerators]
+
+
+def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, ints: dict,
             options: QeOptions) -> Formula:
     """Greedy shrink: replace subformulas by constants while the
-    elimination/oracle disagreement persists at the same assignment."""
+    elimination/oracle disagreement persists at the same assignment, given
+    as coordinate numerators over SAMPLE_DENOM."""
 
     def disagrees(g: Formula) -> bool:
         try:
             out = qe_star(g, st, options)
-            lhs = compile_formula(m, out).eval_points(asgn,
-                                                      DEFAULT_PRECISION_BITS)
-            rhs = oracle_compile(m, g).eval(asgn)
+            lhs = IntCompiledFormula(m, out, SAMPLE_DENOM).eval(ints)
+            rhs = IntOracleEval(oracle_compile(m, g), SAMPLE_DENOM).eval(ints)
             return lhs != rhs
         except ConvexQEError:
             return False
@@ -216,7 +221,7 @@ def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, asgn,
                 continue
             for repl in (TRUE, FALSE):
                 cand = replace(current, sub, repl)
-                if free_vars(cand) - set(asgn):
+                if free_vars(cand) - ints.keys():
                     continue
                 if disagrees(cand):
                     current = cand
@@ -285,14 +290,11 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
         total_assignments += done
         if ints is None:
             continue
-        asgn = {v: Point(tuple(Fraction(c, SAMPLE_DENOM) for c in p))
-                for v, p in ints.items()}
-        small = _shrink(m, st, f, asgn, options)
+        small = _shrink(m, st, f, ints, options)
         discrepancies.append({
             "formula": print_formula(f),
             "minimized": print_formula(small),
-            "assignment": {v: [str(c) for c in p.coords]
-                           for v, p in sorted(asgn.items())},
+            "assignment": {v: _shown(p) for v, p in sorted(ints.items())},
             "qe_output": print_formula(out),
             "expected": orc.eval(ints),
             "got": comp.eval(ints),

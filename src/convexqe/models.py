@@ -27,8 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .closures import (BUDGET, DENOM, Evaluator, Lowering, first_nonzero,
-                       int_row)
+from .closures import DENOM, Evaluator, Lowering, first_nonzero, int_row
 from .errors import (MalformedModelError, PrecisionBudgetError)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
@@ -132,8 +131,12 @@ class IrrationalOracle:
             if q > hi:
                 return 1
             bits *= 2
+        # q is described, not printed: it may have more digits than str()
+        # converts
         raise PrecisionBudgetError(
-            f"could not separate {q} from {self.tag} within {budget} bits")
+            f"could not separate a rational ({q.numerator.bit_length()}-bit "
+            f"numerator, {q.denominator.bit_length()}-bit denominator) from "
+            f"{self.tag} within {budget} bits")
 
     def __eq__(self, other):
         return isinstance(other, IrrationalOracle) and self.tag == other.tag
@@ -494,7 +497,7 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
 
         def rest(p, f) -> bool:
             d = f[DENOM]
-            return alpha.compare(Fraction(row(p, d), lc * d), f[BUDGET]) < 0
+            return alpha.compare(Fraction(row(p, d), lc * d)) < 0
         if j == 0:
             return rest
     else:
@@ -537,7 +540,7 @@ class IntCompiledFormula:
     variable's coordinate numerators over ``denom``."""
 
     def __init__(self, m: ModelDescriptor, f: Formula, denom: int):
-        self.eval = compile_formula(m, f).at(denom, DEFAULT_PRECISION_BITS)
+        self.eval = compile_formula(m, f).at(denom)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .closures import BUDGET, DENOM, Evaluator, Lowering, int_row
+from .closures import DENOM, Evaluator, Lowering, int_row
 from .errors import BudgetExceededError
-from .models import (DEFAULT_PRECISION_BITS, IrrationalOracle,
-                     ModelDescriptor, PlusInf, Point, SubgroupLevel)
+from .models import (IrrationalOracle, ModelDescriptor, PlusInf, Point,
+                     SubgroupLevel)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
                      Formula, Not, Or, Term, TrueF, fold, rename_bound)
@@ -445,7 +445,7 @@ def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
     def test(p, f) -> bool:
         # row + ac*d*alpha < 0  <=>  alpha lies on ac's side of -row/(ac*d)
         d = f[DENOM]
-        above = alpha.compare(Fraction(-row(p, d), ac * d), f[BUDGET]) > 0
+        above = alpha.compare(Fraction(-row(p, d), ac * d)) > 0
         return lt and above == (ac > 0)  # never 0: alpha is irrational
     return test
 
@@ -466,11 +466,10 @@ class OracleDecision:
         return Lowering(lambda a: _lower_atom(self.alpha, a),
                         _literal).evaluator(self.tree)
 
-    def eval(self, asgn: Mapping[str, Point],
-             precision: int = DEFAULT_PRECISION_BITS) -> bool:
+    def eval(self, asgn: Mapping[str, Point]) -> bool:
         if self._evaluator is None:
             self._evaluator = self.lower()
-        return self._evaluator.eval_points(asgn, precision)
+        return self._evaluator.eval_points(asgn)
 
 
 class IntOracleEval:
@@ -478,7 +477,7 @@ class IntOracleEval:
     variable's coordinate numerators over ``denom``."""
 
     def __init__(self, dec: OracleDecision, denom: int):
-        self.eval = dec.lower().at(denom, DEFAULT_PRECISION_BITS)
+        self.eval = dec.lower().at(denom)
 
 
 # callers reuse the decision they have just compiled (oracle_truth over
@@ -500,7 +499,6 @@ def oracle_compile(m: ModelDescriptor, f: Formula,
 
 
 def oracle_truth(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
-                 budget: int = DEFAULT_ORACLE_BUDGET,
-                 precision: int = DEFAULT_PRECISION_BITS) -> bool:
+                 budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
     """Decide f under asgn by coordinate decomposition (reference path)."""
-    return oracle_compile(m, f, budget).eval(asgn, precision)
+    return oracle_compile(m, f, budget).eval(asgn)

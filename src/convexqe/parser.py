@@ -191,21 +191,27 @@ class _Parser:
         return t
 
     def signed_term(self) -> Term:
-        neg = False
-        while self.peek().text == "-":
+        """A primary term after its prefixes, each a "-" or a "rational *".
+        The prefixes only scale the term, so they are read in a loop and
+        their product applied once."""
+        num, den = 1, 1
+        while True:
+            t = self.peek()
+            if t.text == "-":
+                self.next()
+                num = -num
+                continue
+            if t.kind != "num":
+                term = self.primary_term()
+                return term if num == den else term.scale_ratio(num, den)
+            n, d = self.rational()
+            if self.peek().text != "*":
+                return Term.const(Fraction(n * num, d * den))
             self.next()
-            neg = not neg
-        t = self.primary_term()
-        return -t if neg else t
+            num, den = num * n, den * d
 
     def primary_term(self) -> Term:
         t = self.peek()
-        if t.kind == "num":
-            num, den = self.rational()
-            if self.peek().text == "*":
-                self.next()
-                return self.signed_term().scale_ratio(num, den)
-            return Term.const(Fraction(num, den))
         if t.kind == "name":
             self.next()
             if t.text == "e_in":
@@ -225,21 +231,28 @@ class _Parser:
 
     def rational(self) -> tuple[int, int]:
         """A rational literal as its numerator and positive denominator."""
-        num = int(self.expect_num().text)
+        num = self.integer()
         if self.peek().text == "/":
             self.next()
-            den_tok = self.expect_num()
-            den = int(den_tok.text)
+            den_tok = self.peek()
+            den = self.integer()
             if den == 0:
                 raise FormulaSyntaxError("zero denominator", den_tok.line, den_tok.col)
             return num, den
         return num, 1
 
-    def expect_num(self) -> _Tok:
+    def integer(self) -> int:
         t = self.peek()
         if t.kind != "num":
             self.fail("expected a number")
-        return self.next()
+        try:
+            value = int(t.text)
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise FormulaSyntaxError(
+                f"number too long ({len(t.text)} digits)",
+                t.line, t.col) from None
+        self.next()
+        return value
 
 
 def parse_formula(text: str, known_vars: Optional[set[str]] = None) -> Formula:

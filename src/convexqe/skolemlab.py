@@ -13,15 +13,14 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .classifier import classify, stabilizer, IRRATIONAL_NONVALUATIONAL
+from .classifier import stabilizer
 from .cutarith import cut_members, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
-from .fuzz import (SAMPLE_BLOCK, SAMPLE_DENOM, int_sample_pool,
+from .fuzz import (SAMPLE_BLOCK, SAMPLE_DENOM, _shown, int_sample_pool,
                    model_sample_pool, pool_drawer)
-from .models import (DEFAULT_PRECISION_BITS, ModelDescriptor, Point,
-                     compile_formula, i_member, term_rows, term_value,
-                     u_member)
+from .models import (CutClass, ModelDescriptor, Point, compile_formula,
+                     i_member, term_rows, term_value, u_member)
 from .oracle import oracle_compile
 from .piecewise import UnaryPiecewiseLinear
 from .syntax import Exists, Formula, free_vars, is_quantifier_free
@@ -50,10 +49,6 @@ class VerifyReport:
         return asdict(self)
 
 
-def _shown(numerators, denom: int = SAMPLE_DENOM) -> list[str]:
-    return [str(Fraction(c, denom)) for c in numerators]
-
-
 def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
                   samples: int = 500, seed: int = 0,
                   st: Optional[CutStructure] = None) -> VerifyReport:
@@ -73,8 +68,7 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     cases = []
     for guard, (_, term) in zip(guards, sk.cases):
         lc, rows = term_rows(m, term)
-        cases.append((guard, lc, rows, phi_eval.at(lc * SAMPLE_DENOM,
-                                                   DEFAULT_PRECISION_BITS)))
+        cases.append((guard, lc, rows, phi_eval.at(lc * SAMPLE_DENOM)))
     draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
     dim = m.dim
     width = len(params) * dim
@@ -94,7 +88,7 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
             for v in params:
                 ints[v] = flat[at:at + dim]
                 at += dim
-            frame = [SAMPLE_DENOM, DEFAULT_PRECISION_BITS, *blank]
+            frame = [SAMPLE_DENOM, *blank]
             if not ex(ints, frame):
                 continue
             applicable += 1
@@ -154,8 +148,7 @@ def obstruction_find(m: ModelDescriptor,
     identity, so the sign of the limit decides which violation is achieved
     and interval refinement locates a concrete rational witness.
     """
-    report = classify(m)
-    if report.cut_kind != IRRATIONAL_NONVALUATIONAL:
+    if m.cut.cls is not CutClass.NONVALUATIONAL:
         raise PreconditionViolatedError(
             "obstruction search needs a nonvaluational cut")
     f.require_continuous()

@@ -23,6 +23,12 @@ def get_model(name: str):
     return load_model(fixture_path(name))
 
 
+def past_default_precision() -> Fraction:
+    """A rational below pi that the default precision cannot separate
+    from it: the lower end of a fresh 4,200-bit interval around pi."""
+    return PiOracle().refine(4200)[0]
+
+
 def random_cut_model(rng):
     """A random model of dimension 1 to 3, or None when no e_in fits it.
 

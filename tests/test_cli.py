@@ -9,8 +9,7 @@ import pytest
 from convexqe.cli import fixtures_dir, main
 from convexqe.classifier import classify
 from convexqe.cutqe import build_structure, qe_star
-from convexqe.models import (DEFAULT_PRECISION_BITS, Point, compile_formula,
-                             eval_formula, load_model)
+from convexqe.models import Point, compile_formula, eval_formula, load_model
 from convexqe.oracle import oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.syntax import print_formula
@@ -182,33 +181,65 @@ class TestCommands:
 class TestDeepInput:
     def test_every_entry_point_answers(self, capsys, m_sub2):
         # (x < k & ...) and (k < x | ...) alternately, 3,000 levels deep,
-        # under a recursion limit far below the depth
-        text = "x < 0"
+        # and a term scaled by 3,000 factors, under a recursion limit far
+        # below either depth
+        nested = "x < 0"
         for k in range(1, 3001):
-            text = f"(x < {k} & {text})" if k % 2 else f"({k} < x | {text})"
+            nested = (f"(x < {k} & {nested})" if k % 2
+                      else f"({k} < x | {nested})")
+        scaled = "1 * " * 3000 + "x < 0"
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(250)
         try:
-            f = parse_formula(text)
-            assert parse_formula(print_formula(f)) == f
-            out = qe_star(f, build_structure(m_sub2))
-            ev = compile_formula(m_sub2, f)
-            seen = set()
-            for x in ("-1", "0", "3001/2"):
-                asgn = {"x": Point.of(Fraction(x), 0)}
-                want = oracle_truth(m_sub2, f, asgn)
-                seen.add(want)
-                assert eval_formula(m_sub2, f, asgn) is want, x
-                assert ev.eval_points(asgn, DEFAULT_PRECISION_BITS) is want
-                assert eval_formula(m_sub2, out, asgn) is want, x
-                rc, stdout, err = run(capsys, "eval", "--model",
-                                      "lex2_sub1.json", "--assign",
-                                      json.dumps({"x": [x, "0"]}), text)
+            for text in (nested, scaled):
+                f = parse_formula(text)
+                assert parse_formula(print_formula(f)) == f
+                out = qe_star(f, build_structure(m_sub2))
+                ev = compile_formula(m_sub2, f)
+                seen = set()
+                for x in ("-1", "0", "3001/2"):
+                    asgn = {"x": Point.of(Fraction(x), 0)}
+                    want = oracle_truth(m_sub2, f, asgn)
+                    seen.add(want)
+                    assert eval_formula(m_sub2, f, asgn) is want, x
+                    assert ev.eval_points(asgn) is want
+                    assert eval_formula(m_sub2, out, asgn) is want, x
+                    rc, stdout, err = run(capsys, "eval", "--model",
+                                          "lex2_sub1.json", "--assign",
+                                          json.dumps({"x": [x, "0"]}), text)
+                    assert rc == 0 and err == ""
+                    assert stdout == ("true" if want else "false") + "\n"
+                assert seen == {True, False}
+                rc, stdout, err = run(capsys, "parse", text)
                 assert rc == 0 and err == ""
-                assert stdout == ("true" if want else "false") + "\n"
-            assert seen == {True, False}
+                assert parse_formula(stdout) == f
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_over_long_literal_is_a_syntax_error(self, capsys):
+        # longer than the interpreter converts between int and str
+        rc, out, err = run(capsys, "parse", "1" * 5000 + " * x < 0")
+        assert rc == 2 and out == ""
+        assert err.startswith("syntax error: 1:1: ")
+        assert err.count("\n") == 1
+
+
+class TestPrecision:
+    POINT = json.dumps({"x": ["3141592653589793238462643383279/"
+                              + "1" + "0" * 30]})
+
+    def test_eval_reports_the_exhausted_budget(self, capsys):
+        # 32 bits cannot place x against pi
+        rc, out, err = run(capsys, "--precision", "32", "eval", "--model",
+                           "q1_pi.json", "--assign", self.POINT, "U(x)")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "within 32 bits" in err
+
+    def test_eval_answers_at_the_default(self, capsys):
+        rc, out, err = run(capsys, "eval", "--model", "q1_pi.json",
+                           "--assign", self.POINT, "U(x)")
+        assert rc == 0 and err == "" and out == "true\n"
 
 
 class TestCorpus:

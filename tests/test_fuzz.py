@@ -45,7 +45,7 @@ def replay_fuzz(m, config: FuzzConfig) -> dict:
             got = eval_formula(m, out, asgn)
             expected = oracle_truth(m, f, asgn)
             if got != expected:
-                small = _shrink(m, st, f, asgn, options)
+                small = _shrink(m, st, f, ints, options)
                 discrepancies.append({
                     "formula": print_formula(f),
                     "minimized": print_formula(small),

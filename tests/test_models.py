@@ -12,8 +12,7 @@ from convexqe.cutqe import build_structure, qe_star, skolemize
 from convexqe.errors import (ConvexQEError, MalformedModelError,
                              PrecisionBudgetError,
                              SkolemShapeUnsupportedError)
-from convexqe.models import (Cmp, DEFAULT_PRECISION_BITS, DownwardCut,
-                             IntCompiledFormula, ModelDescriptor, PLUS_INF,
+from convexqe.models import (Cmp, DownwardCut, IntCompiledFormula, ModelDescriptor, PLUS_INF,
                              PiOracle, Point, SqrtOracle, SubgroupLevel,
                              compare_to_threshold, compile_formula,
                              eval_formula, model_from_json, model_to_json,
@@ -25,7 +24,7 @@ from convexqe.syntax import (And, Exists, FalseF, Or, Term, TrueF, atoms_of,
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point, gen_term,
                            int_sample_pool, pool_drawer)
 
-from conftest import VALUATIONAL_NAMES, get_model
+from conftest import VALUATIONAL_NAMES, get_model, past_default_precision
 
 
 class TestOracles:
@@ -66,6 +65,13 @@ class TestOracles:
         assert o.compare(Fraction(3)) < 0
         assert o.compare(Fraction(22, 7)) > 0
         assert o.compare(Fraction(355, 113)) > 0  # famously close to pi
+
+    def test_exhausted_budget_describes_a_long_rational(self):
+        # q has more digits than str() converts, so the error gives its size
+        q = PiOracle().refine(8192)[0]
+        with pytest.raises(PrecisionBudgetError,
+                           match=r"\(\d+-bit numerator, \d+-bit denominator\)"):
+            PiOracle().compare(q)
 
 
 class TestCompare:
@@ -216,8 +222,7 @@ class TestClosureEvaluator:
                     asgn = {v: gen_point(rng, m, values=RATIONAL_VALUES)
                             for v in ("x", "y")}
                     want = eval_formula(m, f, asgn)
-                    assert (ev.eval_points(asgn, DEFAULT_PRECISION_BITS)
-                            == want), (name, str(f), asgn)
+                    assert ev.eval_points(asgn) == want, (name, str(f), asgn)
                     assert oracle_truth(m, f, asgn) == want, (name, str(f))
 
     def test_irrational_cut_sides(self, models):
@@ -233,7 +238,7 @@ class TestClosureEvaluator:
                 asgn = {"x": Point.of(*lead, v + Fraction(1, 3), *pad),
                         "y": Point.of(*(0 for _ in lead), 1, *pad)}
                 assert eval_formula(m, f, asgn) is inside, name
-                assert ev.eval_points(asgn, DEFAULT_PRECISION_BITS) is inside
+                assert ev.eval_points(asgn) is inside
                 assert oracle_truth(m, f, asgn) is inside, name
 
     def test_rational_cut_edges(self, models):
@@ -247,8 +252,7 @@ class TestClosureEvaluator:
         for m, inside in ((strict, False), (loose, True),
                           (models["lex2_val_1inf"], True)):
             assert eval_formula(m, f, at) is inside
-            assert (compile_formula(m, f).eval_points(
-                at, DEFAULT_PRECISION_BITS) is inside)
+            assert compile_formula(m, f).eval_points(at) is inside
             assert oracle_truth(m, f, at) is inside
 
     def test_skolem_witness_points(self, models):
@@ -271,7 +275,7 @@ class TestClosureEvaluator:
                     if w is None:
                         continue
                     asgn = {"x": x, "y": w}
-                    assert (ev.eval_points(asgn, DEFAULT_PRECISION_BITS)
+                    assert (ev.eval_points(asgn)
                             == eval_formula(m, phi, asgn)), (name, text)
 
     def test_long_chains_lower_to_one_node(self, m_sub2):
@@ -287,27 +291,34 @@ class TestClosureEvaluator:
         # a fresh model: refined intervals are memoized per oracle object
         m = get_model("q1_pi")
         f = parse_formula("U(x)")
-        below_pi = Fraction(3141592653589793238462643383279, 10 ** 30)
-        asgn = {"x": Point.of(below_pi)}
-        for evaluate in (lambda b: eval_formula(m, f, asgn, b),
-                         lambda b: compile_formula(m, f).eval_points(asgn, b),
-                         lambda b: oracle_truth(m, f, asgn, precision=b)):
-            with pytest.raises(PrecisionBudgetError):
-                evaluate(32)
-        assert oracle_truth(m, f, asgn, precision=256)
-        assert compile_formula(m, f).eval_points(asgn, 256)
+        # the reference path takes a budget
+        below_pi = {"x": Point.of(Fraction(3141592653589793238462643383279,
+                                           10 ** 30))}
+        with pytest.raises(PrecisionBudgetError, match="within 32 bits"):
+            eval_formula(m, f, below_pi, 32)
+        assert eval_formula(m, f, below_pi, 256)
+        assert oracle_truth(m, f, below_pi)
+        assert compile_formula(m, f).eval_points(below_pi)
+        # the compiled and oracle paths stop at the default
+        q = past_default_precision()
+        asgn = {"x": Point.of(q)}
+        for evaluate in (lambda: compile_formula(m, f).eval_points(asgn),
+                         lambda: IntCompiledFormula(m, f, q.denominator).eval(
+                             {"x": (q.numerator,)}),
+                         lambda: oracle_truth(m, f, asgn)):
+            with pytest.raises(PrecisionBudgetError, match="within 4096 bits"):
+                evaluate()
 
     def test_constants_decide_without_testing_atoms(self):
-        # 32 bits cannot place x against pi, so a test of U(x) would raise
+        # no precision places x against pi, so a test of U(x) would raise
         m = get_model("q1_pi")
-        asgn = {"x": Point.of(Fraction(3141592653589793238462643383279,
-                                       10 ** 30))}
+        asgn = {"x": Point.of(past_default_precision())}
         cases = [(And(), True), (Or(), False)] + [
             (parse_formula(text), want) for text, want in (
                 ("U(x) & false", False), ("true | U(x)", True),
                 ("~(U(x) | true) | false", False), ("false -> U(x)", True))]
         for f, want in cases:
-            assert compile_formula(m, f).eval_points(asgn, 32) is want, f
+            assert compile_formula(m, f).eval_points(asgn) is want, f
 
 
 ELIMINABLE_NAMES = VALUATIONAL_NAMES + ["lex2_rat_11"]
@@ -367,24 +378,22 @@ class TestSharedLowering:
 
     @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
     def test_roots_agree_with_compile_formula(self, name):
-        bits = DEFAULT_PRECISION_BITS
         for m, fs, ev, points in self._roots_and_points(name):
-            alone = [compile_formula(m, f).at(SAMPLE_DENOM, bits) for f in fs]
+            alone = [compile_formula(m, f).at(SAMPLE_DENOM) for f in fs]
             for ints in points:
-                frame = [SAMPLE_DENOM, bits, *ev.blank]
+                frame = [SAMPLE_DENOM, *ev.blank]
                 got = [root(ints, frame) for root in ev.roots]
                 assert got == [a(ints) for a in alone], (name, ints)
                 assert got[0] is True and got[-1] is False
 
     @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
     def test_one_frame_serves_every_root(self, name):
-        bits = DEFAULT_PRECISION_BITS
         for m, fs, ev, points in self._roots_and_points(name):
             for ints in points:
-                fresh = [root(ints, [SAMPLE_DENOM, bits, *ev.blank])
+                fresh = [root(ints, [SAMPLE_DENOM, *ev.blank])
                          for root in ev.roots]
                 # backwards, so the guards fill the cache the existential reads
-                frame = [SAMPLE_DENOM, bits, *ev.blank]
+                frame = [SAMPLE_DENOM, *ev.blank]
                 shared = [root(ints, frame) for root in reversed(ev.roots)]
                 assert shared[::-1] == fresh, (name, ints)
 

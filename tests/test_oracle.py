@@ -15,7 +15,7 @@ from convexqe.parser import parse_formula
 from convexqe.fuzz import gen_formula, gen_point
 from convexqe.syntax import free_vars, is_quantifier_free
 from convexqe.normalform import normalize_atoms
-from conftest import get_model
+from conftest import get_model, past_default_precision
 
 
 class TestOracleExamples:
@@ -90,19 +90,21 @@ def _assert_primitive(tree):
 class TestCompileCache:
     def test_equal_models_keep_their_own_refinements(self):
         # two loads of q1_pi compare equal; the first one's pi oracle is
-        # refined far past 32 bits, and the second must not inherit that
+        # refined far past the default precision, and the second must not
+        # inherit that
         f = parse_formula("U(x)")
-        asgn = {"x": Point.of(Fraction(3141592653589793238462643383279,
-                                       10 ** 30))}
+        asgn = {"x": Point.of(past_default_precision())}
         refined = get_model("q1_pi")
-        assert oracle_truth(refined, f, {"x": Point.of(0)})
         list(itertools.islice(points_below_cut(refined), 6))
+        refined.cut.oracle.refine(8192)
+        assert oracle_truth(refined, f, asgn)
+        assert eval_formula(refined, f, asgn)
         fresh = get_model("q1_pi")
         assert fresh == refined
         with pytest.raises(PrecisionBudgetError):
-            eval_formula(fresh, f, asgn, 32)
+            eval_formula(fresh, f, asgn)
         with pytest.raises(PrecisionBudgetError):
-            oracle_truth(fresh, f, asgn, precision=32)
+            oracle_truth(fresh, f, asgn)
 
 
     def test_repeated_truth_hits_the_cache(self, m_sub2):

@@ -44,6 +44,11 @@ class TestParsing:
         t = parse_term("3/2 * x - -1")
         assert t.coeff("x") == Fraction(3, 2) and t.offset == 1
 
+    def test_scaling_prefixes_multiply(self):
+        t = parse_term("2 * - 3/4 * - - x + 1/2 * 2 - 0 * y")
+        assert t == Term.var("x").scale(Fraction(-3, 2)) + Term.const(1)
+        assert parse_term("- 2 * 3") == Term.const(-6)
+
     def test_precedence(self):
         f = rt("~a < 0 & b < 0 | c < 0 -> d < 0")
         # -> binds loosest, then |, then &, then ~

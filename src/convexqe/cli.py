@@ -21,7 +21,7 @@ from .cutqe import (SkolemDefinition, build_structure, qe_star, skolemize)
 from .doagqe import QeOptions
 from .errors import ConvexQEError, FormulaSyntaxError
 from .fuzz import FuzzConfig, run_fuzz
-from .models import Point, eval_formula, load_model
+from .models import START_BITS, Point, eval_formula, load_model
 from .parser import parse_formula, parse_term
 from .piecewise import (UnaryPiecewiseLinear, binary_from_json,
                         check_pluslike, fn_from_json, normalize_monotone,
@@ -60,6 +60,16 @@ def _count(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
+def _precision(text: str) -> int:
+    """A bit budget that reaches the first refinement (a smaller one is a
+    usage error: it could decide no irrational comparison)."""
+    n = int(text)
+    if n < START_BITS:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {START_BITS} bits: {n}")
     return n
 
 
@@ -238,8 +248,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="convexqe",
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--format", choices=("human", "json"), default="human")
-    ap.add_argument("--precision", type=int, default=4096,
-                    help="interval refinement bit budget (eval only)")
+    ap.add_argument("--precision", type=_precision, default=4096,
+                    help=f"interval refinement bit budget, at least "
+                         f"{START_BITS} (eval only)")
     ap.add_argument("--budget-dnf", type=int, default=50_000,
                     help="DNF clause budget (eliminate, skolemize, fuzz)")
     ap.add_argument("--budget-depth", type=int, default=64,

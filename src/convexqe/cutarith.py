@@ -19,12 +19,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import MalformedModelError, SearchExhaustedError
-from .models import (CutClass, DownwardCut, ModelDescriptor, PlusInf, Point,
-                     SubgroupLevel, u_member)
+from .models import (START_BITS, CutClass, DownwardCut, ModelDescriptor,
+                     PlusInf, Point, SubgroupLevel, u_member)
 
 F0 = Fraction(0)
 _SEARCH_LIMIT = 2000
-_START_BITS = 16
 
 
 def top_coset_rep(m: ModelDescriptor) -> Point:
@@ -156,7 +155,7 @@ def points_below_cut(m: ModelDescriptor):
         return
     prefix, oracle = cut.prefix, cut.oracle
     j = len(prefix)
-    bits = _START_BITS
+    bits = START_BITS
     prev: Optional[Fraction] = None
     for _ in range(_SEARCH_LIMIT):
         lo, _hi = oracle.refine(bits)

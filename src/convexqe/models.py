@@ -34,7 +34,7 @@ from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
                      Or, Term, TrueF, fold, is_quantifier_free)
 
 DEFAULT_PRECISION_BITS = 4096
-_START_BITS = 16
+START_BITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ class IrrationalOracle:
 
     def compare(self, q: Fraction, budget: int = DEFAULT_PRECISION_BITS) -> int:
         """Sign of q - value; terminates because the value is irrational."""
-        bits = _START_BITS
+        bits = START_BITS
         while bits <= budget:
             lo, hi = self.refine(bits)
             if q < lo:
@@ -271,6 +271,20 @@ class CutShape:
 
 
 @dataclass(frozen=True)
+class IntConstants:
+    """The model's constants as integer numerators over one common
+    denominator ``denom``, per coordinate: the unit (axis 0), e_in, e_out
+    and the cut's rational prefix (zero past its end, and for a
+    subgroup)."""
+
+    denom: int
+    unit: tuple[int, ...]
+    e_in: tuple[int, ...]
+    e_out: tuple[int, ...]
+    prefix: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class ModelDescriptor:
     dim: int
     u_interp: Union[SubgroupLevel, DownwardCut]
@@ -302,6 +316,17 @@ class ModelDescriptor:
             return CutShape(CutClass.NONVALUATIONAL, j + 1, t[:j], t[j])
         # the oracle coordinate itself participates
         return CutShape(CutClass.IRRATIONAL_CUT, j + 1, t[:j], t[j])
+
+    @cached_property
+    def constants(self) -> IntConstants:
+        """The constants that term rows and the oracle's forms are built
+        from, cleared to integers once per model (kept like ``cut``)."""
+        prefix = self.cut.prefix
+        vecs = (self.unit.coords, self.e_in.coords, self.e_out.coords,
+                prefix + (Fraction(0),) * (self.dim - len(prefix)))
+        e = math.lcm(*(q.denominator for v in vecs for q in v))
+        return IntConstants(e, *(tuple(q.numerator * (e // q.denominator)
+                                       for q in v) for v in vecs))
 
     def describe(self) -> str:
         return f"LEX({self.dim}) with {self.u_interp}"
@@ -453,25 +478,24 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
 # Compiled evaluation (integer arithmetic)
 
 
-def term_rows(m: ModelDescriptor, t: Term, shift: tuple = ()):
-    """The term's coordinates, less a rational prefix ``shift``, as integer
-    rows: at points over denominator d, row i gives (t_i - shift_i) * lc * d.
-    Returns (lc, rows), lc the lcm of the denominators involved."""
+def term_rows(m: ModelDescriptor, t: Term, shifted: bool = False):
+    """The term's coordinates, less the cut's rational prefix if shifted,
+    as integer rows: at points over denominator d, row i gives
+    (t_i - s_i) * lc * d, s_i the prefix entry (or 0).  Returns (lc, rows),
+    lc the lcm of the denominators involved."""
     nums, a, b, c, den = t
-    e = math.lcm(*(q.denominator for q in (*m.e_in.coords, *m.e_out.coords,
-                                           *shift)))
-    ein, eout, shift = ([q.numerator * (e // q.denominator) for q in qs]
-                        for qs in (m.e_in.coords, m.e_out.coords, shift))
-    # coordinate i's constant is const[i] / (den * e); the unit is axis 0
-    const = [a * p + b * q for p, q in zip(ein, eout)]
-    const[0] += c * e
-    for i, s in enumerate(shift):
-        const[i] -= s * den
-    # k / n has denominator n / gcd(k, n)
-    lc = math.lcm(*(den * e // math.gcd(k, den * e) for k in const),
+    k = m.constants
+    # coordinate i's constant is const[i] / (den * k.denom)
+    const = [c * u + a * p + b * q
+             for u, p, q in zip(k.unit, k.e_in, k.e_out)]
+    if shifted:
+        const = [x - s * den for x, s in zip(const, k.prefix)]
+    de = den * k.denom
+    # x / n has denominator n / gcd(x, n)
+    lc = math.lcm(*(de // math.gcd(x, de) for x in const),
                   *(den // math.gcd(n, den) for _, n in nums))
     return lc, [int_row(tuple((v, i, n * lc // den) for v, n in nums),
-                        k * lc // (den * e)) for i, k in enumerate(const)]
+                        x * lc // de) for i, x in enumerate(const)]
 
 
 def _lower_atom(m: ModelDescriptor, a: Atom):
@@ -481,7 +505,7 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
     its oracle)."""
     kind, cut = a.kind, m.cut
     umem = kind == AtomKind.UMEM
-    lc, rows = term_rows(m, a.term, cut.prefix if umem else ())
+    lc, rows = term_rows(m, a.term, umem)
     if kind == AtomKind.IMEM or umem and cut.cls is CutClass.SUBGROUP:
         lead = first_nonzero(rows[:cut.stabilizer])
         return lambda p, f: not lead(p, f[DENOM])

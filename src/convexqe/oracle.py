@@ -42,8 +42,6 @@ from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
 
 DEFAULT_ORACLE_BUDGET = 200_000
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class LinForm:
@@ -89,9 +87,10 @@ def _combine(p: int, f: LinForm, q: int, g: LinForm) -> LinForm:
 class CAtom:
     """form < 0 (kind 'lt') or form = 0 (kind 'eq') over one coordinate.
     Compared and hashed by ``key``, which also orders; the key and its
-    hash are computed once, at construction."""
+    hash are computed once, at construction.  ``serial`` numbers the
+    distinct atoms of one decomposition, for its integer-keyed memos."""
 
-    __slots__ = ("form", "kind", "key", "_hash")
+    __slots__ = ("form", "kind", "key", "_hash", "serial")
 
     def __init__(self, form: LinForm, kind: str):  # kind: "lt" | "eq"
         self.form, self.kind = form, kind
@@ -131,6 +130,15 @@ class _Decomposer:
         # one CAtom per distinct atom: decisions keep their trees cached,
         # and the same atom recurs across a tree's clauses
         self.atoms: dict[CAtom, CAtom] = {}
+        # per (symbol, atom serial, negation): a literal's cases as bounds
+        # on the symbol, each with the number of its (symbol, form); per
+        # pair of form numbers, their resolvent, and per case kind and
+        # pair, its node.  The same pairs recur across a part's combos and
+        # across clauses, and f < 0 and f = 0 share f's resolvents.
+        self.cases: dict[tuple[str, int, bool], list[tuple]] = {}
+        self.form_numbers: dict[tuple[str, LinForm], int] = {}
+        self.resolvents: dict[tuple[int, int], LinForm] = {}
+        self.resolvent_nodes: dict[tuple[int, str, int], BNode] = {}
         self.alpha = m.cut.oracle
 
     # ground decision of symbol-free atoms happens eagerly so trees stay small
@@ -153,22 +161,28 @@ class _Decomposer:
         if kind == "eq" and form.coeffs[0][1] < 0:
             form = -form  # one atom for f = 0 and -f = 0
         atom = CAtom(form, kind)
-        return CLit(self.atoms.setdefault(atom, atom), neg)
+        known = self.atoms.get(atom)
+        if known is None:
+            atom.serial = len(self.atoms)
+            known = self.atoms[atom] = atom
+        return CLit(known, neg)
 
     # -- term decomposition -------------------------------------------------
 
-    def term_coord(self, t: Term, i: int, shift: Fraction = ZERO,
+    def term_coord(self, t: Term, i: int, shifted: bool = False,
                    alpha: int = 0) -> LinForm:
-        """Coordinate i of t, minus shift, plus alpha times the cut symbol,
-        as a primitive integer form."""
-        m = self.m
+        """Coordinate i of t, less the cut's rational prefix entry if
+        shifted, plus alpha times the cut symbol, as a primitive integer
+        form."""
+        k = self.m.constants
         nums, a, b, c, den = t
-        # den * (t_i - shift) less the variables, cleared to integers by lc
-        const = (c * m.unit.coords[i] + a * m.e_in.coords[i]
-                 + b * m.e_out.coords[i] - den * shift)
-        lc = const.denominator
-        return _primitive(((f"{v}#{i}", n * lc) for v, n in nums),
-                          alpha * den * lc, const.numerator)
+        # den * e * (t_i - prefix_i), e the constants' common denominator
+        const = c * k.unit[i] + a * k.e_in[i] + b * k.e_out[i]
+        if shifted:
+            const -= den * k.prefix[i]
+        e = k.denom
+        return _primitive(((f"{v}#{i}", n * e) for v, n in nums),
+                          alpha * den * e, const)
 
     def lex_lt_zero(self, t: Term) -> BNode:
         out: BNode = False
@@ -194,7 +208,7 @@ class _Decomposer:
             if isinstance(entry, PlusInf):
                 return True
             if isinstance(entry, Fraction):
-                fi = self.term_coord(t, i, entry)
+                fi = self.term_coord(t, i, shifted=True)
                 return _bor(self.lit(fi, "lt"),
                             _band(self.lit(fi, "eq"), walk(i + 1)))
             # deciding irrational entry: t_i < alpha, never equal
@@ -249,13 +263,17 @@ class _Decomposer:
         its kept literals and its parts' eliminations."""
         syms = {f"{var}#{i}" for i in range(self.m.dim)}
         done: dict[tuple, BNode] = {}  # a part recurs across clauses
+        where: dict[int, Optional[str]] = {}  # atom serial -> its var#i
         out: list[BNode] = []
         for clause in _bdnf(body, self.budget):
             kept: list[BNode] = []
             parts: dict[str, list[CLit]] = {}
             for l in clause:
-                sym = next((s for s, _ in l.atom.form.coeffs if s in syms),
-                           None)
+                a = l.atom
+                sym = where.get(a.serial, "")
+                if sym == "":  # not looked up yet; no symbol is empty
+                    sym = where[a.serial] = next(
+                        (s for s, _ in a.form.coeffs if s in syms), None)
                 if sym is None:
                     kept.append(l)
                 else:
@@ -273,18 +291,7 @@ class _Decomposer:
 
     def _eliminate_part(self, part: list[CLit], sym: str) -> list[BNode]:
         """The disjuncts of E sym. part, for literals that all mention sym."""
-        # per literal, its cases (form, kind, coefficient of sym); a negated
-        # strict bound splits into reversed-strict or equality
-        choices: list[list[tuple[LinForm, str, int]]] = []
-        for l in part:
-            form, kind = l.atom.form, l.atom.kind
-            c = form.coeff(sym)
-            if not l.neg:
-                choices.append([(form, kind, c)])
-            elif kind == "lt":
-                choices.append([(-form, "lt", -c), (form, "eq", c)])
-            else:
-                choices.append([(form, "neq", c)])
+        choices = [self._cases_of(l, sym) for l in part]
         n = 1
         for opts in choices:
             n *= len(opts)
@@ -295,22 +302,18 @@ class _Decomposer:
         for combo in itertools.product(*choices):
             eq = next((o for o in combo if o[1] == "eq"), None)
             if eq is not None:
-                # c0*s + r0 = 0 turns c*s + r into |c0|*r - sign(c0)*c*r0
-                f0, _, c0 = eq
-                pairs = [(f, k, abs(c0), -c if c0 > 0 else c, f0)
-                         for f, k, c in (o for o in combo if o is not eq)]
+                pairs = [(o, eq) for o in combo if o is not eq]
             else:
-                # a lower bound cl*s + rl < 0 (cl < 0) lies below an upper
-                # bound cu*s + ru < 0 (cu > 0) iff cu*rl - cl*ru < 0; a
-                # disequality never empties an open interval
-                lowers = [(f, c) for f, k, c in combo if k == "lt" and c < 0]
-                uppers = [(f, c) for f, k, c in combo if k == "lt" and c > 0]
-                pairs = [(fl, "lt", cu, -cl, fu)
-                         for fl, cl in lowers for fu, cu in uppers]
+                # a disequality never empties an open interval
+                lowers = [o for o in combo if o[1] == "lt" and o[2] < 0]
+                uppers = [o for o in combo if o[1] == "lt" and o[2] > 0]
+                pairs = [(lo, up) for lo in lowers for up in uppers]
             extra: list[BNode] = []
-            for f, k, p, q, g in pairs:
-                node = self.lit(_combine(p, f, q, g),
-                                "eq" if k == "neq" else k, neg=k == "neq")
+            for a, b in pairs:
+                key = (a[3], a[1], b[3])
+                node = self.resolvent_nodes.get(key)
+                if node is None:
+                    node = self.resolvent_nodes[key] = self._resolvent(a, b)
                 if node is False:
                     break
                 if node is not True:
@@ -318,6 +321,42 @@ class _Decomposer:
             else:
                 results.append(_band(*extra))
         return results
+
+    def _cases_of(self, l: CLit, sym: str) -> list[tuple]:
+        """Literal l as cases (form, kind, coefficient of sym, number of
+        (sym, form)); a negated strict bound splits into reversed-strict or
+        equality."""
+        key = (sym, l.atom.serial, l.neg)
+        cases = self.cases.get(key)
+        if cases is None:
+            form, kind = l.atom.form, l.atom.kind
+            c = form.coeff(sym)
+            if not l.neg:
+                opts = [(form, kind, c)]
+            elif kind == "lt":
+                opts = [(-form, "lt", -c), (form, "eq", c)]
+            else:
+                opts = [(form, "neq", c)]
+            nums = self.form_numbers
+            cases = self.cases[key] = [
+                (f, k, c, nums.setdefault((sym, f), len(nums)))
+                for f, k, c in opts]
+        return cases
+
+    def _resolvent(self, a: tuple, b: tuple) -> BNode:
+        """The node of what case a leaves of sym once it meets b, an
+        equation or an upper bound (a then a lower bound).  The combined
+        form is built once per pair of forms."""
+        f, k, c, fa = a
+        g, _, c0, fb = b
+        form = self.resolvents.get((fa, fb))
+        if form is None:
+            # c0*s + r0 = 0 turns c*s + r into |c0|*r - sign(c0)*c*r0; for
+            # an upper bound (c0 > 0), the lower bound c*s + r < 0 (c < 0)
+            # lies below it iff that is negative
+            form = self.resolvents[fa, fb] = _combine(
+                abs(c0), f, -c if c0 > 0 else c, g)
+        return self.lit(form, "eq" if k == "neq" else k, neg=k == "neq")
 
 
 def _polarity(g: Formula, c: tuple[bool, bool]) -> tuple[bool, bool]:
@@ -362,12 +401,25 @@ def _bor(*nodes: BNode) -> BNode:
 
 
 def _bnot(a: BNode) -> BNode:
-    if type(a) is bool:
-        return not a
-    if isinstance(a, CLit):
-        return CLit(a.atom, not a.neg)
-    negated = [_bnot(n) for n in a[1:]]
-    return _bor(*negated) if a[0] == "&" else _band(*negated)
+    """The negation of a by De Morgan's laws, built bottom-up on an
+    explicit stack: an entry [op, k] joins the last k results by op."""
+    stack: list = [a]
+    done: list[BNode] = []
+    while stack:
+        n = stack.pop()
+        if type(n) is bool:
+            done.append(not n)
+        elif type(n) is CLit:
+            done.append(CLit(n.atom, not n.neg))
+        elif type(n) is list:
+            op, k = n
+            kids = done[-k:]
+            del done[-k:]
+            done.append(_join(op, kids))
+        else:
+            stack.append(["|" if n[0] == "&" else "&", len(n) - 1])
+            stack.extend(reversed(n[1:]))
+    return done[0]
 
 
 # the atoms of a cleaned clause are distinct, so they alone order it

@@ -232,10 +232,31 @@ def _lowest(nums: tuple[tuple[str, int], ...], a: int, b: int, c: int,
     return _new(Term, (nums, a, b, c, den))
 
 
+# str() refuses ints past a digit limit the interpreter sets (640 digits
+# at the least), so long ones are converted a chunk of digits at a time
+_CHUNK_DIGITS = 500
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """str(n), in full at any length."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(str(r).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
+
+
 def _rat_text(n: int, den: int) -> str:
-    """str(Fraction(n, den)) for den > 0."""
+    """str(Fraction(n, den)) for den > 0, in full at any length."""
     g = math.gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
+    if g == den:
+        return _int_text(n // g)
+    return f"{_int_text(n // g)}/{_int_text(den // g)}"
 
 
 def term_to_str(t: Term) -> str:

@@ -216,6 +216,14 @@ class TestDeepInput:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_long_coefficient_is_printed_in_full(self, capsys):
+        # each literal converts, their 8,000-digit product does not with
+        # str(): (10^4000 - 1)^2 = 10^8000 - 2 * 10^4000 + 1
+        nines = "9" * 4000
+        rc, out, err = run(capsys, "parse", f"{nines} * {nines} * x < 0")
+        assert rc == 0 and err == ""
+        assert out == "9" * 3999 + "8" + "0" * 3999 + "1 * x < 0\n"
+
     def test_over_long_literal_is_a_syntax_error(self, capsys):
         # longer than the interpreter converts between int and str
         rc, out, err = run(capsys, "parse", "1" * 5000 + " * x < 0")
@@ -239,6 +247,22 @@ class TestPrecision:
     def test_eval_answers_at_the_default(self, capsys):
         rc, out, err = run(capsys, "eval", "--model", "q1_pi.json",
                            "--assign", self.POINT, "U(x)")
+        assert rc == 0 and err == "" and out == "true\n"
+
+    @pytest.mark.parametrize("bits", ["-5", "0", "15"])
+    def test_below_the_first_refinement_is_a_usage_error(self, capsys,
+                                                         bits):
+        # 16 bits, the first refinement, separate 3 from pi; fewer could
+        # decide no irrational comparison
+        rc, out, err = run(capsys, "--precision", bits, "eval", "--model",
+                           "q1_pi.json", "--assign", '{"x": ["3"]}', "U(x)")
+        assert rc == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "at least 16 bits" in errors[0]
+
+    def test_first_refinement_answers(self, capsys):
+        rc, out, err = run(capsys, "--precision", "16", "eval", "--model",
+                           "q1_pi.json", "--assign", '{"x": ["3"]}', "U(x)")
         assert rc == 0 and err == "" and out == "true\n"
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import convexqe.models
 from convexqe.cutqe import build_structure, qe_star, skolemize
@@ -16,15 +17,16 @@ from convexqe.models import (Cmp, DownwardCut, IntCompiledFormula, ModelDescript
                              PiOracle, Point, SqrtOracle, SubgroupLevel,
                              compare_to_threshold, compile_formula,
                              eval_formula, model_from_json, model_to_json,
-                             term_rows, u_member)
-from convexqe.oracle import oracle_truth
+                             term_rows, term_value, u_member)
+from convexqe.oracle import _Decomposer, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.syntax import (And, Exists, FalseF, Or, Term, TrueF, atoms_of,
                              free_vars)
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point, gen_term,
                            int_sample_pool, pool_drawer)
 
-from conftest import VALUATIONAL_NAMES, get_model, past_default_precision
+from conftest import (VALUATIONAL_NAMES, get_model, past_default_precision,
+                      random_cut_model)
 
 
 class TestOracles:
@@ -436,7 +438,7 @@ class TestTermRows:
             for t in terms:
                 for shift in shifts:
                     want_lc, want = _fraction_rows(m, t, shift)
-                    lc, rows = term_rows(m, t, shift)
+                    lc, rows = term_rows(m, t, shifted=bool(shift))
                     assert lc == want_lc, (name, t, shift)
                     for d in (1, SAMPLE_DENOM, 35):
                         p = {v: tuple(rng.randint(-50, 50)
@@ -444,3 +446,86 @@ class TestTermRows:
                              for v in ("x", "y")}
                         assert ([r(p, d) for r in rows]
                                 == [w(p, d) for w in want]), (name, t, shift)
+
+
+def _prefix(m) -> list:
+    """The cut's rational prefix, padded with zeros to the dimension."""
+    p = list(m.cut.prefix)
+    return p + [Fraction(0)] * (m.dim - len(p))
+
+
+class TestConstantTable:
+    """``ModelDescriptor.constants`` is what term_rows and the oracle's
+    coordinate forms read the model's constants from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_rows_and_forms_reproduce_term_values(self, seed):
+        rng = random.Random(seed)
+        m = random_cut_model(rng)
+        assume(m is not None)
+
+        def q():
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 12)))
+        t = Term({"x": q(), "y": q()}, q(), q(), q())
+        d = rng.choice((1, 7, SAMPLE_DENOM))
+        ints = {v: tuple(rng.randint(-60, 60) for _ in range(m.dim))
+                for v in ("x", "y")}
+        point = {v: Point(tuple(Fraction(n, d) for n in ns))
+                 for v, ns in ints.items()}
+        value = term_value(m, t, point).coords
+        const = term_value(m, t, {"x": Point.zero(m.dim),
+                                  "y": Point.zero(m.dim)}).coords
+        dec = _Decomposer(m, 1000)
+        for shifted in (False, True):
+            shift = _prefix(m) if shifted else [Fraction(0)] * m.dim
+            lc, rows = term_rows(m, t, shifted)
+            assert lc == math.lcm(*((k - s).denominator
+                                    for k, s in zip(const, shift)),
+                                  *(c.denominator for _, c in t.coeffs))
+            for i in range(m.dim):
+                want = value[i] - shift[i]
+                assert rows[i](ints, d) == want * lc * d
+                # the oracle's form is a positive multiple of coordinate i
+                # (its vector: the variables' coefficients, the constant,
+                # then alpha's coefficient), primitive, and gives want at
+                # the point
+                for alpha in ((0, -1) if not shifted else (0,)):
+                    form = dec.term_coord(t, i, shifted, alpha)
+                    got = [form.coeff(f"{v}#{i}") for v in ("x", "y")]
+                    got += [form.const, form.alpha]
+                    ref = [t.coeff("x"), t.coeff("y"), const[i] - shift[i],
+                           Fraction(alpha)]
+                    lead = next((j for j, r in enumerate(ref) if r), None)
+                    scale = Fraction(1) if lead is None \
+                        else got[lead] / ref[lead]
+                    assert scale > 0 and got == [scale * r for r in ref]
+                    assert math.gcd(*got) == (lead is not None)
+                    if not alpha:
+                        at = sum(form.coeff(f"{v}#{i}") * point[v].coords[i]
+                                 for v in ("x", "y")) + form.const
+                        assert at == scale * want
+
+    def test_each_model_reads_its_own_table(self):
+        # models built and dropped one after another often reuse a dead
+        # model's id, so a table kept by id would hand a model another's
+        # constants; these models differ in e_in, e_out and the threshold
+        x = parse_formula("x = e_in & U(x - e_in) & ~U(x + e_out)")
+        for k in range(300):
+            top = Fraction(k, 7) + 1
+            m = ModelDescriptor(2, DownwardCut((top, Fraction(1, 3))),
+                                Point.of(0, Fraction(1, k + 2)),
+                                Point.of(top + 1, 0))
+            c = m.constants
+            assert [Fraction(n, c.denom) for n in c.e_in] \
+                == list(m.e_in.coords)
+            assert [Fraction(n, c.denom) for n in c.e_out] \
+                == list(m.e_out.coords)
+            assert [Fraction(n, c.denom) for n in c.prefix] == _prefix(m)
+            asgn = {"x": m.e_in}
+            assert oracle_truth(m, x, asgn)
+            assert compile_formula(m, x).eval_points(asgn)
+            below = {"x": Point.of(top, 0)}
+            assert oracle_truth(m, parse_formula("U(x)"), below)
+            assert not oracle_truth(m, parse_formula("U(x + e_in)"),
+                                    {"x": Point.of(top, Fraction(1, 3))})

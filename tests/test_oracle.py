@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,3 +236,66 @@ class TestOracleScale:
         dec = oracle_compile(m_sub2, f)
         assert calls <= 3 * levels
         assert dec.eval({"x": Point.of(-1, 0)})
+
+
+class TestResolvents:
+    def test_each_resolvent_is_combined_once(self, monkeypatch):
+        # over two coordinates each < is (f0 < 0) | (f0 = 0 & f1 < 0): the
+        # DNF's clauses and a part's combos meet the same lower/upper and
+        # equation pairs again and again, and f0 < 0 and f0 = 0 share f0
+        m = get_model("lex2_sub1")  # a fresh model misses the compile cache
+        f = parse_formula("E y. (x < y | z < y) & (y < w | y < v) & ~(y < u)")
+        calls = []
+        combine = oracle._combine
+        monkeypatch.setattr(oracle, "_combine",
+                            lambda *args: calls.append(args) or combine(*args))
+        dec = oracle_compile(m, f)
+        assert calls and len(calls) == len(set(calls))
+        out = qe_star(f, build_structure(m))
+        rng = random.Random(4)
+        seen = set()
+        for _ in range(60):
+            asgn = {v: gen_point(rng, m) for v in "xzwvu"}
+            truth = eval_formula(m, out, asgn)
+            assert dec.eval(asgn) == truth
+            seen.add(truth)
+        assert seen == {True, False}
+
+
+def _walk_pairs(a, b):
+    """(a node, b node) pairs of two trees of one shape, on a stack."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        yield x, y
+        if type(x) is tuple:
+            assert type(y) is tuple and len(x) == len(y)
+            stack.extend(zip(x[1:], y[1:]))
+
+
+class TestNegation:
+    def test_deep_tree_under_a_low_recursion_limit(self):
+        # & and | alternate 5,000 levels deep; the negation swaps them and
+        # flips each literal, and negating twice gives the tree back
+        lits = [CLit(oracle.CAtom(oracle.LinForm((("x#0", 1),), 0, k), "lt"))
+                for k in range(5001)]
+        tree = lits[-1]
+        for k in reversed(range(5000)):
+            tree = ("&" if k % 2 else "|", lits[k], tree)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            neg = oracle._bnot(tree)
+            back = oracle._bnot(neg)
+        finally:
+            sys.setrecursionlimit(limit)
+        for x, y in _walk_pairs(tree, neg):
+            if type(x) is tuple:
+                assert {x[0], y[0]} == {"&", "|"}
+            else:
+                assert y.atom is x.atom and y.neg is not x.neg
+        for x, y in _walk_pairs(tree, back):
+            assert x[0] == y[0] if type(x) is tuple else x == y
+        assert oracle._bnot(True) is False
+        assert oracle._bnot(("&", lits[0], lits[1])) == (
+            "|", CLit(lits[0].atom, True), CLit(lits[1].atom, True))

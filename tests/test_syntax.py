@@ -13,11 +13,32 @@ from convexqe.syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE,
                              Forall, Formula, Not, Or, TRUE, Term,
                              canonicalize_bound, conj, disj, free_vars,
                              is_quantifier_free, print_formula, rename_bound,
-                             substitute)
+                             substitute, term_to_str)
 
 
 def rt(text: str) -> Formula:
     return parse_formula(text)
+
+
+class TestLongNumbers:
+    def test_chunked_conversion_matches_str(self):
+        # below the interpreter's digit limit str() is the reference; the
+        # chunks are 500 digits long, so their edges are tried
+        from convexqe.syntax import _int_text
+        rng = random.Random(12)
+        edge = 10 ** 500
+        cases = [0, 1, edge - 1, edge, edge + 1, edge ** 2, edge ** 2 - 1,
+                 7 * edge ** 3 + 5]
+        cases += [rng.randrange(10 ** rng.randint(400, 4000))
+                  for _ in range(40)]
+        for n in cases:
+            assert _int_text(n) == str(n)
+            assert _int_text(-n) == str(-n)
+
+    def test_long_fraction_prints_in_full(self):
+        # 3 * 10^5000 / 7 has a 5,001-digit numerator
+        t = Term({"x": Fraction(3 * 10 ** 5000, 7)})
+        assert term_to_str(t) == "3" + "0" * 5000 + "/7 * x"
 
 
 class TestParsing:

@@ -251,9 +251,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--precision", type=_precision, default=4096,
                     help=f"interval refinement bit budget, at least "
                          f"{START_BITS} (eval only)")
-    ap.add_argument("--budget-dnf", type=int, default=50_000,
+    ap.add_argument("--budget-dnf", type=_count, default=50_000,
                     help="DNF clause budget (eliminate, skolemize, fuzz)")
-    ap.add_argument("--budget-depth", type=int, default=64,
+    ap.add_argument("--budget-depth", type=_count, default=64,
                     help="quantifier depth budget (eliminate, skolemize, "
                          "fuzz)")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -86,56 +85,34 @@ def _combine(p: int, f: LinForm, q: int, g: LinForm) -> LinForm:
 
 class CAtom:
     """form < 0 (kind 'lt') or form = 0 (kind 'eq') over one coordinate.
-    Compared and hashed by ``key``, which also orders; the key and its
-    hash are computed once, at construction.  ``serial`` numbers the
-    distinct atoms of one decomposition, for its integer-keyed memos."""
+    A decomposition holds one per distinct atom, in its table."""
 
-    __slots__ = ("form", "kind", "key", "_hash", "serial")
+    __slots__ = ("form", "kind")
 
     def __init__(self, form: LinForm, kind: str):  # kind: "lt" | "eq"
         self.form, self.kind = form, kind
-        self.key = (kind, form.coeffs, form.alpha, form.const)
-        self._hash = hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is CAtom and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
-class CLit:
-    __slots__ = ("atom", "neg")
-
-    def __init__(self, atom: CAtom, neg: bool = False):
-        self.atom, self.neg = atom, neg
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is CLit and self.neg == other.neg
-                and self.atom == other.atom)
-
-    def __hash__(self) -> int:
-        return ~self.atom._hash if self.neg else self.atom._hash
-
-
-# boolean trees: True | False | CLit | ("&"|"|", *kids), no kid of the
-# same operator as its parent
-BNode = Union[bool, CLit, tuple]
+# boolean trees: True | False | literal | ("&"|"|", *kids), no kid of the
+# same operator as its parent; a literal is an int, n for the atom numbered
+# n in the decomposition's table and ~n for its negation
+BNode = Union[bool, int, tuple]
 
 
 class _Decomposer:
     def __init__(self, m: ModelDescriptor, budget: int):
         self.m = m
         self.budget = budget
-        # one CAtom per distinct atom: decisions keep their trees cached,
-        # and the same atom recurs across a tree's clauses
-        self.atoms: dict[CAtom, CAtom] = {}
-        # per (symbol, atom serial, negation): a literal's cases as bounds
-        # on the symbol, each with the number of its (symbol, form); per
+        # one CAtom per distinct atom, numbered in order of appearance: the
+        # same atom recurs across a tree's clauses
+        self.atoms: list[CAtom] = []
+        self.numbers: dict[tuple, int] = {}  # (kind, *form) -> atom number
+        # per (symbol, literal): the literal's cases as bounds on the
+        # symbol, each with the number of its (symbol, form); per
         # pair of form numbers, their resolvent, and per case kind and
         # pair, its node.  The same pairs recur across a part's combos and
         # across clauses, and f < 0 and f = 0 share f's resolvents.
-        self.cases: dict[tuple[str, int, bool], list[tuple]] = {}
+        self.cases: dict[tuple[str, int], list[tuple]] = {}
         self.form_numbers: dict[tuple[str, LinForm], int] = {}
         self.resolvents: dict[tuple[int, int], LinForm] = {}
         self.resolvent_nodes: dict[tuple[int, str, int], BNode] = {}
@@ -160,12 +137,12 @@ class _Decomposer:
             return truth != neg
         if kind == "eq" and form.coeffs[0][1] < 0:
             form = -form  # one atom for f = 0 and -f = 0
-        atom = CAtom(form, kind)
-        known = self.atoms.get(atom)
-        if known is None:
-            atom.serial = len(self.atoms)
-            known = self.atoms[atom] = atom
-        return CLit(known, neg)
+        key = (kind, form.coeffs, form.alpha, form.const)
+        n = self.numbers.get(key)
+        if n is None:
+            n = self.numbers[key] = len(self.atoms)
+            self.atoms.append(CAtom(form, kind))
+        return ~n if neg else n
 
     # -- term decomposition -------------------------------------------------
 
@@ -262,18 +239,20 @@ class _Decomposer:
         result is the clauses' disjunction, each clause the conjunction of
         its kept literals and its parts' eliminations."""
         syms = {f"{var}#{i}" for i in range(self.m.dim)}
+        atoms = self.atoms
         done: dict[tuple, BNode] = {}  # a part recurs across clauses
-        where: dict[int, Optional[str]] = {}  # atom serial -> its var#i
+        where: dict[int, Optional[str]] = {}  # atom number -> its var#i
         out: list[BNode] = []
         for clause in _bdnf(body, self.budget):
             kept: list[BNode] = []
-            parts: dict[str, list[CLit]] = {}
+            parts: dict[str, list[int]] = {}
             for l in clause:
-                a = l.atom
-                sym = where.get(a.serial, "")
+                a = l if l >= 0 else ~l
+                sym = where.get(a, "")
                 if sym == "":  # not looked up yet; no symbol is empty
-                    sym = where[a.serial] = next(
-                        (s for s, _ in a.form.coeffs if s in syms), None)
+                    sym = where[a] = next(
+                        (s for s, _ in atoms[a].form.coeffs if s in syms),
+                        None)
                 if sym is None:
                     kept.append(l)
                 else:
@@ -289,7 +268,7 @@ class _Decomposer:
 
     # -- one-dimensional elimination over a dense order ----------------------
 
-    def _eliminate_part(self, part: list[CLit], sym: str) -> list[BNode]:
+    def _eliminate_part(self, part: list[int], sym: str) -> list[BNode]:
         """The disjuncts of E sym. part, for literals that all mention sym."""
         choices = [self._cases_of(l, sym) for l in part]
         n = 1
@@ -322,23 +301,23 @@ class _Decomposer:
                 results.append(_band(*extra))
         return results
 
-    def _cases_of(self, l: CLit, sym: str) -> list[tuple]:
+    def _cases_of(self, l: int, sym: str) -> list[tuple]:
         """Literal l as cases (form, kind, coefficient of sym, number of
         (sym, form)); a negated strict bound splits into reversed-strict or
         equality."""
-        key = (sym, l.atom.serial, l.neg)
-        cases = self.cases.get(key)
+        cases = self.cases.get((sym, l))
         if cases is None:
-            form, kind = l.atom.form, l.atom.kind
+            atom = self.atoms[l if l >= 0 else ~l]
+            form, kind = atom.form, atom.kind
             c = form.coeff(sym)
-            if not l.neg:
+            if l >= 0:
                 opts = [(form, kind, c)]
             elif kind == "lt":
                 opts = [(-form, "lt", -c), (form, "eq", c)]
             else:
                 opts = [(form, "neq", c)]
             nums = self.form_numbers
-            cases = self.cases[key] = [
+            cases = self.cases[sym, l] = [
                 (f, k, c, nums.setdefault((sym, f), len(nums)))
                 for f, k, c in opts]
         return cases
@@ -409,8 +388,8 @@ def _bnot(a: BNode) -> BNode:
         n = stack.pop()
         if type(n) is bool:
             done.append(not n)
-        elif type(n) is CLit:
-            done.append(CLit(n.atom, not n.neg))
+        elif type(n) is int:
+            done.append(~n)
         elif type(n) is list:
             op, k = n
             kids = done[-k:]
@@ -422,12 +401,7 @@ def _bnot(a: BNode) -> BNode:
     return done[0]
 
 
-# the atoms of a cleaned clause are distinct, so they alone order it
-_lit_key = operator.attrgetter("atom.key")
-_literal = operator.attrgetter("atom", "neg")
-
-
-def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
+def _bdnf(node: BNode, budget: int) -> list[tuple[int, ...]]:
     # post-order on an explicit stack; each kid but the first is followed by
     # its connective's operator, which joins the last two results (budget
     # checks as for the left-nested binary chain of the kids)
@@ -455,22 +429,16 @@ def _bdnf(node: BNode, budget: int) -> list[list[CLit]]:
     out = []
     seen = set()
     for clause in done[0]:
-        kept: dict = {}
-        drop = False
-        for lit in clause:
-            prev = kept.get(lit.atom)
-            if prev is None:
-                kept[lit.atom] = lit
-            elif prev.neg != lit.neg:
-                drop = True
-                break
-        if drop:
-            continue
-        cleaned = sorted(kept.values(), key=_lit_key)
-        key = tuple(cleaned)  # hashed by the atoms' kept hashes
-        if key not in seen:
-            seen.add(key)
-            out.append(cleaned)
+        kept: dict[int, int] = {}  # atom number -> its literal
+        for l in clause:
+            if kept.setdefault(l if l >= 0 else ~l, l) != l:
+                break  # an atom and its negation: the clause is empty
+        else:
+            # the atoms of a cleaned clause are distinct, so they order it
+            cleaned = tuple([kept[a] for a in sorted(kept)])
+            if cleaned not in seen:
+                seen.add(cleaned)
+                out.append(cleaned)
     return out
 
 
@@ -504,19 +472,26 @@ def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
 
 class OracleDecision:
     """Residual condition of a formula over one model: a boolean tree over
-    coordinate atoms in the free variables, compiled to a jump table for
-    evaluation per assignment."""
+    coordinate atoms in the free variables, each literal numbering an atom
+    of ``atoms``, compiled to a jump table for evaluation per assignment."""
 
-    def __init__(self, tree: BNode, alpha: Optional[IrrationalOracle]):
+    def __init__(self, tree: BNode, atoms: list[CAtom],
+                 alpha: Optional[IrrationalOracle]):
         self.tree = tree
+        self.atoms = atoms
         self.alpha = alpha
         self._evaluator: Optional[Evaluator] = None
 
     def lower(self) -> Evaluator:
         """A fresh evaluator of the tree.  Decisions live in the compile
         cache, so only the Fraction path below keeps its evaluator."""
+        atoms = self.atoms
+
+        def literal(n: int) -> tuple[CAtom, bool]:
+            # the table's own records: Lowering keys slots by their ids
+            return (atoms[n], False) if n >= 0 else (atoms[~n], True)
         return Lowering(lambda a: _lower_atom(self.alpha, a),
-                        _literal).evaluator(self.tree)
+                        literal).evaluator(self.tree)
 
     def eval(self, asgn: Mapping[str, Point]) -> bool:
         if self._evaluator is None:
@@ -539,7 +514,7 @@ def _compile(m: ModelDescriptor, model_id: int, f: Formula,
              budget: int) -> OracleDecision:
     d = _Decomposer(m, budget)
     tree = d.decompose(normalize_atoms(rename_bound(f)))
-    return OracleDecision(tree, d.alpha)
+    return OracleDecision(tree, d.atoms, d.alpha)
 
 
 def oracle_compile(m: ModelDescriptor, f: Formula,

@@ -299,7 +299,13 @@ class TestFuzzCommand:
         ("fuzz", "--model", "lex2_sub1.json", "--count", "-1"),
         ("verify-skolem", "--model", "lex2_sub1.json", "--phi", "x < y",
          "--target", "y", "--sk", FILE, "--samples", "-5"),
-    ], ids=["negative-assignments", "negative-count", "negative-samples"])
+        # no quantifier here: a negative depth budget must not reach qe
+        ("--budget-depth", "-1", "eliminate", "--model", "lex2_sub1.json",
+         "x < 0"),
+        ("--budget-dnf", "-1", "eliminate", "--model", "lex2_sub1.json",
+         "E y. (x < y & U(y))"),
+    ], ids=["negative-assignments", "negative-count", "negative-samples",
+            "negative-budget-depth", "negative-budget-dnf"])
     def test_negative_counts_are_usage_errors(self, capsys, tmp_path, argv):
         path = tmp_path / "sk.json"
         path.write_text("[]")
@@ -307,6 +313,12 @@ class TestFuzzCommand:
                            *(str(path) if a is FILE else a for a in argv))
         assert rc == 2 and out == ""
         assert "must not be negative" in err
+
+    def test_zero_dnf_budget_is_the_budget_error(self, capsys):
+        rc, out, err = run(capsys, "--budget-dnf", "0", "eliminate",
+                           "--model", "lex2_sub1.json", "E y. (x < y & U(y))")
+        assert rc == 1 and out == ""
+        assert err == "error: DNF clause budget exceeded\n"
 
     def test_zero_counts_are_accepted(self, capsys):
         rc, out, _ = run(capsys, "fuzz", "--model", "lex2_sub1.json",

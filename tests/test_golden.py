@@ -16,7 +16,7 @@ from convexqe.cutqe import SkolemDefinition, build_structure, qe_star, skolemize
 from convexqe.errors import ConvexQEError
 from convexqe.fuzz import (SAMPLE_DENOM, FuzzConfig, gen_atom, gen_formula,
                            int_sample_pool, pool_drawer, run_fuzz)
-from convexqe.oracle import CLit, IntOracleEval, oracle_compile
+from convexqe.oracle import IntOracleEval, oracle_compile
 from convexqe.parser import parse_formula
 from convexqe.skolemlab import verify_skolem
 from convexqe.syntax import Exists, Not, Term, conj, free_vars, print_formula
@@ -206,21 +206,21 @@ def _oracle_corpus(name: str):
 
 def _oracle_transcript(name: str) -> tuple[str, list]:
     """Each corpus formula with its oracle decisions on sampled integer
-    assignments over SAMPLE_DENOM; also the compiled trees."""
+    assignments over SAMPLE_DENOM; also the compiled decisions."""
     m = get_model(name)
     draw = pool_drawer(random.Random(f"golden-oracle-points:{name}"),
                        int_sample_pool(m))
-    lines, trees = [], []
+    lines, decisions = [], []
     for f in _oracle_corpus(name):
         fv = sorted(free_vars(f))
         points = [{v: draw(m.dim) for v in fv}
                   for _ in range(ORACLE_ASSIGNMENTS)]
         dec = oracle_compile(m, f)
-        trees.append(dec.tree)
+        decisions.append(dec)
         orc = IntOracleEval(dec, SAMPLE_DENOM)
         bits = "".join("1" if orc.eval(p) else "0" for p in points)
         lines.append(f"{print_formula(f)} => {bits}")
-    return "\n".join(lines), trees
+    return "\n".join(lines), decisions
 
 
 def _digest(text: str) -> str:
@@ -267,15 +267,16 @@ def test_oracle_decisions_are_pinned(name):
 def test_oracle_atoms_have_one_coordinate(name):
     # a coordinate atom mentions coordinate i of its variables alone, so a
     # quantifier's coordinates are eliminated independently of each other
-    for tree in _oracle_transcript(name)[1]:
-        stack = [tree]
+    for dec in _oracle_transcript(name)[1]:
+        stack = [dec.tree]
         while stack:
             n = stack.pop()
-            if isinstance(n, CLit):
-                idx = {s.rsplit("#", 1)[1] for s, _ in n.atom.form.coeffs}
-                assert len(idx) == 1, n.atom.key
-            elif type(n) is tuple:
+            if type(n) is tuple:
                 stack.extend(n[1:])
+            elif type(n) is int:
+                atom = dec.atoms[n if n >= 0 else ~n]
+                idx = {s.rsplit("#", 1)[1] for s, _ in atom.form.coeffs}
+                assert len(idx) == 1, (atom.kind, atom.form)
 
 
 def test_fuzz_command_output_is_pinned(capsys):

@@ -11,9 +11,11 @@ from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import BudgetExceededError, PrecisionBudgetError
 from convexqe.models import Point, eval_formula
 from convexqe import oracle
-from convexqe.oracle import CLit, _compile, oracle_compile, oracle_truth
+from convexqe.oracle import (IntOracleEval, _compile, oracle_compile,
+                             oracle_truth)
 from convexqe.parser import parse_formula
-from convexqe.fuzz import gen_formula, gen_point
+from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
+                           int_sample_pool, pool_drawer)
 from convexqe.syntax import free_vars, is_quantifier_free
 from convexqe.normalform import normalize_atoms
 from conftest import get_model, past_default_precision
@@ -67,24 +69,30 @@ class TestOracleAgreesWithEval:
                             == eval_formula(m, f, asgn)), (m.describe(), str(f))
 
 
-def _clits(tree):
+def _literals(tree):
+    """The literals of a decision tree, one per occurrence."""
     stack, out = [tree], []
     while stack:
         n = stack.pop()
-        if isinstance(n, CLit):
-            out.append(n)
-        elif type(n) is tuple:
+        if type(n) is tuple:
             stack.extend(n[1:])
+        elif type(n) is int:
+            out.append(n)
     return out
 
 
-def _assert_primitive(tree):
-    for lit in _clits(tree):
-        form = lit.atom.form
+def _atoms(dec):
+    """The atom record behind each literal of dec's tree."""
+    return [dec.atoms[n if n >= 0 else ~n] for n in _literals(dec.tree)]
+
+
+def _assert_primitive(dec):
+    for atom in _atoms(dec):
+        form = atom.form
         entries = [q for _, q in form.coeffs] + [form.alpha, form.const]
         assert all(type(q) is int for q in entries), form
         assert math.gcd(*entries) == 1, form
-        if lit.atom.kind == "eq":
+        if atom.kind == "eq":
             assert form.coeffs[0][1] > 0, form
 
 
@@ -150,18 +158,25 @@ class TestIntegerForms:
                                       ("x = 0", "-x = 0")],
                              ids=["strict-multiple", "negated-equation"])
     def test_multiples_are_one_atom(self, m_sub2, a, b):
-        ta = oracle_compile(m_sub2, parse_formula(a)).tree
-        tb = oracle_compile(m_sub2, parse_formula(b)).tree
-        assert ta == tb
-        _assert_primitive(ta)
+        da = oracle_compile(m_sub2, parse_formula(a))
+        db = oracle_compile(m_sub2, parse_formula(b))
+        # literals number atoms per decision: equal trees alone could name
+        # different atoms, so the atoms behind them are compared too
+        assert da.tree == db.tree
+        assert ([(x.kind, x.form) for x in _atoms(da)]
+                == [(x.kind, x.form) for x in _atoms(db)])
+        _assert_primitive(da)
 
     def test_equal_atoms_are_one_object(self, m_1pi0):
         # eliminating y leaves clauses that share coordinate atoms; a
         # decision holds each distinct atom once
         f = parse_formula("E y. (x < y & y < z) | (x < y & U(y - z))")
-        lits = _clits(oracle_compile(m_1pi0, f).tree)
-        atoms = {id(l.atom): l.atom for l in lits}
-        assert len(lits) > len(atoms) == len(set(atoms.values()))
+        dec = oracle_compile(m_1pi0, f)
+        lits = _literals(dec.tree)
+        atoms = {id(a): a for a in _atoms(dec)}
+        assert len(lits) > len(atoms)
+        assert len({(a.kind, a.form) for a in atoms.values()}) == len(atoms)
+        assert len({(a.kind, a.form) for a in dec.atoms}) == len(dec.atoms)
 
 
 class TestOracleScale:
@@ -185,7 +200,7 @@ class TestOracleScale:
         m = models[name]
         f = parse_formula(text)
         dec = oracle_compile(m, f)
-        _assert_primitive(dec.tree)
+        _assert_primitive(dec)
         out = qe_star(f, build_structure(m))
         rng = random.Random(9)
         for _ in range(40):
@@ -262,6 +277,48 @@ class TestResolvents:
         assert seen == {True, False}
 
 
+class TestManyAtoms:
+    def test_atoms_past_the_small_int_cache(self, m_sub2):
+        # Lowering memoizes frame slots by the id of each literal's atom,
+        # so the atoms it is handed must live as long as the lowering: a
+        # fresh object per literal, once freed, could hand its id to
+        # another atom.  Here 100 pairs (A, B), exactly one of which holds
+        # at every sampled point (their sides are never equal there), give
+        # more atoms than CPython caches small ints for.  Each pair states
+        # "at most one" three times and "at least one" twice, alternately,
+        # so negated literals recur right after positive ones of their
+        # atoms.
+        pairs = []
+        for a, b, c in itertools.islice(itertools.product(
+                range(1, 6), (-3, -2, -1, 1, 2, 3), range(-4, 5)), 100):
+            s, k = f"{a} * x + {b} * z", f"{c} + 1/3"
+            pairs.append((f"{s} < {k}", f"{k} < {s}"))
+        clauses = []
+        for A, B in pairs:
+            most, one = f"(~{A} | ~{B})", f"({A} | {B})"
+            clauses += [most, one, most, one, most]
+        f = parse_formula("(E y. (x < y & y < z)) & " + " & ".join(clauses))
+        dec = oracle_compile(m_sub2, f)
+        lits = _literals(dec.tree)
+        atoms = {n if n >= 0 else ~n for n in lits}
+        assert len(atoms) > 257 and max(atoms) > 257
+        assert 2 * sum(n < 0 for n in lits) > len(lits)
+        # one frame slot per distinct atom
+        assert len(dec.lower().blank) == len(atoms)
+        out = qe_star(f, build_structure(m_sub2))
+        orc = IntOracleEval(dec, SAMPLE_DENOM)
+        draw = pool_drawer(random.Random(3), int_sample_pool(m_sub2))
+        seen = set()
+        for _ in range(40):
+            ints = {v: draw(2) for v in "xz"}
+            asgn = {v: Point.of(*(Fraction(q, SAMPLE_DENOM) for q in p))
+                    for v, p in ints.items()}
+            truth = eval_formula(m_sub2, out, asgn)
+            assert orc.eval(ints) == truth
+            seen.add(truth)
+        assert seen == {True, False}
+
+
 def _walk_pairs(a, b):
     """(a node, b node) pairs of two trees of one shape, on a stack."""
     stack = [(a, b)]
@@ -277,8 +334,7 @@ class TestNegation:
     def test_deep_tree_under_a_low_recursion_limit(self):
         # & and | alternate 5,000 levels deep; the negation swaps them and
         # flips each literal, and negating twice gives the tree back
-        lits = [CLit(oracle.CAtom(oracle.LinForm((("x#0", 1),), 0, k), "lt"))
-                for k in range(5001)]
+        lits = list(range(5001))
         tree = lits[-1]
         for k in reversed(range(5000)):
             tree = ("&" if k % 2 else "|", lits[k], tree)
@@ -293,9 +349,10 @@ class TestNegation:
             if type(x) is tuple:
                 assert {x[0], y[0]} == {"&", "|"}
             else:
-                assert y.atom is x.atom and y.neg is not x.neg
+                # a literal and its negation name one atom, n and ~n
+                assert type(y) is int and y == ~x
         for x, y in _walk_pairs(tree, back):
             assert x[0] == y[0] if type(x) is tuple else x == y
         assert oracle._bnot(True) is False
-        assert oracle._bnot(("&", lits[0], lits[1])) == (
-            "|", CLit(lits[0].atom, True), CLit(lits[1].atom, True))
+        assert oracle._bnot(False) is True
+        assert oracle._bnot(("&", 0, ~1)) == ("|", ~0, 1)

@@ -49,6 +49,35 @@ def test_intra_package_imports_are_at_module_level():
     assert nested == []
 
 
+# what the oracle may import from the package: plumbing, never the
+# semantics of an elimination engine
+ORACLE_IMPORTS = {"closures", "errors", "models", "syntax",
+                  "normalform.normalize_atoms"}
+
+
+def _package_names(node: ast.AST):
+    """Each package name an import binds, as "module" or "module.name"."""
+    if isinstance(node, ast.Import):
+        return [a.name.partition(".")[2] for a in node.names]
+    base = node.module or ""
+    if node.level == 0:
+        base = base.partition(".")[2]
+    return [f"{base}.{a.name}" if base else a.name for a in node.names]
+
+
+def test_oracle_shares_no_engine():
+    """The coordinate oracle is the differential-testing reference, so it
+    imports only plumbing from the package."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    names = [(node.lineno, name) for node in ast.walk(tree)
+             if _is_intra_package(node) for name in _package_names(node)]
+    assert names
+    outside = [f"oracle.py:{line}: {name}" for line, name in names
+               if name.split(".")[0] not in ORACLE_IMPORTS
+               and name not in ORACLE_IMPORTS]
+    assert outside == []
+
+
 def test_benchmark_imports_resolve():
     """Every name the benchmark scripts import from the package exists, so
     a change to the package cannot silently break them."""

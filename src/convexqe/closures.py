@@ -36,14 +36,11 @@ class Lowering:
         self._lower = lower
         self._literal = literal
         self._slots: dict = {}  # atom -> (slot, test)
-        # id(atom) -> (slot, test), since atoms often hash slowly; ids are
-        # stable because the tree keeps every atom alive while it is lowered
-        self._seen: dict = {}
         self._rows: list = []
 
     def _compile(self, tree) -> int:
         """Append the rows of tree, exiting to TRUE or FALSE; its entry."""
-        rows, slots, seen, entry = self._rows, self._slots, self._seen, None
+        rows, slots, entry = self._rows, self._slots, None
         # (node, exits); a kid is compiled after its next sibling, and an
         # exit of None is the entry compiled last, that sibling's
         stack = [(tree, TRUE, FALSE)]
@@ -63,12 +60,9 @@ class Lowering:
                 entry = t if n else e
                 continue
             atom, negated = self._literal(n)
-            slot = seen.get(id(atom))
+            slot = slots.get(atom)
             if slot is None:
-                slot = slots.get(atom)
-                if slot is None:
-                    slot = slots[atom] = (1 + len(slots), self._lower(atom))
-                seen[id(atom)] = slot
+                slot = slots[atom] = (1 + len(slots), self._lower(atom))
             if t == e:  # the test cannot matter, so it is not run
                 entry = t
                 continue

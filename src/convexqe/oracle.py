@@ -488,7 +488,8 @@ class OracleDecision:
         atoms = self.atoms
 
         def literal(n: int) -> tuple[CAtom, bool]:
-            # the table's own records: Lowering keys slots by their ids
+            # the table's own records: a CAtom compares by identity, so a
+            # copy would take a frame slot of its own
             return (atoms[n], False) if n >= 0 else (atoms[~n], True)
         return Lowering(lambda a: _lower_atom(self.alpha, a),
                         literal).evaluator(self.tree)

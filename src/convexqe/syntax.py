@@ -286,35 +286,30 @@ def term_to_str(t: Term) -> str:
 
 
 def _hashed_once(cls):
-    """A frozen dataclass whose hash is computed on first use and kept:
+    """A frozen dataclass whose hash is computed when it is built and kept:
     formulas are hashed again and again as sets and dicts deduplicate
-    them, and every hash would otherwise walk the whole subtree.  A first
-    hash hashes the unhashed subformulas first, so it never recurses, and
-    ``==`` walks two formulas side by side on an explicit stack."""
+    them.  A node's children are built, and hashed, before it, so a first
+    hash costs O(arity) and never walks a subtree; ``==`` walks two
+    formulas side by side on an explicit stack."""
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", field_hash(self))
+
+    cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
     cls._field_eq = cls.__eq__
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            for k in children(self):
-                if type(k) not in _LEAVES and "_hash" not in k.__dict__:
-                    for g in _unhashed_below(self):
-                        hash(g)
-                    break
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
+    cls.__hash__ = _kept_hash
     cls.__eq__ = _node_eq
     return cls
 
 
+def _kept_hash(self) -> int:
+    return self._hash
+
+
 def _node_eq(self, other) -> bool:
     """Structural equality: at once on identity, on a different type or on
-    two kept hashes that differ; else pairwise over the children, on an
+    two hashes that differ; else pairwise over the children, on an
     explicit stack."""
     if self is other:
         return True
@@ -325,10 +320,7 @@ def _node_eq(self, other) -> bool:
         a, b = stack.pop()
         if a is b:
             continue
-        if type(a) is not type(b):
-            return False
-        ha, hb = a.__dict__.get("_hash"), b.__dict__.get("_hash")
-        if ha is not None and hb is not None and ha != hb:
+        if type(a) is not type(b) or a._hash != b._hash:
             return False
         ka, kb = children(a), children(b)
         if not ka:
@@ -340,28 +332,6 @@ def _node_eq(self, other) -> bool:
         else:
             stack.extend(zip(ka, kb))
     return True
-
-
-def _unhashed_below(f: Formula) -> list[Formula]:
-    """The distinct subformulas below f with no kept hash yet, each after
-    its own, in a post-order walk on an explicit stack.  Leaves are left
-    out: their hash goes no deeper than their atom's term."""
-    found: list[Formula] = []
-    seen: set[int] = set()
-    stack = [(f, iter(children(f)))]
-    while stack:
-        g, kids = stack[-1]
-        for k in kids:
-            if (type(k) not in _LEAVES and "_hash" not in k.__dict__
-                    and id(k) not in seen):
-                seen.add(id(k))
-                stack.append((k, iter(children(k))))
-                break
-        else:
-            stack.pop()
-            found.append(g)
-    found.pop()  # f itself
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +347,6 @@ class AtomKind(Enum):
     IMEM = "I"
 
 
-# a fixed int per kind for Atom's hash, read by member name: Enum.__hash__
-# is a Python-level call
-_KIND_HASH = {k._name_: i for i, k in enumerate(AtomKind)}
-
-
 @_hashed_once
 class Atom:
     """Relational atoms read ``term <op> 0``; membership atoms read
@@ -389,9 +354,6 @@ class Atom:
 
     kind: AtomKind
     term: Term
-
-    def __hash__(self) -> int:
-        return hash((_KIND_HASH[self.kind._name_], self.term))
 
     def sort_key(self):
         return (self.kind._value_, self.term.sort_key())
@@ -447,6 +409,7 @@ class _Connective(Formula):
             args = tuple(itertools.chain.from_iterable(
                 a.args if type(a) is op else (a,) for a in args))
         object.__setattr__(self, "args", args)
+        self.__post_init__()
 
 
 class And(_Connective):

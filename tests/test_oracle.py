@@ -279,10 +279,10 @@ class TestResolvents:
 
 class TestManyAtoms:
     def test_atoms_past_the_small_int_cache(self, m_sub2):
-        # Lowering memoizes frame slots by the id of each literal's atom,
-        # so the atoms it is handed must live as long as the lowering: a
-        # fresh object per literal, once freed, could hand its id to
-        # another atom.  Here 100 pairs (A, B), exactly one of which holds
+        # Lowering keys frame slots by each literal's atom, and a CAtom
+        # compares by identity, so the literal callback must hand it the
+        # table's own records: a fresh object per literal would take a
+        # slot of its own.  Here 100 pairs (A, B), exactly one of which holds
         # at every sampled point (their sides are never equal there), give
         # more atoms than CPython caches small ints for.  Each pair states
         # "at most one" three times and "at least one" twice, alternately,

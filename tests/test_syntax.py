@@ -223,9 +223,9 @@ def test_equality_of_deep_formulas_is_iterative():
     text = _alternations(3000)
     f, g, h = (parse_formula(t) for t in (text, text, _alternations(3000, 7)))
     assert f is not g
-    assert f != h  # no hash kept yet: compared down to the innermost atom
-    assert f == g and hash(f) == hash(g)
-    assert f != h  # two kept hashes that differ
+    assert f != h  # hashed when built: two hashes that differ end == at once
+    assert f == g and hash(f) == hash(g)  # equal hashes: walked to the atoms
+    assert f != h
 
 
 class TestSubstitution:

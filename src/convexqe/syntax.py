@@ -404,12 +404,20 @@ class _Connective(Formula):
     args: tuple[Formula, ...]
 
     def __init__(self, *args: Formula):
+        # the hash sums the args' hashes, so a spliced-in argument of the
+        # same connective lends its own: a connective grown one argument at
+        # a time never rehashes what it holds (a reordering of the same
+        # args hashes alike; == tells them apart)
+        object.__setattr__(self, "_hash", sum(map(_HASH_OF, args)) % _PRIME)
         op = type(self)
         if op in map(type, args):
             args = tuple(itertools.chain.from_iterable(
                 a.args if type(a) is op else (a,) for a in args))
         object.__setattr__(self, "args", args)
-        self.__post_init__()
+
+
+_PRIME = (1 << 61) - 1
+_HASH_OF = operator.attrgetter("_hash")
 
 
 class And(_Connective):

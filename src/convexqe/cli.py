@@ -92,11 +92,20 @@ def _load_fn(path: str):
     return fn_from_json(_read_json(path))
 
 
-def _load_assignment(text: str) -> dict:
+def _point(coords, m) -> Point:
+    if type(coords) is not list or len(coords) != m.dim:
+        raise ValueError(f"a point is a list of {m.dim} coordinates, "
+                         f"not {coords!r}")
+    return Point(tuple(Fraction(c) for c in coords))
+
+
+def _load_assignment(text: str, m) -> dict:
+    """The --assign object: each variable's point of m, a JSON list of
+    m.dim rationals."""
     try:
-        return {var: Point(tuple(Fraction(c) for c in coords))
+        return {var: _point(coords, m)
                 for var, coords in json.loads(text).items()}
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConvexQEError(f"bad --assign JSON object: {exc}") from None
 
 
@@ -112,6 +121,21 @@ def _sk_from_json(data, target: str) -> SkolemDefinition:
         raise ConvexQEError('bad Skolem definition: each case needs a '
                             '"guard" and a "witness"') from None
     return SkolemDefinition(target, cases)
+
+
+def _check_skolem_vars(sk: SkolemDefinition, phi) -> None:
+    """Every guard and witness variable of sk must be a free variable of
+    phi other than the target: phi's samples assign no other."""
+    given = free_vars(phi) - {sk.target}
+    for i, (guard, witness) in enumerate(sk.cases, 1):
+        for part, names in (("guard", free_vars(guard)),
+                            ("witness", witness.vars())):
+            stray = sorted(names - given)
+            if stray:
+                raise ConvexQEError(
+                    f"bad Skolem definition: case {i}'s {part} names "
+                    f"{', '.join(stray)}, not a free variable of phi other "
+                    f"than {sk.target}")
 
 
 def cmd_parse(args) -> int:
@@ -163,6 +187,7 @@ def cmd_verify_skolem(args) -> int:
     if isinstance(data, dict) and "cases" in data:
         data = data["cases"]
     sk = _sk_from_json(data, args.target)
+    _check_skolem_vars(sk, phi)
     rep = verify_skolem(m, phi, sk, samples=args.samples, seed=args.seed)
     _emit(args, rep.to_json(),
           f"{'PASS' if rep.passed else 'FAIL'} "
@@ -213,7 +238,7 @@ def cmd_check_pluslike(args) -> int:
 def cmd_eval(args) -> int:
     m = load_model(resolve_model_path(args.model))
     f = parse_formula(args.formula)
-    asgn = _load_assignment(args.assign) if args.assign else {}
+    asgn = _load_assignment(args.assign, m) if args.assign else {}
     if not is_quantifier_free(f):
         raise ConvexQEError("eval needs a quantifier-free formula")
     missing = free_vars(f) - asgn.keys()

@@ -618,7 +618,7 @@ def model_from_json(data: dict) -> ModelDescriptor:
             raise MalformedModelError(f"unknown U kind {u['kind']!r}")
         e_in = Point(tuple(Fraction(c) for c in data["e_in"]))
         e_out = Point(tuple(Fraction(c) for c in data["e_out"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedModelError(f"bad model descriptor: {exc}") from exc
     return ModelDescriptor(dim, interp, e_in, e_out)
 

@@ -161,11 +161,18 @@ class _Decomposer:
         return _primitive(((f"{v}#{i}", n * e) for v, n in nums),
                           alpha * den * e, const)
 
+    def lex_step(self, fi: LinForm, rest: BNode) -> BNode:
+        """fi < 0, or fi = 0 and rest; fi = 0 is numbered only when rest
+        can hold, so the table gets no atom the tree cannot reach."""
+        lt = self.lit(fi, "lt")
+        if rest is False:
+            return lt
+        return _bor(lt, _band(self.lit(fi, "eq"), rest))
+
     def lex_lt_zero(self, t: Term) -> BNode:
         out: BNode = False
         for i in reversed(range(self.m.dim)):
-            fi = self.term_coord(t, i)
-            out = _bor(self.lit(fi, "lt"), _band(self.lit(fi, "eq"), out))
+            out = self.lex_step(self.term_coord(t, i), out)
         return out
 
     def prefix_zero(self, t: Term, k: int) -> BNode:
@@ -185,9 +192,8 @@ class _Decomposer:
             if isinstance(entry, PlusInf):
                 return True
             if isinstance(entry, Fraction):
-                fi = self.term_coord(t, i, shifted=True)
-                return _bor(self.lit(fi, "lt"),
-                            _band(self.lit(fi, "eq"), walk(i + 1)))
+                return self.lex_step(self.term_coord(t, i, shifted=True),
+                                     walk(i + 1))
             # deciding irrational entry: t_i < alpha, never equal
             return self.lit(self.term_coord(t, i, alpha=-1), "lt")
 

@@ -289,7 +289,7 @@ def unary_from_json(d: dict) -> UnaryPiecewiseLinear:
         bps = tuple(Fraction(b) for b in d["breakpoints"])
         pieces = tuple(AffinePiece(Fraction(p["slope"]), _piece_const_from_json(p))
                        for p in d["pieces"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedModelError(f"bad piecewise function: {exc}") from exc
     return UnaryPiecewiseLinear(bps, pieces)
 
@@ -308,7 +308,8 @@ def binary_from_json(d: dict) -> BinaryPiecewiseLinear:
         ts = tuple(Fraction(t) for t in d["thresholds"])
         pieces = tuple(BinaryPiece(Fraction(p["coef_x"]), Fraction(p["coef_y"]),
                                    _piece_const_from_json(p)) for p in d["pieces"])
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError,
+            ZeroDivisionError) as exc:
         raise MalformedModelError(f"bad piecewise function: {exc}") from exc
     return BinaryPiecewiseLinear(direction, ts, pieces)
 

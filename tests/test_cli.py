@@ -104,9 +104,31 @@ class TestCommands:
         (("obstruct", "--model", "q1_pi.json", "--fn", FILE), "[]"),
         (("eval", "--model", "lex2_sub1.json", "--assign", '{"x": ["1", "0"]}',
           "x < y"), None),
+        (("classify", "--model", FILE), json.dumps(
+            {"dim": 2, "U": {"kind": "downward-cut", "threshold": ["1/0", "1"]},
+             "e_in": ["0", "1"], "e_out": ["2", "0"]})),
+        (("classify", "--model", FILE), json.dumps(
+            {"dim": 2, "U": {"kind": "subgroup", "level": 1},
+             "e_in": ["0", "1/0"], "e_out": ["2", "0"]})),
+        (("normalize-monotone", "--fn", FILE), json.dumps(
+            {"breakpoints": ["1/0"], "pieces": [{"slope": "1"}] * 2})),
+        (("check-pluslike", "--fn", FILE), json.dumps(
+            {"arity": 2, "direction": ["1", "1/0"], "thresholds": [],
+             "pieces": [{"coef_x": "1", "coef_y": "1"}]})),
+        (("eval", "--model", "lex2_sub1.json", "--assign",
+          '{"x": ["1/0", "0"]}', "x < 0"), None),
+        (("eval", "--model", "lex2_sub1.json", "--assign", '{"x": ["1"]}',
+          "x < 0"), None),
+        (("eval", "--model", "lex2_sub1.json", "--assign",
+          '{"x": ["1", "2", "3"]}', "0 < x"), None),
+        (("eval", "--model", "lex2_sub1.json", "--assign", '{"x": "12"}',
+          "0 < x"), None),
     ], ids=["empty-sk", "sk-case-without-witness", "truncated-model",
             "assign-not-json", "empty-fn", "fn-not-an-object",
-            "eval-unassigned-variable"])
+            "eval-unassigned-variable", "zero-denominator-threshold",
+            "zero-denominator-e_in", "zero-denominator-breakpoint",
+            "zero-denominator-direction", "zero-denominator-coordinate",
+            "short-point", "long-point", "point-as-string"])
     def test_malformed_input_is_domain_error(self, capsys, tmp_path, argv,
                                              content):
         path = tmp_path / "input.json"
@@ -114,8 +136,27 @@ class TestCommands:
             path.write_text(content)
         rc, out, err = run(capsys, *(str(path) if a is FILE else a
                                      for a in argv))
-        assert rc == 1 and out == ""
+        assert rc == 1 and out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case, part, name", [
+        ({"guard": "true", "witness": "y + 1"}, "witness", "y"),
+        ({"guard": "w < 0", "witness": "x + 1"}, "guard", "w"),
+        ({"guard": "true", "witness": "q + 1"}, "witness", "q"),
+    ], ids=["witness-names-target", "guard-names-stranger",
+            "witness-names-stranger"])
+    def test_skolem_variables_outside_phi_are_domain_errors(
+            self, capsys, tmp_path, case, part, name):
+        sk_file = tmp_path / "sk.json"
+        sk_file.write_text(json.dumps([{"guard": "x < 0", "witness": "x"},
+                                       case]))
+        rc, out, err = run(capsys, "verify-skolem", "--model", "lex2_sub1.json",
+                           "--phi", "x < y", "--target", "y",
+                           "--sk", str(sk_file))
+        assert rc == 1 and out == "" and "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: bad Skolem definition: case 2's {part} "
+                              f"names {name},")
 
     def test_missing_model_is_domain_error(self, capsys):
         rc, _, _ = run(capsys, "classify", "--model", "no_such_model.json")

@@ -18,7 +18,7 @@ from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
                            int_sample_pool, pool_drawer)
 from convexqe.syntax import free_vars, is_quantifier_free
 from convexqe.normalform import normalize_atoms
-from conftest import get_model, past_default_precision
+from conftest import FIXTURE_NAMES, get_model, past_default_precision
 
 
 class TestOracleExamples:
@@ -275,6 +275,25 @@ class TestResolvents:
             assert dec.eval(asgn) == truth
             seen.add(truth)
         assert seen == {True, False}
+
+
+class TestAtomTable:
+    @pytest.mark.parametrize("name, text", [
+        ("lex2_sub1", "x < 0"), ("lex2_rat_11", "U(x)")])
+    def test_the_table_holds_what_the_tree_reaches(self, name, text):
+        # the last coordinate's f = 0 would be joined to False
+        dec = oracle_compile(get_model(name), parse_formula(text))
+        reached = {n if n >= 0 else ~n for n in _literals(dec.tree)}
+        assert reached == set(range(len(dec.atoms))) and len(reached) == 3
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_quantifier_free_tables_hold_only_reached_atoms(self, name):
+        m = get_model(name)
+        for text in ("x < 0", "x <= 1/2", "x = y", "x != y", "U(x)",
+                     "I(x - y)", "~U(x + 1/2) | y < x", "U(x) & ~(x < 1)"):
+            dec = oracle_compile(m, parse_formula(text))
+            reached = {n if n >= 0 else ~n for n in _literals(dec.tree)}
+            assert reached == set(range(len(dec.atoms))), text
 
 
 class TestManyAtoms:

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .classifier import canonicalize_cut, classify
@@ -21,7 +20,8 @@ from .cutqe import (SkolemDefinition, build_structure, qe_star, skolemize)
 from .doagqe import QeOptions
 from .errors import ConvexQEError, FormulaSyntaxError
 from .fuzz import FuzzConfig, run_fuzz
-from .models import START_BITS, Point, eval_formula, load_model
+from .models import (START_BITS, Point, eval_formula, json_rational,
+                     load_model)
 from .parser import parse_formula, parse_term
 from .piecewise import (UnaryPiecewiseLinear, binary_from_json,
                         check_pluslike, fn_from_json, normalize_monotone,
@@ -74,8 +74,7 @@ def _precision(text: str) -> int:
 
 
 def _qe_options(args) -> QeOptions:
-    return QeOptions(dnf_budget=args.budget_dnf, depth_budget=args.budget_depth,
-                     inject_bug=getattr(args, "inject_bug", False))
+    return QeOptions(dnf_budget=args.budget_dnf, depth_budget=args.budget_depth)
 
 
 def _read_json(path: str):
@@ -96,7 +95,7 @@ def _point(coords, m) -> Point:
     if type(coords) is not list or len(coords) != m.dim:
         raise ValueError(f"a point is a list of {m.dim} coordinates, "
                          f"not {coords!r}")
-    return Point(tuple(Fraction(c) for c in coords))
+    return Point(tuple(json_rational(c) for c in coords))
 
 
 def _load_assignment(text: str, m) -> dict:

@@ -8,7 +8,9 @@ as delta -> 0+ (dual numbers u + v*delta, compared by the sign of u, then
 of v).  It is the only comparison against sup C in the package: an affine
 map q*x + c with q > 0 maps C into itself exactly when the sign is <= 0,
 and the Skolem obstruction reads the same sign.  ``cut_members`` walks the
-points of C cofinally toward g; every witness search filters it.  The
+points of C cofinally toward g; every witness search filters it, except
+resistance's two searches in ``cutqe``: ``_march_down`` toward -infinity
+and ``_descending_witness`` toward a piece's left end.  The
 arithmetic is coordinate comparisons plus oracle refinement, so
 everything here is exact and terminating.
 """
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import MalformedModelError, SearchExhaustedError
 from .models import (START_BITS, CutClass, DownwardCut, ModelDescriptor,
-                     PlusInf, Point, SubgroupLevel, u_member)
+                     PlusInf, Point, u_member)
 
 F0 = Fraction(0)
 _SEARCH_LIMIT = 2000
@@ -33,14 +35,6 @@ def top_coset_rep(m: ModelDescriptor) -> Point:
         raise MalformedModelError("the cut has no topmost coset")
     prefix = m.cut.prefix
     return Point(prefix + (F0,) * (m.dim - len(prefix)))
-
-
-def closure_member(m: ModelDescriptor, p: Point) -> bool:
-    """Membership in the downward set whose stabilizer defines I: the cut
-    itself, or the downward closure of the subgroup."""
-    if isinstance(m.u_interp, SubgroupLevel):
-        return Point(p.coords[:m.u_interp.level]).lex_sign() <= 0
-    return u_member(m, p)
 
 
 # ---------------------------------------------------------------------------

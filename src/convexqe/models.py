@@ -370,7 +370,7 @@ def validate_model(m: ModelDescriptor) -> None:
             raise MalformedModelError("e_in must lie inside U")
     elif not u_member(m, m.e_in):
         raise MalformedModelError("e_in must lie inside U")
-    if not point_above_u(m, m.e_out):
+    if closure_member(m, m.e_out):
         raise MalformedModelError("e_out must exceed every element of U")
 
 
@@ -411,14 +411,12 @@ def u_member(m: ModelDescriptor, p: Point,
     return False
 
 
-def point_above_u(m: ModelDescriptor, p: Point,
-                  budget: int = DEFAULT_PRECISION_BITS) -> bool:
-    """p > u for every u in U."""
+def closure_member(m: ModelDescriptor, p: Point) -> bool:
+    """Membership in the downward set whose stabilizer defines I: the cut
+    itself, or the downward closure of the subgroup."""
     if isinstance(m.u_interp, SubgroupLevel):
-        k = m.u_interp.level
-        prefix = p.coords[:k]
-        return any(c != 0 for c in prefix) and next(c for c in prefix if c != 0) > 0
-    return not u_member(m, p, budget)
+        return Point(p.coords[:m.u_interp.level]).lex_sign() <= 0
+    return u_member(m, p)
 
 
 def i_member(m: ModelDescriptor, p: Point) -> bool:
@@ -575,6 +573,22 @@ def _rat_str(q: Fraction) -> str:
     return str(q)
 
 
+def json_rational(x) -> Fraction:
+    """A rational read from JSON: a string such as "3/2" or "0.1", or an
+    integer.  A float is binary and a boolean is no number, so both are
+    refused."""
+    if type(x) is str or type(x) is int:
+        return Fraction(x)
+    raise TypeError(f"a rational is a string or an integer, not {x!r}")
+
+
+def _json_of(kind: type, x):
+    """x, when JSON gave exactly that kind (a boolean is no integer)."""
+    if type(x) is not kind:
+        raise TypeError(f"expected {kind.__name__}, not {x!r}")
+    return x
+
+
 def _entry_to_json(e: ThresholdEntry):
     if isinstance(e, Fraction):
         return _rat_str(e)
@@ -607,17 +621,18 @@ def model_to_json(m: ModelDescriptor) -> dict:
 
 def model_from_json(data: dict) -> ModelDescriptor:
     try:
-        dim = int(data["dim"])
+        dim = _json_of(int, data["dim"])
         u = data["U"]
         if u["kind"] == "subgroup":
-            interp: Union[SubgroupLevel, DownwardCut] = SubgroupLevel(int(u["level"]))
+            interp: Union[SubgroupLevel, DownwardCut] = SubgroupLevel(
+                _json_of(int, u["level"]))
         elif u["kind"] == "downward-cut":
             interp = DownwardCut(tuple(_entry_from_json(e) for e in u["threshold"]),
-                                 bool(u.get("strict", True)))
+                                 _json_of(bool, u.get("strict", True)))
         else:
             raise MalformedModelError(f"unknown U kind {u['kind']!r}")
-        e_in = Point(tuple(Fraction(c) for c in data["e_in"]))
-        e_out = Point(tuple(Fraction(c) for c in data["e_out"]))
+        e_in = Point(tuple(json_rational(c) for c in data["e_in"]))
+        e_out = Point(tuple(json_rational(c) for c in data["e_out"]))
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedModelError(f"bad model descriptor: {exc}") from exc
     return ModelDescriptor(dim, interp, e_in, e_out)

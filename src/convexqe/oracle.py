@@ -24,7 +24,6 @@ atoms and alpha comparisons.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -486,11 +485,10 @@ class OracleDecision:
         self.tree = tree
         self.atoms = atoms
         self.alpha = alpha
-        self._evaluator: Optional[Evaluator] = None
 
     def lower(self) -> Evaluator:
-        """A fresh evaluator of the tree.  Decisions live in the compile
-        cache, so only the Fraction path below keeps its evaluator."""
+        """A fresh evaluator of the tree.  Decisions are not kept between
+        calls, so a caller that evaluates many points holds the evaluator."""
         atoms = self.atoms
 
         def literal(n: int) -> tuple[CAtom, bool]:
@@ -501,9 +499,7 @@ class OracleDecision:
                         literal).evaluator(self.tree)
 
     def eval(self, asgn: Mapping[str, Point]) -> bool:
-        if self._evaluator is None:
-            self._evaluator = self.lower()
-        return self._evaluator.eval_points(asgn)
+        return self.lower().eval_points(asgn)
 
 
 class IntOracleEval:
@@ -514,22 +510,11 @@ class IntOracleEval:
         self.eval = dec.lower().at(denom)
 
 
-# callers reuse the decision they have just compiled (oracle_truth over
-# many assignments, a shrink loop), so a few recent trees are all it keeps
-@functools.lru_cache(maxsize=256)
-def _compile(m: ModelDescriptor, model_id: int, f: Formula,
-             budget: int) -> OracleDecision:
+def oracle_compile(m: ModelDescriptor, f: Formula,
+                   budget: int = DEFAULT_ORACLE_BUDGET) -> OracleDecision:
     d = _Decomposer(m, budget)
     tree = d.decompose(normalize_atoms(rename_bound(f)))
     return OracleDecision(tree, d.atoms, d.alpha)
-
-
-def oracle_compile(m: ModelDescriptor, f: Formula,
-                   budget: int = DEFAULT_ORACLE_BUDGET) -> OracleDecision:
-    # equal models may hold different oracle objects, refined to different
-    # precisions; keyed by identity, no model sees another's refinements
-    # (the entry holds m, so its id is not reused while the entry lives)
-    return _compile(m, id(m), f, budget)
 
 
 def oracle_truth(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .errors import (ConstantPieceUnsupportedError, MalformedModelError,
                      PreconditionViolatedError)
-from .models import ModelDescriptor, Point, term_value
+from .models import ModelDescriptor, Point, json_rational, term_value
 from .syntax import Term
 
 ZERO = Fraction(0)
@@ -273,9 +273,9 @@ def _piece_const_to_json(t: Term) -> dict:
 
 
 def _piece_const_from_json(d: dict) -> Term:
-    return Term((), e_in=Fraction(d.get("e_in", 0)),
-                e_out=Fraction(d.get("e_out", 0)),
-                offset=Fraction(d.get("intercept", 0)))
+    return Term((), e_in=json_rational(d.get("e_in", 0)),
+                e_out=json_rational(d.get("e_out", 0)),
+                offset=json_rational(d.get("intercept", 0)))
 
 
 def unary_to_json(f: UnaryPiecewiseLinear) -> dict:
@@ -286,8 +286,9 @@ def unary_to_json(f: UnaryPiecewiseLinear) -> dict:
 
 def unary_from_json(d: dict) -> UnaryPiecewiseLinear:
     try:
-        bps = tuple(Fraction(b) for b in d["breakpoints"])
-        pieces = tuple(AffinePiece(Fraction(p["slope"]), _piece_const_from_json(p))
+        bps = tuple(json_rational(b) for b in d["breakpoints"])
+        pieces = tuple(AffinePiece(json_rational(p["slope"]),
+                                   _piece_const_from_json(p))
                        for p in d["pieces"])
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedModelError(f"bad piecewise function: {exc}") from exc
@@ -304,9 +305,11 @@ def binary_to_json(f: BinaryPiecewiseLinear) -> dict:
 
 def binary_from_json(d: dict) -> BinaryPiecewiseLinear:
     try:
-        direction = (Fraction(d["direction"][0]), Fraction(d["direction"][1]))
-        ts = tuple(Fraction(t) for t in d["thresholds"])
-        pieces = tuple(BinaryPiece(Fraction(p["coef_x"]), Fraction(p["coef_y"]),
+        direction = (json_rational(d["direction"][0]),
+                     json_rational(d["direction"][1]))
+        ts = tuple(json_rational(t) for t in d["thresholds"])
+        pieces = tuple(BinaryPiece(json_rational(p["coef_x"]),
+                                   json_rational(p["coef_y"]),
                                    _piece_const_from_json(p)) for p in d["pieces"])
     except (KeyError, ValueError, TypeError, IndexError,
             ZeroDivisionError) as exc:

@@ -9,12 +9,12 @@ from convexqe.classifier import (IRRATIONAL_NONVALUATIONAL,
                                  IRRATIONAL_VALUATIONAL, RATIONAL_CUT,
                                  canonical_member, canonicalize_cut, classify,
                                  f_valuational, stabilizer, stabilizer_escape)
-from convexqe.cutarith import closure_member, simplest_between
+from convexqe.cutarith import simplest_between
 from convexqe.errors import (NonvaluationalInterpretationError,
                              PreconditionViolatedError)
 from convexqe.models import (DownwardCut, IrrationalOracle, ModelDescriptor,
                              PLUS_INF, Point, SqrtOracle,
-                             SubgroupLevel, u_member)
+                             SubgroupLevel, closure_member, u_member)
 from convexqe.piecewise import (BinaryPiece, BinaryPiecewiseLinear,
                                 UnaryPiecewiseLinear, pluslike_from_unary)
 from convexqe.fuzz import gen_point

@@ -123,12 +123,27 @@ class TestCommands:
           '{"x": ["1", "2", "3"]}', "0 < x"), None),
         (("eval", "--model", "lex2_sub1.json", "--assign", '{"x": "12"}',
           "0 < x"), None),
+        (("eval", "--model", "q1_pi.json", "--assign", '{"x": [0.1]}',
+          "10 * x = 1"), None),
+        (("eval", "--model", "q1_pi.json", "--assign", '{"x": [true]}',
+          "x = 1"), None),
+        (("classify", "--model", FILE), json.dumps(
+            {"dim": 2.5, "U": {"kind": "subgroup", "level": 1},
+             "e_in": ["0", "1"], "e_out": ["2", "0"]})),
+        (("classify", "--model", FILE), json.dumps(
+            {"dim": 2, "U": {"kind": "downward-cut", "threshold": ["1", "1"],
+                             "strict": "false"},
+             "e_in": ["0", "1"], "e_out": ["2", "0"]})),
+        (("normalize-monotone", "--fn", FILE), json.dumps(
+            {"breakpoints": [], "pieces": [{"slope": 0.5}]})),
     ], ids=["empty-sk", "sk-case-without-witness", "truncated-model",
             "assign-not-json", "empty-fn", "fn-not-an-object",
             "eval-unassigned-variable", "zero-denominator-threshold",
             "zero-denominator-e_in", "zero-denominator-breakpoint",
             "zero-denominator-direction", "zero-denominator-coordinate",
-            "short-point", "long-point", "point-as-string"])
+            "short-point", "long-point", "point-as-string",
+            "float-coordinate", "boolean-coordinate", "float-dimension",
+            "string-strictness", "float-slope"])
     def test_malformed_input_is_domain_error(self, capsys, tmp_path, argv,
                                              content):
         path = tmp_path / "input.json"

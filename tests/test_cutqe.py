@@ -12,7 +12,7 @@ from convexqe.errors import (ConvexQEError, NonvaluationalInterpretationError,
 from convexqe.models import (IntCompiledFormula, Point, eval_formula,
                              term_value, u_member)
 from convexqe.normalform import dnf_clauses, normalize_atoms
-from convexqe.oracle import oracle_truth
+from convexqe.oracle import oracle_compile, oracle_truth
 from convexqe.parser import parse_formula, parse_term
 from convexqe.piecewise import UnaryPiecewiseLinear
 from convexqe.skolemlab import verify_skolem
@@ -31,9 +31,10 @@ def clause_of(text: str):
 
 def assert_equiv(m, f, g, rng, n=100):
     assert is_quantifier_free(g)
+    decision = oracle_compile(m, f).lower()
     for _ in range(n):
         asgn = {v: gen_point(rng, m) for v in sorted(free_vars(f) | free_vars(g))}
-        assert oracle_truth(m, f, asgn) == eval_formula(m, g, asgn), (
+        assert decision.eval_points(asgn) == eval_formula(m, g, asgn), (
             print_formula(f), print_formula(g),
             {k: str(v) for k, v in asgn.items()})
 

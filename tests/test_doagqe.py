@@ -10,7 +10,7 @@ from convexqe.cutqe import (PURE_GROUP, build_structure, eliminate_one_cut,
 from convexqe.doagqe import QeOptions
 from convexqe.models import eval_formula
 from convexqe.normalform import dnf_clauses, normalize_atoms
-from convexqe.oracle import oracle_truth
+from convexqe.oracle import oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.fuzz import gen_formula, gen_point
 from convexqe.syntax import (FalseF, TrueF, free_vars, is_quantifier_free,
@@ -27,9 +27,10 @@ def eliminate_one(literals, v):
 
 
 def assert_equiv(m, f, g, var_names, rng, n=80):
+    decision = oracle_compile(m, f).lower()
     for _ in range(n):
         asgn = {v: gen_point(rng, m) for v in var_names}
-        assert oracle_truth(m, f, asgn) == eval_formula(m, g, asgn), (
+        assert decision.eval_points(asgn) == eval_formula(m, g, asgn), (
             print_formula(f), print_formula(g), asgn)
 
 

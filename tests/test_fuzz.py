@@ -9,7 +9,7 @@ from convexqe.errors import BudgetExceededError
 from convexqe.fuzz import (SAMPLE_DENOM, VAR_POOL, FuzzConfig, _shrink,
                            gen_formula, int_sample_pool, run_fuzz)
 from convexqe.models import Point, eval_formula, model_to_json
-from convexqe.oracle import oracle_compile, oracle_truth
+from convexqe.oracle import oracle_compile
 from convexqe.syntax import free_vars, print_formula
 
 
@@ -30,7 +30,7 @@ def replay_fuzz(m, config: FuzzConfig) -> dict:
         fv = tuple(sorted(free_vars(f)))
         try:
             out = qe_star(f, st, options)
-            oracle_compile(m, f)
+            decision = oracle_compile(m, f).lower()
         except BudgetExceededError:
             skips += 1
             continue
@@ -43,7 +43,7 @@ def replay_fuzz(m, config: FuzzConfig) -> dict:
             asgn = {v: Point(tuple(Fraction(c, SAMPLE_DENOM) for c in p))
                     for v, p in ints.items()}
             got = eval_formula(m, out, asgn)
-            expected = oracle_truth(m, f, asgn)
+            expected = decision.eval_points(asgn)
             if got != expected:
                 small = _shrink(m, st, f, ints, options)
                 discrepancies.append({

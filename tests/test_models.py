@@ -18,7 +18,7 @@ from convexqe.models import (Cmp, DownwardCut, IntCompiledFormula, ModelDescript
                              compare_to_threshold, compile_formula,
                              eval_formula, model_from_json, model_to_json,
                              term_rows, term_value, u_member)
-from convexqe.oracle import _Decomposer, oracle_truth
+from convexqe.oracle import _Decomposer, oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.syntax import (And, Exists, FalseF, Or, Term, TrueF, atoms_of,
                              free_vars)
@@ -220,12 +220,13 @@ class TestClosureEvaluator:
             fs += [gen_formula(rng, ["x", "y"], 3, 0) for _ in range(25)]
             for f in fs:
                 ev = compile_formula(m, f)
+                decision = oracle_compile(m, f).lower()
                 for _ in range(12):
                     asgn = {v: gen_point(rng, m, values=RATIONAL_VALUES)
                             for v in ("x", "y")}
                     want = eval_formula(m, f, asgn)
                     assert ev.eval_points(asgn) == want, (name, str(f), asgn)
-                    assert oracle_truth(m, f, asgn) == want, (name, str(f))
+                    assert decision.eval_points(asgn) == want, (name, str(f))
 
     def test_irrational_cut_sides(self, models):
         f = parse_formula("U(x - 1/3 * y)")

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,7 @@ from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import BudgetExceededError, PrecisionBudgetError
 from convexqe.models import Point, eval_formula
 from convexqe import oracle
-from convexqe.oracle import (IntOracleEval, _compile, oracle_compile,
-                             oracle_truth)
+from convexqe.oracle import IntOracleEval, oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
                            int_sample_pool, pool_drawer)
@@ -63,9 +64,10 @@ class TestOracleAgreesWithEval:
                 f = gen_formula(rng, ["x", "y"], 3, 0)
                 if not is_quantifier_free(normalize_atoms(f)):
                     continue
+                decision = oracle_compile(m, f).lower()
                 for _ in range(15):
                     asgn = {v: gen_point(rng, m) for v in free_vars(f)}
-                    assert (oracle_truth(m, f, asgn)
+                    assert (decision.eval_points(asgn)
                             == eval_formula(m, f, asgn)), (m.describe(), str(f))
 
 
@@ -115,24 +117,18 @@ class TestCompileCache:
         with pytest.raises(PrecisionBudgetError):
             oracle_truth(fresh, f, asgn)
 
-
-    def test_repeated_truth_hits_the_cache(self, m_sub2):
+    def test_oracle_keeps_no_model_alive(self):
+        # nothing outlives a call: neither a decision nor the model it was
+        # compiled on
+        m = get_model("lex3_val_1pi0")
         f = parse_formula("E y. (x < y & U(y))")
-        oracle_truth(m_sub2, f, {"x": Point.of(1, 0)})
-        hits = _compile.cache_info().hits
-        oracle_truth(m_sub2, f, {"x": Point.of(0, 7)})
-        assert _compile.cache_info().hits == hits + 1
-
-    def test_cache_is_bounded(self, m_sub2):
-        bound = _compile.cache_info().maxsize
-        assert bound <= 256
-        for k in range(bound + 20):
-            oracle_compile(m_sub2, parse_formula(f"x < {k}"))
-        info = _compile.cache_info()
-        assert info.currsize <= bound
-        dec = oracle_compile(m_sub2, parse_formula(f"x < {bound + 19}"))
-        assert _compile.cache_info().hits == info.hits + 1
-        assert dec.eval({"x": Point.of(0, 0)})
+        assert oracle_truth(m, f, {"x": Point.of(0, 0, 0)})
+        assert IntOracleEval(oracle_compile(m, f),
+                             SAMPLE_DENOM).eval({"x": (0, 0, 0)})
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
 
 
 class TestBudget:

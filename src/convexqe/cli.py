@@ -340,7 +340,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_count, default=100)
     p.add_argument("--assignments", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_count, default=3)
     p.add_argument("--inject-bug", action="store_true",
                    help="self-test: negate one elimination rule")
     p.set_defaults(func=cmd_fuzz)

@@ -16,6 +16,16 @@ fresh list per call, ``[denom, *slots]``: the denominator, then one cache
 slot per distinct atom.  The roots of one lowering (an existential and its
 guards, say) share its table: called at the same points with one frame,
 they test each atom at most once.
+
+``Evaluator.block`` is a second driver over the same table, for many
+assignments at once.  Every jump goes to a lower row or to an exit, so it
+walks root 0's rows once, downwards, carrying the mask of lanes (one byte
+per assignment, 1 where the lane reaches the row) and splitting it at each
+row by the atom's block test.  A block test (the lowering's second
+callable, run on first use) takes ``(columns, denom, n)``, ``columns``
+mapping each variable to one tuple per coordinate holding its numerators
+at every lane, and returns its truth as such a mask.  It runs over all n
+lanes, once per call, and only when some lane reaches one of its rows.
 """
 
 from __future__ import annotations
@@ -29,11 +39,13 @@ TRUE, FALSE = -1, -2  # a root's exits; rows are numbered from 0
 
 class Lowering:
     """One jump table under construction: equal (hashable) atoms share one
-    frame slot, whose test ``lower(atom)`` runs at most once per call."""
+    frame slot, whose test ``lower(atom)`` runs at most once per call;
+    ``lower_block(atom)`` is its block test."""
 
-    def __init__(self, lower: Callable,
+    def __init__(self, lower: Callable, lower_block: Callable,
                  literal: Callable = lambda leaf: (leaf, False)):
         self._lower = lower
+        self._lower_block = lower_block
         self._literal = literal
         self._slots: dict = {}  # atom -> (slot, test)
         self._rows: list = []
@@ -72,7 +84,8 @@ class Lowering:
 
     def evaluator(self, *trees) -> "Evaluator":
         entries = [self._compile(tree) for tree in trees]
-        return Evaluator(tuple(self._rows), entries, len(self._slots))
+        return Evaluator(tuple(self._rows), entries, tuple(self._slots),
+                         self._lower_block)
 
 
 def _root(rows: tuple, entry: int) -> Callable[[Mapping, list], bool]:
@@ -90,12 +103,46 @@ def _root(rows: tuple, entry: int) -> Callable[[Mapping, list], bool]:
 
 class Evaluator:
     """Compiled formulas, one root each over one jump table, evaluated
-    exactly on integer or rational points; ``at`` and ``eval_points`` take
-    root 0."""
+    exactly on integer or rational points; ``at``, ``eval_points`` and
+    ``block`` take root 0."""
 
-    def __init__(self, rows: tuple, entries: list, atoms: int):
+    def __init__(self, rows: tuple, entries: list, atoms: tuple,
+                 lower_block: Callable):
         self.roots = tuple(_root(rows, entry) for entry in entries)
-        self.blank = (None,) * atoms
+        self.blank = (None,) * len(atoms)
+        self.rows, self.entries, self.atoms = rows, entries, atoms
+        self._lower_block = lower_block
+        self.block_tests: list = [None, *self.blank]  # by slot, on first use
+
+    def block(self, columns: Mapping, denom: int, n: int) -> int:
+        """Root 0's truth at n assignments, given as coordinate columns of
+        numerators over denom: a lane mask, byte j 1 where assignment j
+        satisfies it and 0 where not."""
+        rows, entry, tests = self.rows, self.entries[0], self.block_tests
+        lower = self._lower_block
+        lanes = [0] * (len(rows) + 2)  # then FALSE and TRUE, at -2 and -1
+        lanes[entry] = int.from_bytes(b"\x01" * n, "little")
+        masks = [None, *self.blank]
+        for i in range(entry, -1, -1):
+            live = lanes[i]
+            if not live:
+                continue
+            slot, _, t, e = rows[i]
+            mask = masks[slot]
+            if mask is None:
+                test = tests[slot]
+                if test is None:
+                    test = tests[slot] = lower(self.atoms[slot - 1])
+                mask = masks[slot] = test(columns, denom, n)
+            yes = live & mask
+            lanes[t] |= yes
+            lanes[e] |= live ^ yes
+        return lanes[TRUE]
+
+    def block_at(self, denom: int) -> Callable[[Mapping, int], int]:
+        """``block`` as a function of (columns, n) at numerators over
+        denom."""
+        return lambda columns, n: self.block(columns, denom, n)
 
     def at(self, denom: int) -> Callable[[Mapping], bool]:
         """Truth as a function of integer points: each variable's coordinate
@@ -132,6 +179,33 @@ def int_row(terms: tuple[tuple[str, int, int], ...], const: int):
     return row
 
 
+def int_col(terms: tuple[tuple[str, int, int], ...], const: int):
+    """Block form of ``int_row``: closure (columns, denom, n) -> the
+    linear form's value at each of the n lanes, as a list."""
+    if not terms:
+        return lambda p, d, n: [const * d] * n
+    (v, i, c), *rest = terms
+    if len(rest) == 1:  # the common case, in one pass
+        (w, j, e), = rest
+
+        def col(p, d, n) -> list:
+            k = const * d
+            return [c * x + e * y + k for x, y in zip(p[v][i], p[w][j])]
+    else:
+        def col(p, d, n) -> list:
+            k = const * d
+            out = [c * x + k for x in p[v][i]]
+            for w, j, e in rest:
+                out = [t + e * y for t, y in zip(out, p[w][j])]
+            return out
+    return col
+
+
+def lane_mask(bools: list) -> int:
+    """A lane mask from one truth value per lane: byte j is lane j's."""
+    return int.from_bytes(bytes(bools), "little")
+
+
 def first_nonzero(rows: list):
     """Closure (points, denom) -> the first nonzero row value, or 0."""
     if len(rows) == 1:
@@ -144,4 +218,21 @@ def first_nonzero(rows: list):
             if t:
                 return t
         return 0
+    return lead
+
+
+def first_nonzero_col(cols: list):
+    """Block form of ``first_nonzero``: closure (columns, denom, n) -> per
+    lane, the first nonzero column value, or 0."""
+    if not cols:
+        return lambda p, d, n: [0] * n
+    head, *rest = cols
+    if not rest:
+        return head
+
+    def lead(p, d, n) -> list:
+        out = head(p, d, n)
+        for col in rest:
+            out = [s or t for s, t in zip(out, col(p, d, n))]
+        return out
     return lead

@@ -236,32 +236,34 @@ def _first_mismatch(rng: random.Random, draw: Callable[[int], tuple],
                     names: tuple[str, ...], dim: int, count: int,
                     got: Callable, expected: Callable
                     ) -> tuple[int, Optional[dict]]:
-    """Evaluate both sides at count assignments of names, drawn as
-    ``{v: draw(dim) for v in names}`` each but SAMPLE_BLOCK at a time into
-    one dict refilled in place.  Returns how many were evaluated and the
-    first at which the sides differ, or None; rng is left where drawing just
-    those assignments one by one leaves it."""
+    """Evaluate both sides' block drivers at count assignments of names,
+    drawn as ``{v: draw(dim) for v in names}`` each but SAMPLE_BLOCK at a
+    time, as coordinate columns.  Returns how many were evaluated, up to
+    and including the first at which the sides differ, and that one, or
+    None; rng is left where drawing just those assignments one by one
+    leaves it."""
     width = len(names) * dim
-    ints: dict = {}
     for first in range(0, count, SAMPLE_BLOCK):
         block = min(SAMPLE_BLOCK, count - first)
         state = rng.getstate()
         flat = draw(block * width)
-        at = 0
-        for j in range(block):
-            for v in names:
-                ints[v] = flat[at:at + dim]
-                at += dim
-            if got(ints) != expected(ints):
-                rng.setstate(state)  # draw again only up to this one
-                draw((j + 1) * width)
-                return first + j + 1, ints
+        columns = {v: tuple(flat[k * dim + i::width] for i in range(dim))
+                   for k, v in enumerate(names)}
+        differ = got(columns, block) ^ expected(columns, block)
+        if differ:
+            j = (differ & -differ).bit_length() - 1 >> 3  # its lowest lane
+            rng.setstate(state)  # draw again only up to this one
+            draw((j + 1) * width)
+            at = j * width
+            return first + j + 1, {v: flat[at + k * dim:at + (k + 1) * dim]
+                                   for k, v in enumerate(names)}
     return count, None
 
 
 def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
-    if config.formulas < 0 or config.assignments < 0:
-        raise ValueError("formula and assignment counts must not be negative")
+    if min(config.formulas, config.assignments, config.depth) < 0:
+        raise ValueError(
+            "formula and assignment counts and the depth must not be negative")
     rng = random.Random(config.seed)
     st = build_structure(m)
     options = QeOptions(dnf_budget=config.dnf_budget,
@@ -286,7 +288,7 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
         checked += 1
         assert is_quantifier_free(out)
         done, ints = _first_mismatch(rng, draw, fv, dim, config.assignments,
-                                     comp.eval, orc.eval)
+                                     comp.block, orc.block)
         total_assignments += done
         if ints is None:
             continue

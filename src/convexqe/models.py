@@ -13,7 +13,11 @@ Quantifier-free formulas are evaluated two ways.  ``eval_formula`` folds
 the formula with exact Point arithmetic and is the reference.
 ``compile_formula`` compiles formulas once, one root each, into one jump
 table of ``closures`` for the per-assignment loops (atoms read integer-only
-rows); ``IntCompiledFormula`` is one such root at a fixed denominator.
+rows); ``IntCompiledFormula`` is one such root at a fixed denominator.  Each
+atom has a scalar test and a block test, which reads the rows as columns
+over many assignments at once; an irrational edge is decided by integer
+comparison against the oracle's ``bracket``, and by ``compare`` only inside
+it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .closures import DENOM, Evaluator, Lowering, first_nonzero, int_row
+from .closures import (DENOM, Evaluator, Lowering, first_nonzero,
+                       first_nonzero_col, int_col, int_row, lane_mask)
 from .errors import (MalformedModelError, PrecisionBudgetError)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
@@ -106,6 +111,7 @@ class IrrationalOracle:
         self.tag = tag
         self._lock = threading.Lock()
         self._best: Optional[tuple[int, Fraction, Fraction]] = None
+        self._bracket: Optional[tuple[int, int, int]] = None
 
     def refine(self, bits: int) -> tuple[Fraction, Fraction]:
         with self._lock:
@@ -120,6 +126,17 @@ class IrrationalOracle:
 
     def _compute(self, bits: int) -> tuple[Fraction, Fraction]:
         raise NotImplementedError
+
+    def bracket(self) -> tuple[int, int, int]:
+        """(lo, hi, bits), integers with lo / 2**bits < value < hi / 2**bits,
+        from the first refinement: a rational outside it is placed by two
+        integer comparisons, and ``compare`` is needed only inside it."""
+        if self._bracket is None:
+            lo, hi = self.refine(START_BITS)
+            self._bracket = ((lo.numerator << START_BITS) // lo.denominator,
+                             -((-hi.numerator << START_BITS)
+                               // hi.denominator), START_BITS)
+        return self._bracket
 
     def compare(self, q: Fraction, budget: int = DEFAULT_PRECISION_BITS) -> int:
         """Sign of q - value; terminates because the value is irrational."""
@@ -476,11 +493,13 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
 # Compiled evaluation (integer arithmetic)
 
 
-def term_rows(m: ModelDescriptor, t: Term, shifted: bool = False):
+def term_rows(m: ModelDescriptor, t: Term, shifted: bool = False,
+              row=int_row):
     """The term's coordinates, less the cut's rational prefix if shifted,
     as integer rows: at points over denominator d, row i gives
     (t_i - s_i) * lc * d, s_i the prefix entry (or 0).  Returns (lc, rows),
-    lc the lcm of the denominators involved."""
+    lc the lcm of the denominators involved; ``row=int_col`` gives them
+    as columns."""
     nums, a, b, c, den = t
     k = m.constants
     # coordinate i's constant is const[i] / (den * k.denom)
@@ -492,8 +511,8 @@ def term_rows(m: ModelDescriptor, t: Term, shifted: bool = False):
     # x / n has denominator n / gcd(x, n)
     lc = math.lcm(*(de // math.gcd(x, de) for x in const),
                   *(den // math.gcd(n, den) for _, n in nums))
-    return lc, [int_row(tuple((v, i, n * lc // den) for v, n in nums),
-                        x * lc // de) for i, x in enumerate(const)]
+    return lc, [row(tuple((v, i, n * lc // den) for v, n in nums),
+                    x * lc // de) for i, x in enumerate(const)]
 
 
 def _lower_atom(m: ModelDescriptor, a: Atom):
@@ -516,10 +535,13 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
     j = len(cut.prefix)
     if cut.oracle is not None:
         row, alpha = rows[j], cut.oracle
+        lo, hi, bits = alpha.bracket()
 
-        def rest(p, f) -> bool:
+        def rest(p, f) -> bool:  # row / (lc * d) < alpha
             d = f[DENOM]
-            return alpha.compare(Fraction(row(p, d), lc * d)) < 0
+            x, den = row(p, d), lc * d
+            return (x << bits <= lo * den or x << bits < hi * den
+                    and alpha.compare(Fraction(x, den)) < 0)
         if j == 0:
             return rest
     else:
@@ -531,6 +553,45 @@ def _lower_atom(m: ModelDescriptor, a: Atom):
     def below(p, f) -> bool:
         s = lead(p, f[DENOM])
         return s < 0 if s else rest(p, f)
+    return below
+
+
+def _lower_block(m: ModelDescriptor, a: Atom):
+    """Block test closure for one atom: ``_lower_atom`` over the term's
+    columns, each lane's lead the first nonzero of its rows."""
+    kind, cut = a.kind, m.cut
+    umem = kind == AtomKind.UMEM
+    lc, cols = term_rows(m, a.term, umem, int_col)
+    if kind == AtomKind.IMEM or umem and cut.cls is CutClass.SUBGROUP:
+        lead = first_nonzero_col(cols[:cut.stabilizer])
+        return lambda p, d, n: lane_mask([not s for s in lead(p, d, n)])
+    if not umem:
+        lead = first_nonzero_col(cols)
+        return {
+            AtomKind.LT: lambda p, d, n: lane_mask(
+                [s < 0 for s in lead(p, d, n)]),
+            AtomKind.LE: lambda p, d, n: lane_mask(
+                [s <= 0 for s in lead(p, d, n)]),
+            AtomKind.EQ: lambda p, d, n: lane_mask(
+                [not s for s in lead(p, d, n)]),
+            AtomKind.NEQ: lambda p, d, n: lane_mask(
+                [s != 0 for s in lead(p, d, n)])}[kind]
+    j = len(cut.prefix)
+    lead = first_nonzero_col(cols[:j])
+    if cut.oracle is None:
+        inside = j < m.dim or not m.u_interp.strict
+        return lambda p, d, n: lane_mask(
+            [s < 0 if s else inside for s in lead(p, d, n)])
+    col, alpha = cols[j], cut.oracle
+    lo, hi, bits = alpha.bracket()
+
+    def below(p, d, n) -> int:  # as _lower_atom's, lane by lane
+        den = lc * d
+        low, high = lo * den, hi * den
+        return lane_mask([
+            s < 0 if s else (x << bits <= low or x << bits < high
+                             and alpha.compare(Fraction(x, den)) < 0)
+            for s, x in zip(lead(p, d, n), col(p, d, n))])
     return below
 
 
@@ -553,16 +614,19 @@ def compile_formula(m: ModelDescriptor, *fs: Formula) -> Evaluator:
             return t is TrueF
         raise ValueError("compile needs a quantifier-free formula")
 
-    return Lowering(lambda a: _lower_atom(m, a)).evaluator(
+    return Lowering(lambda a: _lower_atom(m, a),
+                    lambda a: _lower_block(m, a)).evaluator(
         *(fold(f, node) for f in fs))
 
 
 class IntCompiledFormula:
     """compile_formula at a fixed sample denominator: ``eval`` takes each
-    variable's coordinate numerators over ``denom``."""
+    variable's coordinate numerators over ``denom``, ``block`` their
+    columns over n assignments."""
 
     def __init__(self, m: ModelDescriptor, f: Formula, denom: int):
-        self.eval = compile_formula(m, f).at(denom)
+        ev = compile_formula(m, f)
+        self.eval, self.block = ev.at(denom), ev.block_at(denom)
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,8 @@ class TestFuzzCommand:
         ("fuzz", "--model", "lex2_sub1.json", "--count", "2",
          "--assignments", "-3"),
         ("fuzz", "--model", "lex2_sub1.json", "--count", "-1"),
+        ("fuzz", "--model", "lex2_sub1.json", "--count", "2",
+         "--depth", "-1"),
         ("verify-skolem", "--model", "lex2_sub1.json", "--phi", "x < y",
          "--target", "y", "--sk", FILE, "--samples", "-5"),
         # no quantifier here: a negative depth budget must not reach qe
@@ -360,7 +362,8 @@ class TestFuzzCommand:
          "x < 0"),
         ("--budget-dnf", "-1", "eliminate", "--model", "lex2_sub1.json",
          "E y. (x < y & U(y))"),
-    ], ids=["negative-assignments", "negative-count", "negative-samples",
+    ], ids=["negative-assignments", "negative-count", "negative-depth",
+            "negative-samples",
             "negative-budget-depth", "negative-budget-dnf"])
     def test_negative_counts_are_usage_errors(self, capsys, tmp_path, argv):
         path = tmp_path / "sk.json"

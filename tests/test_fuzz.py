@@ -85,3 +85,7 @@ class TestRunFuzzDraws:
         with pytest.raises(ValueError):
             run_fuzz(m_sub2, FuzzConfig(formulas=formulas,
                                         assignments=assignments))
+
+    def test_negative_depth_is_refused(self, m_sub2):
+        with pytest.raises(ValueError):
+            run_fuzz(m_sub2, FuzzConfig(formulas=2, depth=-1))

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import convexqe.fuzz as fuzz
 from convexqe.cli import main
 from convexqe.cutqe import SkolemDefinition, build_structure, qe_star, skolemize
 from convexqe.errors import ConvexQEError
@@ -239,6 +240,14 @@ def test_skolemize_output_is_pinned(name):
 
 @pytest.mark.parametrize("name", VALUATIONAL_NAMES)
 def test_fuzz_reports_are_pinned(name):
+    assert _digest(_fuzz_transcript(name)) == FUZZ_DIGESTS[name]
+
+
+@pytest.mark.parametrize("block", [7, 1])
+@pytest.mark.parametrize("name", VALUATIONAL_NAMES)
+def test_fuzz_reports_are_pinned_in_small_blocks(name, block, monkeypatch):
+    # the assignments of one formula straddle many block edges
+    monkeypatch.setattr(fuzz, "SAMPLE_BLOCK", block)
     assert _digest(_fuzz_transcript(name)) == FUZZ_DIGESTS[name]
 
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cutarith import (edge_sign, escape_witness, limit_sign,
-                       simplest_between, top_coset_rep)
+from .cutarith import (edge_gap, edge_member, edge_sign, escape_witness,
+                       limit_sign, top_coset_rep)
 from .errors import (NonvaluationalInterpretationError,
-                     PreconditionViolatedError, SearchExhaustedError)
-from .models import (CutClass, DownwardCut, IrrationalOracle,
+                     PreconditionViolatedError)
+from .models import (CutClass, DownwardCut,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel,
                      term_value, u_member)
 from .piecewise import BinaryPiecewiseLinear, check_pluslike
@@ -58,29 +58,14 @@ class ClassificationReport:
 
 
 def _nonvaluational_falsifier(m: ModelDescriptor) -> Callable[[Point], Point]:
-    """Given any eps > 0, produce a in C with a + eps outside C."""
-    prefix, oracle = m.cut.prefix, m.cut.oracle
-    j = len(prefix)
+    """Given any eps > 0, produce a in C with a + eps outside C: a member
+    within eps of the edge, or any member when eps is decided before the
+    deciding coordinate."""
 
     def falsify(eps: Point) -> Point:
         if eps.lex_sign() <= 0:
             raise PreconditionViolatedError("epsilon must be positive")
-        p = next(i for i, c in enumerate(eps.coords) if c != 0)
-        if p < j:
-            lo, _ = oracle.refine(16)
-            q = simplest_between(lo - 1, lo)
-            return Point(prefix + (q,) + (F0,) * (m.dim - j - 1))
-        # the bump happens at the deciding coordinate: squeeze the interval
-        # below the step size
-        bits = 16
-        while True:
-            lo, hi = oracle.refine(bits)
-            if hi - lo < eps.coords[j]:
-                # any q in (hi - eps_j, lo) lies below the cut yet escapes
-                # after the bump: q + eps_j > hi
-                q = simplest_between(hi - eps.coords[j], lo)
-                return Point(prefix + (q,) + (F0,) * (m.dim - j - 1))
-            bits *= 2
+        return edge_member(m, gap=edge_gap(m, F1, eps))
 
     return falsify
 
@@ -139,17 +124,9 @@ def stabilizer_escape(m: ModelDescriptor, i: int) -> Optional[tuple[Point, Point
     prefix = [Fraction(e) for e in entries[:i]]  # all rational here
     e = entries[i]
     if isinstance(e, Fraction):
-        coords = prefix + [e - Fraction(1, 2)] + [F0] * (m.dim - i - 1)
-    else:
-        assert isinstance(e, IrrationalOracle)
-        bits = 16
-        while True:
-            lo, hi = e.refine(bits)
-            if hi - lo < 1:
-                break
-            bits *= 2
-        coords = prefix + [lo] + [F0] * (m.dim - i - 1)
-    a = Point(tuple(coords))
+        a = Point(tuple(prefix + [e - Fraction(1, 2)] + [F0] * (m.dim - i - 1)))
+    else:  # the cut's own irrational entry: a member within 1 of it
+        a = edge_member(m, gap=F1)
     return a, a + Point.unit(m.dim, i)
 
 
@@ -181,7 +158,13 @@ def _top_cell_index(m: ModelDescriptor, f: BinaryPiecewiseLinear,
             # sup C sits against the boundary in a
             s = edge_sign(m, 2, d.scale(F1 / dx), d_drift.scale(F1 / dx))
             above = s if dx > 0 else -s
-        if above > 0 or (above == 0 and dx > 0):
+        # sup C on the boundary: the top coset of a valuational cut runs on
+        # past it; a rational edge is met from below, or at itself when it
+        # belongs to C
+        if above == 0 and dx != 0:
+            above = dx if m.cut.stabilizer < m.dim else (
+                -dx if m.u_interp.strict else 0)
+        if above > 0:
             idx += 1
     return idx
 
@@ -197,13 +180,35 @@ def _condition_at(m: ModelDescriptor, f: BinaryPiecewiseLinear,
     return edge_sign(m, piece.coef_x, cbase, cdrift) <= 0
 
 
+def _epsilon_scale(m: ModelDescriptor, f: BinaryPiecewiseLinear) -> Fraction:
+    """A delta > 0 at which eps = delta*e_n keeps every sign that
+    _condition_at reads in the limit delta -> 0+: each cell boundary's
+    against sup C, and the top piece's at sup C.  Only the last coordinate
+    moves with delta, so only a sign decided there can change: at delta
+    past its value's size over delta's coefficient."""
+    if m.cut.stabilizer < m.dim:  # the signs are read before coordinate n
+        return F1
+    dx, dy = f.direction
+    piece = f.pieces[_top_cell_index(m, f, Point.zero(m.dim),
+                                     Point.unit(m.dim, m.dim - 1))]
+    sizes = [(edge_gap(m, piece.coef_x, term_value(m, piece.const, {})),
+              piece.coef_y)]
+    for t in f.thresholds:
+        if dx != 0:  # sup C - (t*unit - dy*eps)/dx
+            sizes.append((edge_gap(m, 2, m.unit.scale(-t / dx)), dy / dx))
+        elif m.dim == 1:  # dy*eps - t*unit, read whole
+            sizes.append((abs(t) or None, dy))
+    return min([F1] + [h / abs(v) / 2 for h, v in sizes
+                       if h is not None and v != 0])
+
+
 def f_valuational(m: ModelDescriptor, f: BinaryPiecewiseLinear) -> FValuationalResult:
     """Decide whether some eps > 0 satisfies: for all a in C, F(a, eps) in C.
 
     The condition is antitone in eps (F increases in its second argument and
     C is downward closed), so existence is equivalent to the limit condition
     along eps = delta * e_n as delta -> 0+, decided with dual numbers; a
-    concrete witness is then found by halving.
+    concrete witness is then read off the sizes of the signs involved.
     """
     rep = check_pluslike(f)
     if not rep.pluslike:
@@ -211,41 +216,29 @@ def f_valuational(m: ModelDescriptor, f: BinaryPiecewiseLinear) -> FValuationalR
     last = Point.unit(m.dim, m.dim - 1)
     zero = Point.zero(m.dim)
     if _condition_at(m, f, zero, last):
-        delta = F1
-        for _ in range(512):
-            eps = last.scale(delta)
-            if _condition_at(m, f, eps, zero):
-                return FValuationalResult(True, epsilon=eps)
-            delta /= 2
-        raise AssertionError("limit condition held but no witness stabilized")
+        eps = last.scale(_epsilon_scale(m, f))
+        assert _condition_at(m, f, eps, zero), "epsilon left the limit cell"
+        return FValuationalResult(True, epsilon=eps)
 
     def falsify(eps: Point) -> Point:
         if eps.lex_sign() <= 0:
             raise PreconditionViolatedError("epsilon must be positive")
         idx = _top_cell_index(m, f, eps, zero)
         piece = f.pieces[idx]
+        q = piece.coef_x
         cval = eps.scale(piece.coef_y) + term_value(m, piece.const, {})
         dx, dy = f.direction
-        lo_pt = hi_pt = None
-        if dx != 0:
-            if idx > 0:
-                b = (m.unit.scale(f.thresholds[idx - 1]) - eps.scale(dy)).scale(F1 / dx)
-                lo_pt, hi_pt = (b, None) if dx > 0 else (None, b)
-            if idx < len(f.thresholds):
-                b = (m.unit.scale(f.thresholds[idx]) - eps.scale(dy)).scale(F1 / dx)
-                if dx > 0:
-                    hi_pt = b
-                else:
-                    lo_pt = b
-        try:
-            return escape_witness(m, piece.coef_x, cval, lo_pt, hi_pt)
-        except SearchExhaustedError:
-            # with dx < 0 the cell is closed at lo, which the search window
-            # (lo, hi] leaves out; F is continuous, so lo may be the witness
-            if dx < 0 and lo_pt is not None and u_member(m, lo_pt) \
-                    and not u_member(m, lo_pt.scale(piece.coef_x) + cval):
+        # the cell's lower end in a; its upper end, if any, lies above C
+        i = idx - 1 if dx > 0 else idx
+        lo_pt = None
+        if dx != 0 and 0 <= i < len(f.thresholds):
+            lo_pt = (m.unit.scale(f.thresholds[i]) - eps.scale(dy)).scale(F1 / dx)
+            # with dx < 0 the cell is closed at its lower end, which may
+            # itself be the witness (F is continuous)
+            if dx < 0 and u_member(m, lo_pt) \
+                    and not u_member(m, lo_pt.scale(q) + cval):
                 return lo_pt
-            raise
+        return escape_witness(m, q, cval, lo_pt)
 
     return FValuationalResult(False, falsifier=falsify)
 

@@ -1,5 +1,5 @@
 """Exact arithmetic at the cut: the one sign at the supremum of U, and the
-one search for members of the cut.  Both read the cut's shape,
+one constructor of members of the cut near it.  Both read the cut's shape,
 ``ModelDescriptor.cut``.
 
 For a downward cut C with virtual supremum g, ``edge_sign`` gives the sign
@@ -7,25 +7,25 @@ of the virtual value (q-1)*g + c, also in the limit along c + delta*drift
 as delta -> 0+ (dual numbers u + v*delta, compared by the sign of u, then
 of v).  It is the only comparison against sup C in the package: an affine
 map q*x + c with q > 0 maps C into itself exactly when the sign is <= 0,
-and the Skolem obstruction reads the same sign.  ``cut_members`` walks the
-points of C cofinally toward g; every witness search filters it, except
-resistance's two searches in ``cutqe``: ``_march_down`` toward -infinity
-and ``_descending_witness`` toward a piece's left end.  The
-arithmetic is coordinate comparisons plus oracle refinement, so
-everything here is exact and terminating.
+and the Skolem obstruction reads the same sign.  ``edge_gap`` bounds the
+size of that value from below, and ``edge_member`` builds a member of C
+within a given distance of g: every witness in the package (resistance,
+the falsifiers, the stabilizer escapes, the Skolem obstruction) is one of
+its members, a cell or piece end, or a closed form.  The arithmetic is
+coordinate comparisons plus oracle refinement to the precision each call
+sets, so everything here is exact and terminating.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import MalformedModelError, SearchExhaustedError
 from .models import (START_BITS, CutClass, DownwardCut, ModelDescriptor,
-                     PlusInf, Point, u_member)
+                     PlusInf, Point)
 
 F0 = Fraction(0)
-_SEARCH_LIMIT = 2000
 
 
 def top_coset_rep(m: ModelDescriptor) -> Point:
@@ -131,66 +131,75 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return sign * q
 
 
-def points_below_cut(m: ModelDescriptor):
-    """Yield points of C approaching sup C from below (cofinal in C)."""
+def edge_gap(m: ModelDescriptor, q: Fraction, c: Point) -> Optional[Fraction]:
+    """A positive rational lower bound on |(q-1)*g + c| at the cut's
+    deciding coordinate, the last one at the stabilizer scale, for
+    g = sup C as in ``edge_sign``: the value itself when it is rational,
+    and strictly below it otherwise.  None when the value is decided at an
+    earlier coordinate or is 0 there.  An irrational g is refined until its
+    bracket excludes the zero of the value, which a nonzero value makes
+    finite, within the precision budget (``PrecisionBudgetError`` past
+    it)."""
     cut = m.cut
-    last = Point.unit(m.dim, m.dim - 1)
-    if cut.cls is CutClass.RATIONAL_CUT:
-        theta = Point(cut.prefix)
-        if not m.u_interp.strict:
-            yield theta
-        for t in range(_SEARCH_LIMIT):
-            yield theta - last.scale(Fraction(1, 2 ** t))
-        return
-    if cut.oracle is None:  # climb the top coset, or the subgroup
-        base = top_coset_rep(m)
-        for t in range(_SEARCH_LIMIT):
-            yield base + last.scale(2 ** t)
-        return
-    prefix, oracle = cut.prefix, cut.oracle
-    j = len(prefix)
-    bits = START_BITS
-    prev: Optional[Fraction] = None
-    for _ in range(_SEARCH_LIMIT):
-        lo, _hi = oracle.refine(bits)
-        bits *= 2
-        if prev is not None and lo <= prev:
-            continue
-        q = simplest_between(lo - 1 if prev is None else prev, lo)
-        prev = q
-        coords = list(prefix) + [q] + [Fraction(0)] * (m.dim - j - 1)
-        yield Point(tuple(coords))
+    k = cut.stabilizer
+    g = cut.prefix + (F0,) * (k - len(cut.prefix))  # the oracle's entry: 0
+    lam = [(q - 1) * t + u for t, u in zip(g, c.coords)]
+    if any(lam[:-1]):
+        return None
+    if cut.oracle is None or q == 1:  # the last entry is exact
+        return abs(lam[-1]) or None
+    z = c.coords[k - 1] / (1 - q)  # (q-1)*g_j + c_j = (q-1)*(g_j - z)
+    cut.oracle.compare(z)
+    lo, hi = cut.oracle.refine(START_BITS)  # the bracket compare kept
+    return abs(q - 1) * (lo - z if z < lo else z - hi)
 
 
-def cut_members(m: ModelDescriptor, lo: Optional[Point] = None,
-                hi: Optional[Point] = None) -> Iterator[Point]:
-    """The points of points_below_cut that lie in C and in (lo, hi], in
-    order; a missing bound is unbounded."""
-    for a in points_below_cut(m):
+def edge_member(m: ModelDescriptor, lo: Optional[Point] = None,
+                gap: Optional[Fraction] = None) -> Point:
+    """A member a of C above lo (a missing bound is unbounded) with
+    sup C - a below the positive rational gap at the deciding coordinate;
+    no gap asks for any member.  The top coset of a coset-topped cut or of
+    a subgroup is at distance 0; a rational edge is closed form; an
+    irrational one is refined once, to a bracket narrower than gap/2, and
+    the simplest rational below it within gap is taken; lo is placed
+    against it within the precision budget (``PrecisionBudgetError`` past
+    it).  Raises ``SearchExhaustedError`` only when no member of C lies
+    above lo."""
+    cut = m.cut
+    k = cut.stabilizer
+    if cut.cls in (CutClass.SUBGROUP, CutClass.COSET_CUT):
+        a = top_coset_rep(m)
+        if lo is not None and lo.coords[:k] == a.coords[:k]:
+            return lo + Point.unit(m.dim, m.dim - 1)  # k < dim here
         if lo is not None and not lo.lex_lt(a):
-            continue
-        if hi is not None and hi.lex_lt(a):
-            continue
-        if u_member(m, a):
-            yield a
+            raise SearchExhaustedError("no member of the cut above the bound")
+        return a
+    j = k - 1  # the last coordinate of a rational cut, or the oracle's
+    head = cut.prefix[:j]
+    if lo is not None and lo.coords[:j] > head:
+        raise SearchExhaustedError("no member of the cut above the bound")
+    floor = lo.coords[j] if lo is not None and lo.coords[:j] == head else None
+    if cut.oracle is None:
+        low = high = cut.prefix[j]
+    else:
+        if floor is not None:
+            cut.oracle.compare(floor)  # keeps a bracket that excludes floor
+        bits = START_BITS
+        if gap is not None:  # 2**-bits < gap/2
+            bits = max(bits, (2 * gap.denominator // gap.numerator).bit_length())
+        low, high = cut.oracle.refine(bits)
+    if floor is not None and floor >= low:
+        raise SearchExhaustedError("no member of the cut above the bound")
+    bounds = [high - gap if gap is not None else low - 1]
+    if floor is not None:
+        bounds.append(floor)
+    x = simplest_between(max(bounds), low)
+    return Point(head + (x,) + (F0,) * (m.dim - k))
 
 
 def escape_witness(m: ModelDescriptor, q: Fraction, c: Point,
-                   lo: Optional[Point] = None,
-                   hi: Optional[Point] = None) -> Point:
-    """A point a in C with lo < a <= hi and q*a + c outside C; the caller
-    guarantees existence (the affine image condition failed on a region
-    whose closure reaches sup C)."""
-    a = next((a for a in cut_members(m, lo, hi)
-              if not u_member(m, a.scale(q) + c)), None)
-    if a is None:
-        raise SearchExhaustedError("no escape witness found; model data suspect")
-    return a
-
-
-def member_witness_above(m: ModelDescriptor, lo: Optional[Point]) -> Point:
-    """Some a in C with a > lo (exists whenever C has points above lo)."""
-    a = next(cut_members(m, lo), None)
-    if a is None:
-        raise SearchExhaustedError("no member above the given bound")
-    return a
+                   lo: Optional[Point] = None) -> Point:
+    """A point a in C above lo with q*a + c outside C, for q > 0 and
+    edge_sign(m, q, c) > 0: a member nearer sup C than ((q-1)*g + c)/q."""
+    gap = edge_gap(m, q, c)
+    return edge_member(m, lo, None if gap is None else gap / q)

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .cutarith import (cut_members, edge_sign, escape_witness,
-                       member_witness_above)
+from .cutarith import edge_member, edge_sign, escape_witness
 from .doagqe import QeOptions
 from .errors import (BudgetExceededError, NonvaluationalInterpretationError,
                      SkolemShapeUnsupportedError, UnsupportedCutError)
@@ -617,15 +616,11 @@ def _check_resistance_cut(m: ModelDescriptor, f: UnaryPiecewiseLinear) -> Resist
         cval = term_value(m, piece.const, {})
         if q == 0:
             if not u_member(m, cval):
-                # a point of C in (lo, hi], trying hi itself first
-                if hi_pt is None:
-                    a = member_witness_above(m, lo_pt)
-                elif u_member(m, hi_pt):
-                    a = hi_pt
-                else:
-                    a = next(cut_members(m, lo_pt, hi_pt), None)
-                if a is not None:
-                    return ResistanceResult(False, witness=a)
+                # a point of C in (lo, hi]: hi itself, or any member above
+                # lo when hi lies above C
+                a = hi_pt if hi_pt is not None and u_member(m, hi_pt) \
+                    else edge_member(m, lo_pt)
+                return ResistanceResult(False, witness=a)
             continue
         if q > 0:
             if hi_pt is not None and u_member(m, hi_pt):
@@ -636,46 +631,20 @@ def _check_resistance_cut(m: ModelDescriptor, f: UnaryPiecewiseLinear) -> Resist
             # the piece straddles the cut
             if edge_sign(m, q, cval) > 0:
                 return ResistanceResult(
-                    False, witness=escape_witness(m, q, cval, lo_pt, hi_pt))
+                    False, witness=escape_witness(m, q, cval, lo_pt))
             continue
         # q < 0: the image is largest toward the piece's left end
         if lo_pt is None:
-            a = _march_down(m, q, cval, hi_pt)
-            return ResistanceResult(False, witness=a)
-        img_left = lo_pt.scale(q) + cval
-        if u_member(m, img_left):
-            continue
-        a = _descending_witness(m, q, cval, lo_pt, hi_pt)
-        if a is not None:
-            return ResistanceResult(False, witness=a)
+            # f(a) >= e_out, which exceeds all of C, once a <= (e_out - c)/q
+            bounds = [(m.e_out - cval).scale(1 / q), edge_member(m)]
+            if hi_pt is not None:
+                bounds.append(hi_pt)
+            # (tuples of coordinates compare lexicographically, as points do)
+            return ResistanceResult(
+                False, witness=min(bounds, key=lambda p: p.coords))
+        if not u_member(m, lo_pt.scale(q) + cval):
+            return ResistanceResult(False, witness=lo_pt)
     return ResistanceResult(True)
-
-
-def _march_down(m: ModelDescriptor, q: Fraction, c: Point,
-                hi_pt: Optional[Point]) -> Point:
-    a = -m.unit
-    if hi_pt is not None and hi_pt.lex_lt(a):
-        a = hi_pt - m.unit
-    for _ in range(512):
-        if u_member(m, a) and not u_member(m, a.scale(q) + c):
-            return a
-        a = a.scale(2) if a.lex_sign() < 0 else a - m.unit
-    raise AssertionError("unbounded decreasing piece must escape the cut")
-
-
-def _descending_witness(m: ModelDescriptor, q: Fraction, c: Point,
-                        lo_pt: Point, hi_pt: Optional[Point]) -> Optional[Point]:
-    """For a decreasing piece whose left-end image exceeds the cut, approach
-    the left end from above until the image escapes."""
-    last = Point.unit(m.dim, m.dim - 1)
-    step = last
-    for _ in range(512):
-        a = lo_pt + step
-        if (hi_pt is None or not hi_pt.lex_lt(a)) and u_member(m, a) \
-                and not u_member(m, a.scale(q) + c):
-            return a
-        step = step.scale(Fraction(1, 2))
-    return None
 
 
 def resistance_crossing(m: ModelDescriptor, f: UnaryPiecewiseLinear

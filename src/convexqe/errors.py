@@ -55,4 +55,8 @@ class PreconditionViolatedError(ConvexQEError):
 
 
 class SearchExhaustedError(ConvexQEError):
-    pass
+    """A constructive search found nothing.  ``cutarith.edge_member`` raises
+    it only when no member of the cut lies above the bound it was given,
+    which proves that no witness exists there; ``skolemlab.choice_violation``
+    raises it when no input on its fixed and seeded ladder shows a
+    violation."""

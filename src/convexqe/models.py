@@ -36,7 +36,7 @@ from .closures import (DENOM, Evaluator, Lowering, first_nonzero,
 from .errors import (MalformedModelError, PrecisionBudgetError)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
-                     Or, Term, TrueF, fold, is_quantifier_free)
+                     Or, Term, TrueF, _rat_text, fold, is_quantifier_free)
 
 DEFAULT_PRECISION_BITS = 4096
 START_BITS = 16
@@ -94,7 +94,7 @@ class Point:
         return (self - other).lex_sign() < 0
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(rat_text(c) for c in self.coords) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +633,9 @@ class IntCompiledFormula:
 # JSON serialization
 
 
-def _rat_str(q: Fraction) -> str:
-    return str(q)
+def rat_text(q: Fraction) -> str:
+    """str(q), in full at any length."""
+    return _rat_text(q.numerator, q.denominator)
 
 
 def json_rational(x) -> Fraction:
@@ -655,7 +656,7 @@ def _json_of(kind: type, x):
 
 def _entry_to_json(e: ThresholdEntry):
     if isinstance(e, Fraction):
-        return _rat_str(e)
+        return rat_text(e)
     if isinstance(e, PlusInf):
         return "+inf"
     return {"irrational": e.tag}
@@ -679,8 +680,8 @@ def model_to_json(m: ModelDescriptor) -> dict:
              "threshold": [_entry_to_json(e) for e in m.u_interp.threshold],
              "strict": m.u_interp.strict}
     return {"dim": m.dim, "U": u,
-            "e_in": [_rat_str(c) for c in m.e_in.coords],
-            "e_out": [_rat_str(c) for c in m.e_out.coords]}
+            "e_in": [rat_text(c) for c in m.e_in.coords],
+            "e_out": [rat_text(c) for c in m.e_out.coords]}
 
 
 def model_from_json(data: dict) -> ModelDescriptor:

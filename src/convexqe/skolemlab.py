@@ -14,13 +14,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .classifier import stabilizer
-from .cutarith import cut_members, edge_sign
+from .cutarith import edge_gap, edge_member, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
 from .fuzz import (SAMPLE_BLOCK, SAMPLE_DENOM, _shown, int_sample_pool,
                    model_sample_pool, pool_drawer)
 from .models import (CutClass, ModelDescriptor, Point, compile_formula,
-                     i_member, term_rows, term_value, u_member)
+                     i_member, rat_text, term_rows, term_value, u_member)
 from .oracle import oracle_compile
 from .piecewise import UnaryPiecewiseLinear
 from .syntax import Exists, Formula, free_vars, is_quantifier_free
@@ -116,6 +116,10 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
 # Skolem obstruction over nonvaluational cuts
 
 
+def _text(p: Point) -> list[str]:
+    return [rat_text(c) for c in p.coords]
+
+
 @dataclass(frozen=True)
 class ObstructionWitness:
     point: Point
@@ -123,7 +127,7 @@ class ObstructionWitness:
     certificate: dict
 
     def to_json(self) -> dict:
-        return {"point": [str(c) for c in self.point.coords],
+        return {"point": _text(self.point),
                 "violation": self.violation,
                 "certificate": self.certificate}
 
@@ -145,8 +149,9 @@ def obstruction_find(m: ModelDescriptor,
 
     On the final piece q*x + c the gap f(x) - x is affine with rational
     data; its limit at the cut cannot vanish unless the piece is the
-    identity, so the sign of the limit decides which violation is achieved
-    and interval refinement locates a concrete rational witness.
+    identity, so the sign of the limit decides which violation is achieved,
+    and ``edge_member`` builds a rational witness within the distance to
+    the edge that the limit's size allows.
     """
     if m.cut.cls is not CutClass.NONVALUATIONAL:
         raise PreconditionViolatedError(
@@ -160,30 +165,26 @@ def obstruction_find(m: ModelDescriptor,
     def image(a: Point) -> Point:
         return a.scale(q) + c
 
-    cert: dict = {"piece_index": idx, "slope": str(q),
-                  "intercept": [str(x) for x in c.coords]}
+    cert: dict = {"piece_index": idx, "slope": rat_text(q),
+                  "intercept": _text(c)}
     if q == 1 and c.is_zero():
-        a = next(cut_members(m, lo_pt), None)
-        if a is None:
-            raise SearchExhaustedError("no cut point inside the final piece")
+        a = edge_member(m, lo_pt)
         cert["gap"] = "identically zero on the final piece"
         return ObstructionWitness(a, "not-increasing", cert)
 
     lam_sign = edge_sign(m, q, c)
     cert["gap_limit_sign"] = lam_sign
+    h = edge_gap(m, q, c)
     if lam_sign < 0:
-        a = next((a for a in cut_members(m, lo_pt)
-                  if not a.lex_lt(image(a))), None)  # f(a) <= a
-        if a is None:
-            raise SearchExhaustedError("negative gap limit but no witness found")
-        cert["comparison"] = {"f(a)": [str(x) for x in image(a).coords],
-                              "a": [str(x) for x in a.coords]}
+        # f(a) <= a is (q-1)*a + c <= 0: all of C near the edge when q >= 1,
+        # and a within h/(1-q) of the edge when q < 1
+        a = edge_member(m, lo_pt, None if h is None or q >= 1 else h / (1 - q))
+        cert["comparison"] = {"f(a)": _text(image(a)), "a": _text(a)}
         return ObstructionWitness(a, "not-increasing", cert)
-    a = next((a for a in cut_members(m, lo_pt)
-              if not u_member(m, image(a))), None)
-    if a is None:
-        raise SearchExhaustedError("positive gap limit but no witness found")
-    cert["comparison"] = {"f(a)": [str(x) for x in image(a).coords],
+    # f(a) - sup C = (q-1)*g + c - q*(g - a): a within h/q of the edge, or
+    # anywhere near it when q <= 0
+    a = edge_member(m, lo_pt, None if h is None or q <= 0 else h / q)
+    cert["comparison"] = {"f(a)": _text(image(a)),
                           "above": "threshold"}
     cert["oracle_interval"] = _interval_snapshot(m)
     return ObstructionWitness(a, "escapes-u", cert)
@@ -193,7 +194,7 @@ def _interval_snapshot(m: ModelDescriptor) -> Optional[list[str]]:
     if m.cut.oracle is None:
         return None
     lo, hi = m.cut.oracle.refine(16)
-    return [str(lo), str(hi)]
+    return [rat_text(lo), rat_text(hi)]
 
 
 # ---------------------------------------------------------------------------

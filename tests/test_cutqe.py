@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ from convexqe.oracle import oracle_compile, oracle_truth
 from convexqe.parser import parse_formula, parse_term
 from convexqe.piecewise import UnaryPiecewiseLinear
 from convexqe.skolemlab import verify_skolem
-from convexqe.cutarith import points_below_cut
+from convexqe.cutarith import edge_member
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
                            int_sample_pool, model_sample_pool)
 from convexqe.syntax import (Exists, disj, free_vars, is_quantifier_free,
@@ -322,9 +321,9 @@ class TestCheckResistance:
 
     def test_piecewise_candidates(self):
         """On every fixture an escape witness escapes, and a closed result
-        has no escape among sampled members: a few points approaching
-        sup C (the oracle's precision doubles with each one) and random
-        points that probe the threshold entries."""
+        has no escape among sampled members: members of C within 2^-1 ...
+        2^-6 of sup C and random points that probe the threshold
+        entries."""
         rng = random.Random(15)
         sample_rng = random.Random(16)
         for name in ("lex2_sub1", "lex2_val_1inf", "q1_pi", "q3_11pi",
@@ -332,7 +331,8 @@ class TestCheckResistance:
             # a fresh model: oracle refinements are memoized per oracle
             # object, and the shared fixtures must not see these
             m = get_model(name)
-            samples = list(itertools.islice(points_below_cut(m), 6))
+            samples = [edge_member(m, gap=Fraction(1, 2 ** k))
+                       for k in range(1, 7)]
             samples += [gen_point(sample_rng, m, model_sample_pool(m))
                         for _ in range(200)]
             members = [a for a in samples if u_member(m, a)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from convexqe.cutarith import points_below_cut
+from convexqe.cutarith import edge_member
 from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import BudgetExceededError, PrecisionBudgetError
 from convexqe.models import Point, eval_formula
@@ -106,7 +106,8 @@ class TestCompileCache:
         f = parse_formula("U(x)")
         asgn = {"x": Point.of(past_default_precision())}
         refined = get_model("q1_pi")
-        list(itertools.islice(points_below_cut(refined), 6))
+        for k in range(1, 7):
+            edge_member(refined, gap=Fraction(1, 2 ** k))
         refined.cut.oracle.refine(8192)
         assert oracle_truth(refined, f, asgn)
         assert eval_formula(refined, f, asgn)

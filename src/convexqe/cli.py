@@ -19,7 +19,7 @@ from .classifier import canonicalize_cut, classify
 from .cutqe import (SkolemDefinition, build_structure, qe_star, skolemize)
 from .doagqe import QeOptions
 from .errors import ConvexQEError, FormulaSyntaxError
-from .fuzz import FuzzConfig, run_fuzz
+from .fuzz import MAX_DEPTH, FuzzConfig, run_fuzz
 from .models import (START_BITS, Point, eval_formula, json_rational,
                      load_model)
 from .parser import parse_formula, parse_term
@@ -60,6 +60,15 @@ def _count(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
+def _depth(text: str) -> int:
+    """A fuzz formula depth, at most MAX_DEPTH (a deeper formula is
+    expected to pass the default DNF budget)."""
+    n = _count(text)
+    if n > MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEPTH}: {n}")
     return n
 
 
@@ -340,7 +349,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_count, default=100)
     p.add_argument("--assignments", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=_count, default=3)
+    p.add_argument("--depth", type=_depth, default=3)
     p.add_argument("--inject-bug", action="store_true",
                    help="self-test: negate one elimination rule")
     p.set_defaults(func=cmd_fuzz)

@@ -19,19 +19,21 @@ they test each atom at most once.
 
 ``Evaluator.block`` is a second driver over the same table, for many
 assignments at once.  Every jump goes to a lower row or to an exit, so it
-walks root 0's rows once, downwards, carrying the mask of lanes (one byte
+walks a root's rows once, downwards, carrying the mask of lanes (one byte
 per assignment, 1 where the lane reaches the row) and splitting it at each
 row by the atom's block test.  A block test (the lowering's second
-callable, run on first use) takes ``(columns, denom, n)``, ``columns``
+callable, lowered on first use) takes ``(columns, denom, n)``, ``columns``
 mapping each variable to one tuple per coordinate holding its numerators
 at every lane, and returns its truth as such a mask.  It runs over all n
-lanes, once per call, and only when some lane reaches one of its rows.
+lanes, only when some lane reaches one of its rows, and at most once per
+list of masks: roots called at the same columns with one list, ``[None,
+*slots]``, share each atom's mask as the scalar roots share a frame.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Optional
 
 DENOM = 0
 TRUE, FALSE = -1, -2  # a root's exits; rows are numbered from 0
@@ -103,8 +105,8 @@ def _root(rows: tuple, entry: int) -> Callable[[Mapping, list], bool]:
 
 class Evaluator:
     """Compiled formulas, one root each over one jump table, evaluated
-    exactly on integer or rational points; ``at``, ``eval_points`` and
-    ``block`` take root 0."""
+    exactly on integer or rational points; ``at`` and ``eval_points`` take
+    root 0, ``block`` any root."""
 
     def __init__(self, rows: tuple, entries: list, atoms: tuple,
                  lower_block: Callable):
@@ -114,15 +116,19 @@ class Evaluator:
         self._lower_block = lower_block
         self.block_tests: list = [None, *self.blank]  # by slot, on first use
 
-    def block(self, columns: Mapping, denom: int, n: int) -> int:
-        """Root 0's truth at n assignments, given as coordinate columns of
+    def block(self, columns: Mapping, denom: int, n: int, root: int = 0,
+              masks: Optional[list] = None) -> int:
+        """A root's truth at n assignments, given as coordinate columns of
         numerators over denom: a lane mask, byte j 1 where assignment j
-        satisfies it and 0 where not."""
-        rows, entry, tests = self.rows, self.entries[0], self.block_tests
+        satisfies it and 0 where not.  masks, ``[None, *blank]`` when
+        fresh, keeps each atom's mask at these columns by slot; pass one
+        list to several roots to test each atom once."""
+        rows, entry, tests = self.rows, self.entries[root], self.block_tests
         lower = self._lower_block
         lanes = [0] * (len(rows) + 2)  # then FALSE and TRUE, at -2 and -1
-        lanes[entry] = int.from_bytes(b"\x01" * n, "little")
-        masks = [None, *self.blank]
+        lanes[entry] = all_lanes(n)
+        if masks is None:
+            masks = [None, *self.blank]
         for i in range(entry, -1, -1):
             live = lanes[i]
             if not live:
@@ -204,6 +210,16 @@ def int_col(terms: tuple[tuple[str, int, int], ...], const: int):
 def lane_mask(bools: list) -> int:
     """A lane mask from one truth value per lane: byte j is lane j's."""
     return int.from_bytes(bytes(bools), "little")
+
+
+def all_lanes(n: int) -> int:
+    """The lane mask of lanes 0 to n - 1."""
+    return int.from_bytes(b"\x01" * n, "little")
+
+
+def lowest_lane(mask: int) -> int:
+    """The lowest lane set in a nonzero lane mask."""
+    return (mask & -mask).bit_length() - 1 >> 3
 
 
 def first_nonzero(rows: list):

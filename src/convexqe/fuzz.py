@@ -14,6 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
+from .closures import lowest_lane
 from .cutqe import CutStructure, build_structure, qe_star
 from .doagqe import QeOptions
 from .errors import BudgetExceededError, ConvexQEError
@@ -35,6 +36,11 @@ VALUE_POOL = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
               Fraction(-3), Fraction(7, 2)]
 VAR_POOL = ("x", "y", "z")
 SAMPLE_DENOM = 6  # common denominator of every sampled coordinate
+# gen_formula draws 1.1 children a node on average (0.15 quantifier, 0.15
+# negation, 0.4 binary), so a depth-d formula has about 10 * 1.1^d nodes;
+# depth 90 is the first at which that passes the default DNF budget of
+# 50,000, and a larger depth is refused
+MAX_DEPTH = 90
 
 
 @dataclass
@@ -251,7 +257,7 @@ def _first_mismatch(rng: random.Random, draw: Callable[[int], tuple],
                    for k, v in enumerate(names)}
         differ = got(columns, block) ^ expected(columns, block)
         if differ:
-            j = (differ & -differ).bit_length() - 1 >> 3  # its lowest lane
+            j = lowest_lane(differ)
             rng.setstate(state)  # draw again only up to this one
             draw((j + 1) * width)
             at = j * width
@@ -264,6 +270,8 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
     if min(config.formulas, config.assignments, config.depth) < 0:
         raise ValueError(
             "formula and assignment counts and the depth must not be negative")
+    if config.depth > MAX_DEPTH:
+        raise ValueError(f"the depth must be at most {MAX_DEPTH}")
     rng = random.Random(config.seed)
     st = build_structure(m)
     options = QeOptions(dnf_budget=config.dnf_budget,

@@ -8,12 +8,14 @@ at this scale; every returned certificate re-verifies by direct evaluation.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .classifier import stabilizer
+from .closures import all_lanes, int_col, lowest_lane
 from .cutarith import edge_gap, edge_member, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
@@ -53,62 +55,78 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
                   samples: int = 500, seed: int = 0,
                   st: Optional[CutStructure] = None) -> VerifyReport:
     """Sample parameter tuples; wherever the eliminated existential holds,
-    some guard must fire and its witness must satisfy phi.  The existential
-    and the guards share one lowering and one frame per sample."""
+    some guard must fire and its witness must satisfy phi.
+
+    Samples are drawn and checked SAMPLE_BLOCK at a time, as coordinate
+    columns, by the block driver: the existential and the guards share one
+    lowering and one list of atom masks per block, so each atom is tested
+    at most once per block.  Each lane takes the first guard that fires;
+    each case's witnesses are built at its lanes and checked by phi's block
+    driver.  The report is the one a sample-by-sample scan gives: the
+    lowest failing lane, with the lanes where the existential held up to
+    it counted as applicable."""
     if samples < 0:
         raise ValueError("the sample count must not be negative")
     st = st or build_structure(m)
     params = sorted(free_vars(phi) - {sk.target})
     existential = qe_star(Exists(sk.target, phi), st)
     low = compile_formula(m, existential, *(g for g, _ in sk.cases))
-    (ex, *guards), blank = low.roots, low.blank
     phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
                 else oracle_compile(m, phi).lower())
-    # per case: guard, witness rows over lc * SAMPLE_DENOM, phi at that denom
-    cases = []
-    for guard, (_, term) in zip(guards, sk.cases):
-        lc, rows = term_rows(m, term)
-        cases.append((guard, lc, rows, phi_eval.at(lc * SAMPLE_DENOM)))
+    # per case: lc and the witness columns over lc * SAMPLE_DENOM
+    witnesses = [term_rows(m, term, row=int_col) for _, term in sk.cases]
     draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
     dim = m.dim
     width = len(params) * dim
-    lcs = {lc for _, lc, _, _ in cases}
     applicable = 0
-    ints: dict = {}
-    pts: dict = {}
-    # samples drawn a block at a time, as {v: draw(dim) for v in params}
-    # each; the witness side reads them scaled once per distinct lc
+    # samples drawn as {v: draw(dim) for v in params} each, a block at a time
     for first in range(0, samples, SAMPLE_BLOCK):
-        block = min(SAMPLE_BLOCK, samples - first)
-        flat = draw(block * width)
-        scaled = {lc: flat if lc == 1 else tuple(c * lc for c in flat)
-                  for lc in lcs}
-        for j in range(block):
-            at = j * width
-            for v in params:
-                ints[v] = flat[at:at + dim]
-                at += dim
-            frame = [SAMPLE_DENOM, *blank]
-            if not ex(ints, frame):
+        n = min(SAMPLE_BLOCK, samples - first)
+        flat = draw(n * width)
+        columns = {v: tuple(flat[k * dim + i::width] for i in range(dim))
+                   for k, v in enumerate(params)}
+        masks = [None, *low.blank]
+        held = left = low.block(columns, SAMPLE_DENOM, n, 0, masks)
+        worst = None  # (lane, witness, lc) of the lowest failing witness
+        for root, (lc, cols) in enumerate(witnesses, 1):
+            if not left:
+                break
+            fired = low.block(columns, SAMPLE_DENOM, n, root, masks) & left
+            left ^= fired
+            if not fired:
                 continue
-            applicable += 1
-            for guard, lc, rows, check in cases:
-                if guard(ints, frame):
-                    break
-            else:
-                return VerifyReport(False, samples, applicable, seed, failure={
-                    "kind": "no-guard-fired", "sample_index": first + j,
-                    "assignment": {v: _shown(p) for v, p in ints.items()}})
-            big, at = scaled[lc], j * width
-            for v in params:
-                pts[v] = big[at:at + dim]
-                at += dim
-            pts[sk.target] = w = tuple(r(ints, SAMPLE_DENOM) for r in rows)
-            if not check(pts):
-                return VerifyReport(False, samples, applicable, seed, failure={
-                    "kind": "witness-fails", "sample_index": first + j,
-                    "assignment": {v: _shown(p) for v, p in ints.items()},
-                    "witness": _shown(w, lc * SAMPLE_DENOM)})
+            # the fired lanes, compacted
+            lanes = [j for j, b in enumerate(fired.to_bytes(n, "little"))
+                     if b]
+            size = len(lanes)
+            sub = columns if size == n else {
+                v: tuple([c[j] for j in lanes] for c in cs)
+                for v, cs in columns.items()}
+            w = [col(sub, SAMPLE_DENOM, size) for col in cols]
+            big = {v: tuple([x * lc for x in c] for c in cs)
+                   for v, cs in sub.items()} if lc != 1 else dict(sub)
+            big[sk.target] = w
+            bad = all_lanes(size) ^ phi_eval.block(big, lc * SAMPLE_DENOM,
+                                                   size)
+            if bad:
+                i = lowest_lane(bad)
+                if worst is None or lanes[i] < worst[0]:
+                    worst = (lanes[i], [c[i] for c in w], lc)
+        # left: the lanes where the existential held and no guard fired
+        j = min(lowest_lane(left) if left else n, worst[0] if worst else n)
+        if j == n:
+            applicable += held.bit_count()
+            continue
+        applicable += (held & all_lanes(j + 1)).bit_count()
+        fails = worst is not None and worst[0] == j
+        at = j * width
+        failure = {"kind": "witness-fails" if fails else "no-guard-fired",
+                   "sample_index": first + j, "assignment": {
+                       v: _shown(flat[at + k * dim:at + (k + 1) * dim])
+                       for k, v in enumerate(params)}}
+        if fails:
+            failure["witness"] = _shown(worst[1], worst[2] * SAMPLE_DENOM)
+        return VerifyReport(False, samples, applicable, seed, failure)
     return VerifyReport(True, samples, applicable, seed)
 
 
@@ -191,10 +209,18 @@ def obstruction_find(m: ModelDescriptor,
 
 
 def _interval_snapshot(m: ModelDescriptor) -> Optional[list[str]]:
-    if m.cut.oracle is None:
+    """[k / 2^16, (k + 1) / 2^16] with k = floor(alpha * 2^16): the same
+    however far the oracle has been refined before."""
+    alpha = m.cut.oracle
+    if alpha is None:
         return None
-    lo, hi = m.cut.oracle.refine(16)
-    return [rat_text(lo), rat_text(hi)]
+    lo, _ = alpha.refine(16)
+    k = math.floor(lo * 65536)
+    # lo < alpha within 2^-16, so this runs at most once; compare decides,
+    # as alpha is irrational
+    while alpha.compare(Fraction(k + 1, 65536)) < 0:
+        k += 1
+    return [rat_text(Fraction(k, 65536)), rat_text(Fraction(k + 1, 65536))]
 
 
 # ---------------------------------------------------------------------------

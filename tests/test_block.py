@@ -1,16 +1,18 @@
 """The block driver against the scalar one, lane by lane.
 
-``Evaluator.block`` walks root 0's rows once over many assignments and
+``Evaluator.block`` walks a root's rows once over many assignments and
 returns a lane mask, byte j for assignment j.  Here every such mask is
 compared with the scalar root run at each assignment alone, over toy
 trees (roots that fold to a constant, negated literals, empty
-connectives), compiled elimination outputs, oracle decisions and random
-models, at the lane counts on both sides of the driver's edges; and the
+connectives, several roots sharing one list of atom masks), compiled
+elimination outputs, oracle decisions and random models, at the lane
+counts on both sides of the driver's edges; and the
 irrational edge, where the block and the scalar tests fall back from the
 bracket to ``compare``, is checked against the Point reference."""
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -79,7 +81,9 @@ def _check_row_order(ev):
 # connective)
 
 
-def _toy_lowering(lowered: list):
+def _toy_lowering(lowered: list, calls: Optional[list] = None):
+    """Notes each atom in lowered as its block test is lowered, and in
+    calls, if given, at each call of that test."""
     def lower(a):
         v, i, k = a[0], int(a[1]), int(a[3:])
         return lambda p, f: p[v][i] < k
@@ -87,7 +91,12 @@ def _toy_lowering(lowered: list):
     def lower_block(a):
         lowered.append(a)
         v, i, k = a[0], int(a[1]), int(a[3:])
-        return lambda p, d, n: lane_mask([x < k for x in p[v][i]])
+
+        def test(p, d, n):
+            if calls is not None:
+                calls.append(a)
+            return lane_mask([x < k for x in p[v][i]])
+        return test
     return Lowering(lower, lower_block)
 
 
@@ -115,6 +124,42 @@ class TestToyTrees:
             points = [{v: (rng.randint(-3, 3), rng.randint(-3, 3))
                        for v in NAMES} for _ in range(n)]
             _check_lanes(ev, points, 2, 1)
+
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_roots_share_one_mask_list(self, n):
+        """Every root over one list of masks, in either order, answers as
+        each scalar root over one frame per assignment, and each block
+        test runs at most once per list."""
+        rng = random.Random(f"shared:{n}")
+        shared = alone = 0
+        for _ in range(150 if n < 500 else 30):
+            trees = [_toy_tree(rng, 4) for _ in range(rng.randint(2, 5))]
+            calls = []
+            ev = _toy_lowering([], calls).evaluator(*trees)
+            points = [{v: (rng.randint(-3, 3), rng.randint(-3, 3))
+                       for v in NAMES} for _ in range(n)]
+            cols = _columns(points, 2)
+            want = [[] for _ in trees]
+            for p in points:
+                frame = [1, *ev.blank]
+                for w, root in zip(want, ev.roots):
+                    w.append(root(p, frame))
+            roots = range(len(trees))
+            for order in (roots, reversed(roots)):
+                masks = [None, *ev.blank]
+                del calls[:]
+                got = {r: ev.block(cols, 1, n, r, masks) for r in order}
+                assert [got[r] for r in roots] == [_mask(w) for w in want]
+                assert sorted(calls) == sorted(
+                    ev.atoms[s - 1] for s, mask in enumerate(masks)
+                    if s and mask is not None)
+                assert len(calls) == len(set(calls))
+            shared += len(calls)
+            del calls[:]
+            for r in roots:
+                ev.block(cols, 1, n, r)
+            alone += len(calls)
+        assert shared < alone  # some atom was shared by two roots
 
     @pytest.mark.parametrize("tree, truth, tested", [
         (True, True, 0), (False, False, 0), (("&",), True, 0),

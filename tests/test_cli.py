@@ -9,12 +9,13 @@ import pytest
 from convexqe.cli import fixtures_dir, main
 from convexqe.classifier import classify
 from convexqe.cutqe import build_structure, qe_star
+from convexqe.fuzz import MAX_DEPTH, FuzzConfig, run_fuzz
 from convexqe.models import Point, compile_formula, eval_formula, load_model
 from convexqe.oracle import oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.syntax import print_formula
 
-from conftest import fixture_path
+from conftest import fixture_path, get_model
 
 
 FILE = object()  # stands for a file written with the case's content
@@ -372,6 +373,21 @@ class TestFuzzCommand:
                            *(str(path) if a is FILE else a for a in argv))
         assert rc == 2 and out == ""
         assert "must not be negative" in err
+
+    def test_depth_beyond_the_cap_is_refused(self, capsys):
+        # expected size about 10 * 1.1^depth nodes: 53,130 at the cap, the
+        # first depth past the default DNF budget of 50,000
+        assert MAX_DEPTH == 90
+        rc, out, _ = run(capsys, "fuzz", "--model", "lex2_sub1.json",
+                         "--count", "0", "--depth", "90")
+        assert rc == 0 and out.startswith("checked 0 formulas")
+        rc, out, err = run(capsys, "fuzz", "--model", "lex2_sub1.json",
+                           "--count", "5", "--depth", "500")
+        assert rc == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "must be at most 90: 500" in errors[0]
+        with pytest.raises(ValueError, match="at most 90"):
+            run_fuzz(get_model("lex2_sub1"), FuzzConfig(formulas=5, depth=91))
 
     def test_zero_dnf_budget_is_the_budget_error(self, capsys):
         rc, out, err = run(capsys, "--budget-dnf", "0", "eliminate",

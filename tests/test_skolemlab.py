@@ -1,17 +1,29 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import convexqe.skolemlab as skolemlab
-from convexqe.cutqe import SkolemDefinition, build_structure, skolemize
-from convexqe.errors import PreconditionViolatedError
-from convexqe.models import i_member, u_member
+from convexqe.cutqe import (SkolemDefinition, build_structure, qe_star,
+                            skolemize)
+from convexqe.errors import (PreconditionViolatedError,
+                             SkolemShapeUnsupportedError)
+from convexqe.fuzz import (SAMPLE_DENOM, _shown, gen_atom, int_sample_pool,
+                           pool_drawer)
+from convexqe.models import (PiOracle, compile_formula, i_member, term_rows,
+                             u_member)
+from convexqe.oracle import oracle_compile
 from convexqe.parser import parse_formula, parse_term
 from convexqe.piecewise import UnaryPiecewiseLinear
-from convexqe.skolemlab import (choice_violation, obstruction_find,
-                                verify_skolem)
-from convexqe.syntax import TRUE, Term
+from convexqe.skolemlab import (SAMPLE_POOL, VerifyReport, choice_violation,
+                                obstruction_find, verify_skolem)
+from convexqe.syntax import (TRUE, And, Exists, Not, Or, Term, free_vars,
+                             is_quantifier_free)
+
+from conftest import VALUATIONAL_NAMES, get_model
+
+ELIMINABLE_NAMES = VALUATIONAL_NAMES + ["lex2_rat_11"]
 
 
 class TestVerifySkolem:
@@ -80,10 +92,115 @@ class TestVerifySkolem:
         monkeypatch.setattr(skolemlab, "SAMPLE_BLOCK", 7)
         assert verify_skolem(m_1pi0, phi, sk, samples=300, seed=9) == whole
 
+    def test_reports_match_the_scalar_reference(self):
+        """Synthesized definitions, the two mutants, the empty definition
+        and a quantified phi, on every eliminable fixture: the block
+        driver's report is the sample-by-sample scan's."""
+        kinds = set()
+        for name in ELIMINABLE_NAMES:
+            m = get_model(name)
+            st = build_structure(m)
+            rng = random.Random(f"verify-reference:{name}")
+            done = 0
+            while done < 6:
+                phi = _random_qf(rng, 3)
+                try:
+                    sk = skolemize(phi, "y", st)
+                except SkolemShapeUnsupportedError:
+                    continue
+                done += 1
+                mutants = _mutants(sk)
+                quantified = And(phi, parse_formula(
+                    "E z. (x < z | z < x + 1)"))
+                for f, d in [(phi, sk), *((phi, mutant) for mutant in mutants),
+                             (quantified, sk), (quantified, mutants[0])]:
+                    seed = rng.getrandbits(32)
+                    rep = verify_skolem(m, f, d, 200, seed, st)
+                    assert rep == _scalar_verify(m, f, d, 200, seed, st), (
+                        name, f, d)
+                    kinds.add(rep.failure and rep.failure["kind"])
+            # two failing cases a block: below 0 the witness fails and in
+            # [0, 2] no guard fires; or every witness fails, the second
+            # case's at negative x
+            phi = parse_formula("x < y")
+            for cases in ((("x < 0", "x"), ("2 < x", "x + 1")),
+                          (("0 < x", "x"), ("x < 0", "x"))):
+                sk = SkolemDefinition("y", tuple(
+                    (parse_formula(g), parse_term(w)) for g, w in cases))
+                for seed in range(6):
+                    assert verify_skolem(m, phi, sk, 100, seed, st) == \
+                        _scalar_verify(m, phi, sk, 100, seed, st)
+        assert kinds == {None, "no-guard-fired", "witness-fails"}
+
     def test_negative_sample_count_is_refused(self, m_sub2):
         with pytest.raises(ValueError):
             verify_skolem(m_sub2, parse_formula("x < y"),
                           SkolemDefinition("y", ()), samples=-5)
+
+
+def _random_qf(rng, depth):
+    """A quantifier-free formula in x and y that mentions y."""
+    while True:
+        f = _qf(rng, depth)
+        if "y" in free_vars(f):
+            return f
+
+
+def _qf(rng, depth):
+    if depth <= 0 or rng.random() < 0.35:
+        return gen_atom(rng, ["x", "y"])
+    r = rng.random()
+    if r < 0.35:
+        return Not(_qf(rng, depth - 1))
+    return (And if r < 0.75 else Or)(_qf(rng, depth - 1), _qf(rng, depth - 1))
+
+
+def _mutants(sk):
+    """Every guard given the last witness; the first case dropped; both;
+    no case."""
+    t, cases = sk.target, sk.cases
+    last = tuple((g, cases[-1][1]) for g, _ in cases)
+    return [SkolemDefinition(t, last), SkolemDefinition(t, cases[1:]),
+            SkolemDefinition(t, last[1:]), SkolemDefinition(t, ())]
+
+
+def _scalar_verify(m, phi, sk, samples, seed, st):
+    """verify_skolem as a sample-by-sample scan over the scalar roots,
+    sharing one frame per sample: the reference the block driver must
+    reproduce, report for report."""
+    params = sorted(free_vars(phi) - {sk.target})
+    existential = qe_star(Exists(sk.target, phi), st)
+    low = compile_formula(m, existential, *(g for g, _ in sk.cases))
+    (ex, *guards), blank = low.roots, low.blank
+    phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
+                else oracle_compile(m, phi).lower())
+    cases = []
+    for guard, (_, term) in zip(guards, sk.cases):
+        lc, rows = term_rows(m, term)
+        cases.append((guard, lc, rows, phi_eval.at(lc * SAMPLE_DENOM)))
+    draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
+    applicable = 0
+    for index in range(samples):
+        ints = {v: draw(m.dim) for v in params}
+        frame = [SAMPLE_DENOM, *blank]
+        if not ex(ints, frame):
+            continue
+        applicable += 1
+        for guard, lc, rows, check in cases:
+            if guard(ints, frame):
+                break
+        else:
+            return VerifyReport(False, samples, applicable, seed, failure={
+                "kind": "no-guard-fired", "sample_index": index,
+                "assignment": {v: _shown(p) for v, p in ints.items()}})
+        pts = {v: tuple(c * lc for c in p) for v, p in ints.items()}
+        pts[sk.target] = w = tuple(r(ints, SAMPLE_DENOM) for r in rows)
+        if not check(pts):
+            return VerifyReport(False, samples, applicable, seed, failure={
+                "kind": "witness-fails", "sample_index": index,
+                "assignment": {v: _shown(p) for v, p in ints.items()},
+                "witness": _shown(w, lc * SAMPLE_DENOM)})
+    return VerifyReport(True, samples, applicable, seed)
 
 
 class TestObstruction:
@@ -129,6 +246,32 @@ class TestObstruction:
         w = obstruction_find(m_pi, UnaryPiecewiseLinear.affine(2, 0))
         assert w.certificate["slope"] == "2"
         assert "comparison" in w.certificate
+
+    @pytest.mark.parametrize("name", ["q1_pi", "q3_11pi"])
+    def test_certificate_does_not_depend_on_refinement(self, name):
+        # a fresh model: refining a session fixture's oracle would reach
+        # other tests
+        m = get_model(name)
+        f = UnaryPiecewiseLinear.affine(1, Fraction(1, 10 ** 40))
+        before = obstruction_find(m, f).to_json()
+        assert before["violation"] == "escapes-u"
+        lo, hi = map(Fraction, before["certificate"]["oracle_interval"])
+        assert hi - lo == Fraction(1, 2 ** 16)
+        assert (lo * 2 ** 16).denominator == 1
+        assert m.cut.oracle.compare(lo) < 0 < m.cut.oracle.compare(hi)
+        m.cut.oracle.refine(4096)
+        assert obstruction_find(m, f).to_json() == before
+
+    def test_snapshot_of_a_loose_refinement(self):
+        # a first refinement whose lower end is 2^-17 further below pi
+        # leaves 205887/65536 between it and pi; compare places pi above
+        class Loose(PiOracle):
+            def _compute(self, bits):
+                lo, hi = super()._compute(bits)
+                return lo - Fraction(bits == 16, 2 ** 17), hi
+        m = SimpleNamespace(cut=SimpleNamespace(oracle=Loose()))
+        assert skolemlab._interval_snapshot(m) == ["205887/65536",
+                                                   "3217/1024"]
 
 
 def _verify_choice_violation(m, cand, v):

@@ -238,6 +238,22 @@ def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, ints: dict,
     return current
 
 
+def drawn_block(flat: tuple, names: Sequence[str], dim: int
+                ) -> tuple[dict, Callable[[int], dict]]:
+    """Assignments of names drawn as ``{v: draw(dim) for v in names}``
+    each, one after another, in the one draw flat: their coordinate
+    columns, and lane j's assignment as a function of j."""
+    width = len(names) * dim
+    columns = {v: tuple(flat[k * dim + i::width] for i in range(dim))
+               for k, v in enumerate(names)}
+
+    def lane(j: int) -> dict:
+        at = j * width
+        return {v: flat[at + k * dim:at + (k + 1) * dim]
+                for k, v in enumerate(names)}
+    return columns, lane
+
+
 def _first_mismatch(rng: random.Random, draw: Callable[[int], tuple],
                     names: tuple[str, ...], dim: int, count: int,
                     got: Callable, expected: Callable
@@ -252,17 +268,13 @@ def _first_mismatch(rng: random.Random, draw: Callable[[int], tuple],
     for first in range(0, count, SAMPLE_BLOCK):
         block = min(SAMPLE_BLOCK, count - first)
         state = rng.getstate()
-        flat = draw(block * width)
-        columns = {v: tuple(flat[k * dim + i::width] for i in range(dim))
-                   for k, v in enumerate(names)}
+        columns, lane = drawn_block(draw(block * width), names, dim)
         differ = got(columns, block) ^ expected(columns, block)
         if differ:
             j = lowest_lane(differ)
             rng.setstate(state)  # draw again only up to this one
             draw((j + 1) * width)
-            at = j * width
-            return first + j + 1, {v: flat[at + k * dim:at + (k + 1) * dim]
-                                   for k, v in enumerate(names)}
+            return first + j + 1, lane(j)
     return count, None
 
 

@@ -12,12 +12,13 @@ interpretation here once; every other module takes it from there.
 Quantifier-free formulas are evaluated two ways.  ``eval_formula`` folds
 the formula with exact Point arithmetic and is the reference.
 ``compile_formula`` compiles formulas once, one root each, into one jump
-table of ``closures`` for the per-assignment loops (atoms read integer-only
-rows); ``IntCompiledFormula`` is one such root at a fixed denominator.  Each
-atom has a scalar test and a block test, which reads the rows as columns
-over many assignments at once; an irrational edge is decided by integer
-comparison against the oracle's ``bracket``, and by ``compare`` only inside
-it.
+table of ``closures`` for the per-assignment loops;
+``IntCompiledFormula`` is one such root at a fixed denominator.  Each atom
+is lowered once, to the integer rows of its term and the sign and tail
+that decide it (``_lower_atom``), and ``closures`` builds its scalar test
+and its block test, over many assignments at once, from that.  An
+irrational edge is decided by integer comparison against the oracle's
+``bracket``, and by ``compare`` only inside it.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from operator import eq, le, lt, ne
 from typing import Mapping, Optional, Union
 
-from .closures import (DENOM, Evaluator, Lowering, first_nonzero,
-                       first_nonzero_col, int_col, int_row, lane_mask)
+from .closures import AtDenominator, Evaluator, Lowering
 from .errors import (MalformedModelError, PrecisionBudgetError)
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
@@ -493,13 +494,12 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
 # Compiled evaluation (integer arithmetic)
 
 
-def term_rows(m: ModelDescriptor, t: Term, shifted: bool = False,
-              row=int_row):
+def term_rows(m: ModelDescriptor, t: Term, shifted: bool = False):
     """The term's coordinates, less the cut's rational prefix if shifted,
-    as integer rows: at points over denominator d, row i gives
-    (t_i - s_i) * lc * d, s_i the prefix entry (or 0).  Returns (lc, rows),
-    lc the lcm of the denominators involved; ``row=int_col`` gives them
-    as columns."""
+    as integer rows ``(terms, const)`` (see ``closures.int_row``): at
+    points over denominator d, row i is (t_i - s_i) * lc * d, s_i the
+    prefix entry (or 0).  Returns (lc, rows), lc the lcm of the
+    denominators involved."""
     nums, a, b, c, den = t
     k = m.constants
     # coordinate i's constant is const[i] / (den * k.denom)
@@ -511,88 +511,37 @@ def term_rows(m: ModelDescriptor, t: Term, shifted: bool = False,
     # x / n has denominator n / gcd(x, n)
     lc = math.lcm(*(de // math.gcd(x, de) for x in const),
                   *(den // math.gcd(n, den) for _, n in nums))
-    return lc, [row(tuple((v, i, n * lc // den) for v, n in nums),
-                    x * lc // de) for i, x in enumerate(const)]
+    return lc, [(tuple((v, i, n * lc // den) for v, n in nums), x * lc // de)
+                for i, x in enumerate(const)]
+
+
+# an order or equality atom: the sign of its term's first nonzero row, and
+# its truth where every row is zero
+_ORDER = {AtomKind.LT: (lt, False), AtomKind.LE: (le, True),
+          AtomKind.EQ: (eq, True), AtomKind.NEQ: (ne, False)}
 
 
 def _lower_atom(m: ModelDescriptor, a: Atom):
-    """Test closure for one atom over the term's integer rows.  A cut's
-    rational threshold prefix is folded into the rows, so U(t) reads off
-    the first nonzero row, then the cut's tail (+inf, the strictness, or
-    its oracle)."""
+    """The ``closures`` spec of one atom over the term's integer rows.  A
+    cut's rational threshold prefix is folded into the rows, so U(t) reads
+    off the first nonzero row, then the cut's tail (+inf, the strictness,
+    or its oracle)."""
     kind, cut = a.kind, m.cut
     umem = kind == AtomKind.UMEM
     lc, rows = term_rows(m, a.term, umem)
     if kind == AtomKind.IMEM or umem and cut.cls is CutClass.SUBGROUP:
-        lead = first_nonzero(rows[:cut.stabilizer])
-        return lambda p, f: not lead(p, f[DENOM])
+        return rows[:cut.stabilizer], eq, True
     if not umem:
-        lead = first_nonzero(rows)
-        return {AtomKind.LT: lambda p, f: lead(p, f[DENOM]) < 0,
-                AtomKind.LE: lambda p, f: lead(p, f[DENOM]) <= 0,
-                AtomKind.EQ: lambda p, f: not lead(p, f[DENOM]),
-                AtomKind.NEQ: lambda p, f: lead(p, f[DENOM]) != 0}[kind]
+        return (rows, *_ORDER[kind])
     j = len(cut.prefix)
-    if cut.oracle is not None:
-        row, alpha = rows[j], cut.oracle
-        lo, hi, bits = alpha.bracket()
-
-        def rest(p, f) -> bool:  # row / (lc * d) < alpha
-            d = f[DENOM]
-            x, den = row(p, d), lc * d
-            return (x << bits <= lo * den or x << bits < hi * den
-                    and alpha.compare(Fraction(x, den)) < 0)
-        if j == 0:
-            return rest
-    else:
+    if cut.oracle is None:
         # +inf entry, or t = threshold
         inside = j < m.dim or not m.u_interp.strict
-        rest = lambda p, f: inside
-    lead = first_nonzero(rows[:j])
-
-    def below(p, f) -> bool:
-        s = lead(p, f[DENOM])
-        return s < 0 if s else rest(p, f)
-    return below
-
-
-def _lower_block(m: ModelDescriptor, a: Atom):
-    """Block test closure for one atom: ``_lower_atom`` over the term's
-    columns, each lane's lead the first nonzero of its rows."""
-    kind, cut = a.kind, m.cut
-    umem = kind == AtomKind.UMEM
-    lc, cols = term_rows(m, a.term, umem, int_col)
-    if kind == AtomKind.IMEM or umem and cut.cls is CutClass.SUBGROUP:
-        lead = first_nonzero_col(cols[:cut.stabilizer])
-        return lambda p, d, n: lane_mask([not s for s in lead(p, d, n)])
-    if not umem:
-        lead = first_nonzero_col(cols)
-        return {
-            AtomKind.LT: lambda p, d, n: lane_mask(
-                [s < 0 for s in lead(p, d, n)]),
-            AtomKind.LE: lambda p, d, n: lane_mask(
-                [s <= 0 for s in lead(p, d, n)]),
-            AtomKind.EQ: lambda p, d, n: lane_mask(
-                [not s for s in lead(p, d, n)]),
-            AtomKind.NEQ: lambda p, d, n: lane_mask(
-                [s != 0 for s in lead(p, d, n)])}[kind]
-    j = len(cut.prefix)
-    lead = first_nonzero_col(cols[:j])
-    if cut.oracle is None:
-        inside = j < m.dim or not m.u_interp.strict
-        return lambda p, d, n: lane_mask(
-            [s < 0 if s else inside for s in lead(p, d, n)])
-    col, alpha = cols[j], cut.oracle
-    lo, hi, bits = alpha.bracket()
-
-    def below(p, d, n) -> int:  # as _lower_atom's, lane by lane
-        den = lc * d
-        low, high = lo * den, hi * den
-        return lane_mask([
-            s < 0 if s else (x << bits <= low or x << bits < high
-                             and alpha.compare(Fraction(x, den)) < 0)
-            for s, x in zip(lead(p, d, n), col(p, d, n))])
-    return below
+        return rows[:j], le if inside else lt, inside
+    alpha = cut.oracle
+    return rows[:j], lt, (
+        rows[j], lc, *alpha.bracket(),
+        lambda x, den: alpha.compare(Fraction(x, den)) < 0)
 
 
 def compile_formula(m: ModelDescriptor, *fs: Formula) -> Evaluator:
@@ -614,19 +563,17 @@ def compile_formula(m: ModelDescriptor, *fs: Formula) -> Evaluator:
             return t is TrueF
         raise ValueError("compile needs a quantifier-free formula")
 
-    return Lowering(lambda a: _lower_atom(m, a),
-                    lambda a: _lower_block(m, a)).evaluator(
+    return Lowering(lambda a: _lower_atom(m, a)).evaluator(
         *(fold(f, node) for f in fs))
 
 
-class IntCompiledFormula:
+class IntCompiledFormula(AtDenominator):
     """compile_formula at a fixed sample denominator: ``eval`` takes each
     variable's coordinate numerators over ``denom``, ``block`` their
     columns over n assignments."""
 
     def __init__(self, m: ModelDescriptor, f: Formula, denom: int):
-        ev = compile_formula(m, f)
-        self.eval, self.block = ev.at(denom), ev.block_at(denom)
+        super().__init__(compile_formula(m, f), denom)
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,21 @@ This module deliberately shares no elimination machinery with the main
 engines; it is the differential-testing reference.  The residual tree is
 compiled to a jump table by the plumbing of ``closures``, which the model
 evaluator also uses, but this module lowers its own one-dimensional sign
-atoms and alpha comparisons, each as a scalar test and as a block test over
-many assignments.
+atoms and alpha comparisons, to one integer-row spec each, with its own
+bracket of beta (alpha or -alpha) and its own exact comparison inside it;
+``closures`` only builds the scalar and the block test from that spec.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .closures import DENOM, Evaluator, Lowering, int_col, int_row, lane_mask
+from .closures import AtDenominator, Evaluator, Lowering
 from .errors import BudgetExceededError
 from .models import (IrrationalOracle, ModelDescriptor, PlusInf, Point,
                      SubgroupLevel)
@@ -462,59 +464,26 @@ def _row_terms(form: LinForm) -> tuple[tuple[str, int, int], ...]:
 
 
 def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
-    """Test closure for ``form < 0`` or ``form = 0``: the form's symbols
-    and constant are one integer row, and a nonzero alpha coefficient is
-    decided against the cut's interval oracle."""
+    """The ``closures`` spec of ``form < 0`` or ``form = 0``: the form's
+    symbols and constant are one integer row.  With a nonzero alpha
+    coefficient ac, ``form < 0`` at points over d is ``row + ac*d*alpha <
+    0``, that is ``row / (|ac|*d) < beta`` for beta = alpha if ac < 0,
+    else -alpha, decided against the cut's interval oracle."""
     form, lt = a.form, a.kind == "lt"
-    row = int_row(_row_terms(form), form.const)
+    row = (_row_terms(form), form.const)
     if form.alpha == 0:
-        if lt:
-            return lambda p, f: row(p, f[DENOM]) < 0
-        return lambda p, f: row(p, f[DENOM]) == 0
+        sign, tail = (operator.lt, False) if lt else (operator.eq, True)
+        return [row], sign, tail
     if not lt:
-        return lambda p, f: False  # never 0: alpha is irrational
+        return [], operator.lt, False  # never 0: alpha is irrational
     ac = form.alpha
-    k, side = abs(ac), ac > 0
-    lo, hi, bits = _beta_bracket(alpha, ac)
-
-    def test(p, f) -> bool:
-        d = f[DENOM]
-        x = row(p, d)
-        return (x << bits <= k * d * lo or x << bits < k * d * hi
-                and (alpha.compare(Fraction(-x, ac * d)) > 0) == side)
-    return test
-
-
-def _beta_bracket(alpha: IrrationalOracle, ac: int) -> tuple[int, int, int]:
-    """``row + ac*d*alpha < 0`` is ``row / (|ac|*d) < beta``, beta = alpha
-    if ac < 0, else -alpha: (lo, hi, bits), lo / 2**bits < beta <
-    hi / 2**bits.  Inside it, the test is that alpha lies on ac's side of
-    -row/(ac*d)."""
     lo, hi, bits = alpha.bracket()
-    return (-hi, -lo, bits) if ac > 0 else (lo, hi, bits)
-
-
-def _lower_block(alpha: Optional[IrrationalOracle], a: CAtom):
-    """Block test closure of ``_lower_atom``'s test, lane by lane."""
-    form, lt = a.form, a.kind == "lt"
-    col = int_col(_row_terms(form), form.const)
-    if form.alpha == 0:
-        if lt:
-            return lambda p, d, n: lane_mask([x < 0 for x in col(p, d, n)])
-        return lambda p, d, n: lane_mask([x == 0 for x in col(p, d, n)])
-    if not lt:
-        return lambda p, d, n: 0
-    ac = form.alpha
-    k, side = abs(ac), ac > 0
-    lo, hi, bits = _beta_bracket(alpha, ac)
-
-    def test(p, d, n) -> int:
-        low, high = k * d * lo, k * d * hi
-        return lane_mask([
-            x << bits <= low or x << bits < high
-            and (alpha.compare(Fraction(-x, ac * d)) > 0) == side
-            for x in col(p, d, n)])
-    return test
+    if ac > 0:
+        # x / den < -alpha where alpha < -x / den
+        return [], operator.lt, (row, ac, -hi, -lo, bits, lambda x, den:
+                                 alpha.compare(Fraction(-x, den)) > 0)
+    return [], operator.lt, (row, -ac, lo, hi, bits, lambda x, den:
+                             alpha.compare(Fraction(x, den)) < 0)
 
 
 class OracleDecision:
@@ -538,21 +507,19 @@ class OracleDecision:
             # copy would take a frame slot of its own
             return (atoms[n], False) if n >= 0 else (atoms[~n], True)
         return Lowering(lambda a: _lower_atom(self.alpha, a),
-                        lambda a: _lower_block(self.alpha, a),
                         literal).evaluator(self.tree)
 
     def eval(self, asgn: Mapping[str, Point]) -> bool:
         return self.lower().eval_points(asgn)
 
 
-class IntOracleEval:
+class IntOracleEval(AtDenominator):
     """A decision at a fixed sample denominator: ``eval`` takes each
     variable's coordinate numerators over ``denom``, ``block`` their
     columns over n assignments."""
 
     def __init__(self, dec: OracleDecision, denom: int):
-        ev = dec.lower()
-        self.eval, self.block = ev.at(denom), ev.block_at(denom)
+        super().__init__(dec.lower(), denom)
 
 
 def oracle_compile(m: ModelDescriptor, f: Formula,

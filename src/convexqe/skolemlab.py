@@ -19,8 +19,8 @@ from .closures import all_lanes, int_col, lowest_lane
 from .cutarith import edge_gap, edge_member, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
-from .fuzz import (SAMPLE_BLOCK, SAMPLE_DENOM, _shown, int_sample_pool,
-                   model_sample_pool, pool_drawer)
+from .fuzz import (SAMPLE_BLOCK, SAMPLE_DENOM, _shown, drawn_block,
+                   int_sample_pool, model_sample_pool, pool_drawer)
 from .models import (CutClass, ModelDescriptor, Point, compile_formula,
                      i_member, rat_text, term_rows, term_value, u_member)
 from .oracle import oracle_compile
@@ -74,7 +74,8 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
                 else oracle_compile(m, phi).lower())
     # per case: lc and the witness columns over lc * SAMPLE_DENOM
-    witnesses = [term_rows(m, term, row=int_col) for _, term in sk.cases]
+    witnesses = [(lc, [int_col(*r) for r in rows]) for lc, rows in
+                 (term_rows(m, term) for _, term in sk.cases)]
     draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
     dim = m.dim
     width = len(params) * dim
@@ -82,9 +83,7 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     # samples drawn as {v: draw(dim) for v in params} each, a block at a time
     for first in range(0, samples, SAMPLE_BLOCK):
         n = min(SAMPLE_BLOCK, samples - first)
-        flat = draw(n * width)
-        columns = {v: tuple(flat[k * dim + i::width] for i in range(dim))
-                   for k, v in enumerate(params)}
+        columns, lane = drawn_block(draw(n * width), params, dim)
         masks = [None, *low.blank]
         held = left = low.block(columns, SAMPLE_DENOM, n, 0, masks)
         worst = None  # (lane, witness, lc) of the lowest failing witness
@@ -119,11 +118,9 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
             continue
         applicable += (held & all_lanes(j + 1)).bit_count()
         fails = worst is not None and worst[0] == j
-        at = j * width
         failure = {"kind": "witness-fails" if fails else "no-guard-fired",
                    "sample_index": first + j, "assignment": {
-                       v: _shown(flat[at + k * dim:at + (k + 1) * dim])
-                       for k, v in enumerate(params)}}
+                       v: _shown(p) for v, p in lane(j).items()}}
         if fails:
             failure["witness"] = _shown(worst[1], worst[2] * SAMPLE_DENOM)
         return VerifyReport(False, samples, applicable, seed, failure)

@@ -8,18 +8,20 @@ connectives, several roots sharing one list of atom masks), compiled
 elimination outputs, oracle decisions and random models, at the lane
 counts on both sides of the driver's edges; and the
 irrational edge, where the block and the scalar tests fall back from the
-bracket to ``compare``, is checked against the Point reference."""
+bracket to ``compare``, is checked against the Point reference.  Both tests
+of an atom are built by ``closures`` from the one spec its lowering gives."""
 
+import operator
 import random
 from fractions import Fraction
-from typing import Optional
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import convexqe.fuzz as fuzz
-from convexqe import models, oracle
-from convexqe.closures import FALSE, TRUE, Lowering, lane_mask
+from convexqe import closures, models, oracle
+from convexqe.closures import FALSE, TRUE, Lowering
 from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import ConvexQEError
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, int_sample_pool,
@@ -36,6 +38,7 @@ from conftest import (FIXTURE_NAMES, VALUATIONAL_NAMES, get_model,
 ELIMINABLE_NAMES = VALUATIONAL_NAMES + ["lex2_rat_11"]
 LANES = [1, 7, 64, 1000]
 NAMES = ("x", "y")
+BLOCK_TEST = closures.block_test  # before any test wraps it
 
 
 def _mask(bools) -> int:
@@ -49,17 +52,18 @@ def _columns(points: list[dict], dim: int) -> dict:
 
 
 def _check_lanes(ev, points: list[dict], dim: int, denom: int):
-    """Root 0's block mask and every block test lowered for it equal the
-    scalar root and the scalar tests at each point alone."""
+    """Root 0's block mask and every block test built for it equal the
+    scalar root, and the scalar test of the atom's spec, at each point
+    alone."""
     cols = _columns(points, dim)
     scalar = ev.at(denom)
     assert ev.block(cols, denom, len(points)) == _mask(
         scalar(p) for p in points)
-    tests = {slot: test for slot, test, _, _ in ev.rows}
     for slot, block_test in enumerate(ev.block_tests):
         if block_test is not None:
+            test = closures.scalar_test(*ev.specs[slot - 1])
             assert block_test(cols, denom, len(points)) == _mask(
-                tests[slot](p, [denom, *ev.blank]) for p in points), slot
+                test(p, [denom, *ev.blank]) for p in points), slot
 
 
 def _draws(m, seed, n: int) -> list[dict]:
@@ -68,7 +72,7 @@ def _draws(m, seed, n: int) -> list[dict]:
 
 
 def _check_row_order(ev):
-    for i, (_, _, t, e) in enumerate(ev.rows):
+    for i, (_, t, e) in enumerate(ev.rows):
         assert t != e
         for exit in (t, e):
             assert exit in (TRUE, FALSE) or 0 <= exit < i, (i, t, e)
@@ -81,23 +85,34 @@ def _check_row_order(ev):
 # connective)
 
 
-def _toy_lowering(lowered: list, calls: Optional[list] = None):
-    """Notes each atom in lowered as its block test is lowered, and in
-    calls, if given, at each call of that test."""
+def _toy_lowering(monkeypatch):
+    """A lowering of toy atoms, and its log: the atoms by slot, each atom
+    as its block test is built (lowered) and at each call of that test
+    (calls).  "vi<k" is the row p[v][i] - k below 0 for even k; for odd k
+    it is p[v][i] - k + 1 below 0 or, where that row is zero, the tail's
+    True, which the sign does not give a zero lead."""
+    log = SimpleNamespace(atoms=[], lowered=[], calls=[])
+    named = {}  # id of a spec's rows -> its atom
+
     def lower(a):
         v, i, k = a[0], int(a[1]), int(a[3:])
-        return lambda p, f: p[v][i] < k
+        odd = k % 2 == 1
+        rows = [(((v, i, 1),), 1 - k if odd else -k)]
+        log.atoms.append(a)
+        named[id(rows)] = a
+        return rows, operator.lt, odd
 
-    def lower_block(a):
-        lowered.append(a)
-        v, i, k = a[0], int(a[1]), int(a[3:])
+    def block_test(rows, sign, tail):
+        a = named[id(rows)]
+        log.lowered.append(a)
+        test = BLOCK_TEST(rows, sign, tail)
 
-        def test(p, d, n):
-            if calls is not None:
-                calls.append(a)
-            return lane_mask([x < k for x in p[v][i]])
-        return test
-    return Lowering(lower, lower_block)
+        def counted(p, d, n):
+            log.calls.append(a)
+            return test(p, d, n)
+        return counted
+    monkeypatch.setattr(closures, "block_test", block_test)
+    return Lowering(lower), log
 
 
 def _toy_tree(rng: random.Random, depth: int):
@@ -115,18 +130,18 @@ def _toy_tree(rng: random.Random, depth: int):
 
 class TestToyTrees:
     @pytest.mark.parametrize("n", LANES)
-    def test_block_matches_scalar(self, n):
+    def test_block_matches_scalar(self, n, monkeypatch):
         rng = random.Random(f"toy:{n}")
         for _ in range(200 if n < 1000 else 30):
             trees = [_toy_tree(rng, 5) for _ in range(rng.randint(1, 3))]
-            ev = _toy_lowering([]).evaluator(*trees)
+            ev = _toy_lowering(monkeypatch)[0].evaluator(*trees)
             _check_row_order(ev)
             points = [{v: (rng.randint(-3, 3), rng.randint(-3, 3))
                        for v in NAMES} for _ in range(n)]
             _check_lanes(ev, points, 2, 1)
 
     @pytest.mark.parametrize("n", [1, 7, 500])
-    def test_roots_share_one_mask_list(self, n):
+    def test_roots_share_one_mask_list(self, n, monkeypatch):
         """Every root over one list of masks, in either order, answers as
         each scalar root over one frame per assignment, and each block
         test runs at most once per list."""
@@ -134,8 +149,8 @@ class TestToyTrees:
         shared = alone = 0
         for _ in range(150 if n < 500 else 30):
             trees = [_toy_tree(rng, 4) for _ in range(rng.randint(2, 5))]
-            calls = []
-            ev = _toy_lowering([], calls).evaluator(*trees)
+            low, log = _toy_lowering(monkeypatch)
+            ev, calls = low.evaluator(*trees), log.calls
             points = [{v: (rng.randint(-3, 3), rng.randint(-3, 3))
                        for v in NAMES} for _ in range(n)]
             cols = _columns(points, 2)
@@ -151,7 +166,7 @@ class TestToyTrees:
                 got = {r: ev.block(cols, 1, n, r, masks) for r in order}
                 assert [got[r] for r in roots] == [_mask(w) for w in want]
                 assert sorted(calls) == sorted(
-                    ev.atoms[s - 1] for s, mask in enumerate(masks)
+                    log.atoms[s - 1] for s, mask in enumerate(masks)
                     if s and mask is not None)
                 assert len(calls) == len(set(calls))
             shared += len(calls)
@@ -167,11 +182,11 @@ class TestToyTrees:
         (("&", ("|",), "x0<1"), False, 0),
         (("|", "x0<1", ("~", ("|",))), True, 0),
         (("|", "x0<1", ("~", "x0<1")), True, 1)])
-    def test_roots_that_fold(self, tree, truth, tested):
+    def test_roots_that_fold(self, tree, truth, tested, monkeypatch):
         # a root that folds tests nothing; an atom both of whose exits
         # lead to TRUE is still tested, once
-        lowered = []
-        ev = _toy_lowering(lowered).evaluator(tree)
+        low, log = _toy_lowering(monkeypatch)
+        ev, lowered = low.evaluator(tree), log.lowered
         for n in LANES:
             cols = {"x": ((0,) * n,)}
             assert ev.block(cols, 1, n) == (_mask([True] * n) if truth
@@ -179,9 +194,9 @@ class TestToyTrees:
         assert ev.at(1)({"x": (0,)}) is truth
         assert len(lowered) == tested
 
-    def test_negated_literals_and_lazy_lowering(self):
-        lowered = []
-        low = _toy_lowering(lowered)
+    def test_negated_literals_and_lazy_lowering(self, monkeypatch):
+        low, log = _toy_lowering(monkeypatch)
+        lowered = log.lowered
         a, b = "x0<1", "x1<0"
         ev = low.evaluator(("&", ("~", a), ("|", b, ("~", a))))
         assert lowered == []  # nothing is lowered before the first block
@@ -191,10 +206,11 @@ class TestToyTrees:
         assert ev.block(cols, 1, 4) == _mask([False, True, True, True])
         assert lowered == [a, b]  # once each, on first use
 
-    def test_a_test_unreached_by_every_lane_is_not_run(self):
-        lowered = []
+    def test_a_test_unreached_by_every_lane_is_not_run(self, monkeypatch):
+        low, log = _toy_lowering(monkeypatch)
+        lowered = log.lowered
         a, b = "x0<1", "x1<0"
-        ev = _toy_lowering(lowered).evaluator(("&", a, b))
+        ev = low.evaluator(("&", a, b))
         assert ev.block({"x": ((5, 6), (0, 0))}, 1, 2) == 0
         assert lowered == [a]
 
@@ -339,8 +355,8 @@ def test_oracle_alpha_atoms_of_either_sign(ac, compare_calls):
     # x#0 + ac * alpha < 0 at x over BIG, lanes on both sides of -ac * pi
     alpha = models.PiOracle()
     atom = CAtom(LinForm((("x#0", 1),), ac, 0), "lt")
-    scalar = oracle._lower_atom(alpha, atom)
-    block = oracle._lower_block(alpha, atom)
+    spec = oracle._lower_atom(alpha, atom)
+    scalar, block = closures.scalar_test(*spec), closures.block_test(*spec)
     lo, hi, bits = alpha.bracket()
     centre = -ac * (lo + hi) * BIG >> bits + 1
     xs = [centre + k * 2**22 for k in range(-40, 41)] + [0, -BIG, 5 * BIG]

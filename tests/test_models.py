@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import convexqe.closures
 import convexqe.models
+from convexqe.closures import int_row
 from convexqe.cutqe import build_structure, qe_star, skolemize
 from convexqe.errors import (ConvexQEError, MalformedModelError,
                              PrecisionBudgetError,
@@ -368,6 +370,43 @@ class TestSharedLowering:
             shared += sum(len(set(atoms_of(f))) for f in fs) - len(calls)
         assert shared > 0  # some atom is read by more than one root
 
+    @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+    def test_each_distinct_atom_takes_its_rows_once(self, name,
+                                                    monkeypatch):
+        """compile_formula, a block over every root and a scalar call take
+        the term rows of each distinct atom once in all; blocks alone build
+        no scalar test."""
+        m, defs = _definitions(name)
+        rows, scalar = [], []
+        term_rows_of, scalar_test = (convexqe.models.term_rows,
+                                     convexqe.closures.scalar_test)
+
+        def counted_rows(*args):
+            rows.append(args)
+            return term_rows_of(*args)
+
+        def counted_scalar(*spec):
+            scalar.append(spec)
+            return scalar_test(*spec)
+        monkeypatch.setattr(convexqe.models, "term_rows", counted_rows)
+        monkeypatch.setattr(convexqe.closures, "scalar_test", counted_scalar)
+        draw = pool_drawer(random.Random(f"rows:{name}"), int_sample_pool(m))
+        for ex, guards in defs:
+            del rows[:], scalar[:]
+            fs = (ex, *guards)
+            atoms = {a for f in fs for a in atoms_of(f)}
+            ev = compile_formula(m, *fs)
+            points = [{"x": draw(m.dim), "y": draw(m.dim)} for _ in range(20)]
+            cols = {v: tuple(tuple(p[v][i] for p in points)
+                              for i in range(m.dim)) for v in ("x", "y")}
+            for root in range(len(fs)):
+                ev.block(cols, SAMPLE_DENOM, len(points), root)
+            assert len(rows) == len(atoms) and scalar == []
+            at = ev.at(SAMPLE_DENOM)
+            for ints in points:
+                at(ints)
+            assert len(rows) == len(scalar) == len(atoms)
+
     @staticmethod
     def _roots_and_points(name):
         """Per definition: the formulas (True, existential, guards, False),
@@ -440,6 +479,7 @@ class TestTermRows:
                 for shift in shifts:
                     want_lc, want = _fraction_rows(m, t, shift)
                     lc, rows = term_rows(m, t, shifted=bool(shift))
+                    rows = [int_row(*r) for r in rows]
                     assert lc == want_lc, (name, t, shift)
                     for d in (1, SAMPLE_DENOM, 35):
                         p = {v: tuple(rng.randint(-50, 50)
@@ -486,7 +526,7 @@ class TestConstantTable:
                                   *(c.denominator for _, c in t.coeffs))
             for i in range(m.dim):
                 want = value[i] - shift[i]
-                assert rows[i](ints, d) == want * lc * d
+                assert int_row(*rows[i])(ints, d) == want * lc * d
                 # the oracle's form is a positive multiple of coordinate i
                 # (its vector: the variables' coefficients, the constant,
                 # then alpha's coefficient), primitive, and gives want at

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import convexqe.skolemlab as skolemlab
+from convexqe.closures import int_row
 from convexqe.cutqe import (SkolemDefinition, build_structure, qe_star,
                             skolemize)
 from convexqe.errors import (PreconditionViolatedError,
@@ -177,6 +178,7 @@ def _scalar_verify(m, phi, sk, samples, seed, st):
     cases = []
     for guard, (_, term) in zip(guards, sk.cases):
         lc, rows = term_rows(m, term)
+        rows = [int_row(*r) for r in rows]
         cases.append((guard, lc, rows, phi_eval.at(lc * SAMPLE_DENOM)))
     draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
     applicable = 0

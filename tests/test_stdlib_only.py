@@ -121,3 +121,43 @@ def test_every_import_is_used():
               if path.name != "__init__.py"
               for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level _names a module defines: functions, classes and
+    assignment targets (dunder names aside)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_definition_is_used():
+    """Every module-level _name function, class or assignment is read
+    somewhere in the package, as a name, an attribute or an import, so a
+    refactor leaves no dead helper behind."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    dead = [f"{name}:{line}: {def_}" for name, tree in trees.items()
+            for line, def_ in _private_definitions(tree) if def_ not in read]
+    assert dead == []

@@ -227,14 +227,23 @@ def scalar_test(rows: list, sign: Callable, tail):
 
 def block_test(rows: list, sign: Callable, tail):
     """The block test closure (columns, denom, n) of an atom's spec: its
-    scalar test, lane by lane."""
-    lead = first_nonzero_col([int_col(*r) for r in rows])
+    scalar test, lane by lane.  Without lead rows, the tail's row alone
+    decides."""
     if type(tail) is bool:
+        lead = first_nonzero_col([int_col(*r) for r in rows])
         decide = _decided(sign, tail)
         return lambda p, d, n: lane_mask(map(decide, lead(p, d, n),
                                              repeat(0)))
     (terms, const), k, lo, hi, bits, less = tail
     col = int_col(terms, const)
+    if not rows:
+        def below(p, d, n) -> int:
+            den = k * d
+            low, high = lo * den, hi * den
+            return lane_mask([x << bits <= low or x << bits < high
+                              and less(x, den) for x in col(p, d, n)])
+        return below
+    lead = first_nonzero_col([int_col(*r) for r in rows])
 
     def test(p, d, n) -> int:
         den = k * d

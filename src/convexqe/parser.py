@@ -1,5 +1,5 @@
 """Parser for the formula grammar: operator precedence on an explicit stack
-for formulas, recursive descent for terms.
+for formulas, a loop over signed terms for each atom.
 
 Grammar (precedence ``~`` > ``&`` > ``|`` > ``->``; quantifier bodies
 extend maximally to the right; parentheses group formulas only)::
@@ -11,67 +11,77 @@ extend maximally to the right; parentheses group formulas only)::
     rel     := "<" | "<=" | "=" | "!="
     term    := rational | var | "e_in" | "e_out" | term "+" term
              | term "-" term | rational "*" term | "-" term
+
+The text is split into token strings by one regex pass; a token's line and
+column are computed, by a second pass, only when an error is raised there.
+Each atom's ``lhs - rhs`` is summed in integers, as numerators over one
+running common denominator, and its ``Term`` built once.  The parser notes
+each binder and each variable occurrence outside the binders of its name,
+and renames bound variables only when a binder name repeats or is also
+free.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NoReturn, Optional
 
 from .errors import FormulaSyntaxError, UnknownIdentifierError
 from .syntax import (Atom, AtomKind, Exists, FALSE, Forall, Formula, AtomF,
-                     And, Or, Not, Implies, TRUE, Term, rename_bound)
+                     And, Or, Not, Implies, TRUE, Term, _lowest, rename_bound)
 
 RESERVED = {"true", "false", "E", "A", "U", "I", "e_in", "e_out"}
 
-# whitespace, then one token; at the end of input, or before a character
-# no token starts with, the whitespace alone
+# whitespace, then one token; before a character no token starts with, an
+# empty token.  Trailing whitespace matches nothing.
 _TOKEN_RE = re.compile(
     r"""\s*
-      (?: (?P<num>\d+)
-        | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-        | (?P<op>->|<=|!=|[<=~&|()+\-*/.])
-      )?
+      (?: ( \d+
+          | [A-Za-z_][A-Za-z_0-9]*
+          | ->|<=|!=|[<=~&|()+\-*/.] )
+        | \S )
     """,
     re.VERBOSE,
 )
+# the token after the last: no token is empty once _tokenize has raised
+# on the empty one a bad character leaves
+_EOF = ""
 
 
-class _Tok(NamedTuple):
-    kind: str  # num | name | op | eof
-    text: str
-    line: int
-    col: int
+def _offset(text: str, index: int) -> int:
+    """Where the index-th token of text starts; the end of text when the
+    text has no more tokens."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == index:
+            return m.start(1) if m[1] else m.end() - 1
+    return len(text)
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, line_start = 1, 0  # line_start: index of the line's first char
-    pos = 0
-    match = _TOKEN_RE.match
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        start = m.start(kind) if kind else m.end()
-        nl = text.count("\n", pos, start)
-        if nl:
-            line += nl
-            line_start = text.rindex("\n", pos, start) + 1
-        if kind is None:
-            if start < len(text):
-                raise FormulaSyntaxError(f"unexpected character {text[start]!r}",
-                                         line, start - line_start + 1)
-            toks.append(_Tok("eof", "", line, start - line_start + 1))
-            return toks
-        toks.append(_Tok(kind, m.group(kind), line, start - line_start + 1))
-        pos = m.end()
+def _where(text: str, index: int) -> tuple[int, int]:
+    """The line and column of the index-th token of text."""
+    pos = _offset(text, index)
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _tokenize(text: str) -> list[str]:
+    toks = _TOKEN_RE.findall(text)
+    if _EOF in toks:
+        i = toks.index(_EOF)
+        raise FormulaSyntaxError(
+            f"unexpected character {text[_offset(text, i)]!r}",
+            *_where(text, i))
+    toks.append(_EOF)
+    return toks
 
 
 _BINARY = {"->": 1, "|": 2, "&": 3}
 # how tightly each open stack entry binds: a quantifier's body, and a
 # parenthesized group, end only at ")" or the end of input
 _PREC = {**_BINARY, "~": 4, Exists: 0, Forall: 0, "(": -2}
+_RELATIONS = {"<": AtomKind.LT, "<=": AtomKind.LE, "=": AtomKind.EQ,
+              "!=": AtomKind.NEQ}
+_PREFIXES = {"~", "(", "E", "A", "true", "false"}
 
 
 def _close(entry: list, x: Formula) -> Formula:
@@ -88,29 +98,37 @@ def _close(entry: list, x: Formula) -> Formula:
     return op(arg, x)
 
 
+def _term(acc: dict, den: int) -> Term:
+    """The term whose numerators over den are acc's: e_in, e_out and the
+    constant under the keys "e_in", "e_out" and "", variables by name."""
+    a, b, c = acc.pop("e_in", 0), acc.pop("e_out", 0), acc.pop("", 0)
+    return _lowest(tuple(sorted([(v, q) for v, q in acc.items() if q])),
+                   a, b, c, den)
+
+
 class _Parser:
-    def __init__(self, toks: list[_Tok], known_vars: Optional[set[str]]):
-        self.toks = toks
+    def __init__(self, text: str, known_vars: Optional[set[str]]):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.known_vars = known_vars
+        self.binders: list[str] = []
+        self.scopes: dict[str, int] = {}  # open binders of each name
+        self.free: set[str] = set()  # names met outside their binders
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def fail(self, msg: str, index: Optional[int] = None,
+             error: type = FormulaSyntaxError) -> NoReturn:
+        """Raise error with msg at the token at index, or at the cursor."""
+        if index is None:
+            index = self.pos
+        raise error(msg, *_where(self.text, index))
 
-    def next(self) -> _Tok:
+    def expect(self, text: str) -> None:
         t = self.toks[self.pos]
+        if t != text:
+            self.fail(f"expected {text!r}, found {t!r}" if t
+                      else f"expected {text!r}")
         self.pos += 1
-        return t
-
-    def fail(self, msg: str):
-        t = self.peek()
-        raise FormulaSyntaxError(msg, t.line, t.col)
-
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text:
-            self.fail(f"expected {text!r}, found {t.text!r}" if t.text else f"expected {text!r}")
-        return self.next()
 
     # formulas --------------------------------------------------------------
 
@@ -119,152 +137,164 @@ class _Parser:
         explicit stack, so nesting depth meets no recursion limit.  A stack
         entry is [op, arg]: an open "~", "(" or quantifier, or a run of one
         binary operator with its operands so far."""
+        toks, scopes = self.toks, self.scopes
         stack: list = []
-        x = self.operand(stack)
         while True:
-            t = self.peek()
-            prec = _BINARY.get(t.text, -1)
-            while stack and _PREC[stack[-1][0]] > prec:
-                x = _close(stack.pop(), x)
-            if prec > 0:
-                if stack and stack[-1][0] == t.text:
-                    stack[-1][1].append(x)
+            # the prefixes before the next operand, then the operand
+            t = toks[self.pos]
+            while t in _PREFIXES:
+                self.pos += 1
+                if t == "~" or t == "(":
+                    stack.append([t, None])
+                elif t == "true" or t == "false":
+                    x = TRUE if t == "true" else FALSE
+                    break
                 else:
-                    stack.append([t.text, [x]])
-                self.next()
-                x = self.operand(stack)
-            elif stack:  # the innermost open "("
-                self.expect(")")
-                stack.pop()
-            elif t.kind == "eof":
-                return x
+                    v = toks[self.pos]
+                    if not v.isidentifier() or v in RESERVED:
+                        self.fail("expected a variable after quantifier")
+                    self.pos += 1
+                    self.expect(".")
+                    stack.append([Exists if t == "E" else Forall, v])
+                    self.binders.append(v)
+                    scopes[v] = scopes.get(v, 0) + 1
+                t = toks[self.pos]
             else:
-                raise FormulaSyntaxError(f"trailing input {t.text!r}",
-                                         t.line, t.col)
-
-    def operand(self, stack: list) -> Formula:
-        """Push the prefixes before the next operand; return the operand."""
-        while True:
-            t = self.peek()
-            if t.text not in ("~", "(", "E", "A", "true", "false"):
-                return self.atom()
-            self.next()
-            if t.text in ("true", "false"):
-                return TRUE if t.text == "true" else FALSE
-            if t.text in ("~", "("):
-                stack.append([t.text, t])
-                continue
-            v = self.peek()
-            if v.kind != "name" or v.text in RESERVED:
-                self.fail("expected a variable after quantifier")
-            self.next()
-            self.expect(".")
-            stack.append([Exists if t.text == "E" else Forall, v.text])
+                x = self.atom()
+            # the operators after it: close what binds tighter, then go on
+            # to the next operand, or close a group, or end
+            while True:
+                t = toks[self.pos]
+                prec = _BINARY.get(t, -1)
+                while stack and _PREC[stack[-1][0]] > prec:
+                    entry = stack.pop()
+                    x = _close(entry, x)
+                    if not _PREC[entry[0]]:  # a quantifier's scope ends
+                        v = entry[1]
+                        scopes[v] -= 1
+                        if not scopes[v]:
+                            del scopes[v]
+                if prec > 0:
+                    if stack and stack[-1][0] == t:
+                        stack[-1][1].append(x)
+                    else:
+                        stack.append([t, [x]])
+                    self.pos += 1
+                    break
+                if stack:  # the innermost open "("
+                    self.expect(")")
+                    stack.pop()
+                elif t == _EOF:
+                    return x
+                else:
+                    self.fail(f"trailing input {t!r}")
 
     # atoms and terms ------------------------------------------------------
 
     def atom(self) -> Formula:
-        t = self.peek()
-        if t.text in ("U", "I"):
-            self.next()
+        t = self.toks[self.pos]
+        acc: dict = {}
+        if t == "U" or t == "I":
+            self.pos += 1
             self.expect("(")
-            arg = self.term()
+            den = self.add_term(acc, 1, 1)
             self.expect(")")
-            kind = AtomKind.UMEM if t.text == "U" else AtomKind.IMEM
-            return AtomF(Atom(kind, arg))
-        lhs = self.term()
-        rel = self.peek()
-        if rel.text not in ("<", "<=", "=", "!="):
+            kind = AtomKind.UMEM if t == "U" else AtomKind.IMEM
+            return AtomF(Atom(kind, _term(acc, den)))
+        den = self.add_term(acc, 1, 1)
+        kind = _RELATIONS.get(self.toks[self.pos])
+        if kind is None:
             self.fail("expected a relation (<, <=, =, !=)")
-        self.next()
-        rhs = self.term()
-        kind = {"<": AtomKind.LT, "<=": AtomKind.LE,
-                "=": AtomKind.EQ, "!=": AtomKind.NEQ}[rel.text]
-        return AtomF(Atom(kind, lhs - rhs))
+        self.pos += 1
+        den = self.add_term(acc, den, -1)
+        return AtomF(Atom(kind, _term(acc, den)))
 
-    def term(self) -> Term:
-        t = self.signed_term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.signed_term()
-            t = t + rhs if op == "+" else t - rhs
-        return t
+    def add_term(self, acc: dict, den: int, sign: int) -> int:
+        """Add sign times the term at the cursor into acc, as numerators
+        over den (see ``_term``); return the new common denominator, den
+        times what the term's own denominators need.
 
-    def signed_term(self) -> Term:
-        """A primary term after its prefixes, each a "-" or a "rational *".
-        The prefixes only scale the term, so they are read in a loop and
-        their product applied once."""
-        num, den = 1, 1
+        The term is a run of signed terms joined by "+" and "-".  A signed
+        term's prefixes, each a "-" or a "rational *", only scale it, so
+        they are read in a loop and their product n/d applied once."""
+        toks, i, s = self.toks, self.pos, sign
         while True:
-            t = self.peek()
-            if t.text == "-":
-                self.next()
-                num = -num
-                continue
-            if t.kind != "num":
-                term = self.primary_term()
-                return term if num == den else term.scale_ratio(num, den)
-            n, d = self.rational()
-            if self.peek().text != "*":
-                return Term.const(Fraction(n * num, d * den))
-            self.next()
-            num, den = num * n, den * d
+            n, d = s, 1
+            while True:
+                t = toks[i]
+                if t == "-":
+                    n = -n
+                    i += 1
+                    continue
+                if t.isdecimal():
+                    n *= self.integer(i)
+                    if toks[i + 1] == "/":
+                        i += 2
+                        q = self.integer(i)
+                        if not q:
+                            self.fail("zero denominator", i)
+                        d *= q
+                    if toks[i + 1] == "*":
+                        i += 2
+                        continue
+                    key = ""  # a constant
+                elif t == "e_in" or t == "e_out":
+                    key = t
+                elif t.isidentifier():
+                    if t in RESERVED:
+                        self.fail(f"reserved word {t!r} cannot be used as"
+                                  " a variable", i)
+                    if self.known_vars is not None and t not in self.known_vars:
+                        self.fail(f"unknown identifier {t!r}", i,
+                                  UnknownIdentifierError)
+                    if t not in self.scopes:
+                        self.free.add(t)
+                    key = t
+                else:
+                    self.fail("expected a term", i)
+                break
+            if den % d:  # bring acc over a denominator that d divides
+                m = d // math.gcd(den, d)
+                den *= m
+                for k in acc:
+                    acc[k] *= m
+            acc[key] = acc.get(key, 0) + n * (den // d)
+            t = toks[i + 1]
+            if t == "+":
+                s = sign
+            elif t == "-":
+                s = -sign
+            else:
+                self.pos = i + 1
+                return den
+            i += 2
 
-    def primary_term(self) -> Term:
-        t = self.peek()
-        if t.kind == "name":
-            self.next()
-            if t.text == "e_in":
-                return Term.ein()
-            if t.text == "e_out":
-                return Term.eout()
-            if t.text in RESERVED:
-                raise FormulaSyntaxError(
-                    f"reserved word {t.text!r} cannot be used as a variable",
-                    t.line, t.col)
-            if self.known_vars is not None and t.text not in self.known_vars:
-                raise UnknownIdentifierError(
-                    f"unknown identifier {t.text!r}", t.line, t.col)
-            return Term.var(t.text)
-        self.fail("expected a term")
-        raise AssertionError
-
-    def rational(self) -> tuple[int, int]:
-        """A rational literal as its numerator and positive denominator."""
-        num = self.integer()
-        if self.peek().text == "/":
-            self.next()
-            den_tok = self.peek()
-            den = self.integer()
-            if den == 0:
-                raise FormulaSyntaxError("zero denominator", den_tok.line, den_tok.col)
-            return num, den
-        return num, 1
-
-    def integer(self) -> int:
-        t = self.peek()
-        if t.kind != "num":
-            self.fail("expected a number")
+    def integer(self, i: int) -> int:
+        """The number token at index i, which must be one."""
+        t = self.toks[i]
+        if not t.isdecimal():
+            self.fail("expected a number", i)
         try:
-            value = int(t.text)
+            return int(t)
         except ValueError:  # past the interpreter's int/str digit limit
-            raise FormulaSyntaxError(
-                f"number too long ({len(t.text)} digits)",
-                t.line, t.col) from None
-        self.next()
-        return value
+            self.fail(f"number too long ({len(t)} digits)", i)
 
 
 def parse_formula(text: str, known_vars: Optional[set[str]] = None) -> Formula:
     """Parse text into a formula AST; bound variables are made unique."""
-    f = _Parser(_tokenize(text), known_vars).formula()
-    return rename_bound(f)
+    p = _Parser(text, known_vars)
+    f = p.formula()
+    b = p.binders
+    # otherwise rename_bound would return f itself
+    if b and (len(set(b)) < len(b) or not p.free.isdisjoint(b)):
+        return rename_bound(f)
+    return f
 
 
 def parse_term(text: str, known_vars: Optional[set[str]] = None) -> Term:
-    p = _Parser(_tokenize(text), known_vars)
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return t
+    p = _Parser(text, known_vars)
+    acc: dict = {}
+    den = p.add_term(acc, 1, 1)
+    if p.toks[p.pos] != _EOF:
+        p.fail(f"trailing input {p.toks[p.pos]!r}")
+    return _term(acc, den)

@@ -329,7 +329,8 @@ class TestCorpus:
         models = [p for p in paths if not p.endswith(".expect.json")]
         assert len(models) == 7
         for path in models:
-            expect = json.load(open(path.replace(".json", ".expect.json")))
+            with open(path.replace(".json", ".expect.json")) as sidecar:
+                expect = json.load(sidecar)
             report = classify(load_model(path)).to_json()
             for key, val in expect.items():
                 assert report[key] == val, (path, key)

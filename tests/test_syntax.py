@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexqe.cutqe import qe
-from convexqe.errors import BudgetExceededError, FormulaSyntaxError
+from convexqe.errors import (BudgetExceededError, FormulaSyntaxError,
+                             UnknownIdentifierError)
+from convexqe.fuzz import gen_formula
 from convexqe.models import Point, eval_formula
 from convexqe.normalform import dnf_clauses, normalize_atoms, simplify, to_dnf
 from convexqe.parser import parse_formula, parse_term
 from convexqe.syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE,
-                             Forall, Formula, Not, Or, TRUE, Term,
+                             Forall, Formula, Not, Or, TRUE, Term, atoms_of,
                              canonicalize_bound, conj, disj, free_vars,
                              is_quantifier_free, print_formula, rename_bound,
                              substitute, term_to_str)
@@ -18,6 +21,169 @@ from convexqe.syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE,
 
 def rt(text: str) -> Formula:
     return parse_formula(text)
+
+
+_COEFFS = ("1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2", "3/2", "4",
+           "- 2/6", "0")
+
+
+def _cut_text(rng: random.Random) -> str:
+    """An `eliminate`-style request: E y. over literals with rational
+    coefficients, constants and e_in/e_out parts."""
+    lits = []
+    for _ in range(rng.randint(2, 4)):
+        parts = [f"{rng.choice(_COEFFS)}*{v}" for v in ("y", "x", "z")
+                 if v == "y" or rng.random() < 0.5]
+        rng.shuffle(parts)
+        r = rng.random()
+        if r < 0.3:
+            parts.append(rng.choice(("1", "-1", "1/2", "3", "4/2")))
+        elif r < 0.5:
+            parts.append(f"{rng.choice(('1', '-1', '2'))}*e_in")
+        elif r < 0.6:
+            parts.append("-e_out")
+        t = rng.choice((" + ", "+", " - ")).join(parts)
+        r = rng.random()
+        lit = (f"U({t})" if r < 0.3 else f"I({t})" if r < 0.5
+               else f"{t} < {rng.choice(('0', 'x', '1/3', '-y'))}"
+               if r < 0.8 else f"{t} {rng.choice(('<=', '=', '!='))} 0")
+        lits.append("~" + lit if rng.random() < 0.4 else lit)
+    return "E y. " + rng.choice((" & ", " | ", " -> ")).join(lits)
+
+
+def _parse_corpus() -> list[str]:
+    """Seeded gen_formula prints, some wrapped so a binder name repeats or
+    equals a free name; eliminate-style requests; and hand-made cases."""
+    rng = random.Random(2024)
+    texts = []
+    for i in range(1200):
+        text = print_formula(gen_formula(rng, ["x", "y"], rng.randint(0, 6), 3))
+        texts.append((text, f"E x. E x. ({text})",
+                      f"(E z. z < 0) & ({text}) & z != 1",
+                      f"A y. ({text}) | E y. y = x")[i % 4])
+    texts += [_cut_text(rng) for _ in range(800)]
+    chain = " * ".join(f"{k}/{k + 1}" for k in range(1, 41))
+    texts += [
+        "(E y. y < 0) & y < 0",
+        "E y. E y. y < x",
+        "x - x < 0 & E x. x < 1",
+        "E x. (x < 0 & E x. x < 1)",
+        "E x. E x. E x_1. x + 2 * x_1 < 0",
+        "A x. E y. (x < y -> E x. x = y) & E z. z < x",
+        f"{chain} * x < 1/41",
+        f"{chain} * - {chain} * y + {chain} = e_in",
+        "2 * - 3/4 * - - x + 1/2 * 2 - 0 * y < 0",
+        "- " * 60 + "1/3 * - 7/5 * e_out < e_in",
+        "123456789012345678901234567890123/98765432109876543210 * x"
+        " + 5/10 < 7/14 * y - 10/4",
+        "x + x + x - 3 * x < 0 | 6/4 * e_in - 3/2 * e_in + 0/5 = 0",
+        "U(\n\t1/2*x\r\n)  &  I( e_in )->~~(x<=0|y!=0)",
+        "~(x < 0 -> y < 0 -> z < 0) | true & false",
+        "E x_1. A _y. x_1 + _y < 007",
+        "((((x < 0))))",
+    ]
+    return texts
+
+
+# recorded before the parser's hot path was rewritten
+PARSE_DIGEST = (
+    "ef19fe78eb832b19b982f30de1470605da108c86167313612a021191f4fc7424")
+_LONG = "1" * 5000  # past the interpreter's int/str digit limit
+# one or more cases per raise site, with the (message, line, column)
+# recorded before that rewrite: (parse, text, known_vars, type, message,
+# line, column)
+PARSE_ERRORS = [
+    (parse_formula, 'x < 0 & y # 1', None, FormulaSyntaxError,
+     "1:11: unexpected character '#'", 1, 11),
+    (parse_formula, 'x < 0 &\n\t y\t$ 1', None, FormulaSyntaxError,
+     "2:5: unexpected character '$'", 2, 5),
+    (parse_formula, '\n\n\t\té < 0', None, FormulaSyntaxError,
+     "3:3: unexpected character 'é'", 3, 3),
+    (parse_formula, 'x > 0', None, FormulaSyntaxError,
+     "1:3: unexpected character '>'", 1, 3),
+    (parse_formula, 'x < ) ! 0', None, FormulaSyntaxError,
+     "1:7: unexpected character '!'", 1, 7),
+    (parse_formula, 'x < 0 -\n> y', None, FormulaSyntaxError,
+     "2:1: unexpected character '>'", 2, 1),
+    (parse_formula, 'x < 0 y', None, FormulaSyntaxError,
+     "1:7: trailing input 'y'", 1, 7),
+    (parse_formula, 'x < 0\n  )', None, FormulaSyntaxError,
+     "2:3: trailing input ')'", 2, 3),
+    (parse_formula, '(x < 0', None, FormulaSyntaxError,
+     "1:7: expected ')'", 1, 7),
+    (parse_formula, 'E y. ((x < y)\n\t ', None, FormulaSyntaxError,
+     "2:3: expected ')'", 2, 3),
+    (parse_formula, '(x < 0 y < 1)', None, FormulaSyntaxError,
+     "1:8: expected ')', found 'y'", 1, 8),
+    (parse_formula, 'U(x', None, FormulaSyntaxError,
+     "1:4: expected ')'", 1, 4),
+    (parse_formula, 'U x)', None, FormulaSyntaxError,
+     "1:3: expected '(', found 'x'", 1, 3),
+    (parse_formula, 'x + 1 & y < 0', None, FormulaSyntaxError,
+     '1:7: expected a relation (<, <=, =, !=)', 1, 7),
+    (parse_formula, 'x + 1\n', None, FormulaSyntaxError,
+     '2:1: expected a relation (<, <=, =, !=)', 2, 1),
+    (parse_formula, 'E . x < 0', None, FormulaSyntaxError,
+     '1:3: expected a variable after quantifier', 1, 3),
+    (parse_formula, 'A\n  1. x < 0', None, FormulaSyntaxError,
+     '2:3: expected a variable after quantifier', 2, 3),
+    (parse_formula, 'E e_in. x < 0', None, FormulaSyntaxError,
+     '1:3: expected a variable after quantifier', 1, 3),
+    (parse_formula, 'E', None, FormulaSyntaxError,
+     '1:2: expected a variable after quantifier', 1, 2),
+    (parse_formula, 'E x x < 0', None, FormulaSyntaxError,
+     "1:5: expected '.', found 'x'", 1, 5),
+    (parse_formula, '1/0 * x < 0', None, FormulaSyntaxError,
+     '1:3: zero denominator', 1, 3),
+    (parse_formula, 'x < 0 |\r\n\t3/ 00 * y < 0', None, FormulaSyntaxError,
+     '2:5: zero denominator', 2, 5),
+    (parse_formula, 'x < 1/x', None, FormulaSyntaxError,
+     '1:7: expected a number', 1, 7),
+    (parse_formula, f"x < {_LONG}", None, FormulaSyntaxError,
+     '1:5: number too long (5000 digits)', 1, 5),
+    (parse_formula, f"x < 1/{_LONG}", None, FormulaSyntaxError,
+     '1:7: number too long (5000 digits)', 1, 7),
+    (parse_formula, f"\n {_LONG} * y < 0", None, FormulaSyntaxError,
+     '2:2: number too long (5000 digits)', 2, 2),
+    (parse_formula, 'x < E', None, FormulaSyntaxError,
+     "1:5: reserved word 'E' cannot be used as a variable", 1, 5),
+    (parse_formula, 'x +\n  A < 0', None, FormulaSyntaxError,
+     "2:3: reserved word 'A' cannot be used as a variable", 2, 3),
+    (parse_formula, 'E U. U < 0', None, FormulaSyntaxError,
+     '1:3: expected a variable after quantifier', 1, 3),
+    (parse_formula, '2 * true < 0', None, FormulaSyntaxError,
+     "1:5: reserved word 'true' cannot be used as a variable", 1, 5),
+    (parse_formula, 'x < 0 & w < 0', {'y', 'x'}, UnknownIdentifierError,
+     "1:9: unknown identifier 'w'", 1, 9),
+    (parse_formula, 'E w. w < 0 & \n  y < v', {'y'}, UnknownIdentifierError,
+     "1:6: unknown identifier 'w'", 1, 6),
+    (parse_formula, 'x < ', None, FormulaSyntaxError,
+     '1:5: expected a term', 1, 5),
+    (parse_formula, 'x < )', None, FormulaSyntaxError,
+     '1:5: expected a term', 1, 5),
+    (parse_formula, 'x < * 2', None, FormulaSyntaxError,
+     '1:5: expected a term', 1, 5),
+    (parse_formula, 'x - - ', None, FormulaSyntaxError,
+     '1:7: expected a term', 1, 7),
+    (parse_formula, '', None, FormulaSyntaxError,
+     '1:1: expected a term', 1, 1),
+    (parse_formula, '   \n ', None, FormulaSyntaxError,
+     '2:2: expected a term', 2, 2),
+    (parse_formula, 'x < 0 & ', None, FormulaSyntaxError,
+     '1:9: expected a term', 1, 9),
+    (parse_formula, '~', None, FormulaSyntaxError,
+     '1:2: expected a term', 1, 2),
+    (parse_term, 'x + 1 )', None, FormulaSyntaxError,
+     "1:7: trailing input ')'", 1, 7),
+    (parse_term, 'x\n y', None, FormulaSyntaxError,
+     "2:2: trailing input 'y'", 2, 2),
+    (parse_term, 'x < 0', None, FormulaSyntaxError,
+     "1:3: trailing input '<'", 1, 3),
+    (parse_term, '2 * 3 #', None, FormulaSyntaxError,
+     "1:7: unexpected character '#'", 1, 7),
+    (parse_term, '', None, FormulaSyntaxError,
+     '1:1: expected a term', 1, 1),
+]
 
 
 class TestLongNumbers:
@@ -113,6 +279,27 @@ class TestParsing:
         inner = f.body.args[1]
         assert isinstance(inner, Exists)
         assert inner.var != f.var
+
+    def test_parse_output_is_pinned(self):
+        """The parse of a fixed corpus, as repr, print and each atom's
+        integer tuple, hashes to a digest recorded before the parser's
+        hot path was rewritten."""
+        h = hashlib.sha256()
+        for text in _parse_corpus():
+            f = parse_formula(text)
+            terms = [tuple(a.term) for a in atoms_of(f)]
+            h.update(f"{text}\n{f!r}\n{print_formula(f)}\n{terms}\n".encode())
+        assert h.hexdigest() == PARSE_DIGEST
+
+    @pytest.mark.parametrize("case", PARSE_ERRORS,
+                             ids=[str(i) for i in range(len(PARSE_ERRORS))])
+    def test_parse_errors_are_pinned(self, case):
+        parse, text, known, exc, message, line, column = case
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text, known)
+        assert type(err.value) is exc
+        assert (str(err.value), err.value.line, err.value.column) \
+            == (message, line, column)
 
 
 class TestShape:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .closures import lowest_lane
+from .closures import Lanes, lowest_lane
 from .cutqe import CutStructure, build_structure, qe_star
 from .doagqe import QeOptions
 from .errors import BudgetExceededError, ConvexQEError
@@ -238,14 +238,14 @@ def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, ints: dict,
     return current
 
 
-def drawn_block(flat: tuple, names: Sequence[str], dim: int
-                ) -> tuple[dict, Callable[[int], dict]]:
-    """Assignments of names drawn as ``{v: draw(dim) for v in names}``
+def drawn_block(flat: tuple, n: int, names: Sequence[str], dim: int
+                ) -> tuple[Lanes, Callable[[int], dict]]:
+    """n assignments of names drawn as ``{v: draw(dim) for v in names}``
     each, one after another, in the one draw flat: their coordinate
     columns, and lane j's assignment as a function of j."""
     width = len(names) * dim
-    columns = {v: tuple(flat[k * dim + i::width] for i in range(dim))
-               for k, v in enumerate(names)}
+    columns = Lanes({v: tuple(flat[k * dim + i::width] for i in range(dim))
+                     for k, v in enumerate(names)}, n)
 
     def lane(j: int) -> dict:
         at = j * width
@@ -260,15 +260,16 @@ def _first_mismatch(rng: random.Random, draw: Callable[[int], tuple],
                     ) -> tuple[int, Optional[dict]]:
     """Evaluate both sides' block drivers at count assignments of names,
     drawn as ``{v: draw(dim) for v in names}`` each but SAMPLE_BLOCK at a
-    time, as coordinate columns.  Returns how many were evaluated, up to
-    and including the first at which the sides differ, and that one, or
-    None; rng is left where drawing just those assignments one by one
-    leaves it."""
+    time, as coordinate columns; both sides read one ``Lanes`` per block,
+    so a row that both lowerings write is computed once.  Returns how many
+    were evaluated, up to and including the first at which the sides
+    differ, and that one, or None; rng is left where drawing just those
+    assignments one by one leaves it."""
     width = len(names) * dim
     for first in range(0, count, SAMPLE_BLOCK):
         block = min(SAMPLE_BLOCK, count - first)
         state = rng.getstate()
-        columns, lane = drawn_block(draw(block * width), names, dim)
+        columns, lane = drawn_block(draw(block * width), block, names, dim)
         differ = got(columns, block) ^ expected(columns, block)
         if differ:
             j = lowest_lane(differ)

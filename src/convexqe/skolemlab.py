@@ -12,10 +12,11 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Optional, Union
 
 from .classifier import stabilizer
-from .closures import all_lanes, int_col, lowest_lane
+from .closures import Lanes, all_lanes, lowest_lane
 from .cutarith import edge_gap, edge_member, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
@@ -73,9 +74,8 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     low = compile_formula(m, existential, *(g for g, _ in sk.cases))
     phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
                 else oracle_compile(m, phi).lower())
-    # per case: lc and the witness columns over lc * SAMPLE_DENOM
-    witnesses = [(lc, [int_col(*r) for r in rows]) for lc, rows in
-                 (term_rows(m, term) for _, term in sk.cases)]
+    # per case: lc and the witness rows, over lc * SAMPLE_DENOM
+    witnesses = [term_rows(m, term) for _, term in sk.cases]
     draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
     dim = m.dim
     width = len(params) * dim
@@ -83,34 +83,33 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     # samples drawn as {v: draw(dim) for v in params} each, a block at a time
     for first in range(0, samples, SAMPLE_BLOCK):
         n = min(SAMPLE_BLOCK, samples - first)
-        columns, lane = drawn_block(draw(n * width), params, dim)
+        columns, lane = drawn_block(draw(n * width), n, params, dim)
         masks = [None, *low.blank]
         held = left = low.block(columns, SAMPLE_DENOM, n, 0, masks)
         worst = None  # (lane, witness, lc) of the lowest failing witness
-        for root, (lc, cols) in enumerate(witnesses, 1):
+        for root, (lc, rows) in enumerate(witnesses, 1):
             if not left:
                 break
             fired = low.block(columns, SAMPLE_DENOM, n, root, masks) & left
             left ^= fired
             if not fired:
                 continue
-            # the fired lanes, compacted
-            lanes = [j for j, b in enumerate(fired.to_bytes(n, "little"))
-                     if b]
-            size = len(lanes)
-            sub = columns if size == n else {
-                v: tuple([c[j] for j in lanes] for c in cs)
-                for v, cs in columns.items()}
-            w = [col(sub, SAMPLE_DENOM, size) for col in cols]
-            big = {v: tuple([x * lc for x in c] for c in cs)
-                   for v, cs in sub.items()} if lc != 1 else dict(sub)
-            big[sk.target] = w
-            bad = all_lanes(size) ^ phi_eval.block(big, lc * SAMPLE_DENOM,
-                                                   size)
+            # the fired lanes, compacted, with the witness over lc *
+            # SAMPLE_DENOM and the parameters scaled to it
+            keep = fired.to_bytes(n, "little")
+            sub = Lanes({v: tuple(tuple(compress(c, keep)) for c in cs)
+                         for v, cs in columns.items()}, fired.bit_count())
+            w = tuple(sub.column(*r, SAMPLE_DENOM) for r in rows)
+            if lc != 1:
+                sub = Lanes({v: tuple([x * lc for x in c] for c in cs)
+                             for v, cs in sub.items()}, sub.n)
+            sub[sk.target] = w  # a new variable: no row kept yet reads it
+            bad = sub.full ^ phi_eval.block(sub, lc * SAMPLE_DENOM, sub.n)
             if bad:
                 i = lowest_lane(bad)
-                if worst is None or lanes[i] < worst[0]:
-                    worst = (lanes[i], [c[i] for c in w], lc)
+                j = list(compress(range(n), keep))[i]
+                if worst is None or j < worst[0]:
+                    worst = (j, [c[i] for c in w], lc)
         # left: the lanes where the existential held and no guard fired
         j = min(lowest_lane(left) if left else n, worst[0] if worst else n)
         if j == n:

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import convexqe.fuzz as fuzz
 from convexqe import closures, models, oracle
-from convexqe.closures import FALSE, TRUE, Lowering
+from convexqe.closures import FALSE, TRUE, Lanes, Lowering
 from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import ConvexQEError
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, int_sample_pool,
@@ -62,7 +62,7 @@ def _check_lanes(ev, points: list[dict], dim: int, denom: int):
     for slot, block_test in enumerate(ev.block_tests):
         if block_test is not None:
             test = closures.scalar_test(*ev.specs[slot - 1])
-            assert block_test(cols, denom, len(points)) == _mask(
+            assert block_test(Lanes(cols, len(points)), denom) == _mask(
                 test(p, [denom, *ev.blank]) for p in points), slot
 
 
@@ -107,9 +107,9 @@ def _toy_lowering(monkeypatch):
         log.lowered.append(a)
         test = BLOCK_TEST(rows, sign, tail)
 
-        def counted(p, d, n):
+        def counted(lanes, d):
             log.calls.append(a)
-            return test(p, d, n)
+            return test(lanes, d)
         return counted
     monkeypatch.setattr(closures, "block_test", block_test)
     return Lowering(lower), log
@@ -366,7 +366,7 @@ def test_oracle_alpha_atoms_of_either_sign(ac, compare_calls):
     got = [scalar({"x": (x,)}, [BIG, None]) for x in xs]
     assert got == want and compare_calls
     del compare_calls[:]
-    assert block({"x": (tuple(xs),)}, BIG, len(xs)) == _mask(want)
+    assert block(Lanes({"x": (xs,)}, len(xs)), BIG) == _mask(want)
     assert any(want) and not all(want) and compare_calls
 
 
@@ -377,6 +377,256 @@ def test_bracket_holds_the_value():
         assert alpha.compare(Fraction(lo, 2**bits)) < 0
         assert alpha.compare(Fraction(hi, 2**bits)) > 0
         assert hi - lo <= 4
+
+
+# ---------------------------------------------------------------------------
+# packed lanes: each row as fields of one big integer, against the scalar
+# test of the same spec
+
+
+def _packed_reference(col, w: int) -> int:
+    """A column's packing spelled out: field j holds x_j + 2**(w - 1)."""
+    return sum(x + 2 ** (w - 1) << w * j for j, x in enumerate(col))
+
+
+WIDTHS = [16, 32, 64, 128, 192]
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_width_is_the_smallest_that_fits(w):
+    # a value less a threshold within +-(bound + 1), less 1, must fit a
+    # field: 2**(w - 1) > 2 * bound + 2
+    largest = 2 ** (w - 2) - 2
+    assert 2 ** (w - 1) > 2 * largest + 2 >= 2 ** (w - 1) - 2
+    assert closures._width(largest) == w
+    wider = closures._width(largest + 1)
+    assert wider > w and wider == (WIDTHS + [256])[WIDTHS.index(w) + 1]
+
+
+@pytest.mark.parametrize("w", WIDTHS + ["wide"])
+def test_packed_column_is_the_biased_sum(w):
+    """The row x over a column whose bound sets the width is that column
+    packed: sum of (x + 2**(W - 1)) * 2**(W * j)."""
+    big = 10 ** 4400 if w == "wide" else 2 ** (w - 2) - 2
+    rng = random.Random(f"pack:{w}")
+    col = tuple([0, 1, -1, big, -big, big - 1, -big + 1] + [
+        rng.randint(-big, big) for _ in range(60)])
+    lanes = Lanes({"x": (col,)}, len(col))
+    width, bound, row, ones = lanes._row(((("x", 0, 1),), 0, 1))
+    assert bound == big
+    if w != "wide":
+        assert width == w
+    else:
+        assert width % 64 == 0 and width > 14616
+    assert ones == _packed_reference([-2 ** (width - 1) + 1] * len(col),
+                                     width)
+    assert row == _packed_reference(col, width)
+    assert list(lanes.column((("x", 0, 1),), 0, 1)) == list(col)
+    # a row with a constant and a negative coefficient, at the same width
+    _, _, row, _ = lanes._row(((("x", 0, -1),), 0, 1))
+    assert row == _packed_reference([-x for x in col], width)
+
+
+# per scale: lane values near it, so rows take 16-bit fields, fields past
+# 2**15, 2**31 or 2**63, or (with 10**4400 as a coefficient too) the bytes
+# join
+SCALES = {"2^10": 2 ** 10, "2^14": 2 ** 14, "2^30": 2 ** 30,
+          "2^62": 2 ** 62, "10^4400": 10 ** 4400}
+
+
+def _bracket_less(lo: int, hi: int, bits: int, beta: Fraction, log: list):
+    """less(x, den) for beta in (lo, hi) / 2**bits: logs each call, and
+    fails one made where the bracket alone decides."""
+    def less(x: int, den: int) -> bool:
+        assert lo * den < x << bits < hi * den, (x, den)
+        log.append((x, den))
+        return Fraction(x, den) < beta
+    return less
+
+
+def _random_spec(rng: random.Random, scale: int, dim: int, points: list):
+    """A spec over x and y: up to three lead rows that vanish on many
+    lanes, a random sign, and a bool tail or a bracket tail around the
+    points; then a denominator and the log of the tail's less."""
+    coeffs = [1, -1, 2, -3, 5]
+    if scale == 10 ** 4400:
+        coeffs += [scale + 1, -scale]
+
+    def row():
+        i = rng.randrange(dim)
+        c = rng.choice(coeffs)
+        if rng.random() < 0.5:  # zero where y copies x
+            return ((("x", i, c), ("y", i, -c)), 0)
+        return ((("x", i, c),), rng.choice([0, 0, 1, -2]))
+    rows = [row() for _ in range(rng.randint(0, 3))]
+    sign = rng.choice([operator.lt, operator.le, operator.eq, operator.ne])
+    if rng.random() < 0.4:
+        return rows, sign, rng.random() < 0.5, rng.choice([1, 6]), None
+    # a bracket at or just below the tail's row at some lane
+    (terms, const), k, d = row(), rng.choice([1, 3]), rng.choice([1, 6])
+    bits = rng.choice([0, 4, 16])
+    x = closures.int_row(terms, const)(rng.choice(points), d)
+    lo = (x << bits) // (k * d) - rng.choice([0, 1, 3])
+    hi = lo + rng.choice([1, 2, 5, scale << bits])
+    beta = Fraction(lo, 2 ** bits) + Fraction(hi - lo, 2 ** bits) * \
+        Fraction(rng.randint(1, 99), 100)
+    log = []
+    tail = ((terms, const), k, lo, hi, bits,
+            _bracket_less(lo, hi, bits, beta, log))
+    return rows, sign, tail, d, log
+
+
+def _random_lanes(rng: random.Random, scale: int, n: int, dim: int):
+    def value():
+        r = rng.random()
+        if r < 0.3:
+            return rng.choice([0, 1, -1])
+        if r < 0.6:
+            return rng.choice([scale, -scale, scale - 1, 1 - scale])
+        return rng.randint(-scale, scale)
+    points = []
+    for _ in range(n):
+        x = tuple(value() for _ in range(dim))
+        y = x if rng.random() < 0.5 else tuple(value() for _ in range(dim))
+        points.append({"x": x, "y": y})
+    return points
+
+
+@pytest.mark.parametrize("scale_name, n", [
+    (name, n) for name in SCALES for n in [1, 7, 1000, 4096]
+    if name != "10^4400"] + [("10^4400", n) for n in [1, 7, 60]])
+def test_packed_tests_match_the_scalar_tests(scale_name, n):
+    """Block tests of random specs at every field width, lane by lane
+    against the scalar test of the same spec; ``less`` runs at the same
+    lanes, in the same order, and only inside the bracket."""
+    scale = SCALES[scale_name]
+    rng = random.Random(f"packed:{scale_name}:{n}")
+    dim = 2
+    points = _random_lanes(rng, scale, n, dim)
+    cols = _columns(points, dim)
+    called = 0
+    for _ in range(40 if n < 300 else 16):
+        rows, sign, tail, denom, log = _random_spec(rng, scale, dim, points)
+        scalar = closures.scalar_test(rows, sign, tail)
+        want = _mask(scalar(p, [denom, None]) for p in points)
+        scalar_calls = list(log or ())
+        if log:
+            del log[:]
+        got = closures.block_test(rows, sign, tail)(Lanes(cols, n), denom)
+        assert got == want, (rows, sign, tail)
+        assert (log or []) == scalar_calls
+        called += len(scalar_calls)
+    assert called  # some lane fell inside a bracket
+
+
+def _threshold_lanes(k: int, d: int, lo: int, hi: int, bits: int):
+    """Values of the tail's row at both thresholds, one off either side
+    of each, and far beyond both."""
+    den = k * d
+    t_lo = lo * den >> bits  # x << bits <= lo * den from here down
+    t_hi = -(-hi * den >> bits) - 1  # x << bits < hi * den from here down
+    return t_lo, t_hi, [t_lo - 5, t_lo - 1, t_lo, t_lo + 1, t_hi - 1, t_hi,
+                        t_hi + 1, t_hi + 5, -10 ** 30, 10 ** 30]
+
+
+@pytest.mark.parametrize("k, d, lo, hi, bits", [
+    (1, 1, 5, 9, 2), (3, 6, 5, 9, 4), (1, 16, 5, 6, 4), (1, 16, 5, 7, 4),
+    (1, 1, -9, -5, 2), (3, 6, -9, -5, 4), (2, 5, -3, 2, 3),
+    (1, 2 ** 40, -7, -6, 20)])
+@pytest.mark.parametrize("near", ["lo", "hi"])
+def test_bracket_tail_at_its_thresholds(k, d, lo, hi, bits, near):
+    """Lanes exactly at both thresholds, and one off: the bracket decides
+    the lanes at and below the lower one and above the upper one, and
+    less decides the rest, called there alone; thresholds may be
+    negative.  beta sits near either end, so that a lane inside the
+    bracket reads true next to the upper threshold and false next to the
+    lower one."""
+    eps = Fraction(1, 2 ** (bits + 80))
+    beta = (Fraction(lo, 2 ** bits) + eps if near == "lo"
+            else Fraction(hi, 2 ** bits) - eps)
+    log = []
+    tail = (((("x", 0, 1),), 0), k, lo, hi, bits,
+            _bracket_less(lo, hi, bits, beta, log))
+    t_lo, t_hi, xs = _threshold_lanes(k, d, lo, hi, bits)
+    # a lead row that is zero on the first lanes and negative after them
+    lead = [((("y", 0, 1),), 0)]
+    ys = [0] * len(xs) + [-1] * len(xs)
+    spec = (lead, operator.lt, tail)
+    scalar = closures.scalar_test(*spec)
+    want = [scalar({"x": (x,), "y": (y,)}, [d, None])
+            for x, y in zip(xs + xs, ys)]
+    scalar_calls = log[:]
+    del log[:]
+    got = closures.block_test(*spec)(
+        Lanes({"x": (xs + xs,), "y": (ys,)}, len(ys)), d)
+    assert got == _mask(want)
+    assert log == scalar_calls
+    assert [x for x, _ in log] == [x for x in xs if t_lo < x <= t_hi]
+    assert want == [x <= t_lo or x <= t_hi and Fraction(x, k * d) < beta
+                    for x in xs] + [True] * len(xs)
+    if t_lo < t_hi:
+        assert want[xs.index(t_hi)] == (near == "hi")
+        assert want[xs.index(t_lo + 1)] == (near == "hi")
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+def test_blocks_without_variables(name, n):
+    """A closed formula's block has no columns: both sides answer alike
+    at every lane."""
+    m = get_model(name)
+    st = build_structure(m)
+    for text in ("e_in < e_out", "U(e_in) | ~I(e_out - 2 * e_in)",
+                 "E x. x < e_in & U(x)", "A x. U(x) | ~U(x + e_out)"):
+        f = parse_formula(text)
+        for ev in (compile_formula(m, qe_star(f, st)),
+                   oracle_compile(m, f).lower()):
+            truth = ev.at(SAMPLE_DENOM)({})
+            assert ev.block(Lanes({}, n), SAMPLE_DENOM, n) == _mask(
+                [truth] * n), text
+    spec = ([((), 3), ((), 0)], operator.lt, False)
+    assert closures.block_test(*spec)(Lanes({}, n), 2) == 0
+    spec = ([((), 0)], operator.le, (((), -1), 1, -1, 1, 0, None))
+    assert closures.block_test(*spec)(Lanes({}, n), 2) == _mask([True] * n)
+
+
+@pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+def test_both_sides_share_each_row(name, monkeypatch):
+    """One Lanes passed to an IntCompiledFormula and an IntOracleEval
+    computes each distinct (terms, const, denom) row once, gives the masks
+    of a fresh Lanes per side, and computes fewer rows than those two."""
+    computed = []
+    width = closures._width  # called once per row computed
+
+    def counted(bound):
+        computed.append(bound)
+        return width(bound)
+    monkeypatch.setattr(closures, "_width", counted)
+    m = get_model(name)
+    st = build_structure(m)
+    rng = random.Random(f"share:{name}")
+    shared = alone = checked = 0
+    while checked < 12:
+        f = gen_formula(rng, list(NAMES), 3, 2)
+        try:
+            comp = IntCompiledFormula(m, qe_star(f, st), SAMPLE_DENOM)
+            orc = oracle.IntOracleEval(oracle_compile(m, f), SAMPLE_DENOM)
+        except ConvexQEError:
+            continue
+        checked += 1
+        n = 300
+        fv = tuple(sorted(free_vars(f)))
+        draw = pool_drawer(random.Random(checked), int_sample_pool(m))
+        lanes, _ = fuzz.drawn_block(draw(n * len(fv) * m.dim), n, fv, m.dim)
+        del computed[:]
+        masks = comp.block(lanes, n), orc.block(lanes, n)
+        assert len(computed) == len(lanes._rows)
+        shared += len(computed)
+        del computed[:]
+        assert masks == (comp.block(Lanes(lanes, n), n),
+                         orc.block(Lanes(lanes, n), n))
+        alone += len(computed)
+    assert shared < alone
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .models import (Cmp, DownwardCut, IrrationalOracle, ModelDescriptor,
                      PiOracle, PlusInf, PLUS_INF, Point, SqrtOracle,
                      SubgroupLevel, compare_to_threshold, eval_formula,
                      i_member, load_model, model_from_json, model_to_json,
-                     save_model, term_value, u_member)
+                     term_value, u_member)
 from .normalform import normalize_atoms, simplify, to_dnf
 from .oracle import oracle_compile, oracle_truth
 from .parser import parse_formula, parse_term

@@ -9,43 +9,38 @@ sibling's entry or its parent's exits, and ``~`` swaps them.
 What an atom means is up to the caller's lowering, so the model evaluator
 and the independent coordinate oracle share no atom semantics.  A lowering
 turns an atom into one integer-row spec ``(rows, sign, tail)``: ``rows``
-are ``(terms, const)`` pairs, as ``int_row`` takes them; ``sign`` is a
-comparison, such as ``operator.lt``, of the first of them that is nonzero
-with 0; and ``tail`` decides where they are all zero, as a bool or as ``(row, k, lo, hi, bits, less)``: the
-truth of ``row / (k * d) < beta``, d the points' denominator, for a beta
-with ``lo / 2**bits < beta < hi / 2**bits`` and ``less(x, den)`` the exact
-``x / den < beta``, called only inside that bracket.  This module builds
-both of an atom's tests from its spec, with ``scalar_test`` and
-``block_test``, so neither lowering writes a test.
+are ``(terms, const)`` pairs, each the value ``const * d`` plus the sum of
+``c * points[v][i]`` over the ``(v, i, c)`` in terms, at integer points over
+a denominator d; ``sign`` is a comparison, such as ``operator.lt``, of the
+first of them that is nonzero with 0; and ``tail`` decides where they are
+all zero, as a bool or as ``(row, k, lo, hi, bits, less)``: the truth of
+``row / (k * d) < beta`` for a beta with ``lo / 2**bits < beta < hi /
+2**bits`` and ``less(x, den)`` the exact ``x / den < beta``, called only
+inside that bracket.  The spec is the atom's only test: ``holds`` reads it
+at one point and ``block_holds`` at many, so neither lowering writes a test.
 
-A root takes ``(points, frame)`` and runs one loop: it reads or fills the
-atom's frame slot, then jumps.  ``points`` maps each variable to a tuple of
-integer coordinate numerators over one common denominator.  ``frame`` is a
-fresh list per call, ``[denom, *slots]``: the denominator, then one cache
-slot per distinct atom.  The roots of one lowering (an existential and its
-guards, say) share its table: called at the same points with one frame,
-they test each atom at most once.  The scalar tests are built from the
-specs when a scalar root is first asked for, so a caller that only runs
-blocks builds none.
+``Evaluator.run`` drives a root at one point ``(points, frame)`` in one
+loop: it reads or fills the atom's frame slot, then jumps.  ``points`` maps
+each variable to a tuple of integer coordinate numerators over one common
+denominator.  ``frame`` is a fresh list per point, ``[denom, *slots]``: the
+denominator, then one cache slot per distinct atom.  The roots of one
+lowering (an existential and its guards, say) share its table: run at the
+same points with one frame, they test each atom at most once.
 
 ``Evaluator.block`` is a second driver over the same table, for many
 assignments at once.  Every jump goes to a lower row or to an exit, so it
 walks a root's rows once, downwards, carrying the mask of lanes (one byte
 per assignment, 1 where the lane reaches the row) and splitting it at each
-row by the atom's block test.  A block test (built on first use) takes
-``(lanes, denom)``, ``lanes`` a ``Lanes`` of n assignments: each variable
-mapped to one sequence per coordinate holding its numerators at every
-lane.  It returns its truth as such a mask, by mask algebra over the sign
-masks of its rows, which the ``Lanes`` computes once per distinct row as
-packed big-integer arithmetic; only the lanes inside a tail's bracket run
-``less``.  A test runs only when some lane reaches one of its rows, and
-at most once per list of masks: roots called at the same lanes with one
-list, ``[None, *slots]``, share each atom's mask as the scalar roots share
-a frame, and evaluators called at one ``Lanes`` share each row.  Per
-formula over both of ``run_fuzz``'s sides, the block driver costs about
-as much as the scalar one at about 30 lanes; below that the scalar one is
-faster, and at 1 lane it costs 6 to 8 times the scalar one (CPython 3.11
-on a 2-core x86_64 host).
+row by ``block_holds``, which takes a ``Lanes`` of n assignments (each
+variable mapped to one sequence per coordinate holding its numerators at
+every lane) and returns the atom's truth as such a mask, by mask algebra
+over the sign masks of its rows, which the ``Lanes`` computes once per
+distinct row as packed big-integer arithmetic; only the lanes inside a
+tail's bracket run ``less``.  An atom is tested only when some lane reaches
+one of its rows, and at most once per list of masks: roots called at the
+same lanes with one list, ``[None, *slots]``, share each atom's mask as
+``run`` shares a frame, and evaluators called at one ``Lanes`` share each
+row.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
 
 DENOM = 0
@@ -110,35 +104,28 @@ class Lowering:
         return Evaluator(tuple(self._rows), entries, tuple(self._specs))
 
 
-def _root(rows: tuple, tests: tuple,
-          entry: int) -> Callable[[Mapping, list], bool]:
-    def run(p, f) -> bool:
-        i = entry
-        while i >= 0:
-            slot, t, e = rows[i]
-            v = f[slot]
-            if v is None:
-                v = f[slot] = tests[slot](p, f)
-            i = t if v else e
-        return i == TRUE
-    return run
-
-
 class Evaluator:
     """Compiled formulas, one root each over one jump table, evaluated
-    exactly on integer or rational points; ``at`` and ``eval_points`` take
-    root 0, ``block`` any root."""
+    exactly on integer or rational points; ``eval_points`` takes root 0,
+    ``run`` and ``block`` any root."""
 
     def __init__(self, rows: tuple, entries: list, specs: tuple):
         self.rows, self.entries, self.specs = rows, entries, specs
         self.blank = (None,) * len(specs)
-        self.block_tests: list = [None, *self.blank]  # by slot, on first use
 
-    @cached_property
-    def roots(self) -> tuple:
-        """The scalar roots, one per formula, over the scalar tests."""
-        tests = (None, *(scalar_test(*spec) for spec in self.specs))
-        return tuple(_root(self.rows, tests, entry) for entry in self.entries)
+    def run(self, points: Mapping, frame: list, root: int = 0) -> bool:
+        """A root's truth at integer points: each variable's coordinate
+        numerators over frame[0].  frame, ``[denom, *blank]`` when fresh,
+        keeps each atom's truth at these points by slot; pass one frame to
+        several roots to test each atom once."""
+        rows, specs, i = self.rows, self.specs, self.entries[root]
+        while i >= 0:
+            slot, t, e = rows[i]
+            v = frame[slot]
+            if v is None:
+                v = frame[slot] = holds(specs[slot - 1], points, frame[DENOM])
+            i = t if v else e
+        return i == TRUE
 
     def block(self, columns: Mapping, denom: int, n: int, root: int = 0,
               masks: Optional[list] = None) -> int:
@@ -150,7 +137,7 @@ class Evaluator:
         each atom once."""
         if type(columns) is not Lanes:
             columns = Lanes(columns, n)
-        rows, entry, tests = self.rows, self.entries[root], self.block_tests
+        rows, entry, specs = self.rows, self.entries[root], self.specs
         lanes = [0] * (len(rows) + 2)  # then FALSE and TRUE, at -2 and -1
         lanes[entry] = columns.full
         if masks is None:
@@ -162,20 +149,12 @@ class Evaluator:
             slot, t, e = rows[i]
             mask = masks[slot]
             if mask is None:
-                test = tests[slot]
-                if test is None:
-                    test = tests[slot] = block_test(*self.specs[slot - 1])
-                mask = masks[slot] = test(columns, denom)
+                mask = masks[slot] = block_holds(specs[slot - 1], columns,
+                                                 denom)
             yes = live & mask
             lanes[t] |= yes
             lanes[e] |= live ^ yes
         return lanes[TRUE]
-
-    def at(self, denom: int) -> Callable[[Mapping], bool]:
-        """Truth as a function of integer points: each variable's coordinate
-        numerators over denom."""
-        root, blank = self.roots[0], self.blank
-        return lambda points: root(points, [denom, *blank])
 
     def frame_points(self, points: Mapping) -> tuple[dict, list]:
         """Points cleared to one common denominator, and a fresh frame."""
@@ -188,13 +167,13 @@ class Evaluator:
 
     def eval_points(self, points: Mapping) -> bool:
         """Truth at Point coordinates."""
-        return self.roots[0](*self.frame_points(points))
+        return self.run(*self.frame_points(points))
 
 
 class AtDenominator:
     """Root 0 of an evaluator at a fixed denominator: ``eval`` takes each
     variable's coordinate numerators over it, ``block`` their columns over
-    n assignments.  The scalar root is built on the first ``eval``."""
+    n assignments."""
 
     def __init__(self, ev: Evaluator, denom: int):
         self._ev, self._denom = ev, denom
@@ -202,82 +181,66 @@ class AtDenominator:
     def block(self, columns: Mapping, n: int) -> int:
         return self._ev.block(columns, self._denom, n)
 
-    @cached_property
-    def eval(self) -> Callable[[Mapping], bool]:
-        return self._ev.at(self._denom)
+    def eval(self, points: Mapping) -> bool:
+        return self._ev.run(points, [self._denom, *self._ev.blank])
 
 
-def _decided(sign: Callable, tail: bool) -> Callable:
-    """sign where the lead is nonzero, and tail where it is zero."""
-    if sign(0, 0) == tail:
-        return sign
-    return lambda s, zero: sign(s, zero) if s else tail
-
-
-def scalar_test(rows: list, sign: Callable, tail):
-    """The test closure (points, frame) of an atom's spec."""
-    lead = first_nonzero([int_row(*r) for r in rows])
+def holds(spec: tuple, points: Mapping, d: int) -> bool:
+    """An atom's truth, from its spec, at integer points over d: the sign
+    of the first nonzero row, or the tail where every row is zero."""
+    rows, sign, tail = spec
+    for terms, const in rows:
+        x = const * d
+        for v, i, c in terms:
+            x += c * points[v][i]
+        if x:
+            return sign(x, 0)
     if type(tail) is bool:
-        decide = _decided(sign, tail)
-        return lambda p, f: decide(lead(p, f[DENOM]), 0)
+        return tail
     (terms, const), k, lo, hi, bits, less = tail
-    row = int_row(terms, const)
-
-    def below(p, f) -> bool:  # row / (k * d) < beta
-        d = f[DENOM]
-        x, den = row(p, d), k * d
-        return x << bits <= lo * den or x << bits < hi * den and less(x, den)
-    if not rows:
-        return below
-
-    def test(p, f) -> bool:
-        s = lead(p, f[DENOM])
-        return sign(s, 0) if s else below(p, f)
-    return test
+    x, den = const * d, k * d
+    for v, i, c in terms:
+        x += c * points[v][i]
+    # row / (k * d) < beta
+    return x << bits <= lo * den or x << bits < hi * den and less(x, den)
 
 
-def block_test(rows: list, sign: Callable, tail):
-    """The block test closure (lanes, denom) of an atom's spec: its scalar
-    test, lane by lane, as mask algebra over the sign masks of its rows,
-    which ``lanes`` computes once per block.  Only the lanes of the tail's
-    bracket run ``less``."""
-    neg_holds, pos_holds = sign(-1, 0), sign(1, 0)
-    if type(tail) is not bool:
-        (terms, const), k, lo, hi, bits, less = tail
-
-    def test(lanes: Lanes, d: int) -> int:
-        # neg: the lanes whose first nonzero row is negative; zero: the
-        # lanes where every row so far is zero
-        full = lanes.full
-        neg, zero = 0, full
-        for row_terms, row_const in rows:
-            lt, eq = lanes.signs(row_terms, row_const, d)
-            neg |= zero & lt
-            zero &= eq
-            if not zero:
-                break
-        out = (neg if neg_holds else 0) | (
-            full ^ zero ^ neg if pos_holds else 0)
-        if not zero or tail is False:
-            return out
-        if tail is True:
-            return out | zero
-        # the tail's row x against beta * k * d: x << bits <= lo * den
-        # decides it below, and where only x << bits < hi * den holds,
-        # less decides
-        den = k * d
-        sure, inside = lanes.at_most(terms, const, d, (
-            lo * den >> bits, -(-hi * den >> bits) - 1))
-        out |= sure & zero
-        maybe = (inside ^ sure) & zero
-        while maybe:
-            j = lowest_lane(maybe)
-            bit = 1 << 8 * j
-            maybe ^= bit
-            if less(lanes.value(terms, const, d, j), den):
-                out |= bit
+def block_holds(spec: tuple, lanes: Lanes, d: int) -> int:
+    """``holds`` at every lane of lanes, as a lane mask: mask algebra over
+    the sign masks of the spec's rows, which ``lanes`` computes once per
+    block.  Only the lanes of the tail's bracket run ``less``."""
+    rows, sign, tail = spec
+    # neg: the lanes whose first nonzero row is negative; zero: the lanes
+    # where every row so far is zero
+    full = lanes.full
+    neg, zero = 0, full
+    for terms, const in rows:
+        lt, eq = lanes.signs(terms, const, d)
+        neg |= zero & lt
+        zero &= eq
+        if not zero:
+            break
+    out = (neg if sign(-1, 0) else 0) | (
+        full ^ zero ^ neg if sign(1, 0) else 0)
+    if not zero or tail is False:
         return out
-    return test
+    if tail is True:
+        return out | zero
+    # the tail's row x against beta * k * d: x << bits <= lo * den decides
+    # it below, and where only x << bits < hi * den holds, less decides
+    (terms, const), k, lo, hi, bits, less = tail
+    den = k * d
+    sure, inside = lanes.at_most(terms, const, d, (
+        lo * den >> bits, -(-hi * den >> bits) - 1))
+    out |= sure & zero
+    maybe = (inside ^ sure) & zero
+    while maybe:
+        j = lowest_lane(maybe)
+        bit = 1 << 8 * j
+        maybe ^= bit
+        if less(lanes.value(terms, const, d, j), den):
+            out |= bit
+    return out
 
 
 # array typecodes of the field widths they pack, where their items are
@@ -423,21 +386,6 @@ def _pack(col, w: int) -> int:
     return int.from_bytes(items.tobytes(), "little")
 
 
-def int_row(terms: tuple[tuple[str, int, int], ...], const: int):
-    """Closure (points, denom) -> const * denom + sum of c * points[v][i]
-    over the (v, i, c) in terms: a linear form scaled to integers."""
-    if len(terms) == 1:
-        (v, i, c), = terms
-        return lambda p, d: c * p[v][i] + const * d
-
-    def row(p, d) -> int:
-        t = const * d
-        for v, i, c in terms:
-            t += c * p[v][i]
-        return t
-    return row
-
-
 def all_lanes(n: int) -> int:
     """The lane mask of lanes 0 to n - 1."""
     return int.from_bytes(b"\x01" * n, "little")
@@ -446,18 +394,3 @@ def all_lanes(n: int) -> int:
 def lowest_lane(mask: int) -> int:
     """The lowest lane set in a nonzero lane mask."""
     return (mask & -mask).bit_length() - 1 >> 3
-
-
-def first_nonzero(rows: list):
-    """Closure (points, denom) -> the first nonzero row value, or 0."""
-    if len(rows) == 1:
-        return rows[0]
-    rows = tuple(rows)
-
-    def lead(p, d) -> int:
-        for r in rows:
-            t = r(p, d)
-            if t:
-                return t
-        return 0
-    return lead

@@ -454,8 +454,8 @@ class SkolemDefinition:
 
         def choose(asgn) -> Optional[Point]:
             ints, frame = low.frame_points(asgn)
-            return next((term_value(m, term, asgn) for guard, (_, term) in
-                         zip(low.roots, self.cases) if guard(ints, frame)),
+            return next((term_value(m, term, asgn) for i, (_, term) in
+                         enumerate(self.cases) if low.run(ints, frame, i)),
                         None)
         return choose
 

@@ -15,8 +15,8 @@ the formula with exact Point arithmetic and is the reference.
 table of ``closures`` for the per-assignment loops;
 ``IntCompiledFormula`` is one such root at a fixed denominator.  Each atom
 is lowered once, to the integer rows of its term and the sign and tail
-that decide it (``_lower_atom``), and ``closures`` builds its scalar test
-and its block test, over many assignments at once, from that.  An
+that decide it (``_lower_atom``), and ``closures`` reads that spec at one
+point (``holds``) and at many assignments at once (``block_holds``).  An
 irrational edge is decided by integer comparison against the oracle's
 ``bracket``, and by ``compare`` only inside it.
 """
@@ -496,10 +496,11 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
 
 def term_rows(m: ModelDescriptor, t: Term, shifted: bool = False):
     """The term's coordinates, less the cut's rational prefix if shifted,
-    as integer rows ``(terms, const)`` (see ``closures.int_row``): at
-    points over denominator d, row i is (t_i - s_i) * lc * d, s_i the
-    prefix entry (or 0).  Returns (lc, rows), lc the lcm of the
-    denominators involved."""
+    as integer rows ``(terms, const)``, each ``const * d`` plus the sum of
+    ``c * points[v][i]`` over the ``(v, i, c)`` in terms (as
+    ``closures.holds`` reads them): at points over denominator d, row i is
+    (t_i - s_i) * lc * d, s_i the prefix entry (or 0).  Returns (lc, rows),
+    lc the lcm of the denominators involved."""
     nums, a, b, c, den = t
     k = m.constants
     # coordinate i's constant is const[i] / (den * k.denom)
@@ -657,9 +658,3 @@ def load_model(path: str) -> ModelDescriptor:
         except ValueError as exc:  # not JSON, or not text
             raise MalformedModelError(f"bad model descriptor: {exc}") from exc
     return model_from_json(data)
-
-
-def save_model(m: ModelDescriptor, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -49,9 +49,6 @@ class Literal:
     atom: Atom
     negated: bool = False
 
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.negated)
-
     def to_formula(self) -> Formula:
         f: Formula = AtomF(self.atom)
         return Not(f) if self.negated else f

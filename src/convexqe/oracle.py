@@ -21,7 +21,7 @@ compiled to a jump table by the plumbing of ``closures``, which the model
 evaluator also uses, but this module lowers its own one-dimensional sign
 atoms and alpha comparisons, to one integer-row spec each, with its own
 bracket of beta (alpha or -alpha) and its own exact comparison inside it;
-``closures`` only builds the scalar and the block test from that spec.
+``closures`` only reads that spec, at one point or at many.
 """
 
 from __future__ import annotations

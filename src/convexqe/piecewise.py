@@ -153,9 +153,6 @@ class BinaryPiece:
     def of(coef_x, coef_y, const=0) -> "BinaryPiece":
         return BinaryPiece(Fraction(coef_x), Fraction(coef_y), _const_term(const))
 
-    def value_term(self, x: Term, y: Term) -> Term:
-        return x.scale(self.coef_x) + y.scale(self.coef_y) + self.const
-
 
 @dataclass(frozen=True)
 class BinaryPiecewiseLinear:

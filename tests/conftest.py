@@ -29,6 +29,13 @@ def past_default_precision() -> Fraction:
     return PiOracle().refine(4200)[0]
 
 
+def row_value(row: tuple, points: dict, d: int) -> int:
+    """An integer row ``(terms, const)`` at points over d, summed out:
+    const * d plus c * points[v][i] for each (v, i, c) in terms."""
+    terms, const = row
+    return const * d + sum(c * points[v][i] for v, i, c in terms)
+
+
 def random_cut_model(rng):
     """A random model of dimension 1 to 3, or None when no e_in fits it.
 

@@ -2,14 +2,14 @@
 
 ``Evaluator.block`` walks a root's rows once over many assignments and
 returns a lane mask, byte j for assignment j.  Here every such mask is
-compared with the scalar root run at each assignment alone, over toy
-trees (roots that fold to a constant, negated literals, empty
-connectives, several roots sharing one list of atom masks), compiled
-elimination outputs, oracle decisions and random models, at the lane
-counts on both sides of the driver's edges; and the
-irrational edge, where the block and the scalar tests fall back from the
-bracket to ``compare``, is checked against the Point reference.  Both tests
-of an atom are built by ``closures`` from the one spec its lowering gives."""
+compared with ``Evaluator.run`` at each assignment alone, and every atom's
+``block_holds`` mask with ``holds`` of its spec, the per-lane reference,
+over toy trees (roots that fold to a constant, negated literals, empty
+connectives, several roots sharing one list of atom masks or one frame),
+compiled elimination outputs, oracle decisions and random models, at the
+lane counts on both sides of the driver's edges; and the irrational edge,
+where both fall back from the bracket to ``compare``, is checked against
+the Point reference.  Both read the one spec an atom's lowering gives."""
 
 import operator
 import random
@@ -33,12 +33,13 @@ from convexqe.parser import parse_formula
 from convexqe.syntax import free_vars
 
 from conftest import (FIXTURE_NAMES, VALUATIONAL_NAMES, get_model,
-                      random_cut_model)
+                      random_cut_model, row_value)
 
 ELIMINABLE_NAMES = VALUATIONAL_NAMES + ["lex2_rat_11"]
 LANES = [1, 7, 64, 1000]
 NAMES = ("x", "y")
-BLOCK_TEST = closures.block_test  # before any test wraps it
+# before any test wraps them
+BLOCK_HOLDS, HOLDS = closures.block_holds, closures.holds
 
 
 def _mask(bools) -> int:
@@ -52,18 +53,17 @@ def _columns(points: list[dict], dim: int) -> dict:
 
 
 def _check_lanes(ev, points: list[dict], dim: int, denom: int):
-    """Root 0's block mask and every block test built for it equal the
-    scalar root, and the scalar test of the atom's spec, at each point
-    alone."""
-    cols = _columns(points, dim)
-    scalar = ev.at(denom)
-    assert ev.block(cols, denom, len(points)) == _mask(
-        scalar(p) for p in points)
-    for slot, block_test in enumerate(ev.block_tests):
-        if block_test is not None:
-            test = closures.scalar_test(*ev.specs[slot - 1])
-            assert block_test(Lanes(cols, len(points)), denom) == _mask(
-                test(p, [denom, *ev.blank]) for p in points), slot
+    """Root 0's block mask equals ``run`` at each point alone, and every
+    atom's ``block_holds`` mask, the one the block kept included, equals
+    ``holds`` of its spec at each point alone."""
+    lanes = Lanes(_columns(points, dim), len(points))
+    masks = [None, *ev.blank]
+    assert ev.block(lanes, denom, len(points), 0, masks) == _mask(
+        ev.run(p, [denom, *ev.blank]) for p in points)
+    for slot, spec in enumerate(ev.specs, 1):
+        want = _mask(HOLDS(spec, p, denom) for p in points)
+        assert BLOCK_HOLDS(spec, lanes, denom) == want, slot
+        assert masks[slot] in (None, want), slot
 
 
 def _draws(m, seed, n: int) -> list[dict]:
@@ -87,31 +87,30 @@ def _check_row_order(ev):
 
 def _toy_lowering(monkeypatch):
     """A lowering of toy atoms, and its log: the atoms by slot, each atom
-    as its block test is built (lowered) and at each call of that test
-    (calls).  "vi<k" is the row p[v][i] - k below 0 for even k; for odd k
-    it is p[v][i] - k + 1 below 0 or, where that row is zero, the tail's
-    True, which the sign does not give a zero lead."""
-    log = SimpleNamespace(atoms=[], lowered=[], calls=[])
-    named = {}  # id of a spec's rows -> its atom
+    at each call of ``block_holds`` (calls) and of ``holds`` (tested).
+    "vi<k" is the row p[v][i] - k below 0 for even k; for odd k it is
+    p[v][i] - k + 1 below 0 or, where that row is zero, the tail's True,
+    which the sign does not give a zero lead."""
+    log = SimpleNamespace(atoms=[], calls=[], tested=[])
+    named = {}  # id of a spec -> its atom
 
     def lower(a):
         v, i, k = a[0], int(a[1]), int(a[3:])
         odd = k % 2 == 1
-        rows = [(((v, i, 1),), 1 - k if odd else -k)]
+        spec = [(((v, i, 1),), 1 - k if odd else -k)], operator.lt, odd
         log.atoms.append(a)
-        named[id(rows)] = a
-        return rows, operator.lt, odd
+        named[id(spec)] = a
+        return spec
 
-    def block_test(rows, sign, tail):
-        a = named[id(rows)]
-        log.lowered.append(a)
-        test = BLOCK_TEST(rows, sign, tail)
+    def block_holds(spec, lanes, d):
+        log.calls.append(named[id(spec)])
+        return BLOCK_HOLDS(spec, lanes, d)
 
-        def counted(lanes, d):
-            log.calls.append(a)
-            return test(lanes, d)
-        return counted
-    monkeypatch.setattr(closures, "block_test", block_test)
+    def holds(spec, points, d):
+        log.tested.append(named[id(spec)])
+        return HOLDS(spec, points, d)
+    monkeypatch.setattr(closures, "block_holds", block_holds)
+    monkeypatch.setattr(closures, "holds", holds)
     return Lowering(lower), log
 
 
@@ -154,12 +153,12 @@ class TestToyTrees:
             points = [{v: (rng.randint(-3, 3), rng.randint(-3, 3))
                        for v in NAMES} for _ in range(n)]
             cols = _columns(points, 2)
+            roots = range(len(trees))
             want = [[] for _ in trees]
             for p in points:
                 frame = [1, *ev.blank]
-                for w, root in zip(want, ev.roots):
-                    w.append(root(p, frame))
-            roots = range(len(trees))
+                for r in roots:
+                    want[r].append(ev.run(p, frame, r))
             for order in (roots, reversed(roots)):
                 masks = [None, *ev.blank]
                 del calls[:]
@@ -176,6 +175,39 @@ class TestToyTrees:
             alone += len(calls)
         assert shared < alone  # some atom was shared by two roots
 
+    def test_roots_share_one_frame(self, monkeypatch):
+        """Every root run at one point with one frame, in either order,
+        answers as with a frame of its own, and tests each atom at most
+        once, and exactly the atoms that the block driver tests at that
+        point as its one lane: those whose rows the point reaches."""
+        rng = random.Random("frame")
+        shared = alone = 0
+        for _ in range(150):
+            trees = [_toy_tree(rng, 4) for _ in range(rng.randint(2, 5))]
+            low, log = _toy_lowering(monkeypatch)
+            ev, tested = low.evaluator(*trees), log.tested
+            roots = range(len(trees))
+            for _ in range(5):
+                p = {v: (rng.randint(-3, 3), rng.randint(-3, 3))
+                     for v in NAMES}
+                del tested[:]
+                want = [ev.run(p, [1, *ev.blank], r) for r in roots]
+                alone += len(tested)
+                masks, cols = [None, *ev.blank], _columns([p], 2)
+                for r in roots:
+                    ev.block(cols, 1, 1, r, masks)
+                reached = sorted(log.atoms[s - 1] for s, mask in
+                                 enumerate(masks) if s and mask is not None)
+                for order in (roots, reversed(roots)):
+                    frame = [1, *ev.blank]
+                    del tested[:]
+                    got = {r: ev.run(p, frame, r) for r in order}
+                    assert [got[r] for r in roots] == want
+                    assert len(tested) == len(set(tested))
+                    assert sorted(tested) == reached
+                shared += len(tested)
+        assert shared < alone  # some atom was shared by two roots
+
     @pytest.mark.parametrize("tree, truth, tested", [
         (True, True, 0), (False, False, 0), (("&",), True, 0),
         (("|",), False, 0), (("~", ("&",)), False, 0),
@@ -184,35 +216,40 @@ class TestToyTrees:
         (("|", "x0<1", ("~", "x0<1")), True, 1)])
     def test_roots_that_fold(self, tree, truth, tested, monkeypatch):
         # a root that folds tests nothing; an atom both of whose exits
-        # lead to TRUE is still tested, once
+        # lead to TRUE is still tested, once per block and per frame
         low, log = _toy_lowering(monkeypatch)
-        ev, lowered = low.evaluator(tree), log.lowered
+        ev = low.evaluator(tree)
         for n in LANES:
+            del log.calls[:]
             cols = {"x": ((0,) * n,)}
             assert ev.block(cols, 1, n) == (_mask([True] * n) if truth
                                             else 0)
-        assert ev.at(1)({"x": (0,)}) is truth
-        assert len(lowered) == tested
+            assert len(log.calls) == tested
+        assert ev.run({"x": (0,)}, [1, *ev.blank]) is truth
+        assert len(log.tested) == tested
 
     def test_negated_literals_and_lazy_lowering(self, monkeypatch):
+        # each atom is tested where it is first reached, once per block
         low, log = _toy_lowering(monkeypatch)
-        lowered = log.lowered
+        calls = log.calls
         a, b = "x0<1", "x1<0"
         ev = low.evaluator(("&", ("~", a), ("|", b, ("~", a))))
-        assert lowered == []  # nothing is lowered before the first block
         cols = {"x": ((0, 1, 2, 1), (-1, -1, 0, 0))}
         # lanes: a holds at lane 0 only; b at lanes 0 and 1
         assert ev.block(cols, 1, 4) == _mask([False, True, True, True])
+        assert calls == [a, b]
         assert ev.block(cols, 1, 4) == _mask([False, True, True, True])
-        assert lowered == [a, b]  # once each, on first use
+        assert calls == [a, b] * 2
 
     def test_a_test_unreached_by_every_lane_is_not_run(self, monkeypatch):
         low, log = _toy_lowering(monkeypatch)
-        lowered = log.lowered
         a, b = "x0<1", "x1<0"
         ev = low.evaluator(("&", a, b))
         assert ev.block({"x": ((5, 6), (0, 0))}, 1, 2) == 0
-        assert lowered == [a]
+        assert log.calls == [a]
+        for x in (5, 6):
+            assert not ev.run({"x": (x, 0)}, [1, *ev.blank])
+        assert log.tested == [a, a]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +383,7 @@ def test_lanes_inside_the_bracket(name, text, lead, compare_calls):
     for ev in (compile_formula(m, f), oracle_compile(m, f).lower()):
         del compare_calls[:]
         _check_lanes(ev, points, m.dim, BIG)
-        assert [ev.at(BIG)(p) for p in points] == want
+        assert [ev.run(p, [BIG, *ev.blank]) for p in points] == want
         assert compare_calls  # the bracket alone could not decide these
 
 
@@ -356,17 +393,17 @@ def test_oracle_alpha_atoms_of_either_sign(ac, compare_calls):
     alpha = models.PiOracle()
     atom = CAtom(LinForm((("x#0", 1),), ac, 0), "lt")
     spec = oracle._lower_atom(alpha, atom)
-    scalar, block = closures.scalar_test(*spec), closures.block_test(*spec)
     lo, hi, bits = alpha.bracket()
     centre = -ac * (lo + hi) * BIG >> bits + 1
     xs = [centre + k * 2**22 for k in range(-40, 41)] + [0, -BIG, 5 * BIG]
     want = [(alpha.compare(Fraction(-x, ac * BIG)) > 0) == (ac > 0)
             for x in xs]
     del compare_calls[:]
-    got = [scalar({"x": (x,)}, [BIG, None]) for x in xs]
+    got = [closures.holds(spec, {"x": (x,)}, BIG) for x in xs]
     assert got == want and compare_calls
     del compare_calls[:]
-    assert block(Lanes({"x": (xs,)}, len(xs)), BIG) == _mask(want)
+    assert closures.block_holds(spec, Lanes({"x": (xs,)}, len(xs)),
+                                BIG) == _mask(want)
     assert any(want) and not all(want) and compare_calls
 
 
@@ -380,8 +417,8 @@ def test_bracket_holds_the_value():
 
 
 # ---------------------------------------------------------------------------
-# packed lanes: each row as fields of one big integer, against the scalar
-# test of the same spec
+# packed lanes: each row as fields of one big integer, against holds of the
+# same spec
 
 
 def _packed_reference(col, w: int) -> int:
@@ -465,7 +502,7 @@ def _random_spec(rng: random.Random, scale: int, dim: int, points: list):
     # a bracket at or just below the tail's row at some lane
     (terms, const), k, d = row(), rng.choice([1, 3]), rng.choice([1, 6])
     bits = rng.choice([0, 4, 16])
-    x = closures.int_row(terms, const)(rng.choice(points), d)
+    x = row_value((terms, const), rng.choice(points), d)
     lo = (x << bits) // (k * d) - rng.choice([0, 1, 3])
     hi = lo + rng.choice([1, 2, 5, scale << bits])
     beta = Fraction(lo, 2 ** bits) + Fraction(hi - lo, 2 ** bits) * \
@@ -496,9 +533,9 @@ def _random_lanes(rng: random.Random, scale: int, n: int, dim: int):
     (name, n) for name in SCALES for n in [1, 7, 1000, 4096]
     if name != "10^4400"] + [("10^4400", n) for n in [1, 7, 60]])
 def test_packed_tests_match_the_scalar_tests(scale_name, n):
-    """Block tests of random specs at every field width, lane by lane
-    against the scalar test of the same spec; ``less`` runs at the same
-    lanes, in the same order, and only inside the bracket."""
+    """block_holds of random specs at every field width, lane by lane
+    against holds of the same spec; ``less`` runs at the same lanes, in
+    the same order, and only inside the bracket."""
     scale = SCALES[scale_name]
     rng = random.Random(f"packed:{scale_name}:{n}")
     dim = 2
@@ -507,13 +544,13 @@ def test_packed_tests_match_the_scalar_tests(scale_name, n):
     called = 0
     for _ in range(40 if n < 300 else 16):
         rows, sign, tail, denom, log = _random_spec(rng, scale, dim, points)
-        scalar = closures.scalar_test(rows, sign, tail)
-        want = _mask(scalar(p, [denom, None]) for p in points)
+        spec = rows, sign, tail
+        want = _mask(closures.holds(spec, p, denom) for p in points)
         scalar_calls = list(log or ())
         if log:
             del log[:]
-        got = closures.block_test(rows, sign, tail)(Lanes(cols, n), denom)
-        assert got == want, (rows, sign, tail)
+        got = closures.block_holds(spec, Lanes(cols, n), denom)
+        assert got == want, spec
         assert (log or []) == scalar_calls
         called += len(scalar_calls)
     assert called  # some lane fell inside a bracket
@@ -552,13 +589,12 @@ def test_bracket_tail_at_its_thresholds(k, d, lo, hi, bits, near):
     lead = [((("y", 0, 1),), 0)]
     ys = [0] * len(xs) + [-1] * len(xs)
     spec = (lead, operator.lt, tail)
-    scalar = closures.scalar_test(*spec)
-    want = [scalar({"x": (x,), "y": (y,)}, [d, None])
+    want = [closures.holds(spec, {"x": (x,), "y": (y,)}, d)
             for x, y in zip(xs + xs, ys)]
     scalar_calls = log[:]
     del log[:]
-    got = closures.block_test(*spec)(
-        Lanes({"x": (xs + xs,), "y": (ys,)}, len(ys)), d)
+    got = closures.block_holds(
+        spec, Lanes({"x": (xs + xs,), "y": (ys,)}, len(ys)), d)
     assert got == _mask(want)
     assert log == scalar_calls
     assert [x for x, _ in log] == [x for x in xs if t_lo < x <= t_hi]
@@ -581,13 +617,13 @@ def test_blocks_without_variables(name, n):
         f = parse_formula(text)
         for ev in (compile_formula(m, qe_star(f, st)),
                    oracle_compile(m, f).lower()):
-            truth = ev.at(SAMPLE_DENOM)({})
+            truth = ev.run({}, [SAMPLE_DENOM, *ev.blank])
             assert ev.block(Lanes({}, n), SAMPLE_DENOM, n) == _mask(
                 [truth] * n), text
     spec = ([((), 3), ((), 0)], operator.lt, False)
-    assert closures.block_test(*spec)(Lanes({}, n), 2) == 0
+    assert closures.block_holds(spec, Lanes({}, n), 2) == 0
     spec = ([((), 0)], operator.le, (((), -1), 1, -1, 1, 0, None))
-    assert closures.block_test(*spec)(Lanes({}, n), 2) == _mask([True] * n)
+    assert closures.block_holds(spec, Lanes({}, n), 2) == _mask([True] * n)
 
 
 @pytest.mark.parametrize("name", ELIMINABLE_NAMES)

@@ -8,9 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import convexqe.closures
 import convexqe.models
-from convexqe.closures import int_row
 from convexqe.cutqe import build_structure, qe_star, skolemize
 from convexqe.errors import (ConvexQEError, MalformedModelError,
                              PrecisionBudgetError,
@@ -28,7 +26,7 @@ from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point, gen_term,
                            int_sample_pool, pool_drawer)
 
 from conftest import (VALUATIONAL_NAMES, get_model, past_default_precision,
-                      random_cut_model)
+                      random_cut_model, row_value)
 
 
 class TestOracles:
@@ -374,25 +372,18 @@ class TestSharedLowering:
     def test_each_distinct_atom_takes_its_rows_once(self, name,
                                                     monkeypatch):
         """compile_formula, a block over every root and a scalar call take
-        the term rows of each distinct atom once in all; blocks alone build
-        no scalar test."""
+        the term rows of each distinct atom once in all."""
         m, defs = _definitions(name)
-        rows, scalar = [], []
-        term_rows_of, scalar_test = (convexqe.models.term_rows,
-                                     convexqe.closures.scalar_test)
+        rows = []
+        term_rows_of = convexqe.models.term_rows
 
         def counted_rows(*args):
             rows.append(args)
             return term_rows_of(*args)
-
-        def counted_scalar(*spec):
-            scalar.append(spec)
-            return scalar_test(*spec)
         monkeypatch.setattr(convexqe.models, "term_rows", counted_rows)
-        monkeypatch.setattr(convexqe.closures, "scalar_test", counted_scalar)
         draw = pool_drawer(random.Random(f"rows:{name}"), int_sample_pool(m))
         for ex, guards in defs:
-            del rows[:], scalar[:]
+            del rows[:]
             fs = (ex, *guards)
             atoms = {a for f in fs for a in atoms_of(f)}
             ev = compile_formula(m, *fs)
@@ -401,11 +392,10 @@ class TestSharedLowering:
                               for i in range(m.dim)) for v in ("x", "y")}
             for root in range(len(fs)):
                 ev.block(cols, SAMPLE_DENOM, len(points), root)
-            assert len(rows) == len(atoms) and scalar == []
-            at = ev.at(SAMPLE_DENOM)
+            assert len(rows) == len(atoms)
             for ints in points:
-                at(ints)
-            assert len(rows) == len(scalar) == len(atoms)
+                ev.run(ints, [SAMPLE_DENOM, *ev.blank])
+            assert len(rows) == len(atoms)
 
     @staticmethod
     def _roots_and_points(name):
@@ -421,22 +411,24 @@ class TestSharedLowering:
     @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
     def test_roots_agree_with_compile_formula(self, name):
         for m, fs, ev, points in self._roots_and_points(name):
-            alone = [compile_formula(m, f).at(SAMPLE_DENOM) for f in fs]
+            alone = [compile_formula(m, f) for f in fs]
             for ints in points:
                 frame = [SAMPLE_DENOM, *ev.blank]
-                got = [root(ints, frame) for root in ev.roots]
-                assert got == [a(ints) for a in alone], (name, ints)
+                got = [ev.run(ints, frame, r) for r in range(len(fs))]
+                assert got == [a.run(ints, [SAMPLE_DENOM, *a.blank])
+                               for a in alone], (name, ints)
                 assert got[0] is True and got[-1] is False
 
     @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
     def test_one_frame_serves_every_root(self, name):
         for m, fs, ev, points in self._roots_and_points(name):
             for ints in points:
-                fresh = [root(ints, [SAMPLE_DENOM, *ev.blank])
-                         for root in ev.roots]
+                roots = range(len(fs))
+                fresh = [ev.run(ints, [SAMPLE_DENOM, *ev.blank], r)
+                         for r in roots]
                 # backwards, so the guards fill the cache the existential reads
                 frame = [SAMPLE_DENOM, *ev.blank]
-                shared = [root(ints, frame) for root in reversed(ev.roots)]
+                shared = [ev.run(ints, frame, r) for r in reversed(roots)]
                 assert shared[::-1] == fresh, (name, ints)
 
 
@@ -479,13 +471,12 @@ class TestTermRows:
                 for shift in shifts:
                     want_lc, want = _fraction_rows(m, t, shift)
                     lc, rows = term_rows(m, t, shifted=bool(shift))
-                    rows = [int_row(*r) for r in rows]
                     assert lc == want_lc, (name, t, shift)
                     for d in (1, SAMPLE_DENOM, 35):
                         p = {v: tuple(rng.randint(-50, 50)
                                       for _ in range(m.dim))
                              for v in ("x", "y")}
-                        assert ([r(p, d) for r in rows]
+                        assert ([row_value(r, p, d) for r in rows]
                                 == [w(p, d) for w in want]), (name, t, shift)
 
 
@@ -526,7 +517,7 @@ class TestConstantTable:
                                   *(c.denominator for _, c in t.coeffs))
             for i in range(m.dim):
                 want = value[i] - shift[i]
-                assert int_row(*rows[i])(ints, d) == want * lc * d
+                assert row_value(rows[i], ints, d) == want * lc * d
                 # the oracle's form is a positive multiple of coordinate i
                 # (its vector: the variables' coefficients, the constant,
                 # then alpha's coefficient), primitive, and gives want at

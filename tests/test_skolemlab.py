@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import convexqe.skolemlab as skolemlab
-from convexqe.closures import int_row
+from convexqe.closures import AtDenominator
 from convexqe.cutqe import (SkolemDefinition, build_structure, qe_star,
                             skolemize)
 from convexqe.errors import (PreconditionViolatedError,
@@ -22,7 +22,7 @@ from convexqe.skolemlab import (SAMPLE_POOL, VerifyReport, choice_violation,
 from convexqe.syntax import (TRUE, And, Exists, Not, Or, Term, free_vars,
                              is_quantifier_free)
 
-from conftest import VALUATIONAL_NAMES, get_model
+from conftest import VALUATIONAL_NAMES, get_model, row_value
 
 ELIMINABLE_NAMES = VALUATIONAL_NAMES + ["lex2_rat_11"]
 
@@ -166,37 +166,37 @@ def _mutants(sk):
 
 
 def _scalar_verify(m, phi, sk, samples, seed, st):
-    """verify_skolem as a sample-by-sample scan over the scalar roots,
+    """verify_skolem as a sample-by-sample scan over the scalar driver,
     sharing one frame per sample: the reference the block driver must
     reproduce, report for report."""
     params = sorted(free_vars(phi) - {sk.target})
     existential = qe_star(Exists(sk.target, phi), st)
     low = compile_formula(m, existential, *(g for g, _ in sk.cases))
-    (ex, *guards), blank = low.roots, low.blank
     phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
                 else oracle_compile(m, phi).lower())
     cases = []
-    for guard, (_, term) in zip(guards, sk.cases):
+    for guard, (_, term) in enumerate(sk.cases, 1):
         lc, rows = term_rows(m, term)
-        rows = [int_row(*r) for r in rows]
-        cases.append((guard, lc, rows, phi_eval.at(lc * SAMPLE_DENOM)))
+        cases.append((guard, lc, rows,
+                      AtDenominator(phi_eval, lc * SAMPLE_DENOM).eval))
     draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
     applicable = 0
     for index in range(samples):
         ints = {v: draw(m.dim) for v in params}
-        frame = [SAMPLE_DENOM, *blank]
-        if not ex(ints, frame):
+        frame = [SAMPLE_DENOM, *low.blank]
+        if not low.run(ints, frame):
             continue
         applicable += 1
         for guard, lc, rows, check in cases:
-            if guard(ints, frame):
+            if low.run(ints, frame, guard):
                 break
         else:
             return VerifyReport(False, samples, applicable, seed, failure={
                 "kind": "no-guard-fired", "sample_index": index,
                 "assignment": {v: _shown(p) for v, p in ints.items()}})
         pts = {v: tuple(c * lc for c in p) for v, p in ints.items()}
-        pts[sk.target] = w = tuple(r(ints, SAMPLE_DENOM) for r in rows)
+        pts[sk.target] = w = tuple(row_value(r, ints, SAMPLE_DENOM)
+                                   for r in rows)
         if not check(pts):
             return VerifyReport(False, samples, applicable, seed, failure={
                 "kind": "witness-fails", "sample_index": index,

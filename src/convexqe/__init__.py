@@ -11,7 +11,7 @@ from .classifier import (CanonicalCut, ClassificationReport,
                          stabilizer)
 from .cutqe import (CutClass, CutStructure, ResistanceResult,
                     SkolemDefinition, build_structure, check_resistance,
-                    eliminate_one_cut, qe, qe_star, skolemize)
+                    qe, qe_star, skolemize)
 from .doagqe import QeOptions
 from .errors import (BudgetExceededError, ConstantPieceUnsupportedError,
                      ConvexQEError, FormulaSyntaxError, MalformedModelError,
@@ -33,4 +33,4 @@ from .skolemlab import (ChoiceViolation, ObstructionWitness, VerifyReport,
                         choice_violation, obstruction_find, verify_skolem)
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE, FalseF,
                      Forall, Formula, Implies, Not, Or, TRUE, Term, TrueF,
-                     free_vars, is_quantifier_free, print_formula, substitute)
+                     free_vars, is_quantifier_free, print_formula)

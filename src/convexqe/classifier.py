@@ -303,10 +303,3 @@ def canonicalize_cut(m: ModelDescriptor) -> CanonicalCut:
     return CanonicalCut(reflected, zero, k, None, None,
                         ("-" + tag) if reflected else tag)
 
-
-__all__ = [
-    "ClassificationReport", "classify", "stabilizer", "stabilizer_escape",
-    "FValuationalResult", "f_valuational", "CanonicalCut", "canonicalize_cut",
-    "canonical_member", "RATIONAL_CUT", "IRRATIONAL_VALUATIONAL",
-    "IRRATIONAL_NONVALUATIONAL",
-]

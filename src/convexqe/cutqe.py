@@ -382,16 +382,6 @@ def _eliminate(body: Formula, v: str, st: CutStructure,
                 for br in _expand(c, v, st, options.dnf_budget))
 
 
-def eliminate_one_cut(literals: list[Literal], v: str,
-                      st: CutStructure,
-                      options: Optional[QeOptions] = None) -> Formula:
-    """v-free equivalent of the existential over one conjunct of normalized
-    literals, possibly containing U/I atoms."""
-    st.require_eliminable()
-    return _qe(Exists(v, conj(l.to_formula() for l in literals)), st,
-               options or QeOptions())
-
-
 # an eliminated A x. is ~E x. ~, one level deeper than the E x. it becomes
 _QUANTIFIER_DEPTH = {Exists: 1, Forall: 2}
 
@@ -449,7 +439,8 @@ class SkolemDefinition:
     cases: tuple[tuple[Formula, Term], ...]
 
     def chooser(self, m: ModelDescriptor):
-        """witness_for over m, with the guards lowered once, together."""
+        """The witness of the first guard true at an assignment over m, or
+        None when no guard holds; the guards are lowered once, together."""
         low = compile_formula(m, *(guard for guard, _ in self.cases))
 
         def choose(asgn) -> Optional[Point]:
@@ -458,9 +449,6 @@ class SkolemDefinition:
                          enumerate(self.cases) if low.run(ints, frame, i)),
                         None)
         return choose
-
-    def witness_for(self, m: ModelDescriptor, asgn) -> Optional[Point]:
-        return self.chooser(m)(asgn)
 
 
 def _ray_pivot(r: CutRay, st: CutStructure) -> Term:
@@ -646,21 +634,3 @@ def _check_resistance_cut(m: ModelDescriptor, f: UnaryPiecewiseLinear) -> Resist
             return ResistanceResult(False, witness=lo_pt)
     return ResistanceResult(True)
 
-
-def resistance_crossing(m: ModelDescriptor, f: UnaryPiecewiseLinear
-                        ) -> Optional[tuple[Point, Point]]:
-    """(alpha, beta) with both in U, f(alpha) in U and f(beta) outside U,
-    when such a crossing exists among ladder candidates."""
-    res = check_resistance(m, f)
-    if res.closed:
-        return None
-    beta = res.witness
-    ladder = [Point.zero(m.dim), m.e_in, -m.e_in, -m.unit, -m.unit.scale(2),
-              -m.unit.scale(8), m.e_in.scale(Fraction(1, 2))]
-    for b in f.breakpoints:
-        ladder.append(m.unit.scale(b) - m.unit)
-        ladder.append(m.unit.scale(b))
-    for alpha in ladder:
-        if u_member(m, alpha) and u_member(m, f.eval(m, alpha)):
-            return alpha, beta
-    return None

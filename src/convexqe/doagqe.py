@@ -1,6 +1,6 @@
-"""Elimination options shared by ``qe``, ``qe_star``, ``eliminate_one_cut``
-and ``skolemize``.  The one elimination engine lives in ``cutqe``; the pure
-ordered-group language runs there with an empty membership vocabulary.
+"""Elimination options shared by ``qe``, ``qe_star`` and ``skolemize``.
+The one elimination engine lives in ``cutqe``; the pure ordered-group
+language runs there with an empty membership vocabulary.
 """
 
 from __future__ import annotations

@@ -292,14 +292,6 @@ def unary_from_json(d: dict) -> UnaryPiecewiseLinear:
     return UnaryPiecewiseLinear(bps, pieces)
 
 
-def binary_to_json(f: BinaryPiecewiseLinear) -> dict:
-    return {"arity": 2,
-            "direction": [str(f.direction[0]), str(f.direction[1])],
-            "thresholds": [str(t) for t in f.thresholds],
-            "pieces": [{"coef_x": str(p.coef_x), "coef_y": str(p.coef_y),
-                        **_piece_const_to_json(p.const)} for p in f.pieces]}
-
-
 def binary_from_json(d: dict) -> BinaryPiecewiseLinear:
     try:
         direction = (json_rational(d["direction"][0]),

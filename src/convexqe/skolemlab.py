@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable, Optional, Union
 
-from .classifier import stabilizer
 from .closures import Lanes, all_lanes, lowest_lane
 from .cutarith import edge_gap, edge_member, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
@@ -257,8 +256,7 @@ def choice_violation(m: ModelDescriptor, cand: Candidate,
                      seed: int = 0) -> ChoiceViolation:
     """For the fiber relation 'same coset of I', exhibit either an input
     with no valid output or a same-fiber pair mapped to different values."""
-    k = stabilizer(m)
-    if k >= m.dim:
+    if m.cut.stabilizer >= m.dim:
         raise PreconditionViolatedError("the stabilizer must be nontrivial")
     fn = _candidate_fn(m, cand)
     delta = Point.unit(m.dim, m.dim - 1)  # a nonzero stabilizer element

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import (Callable, Iterable, Iterator, Mapping, Optional,
                     Sequence)
 
-Rat = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -651,21 +650,6 @@ def _substitute_node(g: Formula, kids, env: dict[str, Term]) -> Formula:
         new, = env[g.var].vars()
         return t(new, kids[0])
     return rebuild(g, kids)
-
-
-def substitute(f: Formula, v: str, t: Term) -> Formula:
-    """Capture-avoiding substitution of t for free occurrences of v."""
-    def enter(g: Formula, env: dict[str, Term]) -> dict[str, Term]:
-        if not isinstance(g, QUANTIFIERS):
-            return env
-        inner = {u: s for u, s in env.items() if u != g.var}
-        if any(g.var in s.vars() for s in inner.values()):
-            taken = set(free_vars(g.body)).union(
-                inner, *(s.vars() for s in inner.values()))
-            inner[g.var] = Term.var(_fresh(g.var, taken))
-        return inner
-
-    return fold(f, _substitute_node, enter, {v: t})
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ import pytest
 from convexqe.classifier import (IRRATIONAL_NONVALUATIONAL,
                                  IRRATIONAL_VALUATIONAL, RATIONAL_CUT,
                                  classify, f_valuational, stabilizer)
-from convexqe.cutqe import build_structure, check_resistance, skolemize, \
-    resistance_crossing
+from convexqe.cutqe import build_structure, check_resistance, skolemize
 from convexqe.errors import SkolemShapeUnsupportedError
 from convexqe.fuzz import FuzzConfig, run_fuzz, gen_atom
 from convexqe.models import Point, eval_formula
@@ -186,7 +185,8 @@ class TestAcceptance:
                 if isinstance(cand, UnaryPiecewiseLinear):
                     fn = lambda a: cand.eval(m, a)
                 else:
-                    fn = lambda a: cand.witness_for(m, {"x": a})
+                    choose = cand.chooser(m)
+                    fn = lambda a: choose({"x": a})
                 if v.kind == "skolem-condition":
                     (a,) = v.points
                     w = fn(a)
@@ -201,18 +201,19 @@ class TestAcceptance:
 
     def test_criterion_8_normalization(self, m_sub2):
         """50 random continuous functions without constant pieces: strictly
-        increasing output, exact continuity, resistance violations kept."""
+        increasing output, exact continuity, resistance violations kept;
+        at least 40 of the draws violate resistance, so that check runs."""
         rng = random.Random(800)
         good = 0
+        checked = 0
         for _ in range(50):
             g = _random_nonflat_pl(rng)
             from convexqe.piecewise import normalize_monotone
             h = normalize_monotone(g)
             ok = h.is_strictly_increasing() and not h.continuity_defects()
-            crossing = resistance_crossing(m_sub2, g)
-            if crossing is not None:
-                res_h = check_resistance(m_sub2, h)
-                ok = ok and not res_h.closed
+            if not check_resistance(m_sub2, g).closed:
+                checked += 1
+                ok = ok and not check_resistance(m_sub2, h).closed
             if ok:
                 good += 1
         from convexqe.piecewise import normalize_monotone
@@ -222,8 +223,9 @@ class TestAcceptance:
         exact2 = normalize_monotone(
             UnaryPiecewiseLinear.of([1, 2], [(1, 0), (-1, 2), (1, -2)])) \
             == UnaryPiecewiseLinear.affine(1, -2)
-        _report(8, good == 50 and exact1 and exact2,
-                f"{good}/50 normalizations verified; worked examples "
+        _report(8, good == 50 and checked >= 40 and exact1 and exact2,
+                f"{good}/50 normalizations verified, {checked} of them "
+                f"resistance violations; worked examples "
                 f"{'match' if exact1 and exact2 else 'differ'}")
 
     def test_criterion_9_round_trip_and_determinism(self, models):

@@ -272,9 +272,10 @@ class TestClosureEvaluator:
                 except SkolemShapeUnsupportedError:
                     continue
                 ev = compile_formula(m, phi)
+                choose = sk.chooser(m)
                 for _ in range(25):
                     x = gen_point(rng, m, values=RATIONAL_VALUES)
-                    w = sk.witness_for(m, {"x": x})
+                    w = choose({"x": x})
                     if w is None:
                         continue
                     asgn = {"x": x, "y": w}

@@ -8,7 +8,7 @@ from convexqe.errors import (ConstantPieceUnsupportedError,
 from convexqe.models import Point
 from convexqe.piecewise import (AffinePiece, BinaryPiecewiseLinear,
                                 UnaryPiecewiseLinear, binary_from_json,
-                                binary_to_json, check_pluslike,
+                                check_pluslike,
                                 normalize_monotone, pluslike_from_unary,
                                 unary_from_json, unary_to_json)
 from convexqe.syntax import Term
@@ -103,9 +103,13 @@ class TestBinary:
         assert not rep.pluslike and "discontinuous" in rep.reason
 
     def test_json_round_trip(self):
+        """The binary file format, spelled out, reads back as the function
+        it describes."""
         h = UnaryPiecewiseLinear.of([0], [(2, 0), (1, 0)])
-        f = pluslike_from_unary(h)
-        assert binary_from_json(json.loads(json.dumps(binary_to_json(f)))) == f
+        text = ('{"arity": 2, "direction": ["1", "1"], "thresholds": ["0"], '
+                '"pieces": [{"coef_x": "2", "coef_y": "2", "intercept": "0"}, '
+                '{"coef_x": "1", "coef_y": "1", "intercept": "0"}]}')
+        assert binary_from_json(json.loads(text)) == pluslike_from_unary(h)
 
 
 class TestPluslikeFromUnary:

@@ -280,7 +280,8 @@ def _verify_choice_violation(m, cand, v):
     if isinstance(cand, UnaryPiecewiseLinear):
         fn = lambda a: cand.eval(m, a)
     else:
-        fn = lambda a: cand.witness_for(m, {"x": a})
+        choose = cand.chooser(m)
+        fn = lambda a: choose({"x": a})
     if v.kind == "skolem-condition":
         (a,) = v.points
         w = fn(a)

@@ -161,3 +161,70 @@ def test_every_private_definition_is_used():
     dead = [f"{name}:{line}: {def_}" for name, tree in trees.items()
             for line, def_ in _private_definitions(tree) if def_ not in read]
     assert dead == []
+
+
+# public definitions that nothing in the package or the benchmark reads,
+# kept on purpose: tests use them as references, or each builds one of the
+# paper's constructions
+KEPT = {
+    "classifier.canonical_member": "membership in the paper's symmetric "
+                                   "canonical cut, which tests check",
+    "classifier.f_valuational": "the paper's F-valuational test, with its "
+                                "witness epsilon and falsifier",
+    "classifier.stabilizer": "the independent stabilizer that m.cut's is "
+                             "checked against",
+    "classifier.stabilizer_escape": "the paper's escape pair for an axis "
+                                    "that moves the cut",
+    "cutqe.check_resistance": "the paper's resistance test, with a member "
+                              "that escapes when U is not closed",
+    "fuzz.gen_point": "draws the Point assignments the tests evaluate at",
+    "normalform.to_dnf": "its tests are the DNF's equivalence check",
+    "piecewise.pluslike_from_unary": "the paper's pluslike map H(x + y)",
+    "syntax.canonicalize_bound": "makes alpha-equivalent formulas equal "
+                                 "for the round-trip checks",
+}
+
+
+def _public_definitions(module: str, tree: ast.Module):
+    """(line, "module.name", name, False) for each public module-level
+    function and class, and (line, "module.Class.method", method, True) for
+    each public method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield node.lineno, f"{module}.{node.name}", node.name, False
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and not sub.name.startswith("_"):
+                    yield (sub.lineno, f"{module}.{node.name}.{sub.name}",
+                           sub.name, True)
+
+
+def test_every_public_definition_has_a_caller():
+    """Every public function, class and method is read somewhere in the
+    package outside __init__ or in the benchmark scripts, as a name or an
+    import (a method as an attribute), or is named in KEPT with a reason,
+    so no dead API outlives its last caller; a KEPT name is never read."""
+    paths = [p for p in sorted(PACKAGE.rglob("*.py"))
+             if p.name != "__init__.py"] + sorted(BENCHMARKS.glob("*.py"))
+    names, attrs = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    read = {False: names, True: attrs}
+    unread = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for line, qual, name, method in _public_definitions(path.stem, tree):
+            if name not in read[method]:
+                unread[qual] = f"{path.name}:{line}: {qual}"
+    assert [where for qual, where in unread.items() if qual not in KEPT] == []
+    assert sorted(set(KEPT) - set(unread)) == []

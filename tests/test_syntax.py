@@ -9,14 +9,14 @@ from convexqe.cutqe import qe
 from convexqe.errors import (BudgetExceededError, FormulaSyntaxError,
                              UnknownIdentifierError)
 from convexqe.fuzz import gen_formula
-from convexqe.models import Point, eval_formula
+from convexqe.models import eval_formula
 from convexqe.normalform import dnf_clauses, normalize_atoms, simplify, to_dnf
 from convexqe.parser import parse_formula, parse_term
 from convexqe.syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE,
                              Forall, Formula, Not, Or, TRUE, Term, atoms_of,
                              canonicalize_bound, conj, disj, free_vars,
                              is_quantifier_free, print_formula, rename_bound,
-                             substitute, term_to_str)
+                             term_to_str)
 
 
 def rt(text: str) -> Formula:
@@ -365,7 +365,6 @@ def _walk_everything(f, names, clauses, simplified):
     assert free_vars(f) == names and free_vars(g) == names - {"y"}
     assert rename_bound(g) is g
     assert canonicalize_bound(g).var == "q1"
-    assert free_vars(substitute(f, "y", Term.var("z"))) == names - {"y"} | {"z"}
     text = print_formula(g)
     assert print_formula(parse_formula(text)) == text
     assert normalize_atoms(g) is g
@@ -413,40 +412,6 @@ def test_equality_of_deep_formulas_is_iterative():
     assert f != h  # hashed when built: two hashes that differ end == at once
     assert f == g and hash(f) == hash(g)  # equal hashes: walked to the atoms
     assert f != h
-
-
-class TestSubstitution:
-    def test_basic(self):
-        f = rt("x < y")
-        g = substitute(f, "x", parse_term("y + y"))
-        assert g == rt("y + y < y")
-
-    def test_bound_occurrence_untouched(self):
-        f = rt("E x. x < y")
-        assert substitute(f, "x", parse_term("1")) == f
-
-    def test_constant_target(self):
-        f = rt("U(x)")
-        assert substitute(f, "x", Term.eout()) == rt("U(e_out)")
-
-    def test_capture_avoided(self):
-        f = rt("E y. x < y")
-        g = substitute(f, "x", parse_term("y + 1"))
-        assert isinstance(g, Exists)
-        assert g.var not in parse_term("y + 1").vars()
-        assert "y" in free_vars(g)
-
-    def test_substitution_commutes_with_eval(self, m_sub2):
-        rng = random.Random(9)
-        f = rt("x < y & (U(x + y) | x + 1 = y)")
-        t = parse_term("2 * y - 1")
-        g = substitute(f, "x", t)
-        for _ in range(50):
-            yv = Point.of(rng.randint(-5, 5), rng.randint(-5, 5))
-            asgn = {"y": yv}
-            from convexqe.models import term_value
-            ext = {"y": yv, "x": term_value(m_sub2, t, asgn)}
-            assert eval_formula(m_sub2, g, asgn) == eval_formula(m_sub2, f, ext)
 
 
 class TestNormalization:

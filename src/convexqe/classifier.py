@@ -19,7 +19,7 @@ from .cutarith import (edge_gap, edge_member, edge_sign, escape_witness,
                        limit_sign, top_coset_rep)
 from .errors import (NonvaluationalInterpretationError,
                      PreconditionViolatedError)
-from .models import (CutClass, DownwardCut,
+from .models import (DEFAULT_PRECISION_BITS, CutClass, DownwardCut,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel,
                      term_value, u_member)
 from .piecewise import BinaryPiecewiseLinear, check_pluslike
@@ -36,7 +36,8 @@ IRRATIONAL_NONVALUATIONAL = "irrational-nonvaluational"
 class ClassificationReport:
     cut_kind: str
     epsilon_witness: Optional[Point]
-    falsifier: Optional[Callable[[Point], Point]]
+    # falsifier(eps, budget=DEFAULT_PRECISION_BITS), within budget bits
+    falsifier: Optional[Callable[..., Point]]
     stabilizer_level: int
     uniquely_realizable: bool
 
@@ -57,15 +58,15 @@ class ClassificationReport:
         return out
 
 
-def _nonvaluational_falsifier(m: ModelDescriptor) -> Callable[[Point], Point]:
+def _nonvaluational_falsifier(m: ModelDescriptor) -> Callable[..., Point]:
     """Given any eps > 0, produce a in C with a + eps outside C: a member
     within eps of the edge, or any member when eps is decided before the
-    deciding coordinate."""
+    deciding coordinate, refining the edge within budget bits."""
 
-    def falsify(eps: Point) -> Point:
+    def falsify(eps: Point, budget: int = DEFAULT_PRECISION_BITS) -> Point:
         if eps.lex_sign() <= 0:
             raise PreconditionViolatedError("epsilon must be positive")
-        return edge_member(m, gap=edge_gap(m, F1, eps))
+        return edge_member(m, gap=edge_gap(m, F1, eps), budget=budget)
 
     return falsify
 

@@ -32,19 +32,22 @@ assignments at once.  Every jump goes to a lower row or to an exit, so it
 walks a root's rows once, downwards, carrying the mask of lanes (one byte
 per assignment, 1 where the lane reaches the row) and splitting it at each
 row by ``block_holds``, which takes a ``Lanes`` of n assignments (each
-variable mapped to one sequence per coordinate holding its numerators at
-every lane) and returns the atom's truth as such a mask, by mask algebra
-over the sign masks of its rows, which the ``Lanes`` computes once per
-distinct row as packed big-integer arithmetic; only the lanes inside a
-tail's bracket run ``less``.  An atom is tested only when some lane reaches
-one of its rows, and at most once per list of masks: roots called at the
-same lanes with one list, ``[None, *slots]``, share each atom's mask as
-``run`` shares a frame, and evaluators called at one ``Lanes`` share each
-row.
+variable mapped to one column per coordinate holding its numerators at
+every lane: a value column, a sequence of the integers, or an
+``Indexed`` column, one byte per lane indexing a pool of at most 256
+integers, as the samplers draw them) and returns the atom's truth as
+such a mask, by mask algebra over the sign masks of its rows, which the
+``Lanes`` computes once per distinct row as packed big-integer
+arithmetic; only the lanes inside a tail's bracket run ``less``.  An atom
+is tested only when some lane reaches one of its rows, and at most once
+per list of masks: roots called at the same lanes with one list, ``[None,
+*slots]``, share each atom's mask as ``run`` shares a frame, and
+evaluators called at one ``Lanes`` share each row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -264,9 +267,24 @@ def _width(bound: int) -> int:
     return -(-need // 64) * 64
 
 
+class Indexed:
+    """A column of pool entries held as their indices, one byte per lane:
+    lane j's value is ``pool[idx[j]]``, for a pool of at most 256
+    integers."""
+
+    __slots__ = ("idx", "pool")
+
+    def __init__(self, idx: bytes, pool: tuple):
+        self.idx, self.pool = idx, pool
+
+    def __getitem__(self, j: int) -> int:
+        return self.pool[self.idx[j]]
+
+
 class Lanes(dict):
-    """n assignments at once: each variable mapped to one sequence of
-    integer numerators per coordinate, lane j's at index j.
+    """n assignments at once: each variable mapped to one column per
+    coordinate, lane j's integer numerator at index j.  A column is a
+    value column, any sequence of the integers, or an ``Indexed`` column.
 
     It computes each distinct row ``sum of c * self[v][i] + const * denom``
     once, as SIMD within a register in Python's integers (Lamport, CACM
@@ -275,6 +293,10 @@ class Lanes(dict):
     the row's exact bound, so no field ever overflows into the next.  A row
     is then a few big-integer multiply-adds of packed columns, and its
     negative lanes are the fields whose top byte has its top bit clear.
+    A value column is packed from its values, bounded by the largest of
+    them; an ``Indexed`` column is packed by W / 8 ``bytes.translate``
+    passes over its indices, one per byte of the biased field, with no
+    value built, and bounded by its pool's largest entry.
     Rows and their sign masks are kept by the row's exact ``(terms, const,
     denom)``, the integer values of identical forms, so the blocks that
     share a ``Lanes`` share them, whichever lowering wrote the form."""
@@ -349,8 +371,11 @@ class Lanes(dict):
             col = self._columns.get((v, i))
             if col is None:
                 x = self[v][i]
-                col = self._columns[v, i] = [
-                    max(max(x), -min(x)) if x else 0, {}]
+                if type(x) is Indexed:
+                    top = max(map(abs, x.pool))
+                else:
+                    top = max(max(x), -min(x)) if x else 0
+                col = self._columns[v, i] = [top, {}]
             bound += abs(c) * col[0]
             cols.append((v, i, c, col[1]))
         w = _width(bound)
@@ -365,7 +390,9 @@ class Lanes(dict):
         for v, i, c, packed in cols:
             p = packed.get(w)
             if p is None:
-                p = packed[w] = _pack(self[v][i], w) ^ ones << w - 1
+                x = self[v][i]
+                p = packed[w] = (_pack_indexed(x, w) if type(x) is Indexed
+                                 else _pack(x, w) ^ ones << w - 1)
             row += c * p
             k -= c * half
         got = self._rows[key] = w, bound, row + (k + half) * ones, ones
@@ -384,6 +411,27 @@ def _pack(col, w: int) -> int:
     if _BIG_ENDIAN:
         items.byteswap()
     return int.from_bytes(items.tobytes(), "little")
+
+
+def _pack_indexed(col: Indexed, w: int) -> int:
+    """The values of an index column as w-bit fields biased by 2**(w - 1),
+    lane j's at bit w * j: byte b of every field is its index translated
+    by table b."""
+    step = w >> 3
+    fields = bytearray(len(col.idx) * step)
+    for b, table in enumerate(_field_tables(col.pool, w)):
+        fields[b::step] = col.idx.translate(table)
+    return int.from_bytes(fields, "little")
+
+
+@functools.lru_cache(maxsize=64)
+def _field_tables(pool: tuple, w: int) -> tuple[bytes, ...]:
+    """Per byte b of a w-bit field, the ``bytes.translate`` table taking
+    index j to byte b of pool[j] + 2**(w - 1)."""
+    step = w >> 3
+    raw = b"".join([(x + (1 << w - 1)).to_bytes(step, "little")
+                    for x in pool])
+    return tuple(raw[b::step].ljust(256, b"\0") for b in range(step))
 
 
 def all_lanes(n: int) -> int:

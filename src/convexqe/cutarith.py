@@ -21,9 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import MalformedModelError, SearchExhaustedError
-from .models import (START_BITS, CutClass, DownwardCut, ModelDescriptor,
-                     PlusInf, Point)
+from .errors import (MalformedModelError, PrecisionBudgetError,
+                     SearchExhaustedError)
+from .models import (DEFAULT_PRECISION_BITS, START_BITS, CutClass,
+                     DownwardCut, ModelDescriptor, PlusInf, Point)
 
 F0 = Fraction(0)
 
@@ -155,16 +156,18 @@ def edge_gap(m: ModelDescriptor, q: Fraction, c: Point) -> Optional[Fraction]:
 
 
 def edge_member(m: ModelDescriptor, lo: Optional[Point] = None,
-                gap: Optional[Fraction] = None) -> Point:
+                gap: Optional[Fraction] = None,
+                budget: int = DEFAULT_PRECISION_BITS) -> Point:
     """A member a of C above lo (a missing bound is unbounded) with
     sup C - a below the positive rational gap at the deciding coordinate;
     no gap asks for any member.  The top coset of a coset-topped cut or of
     a subgroup is at distance 0; a rational edge is closed form; an
     irrational one is refined once, to a bracket narrower than gap/2, and
     the simplest rational below it within gap is taken; lo is placed
-    against it within the precision budget (``PrecisionBudgetError`` past
-    it).  Raises ``SearchExhaustedError`` only when no member of C lies
-    above lo."""
+    against it.  Both stay within the precision budget of bits: a gap that
+    needs more raises ``PrecisionBudgetError`` before any refinement, as
+    does an lo that cannot be placed.  Raises ``SearchExhaustedError``
+    only when no member of C lies above lo."""
     cut = m.cut
     k = cut.stabilizer
     if cut.cls in (CutClass.SUBGROUP, CutClass.COSET_CUT):
@@ -182,11 +185,16 @@ def edge_member(m: ModelDescriptor, lo: Optional[Point] = None,
     if cut.oracle is None:
         low = high = cut.prefix[j]
     else:
-        if floor is not None:
-            cut.oracle.compare(floor)  # keeps a bracket that excludes floor
         bits = START_BITS
         if gap is not None:  # 2**-bits < gap/2
             bits = max(bits, (2 * gap.denominator // gap.numerator).bit_length())
+        if bits > budget:
+            raise PrecisionBudgetError(
+                f"a member within the gap needs {bits} bits of "
+                f"{cut.oracle.tag}, past the budget of {budget}")
+        if floor is not None:
+            # keeps a bracket that excludes floor
+            cut.oracle.compare(floor, budget)
         low, high = cut.oracle.refine(bits)
     if floor is not None and floor >= low:
         raise SearchExhaustedError("no member of the cut above the bound")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .closures import Lanes, lowest_lane
+from .closures import Indexed, Lanes, lowest_lane
 from .cutqe import CutStructure, build_structure, qe_star
 from .doagqe import QeOptions
 from .errors import BudgetExceededError, ConvexQEError
@@ -124,57 +124,82 @@ def _decode_tables(n: int) -> tuple[bytes, bytes]:
             bytes(b for b in range(256) if b >> shift >= n))
 
 
-def pool_drawer(rng: random.Random,
-                pool: Sequence) -> Callable[[int], tuple]:
-    """``draw(count)``: count entries of pool, the very ones that count
-    calls of ``rng.choice(pool)`` return, leaving rng in the same state.
+def index_drawer(rng: random.Random, n: int) -> Callable[[int], bytes]:
+    """``draw(count)``: as bytes, the indices of the count entries that
+    count calls of ``rng.choice(pool)`` return for a pool of n entries,
+    leaving rng in the same state.
 
     This is ``Random.choice`` through ``_randbelow_with_getrandbits``,
-    inlined: one ``getrandbits(k)`` per try, a try at or above len(pool)
-    rejected and tried again.  Each try takes one 32-bit Mersenne Twister
-    word.  While at least BATCH_MIN entries are owed (and the pool has
-    fewer than 256 entries), ``getrandbits(32 * owed)`` takes exactly one
-    word per owed entry at once, least significant first, and its top bytes
-    are decoded in bulk; every try yields at most one entry, so no word is
-    drawn ahead and the caller's later draws from rng are unchanged too."""
-    n = len(pool)
+    inlined: one ``getrandbits(k)`` per try, k = n.bit_length(), a try at
+    or above n rejected and tried again.  Each try takes one 32-bit
+    Mersenne Twister word.  While at least BATCH_MIN entries are owed (and
+    n < 256), ``getrandbits(32 * owed)`` takes exactly one word per owed
+    entry at once, least significant first, and its top bytes are decoded
+    in bulk; every try yields at most one entry, so no word is drawn ahead
+    and the caller's later draws from rng are unchanged too.  A pool of
+    more than 256 entries has indices that no byte holds, and is
+    refused."""
     if not n:
         raise IndexError("cannot draw from an empty pool")
+    if n > 256:
+        raise ValueError(f"a pool has at most 256 entries, not {n}")
     k = n.bit_length()
     getrandbits = rng.getrandbits
 
-    def draw(count: int) -> tuple:
-        out = []
+    def draw(count: int) -> bytes:
+        idx = b""
         if count >= BATCH_MIN and n < 256:
             table, reject = _decode_tables(n)
             while count >= BATCH_MIN:
-                idx = getrandbits(count << 5).to_bytes(
+                got = getrandbits(count << 5).to_bytes(
                     count << 2, "little")[3::4].translate(table, reject)
-                if len(idx) > 1:
-                    out += itemgetter(*idx)(pool)
-                else:  # itemgetter of one index returns the bare entry
-                    out += [pool[i] for i in idx]
-                count -= len(idx)
+                idx += got
+                count -= len(got)
+        tail = []
         for _ in range(count):
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)
-            out.append(pool[r])
-        return tuple(out)
+            tail.append(r)
+        return idx + bytes(tail)
 
     return draw
+
+
+def pool_drawer(rng: random.Random,
+                pool: Sequence) -> Callable[[int], tuple]:
+    """``draw(count)``: count entries of pool, the very ones that count
+    calls of ``rng.choice(pool)`` return, leaving rng in the same state:
+    ``index_drawer``'s indices, looked up in pool.  ``draw.indices`` is
+    that index drawer, and ``draw.pool`` is pool as a tuple, for a caller
+    that keeps the indices."""
+    pool = tuple(pool)
+    indices = index_drawer(rng, len(pool))
+
+    def draw(count: int) -> tuple:
+        return _entries(pool, indices(count))
+
+    draw.indices, draw.pool = indices, pool
+    return draw
+
+
+def _entries(pool: Sequence, idx: bytes) -> tuple:
+    """The entries of pool at the indices idx."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(pool)
+    return tuple([pool[i] for i in idx])  # itemgetter of one is bare
 
 
 def gen_point(rng: random.Random, m: ModelDescriptor,
               extra: tuple[Fraction, ...] = (),
               values: Sequence[Fraction] = VALUE_POOL) -> Point:
     pool = (*values, *extra) if extra else values
-    return Point(pool_drawer(rng, pool)(m.dim))
+    return Point(_entries(pool, index_drawer(rng, len(pool))(m.dim)))
 
 
 def gen_int_point(rng: random.Random, m: ModelDescriptor,
                   pool: tuple[int, ...]) -> tuple[int, ...]:
-    return pool_drawer(rng, pool)(m.dim)
+    return _entries(pool, index_drawer(rng, len(pool))(m.dim))
 
 
 def int_sample_pool(m: ModelDescriptor,
@@ -238,18 +263,20 @@ def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, ints: dict,
     return current
 
 
-def drawn_block(flat: tuple, n: int, names: Sequence[str], dim: int
-                ) -> tuple[Lanes, Callable[[int], dict]]:
+def drawn_block(idx: bytes, pool: tuple, n: int, names: Sequence[str],
+                dim: int) -> tuple[Lanes, Callable[[int], dict]]:
     """n assignments of names drawn as ``{v: draw(dim) for v in names}``
-    each, one after another, in the one draw flat: their coordinate
-    columns, and lane j's assignment as a function of j."""
+    each, one after another, in the one draw idx of indices in pool: their
+    coordinate columns, as ``Indexed`` columns over pool, and lane j's
+    assignment, its values looked up in pool, as a function of j."""
     width = len(names) * dim
-    columns = Lanes({v: tuple(flat[k * dim + i::width] for i in range(dim))
+    columns = Lanes({v: tuple(Indexed(idx[k * dim + i::width], pool)
+                              for i in range(dim))
                      for k, v in enumerate(names)}, n)
 
     def lane(j: int) -> dict:
         at = j * width
-        return {v: flat[at + k * dim:at + (k + 1) * dim]
+        return {v: _entries(pool, idx[at + k * dim:at + (k + 1) * dim])
                 for k, v in enumerate(names)}
     return columns, lane
 
@@ -259,22 +286,25 @@ def _first_mismatch(rng: random.Random, draw: Callable[[int], tuple],
                     got: Callable, expected: Callable
                     ) -> tuple[int, Optional[dict]]:
     """Evaluate both sides' block drivers at count assignments of names,
-    drawn as ``{v: draw(dim) for v in names}`` each but SAMPLE_BLOCK at a
-    time, as coordinate columns; both sides read one ``Lanes`` per block,
-    so a row that both lowerings write is computed once.  Returns how many
-    were evaluated, up to and including the first at which the sides
-    differ, and that one, or None; rng is left where drawing just those
-    assignments one by one leaves it."""
+    drawn as ``{v: draw(dim) for v in names}`` each, draw a
+    ``pool_drawer``, but SAMPLE_BLOCK at a time, as index columns; both
+    sides read one ``Lanes`` per block, so a row that both lowerings write
+    is computed once.  Returns how many were evaluated, up to and
+    including the first at which the sides differ, and that one, or None;
+    rng is left where drawing just those assignments one by one leaves
+    it."""
     width = len(names) * dim
+    indices, pool = draw.indices, draw.pool
     for first in range(0, count, SAMPLE_BLOCK):
         block = min(SAMPLE_BLOCK, count - first)
         state = rng.getstate()
-        columns, lane = drawn_block(draw(block * width), block, names, dim)
+        columns, lane = drawn_block(indices(block * width), pool, block,
+                                    names, dim)
         differ = got(columns, block) ^ expected(columns, block)
         if differ:
             j = lowest_lane(differ)
             rng.setstate(state)  # draw again only up to this one
-            draw((j + 1) * width)
+            indices((j + 1) * width)
             return first + j + 1, lane(j)
     return count, None
 

@@ -245,7 +245,10 @@ class _Decomposer:
         free of var and, per coordinate symbol var#i, its part in var#i:
         the parts share no eliminated symbol and are eliminated apart.  The
         result is the clauses' disjunction, each clause the conjunction of
-        its kept literals and its parts' eliminations."""
+        its kept literals and its parts' eliminations.  A clause whose
+        elimination is True decides the disjunction, and a part whose
+        elimination is False empties its clause, so neither waits for the
+        rest."""
         syms = {f"{var}#{i}" for i in range(self.m.dim)}
         atoms = self.atoms
         done: dict[tuple, BNode] = {}  # a part recurs across clauses
@@ -270,8 +273,14 @@ class _Decomposer:
                 node = done.get(key)
                 if node is None:
                     node = done[key] = _bor(*self._eliminate_part(part, sym))
+                if node is False:
+                    break
                 kept.append(node)
-            out.append(_band(*kept))
+            else:
+                node = _band(*kept)
+                if node is True:
+                    return True
+                out.append(node)
         return _bor(*out)
 
     # -- one-dimensional elimination over a dense order ----------------------

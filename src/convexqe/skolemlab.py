@@ -15,12 +15,13 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable, Optional, Union
 
-from .closures import Lanes, all_lanes, lowest_lane
+from .closures import Indexed, Lanes, all_lanes, lowest_lane
 from .cutarith import edge_gap, edge_member, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
 from .errors import (PreconditionViolatedError, SearchExhaustedError)
 from .fuzz import (SAMPLE_BLOCK, SAMPLE_DENOM, _shown, drawn_block,
-                   int_sample_pool, model_sample_pool, pool_drawer)
+                   index_drawer, int_sample_pool, model_sample_pool,
+                   pool_drawer)
 from .models import (CutClass, ModelDescriptor, Point, compile_formula,
                      i_member, rat_text, term_rows, term_value, u_member)
 from .oracle import oracle_compile
@@ -57,14 +58,14 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     """Sample parameter tuples; wherever the eliminated existential holds,
     some guard must fire and its witness must satisfy phi.
 
-    Samples are drawn and checked SAMPLE_BLOCK at a time, as coordinate
-    columns, by the block driver: the existential and the guards share one
-    lowering and one list of atom masks per block, so each atom is tested
-    at most once per block.  Each lane takes the first guard that fires;
-    each case's witnesses are built at its lanes and checked by phi's block
-    driver.  The report is the one a sample-by-sample scan gives: the
-    lowest failing lane, with the lanes where the existential held up to
-    it counted as applicable."""
+    Samples are drawn and checked SAMPLE_BLOCK at a time, as index
+    columns over the sample pool, by the block driver: the existential and
+    the guards share one lowering and one list of atom masks per block, so
+    each atom is tested at most once per block.  Each lane takes the
+    first guard that fires; each case's witnesses are built at its lanes
+    and checked by phi's block driver.  The report is the one a
+    sample-by-sample scan gives: the lowest failing lane, with the lanes
+    where the existential held up to it counted as applicable."""
     if samples < 0:
         raise ValueError("the sample count must not be negative")
     st = st or build_structure(m)
@@ -75,14 +76,15 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
                 else oracle_compile(m, phi).lower())
     # per case: lc and the witness rows, over lc * SAMPLE_DENOM
     witnesses = [term_rows(m, term) for _, term in sk.cases]
-    draw = pool_drawer(random.Random(seed), int_sample_pool(m, SAMPLE_POOL))
+    pool = int_sample_pool(m, SAMPLE_POOL)
+    draw = index_drawer(random.Random(seed), len(pool))
     dim = m.dim
     width = len(params) * dim
     applicable = 0
     # samples drawn as {v: draw(dim) for v in params} each, a block at a time
     for first in range(0, samples, SAMPLE_BLOCK):
         n = min(SAMPLE_BLOCK, samples - first)
-        columns, lane = drawn_block(draw(n * width), n, params, dim)
+        columns, lane = drawn_block(draw(n * width), pool, n, params, dim)
         masks = [None, *low.blank]
         held = left = low.block(columns, SAMPLE_DENOM, n, 0, masks)
         worst = None  # (lane, witness, lc) of the lowest failing witness
@@ -93,15 +95,16 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
             left ^= fired
             if not fired:
                 continue
-            # the fired lanes, compacted, with the witness over lc *
-            # SAMPLE_DENOM and the parameters scaled to it
+            # the fired lanes' indices, compacted, with the witness over
+            # lc * SAMPLE_DENOM and the parameters scaled to it by a scaled
+            # pool
             keep = fired.to_bytes(n, "little")
-            sub = Lanes({v: tuple(tuple(compress(c, keep)) for c in cs)
-                         for v, cs in columns.items()}, fired.bit_count())
+            idx = {v: [bytes(compress(c.idx, keep)) for c in cs]
+                   for v, cs in columns.items()}
+            sub = _index_lanes(idx, pool, fired.bit_count())
             w = tuple(sub.column(*r, SAMPLE_DENOM) for r in rows)
             if lc != 1:
-                sub = Lanes({v: tuple([x * lc for x in c] for c in cs)
-                             for v, cs in sub.items()}, sub.n)
+                sub = _index_lanes(idx, tuple([x * lc for x in pool]), sub.n)
             sub[sk.target] = w  # a new variable: no row kept yet reads it
             bad = sub.full ^ phi_eval.block(sub, lc * SAMPLE_DENOM, sub.n)
             if bad:
@@ -123,6 +126,12 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
             failure["witness"] = _shown(worst[1], worst[2] * SAMPLE_DENOM)
         return VerifyReport(False, samples, applicable, seed, failure)
     return VerifyReport(True, samples, applicable, seed)
+
+
+def _index_lanes(idx: dict, pool: tuple, n: int) -> Lanes:
+    """n lanes of each variable's index columns over pool."""
+    return Lanes({v: tuple(Indexed(c, pool) for c in cs)
+                  for v, cs in idx.items()}, n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,29 +187,33 @@ def obstruction_find(m: ModelDescriptor,
     def image(a: Point) -> Point:
         return a.scale(q) + c
 
-    cert: dict = {"piece_index": idx, "slope": rat_text(q),
-                  "intercept": _text(c)}
+    cert: dict = {"piece_index": idx, "slope": rat_text(q)}
     if q == 1 and c.is_zero():
-        a = edge_member(m, lo_pt)
+        a, violation = edge_member(m, lo_pt), "not-increasing"
         cert["gap"] = "identically zero on the final piece"
-        return ObstructionWitness(a, "not-increasing", cert)
-
-    lam_sign = edge_sign(m, q, c)
-    cert["gap_limit_sign"] = lam_sign
-    h = edge_gap(m, q, c)
-    if lam_sign < 0:
-        # f(a) <= a is (q-1)*a + c <= 0: all of C near the edge when q >= 1,
-        # and a within h/(1-q) of the edge when q < 1
-        a = edge_member(m, lo_pt, None if h is None or q >= 1 else h / (1 - q))
-        cert["comparison"] = {"f(a)": _text(image(a)), "a": _text(a)}
-        return ObstructionWitness(a, "not-increasing", cert)
-    # f(a) - sup C = (q-1)*g + c - q*(g - a): a within h/q of the edge, or
-    # anywhere near it when q <= 0
-    a = edge_member(m, lo_pt, None if h is None or q <= 0 else h / q)
-    cert["comparison"] = {"f(a)": _text(image(a)),
-                          "above": "threshold"}
-    cert["oracle_interval"] = _interval_snapshot(m)
-    return ObstructionWitness(a, "escapes-u", cert)
+    else:
+        lam_sign = edge_sign(m, q, c)
+        cert["gap_limit_sign"] = lam_sign
+        h = edge_gap(m, q, c)
+        if lam_sign < 0:
+            # f(a) <= a is (q-1)*a + c <= 0: all of C near the edge when
+            # q >= 1, and a within h/(1-q) of the edge when q < 1
+            a = edge_member(m, lo_pt,
+                            None if h is None or q >= 1 else h / (1 - q))
+            violation = "not-increasing"
+            cert["comparison"] = {"f(a)": _text(image(a)), "a": _text(a)}
+        else:
+            # f(a) - sup C = (q-1)*g + c - q*(g - a): a within h/q of the
+            # edge, or anywhere near it when q <= 0
+            a = edge_member(m, lo_pt, None if h is None or q <= 0 else h / q)
+            violation = "escapes-u"
+            cert["comparison"] = {"f(a)": _text(image(a)),
+                                  "above": "threshold"}
+            cert["oracle_interval"] = _interval_snapshot(m)
+    # printed once a witness is found, so that a search past the precision
+    # budget fails before printing an intercept of a million digits
+    cert["intercept"] = _text(c)
+    return ObstructionWitness(a, violation, cert)
 
 
 def _interval_snapshot(m: ModelDescriptor) -> Optional[list[str]]:

@@ -13,6 +13,7 @@ the Point reference.  Both read the one spec an atom's lowering gives."""
 
 import operator
 import random
+from itertools import compress
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -464,6 +465,82 @@ def test_packed_column_is_the_biased_sum(w):
     assert row == _packed_reference([-x for x in col], width)
 
 
+# index columns: pool indices, one byte per lane, packed by translation
+
+
+INDEX_ROWS = [((("x", 0, 1),), 0, 1), ((("x", 0, -1),), 0, 1),
+              ((("x", 0, 1), ("y", 0, -1)), 0, 6),
+              ((("x", 0, -3), ("y", 0, 2)), 1, 6), ((("y", 0, 1),), -1, 2)]
+
+
+def _check_index_columns(pool, xs, ys, same_bound: bool = True):
+    """Index columns over pool and their value columns give equal rows,
+    values and sign masks, lane by lane; equal ``_row`` where the indices
+    reach the pool's largest entry, which bounds an index column."""
+    pool = tuple(pool)
+    n = len(xs)
+    indexed = Lanes({"x": (closures.Indexed(bytes(xs), pool),),
+                     "y": (closures.Indexed(bytes(ys), pool),)}, n)
+    valued = Lanes({"x": ([pool[i] for i in xs],),
+                    "y": ([pool[i] for i in ys],)}, n)
+    for terms, const, denom in INDEX_ROWS:
+        key = terms, const, denom
+        want = [row_value((terms, const), {"x": (pool[x],), "y": (pool[y],)},
+                          denom) for x, y in zip(xs, ys)]
+        if same_bound:
+            assert indexed._row(key) == valued._row(key), key
+        assert list(indexed.column(*key)) == want, key
+        assert indexed.signs(*key) == valued.signs(*key) == (
+            _mask(x < 0 for x in want), _mask(x == 0 for x in want)), key
+        for j in {0, n // 2, n - 1}:
+            assert indexed.value(terms, const, denom, j) == want[j]
+
+
+def _extreme_pool(rng: random.Random, size: int, big: int) -> list[int]:
+    """size entries within +-big, big and -big among them when size > 1,
+    with duplicates."""
+    pool = [big, -big, big, 0, -big + 1, 1][:size]
+    pool += [rng.choice([rng.randint(-big, big), big, -big, 0])
+             for _ in range(size - len(pool))]
+    rng.shuffle(pool)
+    return pool
+
+
+@pytest.mark.parametrize("w", WIDTHS + ["wide"])
+def test_index_column_packs_as_its_values(w):
+    """At every width, extreme entries included, an index column packs to
+    the row its value column packs to."""
+    big = 10 ** 4400 if w == "wide" else 2 ** (w - 2) - 2
+    rng = random.Random(f"index:{w}")
+    pool = _extreme_pool(rng, 12, big)
+    xs = list(range(12)) + [rng.randrange(12) for _ in range(200)]
+    ys = xs[::-1]
+    _check_index_columns(pool, xs, ys)
+    lanes = Lanes({"x": (closures.Indexed(bytes(xs), tuple(pool)),)}, len(xs))
+    width, bound, row, _ = lanes._row(((("x", 0, 1),), 0, 1))
+    assert bound == big and (w == "wide" or width == w)
+    assert row == _packed_reference([pool[i] for i in xs], width)
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+@pytest.mark.parametrize("size", [1, 2, 255, 256])
+def test_index_columns_of_every_pool_size(size, w):
+    """Pools of one entry up to 256, with duplicate and extreme entries;
+    then the columns compacted by a lane mask's bytes, as verify_skolem
+    compacts them, and over a scaled pool."""
+    rng = random.Random(f"sizes:{size}:{w}")
+    pool = _extreme_pool(rng, size, 2 ** (w - 2) - 2)
+    xs = list(range(size)) + [rng.randrange(size) for _ in range(300)]
+    rng.shuffle(xs)
+    ys = [rng.randrange(size) for _ in xs]
+    _check_index_columns(pool, xs, ys)
+    keep = bytes(rng.random() < 0.3 for _ in xs)
+    _check_index_columns(pool, bytes(compress(xs, keep)),
+                         bytes(compress(ys, keep)), same_bound=False)
+    for lc in (2, -3, 5 ** 40):
+        _check_index_columns([x * lc for x in pool], xs, ys)
+
+
 # per scale: lane values near it, so rows take 16-bit fields, fields past
 # 2**15, 2**31 or 2**63, or (with 10**4400 as a coefficient too) the bytes
 # join
@@ -653,7 +730,8 @@ def test_both_sides_share_each_row(name, monkeypatch):
         n = 300
         fv = tuple(sorted(free_vars(f)))
         draw = pool_drawer(random.Random(checked), int_sample_pool(m))
-        lanes, _ = fuzz.drawn_block(draw(n * len(fv) * m.dim), n, fv, m.dim)
+        lanes, _ = fuzz.drawn_block(draw.indices(n * len(fv) * m.dim),
+                                    draw.pool, n, fv, m.dim)
         del computed[:]
         masks = comp.block(lanes, n), orc.block(lanes, n)
         assert len(computed) == len(lanes._rows)

@@ -86,8 +86,9 @@ class TestClassify:
                                   Point.of(Fraction(1, 2)), Point.of(2))
         for m, bits in ((m_sqrt2, 3000), (get_model("q1_pi"), 6000)):
             eps = Point.of(Fraction(1, 2 ** bits))
-            a = classify(m).falsifier(eps)
-            assert u_member(m, a) and not u_member(m, a + eps)
+            # 6,002 bits of pi are past the default budget of 4,096
+            a = classify(m).falsifier(eps, budget=8192)
+            assert u_member(m, a, 8192) and not u_member(m, a + eps, 8192)
 
 
 class TestSimplestBetween:

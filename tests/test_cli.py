@@ -317,6 +317,21 @@ class TestPrecision:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "at least 16 bits" in errors[0]
 
+    @pytest.mark.parametrize("intercept", ["1e-2000", "1e-1000000"])
+    def test_obstruct_reports_a_gap_past_the_budget(self, capsys, tmp_path,
+                                                    intercept):
+        # a member of U within 10**-2000 of pi needs 6,645 bits of it, and
+        # one within 10**-(10**6) millions: both past the 4,096-bit budget,
+        # refused before any refinement
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"breakpoints": [], "pieces": [
+            {"slope": "1", "intercept": intercept}]}))
+        rc, out, err = run(capsys, "obstruct", "--model", "q1_pi.json",
+                           "--fn", str(fn))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "past the budget of 4096" in err
+
     def test_first_refinement_answers(self, capsys):
         rc, out, err = run(capsys, "--precision", "16", "eval", "--model",
                            "q1_pi.json", "--assign", '{"x": ["3"]}', "U(x)")

@@ -69,6 +69,27 @@ def test_empty_pool_is_refused():
         pool_drawer(random.Random(0), ())
 
 
+def test_pool_past_one_byte_is_refused():
+    with pytest.raises(ValueError):
+        pool_drawer(random.Random(0), range(257))
+    with pytest.raises(ValueError):
+        fuzz.index_drawer(random.Random(0), 257)
+
+
+@pytest.mark.parametrize("size", POOL_SIZES)
+def test_indices_are_the_pool_draws(size):
+    """The index drawer's bytes, looked up in the pool, are pool_drawer's
+    entries, drawn from the same stream to the same state."""
+    pool = [f"p{i}" for i in range(size)]
+    ours, ref = random.Random(size), random.Random(size)
+    indices, draw = fuzz.index_drawer(ours, size), pool_drawer(ref, pool)
+    for count in COUNTS[::7]:
+        idx = indices(count)
+        assert type(idx) is bytes
+        assert tuple(pool[i] for i in idx) == draw(count)
+        assert ours.getstate() == ref.getstate(), count
+
+
 def _word_by_word(rng, pool, count):
     """count draws of pool, one 32-bit word per try: its top k bits, k the
     pool length's bit length, rejected at or above the pool length."""

@@ -16,7 +16,7 @@ import convexqe
 from convexqe.classifier import f_valuational
 from convexqe.cutarith import edge_gap, edge_member, edge_sign
 from convexqe.cutqe import check_resistance
-from convexqe.errors import SearchExhaustedError
+from convexqe.errors import PrecisionBudgetError, SearchExhaustedError
 from convexqe.fuzz import gen_point, model_sample_pool
 from convexqe.models import (DownwardCut, ModelDescriptor, PiOracle, Point,
                              SqrtOracle, closure_member, u_member)
@@ -72,6 +72,21 @@ class TestEdgeMember:
             edge_member(m, Point.of(4))
         with pytest.raises(SearchExhaustedError):
             edge_member(get_model("q1_pi"), Point.of(4))
+
+
+    def test_gap_past_the_budget_refines_nothing(self):
+        """A gap that needs more bits than the budget is refused before
+        the one refinement; within the budget the member is found."""
+        for bits, budget in ((4095, 4096), (300, 256), (5000, 4096)):
+            m = ModelDescriptor(1, DownwardCut((PiOracle(),)),
+                                Point.of(Fraction(1, 2)), Point.of(4))
+            gap = Fraction(1, 2 ** bits)
+            with pytest.raises(PrecisionBudgetError):
+                edge_member(m, gap=gap, budget=budget)
+            assert m.cut.oracle.refine(16) == PiOracle().refine(16)
+            a = edge_member(m, gap=gap, budget=bits + 2)
+            assert u_member(m, a, bits + 2)
+            assert not u_member(m, a + Point.of(gap), bits + 2)
 
 
 class TestEdgeGap:

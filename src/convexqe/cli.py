@@ -131,21 +131,6 @@ def _sk_from_json(data, target: str) -> SkolemDefinition:
     return SkolemDefinition(target, cases)
 
 
-def _check_skolem_vars(sk: SkolemDefinition, phi) -> None:
-    """Every guard and witness variable of sk must be a free variable of
-    phi other than the target: phi's samples assign no other."""
-    given = free_vars(phi) - {sk.target}
-    for i, (guard, witness) in enumerate(sk.cases, 1):
-        for part, names in (("guard", free_vars(guard)),
-                            ("witness", witness.vars())):
-            stray = sorted(names - given)
-            if stray:
-                raise ConvexQEError(
-                    f"bad Skolem definition: case {i}'s {part} names "
-                    f"{', '.join(stray)}, not a free variable of phi other "
-                    f"than {sk.target}")
-
-
 def cmd_parse(args) -> int:
     f = parse_formula(args.formula)
     text = print_formula(f)
@@ -195,7 +180,6 @@ def cmd_verify_skolem(args) -> int:
     if isinstance(data, dict) and "cases" in data:
         data = data["cases"]
     sk = _sk_from_json(data, args.target)
-    _check_skolem_vars(sk, phi)
     rep = verify_skolem(m, phi, sk, samples=args.samples, seed=args.seed)
     _emit(args, rep.to_json(),
           f"{'PASS' if rep.passed else 'FAIL'} "

@@ -32,25 +32,24 @@ assignments at once.  Every jump goes to a lower row or to an exit, so it
 walks a root's rows once, downwards, carrying the mask of lanes (one byte
 per assignment, 1 where the lane reaches the row) and splitting it at each
 row by ``block_holds``, which takes a ``Lanes`` of n assignments (each
-variable mapped to one column per coordinate holding its numerators at
-every lane: a value column, a sequence of the integers, or an
-``Indexed`` column, one byte per lane indexing a pool of at most 256
-integers, as the samplers draw them) and returns the atom's truth as
-such a mask, by mask algebra over the sign masks of its rows, which the
-``Lanes`` computes once per distinct row as packed big-integer
-arithmetic; only the lanes inside a tail's bracket run ``less``.  An atom
-is tested only when some lane reaches one of its rows, and at most once
-per list of masks: roots called at the same lanes with one list, ``[None,
-*slots]``, share each atom's mask as ``run`` shares a frame, and
-evaluators called at one ``Lanes`` share each row.
+variable mapped to one column per coordinate, one byte per lane indexing
+a pool of at most 256 integers, as the samplers draw them) and returns the
+atom's truth as such a mask, by mask algebra over the sign masks of its
+rows, which the ``Lanes`` computes once per distinct row as packed
+big-integer arithmetic; only the lanes inside a tail's bracket run
+``less``.  An atom is tested only when some lane reaches one of its rows,
+and at most once per list of masks: roots called at the same lanes with
+one list, ``[None, *slots]``, share each atom's mask as ``run`` shares a
+frame, and evaluators called at one ``Lanes`` share each row.
+
+``Evaluator.substitute`` puts a term in for a variable in every spec,
+exactly, so a Skolem witness is checked at the lanes of its parameters.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
-from array import array
 from typing import Callable, Iterable, Mapping, Optional
 
 DENOM = 0
@@ -130,34 +129,64 @@ class Evaluator:
             i = t if v else e
         return i == TRUE
 
-    def block(self, columns: Mapping, denom: int, n: int, root: int = 0,
+    def block(self, lanes: Lanes, denom: int, root: int = 0,
               masks: Optional[list] = None) -> int:
-        """A root's truth at n assignments, given as coordinate columns of
-        numerators over denom (a ``Lanes``, or a mapping wrapped in one): a
-        lane mask, byte j 1 where assignment j satisfies it and 0 where
-        not.  masks, ``[None, *blank]`` when fresh, keeps each atom's mask
-        at these columns by slot; pass one list to several roots to test
+        """A root's truth at the lanes' assignments, their numerators over
+        denom: a lane mask, byte j 1 where assignment j satisfies it and 0
+        where not.  masks, ``[None, *blank]`` when fresh, keeps each atom's
+        mask at these lanes by slot; pass one list to several roots to test
         each atom once."""
-        if type(columns) is not Lanes:
-            columns = Lanes(columns, n)
         rows, entry, specs = self.rows, self.entries[root], self.specs
-        lanes = [0] * (len(rows) + 2)  # then FALSE and TRUE, at -2 and -1
-        lanes[entry] = columns.full
+        reach = [0] * (len(rows) + 2)  # then FALSE and TRUE, at -2 and -1
+        reach[entry] = lanes.full
         if masks is None:
             masks = [None, *self.blank]
         for i in range(entry, -1, -1):
-            live = lanes[i]
+            live = reach[i]
             if not live:
                 continue
             slot, t, e = rows[i]
             mask = masks[slot]
             if mask is None:
-                mask = masks[slot] = block_holds(specs[slot - 1], columns,
+                mask = masks[slot] = block_holds(specs[slot - 1], lanes,
                                                  denom)
             yes = live & mask
-            lanes[t] |= yes
-            lanes[e] |= live ^ yes
-        return lanes[TRUE]
+            reach[t] |= yes
+            reach[e] |= live ^ yes
+        return reach[TRUE]
+
+    def substitute(self, var: str, lc: int, rows: list) -> "Evaluator":
+        """The evaluator over the same table with var's coordinate i put in
+        as rows[i] / lc, (lc, rows) a term's ``models.term_rows``: its truth
+        at points over d is this one's at those points, each numerator
+        times lc, and var's numerators rows[i] over lc * d.  Each row is
+        scaled by lc > 0, each term of var becomes its coefficient times
+        rows[i], and a tail's divisor k becomes k * lc, so every row keeps
+        its value and ``less`` its arguments (the substitution step of
+        virtual substitution; Loos and Weispfenning, 1993)."""
+
+        def row(r: tuple) -> tuple:
+            terms, const = r
+            const *= lc
+            merged: dict = {}  # (v, i) -> coefficient
+            for v, i, c in terms:
+                if v != var:
+                    merged[v, i] = merged.get((v, i), 0) + c * lc
+                    continue
+                put, at = rows[i]
+                const += c * at
+                for u, j, e in put:
+                    merged[u, j] = merged.get((u, j), 0) + c * e
+            terms = tuple([(v, i, c) for (v, i), c in merged.items() if c])
+            return terms, const
+
+        def spec(s: tuple) -> tuple:
+            lead, sign, tail = s
+            if type(tail) is not bool:
+                tail = (row(tail[0]), tail[1] * lc, *tail[2:])
+            return [row(r) for r in lead], sign, tail
+        return Evaluator(self.rows, self.entries,
+                         tuple([spec(s) for s in self.specs]))
 
     def frame_points(self, points: Mapping) -> tuple[dict, list]:
         """Points cleared to one common denominator, and a fresh frame."""
@@ -175,14 +204,14 @@ class Evaluator:
 
 class AtDenominator:
     """Root 0 of an evaluator at a fixed denominator: ``eval`` takes each
-    variable's coordinate numerators over it, ``block`` their columns over
-    n assignments."""
+    variable's coordinate numerators over it, ``block`` a ``Lanes`` of
+    them."""
 
     def __init__(self, ev: Evaluator, denom: int):
         self._ev, self._denom = ev, denom
 
-    def block(self, columns: Mapping, n: int) -> int:
-        return self._ev.block(columns, self._denom, n)
+    def block(self, lanes: Lanes) -> int:
+        return self._ev.block(lanes, self._denom)
 
     def eval(self, points: Mapping) -> bool:
         return self._ev.run(points, [self._denom, *self._ev.blank])
@@ -246,11 +275,6 @@ def block_holds(spec: tuple, lanes: Lanes, d: int) -> int:
     return out
 
 
-# array typecodes of the field widths they pack, where their items are
-# that wide; other widths are packed by a bytes join
-_TYPECODES = {w: t for w, t in ((16, "h"), (32, "i"), (64, "q"))
-              if array(t).itemsize * 8 == w}
-_BIG_ENDIAN = sys.byteorder == "big"
 # a field's top byte -> 1 where its top bit is clear: the field is below
 # its bias, so the value it holds is negative
 _NEGATIVE = bytes(b < 0x80 for b in range(256))
@@ -267,44 +291,30 @@ def _width(bound: int) -> int:
     return -(-need // 64) * 64
 
 
-class Indexed:
-    """A column of pool entries held as their indices, one byte per lane:
-    lane j's value is ``pool[idx[j]]``, for a pool of at most 256
-    integers."""
-
-    __slots__ = ("idx", "pool")
-
-    def __init__(self, idx: bytes, pool: tuple):
-        self.idx, self.pool = idx, pool
-
-    def __getitem__(self, j: int) -> int:
-        return self.pool[self.idx[j]]
-
-
 class Lanes(dict):
-    """n assignments at once: each variable mapped to one column per
-    coordinate, lane j's integer numerator at index j.  A column is a
-    value column, any sequence of the integers, or an ``Indexed`` column.
+    """n assignments at once, drawn from one pool of at most 256 integers:
+    each variable mapped to one column per coordinate, a ``bytes`` whose
+    byte j indexes lane j's numerator in the pool.
 
     It computes each distinct row ``sum of c * self[v][i] + const * denom``
     once, as SIMD within a register in Python's integers (Lamport, CACM
     1975; Fisher and Dietz, 1998).  Lane j's value x is field j of a packed
     integer: W bits holding x + 2**(W - 1), W a multiple of 8 chosen from
-    the row's exact bound, so no field ever overflows into the next.  A row
-    is then a few big-integer multiply-adds of packed columns, and its
-    negative lanes are the fields whose top byte has its top bit clear.
-    A value column is packed from its values, bounded by the largest of
-    them; an ``Indexed`` column is packed by W / 8 ``bytes.translate``
-    passes over its indices, one per byte of the biased field, with no
-    value built, and bounded by its pool's largest entry.
+    the row's exact bound, so no field ever overflows into the next; every
+    column is bounded by the pool's largest |entry|.  A row is then a few
+    big-integer multiply-adds of packed columns, and its negative lanes are
+    the fields whose top byte has its top bit clear.  A column is packed by
+    W / 8 ``bytes.translate`` passes over its indices, one per byte of the
+    biased field, with no value built.
     Rows and their sign masks are kept by the row's exact ``(terms, const,
     denom)``, the integer values of identical forms, so the blocks that
     share a ``Lanes`` share them, whichever lowering wrote the form."""
 
-    def __init__(self, columns: Mapping, n: int):
+    def __init__(self, columns: Mapping, pool: tuple, n: int):
         super().__init__(columns)
-        self.n, self.full = n, all_lanes(n)
-        self._columns: dict = {}  # (v, i) -> [max |value|, {W: packed}]
+        self.pool, self.n, self.full = pool, n, all_lanes(n)
+        self._top = max(map(abs, pool), default=0)
+        self._packed: dict = {}  # (v, i, W) -> the column packed at width W
         self._ones: dict = {}  # W -> 1 in every field
         self._rows: dict = {}  # (terms, const, denom) -> its _row
         self._signs: dict = {}  # (terms, const, denom) -> (lt, eq)
@@ -329,26 +339,11 @@ class Lanes(dict):
             row - (max(-bound - 1, min(t, bound + 1)) + 1) * ones, w)
             for t in thresholds]
 
-    def column(self, terms: tuple, const: int, denom: int):
-        """The row's value at every lane, as a sequence."""
-        w, _, row, ones = self._row((terms, const, denom))
-        # the biased field with its top bit flipped is the two's complement
-        raw = (row ^ ones << w - 1).to_bytes(self.n * (w >> 3), "little")
-        tc = _TYPECODES.get(w)
-        if tc is None:
-            step = w >> 3
-            return [int.from_bytes(raw[at:at + step], "little", signed=True)
-                    for at in range(0, len(raw), step)]
-        values = array(tc, raw)
-        if _BIG_ENDIAN:
-            values.byteswap()
-        return values
-
     def value(self, terms: tuple, const: int, denom: int, j: int) -> int:
         """The row's value at lane j."""
         x = const * denom
         for v, i, c in terms:
-            x += c * self[v][i][j]
+            x += c * self.pool[self[v][i][j]]
         return x
 
     def _negative(self, row: int, w: int) -> int:
@@ -365,63 +360,28 @@ class Lanes(dict):
             return got
         terms, const, denom = key
         k = const * denom
-        bound = abs(k)
-        cols = []
-        for v, i, c in terms:
-            col = self._columns.get((v, i))
-            if col is None:
-                x = self[v][i]
-                if type(x) is Indexed:
-                    top = max(map(abs, x.pool))
-                else:
-                    top = max(max(x), -min(x)) if x else 0
-                col = self._columns[v, i] = [top, {}]
-            bound += abs(c) * col[0]
-            cols.append((v, i, c, col[1]))
+        bound = abs(k) + sum([abs(c) for _, _, c in terms]) * self._top
         w = _width(bound)
         ones = self._ones.get(w)
         if ones is None:
             ones = self._ones[w] = int.from_bytes(
                 (1).to_bytes(w >> 3, "little") * self.n, "little")
-        half = 1 << w - 1
+        step, half = w >> 3, 1 << w - 1
         # each packed column brings c * half to every field: take that off,
         # and put the row's one bias back
         row = 0
-        for v, i, c, packed in cols:
-            p = packed.get(w)
+        for v, i, c in terms:
+            p = self._packed.get((v, i, w))
             if p is None:
-                x = self[v][i]
-                p = packed[w] = (_pack_indexed(x, w) if type(x) is Indexed
-                                 else _pack(x, w) ^ ones << w - 1)
+                # byte b of every field is its index translated by table b
+                fields = bytearray(self.n * step)
+                for b, table in enumerate(_field_tables(self.pool, w)):
+                    fields[b::step] = self[v][i].translate(table)
+                p = self._packed[v, i, w] = int.from_bytes(fields, "little")
             row += c * p
             k -= c * half
         got = self._rows[key] = w, bound, row + (k + half) * ones, ones
         return got
-
-
-def _pack(col, w: int) -> int:
-    """The values of col as w-bit two's complement fields, lane j's at bit
-    w * j."""
-    tc = _TYPECODES.get(w)
-    if tc is None:
-        return int.from_bytes(b"".join([
-            x.to_bytes(w >> 3, "little", signed=True) for x in col]),
-            "little")
-    items = array(tc, col)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return int.from_bytes(items.tobytes(), "little")
-
-
-def _pack_indexed(col: Indexed, w: int) -> int:
-    """The values of an index column as w-bit fields biased by 2**(w - 1),
-    lane j's at bit w * j: byte b of every field is its index translated
-    by table b."""
-    step = w >> 3
-    fields = bytearray(len(col.idx) * step)
-    for b, table in enumerate(_field_tables(col.pool, w)):
-        fields[b::step] = col.idx.translate(table)
-    return int.from_bytes(fields, "little")
 
 
 @functools.lru_cache(maxsize=64)

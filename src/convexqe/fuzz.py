@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .closures import Indexed, Lanes, lowest_lane
+from .closures import Lanes, lowest_lane
 from .cutqe import CutStructure, build_structure, qe_star
 from .doagqe import QeOptions
 from .errors import BudgetExceededError, ConvexQEError
@@ -170,16 +170,13 @@ def pool_drawer(rng: random.Random,
                 pool: Sequence) -> Callable[[int], tuple]:
     """``draw(count)``: count entries of pool, the very ones that count
     calls of ``rng.choice(pool)`` return, leaving rng in the same state:
-    ``index_drawer``'s indices, looked up in pool.  ``draw.indices`` is
-    that index drawer, and ``draw.pool`` is pool as a tuple, for a caller
-    that keeps the indices."""
+    ``index_drawer``'s indices, looked up in pool."""
     pool = tuple(pool)
     indices = index_drawer(rng, len(pool))
 
     def draw(count: int) -> tuple:
         return _entries(pool, indices(count))
 
-    draw.indices, draw.pool = indices, pool
     return draw
 
 
@@ -267,12 +264,11 @@ def drawn_block(idx: bytes, pool: tuple, n: int, names: Sequence[str],
                 dim: int) -> tuple[Lanes, Callable[[int], dict]]:
     """n assignments of names drawn as ``{v: draw(dim) for v in names}``
     each, one after another, in the one draw idx of indices in pool: their
-    coordinate columns, as ``Indexed`` columns over pool, and lane j's
-    assignment, its values looked up in pool, as a function of j."""
+    coordinate columns, as a ``Lanes`` over pool, and lane j's assignment,
+    its values looked up in pool, as a function of j."""
     width = len(names) * dim
-    columns = Lanes({v: tuple(Indexed(idx[k * dim + i::width], pool)
-                              for i in range(dim))
-                     for k, v in enumerate(names)}, n)
+    columns = Lanes({v: tuple(idx[k * dim + i::width] for i in range(dim))
+                     for k, v in enumerate(names)}, pool, n)
 
     def lane(j: int) -> dict:
         at = j * width
@@ -281,26 +277,25 @@ def drawn_block(idx: bytes, pool: tuple, n: int, names: Sequence[str],
     return columns, lane
 
 
-def _first_mismatch(rng: random.Random, draw: Callable[[int], tuple],
-                    names: tuple[str, ...], dim: int, count: int,
-                    got: Callable, expected: Callable
+def _first_mismatch(rng: random.Random, indices: Callable[[int], bytes],
+                    pool: tuple, names: tuple[str, ...], dim: int,
+                    count: int, got: Callable, expected: Callable
                     ) -> tuple[int, Optional[dict]]:
     """Evaluate both sides' block drivers at count assignments of names,
-    drawn as ``{v: draw(dim) for v in names}`` each, draw a
-    ``pool_drawer``, but SAMPLE_BLOCK at a time, as index columns; both
-    sides read one ``Lanes`` per block, so a row that both lowerings write
-    is computed once.  Returns how many were evaluated, up to and
-    including the first at which the sides differ, and that one, or None;
-    rng is left where drawing just those assignments one by one leaves
-    it."""
+    drawn as ``{v: pool_drawer(rng, pool)(dim) for v in names}`` each, but
+    SAMPLE_BLOCK at a time, as index columns from indices, rng's
+    ``index_drawer`` over pool; both sides read one ``Lanes`` per block, so
+    a row that both lowerings write is computed once.  Returns how many
+    were evaluated, up to and including the first at which the sides
+    differ, and that one, or None; rng is left where drawing just those
+    assignments one by one leaves it."""
     width = len(names) * dim
-    indices, pool = draw.indices, draw.pool
     for first in range(0, count, SAMPLE_BLOCK):
         block = min(SAMPLE_BLOCK, count - first)
         state = rng.getstate()
         columns, lane = drawn_block(indices(block * width), pool, block,
                                     names, dim)
-        differ = got(columns, block) ^ expected(columns, block)
+        differ = got(columns) ^ expected(columns)
         if differ:
             j = lowest_lane(differ)
             rng.setstate(state)  # draw again only up to this one
@@ -320,7 +315,8 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
     options = QeOptions(dnf_budget=config.dnf_budget,
                         depth_budget=config.depth_budget,
                         inject_bug=config.inject_bug)
-    draw, dim = pool_drawer(rng, int_sample_pool(m)), m.dim
+    pool, dim = int_sample_pool(m), m.dim
+    indices = index_drawer(rng, len(pool))
     discrepancies = []
     budget_skips = 0
     checked = 0
@@ -338,8 +334,9 @@ def run_fuzz(m: ModelDescriptor, config: FuzzConfig) -> dict:
             continue
         checked += 1
         assert is_quantifier_free(out)
-        done, ints = _first_mismatch(rng, draw, fv, dim, config.assignments,
-                                     comp.block, orc.block)
+        done, ints = _first_mismatch(rng, indices, pool, fv, dim,
+                                     config.assignments, comp.block,
+                                     orc.block)
         total_assignments += done
         if ints is None:
             continue

@@ -570,8 +570,8 @@ def compile_formula(m: ModelDescriptor, *fs: Formula) -> Evaluator:
 
 class IntCompiledFormula(AtDenominator):
     """compile_formula at a fixed sample denominator: ``eval`` takes each
-    variable's coordinate numerators over ``denom``, ``block`` their
-    columns over n assignments."""
+    variable's coordinate numerators over ``denom``, ``block`` a
+    ``closures.Lanes`` of them."""
 
     def __init__(self, m: ModelDescriptor, f: Formula, denom: int):
         super().__init__(compile_formula(m, f), denom)

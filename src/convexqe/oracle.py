@@ -524,8 +524,8 @@ class OracleDecision:
 
 class IntOracleEval(AtDenominator):
     """A decision at a fixed sample denominator: ``eval`` takes each
-    variable's coordinate numerators over ``denom``, ``block`` their
-    columns over n assignments."""
+    variable's coordinate numerators over ``denom``, ``block`` a
+    ``closures.Lanes`` of them."""
 
     def __init__(self, dec: OracleDecision, denom: int):
         super().__init__(dec.lower(), denom)

@@ -12,13 +12,13 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Callable, Optional, Union
 
-from .closures import Indexed, Lanes, all_lanes, lowest_lane
+from .closures import all_lanes, lowest_lane
 from .cutarith import edge_gap, edge_member, edge_sign
 from .cutqe import CutStructure, SkolemDefinition, build_structure, qe_star
-from .errors import (PreconditionViolatedError, SearchExhaustedError)
+from .errors import (ConvexQEError, PreconditionViolatedError,
+                     SearchExhaustedError)
 from .fuzz import (SAMPLE_BLOCK, SAMPLE_DENOM, _shown, drawn_block,
                    index_drawer, int_sample_pool, model_sample_pool,
                    pool_drawer)
@@ -62,20 +62,32 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     columns over the sample pool, by the block driver: the existential and
     the guards share one lowering and one list of atom masks per block, so
     each atom is tested at most once per block.  Each lane takes the
-    first guard that fires; each case's witnesses are built at its lanes
-    and checked by phi's block driver.  The report is the one a
-    sample-by-sample scan gives: the lowest failing lane, with the lanes
-    where the existential held up to it counted as applicable."""
+    first guard that fires.  Where a case fires, its witness is put in for
+    the target in phi's specs (``Evaluator.substitute``), so phi is checked
+    on the block's own lanes and masked by the lanes where the case fired;
+    no witness value is built but the reported one.  The report is the
+    one a sample-by-sample scan gives: the lowest failing lane, with the
+    lanes where the existential held up to it counted as applicable.  A
+    guard or witness may name only phi's free variables other than the
+    target, which are all that a sample assigns."""
     if samples < 0:
         raise ValueError("the sample count must not be negative")
+    given = free_vars(phi) - {sk.target}
+    for i, (guard, witness) in enumerate(sk.cases, 1):
+        for part, names in (("guard", free_vars(guard)),
+                            ("witness", witness.vars())):
+            stray = sorted(names - given)
+            if stray:
+                raise ConvexQEError(
+                    f"bad Skolem definition: case {i}'s {part} names "
+                    f"{', '.join(stray)}, not a free variable of phi other "
+                    f"than {sk.target}")
+    params = sorted(given)
     st = st or build_structure(m)
-    params = sorted(free_vars(phi) - {sk.target})
     existential = qe_star(Exists(sk.target, phi), st)
     low = compile_formula(m, existential, *(g for g, _ in sk.cases))
     phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
                 else oracle_compile(m, phi).lower())
-    # per case: lc and the witness rows, over lc * SAMPLE_DENOM
-    witnesses = [term_rows(m, term) for _, term in sk.cases]
     pool = int_sample_pool(m, SAMPLE_POOL)
     draw = index_drawer(random.Random(seed), len(pool))
     dim = m.dim
@@ -86,32 +98,24 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
         n = min(SAMPLE_BLOCK, samples - first)
         columns, lane = drawn_block(draw(n * width), pool, n, params, dim)
         masks = [None, *low.blank]
-        held = left = low.block(columns, SAMPLE_DENOM, n, 0, masks)
+        held = left = low.block(columns, SAMPLE_DENOM, 0, masks)
         worst = None  # (lane, witness, lc) of the lowest failing witness
-        for root, (lc, rows) in enumerate(witnesses, 1):
+        for root, (_, term) in enumerate(sk.cases, 1):
             if not left:
                 break
-            fired = low.block(columns, SAMPLE_DENOM, n, root, masks) & left
+            fired = low.block(columns, SAMPLE_DENOM, root, masks) & left
             left ^= fired
             if not fired:
                 continue
-            # the fired lanes' indices, compacted, with the witness over
-            # lc * SAMPLE_DENOM and the parameters scaled to it by a scaled
-            # pool
-            keep = fired.to_bytes(n, "little")
-            idx = {v: [bytes(compress(c.idx, keep)) for c in cs]
-                   for v, cs in columns.items()}
-            sub = _index_lanes(idx, pool, fired.bit_count())
-            w = tuple(sub.column(*r, SAMPLE_DENOM) for r in rows)
-            if lc != 1:
-                sub = _index_lanes(idx, tuple([x * lc for x in pool]), sub.n)
-            sub[sk.target] = w  # a new variable: no row kept yet reads it
-            bad = sub.full ^ phi_eval.block(sub, lc * SAMPLE_DENOM, sub.n)
+            # lc and the witness rows, over lc * SAMPLE_DENOM
+            lc, rows = term_rows(m, term)
+            check = phi_eval.substitute(sk.target, lc, rows)
+            bad = fired & ~check.block(columns, SAMPLE_DENOM)
             if bad:
-                i = lowest_lane(bad)
-                j = list(compress(range(n), keep))[i]
+                j = lowest_lane(bad)
                 if worst is None or j < worst[0]:
-                    worst = (j, [c[i] for c in w], lc)
+                    worst = (j, [columns.value(*r, SAMPLE_DENOM, j)
+                                 for r in rows], lc)
         # left: the lanes where the existential held and no guard fired
         j = min(lowest_lane(left) if left else n, worst[0] if worst else n)
         if j == n:
@@ -126,12 +130,6 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
             failure["witness"] = _shown(worst[1], worst[2] * SAMPLE_DENOM)
         return VerifyReport(False, samples, applicable, seed, failure)
     return VerifyReport(True, samples, applicable, seed)
-
-
-def _index_lanes(idx: dict, pool: tuple, n: int) -> Lanes:
-    """n lanes of each variable's index columns over pool."""
-    return Lanes({v: tuple(Indexed(c, pool) for c in cs)
-                  for v, cs in idx.items()}, n)
 
 
 # ---------------------------------------------------------------------------

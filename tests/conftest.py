@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from convexqe.cli import fixtures_dir
+from convexqe.closures import Lanes
 from convexqe.errors import MalformedModelError
 from convexqe.models import (DownwardCut, ModelDescriptor, PLUS_INF,
                              PiOracle, Point, SqrtOracle, SubgroupLevel,
@@ -34,6 +35,18 @@ def row_value(row: tuple, points: dict, d: int) -> int:
     const * d plus c * points[v][i] for each (v, i, c) in terms."""
     terms, const = row
     return const * d + sum(c * points[v][i] for v, i, c in terms)
+
+
+def lanes_of(columns: dict, n: int) -> Lanes:
+    """n lanes of per-lane values, each variable mapped to one sequence of
+    n integers per coordinate, as a ``Lanes``: its pool is their distinct
+    values, at most 256, and each column their indices in it."""
+    pool = tuple(sorted({x for cs in columns.values() for c in cs
+                         for x in c}))
+    assert len(pool) <= 256, len(pool)
+    at = {x: k for k, x in enumerate(pool)}
+    return Lanes({v: tuple(bytes([at[x] for x in c]) for c in cs)
+                  for v, cs in columns.items()}, pool, n)
 
 
 def random_cut_model(rng):

@@ -13,7 +13,6 @@ the Point reference.  Both read the one spec an atom's lowering gives."""
 
 import operator
 import random
-from itertools import compress
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,8 +24,8 @@ from convexqe import closures, models, oracle
 from convexqe.closures import FALSE, TRUE, Lanes, Lowering
 from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import ConvexQEError
-from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, int_sample_pool,
-                           pool_drawer)
+from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, index_drawer,
+                           int_sample_pool, pool_drawer)
 from convexqe.models import (IntCompiledFormula, Point, compile_formula,
                              eval_formula)
 from convexqe.oracle import CAtom, LinForm, oracle_compile
@@ -34,7 +33,7 @@ from convexqe.parser import parse_formula
 from convexqe.syntax import free_vars
 
 from conftest import (FIXTURE_NAMES, VALUATIONAL_NAMES, get_model,
-                      random_cut_model, row_value)
+                      lanes_of, random_cut_model, row_value)
 
 ELIMINABLE_NAMES = VALUATIONAL_NAMES + ["lex2_rat_11"]
 LANES = [1, 7, 64, 1000]
@@ -57,9 +56,9 @@ def _check_lanes(ev, points: list[dict], dim: int, denom: int):
     """Root 0's block mask equals ``run`` at each point alone, and every
     atom's ``block_holds`` mask, the one the block kept included, equals
     ``holds`` of its spec at each point alone."""
-    lanes = Lanes(_columns(points, dim), len(points))
+    lanes = lanes_of(_columns(points, dim), len(points))
     masks = [None, *ev.blank]
-    assert ev.block(lanes, denom, len(points), 0, masks) == _mask(
+    assert ev.block(lanes, denom, 0, masks) == _mask(
         ev.run(p, [denom, *ev.blank]) for p in points)
     for slot, spec in enumerate(ev.specs, 1):
         want = _mask(HOLDS(spec, p, denom) for p in points)
@@ -153,7 +152,7 @@ class TestToyTrees:
             ev, calls = low.evaluator(*trees), log.calls
             points = [{v: (rng.randint(-3, 3), rng.randint(-3, 3))
                        for v in NAMES} for _ in range(n)]
-            cols = _columns(points, 2)
+            lanes = lanes_of(_columns(points, 2), n)
             roots = range(len(trees))
             want = [[] for _ in trees]
             for p in points:
@@ -163,7 +162,7 @@ class TestToyTrees:
             for order in (roots, reversed(roots)):
                 masks = [None, *ev.blank]
                 del calls[:]
-                got = {r: ev.block(cols, 1, n, r, masks) for r in order}
+                got = {r: ev.block(lanes, 1, r, masks) for r in order}
                 assert [got[r] for r in roots] == [_mask(w) for w in want]
                 assert sorted(calls) == sorted(
                     log.atoms[s - 1] for s, mask in enumerate(masks)
@@ -172,7 +171,7 @@ class TestToyTrees:
             shared += len(calls)
             del calls[:]
             for r in roots:
-                ev.block(cols, 1, n, r)
+                ev.block(lanes, 1, r)
             alone += len(calls)
         assert shared < alone  # some atom was shared by two roots
 
@@ -194,9 +193,9 @@ class TestToyTrees:
                 del tested[:]
                 want = [ev.run(p, [1, *ev.blank], r) for r in roots]
                 alone += len(tested)
-                masks, cols = [None, *ev.blank], _columns([p], 2)
+                masks, lanes = [None, *ev.blank], lanes_of(_columns([p], 2), 1)
                 for r in roots:
-                    ev.block(cols, 1, 1, r, masks)
+                    ev.block(lanes, 1, r, masks)
                 reached = sorted(log.atoms[s - 1] for s, mask in
                                  enumerate(masks) if s and mask is not None)
                 for order in (roots, reversed(roots)):
@@ -222,9 +221,8 @@ class TestToyTrees:
         ev = low.evaluator(tree)
         for n in LANES:
             del log.calls[:]
-            cols = {"x": ((0,) * n,)}
-            assert ev.block(cols, 1, n) == (_mask([True] * n) if truth
-                                            else 0)
+            lanes = lanes_of({"x": ((0,) * n,)}, n)
+            assert ev.block(lanes, 1) == (_mask([True] * n) if truth else 0)
             assert len(log.calls) == tested
         assert ev.run({"x": (0,)}, [1, *ev.blank]) is truth
         assert len(log.tested) == tested
@@ -235,18 +233,18 @@ class TestToyTrees:
         calls = log.calls
         a, b = "x0<1", "x1<0"
         ev = low.evaluator(("&", ("~", a), ("|", b, ("~", a))))
-        cols = {"x": ((0, 1, 2, 1), (-1, -1, 0, 0))}
+        lanes = lanes_of({"x": ((0, 1, 2, 1), (-1, -1, 0, 0))}, 4)
         # lanes: a holds at lane 0 only; b at lanes 0 and 1
-        assert ev.block(cols, 1, 4) == _mask([False, True, True, True])
+        assert ev.block(lanes, 1) == _mask([False, True, True, True])
         assert calls == [a, b]
-        assert ev.block(cols, 1, 4) == _mask([False, True, True, True])
+        assert ev.block(lanes, 1) == _mask([False, True, True, True])
         assert calls == [a, b] * 2
 
     def test_a_test_unreached_by_every_lane_is_not_run(self, monkeypatch):
         low, log = _toy_lowering(monkeypatch)
         a, b = "x0<1", "x1<0"
         ev = low.evaluator(("&", a, b))
-        assert ev.block({"x": ((5, 6), (0, 0))}, 1, 2) == 0
+        assert ev.block(lanes_of({"x": ((5, 6), (0, 0))}, 2), 1) == 0
         assert log.calls == [a]
         for x in (5, 6):
             assert not ev.run({"x": (x, 0)}, [1, *ev.blank])
@@ -327,10 +325,10 @@ def test_block_is_exposed_at_the_sample_denominator(models):
     m = models["lex3_val_1pi0"]
     f = parse_formula("U(x - y) & ~(x < 2 * y)")
     points = _draws(m, "exposed", 64)
-    cols = _columns(points, m.dim)
+    lanes = lanes_of(_columns(points, m.dim), 64)
     for side in (IntCompiledFormula(m, f, SAMPLE_DENOM),
                  oracle.IntOracleEval(oracle_compile(m, f), SAMPLE_DENOM)):
-        assert side.block(cols, 64) == _mask(side.eval(p) for p in points)
+        assert side.block(lanes) == _mask(side.eval(p) for p in points)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +401,7 @@ def test_oracle_alpha_atoms_of_either_sign(ac, compare_calls):
     got = [closures.holds(spec, {"x": (x,)}, BIG) for x in xs]
     assert got == want and compare_calls
     del compare_calls[:]
-    assert closures.block_holds(spec, Lanes({"x": (xs,)}, len(xs)),
+    assert closures.block_holds(spec, lanes_of({"x": (xs,)}, len(xs)),
                                 BIG) == _mask(want)
     assert any(want) and not all(want) and compare_calls
 
@@ -449,7 +447,7 @@ def test_packed_column_is_the_biased_sum(w):
     rng = random.Random(f"pack:{w}")
     col = tuple([0, 1, -1, big, -big, big - 1, -big + 1] + [
         rng.randint(-big, big) for _ in range(60)])
-    lanes = Lanes({"x": (col,)}, len(col))
+    lanes = lanes_of({"x": (col,)}, len(col))
     width, bound, row, ones = lanes._row(((("x", 0, 1),), 0, 1))
     assert bound == big
     if w != "wide":
@@ -459,7 +457,8 @@ def test_packed_column_is_the_biased_sum(w):
     assert ones == _packed_reference([-2 ** (width - 1) + 1] * len(col),
                                      width)
     assert row == _packed_reference(col, width)
-    assert list(lanes.column((("x", 0, 1),), 0, 1)) == list(col)
+    assert [lanes.value((("x", 0, 1),), 0, 1, j)
+            for j in range(len(col))] == list(col)
     # a row with a constant and a negative coefficient, at the same width
     _, _, row, _ = lanes._row(((("x", 0, -1),), 0, 1))
     assert row == _packed_reference([-x for x in col], width)
@@ -473,27 +472,25 @@ INDEX_ROWS = [((("x", 0, 1),), 0, 1), ((("x", 0, -1),), 0, 1),
               ((("x", 0, -3), ("y", 0, 2)), 1, 6), ((("y", 0, 1),), -1, 2)]
 
 
-def _check_index_columns(pool, xs, ys, same_bound: bool = True):
-    """Index columns over pool and their value columns give equal rows,
-    values and sign masks, lane by lane; equal ``_row`` where the indices
-    reach the pool's largest entry, which bounds an index column."""
+def _check_index_columns(pool, xs, ys):
+    """Index columns over pool give each row's packing spelled out, its
+    values and its sign masks, lane by lane, with the row bounded by the
+    pool's largest |entry|."""
     pool = tuple(pool)
-    n = len(xs)
-    indexed = Lanes({"x": (closures.Indexed(bytes(xs), pool),),
-                     "y": (closures.Indexed(bytes(ys), pool),)}, n)
-    valued = Lanes({"x": ([pool[i] for i in xs],),
-                    "y": ([pool[i] for i in ys],)}, n)
+    n, top = len(xs), max(map(abs, pool))
+    lanes = Lanes({"x": (bytes(xs),), "y": (bytes(ys),)}, pool, n)
     for terms, const, denom in INDEX_ROWS:
         key = terms, const, denom
         want = [row_value((terms, const), {"x": (pool[x],), "y": (pool[y],)},
                           denom) for x, y in zip(xs, ys)]
-        if same_bound:
-            assert indexed._row(key) == valued._row(key), key
-        assert list(indexed.column(*key)) == want, key
-        assert indexed.signs(*key) == valued.signs(*key) == (
+        width, bound, row, _ = lanes._row(key)
+        assert bound == abs(const * denom) + sum(
+            abs(c) for _, _, c in terms) * top, key
+        assert row == _packed_reference(want, width), key
+        assert lanes.signs(*key) == (
             _mask(x < 0 for x in want), _mask(x == 0 for x in want)), key
         for j in {0, n // 2, n - 1}:
-            assert indexed.value(terms, const, denom, j) == want[j]
+            assert lanes.value(terms, const, denom, j) == want[j]
 
 
 def _extreme_pool(rng: random.Random, size: int, big: int) -> list[int]:
@@ -509,14 +506,14 @@ def _extreme_pool(rng: random.Random, size: int, big: int) -> list[int]:
 @pytest.mark.parametrize("w", WIDTHS + ["wide"])
 def test_index_column_packs_as_its_values(w):
     """At every width, extreme entries included, an index column packs to
-    the row its value column packs to."""
+    its values' biased sum."""
     big = 10 ** 4400 if w == "wide" else 2 ** (w - 2) - 2
     rng = random.Random(f"index:{w}")
     pool = _extreme_pool(rng, 12, big)
     xs = list(range(12)) + [rng.randrange(12) for _ in range(200)]
     ys = xs[::-1]
     _check_index_columns(pool, xs, ys)
-    lanes = Lanes({"x": (closures.Indexed(bytes(xs), tuple(pool)),)}, len(xs))
+    lanes = Lanes({"x": (bytes(xs),)}, tuple(pool), len(xs))
     width, bound, row, _ = lanes._row(((("x", 0, 1),), 0, 1))
     assert bound == big and (w == "wide" or width == w)
     assert row == _packed_reference([pool[i] for i in xs], width)
@@ -525,25 +522,18 @@ def test_index_column_packs_as_its_values(w):
 @pytest.mark.parametrize("w", WIDTHS)
 @pytest.mark.parametrize("size", [1, 2, 255, 256])
 def test_index_columns_of_every_pool_size(size, w):
-    """Pools of one entry up to 256, with duplicate and extreme entries;
-    then the columns compacted by a lane mask's bytes, as verify_skolem
-    compacts them, and over a scaled pool."""
+    """Pools of one entry up to 256, with duplicate and extreme entries."""
     rng = random.Random(f"sizes:{size}:{w}")
     pool = _extreme_pool(rng, size, 2 ** (w - 2) - 2)
     xs = list(range(size)) + [rng.randrange(size) for _ in range(300)]
     rng.shuffle(xs)
     ys = [rng.randrange(size) for _ in xs]
     _check_index_columns(pool, xs, ys)
-    keep = bytes(rng.random() < 0.3 for _ in xs)
-    _check_index_columns(pool, bytes(compress(xs, keep)),
-                         bytes(compress(ys, keep)), same_bound=False)
-    for lc in (2, -3, 5 ** 40):
-        _check_index_columns([x * lc for x in pool], xs, ys)
 
 
 # per scale: lane values near it, so rows take 16-bit fields, fields past
-# 2**15, 2**31 or 2**63, or (with 10**4400 as a coefficient too) the bytes
-# join
+# 2**15, 2**31 or 2**63, or (with 10**4400 as a coefficient too) fields of
+# thousands of bytes
 SCALES = {"2^10": 2 ** 10, "2^14": 2 ** 14, "2^30": 2 ** 30,
           "2^62": 2 ** 62, "10^4400": 10 ** 4400}
 
@@ -591,6 +581,8 @@ def _random_spec(rng: random.Random, scale: int, dim: int, points: list):
 
 
 def _random_lanes(rng: random.Random, scale: int, n: int, dim: int):
+    """n points of x and y, y often a copy of x, each coordinate drawn
+    from one pool of at most 256 values near the scale."""
     def value():
         r = rng.random()
         if r < 0.3:
@@ -598,10 +590,12 @@ def _random_lanes(rng: random.Random, scale: int, n: int, dim: int):
         if r < 0.6:
             return rng.choice([scale, -scale, scale - 1, 1 - scale])
         return rng.randint(-scale, scale)
+    pool = [value() for _ in range(256)]
     points = []
     for _ in range(n):
-        x = tuple(value() for _ in range(dim))
-        y = x if rng.random() < 0.5 else tuple(value() for _ in range(dim))
+        x = tuple(rng.choice(pool) for _ in range(dim))
+        y = x if rng.random() < 0.5 else tuple(rng.choice(pool)
+                                               for _ in range(dim))
         points.append({"x": x, "y": y})
     return points
 
@@ -626,8 +620,91 @@ def test_packed_tests_match_the_scalar_tests(scale_name, n):
         scalar_calls = list(log or ())
         if log:
             del log[:]
-        got = closures.block_holds(spec, Lanes(cols, n), denom)
+        got = closures.block_holds(spec, lanes_of(cols, n), denom)
         assert got == want, spec
+        assert (log or []) == scalar_calls
+        called += len(scalar_calls)
+    assert called  # some lane fell inside a bracket
+
+
+def _substitution_case(rng: random.Random, lc: int, n: int):
+    """A witness for t over x and y, as term_rows gives one ((lc, rows):
+    coordinate i is rows[i] / lc at points over d), n points of x and y
+    drawn from one small pool, and a spec over x, y and t whose rows
+    vanish on many lanes at t := witness, with a bracket tail around the
+    tail row's value at one lane; then d and the log of the tail's less."""
+    dim, d = 2, rng.choice([1, 6])
+    pool = [rng.randint(-9, 9) for _ in range(12)] + [0, 1, -1]
+    points = [{v: tuple(rng.choice(pool) for _ in range(dim))
+               for v in ("x", "y")} for _ in range(n)]
+
+    def witness_row(i):
+        if rng.random() < 0.5:  # t_i := x_i
+            return ((("x", i, lc),), 0)
+        return ((("x", i, rng.choice([1, -2, 3])),
+                 ("y", rng.randrange(dim), rng.choice([-1, 5]))),
+                rng.choice([0, 1, -3]))
+    rows = [witness_row(i) for i in range(dim)]
+    coeffs = [1, -1, 2, -3]
+
+    def row():
+        i = rng.randrange(dim)
+        c = rng.choice(coeffs)
+        r = rng.random()
+        if r < 0.4:  # zero where t_i is x_i
+            return ((("t", i, c), ("x", i, -c)), 0)
+        if r < 0.6:
+            return ((("t", i, c), ("y", i, rng.choice(coeffs))),
+                    rng.choice([0, 1]))
+        if r < 0.8:
+            return ((("x", i, c), ("y", rng.randrange(dim), -c)), 0)
+        return ((("t", i, c),), rng.choice([0, -1]))
+    lead = [row() for _ in range(rng.randint(0, 3))]
+    sign = rng.choice([operator.lt, operator.le, operator.eq, operator.ne])
+    if rng.random() < 0.3:
+        return rows, points, (lead, sign, rng.random() < 0.5), d, None
+    (terms, const), k = row(), rng.choice([1, 3])
+    bits = rng.choice([0, 4, 16])
+    x = row_value((terms, const), _substituted(rng.choice(points), lc, rows,
+                                               d), lc * d)
+    lo = (x << bits) // (k * lc * d) - rng.choice([0, 1, 3])
+    hi = lo + rng.choice([1, 2, 5, 40 << bits])
+    beta = Fraction(lo, 2 ** bits) + Fraction(hi - lo, 2 ** bits) * \
+        Fraction(rng.randint(1, 99), 100)
+    log = []
+    tail = ((terms, const), k, lo, hi, bits,
+            _bracket_less(lo, hi, bits, beta, log))
+    return rows, points, (lead, sign, tail), d, log
+
+
+def _substituted(p: dict, lc: int, rows: list, d: int) -> dict:
+    """The point p over d as a point over lc * d, with t := the witness."""
+    q = {v: tuple(c * lc for c in p[v]) for v in ("x", "y")}
+    q["t"] = tuple(row_value(r, p, d) for r in rows)
+    return q
+
+
+@pytest.mark.parametrize("lc", [1, 2, 6, 5 ** 40])
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_substitution_keeps_every_sign(lc, n):
+    """block_holds of a spec with the witness put in for t, at points over
+    d, is holds of the spec itself at the points over lc * d with t the
+    witness, lane by lane; less runs at the same lanes with the same
+    arguments."""
+    rng = random.Random(f"substitute:{lc}:{n}")
+    called = 0
+    for _ in range(60):
+        rows, points, spec, d, log = _substitution_case(rng, lc, n)
+        want = _mask(closures.holds(spec, _substituted(p, lc, rows, d),
+                                    lc * d) for p in points)
+        scalar_calls = list(log or ())
+        if log:
+            del log[:]
+        ev = closures.Evaluator((), [], (spec,)).substitute("t", lc, rows)
+        (put,) = ev.specs
+        assert all(v != "t" for r in put[0] for v, _, _ in r[0])
+        lanes = lanes_of(_columns(points, 2), n)
+        assert closures.block_holds(put, lanes, d) == want, spec
         assert (log or []) == scalar_calls
         called += len(scalar_calls)
     assert called  # some lane fell inside a bracket
@@ -671,7 +748,7 @@ def test_bracket_tail_at_its_thresholds(k, d, lo, hi, bits, near):
     scalar_calls = log[:]
     del log[:]
     got = closures.block_holds(
-        spec, Lanes({"x": (xs + xs,), "y": (ys,)}, len(ys)), d)
+        spec, lanes_of({"x": (xs + xs,), "y": (ys,)}, len(ys)), d)
     assert got == _mask(want)
     assert log == scalar_calls
     assert [x for x, _ in log] == [x for x in xs if t_lo < x <= t_hi]
@@ -695,12 +772,12 @@ def test_blocks_without_variables(name, n):
         for ev in (compile_formula(m, qe_star(f, st)),
                    oracle_compile(m, f).lower()):
             truth = ev.run({}, [SAMPLE_DENOM, *ev.blank])
-            assert ev.block(Lanes({}, n), SAMPLE_DENOM, n) == _mask(
+            assert ev.block(Lanes({}, (), n), SAMPLE_DENOM) == _mask(
                 [truth] * n), text
     spec = ([((), 3), ((), 0)], operator.lt, False)
-    assert closures.block_holds(spec, Lanes({}, n), 2) == 0
+    assert closures.block_holds(spec, Lanes({}, (), n), 2) == 0
     spec = ([((), 0)], operator.le, (((), -1), 1, -1, 1, 0, None))
-    assert closures.block_holds(spec, Lanes({}, n), 2) == _mask([True] * n)
+    assert closures.block_holds(spec, Lanes({}, (), n), 2) == _mask([True] * n)
 
 
 @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
@@ -729,16 +806,17 @@ def test_both_sides_share_each_row(name, monkeypatch):
         checked += 1
         n = 300
         fv = tuple(sorted(free_vars(f)))
-        draw = pool_drawer(random.Random(checked), int_sample_pool(m))
-        lanes, _ = fuzz.drawn_block(draw.indices(n * len(fv) * m.dim),
-                                    draw.pool, n, fv, m.dim)
+        pool = int_sample_pool(m)
+        indices = index_drawer(random.Random(checked), len(pool))
+        lanes, _ = fuzz.drawn_block(indices(n * len(fv) * m.dim), pool, n,
+                                    fv, m.dim)
         del computed[:]
-        masks = comp.block(lanes, n), orc.block(lanes, n)
+        masks = comp.block(lanes), orc.block(lanes)
         assert len(computed) == len(lanes._rows)
         shared += len(computed)
         del computed[:]
-        assert masks == (comp.block(Lanes(lanes, n), n),
-                         orc.block(Lanes(lanes, n), n))
+        assert masks == (comp.block(Lanes(lanes, pool, n)),
+                         orc.block(Lanes(lanes, pool, n)))
         alone += len(computed)
     assert shared < alone
 
@@ -747,7 +825,8 @@ def test_both_sides_share_each_row(name, monkeypatch):
 # run_fuzz's first mismatch, block by block
 
 
-def _scalar_first_mismatch(rng, draw, names, dim, count, got, expected):
+def _scalar_first_mismatch(rng, pool, names, dim, count, got, expected):
+    draw = pool_drawer(rng, pool)
     for j in range(count):
         ints = {v: draw(dim) for v in names}
         if got(ints) != expected(ints):
@@ -773,13 +852,16 @@ def test_first_mismatch_is_the_scalar_loops(name, block, monkeypatch):
         sides = [IntCompiledFormula(m, h, SAMPLE_DENOM) for h in (f, g)]
         count = rng.choice([0, 1, 5, 70, 300])
         seed = rng.getrandbits(32)
+        pool = int_sample_pool(m)
         results = []
-        for first_mismatch, side in ((fuzz._first_mismatch, "block"),
-                                     (_scalar_first_mismatch, "eval")):
+        for side in ("block", "eval"):
             r = random.Random(seed)
-            done, ints = first_mismatch(
-                r, pool_drawer(r, int_sample_pool(m)), names, m.dim, count,
-                *(getattr(s, side) for s in sides))
+            args = (pool, names, m.dim, count,
+                    *(getattr(s, side) for s in sides))
+            done, ints = (fuzz._first_mismatch(r, index_drawer(r, len(pool)),
+                                               *args)
+                          if side == "block"
+                          else _scalar_first_mismatch(r, *args))
             results.append((done, ints, r.getstate()))
         assert results[0] == results[1], (f, g, count)
         found += results[0][1] is not None and results[0][0] > 1

@@ -25,8 +25,8 @@ from convexqe.syntax import (And, Exists, FalseF, Or, Term, TrueF, atoms_of,
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point, gen_term,
                            int_sample_pool, pool_drawer)
 
-from conftest import (VALUATIONAL_NAMES, get_model, past_default_precision,
-                      random_cut_model, row_value)
+from conftest import (VALUATIONAL_NAMES, get_model, lanes_of,
+                      past_default_precision, random_cut_model, row_value)
 
 
 class TestOracles:
@@ -389,10 +389,11 @@ class TestSharedLowering:
             atoms = {a for f in fs for a in atoms_of(f)}
             ev = compile_formula(m, *fs)
             points = [{"x": draw(m.dim), "y": draw(m.dim)} for _ in range(20)]
-            cols = {v: tuple(tuple(p[v][i] for p in points)
-                              for i in range(m.dim)) for v in ("x", "y")}
+            lanes = lanes_of({v: tuple(tuple(p[v][i] for p in points)
+                                       for i in range(m.dim))
+                              for v in ("x", "y")}, len(points))
             for root in range(len(fs)):
-                ev.block(cols, SAMPLE_DENOM, len(points), root)
+                ev.block(lanes, SAMPLE_DENOM, root)
             assert len(rows) == len(atoms)
             for ints in points:
                 ev.run(ints, [SAMPLE_DENOM, *ev.blank])

@@ -5,10 +5,10 @@ from types import SimpleNamespace
 import pytest
 
 import convexqe.skolemlab as skolemlab
-from convexqe.closures import AtDenominator
+from convexqe.closures import AtDenominator, Evaluator
 from convexqe.cutqe import (SkolemDefinition, build_structure, qe_star,
                             skolemize)
-from convexqe.errors import (PreconditionViolatedError,
+from convexqe.errors import (ConvexQEError, PreconditionViolatedError,
                              SkolemShapeUnsupportedError)
 from convexqe.fuzz import (SAMPLE_DENOM, _shown, gen_atom, int_sample_pool,
                            pool_drawer)
@@ -93,12 +93,33 @@ class TestVerifySkolem:
         monkeypatch.setattr(skolemlab, "SAMPLE_BLOCK", 7)
         assert verify_skolem(m_1pi0, phi, sk, samples=300, seed=9) == whole
 
-    def test_reports_match_the_scalar_reference(self):
-        """Synthesized definitions, the two mutants, the empty definition
-        and a quantified phi, on every eliminable fixture: the block
-        driver's report is the sample-by-sample scan's."""
+    def test_reports_match_the_scalar_reference(self, monkeypatch):
+        """Synthesized definitions, their mutants, shifted witnesses among
+        them, the empty definition and a quantified phi, on every
+        eliminable fixture: the block driver's report is the
+        sample-by-sample scan's.  Some witness has lc > 1, and on
+        lex3_val_1pi0 some lane of a substituted phi falls inside the
+        irrational edge's bracket."""
+        lcs, inside = set(), []
+        rows_of, substitute = skolemlab.term_rows, Evaluator.substitute
+
+        def counted_rows(m, term):
+            lc, rows = rows_of(m, term)
+            lcs.add(lc)
+            return lc, rows
+
+        def logged(ev, var, lc, rows):
+            put = substitute(ev, var, lc, rows)
+            put.specs = tuple(
+                (lead, sign, tail if type(tail) is bool else (
+                    *tail[:-1], _logged_less(tail[-1], inside)))
+                for lead, sign, tail in put.specs)
+            return put
+        monkeypatch.setattr(skolemlab, "term_rows", counted_rows)
+        monkeypatch.setattr(Evaluator, "substitute", logged)
         kinds = set()
         for name in ELIMINABLE_NAMES:
+            del inside[:]
             m = get_model(name)
             st = build_structure(m)
             rng = random.Random(f"verify-reference:{name}")
@@ -110,7 +131,7 @@ class TestVerifySkolem:
                 except SkolemShapeUnsupportedError:
                     continue
                 done += 1
-                mutants = _mutants(sk)
+                mutants = _mutants(sk, phi)
                 quantified = And(phi, parse_formula(
                     "E z. (x < z | z < x + 1)"))
                 for f, d in [(phi, sk), *((phi, mutant) for mutant in mutants),
@@ -122,16 +143,35 @@ class TestVerifySkolem:
                     kinds.add(rep.failure and rep.failure["kind"])
             # two failing cases a block: below 0 the witness fails and in
             # [0, 2] no guard fires; or every witness fails, the second
-            # case's at negative x
-            phi = parse_formula("x < y")
-            for cases in ((("x < 0", "x"), ("2 < x", "x + 1")),
-                          (("0 < x", "x"), ("x < 0", "x"))):
+            # case's at negative x; and a witness that is (1, 355/113) at
+            # x = (1, 1), within 2**-16 of lex3_val_1pi0's edge (1, pi)
+            for phi, cases in (
+                    ("x < y", (("x < 0", "x"), ("2 < x", "x + 1"))),
+                    ("x < y", (("0 < x", "x"), ("x < 0", "x"))),
+                    ("x < y & U(y)", (("true", "355/113 * x - 242/113"),))):
+                phi = parse_formula(phi)
                 sk = SkolemDefinition("y", tuple(
                     (parse_formula(g), parse_term(w)) for g, w in cases))
                 for seed in range(6):
                     assert verify_skolem(m, phi, sk, 100, seed, st) == \
                         _scalar_verify(m, phi, sk, 100, seed, st)
+            assert bool(inside) == (name == "lex3_val_1pi0")
         assert kinds == {None, "no-guard-fired", "witness-fails"}
+        assert max(lcs) > 1
+
+    @pytest.mark.parametrize("guard, witness, part, name", [
+        ("true", "x + z", "witness", "z"), ("z < 0", "x", "guard", "z"),
+        ("true", "y + 1", "witness", "y")])
+    def test_variables_outside_phi_are_refused(self, m_sub2, guard, witness,
+                                               part, name):
+        """A guard or witness may name only phi's free variables other
+        than the target: a sample assigns no other."""
+        sk = SkolemDefinition("y", ((parse_formula(guard),
+                                     parse_term(witness)),))
+        with pytest.raises(ConvexQEError, match=(
+                f"^bad Skolem definition: case 1's {part} names {name}, "
+                "not a free variable of phi other than y$")):
+            verify_skolem(m_sub2, parse_formula("x < y"), sk, samples=10)
 
     def test_negative_sample_count_is_refused(self, m_sub2):
         with pytest.raises(ValueError):
@@ -156,13 +196,30 @@ def _qf(rng, depth):
     return (And if r < 0.75 else Or)(_qf(rng, depth - 1), _qf(rng, depth - 1))
 
 
-def _mutants(sk):
+# witnesses shifted by e_in / 3, by 1/2 and by -e_out, and by 2 * x where
+# phi names x
+SHIFTS = ("1/3 * e_in", "1/2", "-1 * e_out", "2 * x")
+
+
+def _mutants(sk, phi):
     """Every guard given the last witness; the first case dropped; both;
-    no case."""
+    no case; then every witness shifted by each of SHIFTS."""
     t, cases = sk.target, sk.cases
     last = tuple((g, cases[-1][1]) for g, _ in cases)
+    shifts = SHIFTS if "x" in free_vars(phi) else SHIFTS[:-1]
     return [SkolemDefinition(t, last), SkolemDefinition(t, cases[1:]),
-            SkolemDefinition(t, last[1:]), SkolemDefinition(t, ())]
+            SkolemDefinition(t, last[1:]), SkolemDefinition(t, ()),
+            *(SkolemDefinition(t, tuple((g, w + parse_term(s))
+                                        for g, w in cases))
+              for s in shifts)]
+
+
+def _logged_less(less, log: list):
+    """less, logging each call."""
+    def logged(x, den):
+        log.append((x, den))
+        return less(x, den)
+    return logged
 
 
 def _scalar_verify(m, phi, sk, samples, seed, st):

@@ -7,13 +7,19 @@ with at most one irrational-cut symbol (the deciding threshold entry).
 Every such condition mentions the symbols of one coordinate alone.  So each
 quantifier takes one DNF of its body, splits each clause into the literals
 free of the variable and one part per coordinate symbol of it, and
-eliminates each part on its own with a small, self-contained
-Fourier-Motzkin pass over a dense order without endpoints.  Negations are
-carried down to the atoms as a polarity, so no subtree is negated twice.
+eliminates each part on its own with one self-contained Fourier-Motzkin pass
+with weak bounds over a dense order without endpoints, the substitution step
+of Loos-Weispfenning (1993): an equation's root is substituted, or else each
+lower bound meets each upper bound once, a negated strict bound being a weak
+one, so no part splits into cases.  Negations are carried down to the atoms
+as a polarity, so no subtree is negated twice, and <=, != and -> are read at
+the polarity they stand at.  A quantifier eliminates its own symbols after
+its inner quantifiers did theirs, so shadowing captures nothing: the parsed
+formula is decomposed as it stands, with no renaming or normalizing pass.
 The pass works on primitive integer linear forms (entries with gcd 1, an
 equation's leading coefficient positive), combined only with positive
-factors: no Fraction arithmetic happens after decomposition, and an atom
-has one form whichever multiple of it arose.
+factors: no Fraction arithmetic happens after decomposition, and an atom has
+one form whichever multiple of it arose.
 
 This module deliberately shares no elimination machinery with the main
 engines; it is the differential-testing reference.  The residual tree is
@@ -26,7 +32,6 @@ bracket of beta (alpha or -alpha) and its own exact comparison inside it;
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,9 +42,8 @@ from .closures import AtDenominator, Evaluator, Lowering
 from .errors import BudgetExceededError
 from .models import (IrrationalOracle, ModelDescriptor, PlusInf, Point,
                      SubgroupLevel)
-from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
-                     Formula, Not, Or, Term, TrueF, fold, rename_bound)
+                     Formula, Implies, Not, Or, Term, TrueF, fold)
 
 DEFAULT_ORACLE_BUDGET = 200_000
 
@@ -109,12 +113,11 @@ class _Decomposer:
         # same atom recurs across a tree's clauses
         self.atoms: list[CAtom] = []
         self.numbers: dict[tuple, int] = {}  # (kind, *form) -> atom number
-        # per (symbol, literal): the literal's cases as bounds on the
-        # symbol, each with the number of its (symbol, form); per
-        # pair of form numbers, their resolvent, and per case kind and
-        # pair, its node.  The same pairs recur across a part's combos and
-        # across clauses, and f < 0 and f = 0 share f's resolvents.
-        self.cases: dict[tuple[str, int], list[tuple]] = {}
+        # per (symbol, literal): its case, a bound on the symbol with the
+        # number of its (symbol, form); per pair of form numbers, their
+        # resolvent, and per kind and pair, its node.  The same pairs recur
+        # across clauses, and f < 0, f = 0 and f != 0 share f's resolvents.
+        self.cases: dict[tuple[str, int], tuple] = {}
         self.form_numbers: dict[tuple[str, LinForm], int] = {}
         self.resolvents: dict[tuple[int, int], LinForm] = {}
         self.resolvent_nodes: dict[tuple[int, str, int], BNode] = {}
@@ -218,8 +221,13 @@ class _Decomposer:
             return kids[0]
         if t is TrueF or t is FalseF:
             return (t is TrueF) == pos
+        if t is Implies:
+            # its kids were decomposed at its own polarity
+            return _join("|" if pos else "&", (_bnot(kids[0]), kids[1]))
         if t is AtomF:
             node = self.atom(g.atom)
+            # t <= 0 is ~(-t < 0), t != 0 is ~(t = 0)
+            pos = pos != (g.atom.kind in (AtomKind.LE, AtomKind.NEQ))
         elif t is Exists or t is Forall:
             # A v. phi is ~E v. ~phi, and its body was decomposed negated
             node = self.eliminate(kids[0], g.var)
@@ -231,7 +239,9 @@ class _Decomposer:
     def atom(self, a: Atom) -> BNode:
         if a.kind == AtomKind.LT:
             return self.lex_lt_zero(a.term)
-        if a.kind == AtomKind.EQ:
+        if a.kind == AtomKind.LE:
+            return self.lex_lt_zero(-a.term)
+        if a.kind == AtomKind.EQ or a.kind == AtomKind.NEQ:
             return self.prefix_zero(a.term, self.m.dim)
         if a.kind == AtomKind.UMEM:
             return self.u_atom(a.term)
@@ -272,7 +282,7 @@ class _Decomposer:
                 key = (sym, tuple(part))
                 node = done.get(key)
                 if node is None:
-                    node = done[key] = _bor(*self._eliminate_part(part, sym))
+                    node = done[key] = self._eliminate_part(part, sym)
                 if node is False:
                     break
                 kept.append(node)
@@ -285,74 +295,73 @@ class _Decomposer:
 
     # -- one-dimensional elimination over a dense order ----------------------
 
-    def _eliminate_part(self, part: list[int], sym: str) -> list[BNode]:
-        """The disjuncts of E sym. part, for literals that all mention sym."""
-        choices = [self._cases_of(l, sym) for l in part]
-        n = 1
-        for opts in choices:
-            n *= len(opts)
-            if n > self.budget:
-                raise BudgetExceededError("oracle split budget exceeded")
+    def _eliminate_part(self, part: list[int], sym: str) -> BNode:
+        """E sym. part, for literals that all mention sym, as one
+        conjunction: an equation's root substituted into the rest, or else
+        room between each (lower, upper) pair's roots, none if both are
+        weak, and where weak ones meet, at no disequation's root."""
+        cases = [self._case_of(l, sym) for l in part]
+        eq = next((a for a in cases if a[1] == "eq"), None)
+        if eq is not None:
+            pairs, diseqs = [(a, eq, a[1]) for a in cases if a is not eq], []
+        else:
+            lowers = [a for a in cases if a[1] != "neq" and a[2] < 0]
+            uppers = [a for a in cases if a[1] != "neq" and a[2] > 0]
+            pairs = [(lo, up, "le" if lo[1] == up[1] == "le" else "lt")
+                     for lo in lowers for up in uppers]
+            diseqs = [a for a in cases if a[1] == "neq"]
+        weak = [p for p in pairs if p[2] == "le"] if diseqs else []
+        if len(pairs) + len(weak) * len(diseqs) > self.budget:
+            raise BudgetExceededError("oracle split budget exceeded")
+        nodes: list[BNode] = []
+        for a, b, k in pairs:
+            node = self._resolvent(a, b, k)
+            if node is False:
+                return False
+            nodes.append(node)
+        for lo, up, _ in weak:
+            meet = self._resolvent(lo, up, "neq")
+            nodes += [_bor(meet, self._resolvent(lo, d, "neq"))
+                      for d in diseqs]
+        return _band(*nodes)
 
-        results: list[BNode] = []
-        for combo in itertools.product(*choices):
-            eq = next((o for o in combo if o[1] == "eq"), None)
-            if eq is not None:
-                pairs = [(o, eq) for o in combo if o is not eq]
-            else:
-                # a disequality never empties an open interval
-                lowers = [o for o in combo if o[1] == "lt" and o[2] < 0]
-                uppers = [o for o in combo if o[1] == "lt" and o[2] > 0]
-                pairs = [(lo, up) for lo in lowers for up in uppers]
-            extra: list[BNode] = []
-            for a, b in pairs:
-                key = (a[3], a[1], b[3])
-                node = self.resolvent_nodes.get(key)
-                if node is None:
-                    node = self.resolvent_nodes[key] = self._resolvent(a, b)
-                if node is False:
-                    break
-                if node is not True:
-                    extra.append(node)
-            else:
-                results.append(_band(*extra))
-        return results
-
-    def _cases_of(self, l: int, sym: str) -> list[tuple]:
-        """Literal l as cases (form, kind, coefficient of sym, number of
-        (sym, form)); a negated strict bound splits into reversed-strict or
-        equality."""
-        cases = self.cases.get((sym, l))
-        if cases is None:
+    def _case_of(self, l: int, sym: str) -> tuple:
+        """Literal l as (form, kind, coefficient of sym, number of (sym,
+        form)), reading form < 0, <= 0, = 0 or != 0 by kind "lt", "le",
+        "eq" or "neq": a negated strict bound is the reversed weak one."""
+        case = self.cases.get((sym, l))
+        if case is None:
             atom = self.atoms[l if l >= 0 else ~l]
             form, kind = atom.form, atom.kind
-            c = form.coeff(sym)
-            if l >= 0:
-                opts = [(form, kind, c)]
-            elif kind == "lt":
-                opts = [(-form, "lt", -c), (form, "eq", c)]
-            else:
-                opts = [(form, "neq", c)]
+            if l < 0:
+                form, kind = ((-form, "le") if kind == "lt"
+                              else (form, "neq"))
             nums = self.form_numbers
-            cases = self.cases[sym, l] = [
-                (f, k, c, nums.setdefault((sym, f), len(nums)))
-                for f, k, c in opts]
-        return cases
+            case = self.cases[sym, l] = (
+                form, kind, form.coeff(sym),
+                nums.setdefault((sym, form), len(nums)))
+        return case
 
-    def _resolvent(self, a: tuple, b: tuple) -> BNode:
-        """The node of what case a leaves of sym once it meets b, an
-        equation or an upper bound (a then a lower bound).  The combined
-        form is built once per pair of forms."""
-        f, k, c, fa = a
-        g, _, c0, fb = b
-        form = self.resolvents.get((fa, fb))
-        if form is None:
-            # c0*s + r0 = 0 turns c*s + r into |c0|*r - sign(c0)*c*r0; for
-            # an upper bound (c0 > 0), the lower bound c*s + r < 0 (c < 0)
-            # lies below it iff that is negative
-            form = self.resolvents[fa, fb] = _combine(
-                abs(c0), f, -c if c0 > 0 else c, g)
-        return self.lit(form, "eq" if k == "neq" else k, neg=k == "neq")
+    def _resolvent(self, a: tuple, b: tuple, kind: str) -> BNode:
+        """The node of R kind 0, for R what case a's form leaves once sym
+        is taken at the root of case b's (b an equation, a disequation or
+        an upper bound, a then a lower bound, which lies below b iff R <
+        0).  The combined form is built once per pair of forms."""
+        key = (a[3], kind, b[3])
+        node = self.resolvent_nodes.get(key)
+        if node is None:
+            f, _, c, fa = a
+            g, _, c0, fb = b
+            form = self.resolvents.get((fa, fb))
+            if form is None:
+                # c0*s + r0 = 0 turns c*s + r into |c0|*r - sign(c0)*c*r0
+                form = self.resolvents[fa, fb] = _combine(
+                    abs(c0), f, -c if c0 > 0 else c, g)
+            # R <= 0 is ~(-R < 0), R != 0 is ~(R = 0)
+            node = self.resolvent_nodes[key] = (
+                self.lit(-form, "lt", True) if kind == "le" else
+                self.lit(form, "eq" if kind == "neq" else kind, kind == "neq"))
+        return node
 
 
 def _polarity(g: Formula, c: tuple[bool, bool]) -> tuple[bool, bool]:
@@ -534,7 +543,7 @@ class IntOracleEval(AtDenominator):
 def oracle_compile(m: ModelDescriptor, f: Formula,
                    budget: int = DEFAULT_ORACLE_BUDGET) -> OracleDecision:
     d = _Decomposer(m, budget)
-    tree = d.decompose(normalize_atoms(rename_bound(f)))
+    tree = d.decompose(f)
     return OracleDecision(tree, d.atoms, d.alpha)
 
 

@@ -17,7 +17,8 @@ from convexqe.oracle import IntOracleEval, oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
                            int_sample_pool, pool_drawer)
-from convexqe.syntax import free_vars, is_quantifier_free
+from convexqe.syntax import (And, Exists, Forall, free_vars,
+                             is_quantifier_free, rename_bound)
 from convexqe.normalform import normalize_atoms
 from conftest import FIXTURE_NAMES, get_model, past_default_precision
 
@@ -149,6 +150,130 @@ class TestBudget:
             seen.add(truth)
         assert seen == {True, False}
 
+    # 18 weak lower bounds y >= i, one weak upper bound y <= c and one
+    # disequation y != d: splitting each negated strict bound into two
+    # cases would make 2^18 combos
+    WEAK_BOUNDS = ("E y. " + " & ".join(f"~(y < {i})" for i in range(18))
+                   + " & ~(c < y) & ~(y = d)")
+
+    def test_weak_bounds_need_no_case_split(self, m_pi):
+        f = parse_formula(self.WEAK_BOUNDS)
+        dec = oracle_compile(m_pi, f)
+        for c, d, truth in [(17, 5, True), (17, 17, False), (16, 3, False)]:
+            assert dec.eval({"c": Point.of(c), "d": Point.of(d)}) is truth
+
+    def test_small_budget_refuses_the_split(self, m_pi):
+        # 18 (lower, upper) pairs, and 18 weak pairs each against the one
+        # disequation: 36 conditions
+        f = parse_formula(self.WEAK_BOUNDS)
+        assert oracle_compile(m_pi, f, budget=36).eval(
+            {"c": Point.of(17), "d": Point.of(5)})
+        with pytest.raises(BudgetExceededError,
+                           match="oracle split budget exceeded"):
+            oracle_compile(m_pi, f, budget=35)
+
+
+# one literal a*y + b*x + k OP 0 per kind, as text, and its truth at a value
+# v of the left-hand side
+_KINDS = {
+    "<": ("{} < 0", lambda v: v < 0),
+    "<=": ("{} <= 0", lambda v: v <= 0),
+    "=": ("{} = 0", lambda v: v == 0),
+    "!=": ("{} != 0", lambda v: v != 0),
+    "~<": ("~({} < 0)", lambda v: not v < 0),
+}
+
+
+def _brute_exists(lits, x):
+    """E y. lits at x, tried at the literals' roots in y, the midpoints
+    between them and one point past each end: each literal keeps its truth
+    between neighbouring roots."""
+    roots = sorted({Fraction(-(b * x + k), a) for a, b, k, _ in lits})
+    points = [roots[0] - 1, roots[-1] + 1, *roots,
+              *((p + q) / 2 for p, q in zip(roots, roots[1:]))]
+    return any(all(_KINDS[kind][1](a * y + b * x + k)
+                   for a, b, k, kind in lits) for y in points)
+
+
+class TestOneDimensionalElimination:
+    def test_random_parts_agree_with_brute_force(self, m_pi):
+        rng = random.Random(30)
+        xs = [Fraction(n, 2) for n in range(-7, 8)]
+        seen = set()
+        for _ in range(400):
+            lits = [(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-2, 2),
+                     rng.randint(-3, 3), rng.choice(list(_KINDS)))
+                    for _ in range(rng.randint(1, 6))]
+            text = "E y. " + " & ".join(
+                _KINDS[kind][0].format(f"{a} * y + {b} * x + {k}")
+                for a, b, k, kind in lits)
+            dec = oracle_compile(m_pi, parse_formula(text))
+            for x in rng.sample(xs, 4):
+                truth = _brute_exists(lits, x)
+                assert dec.eval({"x": Point.of(x)}) is truth, (text, x)
+                seen.add(truth)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("text", [
+        "E y. a <= y & y <= a & y != b",
+        "E y. ~(y < a) & ~(a < y) & ~(y = b)",
+        "E y. ~(y < a) & y <= a & b != y & y != b + 1",
+    ])
+    def test_a_point_interval_meets_its_disequation(self, m_pi, text):
+        # the bounds leave the one point a, which y != b removes iff a = b
+        dec = oracle_compile(m_pi, parse_formula(text))
+        assert dec.eval({"a": Point.of(2), "b": Point.of(3)})
+        assert not dec.eval({"a": Point.of(2), "b": Point.of(2)})
+
+    def test_strict_and_weak_bounds_at_one_root(self, m_pi):
+        for text, truth in [("E y. a <= y & y < a", False),
+                            ("E y. a < y & y <= a", False),
+                            ("E y. a <= y & y <= a", True),
+                            ("E y. a <= y & y <= a & y = a", True),
+                            ("E y. a <= y & y <= a & y = b", False)]:
+            dec = oracle_compile(m_pi, parse_formula(text))
+            assert dec.eval({"a": Point.of(1), "b": Point.of(0)}) is truth, \
+                text
+
+
+# quantifier bodies whose binders the parser would rename apart, built
+# directly: a reused binder, and a bound name that is also free
+def _shadowing_formulas():
+    p = parse_formula
+    return [
+        Exists("x", And(p("x < y"), Exists("x", p("y < x")))),
+        And(p("x < 1/2"), Exists("x", p("x = y + 1"))),
+        Forall("x", And(p("x < y | y <= x"),
+                        Exists("x", And(p("U(x)"), p("x != y"))))),
+        Exists("y", And(p("~(y <= x)"),
+                        Forall("y", p("y != x -> ~(y = 2 * x)")))),
+    ]
+
+
+_PREPASS_TEXTS = [
+    "~(x <= y)", "~(x != y)", "~(x <= y -> U(x - y))",
+    "A y. (x <= y -> y != z)", "A y. ~(y <= x) -> I(y - z)",
+    "(x <= y -> y <= z) -> x <= z", "~((x != y -> U(y)) -> ~(z <= x))",
+    "A y. E z. (y <= z -> ~(z != x + y))", "E y. ~(U(y) -> y <= x)",
+]
+
+
+class TestWithoutPrePasses:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_decided_as_after_renaming_and_normalizing(self, name):
+        m = get_model(name)
+        rng = random.Random(name)
+        forms = _shadowing_formulas() + [parse_formula(t)
+                                         for t in _PREPASS_TEXTS]
+        for f in forms[:4]:
+            assert rename_bound(f) != f
+        for f in forms:
+            dec = oracle_compile(m, f)
+            ref = oracle_compile(m, normalize_atoms(rename_bound(f)))
+            for _ in range(20):
+                asgn = {v: gen_point(rng, m) for v in free_vars(f)}
+                assert dec.eval(asgn) == ref.eval(asgn), str(f)
+
 
 class TestIntegerForms:
     @pytest.mark.parametrize("a, b", [("2*y < 0", "y < 0"),
@@ -253,8 +378,8 @@ class TestOracleScale:
 class TestResolvents:
     def test_each_resolvent_is_combined_once(self, monkeypatch):
         # over two coordinates each < is (f0 < 0) | (f0 = 0 & f1 < 0): the
-        # DNF's clauses and a part's combos meet the same lower/upper and
-        # equation pairs again and again, and f0 < 0 and f0 = 0 share f0
+        # DNF's clauses meet the same lower/upper and equation pairs again
+        # and again, and f0 < 0 and f0 = 0 share f0
         m = get_model("lex2_sub1")  # a fresh model misses the compile cache
         f = parse_formula("E y. (x < y | z < y) & (y < w | y < v) & ~(y < u)")
         calls = []

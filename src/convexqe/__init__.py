@@ -18,11 +18,10 @@ from .errors import (BudgetExceededError, ConstantPieceUnsupportedError,
                      NonvaluationalInterpretationError, PrecisionBudgetError,
                      PreconditionViolatedError, SearchExhaustedError,
                      SkolemShapeUnsupportedError, UnsupportedCutError)
-from .models import (Cmp, DownwardCut, IrrationalOracle, ModelDescriptor,
+from .models import (DownwardCut, IrrationalOracle, ModelDescriptor,
                      PiOracle, PlusInf, PLUS_INF, Point, SqrtOracle,
-                     SubgroupLevel, compare_to_threshold, eval_formula,
-                     i_member, load_model, model_from_json, model_to_json,
-                     term_value, u_member)
+                     SubgroupLevel, eval_formula, i_member, load_model,
+                     model_from_json, model_to_json, term_value, u_member)
 from .normalform import normalize_atoms, simplify, to_dnf
 from .oracle import oracle_compile, oracle_truth
 from .parser import parse_formula, parse_term

@@ -21,7 +21,7 @@ from .errors import (NonvaluationalInterpretationError,
                      PreconditionViolatedError)
 from .models import (DEFAULT_PRECISION_BITS, CutClass, DownwardCut,
                      ModelDescriptor, PlusInf, Point, SubgroupLevel,
-                     term_value, u_member)
+                     rat_text, term_value, u_member)
 from .piecewise import BinaryPiecewiseLinear, check_pluslike
 
 F0 = Fraction(0)
@@ -46,13 +46,13 @@ class ClassificationReport:
                      "stabilizer_level": self.stabilizer_level,
                      "uniquely_realizable": self.uniquely_realizable,
                      "epsilon_witness": (None if self.epsilon_witness is None
-                                         else [str(c) for c in self.epsilon_witness.coords])}
+                                         else [rat_text(c) for c in self.epsilon_witness.coords])}
         if self.falsifier is not None and m is not None:
             eps = Point.unit(m.dim, m.dim - 1)
             a = self.falsifier(eps)
-            out["falsifier_demo"] = {"epsilon": [str(c) for c in eps.coords],
-                                     "inside": [str(c) for c in a.coords],
-                                     "escapes": [str(c) for c in (a + eps).coords]}
+            out["falsifier_demo"] = {"epsilon": [rat_text(c) for c in eps.coords],
+                                     "inside": [rat_text(c) for c in a.coords],
+                                     "escapes": [rat_text(c) for c in (a + eps).coords]}
         else:
             out["falsifier_demo"] = None
         return out
@@ -262,10 +262,10 @@ class CanonicalCut:
 
     def describe(self) -> dict:
         return {"reflected": self.reflected,
-                "shift": [str(c) for c in self.shift.coords],
+                "shift": [rat_text(c) for c in self.shift.coords],
                 "stabilizer_level": self.stabilizer_level,
                 "edge_rep": (None if self.edge_rep is None
-                             else [str(c) for c in self.edge_rep.coords]),
+                             else [rat_text(c) for c in self.edge_rep.coords]),
                 "edge_included": self.edge_included,
                 "oracle_edge": self.oracle_edge}
 

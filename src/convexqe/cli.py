@@ -21,13 +21,13 @@ from .doagqe import QeOptions
 from .errors import ConvexQEError, FormulaSyntaxError
 from .fuzz import MAX_DEPTH, FuzzConfig, run_fuzz
 from .models import (START_BITS, Point, eval_formula, json_rational,
-                     load_model)
+                     load_model, read_json)
 from .parser import parse_formula, parse_term
 from .piecewise import (UnaryPiecewiseLinear, binary_from_json,
                         check_pluslike, fn_from_json, normalize_monotone,
                         unary_to_json)
 from .skolemlab import choice_violation, obstruction_find, verify_skolem
-from .syntax import free_vars, is_quantifier_free, print_formula
+from .syntax import _int_text, free_vars, is_quantifier_free, print_formula
 
 FIXTURES_ENV = "CONVEXQE_FIXTURES"
 
@@ -84,20 +84,6 @@ def _precision(text: str) -> int:
 
 def _qe_options(args) -> QeOptions:
     return QeOptions(dnf_budget=args.budget_dnf, depth_budget=args.budget_depth)
-
-
-def _read_json(path: str):
-    """The JSON value in the file at path; an unreadable file or malformed
-    JSON is a domain error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConvexQEError(f"cannot read JSON from {path}: {exc}") from None
-
-
-def _load_fn(path: str):
-    return fn_from_json(_read_json(path))
 
 
 def _point(coords, m) -> Point:
@@ -176,7 +162,7 @@ def cmd_skolemize(args) -> int:
 def cmd_verify_skolem(args) -> int:
     m = load_model(resolve_model_path(args.model))
     phi = parse_formula(args.phi)
-    data = _read_json(args.sk)
+    data = read_json(args.sk)
     if isinstance(data, dict) and "cases" in data:
         data = data["cases"]
     sk = _sk_from_json(data, args.target)
@@ -189,7 +175,7 @@ def cmd_verify_skolem(args) -> int:
 
 def cmd_obstruct(args) -> int:
     m = load_model(resolve_model_path(args.model))
-    fn = _load_fn(args.fn)
+    fn = fn_from_json(read_json(args.fn))
     if not isinstance(fn, UnaryPiecewiseLinear):
         raise ConvexQEError("obstruction search needs a unary function")
     w = obstruction_find(m, fn)
@@ -201,7 +187,7 @@ def cmd_obstruct(args) -> int:
 def cmd_choice_demo(args) -> int:
     m = load_model(resolve_model_path(args.model))
     if args.fn:
-        cand = _load_fn(args.fn)
+        cand = fn_from_json(read_json(args.fn))
     else:
         cand = UnaryPiecewiseLinear.affine(1, 0)
     v = choice_violation(m, cand, seed=args.seed)
@@ -210,7 +196,7 @@ def cmd_choice_demo(args) -> int:
 
 
 def cmd_normalize_monotone(args) -> int:
-    fn = _load_fn(args.fn)
+    fn = fn_from_json(read_json(args.fn))
     if not isinstance(fn, UnaryPiecewiseLinear):
         raise ConvexQEError("normalization needs a unary function")
     h = normalize_monotone(fn)
@@ -218,11 +204,20 @@ def cmd_normalize_monotone(args) -> int:
     return 0
 
 
+def _repr_text(w) -> str:
+    """repr(w) of a ``check_pluslike`` witness, in full at any length."""
+    if type(w) is tuple:
+        return f"({', '.join(map(_repr_text, w))})"
+    if type(w) is int:
+        return _int_text(w)
+    return f"Fraction({_int_text(w.numerator)}, {_int_text(w.denominator)})"
+
+
 def cmd_check_pluslike(args) -> int:
-    fn = binary_from_json(_read_json(args.fn))
+    fn = binary_from_json(read_json(args.fn))
     rep = check_pluslike(fn)
     payload = {"pluslike": rep.pluslike, "reason": rep.reason,
-               "witness": repr(rep.witness) if rep.witness else None}
+               "witness": _repr_text(rep.witness) if rep.witness else None}
     _emit(args, payload, "pluslike" if rep.pluslike else f"violation: {rep.reason}")
     return 0
 

@@ -5,15 +5,17 @@ one constructor of members of the cut near it.  Both read the cut's shape,
 For a downward cut C with virtual supremum g, ``edge_sign`` gives the sign
 of the virtual value (q-1)*g + c, also in the limit along c + delta*drift
 as delta -> 0+ (dual numbers u + v*delta, compared by the sign of u, then
-of v).  It is the only comparison against sup C in the package: an affine
-map q*x + c with q > 0 maps C into itself exactly when the sign is <= 0,
-and the Skolem obstruction reads the same sign.  ``edge_gap`` bounds the
-size of that value from below, and ``edge_member`` builds a member of C
-within a given distance of g: every witness in the package (resistance,
-the falsifiers, the stabilizer escapes, the Skolem obstruction) is one of
-its members, a cell or piece end, or a closed form.  The arithmetic is
-coordinate comparisons plus oracle refinement to the precision each call
-sets, so everything here is exact and terminating.
+of v).  At an irrational edge the sign is a membership in the cut, which
+``models.u_member`` decides, with its drift for the limit.  It is the only
+comparison against sup C in the package: an affine map q*x + c with q > 0
+maps C into itself exactly when the sign is <= 0, and the Skolem
+obstruction reads the same sign.  ``edge_gap`` bounds the size of that
+value from below, and ``edge_member`` builds a member of C within a given
+distance of g: every witness in the package (resistance, the falsifiers,
+the stabilizer escapes, the Skolem obstruction) is one of its members, a
+cell or piece end, or a closed form.  The arithmetic is coordinate
+comparisons plus oracle refinement to the precision each call sets, so
+everything here is exact and terminating.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Optional
 from .errors import (MalformedModelError, PrecisionBudgetError,
                      SearchExhaustedError)
 from .models import (DEFAULT_PRECISION_BITS, START_BITS, CutClass,
-                     DownwardCut, ModelDescriptor, PlusInf, Point)
+                     ModelDescriptor, Point, u_member)
 
 F0 = Fraction(0)
 
@@ -65,21 +67,6 @@ def limit_sign(c: Point, drift: Point) -> int:
     return _dual_sign(_duals(c, drift))
 
 
-def _dual_u_member(m: ModelDescriptor, p: list[Dual]) -> bool:
-    """Membership of base + delta*drift in the cut, for small delta > 0."""
-    assert isinstance(m.u_interp, DownwardCut)
-    for (u, v), entry in zip(p, m.u_interp.threshold):
-        if isinstance(entry, PlusInf):
-            return True
-        if isinstance(entry, Fraction):
-            s = _dual_sign([(u - entry, v)])
-            if s:
-                return s < 0
-            continue
-        return entry.compare(u) < 0  # u is rational, never equal to the value
-    return not m.u_interp.strict
-
-
 def edge_sign(m: ModelDescriptor, q: Fraction, c: Point,
               drift: Optional[Point] = None) -> int:
     """Limit sign of (q-1)*g + c + delta*drift as delta -> 0+, where
@@ -91,15 +78,16 @@ def edge_sign(m: ModelDescriptor, q: Fraction, c: Point,
     the sign of sup C - p is edge_sign(m, 2, -p).
     """
     cut = m.cut
-    cs = _duals(c, drift)
     if cut.oracle is not None and q != 1:
         # (q-1)*g + c = (q-1)*(g - z) with z = c/(1-q) rational, so z != g
-        z = [(u / (1 - q), v / (1 - q)) for u, v in cs]
-        s = 1 if _dual_u_member(m, z) else -1
+        r = Fraction(1, 1 - q)
+        s = 1 if u_member(m, c.scale(r), drift=None if drift is None
+                          else drift.scale(r)) else -1
         return s if q > 1 else -s
     # g is rational at the stabilizer scale k, its coordinates the prefix
     # (none for a subgroup, and with q = 1 the shift is 0)
     p = cut.prefix
+    cs = _duals(c, drift)
     cs = [((q - 1) * t + u, v) for t, (u, v) in zip(p, cs)] + cs[len(p):]
     return _dual_sign(cs[:cut.stabilizer])
 

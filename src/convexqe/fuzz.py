@@ -23,9 +23,9 @@ from .models import (DownwardCut, IntCompiledFormula, ModelDescriptor, Point,
 from .normalform import DEFAULT_DNF_BUDGET
 from .oracle import IntOracleEval, oracle_compile
 from .syntax import (And, AtomKind, Exists, Forall, Formula, Not, Or, Term,
-                     atom, fold, free_vars, imem, is_quantifier_free,
-                     print_formula, rebuild, subformulas, umem, TRUE, FALSE,
-                     TrueF, FalseF)
+                     _rat_text, atom, fold, free_vars, imem,
+                     is_quantifier_free, print_formula, rebuild, subformulas,
+                     umem, TRUE, FALSE, TrueF, FalseF)
 
 COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2)]
@@ -218,7 +218,7 @@ def model_sample_pool(m: ModelDescriptor) -> tuple[Fraction, ...]:
 
 def _shown(numerators, denom: int = SAMPLE_DENOM) -> list[str]:
     """Coordinate numerators over denom, as reports print them."""
-    return [str(Fraction(c, denom)) for c in numerators]
+    return [_rat_text(c, denom) for c in numerators]
 
 
 def _shrink(m: ModelDescriptor, st: CutStructure, f: Formula, ints: dict,

@@ -8,6 +8,11 @@ sqrt of a non-square rational) behind refinable interval oracles, or +inf.
 The stabilizer predicate I always denotes {eps : eps + U-cut = U-cut}.
 What kind of cut U is, ``ModelDescriptor.cut``, is read off the
 interpretation here once; every other module takes it from there.
+``u_member`` is the one walk of a point against U's threshold, entry by
+entry; with a drift it decides p + delta*drift for every small delta > 0,
+which is how ``cutarith`` reads the limit at the cut's supremum.
+``read_json`` is the one reader of JSON files, for models here and for
+every file the CLI takes.
 
 Quantifier-free formulas are evaluated two ways.  ``eval_formula`` folds
 the formula with exact Point arithmetic and is the reference.
@@ -34,7 +39,7 @@ from operator import eq, le, lt, ne
 from typing import Mapping, Optional, Union
 
 from .closures import AtDenominator, Evaluator, Lowering
-from .errors import (MalformedModelError, PrecisionBudgetError)
+from .errors import ConvexQEError, MalformedModelError, PrecisionBudgetError
 from .normalform import normalize_atoms
 from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
                      Or, Term, TrueF, _rat_text, fold, is_quantifier_free)
@@ -261,12 +266,6 @@ class DownwardCut:
     strict: bool = True
 
 
-class Cmp(Enum):
-    BELOW = -1
-    EQUAL = 0
-    ABOVE = 1
-
-
 class CutClass(Enum):
     SUBGROUP = "subgroup"
     IRRATIONAL_CUT = "irrational-cut"
@@ -396,37 +395,31 @@ def validate_model(m: ModelDescriptor) -> None:
 # Membership and comparison
 
 
-def compare_to_threshold(m: ModelDescriptor, p: Point,
-                         budget: int = DEFAULT_PRECISION_BITS) -> Cmp:
-    """Lexicographic position of p against the cut threshold, refining
-    oracles until decided.  EQUAL only when every consulted entry is rational.
-    """
-    if not isinstance(m.u_interp, DownwardCut):
-        raise MalformedModelError("compare_to_threshold needs a downward cut")
-    for c, entry in zip(p.coords, m.u_interp.threshold):
-        if isinstance(entry, PlusInf):
-            return Cmp.BELOW
-        if isinstance(entry, Fraction):
-            if c < entry:
-                return Cmp.BELOW
-            if c > entry:
-                return Cmp.ABOVE
-            continue
-        sign = entry.compare(c, budget)
-        return Cmp.BELOW if sign < 0 else Cmp.ABOVE
-    return Cmp.EQUAL
-
-
 def u_member(m: ModelDescriptor, p: Point,
-             budget: int = DEFAULT_PRECISION_BITS) -> bool:
-    if isinstance(m.u_interp, SubgroupLevel):
-        return all(c == 0 for c in p.coords[:m.u_interp.level])
-    cmp = compare_to_threshold(m, p, budget)
-    if cmp is Cmp.BELOW:
-        return True
-    if cmp is Cmp.EQUAL:
-        return not m.u_interp.strict
-    return False
+             budget: int = DEFAULT_PRECISION_BITS,
+             drift: Optional[Point] = None) -> bool:
+    """Membership of p in U, or for a cut with a drift, of p + delta*drift
+    for every small delta > 0.  A subgroup reads ``i_member``.  A cut is
+    walked entry by entry: a rational entry decides by the sign of the
+    coordinate less the entry, or where that is 0 by the drift's
+    coordinate; +inf decides "below"; the deciding irrational entry decides
+    by refinement within budget bits (a rational coordinate never equals
+    it, so the drift never matters there); past the last entry, the
+    strictness decides."""
+    u = m.u_interp
+    if isinstance(u, SubgroupLevel):
+        return i_member(m, p)
+    ds = (0,) * m.dim if drift is None else drift.coords
+    for c, d, entry in zip(p.coords, ds, u.threshold):
+        if isinstance(entry, PlusInf):
+            return True
+        if isinstance(entry, Fraction):
+            s = c - entry or d
+            if s:
+                return s < 0
+            continue
+        return entry.compare(c, budget) < 0
+    return not u.strict
 
 
 def closure_member(m: ModelDescriptor, p: Point) -> bool:
@@ -651,10 +644,15 @@ def model_from_json(data: dict) -> ModelDescriptor:
     return ModelDescriptor(dim, interp, e_in, e_out)
 
 
+def read_json(path: str):
+    """The JSON value in the file at path; an unreadable file or malformed
+    JSON is a domain error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConvexQEError(f"cannot read JSON from {path}: {exc}") from None
+
+
 def load_model(path: str) -> ModelDescriptor:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not text
-            raise MalformedModelError(f"bad model descriptor: {exc}") from exc
-    return model_from_json(data)
+    return model_from_json(read_json(path))

@@ -2,24 +2,28 @@
 
 Group operations act componentwise and the order is lexicographic, so every
 formula over a fixture model translates into a boolean combination of
-one-dimensional linear-arithmetic conditions over Q, one per coordinate,
-with at most one irrational-cut symbol (the deciding threshold entry).
-Every such condition mentions the symbols of one coordinate alone.  So each
-quantifier takes one DNF of its body, splits each clause into the literals
-free of the variable and one part per coordinate symbol of it, and
-eliminates each part on its own with one self-contained Fourier-Motzkin pass
-with weak bounds over a dense order without endpoints, the substitution step
-of Loos-Weispfenning (1993): an equation's root is substituted, or else each
-lower bound meets each upper bound once, a negated strict bound being a weak
-one, so no part splits into cases.  Negations are carried down to the atoms
-as a polarity, so no subtree is negated twice, and <=, != and -> are read at
-the polarity they stand at.  A quantifier eliminates its own symbols after
-its inner quantifiers did theirs, so shadowing captures nothing: the parsed
-formula is decomposed as it stands, with no renaming or normalizing pass.
-The pass works on primitive integer linear forms (entries with gcd 1, an
-equation's leading coefficient positive), combined only with positive
-factors: no Fraction arithmetic happens after decomposition, and an atom has
-one form whichever multiple of it arose.
+one-dimensional linear-arithmetic conditions over Q, one per coordinate, with
+at most one irrational-cut symbol (the deciding threshold entry).  Every such
+condition mentions the symbols of one coordinate alone.  So each quantifier
+takes one DNF of its body, splits each clause into the literals free of the
+variable and one part per coordinate symbol of it, and eliminates each part
+on its own with one self-contained Fourier-Motzkin pass with weak bounds, the
+substitution step of Loos-Weispfenning (1993): an equation's root is
+substituted, or else each lower bound meets each upper bound once, a negated
+strict bound being a weak one, so no part splits into cases.  The order is
+the rationals with one irrational constant alpha, not any dense order: no
+rational point is the root of a form that carries alpha, so a negated strict
+bound on such a form stays strict, and no equation ever carries alpha
+(equations come from alpha-free coordinates and resolve only with alpha-free
+forms).  Negations are carried down to the atoms as a polarity, so no subtree
+is negated twice, and <=, != and -> are read at the polarity they stand at.
+A quantifier eliminates its own symbols after its inner quantifiers did
+theirs, so shadowing captures nothing: the parsed formula is decomposed as it
+stands, with no renaming or normalizing pass.  The pass works on primitive
+integer linear forms (entries with gcd 1, an equation's leading coefficient
+positive), combined only with positive factors: no Fraction arithmetic
+happens after decomposition, and an atom has one form whichever multiple of
+it arose.
 
 This module deliberately shares no elimination machinery with the main
 engines; it is the differential-testing reference.  The residual tree is
@@ -328,14 +332,16 @@ class _Decomposer:
     def _case_of(self, l: int, sym: str) -> tuple:
         """Literal l as (form, kind, coefficient of sym, number of (sym,
         form)), reading form < 0, <= 0, = 0 or != 0 by kind "lt", "le",
-        "eq" or "neq": a negated strict bound is the reversed weak one."""
+        "eq" or "neq": a negated strict bound is the reversed weak one, or
+        the reversed strict one when its form carries alpha, as no rational
+        point is the root of such a form."""
         case = self.cases.get((sym, l))
         if case is None:
             atom = self.atoms[l if l >= 0 else ~l]
             form, kind = atom.form, atom.kind
             if l < 0:
-                form, kind = ((-form, "le") if kind == "lt"
-                              else (form, "neq"))
+                form, kind = ((-form, "lt" if form.alpha else "le")
+                              if kind == "lt" else (form, "neq"))
             nums = self.form_numbers
             case = self.cases[sym, l] = (
                 form, kind, form.coeff(sym),
@@ -483,17 +489,16 @@ def _row_terms(form: LinForm) -> tuple[tuple[str, int, int], ...]:
 
 def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
     """The ``closures`` spec of ``form < 0`` or ``form = 0``: the form's
-    symbols and constant are one integer row.  With a nonzero alpha
-    coefficient ac, ``form < 0`` at points over d is ``row + ac*d*alpha <
-    0``, that is ``row / (|ac|*d) < beta`` for beta = alpha if ac < 0,
-    else -alpha, decided against the cut's interval oracle."""
+    symbols and constant are one integer row.  Only a ``form < 0`` carries
+    alpha: with a nonzero alpha coefficient ac, at points over d it is
+    ``row + ac*d*alpha < 0``, that is ``row / (|ac|*d) < beta`` for beta =
+    alpha if ac < 0, else -alpha, decided against the cut's interval
+    oracle."""
     form, lt = a.form, a.kind == "lt"
     row = (_row_terms(form), form.const)
     if form.alpha == 0:
         sign, tail = (operator.lt, False) if lt else (operator.eq, True)
         return [row], sign, tail
-    if not lt:
-        return [], operator.lt, False  # never 0: alpha is irrational
     ac = form.alpha
     lo, hi, bits = alpha.bracket()
     if ac > 0:

@@ -17,7 +17,8 @@ from typing import Optional, Union
 
 from .errors import (ConstantPieceUnsupportedError, MalformedModelError,
                      PreconditionViolatedError)
-from .models import ModelDescriptor, Point, json_rational, term_value
+from .models import (ModelDescriptor, Point, json_rational, rat_text,
+                     term_value)
 from .syntax import Term
 
 ZERO = Fraction(0)
@@ -261,11 +262,11 @@ def pluslike_from_unary(h: UnaryPiecewiseLinear) -> BinaryPiecewiseLinear:
 
 
 def _piece_const_to_json(t: Term) -> dict:
-    out = {"intercept": str(t.offset)}
+    out = {"intercept": rat_text(t.offset)}
     if t.e_in:
-        out["e_in"] = str(t.e_in)
+        out["e_in"] = rat_text(t.e_in)
     if t.e_out:
-        out["e_out"] = str(t.e_out)
+        out["e_out"] = rat_text(t.e_out)
     return out
 
 
@@ -276,8 +277,8 @@ def _piece_const_from_json(d: dict) -> Term:
 
 
 def unary_to_json(f: UnaryPiecewiseLinear) -> dict:
-    return {"breakpoints": [str(b) for b in f.breakpoints],
-            "pieces": [{"slope": str(p.slope), **_piece_const_to_json(p.const)}
+    return {"breakpoints": [rat_text(b) for b in f.breakpoints],
+            "pieces": [{"slope": rat_text(p.slope), **_piece_const_to_json(p.const)}
                        for p in f.pieces]}
 
 

@@ -242,8 +242,8 @@ class ChoiceViolation:
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
-                "points": [[str(c) for c in p.coords] for p in self.points],
-                "values": [None if v is None else [str(c) for c in v.coords]
+                "points": [[rat_text(c) for c in p.coords] for p in self.points],
+                "values": [None if v is None else [rat_text(c) for c in v.coords]
                            for v in self.values],
                 "detail": self.detail}
 

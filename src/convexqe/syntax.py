@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import (Callable, Iterable, Iterator, Mapping, Optional,
@@ -231,23 +232,30 @@ def _lowest(nums: tuple[tuple[str, int], ...], a: int, b: int, c: int,
     return _new(Term, (nums, a, b, c, den))
 
 
-# str() refuses ints past a digit limit the interpreter sets (640 digits
-# at the least), so long ones are converted a chunk of digits at a time
-_CHUNK_DIGITS = 500
-_CHUNK = 10 ** _CHUNK_DIGITS
+# str() refuses ints past a digit limit the interpreter sets (640 digits at
+# the least), and int division, which a split by powers of ten needs, is
+# quadratic.  So a long int is rebuilt in ``decimal``, where multiplication
+# is subquadratic, by binary splitting n = hi * 2**k + lo, and printed from
+# there.
+_SHORT = 10 ** 500
+_LEAF_BITS = 1024
 
 
 def _int_text(n: int) -> str:
     """str(n), in full at any length."""
-    if -_CHUNK < n < _CHUNK:
+    if -_SHORT < n < _SHORT:
         return str(n)
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    chunks = []
-    while n >= _CHUNK:
-        n, r = divmod(n, _CHUNK)
-        chunks.append(str(r).zfill(_CHUNK_DIGITS))
-    chunks.append(str(n))
-    return sign + "".join(reversed(chunks))
+
+    def dec(n: int, bits: int) -> Decimal:
+        if bits <= _LEAF_BITS:
+            return Decimal(n)
+        k = bits // 2
+        hi = n >> k
+        return dec(hi, bits - k) * Decimal(2) ** k + dec(n - (hi << k), k)
+
+    with localcontext() as ctx:  # exact: no product is ever rounded
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        return ("-" if n < 0 else "") + str(dec(abs(n), abs(n).bit_length()))
 
 
 def _rat_text(n: int, den: int) -> str:

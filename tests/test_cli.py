@@ -1,7 +1,9 @@
 import glob
 import json
 import os
+import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,12 +15,18 @@ from convexqe.fuzz import MAX_DEPTH, FuzzConfig, run_fuzz
 from convexqe.models import Point, compile_formula, eval_formula, load_model
 from convexqe.oracle import oracle_truth
 from convexqe.parser import parse_formula
+from convexqe.piecewise import binary_from_json, check_pluslike
 from convexqe.syntax import print_formula
 
 from conftest import fixture_path, get_model
 
 
 FILE = object()  # stands for a file written with the case's content
+DIR = object()  # stands for a directory
+
+BIG = "1" + "0" * 5000  # 1e5000, past the digits str() converts
+BIG_FN = json.dumps({"breakpoints": [],
+                     "pieces": [{"slope": "1", "intercept": "1e5000"}]})
 
 
 def run(capsys, *argv):
@@ -137,6 +145,7 @@ class TestCommands:
              "e_in": ["0", "1"], "e_out": ["2", "0"]})),
         (("normalize-monotone", "--fn", FILE), json.dumps(
             {"breakpoints": [], "pieces": [{"slope": 0.5}]})),
+        (("classify", "--model", DIR), None),
     ], ids=["empty-sk", "sk-case-without-witness", "truncated-model",
             "assign-not-json", "empty-fn", "fn-not-an-object",
             "eval-unassigned-variable", "zero-denominator-threshold",
@@ -144,16 +153,75 @@ class TestCommands:
             "zero-denominator-direction", "zero-denominator-coordinate",
             "short-point", "long-point", "point-as-string",
             "float-coordinate", "boolean-coordinate", "float-dimension",
-            "string-strictness", "float-slope"])
+            "string-strictness", "float-slope", "model-is-a-directory"])
+    @pytest.mark.digit_limit
     def test_malformed_input_is_domain_error(self, capsys, tmp_path, argv,
                                              content):
         path = tmp_path / "input.json"
         if content is not None:
             path.write_text(content)
-        rc, out, err = run(capsys, *(str(path) if a is FILE else a
+        rc, out, err = run(capsys, *(str(path) if a is FILE else
+                                     str(tmp_path) if a is DIR else a
                                      for a in argv))
         assert rc == 1 and out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # well-formed input whose rationals have more digits than str()
+    # converts: each is printed in full
+    @pytest.mark.parametrize("argv, content, read, want", [
+        (("normalize-monotone", "--fn", FILE), BIG_FN,
+         lambda r: r["pieces"][0]["intercept"], BIG),
+        (("--format", "json", "choice-demo", "--model", "lex2_val_1inf.json",
+          "--fn", FILE), BIG_FN, lambda r: r["values"][0], [BIG, "0"]),
+        (("--format", "json", "check-pluslike", "--fn", FILE), json.dumps(
+            {"arity": 2, "direction": ["1", "1"], "thresholds": ["1e5000"],
+             "pieces": [{"coef_x": "1", "coef_y": "1", "intercept": "0"},
+                        {"coef_x": "1", "coef_y": "1", "intercept": "1"}]}),
+         lambda r: r["witness"], f"(0, Fraction({BIG}, 1))"),
+        (("--format", "json", "classify", "--model", FILE), json.dumps(
+            {"dim": 2, "U": {"kind": "downward-cut",
+                             "threshold": ["1e5000", {"irrational": "pi"}],
+                             "strict": True},
+             "e_in": ["0", "1"], "e_out": ["1e5001", "0"]}),
+         lambda r: r["falsifier_demo"], {"epsilon": ["0", "1"],
+                                         "inside": [BIG, "3"],
+                                         "escapes": [BIG, "4"]}),
+    ], ids=["normalize-monotone", "choice-demo", "check-pluslike",
+            "classify"])
+    @pytest.mark.digit_limit
+    def test_long_rationals_are_printed_in_full(self, capsys, tmp_path, argv,
+                                                content, read, want):
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        rc, out, err = run(capsys, *(str(path) if a is FILE else a
+                                     for a in argv))
+        assert rc == 0 and err == ""
+        assert read(json.loads(out)) == want
+
+    @pytest.mark.digit_limit
+    def test_long_witness_is_reported_in_full(self, capsys, tmp_path):
+        # x - 1/P - 1/Q for P, Q = 10^3999 + 7, + 9: each literal converts
+        # at the default digit limit, and the witness's 8,000-digit
+        # denominator does not with str(); under a limit below 4,000
+        # digits the literals are a syntax error
+        p, q = ("1" + "0" * 3998 + d for d in "79")
+        sk = tmp_path / "sk.json"
+        sk.write_text(json.dumps([{"guard": "true",
+                                   "witness": f"x - 1/{p} - 1/{q}"}]))
+        rc, out, err = run(capsys, "--format", "json", "verify-skolem",
+                           "--model", "lex2_sub1.json", "--phi", "x < y",
+                           "--samples", "5", "--sk", str(sk))
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4000:
+            assert rc == 2 and out == "" and err.startswith("syntax error: ")
+            return
+        assert rc == 1 and err == ""
+        # decimal prints the reference, as no digit limit binds it
+        failure = json.loads(out)["failure"]
+        x0, x1 = failure["assignment"]["x"]
+        w = Fraction(x0) - Fraction(1, 10 ** 3999 + 7) \
+            - Fraction(1, 10 ** 3999 + 9)
+        assert failure["witness"] == [
+            f"{Decimal(w.numerator)}/{Decimal(w.denominator)}", x1]
 
     @pytest.mark.parametrize("case, part, name", [
         ({"guard": "true", "witness": "y + 1"}, "witness", "y"),
@@ -233,6 +301,31 @@ class TestCommands:
         rc, out, _ = run(capsys, "--format", "json", "check-pluslike",
                          "--fn", str(fn))
         assert rc == 0 and json.loads(out)["pluslike"] is True
+
+    def test_check_pluslike_witness_is_its_repr(self, capsys, tmp_path):
+        # every witness shape (a boundary, a flat pair in either argument,
+        # with and without thresholds, across each cell) prints as repr did
+        rng = random.Random(3)
+        path = tmp_path / "f.json"
+        shapes = set()
+        for _ in range(60):
+            ts = sorted(rng.sample(range(-3, 4), rng.randint(0, 2)))
+            fn = {"arity": 2,
+                  "direction": [str(rng.choice((0, 1, -2))), "1/2"],
+                  "thresholds": [str(Fraction(t, 2)) for t in ts],
+                  "pieces": [{"coef_x": str(rng.choice((-1, 0, 1, 2))),
+                              "coef_y": str(rng.choice((-1, 0, 1, 2))),
+                              "intercept": str(rng.choice((0, 1)))}
+                             for _ in range(len(ts) + 1)]}
+            path.write_text(json.dumps(fn))
+            rc, out, _ = run(capsys, "--format", "json", "check-pluslike",
+                             "--fn", str(path))
+            rep = check_pluslike(binary_from_json(fn))
+            assert rc == 0
+            assert json.loads(out)["witness"] == (
+                repr(rep.witness) if rep.witness else None)
+            shapes.add(rep.reason)
+        assert len(shapes) == 4
 
 
 class TestDeepInput:
@@ -405,11 +498,24 @@ class TestFuzzCommand:
         with pytest.raises(ValueError, match="at most 90"):
             run_fuzz(get_model("lex2_sub1"), FuzzConfig(formulas=5, depth=91))
 
-    def test_zero_dnf_budget_is_the_budget_error(self, capsys):
-        rc, out, err = run(capsys, "--budget-dnf", "0", "eliminate",
-                           "--model", "lex2_sub1.json", "E y. (x < y & U(y))")
+    # each budget refusal of the eliminator: the DNF of a conjunction and
+    # of a disjunction, the case split and the quantifier depth
+    @pytest.mark.parametrize("budget, formula, message", [
+        (("--budget-dnf", "0"), "E y. (x < y & U(y))",
+         "DNF clause budget exceeded"),
+        (("--budget-dnf", "1"), "E y. (x < y | y < 1)",
+         "DNF clause budget exceeded"),
+        (("--budget-dnf", "1"), "E y. x < y & ~(y < 1)",
+         "case-split budget exceeded"),
+        (("--budget-depth", "0"), "E y. x < y",
+         "quantifier depth budget exceeded"),
+    ], ids=["dnf-conjunction", "dnf-disjunction", "case-split", "depth"])
+    def test_zero_dnf_budget_is_the_budget_error(self, capsys, budget,
+                                                 formula, message):
+        rc, out, err = run(capsys, *budget, "eliminate",
+                           "--model", "lex2_sub1.json", formula)
         assert rc == 1 and out == ""
-        assert err == "error: DNF clause budget exceeded\n"
+        assert err == f"error: {message}\n"
 
     def test_zero_counts_are_accepted(self, capsys):
         rc, out, _ = run(capsys, "fuzz", "--model", "lex2_sub1.json",

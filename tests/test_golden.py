@@ -286,6 +286,9 @@ def test_oracle_atoms_have_one_coordinate(name):
                 atom = dec.atoms[n if n >= 0 else ~n]
                 idx = {s.rsplit("#", 1)[1] for s, _ in atom.form.coeffs}
                 assert len(idx) == 1, (atom.kind, atom.form)
+                # no rational point is the root of a form with alpha, so
+                # no equation carries it
+                assert atom.kind != "eq" or not atom.form.alpha, atom.form
 
 
 def test_fuzz_command_output_is_pinned(capsys):

@@ -13,9 +13,9 @@ from convexqe.cutqe import build_structure, qe_star, skolemize
 from convexqe.errors import (ConvexQEError, MalformedModelError,
                              PrecisionBudgetError,
                              SkolemShapeUnsupportedError)
-from convexqe.models import (Cmp, DownwardCut, IntCompiledFormula, ModelDescriptor, PLUS_INF,
+from convexqe.models import (DownwardCut, IntCompiledFormula, ModelDescriptor, PLUS_INF,
                              PiOracle, Point, SqrtOracle, SubgroupLevel,
-                             compare_to_threshold, compile_formula,
+                             compile_formula,
                              eval_formula, model_from_json, model_to_json,
                              term_rows, term_value, u_member)
 from convexqe.oracle import _Decomposer, oracle_compile, oracle_truth
@@ -78,16 +78,26 @@ class TestOracles:
 
 class TestCompare:
     def test_pi_dim1(self, m_pi):
-        assert compare_to_threshold(m_pi, Point.of(3)) is Cmp.BELOW
+        assert u_member(m_pi, Point.of(3))
 
     def test_refined_above(self, m_11pi):
-        assert compare_to_threshold(m_11pi, Point.of(1, 1, 4)) is Cmp.ABOVE
+        assert not u_member(m_11pi, Point.of(1, 1, 4))
+        # the irrational entry decides whatever the drift
+        assert not u_member(m_11pi, Point.of(1, 1, 4),
+                            drift=Point.of(0, 0, -1))
 
     def test_plus_inf_absorbs(self, m_1inf):
-        assert compare_to_threshold(m_1inf, Point.of(1, 10 ** 6)) is Cmp.BELOW
+        assert u_member(m_1inf, Point.of(1, 10 ** 6))
 
     def test_equal_only_rational(self, m_rat):
-        assert compare_to_threshold(m_rat, Point.of(1, 1)) is Cmp.EQUAL
+        # at the threshold itself the strictness decides (lex2_rat_11 is
+        # strict), and a drift decides by its first nonzero coordinate
+        at = Point.of(1, 1)
+        assert not u_member(m_rat, at)
+        assert not u_member(m_rat, at, drift=Point.zero(2))
+        assert u_member(m_rat, at, drift=Point.of(0, -1))
+        assert not u_member(m_rat, at, drift=Point.of(0, 1))
+        assert u_member(m_rat, at + Point.of(0, 1), drift=Point.of(-1, 5))
 
 
 class TestEval:

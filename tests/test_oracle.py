@@ -11,13 +11,13 @@ import pytest
 from convexqe.cutarith import edge_member
 from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import BudgetExceededError, PrecisionBudgetError
-from convexqe.models import Point, eval_formula
+from convexqe.models import PiOracle, Point, eval_formula
 from convexqe import oracle
 from convexqe.oracle import IntOracleEval, oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
                            int_sample_pool, pool_drawer)
-from convexqe.syntax import (And, Exists, Forall, free_vars,
+from convexqe.syntax import (And, Exists, Forall, Implies, free_vars,
                              is_quantifier_free, rename_bound)
 from convexqe.normalform import normalize_atoms
 from conftest import FIXTURE_NAMES, get_model, past_default_precision
@@ -172,6 +172,14 @@ class TestBudget:
                            match="oracle split budget exceeded"):
             oracle_compile(m_pi, f, budget=35)
 
+    def test_small_budget_refuses_the_disjunction(self, m_pi):
+        # the body's DNF is three clauses, past a budget of two
+        f = parse_formula("E y. (x < y | y < 1 | y < 2)")
+        assert oracle_compile(m_pi, f, budget=3).eval({"x": Point.of(5)})
+        with pytest.raises(BudgetExceededError,
+                           match="oracle DNF budget exceeded"):
+            oracle_compile(m_pi, f, budget=2)
+
 
 # one literal a*y + b*x + k OP 0 per kind, as text, and its truth at a value
 # v of the left-hand side
@@ -234,6 +242,158 @@ class TestOneDimensionalElimination:
             dec = oracle_compile(m_pi, parse_formula(text))
             assert dec.eval({"a": Point.of(1), "b": Point.of(0)}) is truth, \
                 text
+
+
+# nested two-variable sentences over q1_pi (U = {x : x < pi}).  A literal
+# a*y + b*u + k OP 0, or U(a*y + b*u + k), has the root in y
+# (c*pi - b*u - k) / a, c = 1 for U and 0 otherwise: a value p*pi + q,
+# kept as the pair (p, q).  The answer follows by brute force over the
+# rationals, each variable tried at one point of every cell of the line cut
+# at the values where its truth can change (a rational root itself, a point
+# between each neighbouring pair, one past each end; a root that carries pi
+# is no rational point).
+_PI = PiOracle()
+_PI_NEAR = _PI.refine(300)[0]  # within 2^-300 of pi: orders the roots
+
+
+def _value(root):
+    p, q = root
+    return p * _PI_NEAR + q
+
+
+def _cell_points(roots):
+    ordered = sorted(set(roots), key=_value)
+    xs = [_value(r) for r in ordered]
+    ends = [xs[0] - 1, xs[-1] + 1] if xs else [Fraction(0)]
+    return ([q for p, q in ordered if p == 0] + ends
+            + [(a + b) / 2 for a, b in zip(xs, xs[1:])])
+
+
+def _holds(lit, u, y):
+    a, b, k, kind, neg = lit
+    v = a * y + b * u + k
+    truth = (_PI.compare(v) < 0 if kind == "U" else
+             v < 0 if kind == "<" else v == 0)
+    return truth != neg
+
+
+def _lit_text(lit):
+    a, b, k, kind, neg = lit
+    t = " + ".join([f"{a} * y"] * (a != 0) + [f"{b} * u"] * (b != 0)
+                   + [f"{k}"])
+    text = f"U({t})" if kind == "U" else f"({t} {kind} 0)"
+    return "~" + text if neg else text
+
+
+def _nested_answer(q_u, c_u, outer, neg, q_y, c_y, inner) -> bool:
+    """The truth of Q u. (outer c ~Q' y. (inner c' ...)) over the
+    rationals, each literal (a, b, k, kind, negated), a = 0 in outer: the
+    truth in y changes only where two y-roots meet, and in u also at a
+    u-literal's root."""
+    def join(c, truths):
+        return all(truths) if c == "&" else any(truths)
+
+    def quant(q, truths):
+        return all(truths) if q == "A" else any(truths)
+
+    def at_u(u):
+        ys = _cell_points([(Fraction(kind == "U", a), (-b * u - k) / a)
+                           for a, b, k, kind, _ in inner])
+        sub = quant(q_y, [join(c_y, [_holds(l, u, y) for l in inner])
+                          for y in ys])
+        return join(c_u, [_holds(l, u, 0) for l in outer] + [sub != neg])
+
+    us = _meets(inner) + [(Fraction(kind == "U", b), -k / b)
+                          for _, b, k, kind, _ in outer]
+    return quant(q_u, [at_u(u) for u in _cell_points(us)])
+
+
+def _meets(inner) -> list:
+    """The u where two y-roots meet, each r(u) = p*pi + q + s*u."""
+    lines = [(Fraction(kind == "U", a), Fraction(-k, a), Fraction(-b, a))
+             for a, b, k, kind, _ in inner]
+    return [((p2 - p1) / (s1 - s2), (q2 - q1) / (s1 - s2))
+            for (p1, q1, s1), (p2, q2, s2)
+            in itertools.combinations(lines, 2) if s1 != s2]
+
+
+def _nested_text(q_u, c_u, outer, neg, q_y, c_y, inner) -> str:
+    sub = f"({q_y} y. ({f' {c_y} '.join(map(_lit_text, inner))}))"
+    body = f" {c_u} ".join([*map(_lit_text, outer), "~" * neg + sub])
+    return f"{q_u} u. ({body})"
+
+
+def _nested_draw(rng) -> tuple:
+    def lit(in_y):
+        a = rng.choice((-2, -1, 1, 2)) if in_y else 0
+        b = rng.choice((-2, -1, 1, 2)) if not in_y or rng.random() < 0.7 \
+            else 0
+        return (a, b, Fraction(rng.randint(-6, 6), 2),
+                rng.choice(("<", "=", "U", "U")), rng.random() < 0.5)
+
+    # the draws lean toward where a weak reading of a strict bound that
+    # carries alpha would show: the u-literal is ~U(...) under E u. and &,
+    # or U(...) under A u. and | (the same, read as ~E u. ~...), and where
+    # two y-roots meet at a point that carries pi, its root lies there, so
+    # an outer bound ties with a bound of the inner result
+    q_u = rng.choice("EA")
+    inner = [lit(True) for _ in range(rng.randint(2, 3))]
+    outer = [lit(False)[:4] + (q_u == "E",)]
+    ties = [(p, q) for p, q in _meets(inner) if p]
+    if ties:
+        p, q = rng.choice(ties)  # root (pi - k)/b = p*pi + q
+        outer[0] = (0, 1 / p, -q / p, "U", q_u == "E")
+    return (q_u, "&" if q_u == "E" else "|", outer, rng.random() < 0.5,
+            rng.choice("EA"), rng.choice("&|"), inner)
+
+
+class TestRationalOrder:
+    # over q1_pi, ~U(u) is u > pi at a rational u, and then a rational y
+    # lies in (pi, (pi + u)/2), so E y. (~U(y) & U(2*y - u)) holds at every
+    # u outside U: the first sentence is false, the second true
+    @pytest.mark.parametrize("text, answer", [
+        ("E u. ~U(u) & ~E y. (~U(y) & U(2*y - u))", False),
+        ("A u. U(u) | E y. (~U(y) & U(2*y - u))", True),
+    ])
+    def test_no_rational_point_is_an_irrational_root(self, m_pi, text,
+                                                     answer):
+        assert oracle_truth(m_pi, parse_formula(text), {}) is answer
+
+    # seed-1 eliminate_cut inputs over lex3_val_1pi0: qe_star's answer is
+    # equivalent to each, so the closure of the two implications holds
+    @pytest.mark.parametrize("text", [
+        "E y. ~U(2*x + 3/2*y + -1/2) & U(2*x + 4*y) & U(-3*y + -2*e_in)",
+        "E y. U(-3*y + 3*z) & ~U(1/2*y + -1*z + 2*x + 3) & "
+        "U(4*z + 2*y + 1*e_in)",
+        "E y. ~U(3/2*y + 3*z + -1/2*x + -1*e_in) & U(-1*y) & "
+        "U(2*z + 2*y + 2)",
+        "E y. ~U(3*x + 1/2*y) & U(1*z + 3*x + 4*y + 3)",
+        "E y. ~U(-2*y) & U(-3*y + 1/2*z + 3/2*x + 2*e_in) & "
+        "U(4*z + 3/2*x + 1*y + -1*e_in)",
+        "E y. U(-1/2*x + -2*y) & ~U(-1/2*y + 4*x + 4*z + -1*e_in)",
+        "E y. U(4*z + 4*y + -1*e_in) & U(-1/2*y + 1*e_in) & "
+        "~U(-1/2*z + 1/2*y)",
+        "E y. ~U(3/2*z + 3*y) & U(-3*z + 3*y + -2*e_in) & "
+        "~U(1/2*y + 1*x + 1/2)",
+    ])
+    def test_eliminations_are_equivalent(self, m_1pi0, text):
+        f = parse_formula(text)
+        out = qe_star(f, build_structure(m_1pi0))
+        g = And(Implies(out, f), Implies(f, out))
+        for v in sorted(free_vars(f)):
+            g = Forall(v, g)
+        assert oracle_truth(m_1pi0, g, {})
+
+    def test_nested_sentences_agree_with_brute_force(self, m_pi):
+        rng = random.Random(10)
+        seen = set()
+        for _ in range(400):
+            spec = _nested_draw(rng)
+            text, answer = _nested_text(*spec), _nested_answer(*spec)
+            assert oracle_truth(m_pi, parse_formula(text), {}) is answer, \
+                text
+            seen.add(answer)
+        assert seen == {True, False}
 
 
 # quantifier bodies whose binders the parser would rename apart, built

@@ -49,6 +49,21 @@ def test_intra_package_imports_are_at_module_level():
     assert nested == []
 
 
+def test_only_models_reads_files():
+    """``models.read_json`` is the one file reader: no other module calls
+    ``open`` or ``json.load``, so each reports an unreadable file alike."""
+    calls = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "models.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name in ("open", "json.load", "load", "io.open"):
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls == []
+
+
 # what the oracle may import from the package: plumbing, never the
 # semantics of an elimination engine
 ORACLE_IMPORTS = {"closures", "errors", "models", "syntax",

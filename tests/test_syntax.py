@@ -1,5 +1,7 @@
 import hashlib
 import random
+import time
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -188,8 +190,8 @@ PARSE_ERRORS = [
 
 class TestLongNumbers:
     def test_chunked_conversion_matches_str(self):
-        # below the interpreter's digit limit str() is the reference; the
-        # chunks are 500 digits long, so their edges are tried
+        # below the interpreter's digit limit str() is the reference; str()
+        # itself prints below 500 digits, so that edge is tried
         from convexqe.syntax import _int_text
         rng = random.Random(12)
         edge = 10 ** 500
@@ -201,6 +203,22 @@ class TestLongNumbers:
             assert _int_text(n) == str(n)
             assert _int_text(-n) == str(-n)
 
+    @pytest.mark.digit_limit
+    def test_a_million_digits_print_quickly(self):
+        # 3^2,100,000 has 1,001,955 digits, and its reference is decimal's
+        # own power; a conversion quadratic in the length takes seconds
+        from convexqe.syntax import _int_text
+        k = 2_100_000
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+            want = str(Decimal(3) ** k)
+        n = 3 ** k
+        start = time.perf_counter()
+        got = _int_text(n), _int_text(1 - n)
+        assert time.perf_counter() - start < 5
+        assert got == (want, "-" + want[:-1] + "0")  # 3^k ends in 1
+
+    @pytest.mark.digit_limit
     def test_long_fraction_prints_in_full(self):
         # 3 * 10^5000 / 7 has a 5,001-digit numerator
         t = Term({"x": Fraction(3 * 10 ** 5000, 7)})

@@ -21,13 +21,13 @@ from .doagqe import QeOptions
 from .errors import ConvexQEError, FormulaSyntaxError
 from .fuzz import MAX_DEPTH, FuzzConfig, run_fuzz
 from .models import (START_BITS, Point, eval_formula, json_rational,
-                     load_model, read_json)
+                     load_model, rat_text, read_json)
 from .parser import parse_formula, parse_term
 from .piecewise import (UnaryPiecewiseLinear, binary_from_json,
                         check_pluslike, fn_from_json, normalize_monotone,
                         unary_to_json)
 from .skolemlab import choice_violation, obstruction_find, verify_skolem
-from .syntax import _int_text, free_vars, is_quantifier_free, print_formula
+from .syntax import free_vars, is_quantifier_free, print_formula
 
 FIXTURES_ENV = "CONVEXQE_FIXTURES"
 
@@ -204,20 +204,19 @@ def cmd_normalize_monotone(args) -> int:
     return 0
 
 
-def _repr_text(w) -> str:
-    """repr(w) of a ``check_pluslike`` witness, in full at any length."""
+def _witness_json(w):
+    """A ``check_pluslike`` witness as JSON: each tuple a list, the
+    boundary index an integer and each rational a string."""
     if type(w) is tuple:
-        return f"({', '.join(map(_repr_text, w))})"
-    if type(w) is int:
-        return _int_text(w)
-    return f"Fraction({_int_text(w.numerator)}, {_int_text(w.denominator)})"
+        return [_witness_json(x) for x in w]
+    return w if type(w) is int else rat_text(w)
 
 
 def cmd_check_pluslike(args) -> int:
     fn = binary_from_json(read_json(args.fn))
     rep = check_pluslike(fn)
     payload = {"pluslike": rep.pluslike, "reason": rep.reason,
-               "witness": _repr_text(rep.witness) if rep.witness else None}
+               "witness": _witness_json(rep.witness) if rep.witness else None}
     _emit(args, payload, "pluslike" if rep.pluslike else f"violation: {rep.reason}")
     return 0
 

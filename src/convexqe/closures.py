@@ -4,7 +4,8 @@ A tree (a bool, a leaf, ``("&" | "|", *kids)`` or ``("~", kid)``) is
 compiled once, on an explicit stack, into short-circuit jumping code (Aho,
 Lam, Sethi and Ullman, *Compilers*, 2nd ed., section 6.6): a flat table with
 one row ``(slot, if_true, if_false)`` per leaf.  A kid's exits are its next
-sibling's entry or its parent's exits, and ``~`` swaps them.
+sibling's entry or its parent's exits, and ``~`` swaps them, as does a
+negative int leaf n, which is the leaf ~n negated.
 
 What an atom means is up to the caller's lowering, so the model evaluator
 and the independent coordinate oracle share no atom semantics.  A lowering
@@ -40,7 +41,7 @@ big-integer arithmetic; only the lanes inside a tail's bracket run
 ``less``.  An atom is tested only when some lane reaches one of its rows,
 and at most once per list of masks: roots called at the same lanes with
 one list, ``[None, *slots]``, share each atom's mask as ``run`` shares a
-frame, and evaluators called at one ``Lanes`` share each row.
+frame, and evaluators called at one ``Lanes`` share each row's masks.
 
 ``Evaluator.substitute`` puts a term in for a variable in every spec,
 exactly, so a Skolem witness is checked at the lanes of its parameters.
@@ -58,12 +59,11 @@ TRUE, FALSE = -1, -2  # a root's exits; rows are numbered from 0
 
 class Lowering:
     """One jump table under construction: equal (hashable) atoms share one
-    frame slot, whose spec ``lower(atom)`` is taken once."""
+    frame slot, whose spec ``lower(atom)`` is taken once.  A negative int
+    leaf n is the negation of the atom ~n."""
 
-    def __init__(self, lower: Callable,
-                 literal: Callable = lambda leaf: (leaf, False)):
+    def __init__(self, lower: Callable):
         self._lower = lower
-        self._literal = literal
         self._slots: dict = {}  # atom -> slot
         self._specs: list = []  # by slot, from 1
         self._rows: list = []
@@ -89,16 +89,17 @@ class Lowering:
             if type(n) is bool:
                 entry = t if n else e
                 continue
-            atom, negated = self._literal(n)
-            slot = slots.get(atom)
+            if type(n) is int and n < 0:
+                n, t, e = ~n, e, t
+            slot = slots.get(n)
             if slot is None:
-                slot = slots[atom] = 1 + len(slots)
-                self._specs.append(self._lower(atom))
+                slot = slots[n] = 1 + len(slots)
+                self._specs.append(self._lower(n))
             if t == e:  # the test cannot matter, so it is not run
                 entry = t
                 continue
             entry = len(rows)
-            rows.append((slot, e, t) if negated else (slot, t, e))
+            rows.append((slot, t, e))
         return entry
 
     def evaluator(self, *trees) -> "Evaluator":
@@ -306,9 +307,10 @@ class Lanes(dict):
     the fields whose top byte has its top bit clear.  A column is packed by
     W / 8 ``bytes.translate`` passes over its indices, one per byte of the
     biased field, with no value built.
-    Rows and their sign masks are kept by the row's exact ``(terms, const,
-    denom)``, the integer values of identical forms, so the blocks that
-    share a ``Lanes`` share them, whichever lowering wrote the form."""
+    A row's sign masks are kept by its exact ``(terms, const, denom)``, the
+    integer values of identical forms, and each packed column by its
+    variable, coordinate and width, so the blocks that share a ``Lanes``
+    share them, whichever lowering wrote the form."""
 
     def __init__(self, columns: Mapping, pool: tuple, n: int):
         super().__init__(columns)
@@ -316,7 +318,6 @@ class Lanes(dict):
         self._top = max(map(abs, pool), default=0)
         self._packed: dict = {}  # (v, i, W) -> the column packed at width W
         self._ones: dict = {}  # W -> 1 in every field
-        self._rows: dict = {}  # (terms, const, denom) -> its _row
         self._signs: dict = {}  # (terms, const, denom) -> (lt, eq)
 
     def signs(self, terms: tuple, const: int, denom: int) -> tuple[int, int]:
@@ -354,10 +355,7 @@ class Lanes(dict):
 
     def _row(self, key: tuple) -> tuple:
         """(W, the row's bound, the row packed at width W, 1 in every field
-        of width W), computed once per distinct row."""
-        got = self._rows.get(key)
-        if got is not None:
-            return got
+        of width W), for the row's (terms, const, denom)."""
         terms, const, denom = key
         k = const * denom
         bound = abs(k) + sum([abs(c) for _, _, c in terms]) * self._top
@@ -380,8 +378,7 @@ class Lanes(dict):
                 p = self._packed[v, i, w] = int.from_bytes(fields, "little")
             row += c * p
             k -= c * half
-        got = self._rows[key] = w, bound, row + (k + half) * ones, ones
-        return got
+        return w, bound, row + (k + half) * ones, ones
 
 
 @functools.lru_cache(maxsize=64)

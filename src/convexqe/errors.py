@@ -16,10 +16,6 @@ class FormulaSyntaxError(ConvexQEError):
         self.column = column
 
 
-class UnknownIdentifierError(FormulaSyntaxError):
-    pass
-
-
 class BudgetExceededError(ConvexQEError):
     """A size or depth budget ran out.  The input was not wrong."""
 

@@ -117,14 +117,11 @@ class _Decomposer:
         # same atom recurs across a tree's clauses
         self.atoms: list[CAtom] = []
         self.numbers: dict[tuple, int] = {}  # (kind, *form) -> atom number
-        # per (symbol, literal): its case, a bound on the symbol with the
-        # number of its (symbol, form); per pair of form numbers, their
-        # resolvent, and per kind and pair, its node.  The same pairs recur
-        # across clauses, and f < 0, f = 0 and f != 0 share f's resolvents.
+        # per (symbol, literal): its case, a bound on the symbol; per kind
+        # and pair of (symbol, literal), their resolvent's node.  The same
+        # pairs recur across clauses.
         self.cases: dict[tuple[str, int], tuple] = {}
-        self.form_numbers: dict[tuple[str, LinForm], int] = {}
-        self.resolvents: dict[tuple[int, int], LinForm] = {}
-        self.resolvent_nodes: dict[tuple[int, str, int], BNode] = {}
+        self.resolvent_nodes: dict[tuple, BNode] = {}
         self.alpha = m.cut.oracle
 
     # ground decision of symbol-free atoms happens eagerly so trees stay small
@@ -265,7 +262,6 @@ class _Decomposer:
         rest."""
         syms = {f"{var}#{i}" for i in range(self.m.dim)}
         atoms = self.atoms
-        done: dict[tuple, BNode] = {}  # a part recurs across clauses
         where: dict[int, Optional[str]] = {}  # atom number -> its var#i
         out: list[BNode] = []
         for clause in _bdnf(body, self.budget):
@@ -283,10 +279,7 @@ class _Decomposer:
                 else:
                     parts.setdefault(sym, []).append(l)
             for sym, part in parts.items():
-                key = (sym, tuple(part))
-                node = done.get(key)
-                if node is None:
-                    node = done[key] = self._eliminate_part(part, sym)
+                node = self._eliminate_part(part, sym)
                 if node is False:
                     break
                 kept.append(node)
@@ -330,11 +323,11 @@ class _Decomposer:
         return _band(*nodes)
 
     def _case_of(self, l: int, sym: str) -> tuple:
-        """Literal l as (form, kind, coefficient of sym, number of (sym,
-        form)), reading form < 0, <= 0, = 0 or != 0 by kind "lt", "le",
-        "eq" or "neq": a negated strict bound is the reversed weak one, or
-        the reversed strict one when its form carries alpha, as no rational
-        point is the root of such a form."""
+        """Literal l as (form, kind, coefficient of sym, (sym, l)), reading
+        form < 0, <= 0, = 0 or != 0 by kind "lt", "le", "eq" or "neq": a
+        negated strict bound is the reversed weak one, or the reversed
+        strict one when its form carries alpha, as no rational point is the
+        root of such a form."""
         case = self.cases.get((sym, l))
         if case is None:
             atom = self.atoms[l if l >= 0 else ~l]
@@ -342,27 +335,21 @@ class _Decomposer:
             if l < 0:
                 form, kind = ((-form, "lt" if form.alpha else "le")
                               if kind == "lt" else (form, "neq"))
-            nums = self.form_numbers
-            case = self.cases[sym, l] = (
-                form, kind, form.coeff(sym),
-                nums.setdefault((sym, form), len(nums)))
+            case = self.cases[sym, l] = (form, kind, form.coeff(sym), (sym, l))
         return case
 
     def _resolvent(self, a: tuple, b: tuple, kind: str) -> BNode:
         """The node of R kind 0, for R what case a's form leaves once sym
         is taken at the root of case b's (b an equation, a disequation or
         an upper bound, a then a lower bound, which lies below b iff R <
-        0).  The combined form is built once per pair of forms."""
+        0).  The node is built once per kind and pair of literals."""
         key = (a[3], kind, b[3])
         node = self.resolvent_nodes.get(key)
         if node is None:
-            f, _, c, fa = a
-            g, _, c0, fb = b
-            form = self.resolvents.get((fa, fb))
-            if form is None:
-                # c0*s + r0 = 0 turns c*s + r into |c0|*r - sign(c0)*c*r0
-                form = self.resolvents[fa, fb] = _combine(
-                    abs(c0), f, -c if c0 > 0 else c, g)
+            f, _, c, _ = a
+            g, _, c0, _ = b
+            # c0*s + r0 = 0 turns c*s + r into |c0|*r - sign(c0)*c*r0
+            form = _combine(abs(c0), f, -c if c0 > 0 else c, g)
             # R <= 0 is ~(-R < 0), R != 0 is ~(R = 0)
             node = self.resolvent_nodes[key] = (
                 self.lit(-form, "lt", True) if kind == "le" else
@@ -509,50 +496,23 @@ def _lower_atom(alpha: Optional[IrrationalOracle], a: CAtom):
                              alpha.compare(Fraction(x, den)) < 0)
 
 
-class OracleDecision:
-    """Residual condition of a formula over one model: a boolean tree over
-    coordinate atoms in the free variables, each literal numbering an atom
-    of ``atoms``, compiled to a jump table for evaluation per assignment."""
-
-    def __init__(self, tree: BNode, atoms: list[CAtom],
-                 alpha: Optional[IrrationalOracle]):
-        self.tree = tree
-        self.atoms = atoms
-        self.alpha = alpha
-
-    def lower(self) -> Evaluator:
-        """A fresh evaluator of the tree.  Decisions are not kept between
-        calls, so a caller that evaluates many points holds the evaluator."""
-        atoms = self.atoms
-
-        def literal(n: int) -> tuple[CAtom, bool]:
-            # the table's own records: a CAtom compares by identity, so a
-            # copy would take a frame slot of its own
-            return (atoms[n], False) if n >= 0 else (atoms[~n], True)
-        return Lowering(lambda a: _lower_atom(self.alpha, a),
-                        literal).evaluator(self.tree)
-
-    def eval(self, asgn: Mapping[str, Point]) -> bool:
-        return self.lower().eval_points(asgn)
-
-
-class IntOracleEval(AtDenominator):
-    """A decision at a fixed sample denominator: ``eval`` takes each
-    variable's coordinate numerators over ``denom``, ``block`` a
-    ``closures.Lanes`` of them."""
-
-    def __init__(self, dec: OracleDecision, denom: int):
-        super().__init__(dec.lower(), denom)
+# a decision at a fixed sample denominator: ``eval`` takes each variable's
+# coordinate numerators over it, ``block`` a ``closures.Lanes`` of them
+IntOracleEval = AtDenominator
 
 
 def oracle_compile(m: ModelDescriptor, f: Formula,
-                   budget: int = DEFAULT_ORACLE_BUDGET) -> OracleDecision:
+                   budget: int = DEFAULT_ORACLE_BUDGET) -> Evaluator:
+    """The residual condition of f over m, a boolean tree over coordinate
+    atoms in its free variables, lowered to a fresh evaluator.  Nothing is
+    kept between calls, so a caller that evaluates many points holds the
+    evaluator."""
     d = _Decomposer(m, budget)
-    tree = d.decompose(f)
-    return OracleDecision(tree, d.atoms, d.alpha)
+    tree, atoms, alpha = d.decompose(f), d.atoms, d.alpha
+    return Lowering(lambda n: _lower_atom(alpha, atoms[n])).evaluator(tree)
 
 
 def oracle_truth(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
                  budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
     """Decide f under asgn by coordinate decomposition (reference path)."""
-    return oracle_compile(m, f, budget).eval(asgn)
+    return oracle_compile(m, f, budget).eval_points(asgn)

@@ -27,7 +27,7 @@ import math
 import re
 from typing import NoReturn, Optional
 
-from .errors import FormulaSyntaxError, UnknownIdentifierError
+from .errors import FormulaSyntaxError
 from .syntax import (Atom, AtomKind, Exists, FALSE, Forall, Formula, AtomF,
                      And, Or, Not, Implies, TRUE, Term, _lowest, rename_bound)
 
@@ -107,21 +107,20 @@ def _term(acc: dict, den: int) -> Term:
 
 
 class _Parser:
-    def __init__(self, text: str, known_vars: Optional[set[str]]):
+    def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
-        self.known_vars = known_vars
         self.binders: list[str] = []
         self.scopes: dict[str, int] = {}  # open binders of each name
         self.free: set[str] = set()  # names met outside their binders
 
-    def fail(self, msg: str, index: Optional[int] = None,
-             error: type = FormulaSyntaxError) -> NoReturn:
-        """Raise error with msg at the token at index, or at the cursor."""
+    def fail(self, msg: str, index: Optional[int] = None) -> NoReturn:
+        """Raise a syntax error with msg at the token at index, or at the
+        cursor."""
         if index is None:
             index = self.pos
-        raise error(msg, *_where(self.text, index))
+        raise FormulaSyntaxError(msg, *_where(self.text, index))
 
     def expect(self, text: str) -> None:
         t = self.toks[self.pos]
@@ -244,9 +243,6 @@ class _Parser:
                     if t in RESERVED:
                         self.fail(f"reserved word {t!r} cannot be used as"
                                   " a variable", i)
-                    if self.known_vars is not None and t not in self.known_vars:
-                        self.fail(f"unknown identifier {t!r}", i,
-                                  UnknownIdentifierError)
                     if t not in self.scopes:
                         self.free.add(t)
                     key = t
@@ -274,15 +270,22 @@ class _Parser:
         t = self.toks[i]
         if not t.isdecimal():
             self.fail("expected a number", i)
-        try:
-            return int(t)
-        except ValueError:  # past the interpreter's int/str digit limit
-            self.fail(f"number too long ({len(t)} digits)", i)
+        return _read_int(t)
 
 
-def parse_formula(text: str, known_vars: Optional[set[str]] = None) -> Formula:
+def _read_int(digits: str) -> int:
+    """int(digits) at any length: past 500 digits by binary splitting,
+    hi * 10**k + lo, so no conversion meets the interpreter's int/str
+    digit limit."""
+    if len(digits) <= 500:
+        return int(digits)
+    k = len(digits) // 2
+    return _read_int(digits[:-k]) * 10 ** k + _read_int(digits[-k:])
+
+
+def parse_formula(text: str) -> Formula:
     """Parse text into a formula AST; bound variables are made unique."""
-    p = _Parser(text, known_vars)
+    p = _Parser(text)
     f = p.formula()
     b = p.binders
     # otherwise rename_bound would return f itself
@@ -291,8 +294,8 @@ def parse_formula(text: str, known_vars: Optional[set[str]] = None) -> Formula:
     return f
 
 
-def parse_term(text: str, known_vars: Optional[set[str]] = None) -> Term:
-    p = _Parser(text, known_vars)
+def parse_term(text: str) -> Term:
+    p = _Parser(text)
     acc: dict = {}
     den = p.add_term(acc, 1, 1)
     if p.toks[p.pos] != _EOF:

@@ -87,7 +87,7 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     existential = qe_star(Exists(sk.target, phi), st)
     low = compile_formula(m, existential, *(g for g, _ in sk.cases))
     phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
-                else oracle_compile(m, phi).lower())
+                else oracle_compile(m, phi))
     pool = int_sample_pool(m, SAMPLE_POOL)
     draw = index_drawer(random.Random(seed), len(pool))
     dim = m.dim

@@ -271,13 +271,13 @@ def _qe_outputs(name: str, count: int):
 def _decisions(name: str, count: int):
     m = get_model(name)
     rng = random.Random(f"block-oracle:{name}")
-    decs = []
-    while len(decs) < count:
+    evs = []
+    while len(evs) < count:
         try:
-            decs.append(oracle_compile(m, gen_formula(rng, list(NAMES), 3, 2)))
+            evs.append(oracle_compile(m, gen_formula(rng, list(NAMES), 3, 2)))
         except ConvexQEError:
             continue
-    return m, decs
+    return m, evs
 
 
 @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
@@ -293,9 +293,8 @@ def test_compiled_outputs(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_oracle_decisions(name):
-    m, decs = _decisions(name, 24)
-    for k, dec in enumerate(decs):
-        ev = dec.lower()
+    m, evs = _decisions(name, 24)
+    for k, ev in enumerate(evs):
         _check_row_order(ev)
         for n in (LANES if k < 4 else LANES[:3]):
             _check_lanes(ev, _draws(m, f"{name}:{k}:{n}", n), m.dim,
@@ -315,10 +314,10 @@ def test_random_cut_models(seed, n, denom):
         ev = compile_formula(m, gen_formula(rng, list(NAMES), 3, 0))
         _check_lanes(ev, points, m.dim, denom)
         try:
-            dec = oracle_compile(m, gen_formula(rng, list(NAMES), 3, 1))
+            ev = oracle_compile(m, gen_formula(rng, list(NAMES), 3, 1))
         except ConvexQEError:
             continue
-        _check_lanes(dec.lower(), points, m.dim, denom)
+        _check_lanes(ev, points, m.dim, denom)
 
 
 def test_block_is_exposed_at_the_sample_denominator(models):
@@ -379,7 +378,7 @@ def test_lanes_inside_the_bracket(name, text, lead, compare_calls):
                                 for v in NAMES})
             for p in points]
     assert any(want[:40]) and not all(want[:40])
-    for ev in (compile_formula(m, f), oracle_compile(m, f).lower()):
+    for ev in (compile_formula(m, f), oracle_compile(m, f)):
         del compare_calls[:]
         _check_lanes(ev, points, m.dim, BIG)
         assert [ev.run(p, [BIG, *ev.blank]) for p in points] == want
@@ -770,7 +769,7 @@ def test_blocks_without_variables(name, n):
                  "E x. x < e_in & U(x)", "A x. U(x) | ~U(x + e_out)"):
         f = parse_formula(text)
         for ev in (compile_formula(m, qe_star(f, st)),
-                   oracle_compile(m, f).lower()):
+                   oracle_compile(m, f)):
             truth = ev.run({}, [SAMPLE_DENOM, *ev.blank])
             assert ev.block(Lanes({}, (), n), SAMPLE_DENOM) == _mask(
                 [truth] * n), text
@@ -783,15 +782,23 @@ def test_blocks_without_variables(name, n):
 @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
 def test_both_sides_share_each_row(name, monkeypatch):
     """One Lanes passed to an IntCompiledFormula and an IntOracleEval
-    computes each distinct (terms, const, denom) row once, gives the masks
-    of a fresh Lanes per side, and computes fewer rows than those two."""
+    computes each distinct (terms, const, denom) row's sign masks once,
+    gives the masks of a fresh Lanes per side, and computes fewer rows
+    than those two."""
     computed = []
     width = closures._width  # called once per row computed
+    at_most = Lanes.at_most  # computes its row on every call
+    tails = []
 
     def counted(bound):
         computed.append(bound)
         return width(bound)
+
+    def counted_tail(self, *args):
+        tails.append(args)
+        return at_most(self, *args)
     monkeypatch.setattr(closures, "_width", counted)
+    monkeypatch.setattr(Lanes, "at_most", counted_tail)
     m = get_model(name)
     st = build_structure(m)
     rng = random.Random(f"share:{name}")
@@ -810,9 +817,9 @@ def test_both_sides_share_each_row(name, monkeypatch):
         indices = index_drawer(random.Random(checked), len(pool))
         lanes, _ = fuzz.drawn_block(indices(n * len(fv) * m.dim), pool, n,
                                     fv, m.dim)
-        del computed[:]
+        del computed[:], tails[:]
         masks = comp.block(lanes), orc.block(lanes)
-        assert len(computed) == len(lanes._rows)
+        assert len(computed) == len(lanes._signs) + len(tails)
         shared += len(computed)
         del computed[:]
         assert masks == (comp.block(Lanes(lanes, pool, n)),

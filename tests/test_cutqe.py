@@ -6,16 +6,17 @@ import pytest
 from convexqe.cutqe import (CutClass, build_structure, check_resistance,
                             qe_star, skolemize)
 from convexqe.errors import (ConvexQEError, NonvaluationalInterpretationError,
-                             SkolemShapeUnsupportedError)
-from convexqe.models import (IntCompiledFormula, Point, eval_formula,
+                             SkolemShapeUnsupportedError, UnsupportedCutError)
+from convexqe.models import (PLUS_INF, DownwardCut, IntCompiledFormula,
+                             ModelDescriptor, PiOracle, Point, eval_formula,
                              term_value, u_member)
 from convexqe.oracle import oracle_compile, oracle_truth
 from convexqe.parser import parse_formula, parse_term
 from convexqe.piecewise import UnaryPiecewiseLinear
 from convexqe.skolemlab import verify_skolem
 from convexqe.cutarith import edge_member
-from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
-                           int_sample_pool, model_sample_pool)
+from convexqe.fuzz import (SAMPLE_DENOM, FuzzConfig, gen_formula, gen_point,
+                           int_sample_pool, model_sample_pool, run_fuzz)
 from convexqe.syntax import (Exists, disj, free_vars, is_quantifier_free,
                              print_formula)
 from conftest import get_model
@@ -23,7 +24,7 @@ from conftest import get_model
 
 def assert_equiv(m, f, g, rng, n=100):
     assert is_quantifier_free(g)
-    decision = oracle_compile(m, f).lower()
+    decision = oracle_compile(m, f)
     for _ in range(n):
         asgn = {v: gen_point(rng, m) for v in sorted(free_vars(f) | free_vars(g))}
         assert decision.eval_points(asgn) == eval_formula(m, g, asgn), (
@@ -50,6 +51,90 @@ class TestStructures:
     def test_rational_threshold_term(self, m_rat):
         st = build_structure(m_rat)
         assert term_value(m_rat, st.tau, {}) == Point.of(1, 1)
+
+
+def _lex(threshold, e_in, e_out, strict=True):
+    """LEX(len(threshold)) with U the downward cut at threshold."""
+    return ModelDescriptor(len(threshold), DownwardCut(threshold, strict),
+                           Point.of(*e_in), Point.of(*e_out))
+
+
+F = Fraction
+# cut shapes that no fixture has, each with its class, the term naming its
+# threshold or top coset, and the closed term inside it
+OFF_FIXTURE_CUTS = {
+    # U(t) is ~(tau < t)
+    "rational-weak": (lambda: _lex((F(1), F(1)), (0, 1), (2, 0), False),
+                      CutClass.RATIONAL_CUT, "1 + e_in", "e_in"),
+    # tau = e_in + e_out - 1 takes a row reduction: e_out's pivot clears
+    # the unit's row
+    "rational-reduced": (lambda: _lex((F(1), F(1), F(1)), (0, 0, 1),
+                                      (2, 1, 0)),
+                         CutClass.RATIONAL_CUT, "e_in + e_out - 1", "e_in"),
+    # e_in lies above the cut, so the anchor is searched for, and the
+    # search stops at -1, or doubles once to -2
+    "anchor-1": (lambda: _lex((F(-1), PiOracle(), F(0)), (0, 0, 1),
+                              (1, 0, 0)),
+                 CutClass.IRRATIONAL_CUT, None, "-1"),
+    "anchor-2": (lambda: _lex((F(-3, 2), PiOracle(), F(0)), (0, 0, 1),
+                              (1, 0, 0)),
+                 CutClass.IRRATIONAL_CUT, None, "-2"),
+    "coset": (lambda: _lex((F(-1), PLUS_INF), (0, 1), (1, 0)),
+              CutClass.COSET_CUT, "-1", "-1"),
+}
+
+
+class TestCutsOffTheFixtures:
+    """The elimination branches that only cut shapes no fixture has reach,
+    differentially tested against the oracle."""
+
+    @pytest.mark.parametrize("name", OFF_FIXTURE_CUTS)
+    def test_structure(self, name):
+        make, cls, tau, anchor = OFF_FIXTURE_CUTS[name]
+        st = build_structure(make())
+        assert st.cls is cls
+        assert st.tau == (tau and parse_term(tau))
+        assert st.anchor_in == parse_term(anchor)
+
+    @pytest.mark.parametrize("name", OFF_FIXTURE_CUTS)
+    def test_qe_agrees_with_the_oracle(self, name):
+        m = OFF_FIXTURE_CUTS[name][0]()
+        for seed in range(5):
+            rep = run_fuzz(m, FuzzConfig(formulas=60, assignments=200,
+                                         seed=seed))
+            assert rep["checked_formulas"] == 60
+            assert rep["discrepancy_count"] == 0, rep["discrepancies"][0]
+
+    @pytest.mark.parametrize("name", OFF_FIXTURE_CUTS)
+    def test_skolem_definitions_verify(self, name):
+        # criterion 5's traffic: phi whose closure the oracle accepts
+        m = OFF_FIXTURE_CUTS[name][0]()
+        st = build_structure(m)
+        rng = random.Random(f"off-fixture:{name}")
+        done = 0
+        while done < 150:
+            phi = gen_formula(rng, ["x", "y"], 3, 0)
+            if ("y" not in free_vars(phi) or not oracle_truth(
+                    m, Exists("x", Exists("y", phi)), {})):
+                continue
+            try:
+                sk = skolemize(phi, "y", st)
+            except SkolemShapeUnsupportedError:
+                continue
+            rep = verify_skolem(m, phi, sk, samples=200, seed=done, st=st)
+            assert rep.passed, (print_formula(phi), rep)
+            done += 1
+
+    @pytest.mark.parametrize("threshold, message", [
+        ((F(1), F(1), PLUS_INF), "names the cut's top coset"),
+        ((F(1), F(1), F(1)), "names the rational threshold point"),
+    ], ids=["coset", "rational"])
+    def test_unnamed_cuts_are_refused(self, threshold, message):
+        # no closed term reaches the middle coordinate 1: e_in and e_out
+        # are 0 there
+        m = _lex(threshold, (0, 0, 1), (2, 0, 0))
+        with pytest.raises(UnsupportedCutError, match=message):
+            build_structure(m)
 
 
 class TestEliminateOneCut:

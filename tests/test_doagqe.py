@@ -22,7 +22,7 @@ def eliminate_one(text: str):
 
 
 def assert_equiv(m, f, g, var_names, rng, n=80):
-    decision = oracle_compile(m, f).lower()
+    decision = oracle_compile(m, f)
     for _ in range(n):
         asgn = {v: gen_point(rng, m) for v in var_names}
         assert decision.eval_points(asgn) == eval_formula(m, g, asgn), (

@@ -30,7 +30,7 @@ def replay_fuzz(m, config: FuzzConfig) -> dict:
         fv = tuple(sorted(free_vars(f)))
         try:
             out = qe_star(f, st, options)
-            decision = oracle_compile(m, f).lower()
+            decision = oracle_compile(m, f)
         except BudgetExceededError:
             skips += 1
             continue

@@ -17,7 +17,8 @@ from convexqe.cutqe import SkolemDefinition, build_structure, qe_star, skolemize
 from convexqe.errors import ConvexQEError
 from convexqe.fuzz import (SAMPLE_DENOM, FuzzConfig, gen_atom, gen_formula,
                            int_sample_pool, pool_drawer, run_fuzz)
-from convexqe.oracle import IntOracleEval, oracle_compile
+from convexqe.oracle import (DEFAULT_ORACLE_BUDGET, IntOracleEval,
+                             _Decomposer, oracle_compile)
 from convexqe.parser import parse_formula
 from convexqe.skolemlab import verify_skolem
 from convexqe.syntax import Exists, Not, Term, conj, free_vars, print_formula
@@ -205,23 +206,21 @@ def _oracle_corpus(name: str):
         yield Exists("y", conj(lits))
 
 
-def _oracle_transcript(name: str) -> tuple[str, list]:
+def _oracle_transcript(name: str) -> str:
     """Each corpus formula with its oracle decisions on sampled integer
-    assignments over SAMPLE_DENOM; also the compiled decisions."""
+    assignments over SAMPLE_DENOM."""
     m = get_model(name)
     draw = pool_drawer(random.Random(f"golden-oracle-points:{name}"),
                        int_sample_pool(m))
-    lines, decisions = [], []
+    lines = []
     for f in _oracle_corpus(name):
         fv = sorted(free_vars(f))
         points = [{v: draw(m.dim) for v in fv}
                   for _ in range(ORACLE_ASSIGNMENTS)]
-        dec = oracle_compile(m, f)
-        decisions.append(dec)
-        orc = IntOracleEval(dec, SAMPLE_DENOM)
+        orc = IntOracleEval(oracle_compile(m, f), SAMPLE_DENOM)
         bits = "".join("1" if orc.eval(p) else "0" for p in points)
         lines.append(f"{print_formula(f)} => {bits}")
-    return "\n".join(lines), decisions
+    return "\n".join(lines)
 
 
 def _digest(text: str) -> str:
@@ -267,7 +266,7 @@ def test_verify_skolem_reports_are_pinned(name):
 
 @pytest.mark.parametrize("name", ELIMINABLE_NAMES)
 def test_oracle_decisions_are_pinned(name):
-    text, _ = _oracle_transcript(name)
+    text = _oracle_transcript(name)
     assert "=> 1" in text and "=> 0" in text
     assert _digest(text) == ORACLE_DIGESTS[name]
 
@@ -276,14 +275,16 @@ def test_oracle_decisions_are_pinned(name):
 def test_oracle_atoms_have_one_coordinate(name):
     # a coordinate atom mentions coordinate i of its variables alone, so a
     # quantifier's coordinates are eliminated independently of each other
-    for dec in _oracle_transcript(name)[1]:
-        stack = [dec.tree]
+    m = get_model(name)
+    for f in _oracle_corpus(name):
+        d = _Decomposer(m, DEFAULT_ORACLE_BUDGET)
+        stack = [d.decompose(f)]
         while stack:
             n = stack.pop()
             if type(n) is tuple:
                 stack.extend(n[1:])
             elif type(n) is int:
-                atom = dec.atoms[n if n >= 0 else ~n]
+                atom = d.atoms[n if n >= 0 else ~n]
                 idx = {s.rsplit("#", 1)[1] for s, _ in atom.form.coeffs}
                 assert len(idx) == 1, (atom.kind, atom.form)
                 # no rational point is the root of a form with alpha, so

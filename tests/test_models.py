@@ -230,7 +230,7 @@ class TestClosureEvaluator:
             fs += [gen_formula(rng, ["x", "y"], 3, 0) for _ in range(25)]
             for f in fs:
                 ev = compile_formula(m, f)
-                decision = oracle_compile(m, f).lower()
+                decision = oracle_compile(m, f)
                 for _ in range(12):
                     asgn = {v: gen_point(rng, m, values=RATIONAL_VALUES)
                             for v in ("x", "y")}

@@ -13,7 +13,8 @@ from convexqe.cutqe import build_structure, qe_star
 from convexqe.errors import BudgetExceededError, PrecisionBudgetError
 from convexqe.models import PiOracle, Point, eval_formula
 from convexqe import oracle
-from convexqe.oracle import IntOracleEval, oracle_compile, oracle_truth
+from convexqe.oracle import (DEFAULT_ORACLE_BUDGET, IntOracleEval,
+                             _Decomposer, oracle_compile, oracle_truth)
 from convexqe.parser import parse_formula
 from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
                            int_sample_pool, pool_drawer)
@@ -65,7 +66,7 @@ class TestOracleAgreesWithEval:
                 f = gen_formula(rng, ["x", "y"], 3, 0)
                 if not is_quantifier_free(normalize_atoms(f)):
                     continue
-                decision = oracle_compile(m, f).lower()
+                decision = oracle_compile(m, f)
                 for _ in range(15):
                     asgn = {v: gen_point(rng, m) for v in free_vars(f)}
                     assert (decision.eval_points(asgn)
@@ -84,13 +85,20 @@ def _literals(tree):
     return out
 
 
-def _atoms(dec):
-    """The atom record behind each literal of dec's tree."""
-    return [dec.atoms[n if n >= 0 else ~n] for n in _literals(dec.tree)]
+def _decomposed(m, f):
+    """f's decision tree over m, and the table of atoms its literals
+    number."""
+    d = _Decomposer(m, DEFAULT_ORACLE_BUDGET)
+    return d.decompose(f), d.atoms
 
 
-def _assert_primitive(dec):
-    for atom in _atoms(dec):
+def _atoms(tree, atoms):
+    """The atom record behind each literal of tree."""
+    return [atoms[n if n >= 0 else ~n] for n in _literals(tree)]
+
+
+def _assert_primitive(tree, atoms):
+    for atom in _atoms(tree, atoms):
         form = atom.form
         entries = [q for _, q in form.coeffs] + [form.alpha, form.const]
         assert all(type(q) is int for q in entries), form
@@ -139,14 +147,14 @@ class TestBudget:
         # product over the coordinates meets the budget (a re-expanded DNF
         # per coordinate exceeds 16 clauses here)
         f = parse_formula("E y. ~y + z - 1/2 < 0 & 1/2 * y + 1/2 < 0")
-        dec = oracle_compile(m_sub3, f, budget=16)
+        ev = oracle_compile(m_sub3, f, budget=16)
         out = qe_star(f, build_structure(m_sub3))
         rng = random.Random(5)
         seen = set()
         for _ in range(40):
             asgn = {"z": gen_point(rng, m_sub3)}
             truth = eval_formula(m_sub3, out, asgn)
-            assert dec.eval(asgn) == truth
+            assert ev.eval_points(asgn) == truth
             seen.add(truth)
         assert seen == {True, False}
 
@@ -158,15 +166,15 @@ class TestBudget:
 
     def test_weak_bounds_need_no_case_split(self, m_pi):
         f = parse_formula(self.WEAK_BOUNDS)
-        dec = oracle_compile(m_pi, f)
+        ev = oracle_compile(m_pi, f)
         for c, d, truth in [(17, 5, True), (17, 17, False), (16, 3, False)]:
-            assert dec.eval({"c": Point.of(c), "d": Point.of(d)}) is truth
+            assert ev.eval_points({"c": Point.of(c), "d": Point.of(d)}) is truth
 
     def test_small_budget_refuses_the_split(self, m_pi):
         # 18 (lower, upper) pairs, and 18 weak pairs each against the one
         # disequation: 36 conditions
         f = parse_formula(self.WEAK_BOUNDS)
-        assert oracle_compile(m_pi, f, budget=36).eval(
+        assert oracle_compile(m_pi, f, budget=36).eval_points(
             {"c": Point.of(17), "d": Point.of(5)})
         with pytest.raises(BudgetExceededError,
                            match="oracle split budget exceeded"):
@@ -175,7 +183,7 @@ class TestBudget:
     def test_small_budget_refuses_the_disjunction(self, m_pi):
         # the body's DNF is three clauses, past a budget of two
         f = parse_formula("E y. (x < y | y < 1 | y < 2)")
-        assert oracle_compile(m_pi, f, budget=3).eval({"x": Point.of(5)})
+        assert oracle_compile(m_pi, f, budget=3).eval_points({"x": Point.of(5)})
         with pytest.raises(BudgetExceededError,
                            match="oracle DNF budget exceeded"):
             oracle_compile(m_pi, f, budget=2)
@@ -215,10 +223,10 @@ class TestOneDimensionalElimination:
             text = "E y. " + " & ".join(
                 _KINDS[kind][0].format(f"{a} * y + {b} * x + {k}")
                 for a, b, k, kind in lits)
-            dec = oracle_compile(m_pi, parse_formula(text))
+            ev = oracle_compile(m_pi, parse_formula(text))
             for x in rng.sample(xs, 4):
                 truth = _brute_exists(lits, x)
-                assert dec.eval({"x": Point.of(x)}) is truth, (text, x)
+                assert ev.eval_points({"x": Point.of(x)}) is truth, (text, x)
                 seen.add(truth)
         assert seen == {True, False}
 
@@ -229,9 +237,9 @@ class TestOneDimensionalElimination:
     ])
     def test_a_point_interval_meets_its_disequation(self, m_pi, text):
         # the bounds leave the one point a, which y != b removes iff a = b
-        dec = oracle_compile(m_pi, parse_formula(text))
-        assert dec.eval({"a": Point.of(2), "b": Point.of(3)})
-        assert not dec.eval({"a": Point.of(2), "b": Point.of(2)})
+        ev = oracle_compile(m_pi, parse_formula(text))
+        assert ev.eval_points({"a": Point.of(2), "b": Point.of(3)})
+        assert not ev.eval_points({"a": Point.of(2), "b": Point.of(2)})
 
     def test_strict_and_weak_bounds_at_one_root(self, m_pi):
         for text, truth in [("E y. a <= y & y < a", False),
@@ -239,8 +247,8 @@ class TestOneDimensionalElimination:
                             ("E y. a <= y & y <= a", True),
                             ("E y. a <= y & y <= a & y = a", True),
                             ("E y. a <= y & y <= a & y = b", False)]:
-            dec = oracle_compile(m_pi, parse_formula(text))
-            assert dec.eval({"a": Point.of(1), "b": Point.of(0)}) is truth, \
+            ev = oracle_compile(m_pi, parse_formula(text))
+            assert ev.eval_points({"a": Point.of(1), "b": Point.of(0)}) is truth, \
                 text
 
 
@@ -428,11 +436,11 @@ class TestWithoutPrePasses:
         for f in forms[:4]:
             assert rename_bound(f) != f
         for f in forms:
-            dec = oracle_compile(m, f)
+            ev = oracle_compile(m, f)
             ref = oracle_compile(m, normalize_atoms(rename_bound(f)))
             for _ in range(20):
                 asgn = {v: gen_point(rng, m) for v in free_vars(f)}
-                assert dec.eval(asgn) == ref.eval(asgn), str(f)
+                assert ev.eval_points(asgn) == ref.eval_points(asgn), str(f)
 
 
 class TestIntegerForms:
@@ -440,25 +448,25 @@ class TestIntegerForms:
                                       ("x = 0", "-x = 0")],
                              ids=["strict-multiple", "negated-equation"])
     def test_multiples_are_one_atom(self, m_sub2, a, b):
-        da = oracle_compile(m_sub2, parse_formula(a))
-        db = oracle_compile(m_sub2, parse_formula(b))
+        da = _decomposed(m_sub2, parse_formula(a))
+        db = _decomposed(m_sub2, parse_formula(b))
         # literals number atoms per decision: equal trees alone could name
         # different atoms, so the atoms behind them are compared too
-        assert da.tree == db.tree
-        assert ([(x.kind, x.form) for x in _atoms(da)]
-                == [(x.kind, x.form) for x in _atoms(db)])
-        _assert_primitive(da)
+        assert da[0] == db[0]
+        assert ([(x.kind, x.form) for x in _atoms(*da)]
+                == [(x.kind, x.form) for x in _atoms(*db)])
+        _assert_primitive(*da)
 
     def test_equal_atoms_are_one_object(self, m_1pi0):
         # eliminating y leaves clauses that share coordinate atoms; a
         # decision holds each distinct atom once
         f = parse_formula("E y. (x < y & y < z) | (x < y & U(y - z))")
-        dec = oracle_compile(m_1pi0, f)
-        lits = _literals(dec.tree)
-        atoms = {id(a): a for a in _atoms(dec)}
+        tree, table = _decomposed(m_1pi0, f)
+        lits = _literals(tree)
+        atoms = {id(a): a for a in _atoms(tree, table)}
         assert len(lits) > len(atoms)
         assert len({(a.kind, a.form) for a in atoms.values()}) == len(atoms)
-        assert len({(a.kind, a.form) for a in dec.atoms}) == len(dec.atoms)
+        assert len({(a.kind, a.form) for a in table}) == len(table)
 
 
 class TestOracleScale:
@@ -481,13 +489,13 @@ class TestOracleScale:
     def test_heavy_input_agrees_with_qe_star(self, models, name, text):
         m = models[name]
         f = parse_formula(text)
-        dec = oracle_compile(m, f)
-        _assert_primitive(dec)
+        _assert_primitive(*_decomposed(m, f))
+        ev = oracle_compile(m, f)
         out = qe_star(f, build_structure(m))
         rng = random.Random(9)
         for _ in range(40):
             asgn = {v: gen_point(rng, m) for v in ("x", "z")}
-            assert dec.eval(asgn) == eval_formula(m, out, asgn)
+            assert ev.eval_points(asgn) == eval_formula(m, out, asgn)
 
     # the oracle's cache key hashes the formula: a first hash must not
     # recurse through the unhashed subformulas
@@ -530,31 +538,33 @@ class TestOracleScale:
             return bnot(a)
 
         monkeypatch.setattr(oracle, "_bnot", counted)
-        dec = oracle_compile(m_sub2, f)
+        ev = oracle_compile(m_sub2, f)
         assert calls <= 3 * levels
-        assert dec.eval({"x": Point.of(-1, 0)})
+        assert ev.eval_points({"x": Point.of(-1, 0)})
 
 
 class TestResolvents:
     def test_each_resolvent_is_combined_once(self, monkeypatch):
         # over two coordinates each < is (f0 < 0) | (f0 = 0 & f1 < 0): the
         # DNF's clauses meet the same lower/upper and equation pairs again
-        # and again, and f0 < 0 and f0 = 0 share f0
-        m = get_model("lex2_sub1")  # a fresh model misses the compile cache
+        # and again, and each pair is combined once, for its node
+        m = get_model("lex2_sub1")
         f = parse_formula("E y. (x < y | z < y) & (y < w | y < v) & ~(y < u)")
         calls = []
         combine = oracle._combine
         monkeypatch.setattr(oracle, "_combine",
                             lambda *args: calls.append(args) or combine(*args))
-        dec = oracle_compile(m, f)
-        assert calls and len(calls) == len(set(calls))
+        d = _Decomposer(m, DEFAULT_ORACLE_BUDGET)
+        d.decompose(f)
+        assert 0 < len(calls) <= len(d.resolvent_nodes)
+        ev = oracle_compile(m, f)
         out = qe_star(f, build_structure(m))
         rng = random.Random(4)
         seen = set()
         for _ in range(60):
             asgn = {v: gen_point(rng, m) for v in "xzwvu"}
             truth = eval_formula(m, out, asgn)
-            assert dec.eval(asgn) == truth
+            assert ev.eval_points(asgn) == truth
             seen.add(truth)
         assert seen == {True, False}
 
@@ -564,28 +574,28 @@ class TestAtomTable:
         ("lex2_sub1", "x < 0"), ("lex2_rat_11", "U(x)")])
     def test_the_table_holds_what_the_tree_reaches(self, name, text):
         # the last coordinate's f = 0 would be joined to False
-        dec = oracle_compile(get_model(name), parse_formula(text))
-        reached = {n if n >= 0 else ~n for n in _literals(dec.tree)}
-        assert reached == set(range(len(dec.atoms))) and len(reached) == 3
+        tree, atoms = _decomposed(get_model(name), parse_formula(text))
+        reached = {n if n >= 0 else ~n for n in _literals(tree)}
+        assert reached == set(range(len(atoms))) and len(reached) == 3
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_quantifier_free_tables_hold_only_reached_atoms(self, name):
         m = get_model(name)
         for text in ("x < 0", "x <= 1/2", "x = y", "x != y", "U(x)",
                      "I(x - y)", "~U(x + 1/2) | y < x", "U(x) & ~(x < 1)"):
-            dec = oracle_compile(m, parse_formula(text))
-            reached = {n if n >= 0 else ~n for n in _literals(dec.tree)}
-            assert reached == set(range(len(dec.atoms))), text
+            tree, atoms = _decomposed(m, parse_formula(text))
+            reached = {n if n >= 0 else ~n for n in _literals(tree)}
+            assert reached == set(range(len(atoms))), text
 
 
 class TestManyAtoms:
     def test_atoms_past_the_small_int_cache(self, m_sub2):
-        # Lowering keys frame slots by each literal's atom, and a CAtom
-        # compares by identity, so the literal callback must hand it the
-        # table's own records: a fresh object per literal would take a
-        # slot of its own.  Here 100 pairs (A, B), exactly one of which holds
-        # at every sampled point (their sides are never equal there), give
-        # more atoms than CPython caches small ints for.  Each pair states
+        # Lowering keys frame slots by atom number, a negative literal n by
+        # ~n, so the numbers past CPython's small-int cache, fresh objects
+        # each, must still take one slot per atom.  Here 100 pairs (A, B),
+        # exactly one of which holds at every sampled point (their sides
+        # are never equal there), give more atoms than CPython caches small
+        # ints for.  Each pair states
         # "at most one" three times and "at least one" twice, alternately,
         # so negated literals recur right after positive ones of their
         # atoms.
@@ -599,15 +609,16 @@ class TestManyAtoms:
             most, one = f"(~{A} | ~{B})", f"({A} | {B})"
             clauses += [most, one, most, one, most]
         f = parse_formula("(E y. (x < y & y < z)) & " + " & ".join(clauses))
-        dec = oracle_compile(m_sub2, f)
-        lits = _literals(dec.tree)
+        tree, _ = _decomposed(m_sub2, f)
+        lits = _literals(tree)
         atoms = {n if n >= 0 else ~n for n in lits}
         assert len(atoms) > 257 and max(atoms) > 257
         assert 2 * sum(n < 0 for n in lits) > len(lits)
         # one frame slot per distinct atom
-        assert len(dec.lower().blank) == len(atoms)
+        ev = oracle_compile(m_sub2, f)
+        assert len(ev.blank) == len(atoms)
         out = qe_star(f, build_structure(m_sub2))
-        orc = IntOracleEval(dec, SAMPLE_DENOM)
+        orc = IntOracleEval(ev, SAMPLE_DENOM)
         draw = pool_drawer(random.Random(3), int_sample_pool(m_sub2))
         seen = set()
         for _ in range(40):

@@ -230,7 +230,7 @@ def _scalar_verify(m, phi, sk, samples, seed, st):
     existential = qe_star(Exists(sk.target, phi), st)
     low = compile_formula(m, existential, *(g for g, _ in sk.cases))
     phi_eval = (compile_formula(m, phi) if is_quantifier_free(phi)
-                else oracle_compile(m, phi).lower())
+                else oracle_compile(m, phi))
     cases = []
     for guard, (_, term) in enumerate(sk.cases, 1):
         lc, rows = term_rows(m, term)

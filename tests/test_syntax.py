@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexqe.cutqe import qe
-from convexqe.errors import (BudgetExceededError, FormulaSyntaxError,
-                             UnknownIdentifierError)
+from convexqe.errors import BudgetExceededError, FormulaSyntaxError
 from convexqe.fuzz import gen_formula
 from convexqe.models import eval_formula
 from convexqe.normalform import dnf_clauses, normalize_atoms, simplify, to_dnf
@@ -92,99 +91,64 @@ PARSE_DIGEST = (
     "ef19fe78eb832b19b982f30de1470605da108c86167313612a021191f4fc7424")
 _LONG = "1" * 5000  # past the interpreter's int/str digit limit
 # one or more cases per raise site, with the (message, line, column)
-# recorded before that rewrite: (parse, text, known_vars, type, message,
-# line, column)
+# recorded before that rewrite, but those after a long literal, which was
+# an error then: (parse, text, message, line, column)
 PARSE_ERRORS = [
-    (parse_formula, 'x < 0 & y # 1', None, FormulaSyntaxError,
-     "1:11: unexpected character '#'", 1, 11),
-    (parse_formula, 'x < 0 &\n\t y\t$ 1', None, FormulaSyntaxError,
+    (parse_formula, 'x < 0 & y # 1', "1:11: unexpected character '#'", 1, 11),
+    (parse_formula, 'x < 0 &\n\t y\t$ 1',
      "2:5: unexpected character '$'", 2, 5),
-    (parse_formula, '\n\n\t\té < 0', None, FormulaSyntaxError,
-     "3:3: unexpected character 'é'", 3, 3),
-    (parse_formula, 'x > 0', None, FormulaSyntaxError,
-     "1:3: unexpected character '>'", 1, 3),
-    (parse_formula, 'x < ) ! 0', None, FormulaSyntaxError,
-     "1:7: unexpected character '!'", 1, 7),
-    (parse_formula, 'x < 0 -\n> y', None, FormulaSyntaxError,
-     "2:1: unexpected character '>'", 2, 1),
-    (parse_formula, 'x < 0 y', None, FormulaSyntaxError,
-     "1:7: trailing input 'y'", 1, 7),
-    (parse_formula, 'x < 0\n  )', None, FormulaSyntaxError,
-     "2:3: trailing input ')'", 2, 3),
-    (parse_formula, '(x < 0', None, FormulaSyntaxError,
-     "1:7: expected ')'", 1, 7),
-    (parse_formula, 'E y. ((x < y)\n\t ', None, FormulaSyntaxError,
-     "2:3: expected ')'", 2, 3),
-    (parse_formula, '(x < 0 y < 1)', None, FormulaSyntaxError,
-     "1:8: expected ')', found 'y'", 1, 8),
-    (parse_formula, 'U(x', None, FormulaSyntaxError,
-     "1:4: expected ')'", 1, 4),
-    (parse_formula, 'U x)', None, FormulaSyntaxError,
-     "1:3: expected '(', found 'x'", 1, 3),
-    (parse_formula, 'x + 1 & y < 0', None, FormulaSyntaxError,
+    (parse_formula, '\n\n\t\té < 0', "3:3: unexpected character 'é'", 3, 3),
+    (parse_formula, 'x > 0', "1:3: unexpected character '>'", 1, 3),
+    (parse_formula, 'x < ) ! 0', "1:7: unexpected character '!'", 1, 7),
+    (parse_formula, 'x < 0 -\n> y', "2:1: unexpected character '>'", 2, 1),
+    (parse_formula, 'x < 0 y', "1:7: trailing input 'y'", 1, 7),
+    (parse_formula, 'x < 0\n  )', "2:3: trailing input ')'", 2, 3),
+    (parse_formula, '(x < 0', "1:7: expected ')'", 1, 7),
+    (parse_formula, 'E y. ((x < y)\n\t ', "2:3: expected ')'", 2, 3),
+    (parse_formula, '(x < 0 y < 1)', "1:8: expected ')', found 'y'", 1, 8),
+    (parse_formula, 'U(x', "1:4: expected ')'", 1, 4),
+    (parse_formula, 'U x)', "1:3: expected '(', found 'x'", 1, 3),
+    (parse_formula, 'x + 1 & y < 0',
      '1:7: expected a relation (<, <=, =, !=)', 1, 7),
-    (parse_formula, 'x + 1\n', None, FormulaSyntaxError,
+    (parse_formula, 'x + 1\n',
      '2:1: expected a relation (<, <=, =, !=)', 2, 1),
-    (parse_formula, 'E . x < 0', None, FormulaSyntaxError,
+    (parse_formula, 'E . x < 0',
      '1:3: expected a variable after quantifier', 1, 3),
-    (parse_formula, 'A\n  1. x < 0', None, FormulaSyntaxError,
+    (parse_formula, 'A\n  1. x < 0',
      '2:3: expected a variable after quantifier', 2, 3),
-    (parse_formula, 'E e_in. x < 0', None, FormulaSyntaxError,
+    (parse_formula, 'E e_in. x < 0',
      '1:3: expected a variable after quantifier', 1, 3),
-    (parse_formula, 'E', None, FormulaSyntaxError,
-     '1:2: expected a variable after quantifier', 1, 2),
-    (parse_formula, 'E x x < 0', None, FormulaSyntaxError,
-     "1:5: expected '.', found 'x'", 1, 5),
-    (parse_formula, '1/0 * x < 0', None, FormulaSyntaxError,
-     '1:3: zero denominator', 1, 3),
-    (parse_formula, 'x < 0 |\r\n\t3/ 00 * y < 0', None, FormulaSyntaxError,
+    (parse_formula, 'E', '1:2: expected a variable after quantifier', 1, 2),
+    (parse_formula, 'E x x < 0', "1:5: expected '.', found 'x'", 1, 5),
+    (parse_formula, '1/0 * x < 0', '1:3: zero denominator', 1, 3),
+    (parse_formula, 'x < 0 |\r\n\t3/ 00 * y < 0',
      '2:5: zero denominator', 2, 5),
-    (parse_formula, 'x < 1/x', None, FormulaSyntaxError,
-     '1:7: expected a number', 1, 7),
-    (parse_formula, f"x < {_LONG}", None, FormulaSyntaxError,
-     '1:5: number too long (5000 digits)', 1, 5),
-    (parse_formula, f"x < 1/{_LONG}", None, FormulaSyntaxError,
-     '1:7: number too long (5000 digits)', 1, 7),
-    (parse_formula, f"\n {_LONG} * y < 0", None, FormulaSyntaxError,
-     '2:2: number too long (5000 digits)', 2, 2),
-    (parse_formula, 'x < E', None, FormulaSyntaxError,
+    (parse_formula, 'x < 1/x', '1:7: expected a number', 1, 7),
+    (parse_formula, f"x < {_LONG} y", "1:5006: trailing input 'y'", 1, 5006),
+    (parse_formula, f"x < {_LONG}/0", '1:5006: zero denominator', 1, 5006),
+    (parse_formula, f"\n {_LONG} * y",
+     '2:5006: expected a relation (<, <=, =, !=)', 2, 5006),
+    (parse_formula, 'x < E',
      "1:5: reserved word 'E' cannot be used as a variable", 1, 5),
-    (parse_formula, 'x +\n  A < 0', None, FormulaSyntaxError,
+    (parse_formula, 'x +\n  A < 0',
      "2:3: reserved word 'A' cannot be used as a variable", 2, 3),
-    (parse_formula, 'E U. U < 0', None, FormulaSyntaxError,
+    (parse_formula, 'E U. U < 0',
      '1:3: expected a variable after quantifier', 1, 3),
-    (parse_formula, '2 * true < 0', None, FormulaSyntaxError,
+    (parse_formula, '2 * true < 0',
      "1:5: reserved word 'true' cannot be used as a variable", 1, 5),
-    (parse_formula, 'x < 0 & w < 0', {'y', 'x'}, UnknownIdentifierError,
-     "1:9: unknown identifier 'w'", 1, 9),
-    (parse_formula, 'E w. w < 0 & \n  y < v', {'y'}, UnknownIdentifierError,
-     "1:6: unknown identifier 'w'", 1, 6),
-    (parse_formula, 'x < ', None, FormulaSyntaxError,
-     '1:5: expected a term', 1, 5),
-    (parse_formula, 'x < )', None, FormulaSyntaxError,
-     '1:5: expected a term', 1, 5),
-    (parse_formula, 'x < * 2', None, FormulaSyntaxError,
-     '1:5: expected a term', 1, 5),
-    (parse_formula, 'x - - ', None, FormulaSyntaxError,
-     '1:7: expected a term', 1, 7),
-    (parse_formula, '', None, FormulaSyntaxError,
-     '1:1: expected a term', 1, 1),
-    (parse_formula, '   \n ', None, FormulaSyntaxError,
-     '2:2: expected a term', 2, 2),
-    (parse_formula, 'x < 0 & ', None, FormulaSyntaxError,
-     '1:9: expected a term', 1, 9),
-    (parse_formula, '~', None, FormulaSyntaxError,
-     '1:2: expected a term', 1, 2),
-    (parse_term, 'x + 1 )', None, FormulaSyntaxError,
-     "1:7: trailing input ')'", 1, 7),
-    (parse_term, 'x\n y', None, FormulaSyntaxError,
-     "2:2: trailing input 'y'", 2, 2),
-    (parse_term, 'x < 0', None, FormulaSyntaxError,
-     "1:3: trailing input '<'", 1, 3),
-    (parse_term, '2 * 3 #', None, FormulaSyntaxError,
-     "1:7: unexpected character '#'", 1, 7),
-    (parse_term, '', None, FormulaSyntaxError,
-     '1:1: expected a term', 1, 1),
+    (parse_formula, 'x < ', '1:5: expected a term', 1, 5),
+    (parse_formula, 'x < )', '1:5: expected a term', 1, 5),
+    (parse_formula, 'x < * 2', '1:5: expected a term', 1, 5),
+    (parse_formula, 'x - - ', '1:7: expected a term', 1, 7),
+    (parse_formula, '', '1:1: expected a term', 1, 1),
+    (parse_formula, '   \n ', '2:2: expected a term', 2, 2),
+    (parse_formula, 'x < 0 & ', '1:9: expected a term', 1, 9),
+    (parse_formula, '~', '1:2: expected a term', 1, 2),
+    (parse_term, 'x + 1 )', "1:7: trailing input ')'", 1, 7),
+    (parse_term, 'x\n y', "2:2: trailing input 'y'", 2, 2),
+    (parse_term, 'x < 0', "1:3: trailing input '<'", 1, 3),
+    (parse_term, '2 * 3 #', "1:7: unexpected character '#'", 1, 7),
+    (parse_term, '', '1:1: expected a term', 1, 1),
 ]
 
 
@@ -217,6 +181,17 @@ class TestLongNumbers:
         got = _int_text(n), _int_text(1 - n)
         assert time.perf_counter() - start < 5
         assert got == (want, "-" + want[:-1] + "0")  # 3^k ends in 1
+
+    @pytest.mark.digit_limit
+    def test_long_literals_parse_exactly(self):
+        # on both sides of the 500-digit edge, and split unevenly; the
+        # references are built without converting a string
+        for n in (1, 499, 500, 501, 1001, 5000):
+            for digits, want in (("7" * n, 7 * (10 ** n - 1) // 9),
+                                 ("1" + "0" * n + "3", 10 ** (n + 1) + 3),
+                                 ("0" * n + "42", 42)):
+                t = parse_term(f"{digits} * x")
+                assert t.coeff("x") == want, n
 
     @pytest.mark.digit_limit
     def test_long_fraction_prints_in_full(self):
@@ -287,11 +262,6 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("E U. U < 0")
 
-    def test_unknown_identifier(self):
-        from convexqe.errors import UnknownIdentifierError
-        with pytest.raises(UnknownIdentifierError):
-            parse_formula("w < 0", known_vars={"x", "y"})
-
     def test_bound_variables_unique(self):
         f = rt("E x. (x < 0 & E x. x < 1)")
         inner = f.body.args[1]
@@ -312,10 +282,10 @@ class TestParsing:
     @pytest.mark.parametrize("case", PARSE_ERRORS,
                              ids=[str(i) for i in range(len(PARSE_ERRORS))])
     def test_parse_errors_are_pinned(self, case):
-        parse, text, known, exc, message, line, column = case
+        parse, text, message, line, column = case
         with pytest.raises(FormulaSyntaxError) as err:
-            parse(text, known)
-        assert type(err.value) is exc
+            parse(text)
+        assert type(err.value) is FormulaSyntaxError
         assert (str(err.value), err.value.line, err.value.column) \
             == (message, line, column)
 

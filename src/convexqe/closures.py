@@ -1,11 +1,12 @@
 """Jump-table compilation of quantifier-free boolean combinations.
 
-A tree (a bool, a leaf, ``("&" | "|", *kids)`` or ``("~", kid)``) is
-compiled once, on an explicit stack, into short-circuit jumping code (Aho,
-Lam, Sethi and Ullman, *Compilers*, 2nd ed., section 6.6): a flat table with
-one row ``(slot, if_true, if_false)`` per leaf.  A kid's exits are its next
-sibling's entry or its parent's exits, and ``~`` swaps them, as does a
-negative int leaf n, which is the leaf ~n negated.
+A tree, a quantifier-free ``syntax`` formula (an ``AtomF`` leaf is its atom)
+or a tuple tree (a bool, a leaf, ``("&" | "|", *kids)`` or ``("~", kid)``),
+is compiled once, as it stands, on an explicit stack, into short-circuit
+jumping code (Aho, Lam, Sethi and Ullman, *Compilers*, 2nd ed., section
+6.6): a flat table with one row ``(slot, if_true, if_false)`` per leaf.  A
+kid's exits are its next sibling's entry or its parent's exits, and ``~``
+swaps them, as does a negative int leaf n, which is the leaf ~n negated.
 
 What an atom means is up to the caller's lowering, so the model evaluator
 and the independent coordinate oracle share no atom semantics.  A lowering
@@ -53,8 +54,13 @@ import functools
 import math
 from typing import Callable, Iterable, Mapping, Optional
 
+from .syntax import (QUANTIFIERS, And, AtomF, FalseF, Implies, Not, Or, TrueF,
+                     children)
+
 DENOM = 0
 TRUE, FALSE = -1, -2  # a root's exits; rows are numbered from 0
+# a syntax connective's tuple operator: true is an empty &, false an empty |
+_OPS = {And: "&", Or: "|", Not: "~", Implies: "->", TrueF: "&", FalseF: "|"}
 
 
 class Lowering:
@@ -77,20 +83,31 @@ class Lowering:
         while stack:
             n, t, e = stack.pop()
             t, e = (entry if t is None else t), (entry if e is None else e)
-            while type(n) is tuple:
-                if n[0] == "~":
-                    n, t, e = n[1], e, t
-                elif len(n) == 1:
-                    n = n[0] == "&"
+            while True:
+                op, kids = ((n[0], n[1:]) if type(n) is tuple else
+                            (_OPS.get(type(n)), children(n)))
+                if op is None:
+                    break
+                if op == "~":
+                    n, t, e = kids[0], e, t
+                elif not kids:
+                    n = op == "&"
                 else:
-                    chain = (None, e) if n[0] == "&" else (t, None)
-                    stack.extend((k, *chain) for k in n[1:-1])
-                    n = n[-1]
+                    # a kid but the last goes on to the next kid where true
+                    # (&, an implication's lhs) or false (|)
+                    chain = ((None, e) if op == "&" else (t, None) if op == "|"
+                             else (None, t))
+                    stack.extend((k, *chain) for k in kids[:-1])
+                    n = kids[-1]
             if type(n) is bool:
                 entry = t if n else e
                 continue
-            if type(n) is int and n < 0:
+            if type(n) is AtomF:
+                n = n.atom
+            elif type(n) is int and n < 0:
                 n, t, e = ~n, e, t
+            elif type(n) in QUANTIFIERS:
+                raise ValueError("compile needs a quantifier-free formula")
             slot = slots.get(n)
             if slot is None:
                 slot = slots[n] = 1 + len(slots)

@@ -50,7 +50,7 @@ from .models import (CutClass, DownwardCut, ModelDescriptor, Point,
 from .normalform import (Literal, dnf_clauses, negate, normalize_atoms,
                          simplify, simplify_node)
 from .piecewise import UnaryPiecewiseLinear
-from .syntax import (And, Atom, AtomF, AtomKind, Exists, FalseF, Forall,
+from .syntax import (Atom, AtomF, AtomKind, Exists, FalseF, Forall,
                      Formula, Not, Or, Term, conj, disj, fold,
                      mentions_membership)
 
@@ -265,29 +265,35 @@ def _expand(literals: Iterable[Literal], v: str, st: CutStructure,
 # the comparison table
 
 
+def _atom(kind: AtomKind, t: Term) -> Formula:
+    """The atom, decided if it is ground: the table builds its conditions
+    simplified, negating with negate and joining with conj."""
+    return simplify_node(AtomF(Atom(kind, t)), ())
+
+
 def _mem(st: CutStructure, t: Term) -> Formula:
-    return AtomF(Atom(st.mem_kind, t))
+    return _atom(st.mem_kind, t)
 
 
 def _above(st: CutStructure, t: Term) -> Formula:
     """t sits strictly above the working subgroup."""
-    return And(AtomF(Atom(AtomKind.LT, -t)), Not(_mem(st, t)))
+    return conj((_atom(AtomKind.LT, -t), negate(_mem(st, t))))
 
 
 def _below(st: CutStructure, t: Term) -> Formula:
-    return And(AtomF(Atom(AtomKind.LT, t)), Not(_mem(st, t)))
+    return conj((_atom(AtomKind.LT, t), negate(_mem(st, t))))
 
 
 def _at(st: CutStructure, kind: str, val, w: Term) -> Formula:
     """The constraint of the given kind and data on v, at v := w."""
     if kind == "eq":
-        return AtomF(Atom(AtomKind.EQ, w - val))
+        return _atom(AtomKind.EQ, w - val)
     if kind == "neq":
-        return Not(AtomF(Atom(AtomKind.EQ, w - val)))
+        return negate(_atom(AtomKind.EQ, w - val))
     if kind == "lower":
-        return AtomF(Atom(AtomKind.LT, val - w))
+        return _atom(AtomKind.LT, val - w)
     if kind == "upper":
-        return AtomF(Atom(AtomKind.LT, w - val))
+        return _atom(AtomKind.LT, w - val)
     if kind == "mem":
         return _mem(st, w - val)
     if kind == "above":
@@ -306,11 +312,10 @@ def _gamma_compare(st: CutStructure, r1: CutRay, r2: CutRay) -> Formula:
     # condition: mcoef * supU  (< if less else >)  w
     if mcoef == 0:
         return _above(st, w) if less else _below(st, w)
-    t = w.scale_ratio(mcoef.denominator, mcoef.numerator)
+    at = _atom(AtomKind.UMEM,
+               w.scale_ratio(mcoef.denominator, mcoef.numerator))
     want_gamma_less = less if mcoef > 0 else not less
-    if want_gamma_less:
-        return Not(AtomF(Atom(AtomKind.UMEM, t)))
-    return AtomF(Atom(AtomKind.UMEM, t))
+    return negate(at) if want_gamma_less else at
 
 
 # points are the finest bounds, coset bounds next, cut rays the coarsest
@@ -326,7 +331,7 @@ def _pair_condition(st: CutStructure, lo: tuple, up: tuple,
         return _gamma_compare(st, lv, uv)
     if inject_bug and lk == "lower" and uk == "upper":
         # test hook: deliberately reversed bound pair
-        return AtomF(Atom(AtomKind.LT, uv - lv))
+        return _atom(AtomKind.LT, uv - lv)
     if _RANK[lk] < _RANK[uk]:
         return _at(st, uk, uv, lv)
     return _at(st, lk, lv, uv)
@@ -360,8 +365,8 @@ def _branch_condition(br: PureBranch, st: CutStructure,
             parts.append(_pair_condition(st, lo, up, inject_bug))
     for i, c in enumerate(cons["mem"]):
         parts += [_at(st, "mem", c2, c) for c2 in cons["mem"][i + 1:]]
-        parts += [Not(_above(st, t - c)) for t in cons["lower"]]
-        parts += [Not(_below(st, t - c)) for t in cons["upper"]]
+        parts += [negate(_above(st, t - c)) for t in cons["lower"]]
+        parts += [negate(_below(st, t - c)) for t in cons["upper"]]
         parts += [_at(st, k, val, c) for k in ("above", "below", "ray")
                   for val in cons[k]]
     # disequalities: the convex intersection, if nonempty, has no extreme
@@ -377,7 +382,7 @@ def _eliminate(body: Formula, v: str, st: CutStructure,
                options: QeOptions) -> Formula:
     """v-free equivalent of E v. body, body quantifier-free in the working
     vocabulary of st."""
-    return disj(simplify(_branch_condition(br, st, options.inject_bug))
+    return disj(_branch_condition(br, st, options.inject_bug)
                 for c in dnf_clauses(body, options.dnf_budget)
                 for br in _expand(c, v, st, options.dnf_budget))
 
@@ -534,7 +539,7 @@ def skolemize(phi: Formula, target: str, st: CutStructure,
             for w in _branch_candidates(br, st):
                 if target in w.vars():
                     raise AssertionError("witness must not mention the target")
-                guard = simplify(conj(_branch_at(br, st, w)))
+                guard = conj(_branch_at(br, st, w))
                 if isinstance(guard, FalseF):
                     continue
                 key = (guard, w)

@@ -201,12 +201,14 @@ def gen_int_point(rng: random.Random, m: ModelDescriptor,
 
 def int_sample_pool(m: ModelDescriptor,
                     values: list[Fraction] = VALUE_POOL) -> tuple[int, ...]:
-    """Numerators over SAMPLE_DENOM of the value pool, then of the model's
-    rational threshold entries that SAMPLE_DENOM clears."""
-    pool = [int(v * SAMPLE_DENOM) for v in values]
-    pool += [int(v * SAMPLE_DENOM) for v in model_sample_pool(m)
-             if (v * SAMPLE_DENOM).denominator == 1]
-    return tuple(pool)
+    """Numerators over SAMPLE_DENOM of the value pool, each of which
+    SAMPLE_DENOM must clear, then of the model's rational threshold entries
+    that it clears."""
+    if any(SAMPLE_DENOM % v.denominator for v in values):
+        raise ValueError("SAMPLE_DENOM must clear every sampled value")
+    return tuple([v.numerator * SAMPLE_DENOM // v.denominator for v in (
+        *values, *(e for e in model_sample_pool(m)
+                   if not SAMPLE_DENOM % e.denominator))])
 
 
 def model_sample_pool(m: ModelDescriptor) -> tuple[Fraction, ...]:

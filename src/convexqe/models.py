@@ -16,8 +16,8 @@ every file the CLI takes.
 
 Quantifier-free formulas are evaluated two ways.  ``eval_formula`` folds
 the formula with exact Point arithmetic and is the reference.
-``compile_formula`` compiles formulas once, one root each, into one jump
-table of ``closures`` for the per-assignment loops;
+``compile_formula`` compiles formulas once, as they stand, one root each,
+into one jump table of ``closures`` for the per-assignment loops;
 ``IntCompiledFormula`` is one such root at a fixed denominator.  Each atom
 is lowered once, to the integer rows of its term and the sign and tail
 that decide it (``_lower_atom``), and ``closures`` reads that spec at one
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -41,7 +42,8 @@ from typing import Mapping, Optional, Union
 from .closures import AtDenominator, Evaluator, Lowering
 from .errors import ConvexQEError, MalformedModelError, PrecisionBudgetError
 from .normalform import normalize_atoms
-from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies, Not,
+from .parser import _read_int
+from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Not,
                      Or, Term, TrueF, _rat_text, fold, is_quantifier_free)
 
 DEFAULT_PRECISION_BITS = 4096
@@ -542,23 +544,7 @@ def compile_formula(m: ModelDescriptor, *fs: Formula) -> Evaluator:
     """The evaluator over m for quantifier-free formulas, one root each over
     one jump table, built once and called per assignment; eval_formula is
     its reference."""
-
-    def node(g: Formula, kids, _c):
-        t = type(g)
-        if t is AtomF:
-            return g.atom
-        if t is And or t is Or:
-            return ("&" if t is And else "|", *kids)
-        if t is Not:
-            return ("~", kids[0])
-        if t is Implies:
-            return ("|", ("~", kids[0]), kids[1])
-        if t is TrueF or t is FalseF:
-            return t is TrueF
-        raise ValueError("compile needs a quantifier-free formula")
-
-    return Lowering(lambda a: _lower_atom(m, a)).evaluator(
-        *(fold(f, node) for f in fs))
+    return Lowering(lambda a: _lower_atom(m, a)).evaluator(*fs)
 
 
 class IntCompiledFormula(AtDenominator):
@@ -579,13 +565,30 @@ def rat_text(q: Fraction) -> str:
     return _rat_text(q.numerator, q.denominator)
 
 
+# Fraction's string form; a run of digits may be grouped by "_"
+_RATIONAL = re.compile(
+    r"\s*([-+]?)(?=\.?\d)(D?)(?:/(D)|(?:\.(D?))?(?:[eE]([-+]?D))?)\s*"
+    .replace("D", r"(?:\d+(?:_\d+)*)"))
+
+
 def json_rational(x) -> Fraction:
-    """A rational read from JSON: a string such as "3/2" or "0.1", or an
+    """A rational read from JSON: a string such as "3/2" or "0.1", read as
+    ``Fraction`` reads it but with each run of digits read by the parser's
+    ``_read_int``, so at any length and any int/str digit limit; or an
     integer.  A float is binary and a boolean is no number, so both are
     refused."""
-    if type(x) is str or type(x) is int:
+    if type(x) is int:
         return Fraction(x)
-    raise TypeError(f"a rational is a string or an integer, not {x!r}")
+    if type(x) is not str:
+        raise TypeError(f"a rational is a string or an integer, not {x!r}")
+    got = _RATIONAL.fullmatch(x)
+    if got is None:
+        raise ValueError(f"invalid literal for a rational: {x!r}")
+    sign, num, den, dec, exp = [g and g.replace("_", "") for g in got.groups()]
+    e = int(exp or 0)  # the decimals are read as more digits of num
+    n = _read_int((num or "0") + (dec or "")) * 10 ** max(e, 0)
+    d = (_read_int(den) if den else 10 ** len(dec or "")) * 10 ** max(-e, 0)
+    return Fraction(-n if sign == "-" else n, d)
 
 
 def _json_of(kind: type, x):
@@ -607,7 +610,7 @@ def _entry_from_json(x) -> ThresholdEntry:
     if isinstance(x, str):
         if x.strip() == "+inf":
             return PLUS_INF
-        return Fraction(x)
+        return json_rational(x)
     if isinstance(x, dict) and "irrational" in x:
         return make_oracle(x["irrational"])
     raise MalformedModelError(f"bad threshold entry {x!r}")

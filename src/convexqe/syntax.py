@@ -8,9 +8,10 @@ element of the ambient model.
 
 ``And`` and ``Or`` are n-ary and flat: an argument with the same connective
 is spliced in, so one formula has one shape however it was nested.  Every
-structural walk over formulas, here and in the other modules, is a callback
-to ``fold``, one post-order traversal on an explicit stack built on
-``children`` and ``rebuild``; formula depth meets no recursion limit.
+structural walk over formulas that builds a result per node, here and in
+the other modules, is a callback to ``fold``, one post-order traversal on
+an explicit stack built on ``children`` and ``rebuild``; formula depth
+meets no recursion limit.
 """
 
 from __future__ import annotations

@@ -222,8 +222,9 @@ class TestCommands:
         ({"guard": "true", "witness": "y + 1"}, "witness", "y"),
         ({"guard": "w < 0", "witness": "x + 1"}, "guard", "w"),
         ({"guard": "true", "witness": "q + 1"}, "witness", "q"),
+        ({"guard": "x < 0 & E z. z < x", "witness": "x"}, "guard", None),
     ], ids=["witness-names-target", "guard-names-stranger",
-            "witness-names-stranger"])
+            "witness-names-stranger", "guard-is-quantified"])
     def test_skolem_variables_outside_phi_are_domain_errors(
             self, capsys, tmp_path, case, part, name):
         sk_file = tmp_path / "sk.json"
@@ -234,8 +235,9 @@ class TestCommands:
                            "--sk", str(sk_file))
         assert rc == 1 and out == "" and "Traceback" not in err
         assert err.count("\n") == 1
+        want = f"names {name}," if name else "is not quantifier-free\n"
         assert err.startswith(f"error: bad Skolem definition: case 2's {part} "
-                              f"names {name},")
+                              + want)
 
     def test_missing_model_is_domain_error(self, capsys):
         rc, _, _ = run(capsys, "classify", "--model", "no_such_model.json")
@@ -378,6 +380,21 @@ class TestDeepInput:
         rc, out, err = run(capsys, "parse", f"{nines} * {nines} * x < 0")
         assert rc == 0 and err == ""
         assert out == "9" * 3999 + "8" + "0" * 3999 + "1 * x < 0\n"
+
+    @pytest.mark.digit_limit
+    @pytest.mark.parametrize("digit, want", [("1", "true"), ("2", "false")])
+    def test_over_long_json_rationals_are_read_exactly(self, capsys, tmp_path,
+                                                       digit, want):
+        # a model threshold and an --assign coordinate of 5,000 digits:
+        # 11...1 lies below (10^5000 - 1) / 7 = 1428...5, and 22...2 above
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "dim": 2, "U": {"kind": "downward-cut",
+                            "threshold": ["9" * 5000 + "/7", "+inf"]},
+            "e_in": ["0", "1"], "e_out": [BIG + "0", "0"]}))
+        rc, out, err = run(capsys, "eval", "--model", str(model), "--assign",
+                           json.dumps({"x": [digit * 5000, "0"]}), "U(x)")
+        assert rc == 0 and err == "" and out == want + "\n"
 
     @pytest.mark.digit_limit
     def test_over_long_literal_is_read_exactly(self, capsys):

@@ -17,6 +17,7 @@ from convexqe.cutqe import SkolemDefinition, build_structure, qe_star, skolemize
 from convexqe.errors import ConvexQEError
 from convexqe.fuzz import (SAMPLE_DENOM, FuzzConfig, gen_atom, gen_formula,
                            int_sample_pool, pool_drawer, run_fuzz)
+from convexqe.normalform import simplify
 from convexqe.oracle import (DEFAULT_ORACLE_BUDGET, IntOracleEval,
                              _Decomposer, oracle_compile)
 from convexqe.parser import parse_formula
@@ -235,6 +236,39 @@ def test_qe_star_output_is_pinned(name):
 @pytest.mark.parametrize("name", VALUATIONAL_NAMES)
 def test_skolemize_output_is_pinned(name):
     assert _digest(_skolem_transcript(name)) == SKOLEM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ELIMINABLE_NAMES)
+def test_qe_star_output_is_built_simplified(name):
+    # the comparison table builds each condition simplified, so simplify
+    # leaves every output of the golden QE corpus as it is
+    st = build_structure(get_model(name))
+    rng = random.Random(f"golden-qe:{name}")
+    for _ in range(QE_FORMULAS):
+        f = parse_formula(print_formula(gen_formula(rng, ["x", "y"], 3, 2)))
+        try:
+            out = qe_star(f, st)
+        except ConvexQEError:
+            continue
+        assert simplify(out) == out, print_formula(out)
+
+
+@pytest.mark.parametrize("name", VALUATIONAL_NAMES)
+def test_skolemize_guards_are_built_simplified(name):
+    st = build_structure(get_model(name))
+    rng = random.Random(f"golden-skolem:{name}")
+    done = 0
+    while done < SKOLEM_FORMULAS:
+        f = gen_formula(rng, ["x", "y"], 3, 0)
+        if "y" not in free_vars(f):
+            continue
+        done += 1
+        try:
+            sk = skolemize(f, "y", st)
+        except ConvexQEError:
+            continue
+        for g, _ in sk.cases:
+            assert simplify(g) == g, print_formula(g)
 
 
 @pytest.mark.parametrize("name", VALUATIONAL_NAMES)

@@ -16,14 +16,16 @@ from convexqe.errors import (ConvexQEError, MalformedModelError,
 from convexqe.models import (DownwardCut, IntCompiledFormula, ModelDescriptor, PLUS_INF,
                              PiOracle, Point, SqrtOracle, SubgroupLevel,
                              compile_formula,
-                             eval_formula, model_from_json, model_to_json,
+                             eval_formula, json_rational, model_from_json,
+                             model_to_json,
                              term_rows, term_value, u_member)
 from convexqe.oracle import _Decomposer, oracle_compile, oracle_truth
 from convexqe.parser import parse_formula
 from convexqe.syntax import (And, Exists, FalseF, Or, Term, TrueF, atoms_of,
                              free_vars)
-from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point, gen_term,
-                           int_sample_pool, pool_drawer)
+from convexqe.fuzz import (SAMPLE_DENOM, VALUE_POOL, gen_formula, gen_point,
+                           gen_term, int_sample_pool, model_sample_pool,
+                           pool_drawer)
 
 from conftest import (VALUATIONAL_NAMES, get_model, lanes_of,
                       past_default_precision, random_cut_model, row_value)
@@ -126,6 +128,13 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_formula(m_sub2, parse_formula("E y. x < y"), {"x": Point.of(0, 0)})
 
+    @pytest.mark.parametrize("text", [
+        "E y. x < y", "x < 0 & A y. x < y", "~(x = 0 & ~E y. x < y)",
+        "(E y. x < y) -> x < 0", "x < 0 -> ~(x = 1 | A y. y < x)"])
+    def test_compile_rejects_a_quantifier_at_any_depth(self, m_sub2, text):
+        with pytest.raises(ValueError, match="quantifier-free"):
+            compile_formula(m_sub2, parse_formula(text))
+
 
 class TestOrderAxioms:
     def test_sampled(self, models):
@@ -192,8 +201,44 @@ class TestJson:
             again = model_from_json(json.loads(json.dumps(model_to_json(m))))
             assert again == m
 
+    def test_rationals_read_as_fraction_reads_them(self):
+        # json_rational reads its own digits, as Fraction(text) would
+        rng = random.Random(5)
+        texts = ["3/2", " -0.1 ", "+1_000/3", "1.", ".5", "-.5e-2", "7E+3",
+                 "1/0", "", ".", "1e", "1_", "_1", "1__0", "1/2e3", "0x1",
+                 "inf", "1/-2", "٣/٤"]
+        texts += ["".join(rng.choice("01_./e+- ") for _ in range(6))
+                  for _ in range(3000)]
+        for text in texts:
+            try:
+                want = Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                with pytest.raises(type(exc)):
+                    json_rational(text)
+            else:
+                assert json_rational(text) == want, text
+
+    @pytest.mark.digit_limit
+    def test_long_threshold_is_read_at_any_digit_limit(self):
+        big = "9" * 5000
+        m = model_from_json({"dim": 2, "U": {
+            "kind": "downward-cut", "threshold": [big + "/7", "+inf"]},
+            "e_in": ["0", "1"], "e_out": ["1" + "0" * 5000, "0"]})
+        assert m.u_interp.threshold[0] == Fraction(10 ** 5000 - 1, 7)
+        assert m.e_out.coords[0] == 10 ** 5000
+
 
 class TestIntFastPath:
+    def test_sample_pool_is_exact(self, models):
+        for m in models.values():
+            for values in (VALUE_POOL, [Fraction(-7, 3), Fraction(5, 6)]):
+                want = [v * SAMPLE_DENOM for v in values] + [
+                    e * SAMPLE_DENOM for e in model_sample_pool(m)
+                    if (e * SAMPLE_DENOM).denominator == 1]
+                assert int_sample_pool(m, values) == tuple(want)
+        with pytest.raises(ValueError):  # 1/4 is no multiple of 1/6
+            int_sample_pool(models["lex2_sub1"], [Fraction(1, 4)])
+
     def test_agrees_with_exact_eval(self, models):
         rng = random.Random(17)
         for m in models.values():

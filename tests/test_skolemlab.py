@@ -161,16 +161,19 @@ class TestVerifySkolem:
 
     @pytest.mark.parametrize("guard, witness, part, name", [
         ("true", "x + z", "witness", "z"), ("z < 0", "x", "guard", "z"),
-        ("true", "y + 1", "witness", "y")])
+        ("true", "y + 1", "witness", "y"), ("E z. z < x", "x", "guard", None),
+        ("~(x = 0 | A z. x < z)", "x", "guard", None)])
     def test_variables_outside_phi_are_refused(self, m_sub2, guard, witness,
                                                part, name):
-        """A guard or witness may name only phi's free variables other
-        than the target: a sample assigns no other."""
+        """A guard must be quantifier-free, and a guard or witness may name
+        only phi's free variables other than the target: a sample assigns
+        no other."""
         sk = SkolemDefinition("y", ((parse_formula(guard),
                                      parse_term(witness)),))
+        want = (f"names {name}, not a free variable of phi other than y"
+                if name else "is not quantifier-free")
         with pytest.raises(ConvexQEError, match=(
-                f"^bad Skolem definition: case 1's {part} names {name}, "
-                "not a free variable of phi other than y$")):
+                f"^bad Skolem definition: case 1's {part} {want}$")):
             verify_skolem(m_sub2, parse_formula("x < y"), sk, samples=10)
 
     def test_negative_sample_count_is_refused(self, m_sub2):

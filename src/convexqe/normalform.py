@@ -6,8 +6,8 @@ negated ``=``, so downstream code deals with four atom kinds and a polarity
 bit.  Each walk here is a callback to ``syntax.fold``: ``dnf_clauses``
 carries the polarity down (negation normal form on the way) and multiplies
 clause lists up; ``simplify`` folds constants bottom up and leaves the
-connectives to ``conj`` and ``disj``, with which, and ``negate``, ``cutqe``
-builds its branch conditions already simplified.
+connectives to ``conj`` and ``disj``; ``cutqe`` builds its branch
+conditions already simplified with ``simplify_node``, ``negate`` and ``conj``.
 """
 
 from __future__ import annotations

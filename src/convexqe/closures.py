@@ -1,12 +1,12 @@
 """Jump-table compilation of quantifier-free boolean combinations.
 
-A tree, a quantifier-free ``syntax`` formula (an ``AtomF`` leaf is its atom)
-or a tuple tree (a bool, a leaf, ``("&" | "|", *kids)`` or ``("~", kid)``),
-is compiled once, as it stands, on an explicit stack, into short-circuit
+A quantifier-free ``syntax`` formula, whose ``AtomF`` leaf is its atom, or
+a tuple tree (a bool, a leaf, ``("&" | "|", *kids)`` or ``("~", kid)``) is
+compiled once, as it stands, on an explicit stack, into short-circuit
 jumping code (Aho, Lam, Sethi and Ullman, *Compilers*, 2nd ed., section
-6.6): a flat table with one row ``(slot, if_true, if_false)`` per leaf.  A
-kid's exits are its next sibling's entry or its parent's exits, and ``~``
-swaps them, as does a negative int leaf n, which is the leaf ~n negated.
+6.6): one row ``(slot, if_true, if_false)`` per leaf.  A kid's exits are
+its next sibling's entry or its parent's exits, and ``~`` swaps them, as
+does a negative int leaf n, which is the leaf ~n negated.
 
 What an atom means is up to the caller's lowering, so the model evaluator
 and the independent coordinate oracle share no atom semantics.  A lowering
@@ -83,20 +83,15 @@ class Lowering:
         while stack:
             n, t, e = stack.pop()
             t, e = (entry if t is None else t), (entry if e is None else e)
-            while True:
-                op, kids = ((n[0], n[1:]) if type(n) is tuple else
-                            (_OPS.get(type(n)), children(n)))
-                if op is None:
-                    break
+            while op := n[0] if type(n) is tuple else _OPS.get(type(n)):
+                kids = n[1:] if type(n) is tuple else children(n)
                 if op == "~":
                     n, t, e = kids[0], e, t
                 elif not kids:
                     n = op == "&"
                 else:
-                    # a kid but the last goes on to the next kid where true
-                    # (&, an implication's lhs) or false (|)
-                    chain = ((None, e) if op == "&" else (t, None) if op == "|"
-                             else (None, t))
+                    # & and ->'s lhs go on to the next kid where true
+                    chain = {"&": (None, e), "|": (t, None)}.get(op, (None, t))
                     stack.extend((k, *chain) for k in kids[:-1])
                     n = kids[-1]
             if type(n) is bool:

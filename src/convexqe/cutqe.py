@@ -262,12 +262,10 @@ def _expand(literals: Iterable[Literal], v: str, st: CutStructure,
 
 
 # ---------------------------------------------------------------------------
-# the comparison table
+# the comparison table, whose conditions are built simplified
 
 
 def _atom(kind: AtomKind, t: Term) -> Formula:
-    """The atom, decided if it is ground: the table builds its conditions
-    simplified, negating with negate and joining with conj."""
     return simplify_node(AtomF(Atom(kind, t)), ())
 
 

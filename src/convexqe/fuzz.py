@@ -201,9 +201,8 @@ def gen_int_point(rng: random.Random, m: ModelDescriptor,
 
 def int_sample_pool(m: ModelDescriptor,
                     values: list[Fraction] = VALUE_POOL) -> tuple[int, ...]:
-    """Numerators over SAMPLE_DENOM of the value pool, each of which
-    SAMPLE_DENOM must clear, then of the model's rational threshold entries
-    that it clears."""
+    """Numerators over SAMPLE_DENOM of the value pool, which it must clear,
+    then of the model's rational threshold entries that it clears."""
     if any(SAMPLE_DENOM % v.denominator for v in values):
         raise ValueError("SAMPLE_DENOM must clear every sampled value")
     return tuple([v.numerator * SAMPLE_DENOM // v.denominator for v in (

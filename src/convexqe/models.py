@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from operator import eq, le, lt, ne
 from typing import Mapping, Optional, Union
 
@@ -565,26 +564,20 @@ def rat_text(q: Fraction) -> str:
     return _rat_text(q.numerator, q.denominator)
 
 
-# Fraction's string form; a run of digits may be grouped by "_"
-_RATIONAL = re.compile(
-    r"\s*([-+]?)(?=\.?\d)(D?)(?:/(D)|(?:\.(D?))?(?:[eE]([-+]?D))?)\s*"
-    .replace("D", r"(?:\d+(?:_\d+)*)"))
-
-
 def json_rational(x) -> Fraction:
-    """A rational read from JSON: a string such as "3/2" or "0.1", read as
-    ``Fraction`` reads it but with each run of digits read by the parser's
-    ``_read_int``, so at any length and any int/str digit limit; or an
-    integer.  A float is binary and a boolean is no number, so both are
-    refused."""
+    """A rational read from JSON: a string such as "3/2" or "0.1", matched
+    by ``Fraction``'s own pattern, its digits read by the parser's
+    ``_read_int`` at any int/str digit limit; or an integer.  A float is
+    binary and a boolean is no number, so both are refused."""
     if type(x) is int:
         return Fraction(x)
     if type(x) is not str:
         raise TypeError(f"a rational is a string or an integer, not {x!r}")
-    got = _RATIONAL.fullmatch(x)
+    got = _RATIONAL_FORMAT.match(x)
     if got is None:
         raise ValueError(f"invalid literal for a rational: {x!r}")
-    sign, num, den, dec, exp = [g and g.replace("_", "") for g in got.groups()]
+    sign, num, den, dec, exp = [g and g.replace("_", "") for g in got.group(
+        "sign", "num", "denom", "decimal", "exp")]
     e = int(exp or 0)  # the decimals are read as more digits of num
     n = _read_int((num or "0") + (dec or "")) * 10 ** max(e, 0)
     d = (_read_int(den) if den else 10 ** len(dec or "")) * 10 ** max(-e, 0)

@@ -5,9 +5,8 @@ connectives are ~, &, |, E, A.  ``<=`` becomes a negated ``<`` and ``!=`` a
 negated ``=``, so downstream code deals with four atom kinds and a polarity
 bit.  Each walk here is a callback to ``syntax.fold``: ``dnf_clauses``
 carries the polarity down (negation normal form on the way) and multiplies
-clause lists up; ``simplify`` folds constants bottom up and leaves the
-connectives to ``conj`` and ``disj``; ``cutqe`` builds its branch
-conditions already simplified with ``simplify_node``, ``negate`` and ``conj``.
+clause lists up; ``simplify`` folds constants bottom up, leaving connectives
+to ``conj`` and ``disj``, with which ``cutqe`` builds conditions simplified.
 """
 
 from __future__ import annotations

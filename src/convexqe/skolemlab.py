@@ -26,8 +26,8 @@ from .models import (CutClass, ModelDescriptor, Point, compile_formula,
                      i_member, rat_text, term_rows, term_value, u_member)
 from .oracle import oracle_compile
 from .piecewise import UnaryPiecewiseLinear
-from .syntax import (QUANTIFIERS, AtomF, Exists, Formula, children, free_vars,
-                     is_quantifier_free)
+from .syntax import (QUANTIFIERS, AtomF, Exists, Formula, free_vars,
+                     is_quantifier_free, subformulas)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -69,20 +69,17 @@ def verify_skolem(m: ModelDescriptor, phi: Formula, sk: SkolemDefinition,
     no witness value is built but the reported one.  The report is the
     one a sample-by-sample scan gives: the lowest failing lane, with the
     lanes where the existential held up to it counted as applicable.  A
-    guard must be quantifier-free, and a guard or witness may name only
-    phi's free variables other than the target, which are all that a
-    sample assigns."""
+    guard must be quantifier-free; it and a witness may name only phi's
+    free variables but the target, which are all that a sample assigns."""
     if samples < 0:
         raise ValueError("the sample count must not be negative")
     given = free_vars(phi) - {sk.target}
     for i, (guard, witness) in enumerate(sk.cases, 1):
-        named, stack = set(), [guard]  # the variables of the guard's atoms
-        while stack:
-            g = stack.pop()
+        named = set()  # the variables of the guard's atoms
+        for g in subformulas(guard):
             if type(g) in QUANTIFIERS:
                 raise ConvexQEError(f"bad Skolem definition: case {i}'s "
                                     "guard is not quantifier-free")
-            stack.extend(children(g))
             if type(g) is AtomF:
                 named |= g.atom.term.vars()
         for part, names in (("guard", named), ("witness", witness.vars())):

@@ -8,10 +8,9 @@ element of the ambient model.
 
 ``And`` and ``Or`` are n-ary and flat: an argument with the same connective
 is spliced in, so one formula has one shape however it was nested.  Every
-structural walk over formulas that builds a result per node, here and in
-the other modules, is a callback to ``fold``, one post-order traversal on
-an explicit stack built on ``children`` and ``rebuild``; formula depth
-meets no recursion limit.
+structural walk over formulas but the jump-table compiler's is a callback
+to ``fold``, one post-order traversal on an explicit stack built on
+``children`` and ``rebuild``; formula depth meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -498,7 +497,7 @@ def disj(fs: Iterable[Formula]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# The traversal: every structural walk over formulas is a fold below
+# The traversal: every walk over formulas but closures' compiler is a fold
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

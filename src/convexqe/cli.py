@@ -20,8 +20,8 @@ from .cutqe import (SkolemDefinition, build_structure, qe_star, skolemize)
 from .doagqe import QeOptions
 from .errors import ConvexQEError, FormulaSyntaxError
 from .fuzz import MAX_DEPTH, FuzzConfig, run_fuzz
-from .models import (START_BITS, Point, eval_formula, json_rational,
-                     load_model, rat_text, read_json)
+from .models import (START_BITS, Point, eval_formula, json_int,
+                     json_rational, load_model, rat_text, read_json)
 from .parser import parse_formula, parse_term
 from .piecewise import (UnaryPiecewiseLinear, binary_from_json,
                         check_pluslike, fn_from_json, normalize_monotone,
@@ -97,8 +97,8 @@ def _load_assignment(text: str, m) -> dict:
     """The --assign object: each variable's point of m, a JSON list of
     m.dim rationals."""
     try:
-        return {var: _point(coords, m)
-                for var, coords in json.loads(text).items()}
+        data = json.loads(text, parse_int=json_int)
+        return {var: _point(coords, m) for var, coords in data.items()}
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConvexQEError(f"bad --assign JSON object: {exc}") from None
 

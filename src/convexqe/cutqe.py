@@ -262,7 +262,11 @@ def _expand(literals: Iterable[Literal], v: str, st: CutStructure,
 
 
 # ---------------------------------------------------------------------------
-# the comparison table, whose conditions are built simplified
+# the comparison table, whose conditions are built simplified.  The branches
+# of one DNF clause, and the clauses of one body, share their bounds, so one
+# elimination (or one Skolem synthesis) keeps its cells in a dict, keyed by
+# (kind, data, w), and builds each cell once; st is fixed per call, so it
+# stays out of the key, and the dict is dropped when the call returns
 
 
 def _atom(kind: AtomKind, t: Term) -> Formula:
@@ -282,7 +286,7 @@ def _below(st: CutStructure, t: Term) -> Formula:
     return conj((_atom(AtomKind.LT, t), negate(_mem(st, t))))
 
 
-def _at(st: CutStructure, kind: str, val, w: Term) -> Formula:
+def _cell(st: CutStructure, kind: str, val, w: Term) -> Formula:
     """The constraint of the given kind and data on v, at v := w."""
     if kind == "eq":
         return _atom(AtomKind.EQ, w - val)
@@ -299,6 +303,15 @@ def _at(st: CutStructure, kind: str, val, w: Term) -> Formula:
     if kind == "below":
         return _below(st, w - val)
     return val.literal_at(w)
+
+
+def _at(st: CutStructure, kind: str, val, w: Term, cells: dict) -> Formula:
+    """The cell of kind and val at v := w, built once per cells dict."""
+    key = (kind, val, w)
+    got = cells.get(key)
+    if got is None:
+        got = cells[key] = _cell(st, kind, val, w)
+    return got
 
 
 def _gamma_compare(st: CutStructure, r1: CutRay, r2: CutRay) -> Formula:
@@ -320,7 +333,7 @@ def _gamma_compare(st: CutStructure, r1: CutRay, r2: CutRay) -> Formula:
 _RANK = {"lower": 0, "upper": 0, "above": 1, "below": 1, "ray": 2}
 
 
-def _pair_condition(st: CutStructure, lo: tuple, up: tuple,
+def _pair_condition(st: CutStructure, lo: tuple, up: tuple, cells: dict,
                     inject_bug: bool = False) -> Formula:
     """Compatibility of a lower and an upper bound on v, by rank."""
     lk, lv = lo
@@ -331,13 +344,14 @@ def _pair_condition(st: CutStructure, lo: tuple, up: tuple,
         # test hook: deliberately reversed bound pair
         return _atom(AtomKind.LT, uv - lv)
     if _RANK[lk] < _RANK[uk]:
-        return _at(st, uk, uv, lv)
-    return _at(st, lk, lv, uv)
+        return _at(st, uk, uv, lv, cells)
+    return _at(st, lk, lv, uv, cells)
 
 
-def _branch_at(br: PureBranch, st: CutStructure, w: Term) -> list[Formula]:
+def _branch_at(br: PureBranch, st: CutStructure, w: Term,
+               cells: dict) -> list[Formula]:
     """All branch constraints instantiated at v := w."""
-    return br.residual + [_at(st, k, val, w) for k in _KINDS
+    return br.residual + [_at(st, k, val, w, cells) for k in _KINDS
                           for val in br.cons[k]]
 
 
@@ -349,23 +363,24 @@ def _bounds(br: PureBranch, upper: bool) -> list[tuple]:
             + [("ray", r) for r in br.cons["ray"] if r.is_upper == upper])
 
 
-def _branch_condition(br: PureBranch, st: CutStructure,
+def _branch_condition(br: PureBranch, st: CutStructure, cells: dict,
                       inject_bug: bool = False) -> Formula:
     """Quantifier-free satisfiability condition of one pure branch."""
     cons = br.cons
     if cons["eq"]:
         pin, *rest = cons["eq"]
         return conj(_branch_at(PureBranch(br.residual, {**cons, "eq": rest}),
-                               st, pin))
+                               st, pin, cells))
     parts = list(br.residual)
     for lo in _bounds(br, upper=False):
         for up in _bounds(br, upper=True):
-            parts.append(_pair_condition(st, lo, up, inject_bug))
+            parts.append(_pair_condition(st, lo, up, cells, inject_bug))
     for i, c in enumerate(cons["mem"]):
-        parts += [_at(st, "mem", c2, c) for c2 in cons["mem"][i + 1:]]
-        parts += [negate(_above(st, t - c)) for t in cons["lower"]]
-        parts += [negate(_below(st, t - c)) for t in cons["upper"]]
-        parts += [_at(st, k, val, c) for k in ("above", "below", "ray")
+        parts += [_at(st, "mem", c2, c, cells) for c2 in cons["mem"][i + 1:]]
+        # t - c above (below) the subgroup is the above (below) cell of c at t
+        parts += [negate(_at(st, "above", c, t, cells)) for t in cons["lower"]]
+        parts += [negate(_at(st, "below", c, t, cells)) for t in cons["upper"]]
+        parts += [_at(st, k, val, c, cells) for k in ("above", "below", "ray")
                   for val in cons[k]]
     # disequalities: the convex intersection, if nonempty, has no extreme
     # points, hence is infinite; finitely many excluded points never empty it
@@ -380,7 +395,8 @@ def _eliminate(body: Formula, v: str, st: CutStructure,
                options: QeOptions) -> Formula:
     """v-free equivalent of E v. body, body quantifier-free in the working
     vocabulary of st."""
-    return disj(_branch_condition(br, st, options.inject_bug)
+    cells: dict = {}
+    return disj(_branch_condition(br, st, cells, options.inject_bug)
                 for c in dnf_clauses(body, options.dnf_budget)
                 for br in _expand(c, v, st, options.dnf_budget))
 
@@ -532,12 +548,13 @@ def skolemize(phi: Formula, target: str, st: CutStructure,
     phi1 = qe_star(phi, st, options)
     cases: list[tuple[Formula, Term]] = []
     seen = set()
+    cells: dict = {}  # the guards' cells, each built once
     for clause in dnf_clauses(phi1, options.dnf_budget):
         for br in _expand(clause, target, st, options.dnf_budget):
             for w in _branch_candidates(br, st):
                 if target in w.vars():
                     raise AssertionError("witness must not mention the target")
-                guard = conj(_branch_at(br, st, w))
+                guard = conj(_branch_at(br, st, w, cells))
                 if isinstance(guard, FalseF):
                     continue
                 key = (guard, w)

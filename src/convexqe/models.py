@@ -584,6 +584,15 @@ def json_rational(x) -> Fraction:
     return Fraction(-n if sign == "-" else n, d)
 
 
+def json_int(text: str) -> int:
+    """A JSON integer's text read by ``_read_int``, at any int/str digit
+    limit; the sign applies to the whole number, not to its leading
+    digits alone."""
+    if text[0] == "-":
+        return -_read_int(text[1:])
+    return _read_int(text)
+
+
 def _json_of(kind: type, x):
     """x, when JSON gave exactly that kind (a boolean is no integer)."""
     if type(x) is not kind:
@@ -600,13 +609,11 @@ def _entry_to_json(e: ThresholdEntry):
 
 
 def _entry_from_json(x) -> ThresholdEntry:
-    if isinstance(x, str):
-        if x.strip() == "+inf":
-            return PLUS_INF
-        return json_rational(x)
+    if isinstance(x, str) and x.strip() == "+inf":
+        return PLUS_INF
     if isinstance(x, dict) and "irrational" in x:
         return make_oracle(x["irrational"])
-    raise MalformedModelError(f"bad threshold entry {x!r}")
+    return json_rational(x)
 
 
 def model_to_json(m: ModelDescriptor) -> dict:
@@ -645,7 +652,7 @@ def read_json(path: str):
     JSON is a domain error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=json_int)
     except (OSError, ValueError) as exc:
         raise ConvexQEError(f"cannot read JSON from {path}: {exc}") from None
 

@@ -670,12 +670,15 @@ _PREC_NOT = 4
 _PREC_ATOM = 5
 
 
-def _print_node(g: Formula, kids, _c) -> tuple[str, int]:
+def _print_node(g: Formula, kids, texts: dict) -> tuple[str, int]:
     """g's text and precedence; a child binding looser than its place is
-    parenthesized."""
+    parenthesized.  texts keeps each atom's text, printed once."""
     t = type(g)
     if t is AtomF:
-        return str(g.atom), _PREC_ATOM
+        text = texts.get(g.atom)
+        if text is None:
+            text = texts[g.atom] = str(g.atom)
+        return text, _PREC_ATOM
     if t is And or t is Or:
         prec = _PREC_AND if t is And else _PREC_OR
         return (" & " if t is And else " | ").join(
@@ -696,4 +699,5 @@ def _print_node(g: Formula, kids, _c) -> tuple[str, int]:
 
 
 def print_formula(f: Formula) -> str:
-    return fold(f, _print_node)[0]
+    """f's text; an atom that recurs in f is printed once, per call."""
+    return fold(f, _print_node, None, {})[0]

@@ -397,6 +397,18 @@ class TestDeepInput:
         assert rc == 0 and err == "" and out == want + "\n"
 
     @pytest.mark.digit_limit
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_over_long_json_integers_are_read_exactly(self, capsys, sign):
+        # an unquoted --assign coordinate of 5,000 digits is the number its
+        # quoted digits name, sign and all
+        ones = sign + "1" * 5000
+        asgn = f'{{"x": [{ones}, 0], "y": ["{ones}", "0"]}}'
+        for text, want in (("x = y", "true"), ("x < y", "false")):
+            rc, out, err = run(capsys, "eval", "--model", "lex2_sub1.json",
+                               "--assign", asgn, text)
+            assert rc == 0 and err == "" and out == want + "\n"
+
+    @pytest.mark.digit_limit
     def test_over_long_literal_is_read_exactly(self, capsys):
         # longer than the interpreter converts between int and str
         ones = "1" * 5000

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from convexqe import cutqe
 from convexqe.cutqe import (CutClass, build_structure, check_resistance,
                             qe_star, skolemize)
 from convexqe.errors import (ConvexQEError, NonvaluationalInterpretationError,
@@ -370,6 +372,138 @@ class TestSkolemize:
                     name, print_formula(phi), asgn)
                 seen.add(want is None)
         assert seen == {True, False}
+
+
+def _alternation(levels: int) -> str:
+    """x < 0 wrapped in (x < k & ...) and (k < x | ...) alternately."""
+    text = "x < 0"
+    for k in range(1, levels + 1):
+        text = f"(x < {k} & {text})" if k % 2 else f"({k} < x | {text})"
+    return text
+
+
+class TestCellsBuiltOnce:
+    """Branches of one clause, and clauses of one body, share their bounds;
+    one elimination or one Skolem synthesis builds each distinct cell of
+    the comparison table once, and keeps none past its call."""
+
+    @staticmethod
+    def _record(monkeypatch) -> tuple[list, list]:
+        """The cells each _eliminate call builds, one list per call after
+        the first list, which takes the cells built outside any
+        elimination; and a one-item count of the cells asked for."""
+        calls: list = [[]]
+        cell, eliminate, at = cutqe._cell, cutqe._eliminate, cutqe._at
+        hits = [0]
+
+        def counted_cell(st, kind, val, w):
+            calls[-1].append((kind, val, w))
+            return cell(st, kind, val, w)
+
+        def counted_eliminate(*args):
+            calls.append([])
+            return eliminate(*args)
+
+        def counted_at(*args):
+            hits[0] += 1
+            return at(*args)
+
+        monkeypatch.setattr(cutqe, "_cell", counted_cell)
+        monkeypatch.setattr(cutqe, "_eliminate", counted_eliminate)
+        monkeypatch.setattr(cutqe, "_at", counted_at)
+        return calls, hits
+
+    # literals on y whose bounds the clauses of a DNF share
+    LITERALS = ["x < y", "y < z", "y < x + 1", "z - e_in < y", "y = x + 1/2",
+                "~(y = z)", "U(y - x)", "~U(y - z)", "I(y - x)", "~I(y + z)",
+                "U(2 * y - x)", "~U(y + e_in)"]
+
+    def _body(self, rng) -> str:
+        """A conjunction of two to four disjunctions of literals."""
+        return " & ".join(
+            "(" + " | ".join(rng.sample(self.LITERALS, rng.randint(1, 3)))
+            + ")" for _ in range(rng.randint(2, 4)))
+
+    @pytest.mark.parametrize("name", _CELL_FIXTURES)
+    def test_each_elimination_builds_a_cell_once(self, monkeypatch, models,
+                                                 name):
+        st = build_structure(models[name])
+        rng = random.Random(f"cells:{name}")
+        calls, hits = self._record(monkeypatch)
+        for i in range(30):
+            # every third input nests one elimination in another
+            body = f"E y. ({self._body(rng)})"
+            f = parse_formula(body if i % 3 else f"E z. (x < z & {body})")
+            qe_star(f, st)
+        built = [cells for cells in calls[1:] if cells]
+        assert not calls[0] and len(built) >= 20
+        for cells in built:
+            assert len(cells) == len(set(cells))
+        # the dict pays: more cells are asked for than built
+        assert hits[0] > sum(map(len, built))
+
+    @pytest.mark.parametrize("name", _CELL_FIXTURES)
+    def test_each_synthesis_builds_a_guard_cell_once(self, monkeypatch,
+                                                     models, name):
+        st = build_structure(models[name])
+        calls, hits = self._record(monkeypatch)
+        phi = parse_formula("(x < y | z < y) & (y < x + 1 | y < z + 2) & "
+                            "~(y = x + 1/2) & (U(y - x) | ~U(y - z))")
+        sk = skolemize(phi, "y", st)
+        (cells,) = calls  # phi is quantifier-free: no elimination runs
+        assert sk.cases and len(cells) == len(set(cells))
+        assert hits[0] > len(cells)
+
+    def test_no_cell_outlives_its_call(self, models):
+        # the same input over structures whose working vocabularies differ,
+        # in turn, answers as on fresh structures, and each answer agrees
+        # with the oracle, which no leaked cell can reach: the first two
+        # inputs ask for the same cell keys, built from U atoms on the
+        # subgroups and from I atoms on the other valuational fixtures
+        texts = ["E y. (I(y - x) & ~I(y - z) & x < y)",
+                 "I(y - x) & ~I(y - z) & z < y",
+                 "E y. (x < y & U(y - x) & ~I(y - z) & y < z)",
+                 "E y. (I(y - x) | ~U(y + x)) & A z. (z < y | U(z - x))",
+                 "x < y & ~U(y - x) & (z < y | I(y + z))"]
+        order = ["lex2_sub1", "lex2_rat_11", "lex2_val_1inf", "lex2_sub1",
+                 "lex3_val_1pi0", "lex2_rat_11"]
+        for text in texts:
+            f = parse_formula(text)
+            for name in order:
+                m = models[name]
+                st, fresh = build_structure(m), build_structure(get_model(name))
+                if is_quantifier_free(f):
+                    sk = skolemize(f, "y", st)
+                    assert sk == skolemize(f, "y", fresh), (name, text)
+                    rep = verify_skolem(m, f, sk, samples=200, seed=3, st=st)
+                    assert rep.passed, (name, text, rep.failure)
+                else:
+                    out = qe_star(f, st)
+                    assert out == qe_star(f, fresh), (name, text)
+                    assert_equiv(m, f, out, random.Random(name), n=60)
+
+
+class TestDeepSkolemize:
+    """skolemize over the deep (x < k & ...)/(k < x | ...) alternation
+    over lex2_sub1 (target x): its cases grow about cubically with the
+    depth, and its guards share their cells."""
+
+    @pytest.mark.parametrize("levels, cases", [(25, 116), (50, 375),
+                                               (100, 1375)])
+    def test_case_counts(self, m_sub2, levels, cases):
+        phi = parse_formula(_alternation(levels))
+        sk = skolemize(phi, "x", build_structure(m_sub2))
+        assert len(sk.cases) == cases
+
+    def test_hundred_levels_in_bounded_time(self, m_sub2):
+        # about 0.15 s with the cells kept per call and 0.5 s without them
+        # (Python 3.11, one core); the bound only catches a gross
+        # regression on a slow runner
+        phi = parse_formula(_alternation(100))
+        st = build_structure(m_sub2)
+        start = time.perf_counter()
+        skolemize(phi, "x", st)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestCheckResistance:

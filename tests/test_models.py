@@ -16,7 +16,8 @@ from convexqe.errors import (ConvexQEError, MalformedModelError,
 from convexqe.models import (DownwardCut, IntCompiledFormula, ModelDescriptor, PLUS_INF,
                              PiOracle, Point, SqrtOracle, SubgroupLevel,
                              compile_formula,
-                             eval_formula, json_rational, model_from_json,
+                             eval_formula, json_rational, load_model,
+                             model_from_json,
                              model_to_json,
                              term_rows, term_value, u_member)
 from convexqe.oracle import _Decomposer, oracle_compile, oracle_truth
@@ -239,6 +240,20 @@ class TestJson:
             "e_in": ["0", "1"], "e_out": ["1" + "0" * 5000, "0"]})
         assert m.u_interp.threshold[0] == Fraction(10 ** 5000 - 1, 7)
         assert m.e_out.coords[0] == 10 ** 5000
+
+    @pytest.mark.digit_limit
+    def test_long_json_integers_are_read_at_any_digit_limit(self, tmp_path):
+        # unquoted, so JSON reads them as integers; the sign applies to the
+        # whole number, not to its leading digits alone
+        ones = "1" * 5000
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"dim": 2, "U": {"kind": "downward-cut", '
+            f'"threshold": [-{ones}, "+inf"]}}, '
+            f'"e_in": [0, 1], "e_out": [1{"0" * 5000}, 0]}}')
+        m = load_model(str(path))
+        assert m.u_interp.threshold[0] == -((10 ** 5000 - 1) // 9)
+        assert m.e_out.coords == (10 ** 5000, 0)
 
 
 class TestIntFastPath:

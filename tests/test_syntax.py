@@ -314,6 +314,18 @@ class TestShape:
         f = rt("(a < 0 & b < 0) & (c < 0 | (d < 0 | e < 0))")
         assert print_formula(f) == "a < 0 & b < 0 & (c < 0 | d < 0 | e < 0)"
 
+    def test_each_atom_is_printed_once_per_call(self, monkeypatch):
+        f = rt("(a < 0 & U(b)) | (a < 0 & ~U(b)) | ~(a < 0 | c = 0)")
+        printed = []
+        text = Atom.__str__
+        monkeypatch.setattr(Atom, "__str__",
+                            lambda a: printed.append(a) or text(a))
+        want = "a < 0 & U(b) | a < 0 & ~U(b) | ~(a < 0 | c = 0)"
+        assert print_formula(f) == want
+        assert sorted(map(text, printed)) == ["U(b)", "a < 0", "c = 0"]
+        # nothing is kept between calls
+        assert print_formula(f) == want and len(printed) == 6
+
     def test_binder_renaming_is_simultaneous(self):
         f = rt("E x. E x. E x_1. x + 2 * x_1 < 0")
         assert print_formula(f) == "E x. E x_1. E x_1_1. x_1 + 2 * x_1_1 < 0"

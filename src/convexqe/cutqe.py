@@ -47,11 +47,10 @@ from .errors import (BudgetExceededError, NonvaluationalInterpretationError,
                      SkolemShapeUnsupportedError, UnsupportedCutError)
 from .models import (CutClass, DownwardCut, ModelDescriptor, Point,
                      SubgroupLevel, compile_formula, term_value, u_member)
-from .normalform import (Literal, dnf_clauses, negate, normalize_atoms,
-                         simplify, simplify_node)
+from .normalform import dnf_clauses, negate, simplify_node, split_literal
 from .piecewise import UnaryPiecewiseLinear
 from .syntax import (Atom, AtomF, AtomKind, Exists, FalseF, Forall,
-                     Formula, Not, Or, Term, conj, disj, fold,
+                     Formula, Not, Term, conj, disj, fold,
                      mentions_membership)
 
 F0 = Fraction(0)
@@ -156,25 +155,31 @@ def build_structure(m: ModelDescriptor) -> CutStructure:
 
 
 # ---------------------------------------------------------------------------
-# class-specific rewrites
+# the one atom step: <= and != as negated < and =, and the class rewrites
 
 
-def _class_atom(a: Atom, st: CutStructure) -> Optional[Formula]:
-    """a in the working vocabulary of st's class; None if a already is."""
-    if st.cls is CutClass.SUBGROUP and a.kind == AtomKind.IMEM:
+def _class_atom(g: AtomF, st: CutStructure) -> Formula:
+    """The atom g in the working vocabulary of st's class, built simplified:
+    <, =, and the membership atoms the class keeps."""
+    kind, t = g.atom.kind, g.atom.term
+    if kind == AtomKind.LE:
+        return negate(_atom(AtomKind.LT, -t))  # t <= 0  <=>  ~(-t < 0)
+    if kind == AtomKind.NEQ:
+        return negate(_atom(AtomKind.EQ, t))
+    if st.cls is CutClass.SUBGROUP and kind == AtomKind.IMEM:
         # the stabilizer of the closure is U itself
-        return AtomF(Atom(AtomKind.UMEM, a.term))
-    if st.cls is CutClass.COSET_CUT and a.kind == AtomKind.UMEM:
+        return _atom(AtomKind.UMEM, t)
+    if st.cls is CutClass.COSET_CUT and kind == AtomKind.UMEM:
         # t in U  <=>  t - tau < 0  or  I(t - tau)
-        d = a.term - st.tau
-        return Or(AtomF(Atom(AtomKind.LT, d)), AtomF(Atom(AtomKind.IMEM, d)))
-    if st.cls is CutClass.RATIONAL_CUT and a.kind == AtomKind.UMEM:
+        d = t - st.tau
+        return disj((_atom(AtomKind.LT, d), _atom(AtomKind.IMEM, d)))
+    if st.cls is CutClass.RATIONAL_CUT and kind == AtomKind.UMEM:
         if st.strict:
-            return AtomF(Atom(AtomKind.LT, a.term - st.tau))
-        return Not(AtomF(Atom(AtomKind.LT, st.tau - a.term)))
-    if st.cls is CutClass.RATIONAL_CUT and a.kind == AtomKind.IMEM:
-        return AtomF(Atom(AtomKind.EQ, a.term))  # trivial stabilizer
-    return None
+            return _atom(AtomKind.LT, t - st.tau)
+        return negate(_atom(AtomKind.LT, st.tau - t))
+    if st.cls is CutClass.RATIONAL_CUT and kind == AtomKind.IMEM:
+        return _atom(AtomKind.EQ, t)  # trivial stabilizer
+    return simplify_node(g, ())
 
 
 # ---------------------------------------------------------------------------
@@ -212,43 +217,44 @@ class PureBranch:
     cons: dict[str, list]
 
 
-def _branch_options(lit: Literal, v: str, st: CutStructure) -> list[tuple]:
+def _branch_options(a: Atom, negated: bool, v: str,
+                    st: CutStructure) -> list[tuple]:
     """Per-literal convex cases; each option is a kind plus its data."""
-    a = lit.atom
     t = a.term
     n = t.num(v)  # v's coefficient is n / t.den
     rest = t.drop_var(v)
     solved = rest.scale_ratio(-t.den, n)
     kind = a.kind
     if kind == AtomKind.LT:
-        if not lit.negated:
+        if not negated:
             return [(("upper" if n > 0 else "lower"), solved)]
         # ~(t < 0): -t < 0 or t = 0
         return [(("lower" if n > 0 else "upper"), solved), ("eq", solved)]
     if kind == AtomKind.EQ:
-        return [("neq" if lit.negated else "eq", solved)]
+        return [("neq" if negated else "eq", solved)]
     if kind == st.mem_kind:
-        if not lit.negated:
+        if not negated:
             return [("mem", solved)]
         return [("above", solved), ("below", solved)]
     if kind == AtomKind.UMEM and st.cls is CutClass.IRRATIONAL_CUT:
-        return [("ray", CutRay(Fraction(n, t.den), rest, not lit.negated))]
-    raise ValueError(f"{lit.atom} is outside the vocabulary of {st.cls}")
+        return [("ray", CutRay(Fraction(n, t.den), rest, not negated))]
+    raise ValueError(f"{a} is outside the vocabulary of {st.cls}")
 
 
-def _expand(literals: Iterable[Literal], v: str, st: CutStructure,
+def _expand(literals: Iterable[Formula], v: str, st: CutStructure,
             budget: int) -> list[PureBranch]:
     residual = []
     with_v = []
     for lit in literals:
-        if not lit.atom.term.num(v):
-            residual.append(lit.to_formula())
+        atom, negated = split_literal(lit)
+        if not atom.term.num(v):
+            residual.append(lit)
         else:
-            with_v.append(lit)
+            with_v.append((atom, negated))
     options = []
     n = 1  # the case count, checked as each literal's cases multiply in
-    for lit in with_v:
-        options.append(_branch_options(lit, v, st))
+    for atom, negated in with_v:
+        options.append(_branch_options(atom, negated, v, st))
         n *= len(options[-1])
         if n > budget:
             raise BudgetExceededError("case-split budget exceeded")
@@ -416,7 +422,7 @@ def _qe(f: Formula, st: CutStructure, options: QeOptions) -> Formula:
 
     def node(g: Formula, kids, _depth) -> Formula:
         if type(g) is AtomF:
-            return simplify(_class_atom(g.atom, st) or normalize_atoms(g))
+            return _class_atom(g, st)
         if type(g) is Exists:
             return _eliminate(kids[0], g.var, st, options)
         if type(g) is Forall:
@@ -433,7 +439,7 @@ def qe_star(f: Formula, st: CutStructure,
     if st.cls is CutClass.NONVALUATIONAL:
         if mentions_membership(f):
             st.require_eliminable()
-        return qe(f, options)
+        return _qe(f, PURE_GROUP, options)
     return _qe(f, st, options)
 
 

@@ -40,10 +40,10 @@ from typing import Mapping, Optional, Union
 
 from .closures import AtDenominator, Evaluator, Lowering
 from .errors import ConvexQEError, MalformedModelError, PrecisionBudgetError
-from .normalform import normalize_atoms
 from .parser import _read_int
-from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Not,
-                     Or, Term, TrueF, _rat_text, fold, is_quantifier_free)
+from .syntax import (And, Atom, AtomF, AtomKind, FalseF, Formula, Implies,
+                     Not, Or, Term, TrueF, _rat_text, fold,
+                     is_quantifier_free)
 
 DEFAULT_PRECISION_BITS = 4096
 START_BITS = 16
@@ -374,18 +374,16 @@ def validate_model(m: ModelDescriptor) -> None:
         oracle_positions = [i for i, e in enumerate(t) if isinstance(e, IrrationalOracle)]
         if len(oracle_positions) > 1:
             raise MalformedModelError("at most one deciding irrational entry")
-        if oracle_positions and inf_positions and oracle_positions[0] > inf_positions[0]:
-            raise MalformedModelError("an oracle entry may not follow +inf entries")
-    # e_in is positive and lies in the stabilizer when it is nontrivial; it
-    # must also lie in U whenever U has positive stabilizer elements at all
-    # (cuts below zero admit no such point, e.g. reflection test inputs).
+    # e_in is positive and lies in the stabilizer when it is nontrivial;
+    # there it agrees with 0 on every coordinate u_member reads before it
+    # decides, so it lies in U exactly when 0 does (cuts below zero admit
+    # no such point, e.g. reflection test inputs).  With a trivial
+    # stabilizer it must lie in U.
     if m.e_in.lex_sign() <= 0:
         raise MalformedModelError("e_in must be positive")
     if m.cut.stabilizer < m.dim:
         if not i_member(m, m.e_in):
             raise MalformedModelError("e_in must lie in the stabilizer subgroup")
-        if u_member(m, Point.zero(m.dim)) and not u_member(m, m.e_in):
-            raise MalformedModelError("e_in must lie inside U")
     elif not u_member(m, m.e_in):
         raise MalformedModelError("e_in must lie inside U")
     if closure_member(m, m.e_out):
@@ -455,7 +453,8 @@ def term_value(m: ModelDescriptor, t: Term, asgn: Mapping[str, Point]) -> Point:
 def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
                  precision_budget: int = DEFAULT_PRECISION_BITS) -> bool:
     """Exact truth value of a quantifier-free formula, with Point
-    arithmetic; every atom is evaluated, none short-circuits."""
+    arithmetic, in one walk that reads <=, != and -> as they stand; every
+    atom is evaluated, none short-circuits."""
     if not is_quantifier_free(f):
         raise ValueError("eval_formula needs a quantifier-free formula")
 
@@ -466,8 +465,12 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
             kind = g.atom.kind
             if kind == AtomKind.LT:
                 return val.lex_sign() < 0
+            if kind == AtomKind.LE:
+                return val.lex_sign() <= 0
             if kind == AtomKind.EQ:
                 return val.is_zero()
+            if kind == AtomKind.NEQ:
+                return not val.is_zero()
             if kind == AtomKind.UMEM:
                 return u_member(m, val, precision_budget)
             if kind == AtomKind.IMEM:
@@ -477,11 +480,13 @@ def eval_formula(m: ModelDescriptor, f: Formula, asgn: Mapping[str, Point],
             return (all if t is And else any)(kids)
         if t is Not:
             return not kids[0]
+        if t is Implies:
+            return not kids[0] or kids[1]
         if t is TrueF or t is FalseF:
             return t is TrueF
         raise TypeError(t)
 
-    return fold(normalize_atoms(f), node)
+    return fold(f, node)
 
 
 # ---------------------------------------------------------------------------

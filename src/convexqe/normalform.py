@@ -1,19 +1,18 @@
-"""Atom normalization, DNF, and light simplification.
+"""DNF and simplification.
 
-After ``normalize_atoms`` only LT / EQ / U / I atoms occur and the only
-connectives are ~, &, |, E, A.  ``<=`` becomes a negated ``<`` and ``!=`` a
-negated ``=``, so downstream code deals with four atom kinds and a polarity
-bit.  Each walk here is a callback to ``syntax.fold``: ``dnf_clauses``
-carries the polarity down (negation normal form on the way) and multiplies
-clause lists up; ``simplify`` folds constants bottom up, leaving connectives
-to ``conj`` and ``disj``, with which ``cutqe`` builds conditions simplified.
+Each walk here is a callback to ``syntax.fold``: ``dnf_clauses`` carries
+the polarity down (negation normal form on the way) and multiplies clause
+lists up, keeping each literal as the input's own ``AtomF`` leaf or ``Not``
+of it; ``simplify`` folds constants bottom up, leaving connectives to
+``conj`` and ``disj``, with which ``cutqe`` builds conditions simplified.
+No pass rewrites ``<=``, ``!=`` or ``->``: each reader takes them as they
+stand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import BudgetExceededError
 from .syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE, FalseF, Forall,
@@ -21,40 +20,6 @@ from .syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE, FalseF, Forall,
                      rebuild)
 
 DEFAULT_DNF_BUDGET = 50_000
-
-
-def _normalize_node(g: Formula, kids, _c) -> Formula:
-    t = type(g)
-    if t is AtomF:
-        a = g.atom
-        if a.kind == AtomKind.LE:
-            # t <= 0  <=>  ~(-t < 0)
-            return Not(AtomF(Atom(AtomKind.LT, -a.term)))
-        if a.kind == AtomKind.NEQ:
-            return Not(AtomF(Atom(AtomKind.EQ, a.term)))
-        return g
-    if t is Implies:
-        return Or(Not(kids[0]), kids[1])
-    return rebuild(g, kids)
-
-
-def normalize_atoms(f: Formula) -> Formula:
-    """Rewrite <= and != away and lower -> to ~/|; equivalent over every
-    model."""
-    return fold(f, _normalize_node)
-
-
-@dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    negated: bool = False
-
-    def to_formula(self) -> Formula:
-        f: Formula = AtomF(self.atom)
-        return Not(f) if self.negated else f
-
-    def sort_key(self):
-        return (*self.atom.sort_key(), self.negated)
 
 
 def _fold_ground(atom: Atom) -> Optional[bool]:
@@ -69,38 +34,36 @@ def _fold_ground(atom: Atom) -> Optional[bool]:
         return t.offset == 0
     if atom.kind == AtomKind.IMEM and t.offset == 0:
         return True
-    if atom.kind == AtomKind.UMEM and t.offset == 0:
-        # 0 need not lie in a downward cut in general; do not fold.
-        return None
+    # 0 need not lie in a downward cut in general: U atoms do not fold
     return None
-
-
-def literal_truth(lit: Literal) -> Optional[bool]:
-    v = _fold_ground(lit.atom)
-    if v is None:
-        return None
-    return (not v) if lit.negated else v
 
 
 def _flip(g: Formula, positive: bool) -> bool:
     return positive != (type(g) is Not)
 
 
-def dnf_clauses(f: Formula, budget: int = DEFAULT_DNF_BUDGET) -> list[list[Literal]]:
-    """Clause list of a quantifier-free normalized formula; deterministic
+def split_literal(lit: Formula) -> tuple[Atom, bool]:
+    """The atom of a DNF literal (an ``AtomF`` leaf or its negation) and
+    whether it is negated."""
+    return (lit.sub.atom, True) if type(lit) is Not else (lit.atom, False)
+
+
+def dnf_clauses(f: Formula, budget: int = DEFAULT_DNF_BUDGET) -> list[list[Formula]]:
+    """Clause list of a quantifier-free formula without ->; deterministic
     literal ordering, contradictory clauses dropped.  Negations are pushed
-    to the literals on the way down, as the polarity of each subformula."""
-    def node(h: Formula, kids, positive: bool) -> list[list[Literal]]:
+    to the literals on the way down, as the polarity of each subformula: a
+    literal is f's own ``AtomF`` leaf, or ``Not`` of it."""
+    def node(h: Formula, kids, positive: bool) -> list[list[Formula]]:
         t = type(h)
         if t is AtomF:
-            return [[Literal(h.atom, not positive)]]
+            return [[h if positive else Not(h)]]
         if t is Not:
             return kids[0]
         if t is TrueF or t is FalseF:
             return [[]] if (t is TrueF) == positive else []
         if t is not And and t is not Or:
-            raise TypeError("dnf_clauses expects a normalized quantifier-free "
-                            f"formula, got {t}")
+            raise TypeError("dnf_clauses expects a quantifier-free formula "
+                            f"without ->, got {t}")
         # budget checks as for the left-nested binary chain of the args
         size = len(kids[0])
         if (t is Or) == positive:
@@ -128,29 +91,29 @@ def dnf_clauses(f: Formula, budget: int = DEFAULT_DNF_BUDGET) -> list[list[Liter
     return out
 
 
-def _clean_clause(clause: list[Literal]) -> Optional[list[Literal]]:
+def _literal_key(lit: Formula):
+    atom, negated = split_literal(lit)
+    return (*atom.sort_key(), negated)
+
+
+def _clean_clause(clause: list[Formula]) -> Optional[list[Formula]]:
+    """The clause's literals, each once and in sorted order; None when an
+    atom occurs at both polarities.  Ground literals are kept: the engine's
+    bodies are built simplified, so it passes none."""
     kept: dict = {}
     for lit in clause:
-        v = literal_truth(lit)
-        if v is True:
-            continue
-        if v is False:
-            return None
-        prev = kept.get(lit.atom)
+        atom = split_literal(lit)[0]
+        prev = kept.get(atom)
         if prev is None:
-            kept[lit.atom] = lit
-        elif prev.negated != lit.negated:
+            kept[atom] = lit
+        elif type(prev) is not type(lit):
             return None
-    return sorted(kept.values(), key=Literal.sort_key)
-
-
-def clause_formula(clause: Iterable[Literal]) -> Formula:
-    return conj(l.to_formula() for l in clause)
+    return sorted(kept.values(), key=_literal_key)
 
 
 def to_dnf(f: Formula, budget: int = DEFAULT_DNF_BUDGET) -> Formula:
     """Disjunction of conjunctions of literals, equivalent to the input."""
-    return disj(clause_formula(c) for c in dnf_clauses(f, budget))
+    return disj(conj(c) for c in dnf_clauses(f, budget))
 
 
 def negate(f: Formula) -> Formula:

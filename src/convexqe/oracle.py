@@ -323,7 +323,7 @@ class _Decomposer:
         return _band(*nodes)
 
     def _case_of(self, l: int, sym: str) -> tuple:
-        """Literal l as (form, kind, coefficient of sym, (sym, l)), reading
+        """The literal l as (form, kind, coefficient of sym, (sym, l)), reading
         form < 0, <= 0, = 0 or != 0 by kind "lt", "le", "eq" or "neq": a
         negated strict bound is the reversed weak one, or the reversed
         strict one when its form carries alpha, as no rational point is the

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from convexqe import classifier
 from convexqe.classifier import (IRRATIONAL_NONVALUATIONAL,
                                  IRRATIONAL_VALUATIONAL, RATIONAL_CUT,
                                  canonical_member, canonicalize_cut, classify,
@@ -16,10 +17,11 @@ from convexqe.models import (DownwardCut, IrrationalOracle, ModelDescriptor,
                              PLUS_INF, Point, SqrtOracle,
                              SubgroupLevel, closure_member, u_member)
 from convexqe.piecewise import (BinaryPiece, BinaryPiecewiseLinear,
-                                UnaryPiecewiseLinear, pluslike_from_unary)
+                                UnaryPiecewiseLinear, check_pluslike,
+                                pluslike_from_unary)
 from convexqe.fuzz import gen_point
 
-from conftest import get_model, random_cut_model
+from conftest import VALUATIONAL_NAMES, get_model, random_cut_model
 
 
 class TestClassify:
@@ -204,6 +206,39 @@ class TestFValuational:
             for _ in range(8):
                 h = _identity_tail_pl(rng)
                 assert f_valuational(m, pluslike_from_unary(h)).valuational == flag
+
+    @pytest.mark.parametrize("coef", [1, 2])
+    def test_vertical_cells(self, monkeypatch, models, coef):
+        # direction (0, 1): the cell is chosen by eps alone, x + y below
+        # eps = 0 and x + coef * y from there, a fan no other case has
+        f = BinaryPiecewiseLinear(
+            (Fraction(0), Fraction(1)), (Fraction(0),),
+            (BinaryPiece.of(1, 1, 0), BinaryPiece.of(1, coef, 0)))
+        assert check_pluslike(f).pluslike
+        signs = []
+        limit_sign = classifier.limit_sign
+
+        def counted(*args):
+            signs.append(limit_sign(*args))
+            return signs[-1]
+        monkeypatch.setattr(classifier, "limit_sign", counted)
+        rng = random.Random(f"vertical:{coef}")
+        for name, m in models.items():
+            res = f_valuational(m, f)
+            assert res.valuational == (name in VALUATIONAL_NAMES), name
+            if res.valuational:
+                assert res.epsilon.lex_sign() > 0
+                for _ in range(80):
+                    a = gen_point(rng, m)
+                    if u_member(m, a):
+                        assert u_member(m, f.eval(m, a, res.epsilon)), (name, a)
+                continue
+            for eps in (Point.unit(m.dim, m.dim - 1),
+                        Point.unit(m.dim, m.dim - 1).scale(Fraction(1, 7)),
+                        Point.unit(m.dim, 0).scale(Fraction(2, 3))):
+                a = res.falsifier(eps)
+                assert u_member(m, a) and not u_member(m, f.eval(m, a, eps))
+        assert signs  # every cell boundary was read through limit_sign
 
     def test_not_pluslike_rejected(self, m_1inf):
         with pytest.raises(PreconditionViolatedError):

@@ -166,6 +166,45 @@ class TestCommands:
         assert rc == 1 and out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # each refusal of a model descriptor that nothing else reaches, and
+    # the sqrt tag of an irrational threshold, which is read, not refused
+    @pytest.mark.parametrize("model, refusal", [
+        ({"dim": 0, "U": {"kind": "subgroup", "level": 1}, "e_in": [],
+          "e_out": []}, "dimension must be positive"),
+        ({"dim": 2, "U": {"kind": "subgroup", "level": 1}, "e_in": ["1"],
+          "e_out": ["1", "0"]}, "constant points must match the dimension"),
+        ({"dim": 2, "U": {"kind": "downward-cut", "threshold": ["1"]},
+          "e_in": ["0", "1"], "e_out": ["2", "0"]},
+         "threshold length must equal the dimension"),
+        ({"dim": 3, "U": {"kind": "downward-cut",
+                          "threshold": ["1", "+inf", {"irrational": "pi"}]},
+          "e_in": ["0", "0", "1"], "e_out": ["2", "0", "0"]},
+         "+inf entries must form a trailing block"),
+        ({"dim": 2, "U": {"kind": "subgroup", "level": 1},
+          "e_in": ["0", "-1"], "e_out": ["1", "0"]}, "e_in must be positive"),
+        ({"dim": 2, "U": {"kind": "downward-cut",
+                          "threshold": ["1", {"irrational": "e"}]},
+          "e_in": ["0", "1"], "e_out": ["2", "0"]},
+         "unknown irrational tag 'e'"),
+        ({"dim": 2, "U": {"kind": "ball"}, "e_in": ["0", "1"],
+          "e_out": ["2", "0"]}, "unknown U kind 'ball'"),
+        ({"dim": 2, "U": {"kind": "downward-cut",
+                          "threshold": [{"irrational": "sqrt(2)"}, "0"]},
+          "e_in": ["0", "1"], "e_out": ["2", "0"]}, None),
+    ], ids=["dim-0", "e_in-size", "threshold-length", "inf-before-irrational",
+            "e_in-not-positive", "irrational-e", "ball", "sqrt-2"])
+    def test_model_refusals(self, capsys, tmp_path, model, refusal):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        rc, out, err = run(capsys, "--format", "json", "classify", "--model",
+                           str(path))
+        if refusal is None:
+            assert rc == 0 and err == ""
+            assert json.loads(out)["cut_kind"] == "irrational-valuational"
+            return
+        assert rc == 1 and out == ""
+        assert err == f"error: {refusal}\n"
+
     # well-formed input whose rationals have more digits than str()
     # converts: each is printed in full
     @pytest.mark.parametrize("argv, content, read, want", [
@@ -371,6 +410,23 @@ class TestDeepInput:
                 assert parse_formula(stdout) == f
         finally:
             sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("depth", [5000, 100_000])
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--model", "lex2_sub1.json", "--assign", '{"x": DEEP}',
+         "x < 0"),
+        ("classify", "--model", FILE),
+    ], ids=["assign", "model-file"])
+    def test_json_past_the_recursion_limit_is_refused(self, capsys, tmp_path,
+                                                      argv, depth):
+        deep = "[" * depth + "]" * depth
+        path = tmp_path / "input.json"
+        path.write_text(f'{{"dim": {deep}}}')
+        rc, out, err = run(capsys, *(str(path) if a is FILE else
+                                     a.replace("DEEP", deep) for a in argv))
+        assert rc == 1 and out == "" and "Traceback" not in err
+        assert err == ("error: input nested too deeply (recursion limit "
+                       "reached)\n")
 
     @pytest.mark.digit_limit
     def test_long_coefficient_is_printed_in_full(self, capsys):

@@ -271,6 +271,49 @@ class TestComparisonTableCells:
                      n=40)
 
 
+# ground literals, each with its truth value; the engine folds one where it
+# reads the atom, so no DNF clause it builds holds one
+_GROUND = [("1 < 0", False), ("x - x < 0", False), ("0 = 0", True),
+           ("I(0)", True), ("e_in - e_in = 0", True)]
+_GROUND_BODIES = ["x < y & {}", "U(y - x) | {}", "I(y - z) & y != x & {}",
+                  "{} -> y <= x"]
+_ELIMINABLE = ["lex2_sub1", "lex3_sub2", "lex2_val_1inf", "lex3_val_1pi0",
+               "lex2_rat_11"]
+
+
+class TestGroundAtoms:
+    """A body's ground literal acts as its truth value: qe_star, under E
+    and A, and skolemize give what they give with true or false in its
+    place, and the answers agree with the oracle.  A subgroup reads I(0)
+    as U(0), which is kept, as 0 need not lie in a cut."""
+
+    @pytest.mark.parametrize("name", _ELIMINABLE)
+    def test_folded_as_their_truth_value(self, models, name):
+        m = models[name]
+        st = build_structure(m)
+        rng = random.Random(f"ground:{name}")
+        for ground, truth in _GROUND:
+            folded = ground != "I(0)" or st.cls is not CutClass.SUBGROUP
+            for negated in (False, True):
+                lit = f"~({ground})" if negated else f"({ground})"
+                value = "true" if truth != negated else "false"
+                for body in _GROUND_BODIES:
+                    for q in "EA":
+                        f = parse_formula(f"{q} y. ({body.format(lit)})")
+                        out = qe_star(f, st)
+                        if folded:
+                            assert out == qe_star(parse_formula(
+                                f"{q} y. ({body.format(value)})"), st)
+                        assert_equiv(m, f, out, rng, n=8)
+                    phi = parse_formula(body.format(lit))
+                    sk = skolemize(phi, "y", st)
+                    if folded:
+                        assert sk == skolemize(
+                            parse_formula(body.format(value)), "y", st)
+                    rep = verify_skolem(m, phi, sk, samples=40, seed=3, st=st)
+                    assert rep.passed, (body, lit, rep.failure)
+
+
 class TestSkolemize:
     @pytest.mark.parametrize("text", ["x < y & U(y)", "y + y = x", "I(x - y)"])
     def test_core_shapes_verify(self, models, text):

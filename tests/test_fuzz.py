@@ -79,6 +79,19 @@ class TestRunFuzzDraws:
         # a discrepancy records its assignment, so the draws are compared too
         assert found == 2
 
+    def test_budget_skips_are_counted(self, m_sub2):
+        # a one-clause DNF budget: a formula whose elimination needs more
+        # is skipped, and every other one is checked in full
+        config = FuzzConfig(formulas=30, assignments=20, seed=1, dnf_budget=1)
+        report = run_fuzz(m_sub2, config)
+        assert report["budget_skips"] > 0
+        assert (report["checked_formulas"] + report["budget_skips"]
+                == config.formulas)
+        assert (report["total_assignments"]
+                == report["checked_formulas"] * config.assignments)
+        assert report["discrepancy_count"] == 0
+        assert run_fuzz(m_sub2, config) == report
+
     @pytest.mark.parametrize("formulas, assignments", [(-1, 5), (2, -3)])
     def test_negative_counts_are_refused(self, m_sub2, formulas,
                                          assignments):

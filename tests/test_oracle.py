@@ -20,7 +20,6 @@ from convexqe.fuzz import (SAMPLE_DENOM, gen_formula, gen_point,
                            int_sample_pool, pool_drawer)
 from convexqe.syntax import (And, Exists, Forall, Implies, free_vars,
                              is_quantifier_free, rename_bound)
-from convexqe.normalform import normalize_atoms
 from conftest import FIXTURE_NAMES, get_model, past_default_precision
 
 
@@ -64,7 +63,7 @@ class TestOracleAgreesWithEval:
         for m in models.values():
             for _ in range(30):
                 f = gen_formula(rng, ["x", "y"], 3, 0)
-                if not is_quantifier_free(normalize_atoms(f)):
+                if not is_quantifier_free(f):
                     continue
                 decision = oracle_compile(m, f)
                 for _ in range(15):
@@ -405,16 +404,21 @@ class TestRationalOrder:
 
 
 # quantifier bodies whose binders the parser would rename apart, built
-# directly: a reused binder, and a bound name that is also free
-def _shadowing_formulas():
-    p = parse_formula
+# directly: a reused binder, and a bound name that is also free; with
+# normal, each <=, != and -> is written out as the pre-pass-free reference
+# reads it: a <= b as ~(b < a), a != b as ~(a = b), p -> q as ~p | q
+def _shadowing_formulas(normal: bool = False):
+    def p(text, written_out=None):
+        return parse_formula(written_out if normal and written_out else text)
     return [
         Exists("x", And(p("x < y"), Exists("x", p("y < x")))),
         And(p("x < 1/2"), Exists("x", p("x = y + 1"))),
-        Forall("x", And(p("x < y | y <= x"),
-                        Exists("x", And(p("U(x)"), p("x != y"))))),
-        Exists("y", And(p("~(y <= x)"),
-                        Forall("y", p("y != x -> ~(y = 2 * x)")))),
+        Forall("x", And(p("x < y | y <= x", "x < y | ~(x < y)"),
+                        Exists("x", And(p("U(x)"),
+                                        p("x != y", "~(x = y)"))))),
+        Exists("y", And(p("~(y <= x)", "~~(x < y)"),
+                        Forall("y", p("y != x -> ~(y = 2 * x)",
+                                      "~~(y = x) | ~(y = 2 * x)")))),
     ]
 
 
@@ -425,6 +429,15 @@ _PREPASS_TEXTS = [
     "A y. E z. (y <= z -> ~(z != x + y))", "E y. ~(U(y) -> y <= x)",
 ]
 
+# the same formulas in normal form, written out as for _shadowing_formulas
+_NORMAL_TEXTS = [
+    "~~(y < x)", "~~(x = y)", "~(~~(y < x) | U(x - y))",
+    "A y. (~~(y < x) | ~(y = z))", "A y. (~~~(x < y) | I(y - z))",
+    "~(~~(y < x) | ~(z < y)) | ~(z < x)",
+    "~(~(~~(x = y) | U(y)) | ~~(x < z))",
+    "A y. E z. (~~(z < y) | ~~(z = x + y))", "E y. ~(~U(y) | ~(x < y))",
+]
+
 
 class TestWithoutPrePasses:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -433,11 +446,13 @@ class TestWithoutPrePasses:
         rng = random.Random(name)
         forms = _shadowing_formulas() + [parse_formula(t)
                                          for t in _PREPASS_TEXTS]
+        normal = _shadowing_formulas(True) + [parse_formula(t)
+                                              for t in _NORMAL_TEXTS]
         for f in forms[:4]:
             assert rename_bound(f) != f
-        for f in forms:
+        for f, g in zip(forms, normal, strict=True):
             ev = oracle_compile(m, f)
-            ref = oracle_compile(m, normalize_atoms(rename_bound(f)))
+            ref = oracle_compile(m, rename_bound(g))
             for _ in range(20):
                 asgn = {v: gen_point(rng, m) for v in free_vars(f)}
                 assert ev.eval_points(asgn) == ref.eval_points(asgn), str(f)

@@ -11,13 +11,13 @@ from convexqe.cutqe import qe
 from convexqe.errors import BudgetExceededError, FormulaSyntaxError
 from convexqe.fuzz import gen_formula
 from convexqe.models import eval_formula
-from convexqe.normalform import dnf_clauses, normalize_atoms, simplify, to_dnf
+from convexqe.normalform import dnf_clauses, simplify, to_dnf
 from convexqe.parser import parse_formula, parse_term
 from convexqe.syntax import (And, Atom, AtomF, AtomKind, Exists, FALSE,
                              Forall, Formula, Not, Or, TRUE, Term, atoms_of,
                              canonicalize_bound, conj, disj, free_vars,
                              is_quantifier_free, print_formula, rename_bound,
-                             term_to_str)
+                             subformulas, term_to_str)
 
 
 def rt(text: str) -> Formula:
@@ -367,7 +367,6 @@ def _walk_everything(f, names, clauses, simplified):
     assert canonicalize_bound(g).var == "q1"
     text = print_formula(g)
     assert print_formula(parse_formula(text)) == text
-    assert normalize_atoms(g) is g
     assert simplify(f) == simplified
     assert len(dnf_clauses(f)) == clauses
     assert qe(g) == TRUE
@@ -414,43 +413,36 @@ def test_equality_of_deep_formulas_is_iterative():
     assert f != h
 
 
-class TestNormalization:
-    def test_le_rewrite(self):
-        f = normalize_atoms(rt("x <= y"))
-        assert f == Not(AtomF(Atom(AtomKind.LT, Term.var("y") - Term.var("x"))))
-
-    def test_neq_rewrite(self):
-        f = normalize_atoms(rt("x != y"))
-        assert isinstance(f, Not)
-        assert f.sub.atom.kind == AtomKind.EQ
-
-    def test_implies_rewrite(self):
-        f = normalize_atoms(rt("U(x) -> U(2 * x)"))
-        assert f == rt("~U(x) | U(2 * x)")
-
-    def test_only_normal_kinds_remain(self):
-        f = normalize_atoms(rt("x <= y & (x != z -> U(x))"))
-        from convexqe.syntax import atoms_of
-        kinds = {a.kind for a in atoms_of(f)}
-        assert kinds <= {AtomKind.LT, AtomKind.EQ, AtomKind.UMEM, AtomKind.IMEM}
-
-
 class TestDnf:
     def test_distribution(self):
-        f = normalize_atoms(rt("(a < 0 | b < 0) & c < 0"))
+        f = rt("(a < 0 | b < 0) & c < 0")
         assert to_dnf(f) == rt("a < 0 & c < 0 | b < 0 & c < 0")
 
     def test_single_literal_identity(self):
-        f = normalize_atoms(rt("a < 0"))
+        f = rt("a < 0")
         assert to_dnf(f) == f
 
     def test_de_morgan(self):
-        f = normalize_atoms(rt("~(a < 0 & b < 0)"))
+        f = rt("~(a < 0 & b < 0)")
         assert to_dnf(f) == rt("~(a < 0) | ~(b < 0)")
+
+    def test_literals_are_the_formulas_own_leaves(self):
+        f = rt("(a < 0 | ~(b = 0)) & (U(c) | ~~(a < 0))")
+        leaves = [g for g in subformulas(f) if type(g) is AtomF]
+        clauses = dnf_clauses(f)
+        assert len(clauses) == 4
+        for clause in clauses:
+            for lit in clause:
+                leaf = lit.sub if type(lit) is Not else lit
+                assert any(leaf is g for g in leaves), lit
+
+    def test_ground_literals_are_kept(self):
+        f = rt("1 < 0 | a < 0 & ~(0 = 0)")
+        assert to_dnf(f) == f
 
     def test_budget(self):
         parts = " & ".join(f"(x{i} < 0 | y{i} < 0)" for i in range(12))
-        f = normalize_atoms(parse_formula(parts))
+        f = parse_formula(parts)
         with pytest.raises(BudgetExceededError):
             dnf_clauses(f, budget=100)
 
@@ -461,15 +453,12 @@ class TestDnf:
             m = models[name]
             for _ in range(25):
                 f = gen_formula(rng, ["x", "y"], 3, 0)
-                nf = normalize_atoms(f)
-                if not is_quantifier_free(nf):
+                if not is_quantifier_free(f):
                     continue
-                df = to_dnf(nf)
+                df = to_dnf(f)
                 for _ in range(10):
                     asgn = {v: gen_point(rng, m) for v in free_vars(f)}
-                    ref = eval_formula(m, f, asgn)
-                    assert eval_formula(m, nf, asgn) == ref
-                    assert eval_formula(m, df, asgn) == ref
+                    assert eval_formula(m, df, asgn) == eval_formula(m, f, asgn)
 
 
 # --- round-trip property ----------------------------------------------------
